@@ -10,7 +10,7 @@ honest weight via label + (k - shift).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     FiltrationNotPreserved,
@@ -37,15 +37,19 @@ from .scalars import ONE, ZERO, Scalar
 
 @dataclass
 class FilteredComplex:
-    """Bounded cochain complex with optional weight/Hodge filtrations."""
+    """Bounded cochain complex with optional weight/Hodge filtrations.
+
+    A complex built by ``koszul_complex`` records its slot layout: per degree,
+    slot key -> (offset of the slot in the term, slot space).
+    """
 
     min_deg: int
     dims: tuple[int, ...]                      # dims[i] = dim of term min_deg+i
     d: dict[int, LinearMap] = field(default_factory=dict)
     weight: dict[int, IncreasingFiltration] | None = None
     hodge: dict[int, DecreasingFiltration] | None = None
-    slots: dict[int, tuple] | None = None      # decoration: ((K, comp_idx), ...)
-    weight_offset: int = 0
+    layout: dict[int, dict[tuple, tuple[int, Subspace]]] = field(
+        default_factory=dict, repr=False)
 
     def __post_init__(self):
         # trim zero-dimensional ends for a canonical degree range
@@ -58,10 +62,10 @@ class FilteredComplex:
         self.dims = tuple(dims)
         self.d = {k: v for k, v in self.d.items()
                   if self.term_dim(k) and self.term_dim(k + 1)}
-        if self.weight is not None:
-            self.weight = {k: w for k, w in self.weight.items() if self.term_dim(k)}
-        if self.hodge is not None:
-            self.hodge = {k: f for k, f in self.hodge.items() if self.term_dim(k)}
+        self.weight, self.hodge = (
+            None if filt is None else
+            {k: f for k, f in filt.items() if self.term_dim(k)}
+            for filt in (self.weight, self.hodge))
 
     @property
     def max_deg(self) -> int:
@@ -96,29 +100,22 @@ class FilteredComplex:
             comp = self.differential(k + 1).compose(dk)
             if not comp.is_zero():
                 raise ShapeError(f"d o d != 0 at degree {k}")
-        if self.weight is not None:
+        for filt, name, step in ((self.weight, "weight", "W_"),
+                                 (self.hodge, "Hodge", "F^")):
+            if filt is None:
+                continue
             for k in self.degrees():
-                if self.term_dim(k) and k not in self.weight:
-                    raise FiltrationNotPreserved(f"no weight filtration at {k}")
-            for k in self.degrees():
-                if not self.term_dim(k) or not self.term_dim(k + 1):
-                    continue
-                dk, wk, wk1 = self.differential(k), self.weight[k], self.weight[k + 1]
-                for r, sub in wk.steps:
-                    tgt = wk1.at(r)
-                    if not all(tgt.contains_vector(dk(v)) for v in sub.basis):
-                        raise FiltrationNotPreserved(
-                            f"W_{r} at degree {k} is not a subcomplex")
-        if self.hodge is not None:
+                if self.term_dim(k) and k not in filt:
+                    raise FiltrationNotPreserved(f"no {name} filtration at {k}")
             for k in self.degrees():
                 if not self.term_dim(k) or not self.term_dim(k + 1):
                     continue
-                dk, fk, fk1 = self.differential(k), self.hodge[k], self.hodge[k + 1]
-                for p, sub in fk.steps:
-                    tgt = fk1.at(p)
+                dk, fk, fk1 = self.differential(k), filt[k], filt[k + 1]
+                for r, sub in fk.steps:
+                    tgt = fk1.at(r)
                     if not all(tgt.contains_vector(dk(v)) for v in sub.basis):
                         raise FiltrationNotPreserved(
-                            f"F^{p} at degree {k} is not a subcomplex")
+                            f"{step}{r} at degree {k} is not a subcomplex")
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
@@ -128,46 +125,17 @@ class FilteredComplex:
         for k in self.degrees():
             if self.differential(k) != other.differential(k):
                 return False
-        if (self.weight is None) != (other.weight is None):
-            return False
-        if self.weight is not None:
-            for k in self.degrees():
-                if self.term_dim(k) and self.weight_at(k) != other.weight_at(k):
-                    return False
-        if (self.hodge is None) != (other.hodge is None):
-            return False
-        if self.hodge is not None:
-            for k in self.degrees():
-                if self.term_dim(k) and self.hodge.get(k) != other.hodge.get(k):
-                    return False
-        return self.weight_offset == other.weight_offset
+        return (self.weight, self.hodge) == (other.weight, other.hodge)
 
     def shift(self, m: int) -> "FilteredComplex":
         """C[m]: term k becomes old term k+m; weight labels move by +m."""
-        new_min = self.min_deg - m
-        dims = self.dims
-        d = {}
         sign = -ONE if m % 2 else ONE
-        for k in self.degrees():
-            if k in self.d:
-                d[k - m] = self.d[k].scale(sign)
-        weight = None
-        if self.weight is not None:
-            weight = {k - m: w.shift_weights(m) for k, w in self.weight.items()}
-        hodge = None
-        if self.hodge is not None:
-            hodge = {k - m: f for k, f in self.hodge.items()}
-        return FilteredComplex(new_min, dims, d, weight, hodge,
-                               weight_offset=self.weight_offset)
-
-    def twist(self, r: int) -> "FilteredComplex":
-        """Tate twist: relabel weights w -> w - 2r, bookkeeping only."""
-        weight = None
-        if self.weight is not None:
-            weight = {k: w.shift_weights(-2 * r) for k, w in self.weight.items()}
-        return FilteredComplex(self.min_deg, self.dims, dict(self.d), weight,
-                               dict(self.hodge) if self.hodge else None,
-                               self.slots, self.weight_offset + r)
+        d = {k - m: dk.scale(sign) for k, dk in self.d.items()}
+        weight, hodge = (
+            None if filt is None else
+            {k - m: f.shift(label_shift) for k, f in filt.items()}
+            for filt, label_shift in ((self.weight, m), (self.hodge, 0)))
+        return FilteredComplex(self.min_deg - m, self.dims, d, weight, hodge)
 
 
 @dataclass
@@ -191,30 +159,34 @@ class ComplexMap:
                 raise ShapeError(f"not a chain map at degree {k}")
         if not check_filtrations:
             return
-        if self.source.weight is not None and self.target.weight is not None:
+        for src, tgt, step in ((self.source.weight, self.target.weight, "W_"),
+                               (self.source.hodge, self.target.hodge, "F^")):
+            if src is None or tgt is None:
+                continue
             for k in self.source.degrees():
-                if not self.source.term_dim(k):
+                if k not in src or k not in tgt:
                     continue
                 f = self.at(k)
-                tgt_w = self.target.weight_at(k)
-                for r, sub in self.source.weight_at(k).steps:
-                    t = tgt_w.at(r)
+                for r, sub in src[k].steps:
+                    t = tgt[k].at(r)
                     if not all(t.contains_vector(f(v)) for v in sub.basis):
                         raise FiltrationNotPreserved(
-                            f"map violates W_{r} at degree {k}")
-        if self.source.hodge is not None and self.target.hodge is not None:
-            for k in self.source.degrees():
-                if not self.source.term_dim(k) or k not in self.source.hodge:
-                    continue
-                f = self.at(k)
-                tgt_f = self.target.hodge.get(k)
-                if tgt_f is None:
-                    continue
-                for p, sub in self.source.hodge[k].steps:
-                    t = tgt_f.at(p)
-                    if not all(t.contains_vector(f(v)) for v in sub.basis):
-                        raise FiltrationNotPreserved(
-                            f"map violates F^{p} at degree {k}")
+                            f"map violates {step}{r} at degree {k}")
+
+
+def _direct_sum(parts, total: int):
+    """Direct sum of filtrations placed on consecutive coordinate blocks.
+
+    parts is a non-empty list of (offset, filtration) covering 0..total.
+    """
+    labels = sorted({i for _, f in parts for i in f.jumps()})
+    steps = []
+    for i in labels:
+        rows = [zero_vector(off) + tuple(v)
+                + zero_vector(total - off - f.ambient_dim)
+                for off, f in parts for v in f.at(i).basis]
+        steps.append((i, Subspace.span(rows, total)))
+    return type(parts[0][1])(total, steps)
 
 
 def cone(f: ComplexMap) -> FilteredComplex:
@@ -223,9 +195,7 @@ def cone(f: ComplexMap) -> FilteredComplex:
     a, b = f.source, f.target
     lo = min(a.min_deg - 1, b.min_deg)
     hi = max(a.max_deg - 1, b.max_deg)
-    dims, d, weight, hodge = [], {}, {}, {}
-    has_w = a.weight is not None and b.weight is not None
-    has_f = a.hodge is not None and b.hodge is not None
+    dims, d = [], {}
     for k in range(lo, hi + 1):
         da, db = a.term_dim(k + 1), b.term_dim(k)
         dims.append(da + db)
@@ -242,34 +212,25 @@ def cone(f: ComplexMap) -> FilteredComplex:
             rows.append([f_k1.matrix[r, c] for c in range(da)]
                         + [d_b.matrix[r, c] for c in range(db)])
         d[k] = LinearMap(Matrix(rows, cols=da + db))
-        if has_w:
-            wa = a.weight_at(k + 1) if da else IncreasingFiltration(0, [])
-            wb = b.weight_at(k) if db else IncreasingFiltration(0, [])
-            labels = sorted(set([r + 1 for r in wa.jumps()] + list(wb.jumps())))
-            steps = []
-            for r in labels:
-                left = wa.at(r - 1)
-                right = wb.at(r)
-                rows_ = [tuple(v) + zero_vector(db) for v in left.basis] + \
-                        [zero_vector(da) + tuple(v) for v in right.basis]
-                steps.append((r, Subspace.span(rows_, da + db)))
-            weight[k] = IncreasingFiltration(da + db, steps)
-        if has_f:
-            fa = a.hodge.get(k + 1) if da else DecreasingFiltration(0, [])
-            fb = b.hodge.get(k) if db else DecreasingFiltration(0, [])
-            if fa is None or fb is None:
+    filts = []
+    for fa, fb, name, lift in ((a.weight, b.weight, "weight", 1),
+                               (a.hodge, b.hodge, "Hodge", 0)):
+        if fa is None or fb is None:
+            filts.append(None)
+            continue
+        per_degree = {}
+        for k in range(lo, hi + 1):
+            da, db = a.term_dim(k + 1), b.term_dim(k)
+            if (da and k + 1 not in fa) or (db and k not in fb):
                 raise FiltrationNotPreserved(
-                    f"cone input misses a Hodge filtration near degree {k}")
-            labels = sorted(set(list(fa.jumps()) + list(fb.jumps())))
-            steps = []
-            for p in labels:
-                rows_ = [tuple(v) + zero_vector(db) for v in fa.at(p).basis] + \
-                        [zero_vector(da) + tuple(v) for v in fb.at(p).basis]
-                steps.append((p, Subspace.span(rows_, da + db)))
-            hodge[k] = DecreasingFiltration(da + db, steps)
-    out = FilteredComplex(lo, tuple(dims), d,
-                          weight if has_w else None,
-                          hodge if has_f else None)
+                    f"cone input misses a {name} filtration near degree {k}")
+            parts = [(0, fa[k + 1].shift(lift))] if da else []
+            if db:
+                parts.append((da, fb[k]))
+            if parts:
+                per_degree[k] = _direct_sum(parts, da + db)
+        filts.append(per_degree)
+    out = FilteredComplex(lo, tuple(dims), d, *filts)
     out.validate()
     if out.euler_characteristic() != b.euler_characteristic() - \
             a.euler_characteristic():
@@ -281,8 +242,9 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None,
             pairing: Matrix | None = None) -> FilteredComplex:
     """Dual complex: term k = (term(top-k))*, weights reflected about a.
 
-    W_w(dual term) is the annihilator of W_{2a-w-1}; the optional pairing is
-    only checked for nondegeneracy (the dual itself is coordinate-abstract).
+    W_w(dual term) is the annihilator of W_{2a-w-1} and F^p(dual term) that
+    of F^{a-p+1}; the optional pairing is only checked for nondegeneracy (the
+    dual itself is coordinate-abstract).
     """
     if pairing is not None:
         if len(rref(pairing.entries, pairing.cols)) != pairing.rows:
@@ -296,34 +258,12 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None,
         src = c.differential(top - k - 1)  # term(top-k-1) -> term(top-k)
         sign = -ONE if (k % 2 == 0) else ONE
         d[k] = LinearMap(src.matrix.transpose().scale(sign))
-    weight = None
-    if c.weight is not None:
-        weight = {}
-        for k in range(lo, hi + 1):
-            n = c.term_dim(top - k)
-            if not n:
-                continue
-            w = c.weight_at(top - k)
-            span_lo, span_hi = 2 * a - w.highest() - 1, 2 * a - w.lowest() + 1
-            steps = [(lbl, w.at(2 * a - lbl - 1).annihilator())
-                     for lbl in range(span_lo, span_hi + 1)]
-            weight[k] = IncreasingFiltration(n, steps)
-    hodge = None
-    if c.hodge is not None:
-        hodge = {}
-        for k in range(lo, hi + 1):
-            n = c.term_dim(top - k)
-            if not n:
-                continue
-            f = c.hodge.get(top - k)
-            if f is None:
-                continue
-            span_lo, span_hi = a - f.highest(), a - f.lowest() + 2
-            steps = [(lbl, f.at(a - lbl + 1).annihilator())
-                     for lbl in range(span_lo, span_hi + 1)]
-            hodge[k] = DecreasingFiltration(n, steps)
-    out = FilteredComplex(lo, dims, d, weight, hodge,
-                          weight_offset=c.weight_offset)
+    weight, hodge = (
+        None if filt is None else
+        {k: filt[top - k].dual(center) for k in range(lo, hi + 1)
+         if top - k in filt}
+        for filt, center in ((c.weight, 2 * a - 1), (c.hodge, a + 1)))
+    out = FilteredComplex(lo, dims, d, weight, hodge)
     out.validate()
     return out
 
@@ -385,17 +325,9 @@ def cohomology(c: FilteredComplex) -> CohomologyReport:
         z = c.differential(k).kernel()
         b = c.differential(k - 1).image()
         h = Subquotient(z, b)
-        w_filtr = None
-        if c.weight is not None and c.term_dim(k):
-            wk = c.weight_at(k)
-            steps = [(r, h.project_subspace(sub)) for r, sub in wk.steps]
-            w_filtr = IncreasingFiltration(h.dim, steps)
-        f_filtr = None
-        if c.hodge is not None and c.term_dim(k) and k in c.hodge:
-            fk = c.hodge[k]
-            steps = [(p, h.project_subspace(sub)) for p, sub in fk.steps]
-            steps.append((fk.highest() + 1, Subspace.zero(h.dim)))
-            f_filtr = DecreasingFiltration(h.dim, steps)
+        w_filtr, f_filtr = (
+            filt[k].project_to(h) if filt is not None and k in filt else None
+            for filt in (c.weight, c.hodge))
         degrees[k] = DegreeCohomology(k, h, w_filtr, f_filtr)
         total += (-1) ** k * h.dim
     if total != c.euler_characteristic():
@@ -403,213 +335,128 @@ def cohomology(c: FilteredComplex) -> CohomologyReport:
     return CohomologyReport(c, degrees)
 
 
-# -- slot machinery for the logarithmic builders ------------------------------
+# -- the Koszul slot complex ----------------------------------------------------
 
-def _alpha_op(comp, j: int) -> LinearMap:
-    """alpha_j Id - N_j on one component."""
-    n = comp.dim
-    ident = LinearMap.identity(n).scale(Scalar(comp.alpha[j]))
-    return ident - comp.nilpotents[j]
+def alpha_ops(comp) -> dict[int, LinearMap]:
+    """alpha_j Id - N_j on one component, per branch j."""
+    ident = LinearMap.identity(comp.dim)
+    return {j: ident.scale(Scalar(a)) - nj
+            for j, (a, nj) in enumerate(zip(comp.alpha, comp.nilpotents))}
 
 
-def _slot_product_image(comp, branch_list) -> Subspace:
-    out = Subspace.full(comp.dim)
-    for j in branch_list:
-        op = _alpha_op(comp, j)
-        out = Subspace.span([op(v) for v in out.basis], comp.dim)
+def slot_image(ops: dict[int, LinearMap], branches, dim: int) -> Subspace:
+    """Image of the product of the operators of the listed branches."""
+    out = Subspace.full(dim)
+    for j in branches:
+        out = Subspace.span([ops[j](v) for v in out.basis], dim)
     return out
 
 
-def _koszul_sign(k_set: tuple, j: int) -> Scalar:
-    return -ONE if sum(1 for i in k_set if i < j) % 2 else ONE
+def ic_cut(model, z: frozenset):
+    """Slot choice of the intersection complexes: slot (K, ci) is cut by the
+    branches of K, except those in z along which component ci is locally
+    unipotent (z empty gives IC, z nonempty its logarithmic variant)."""
+    def cut(K, ci):
+        zero_dirs = model.components[ci].zero_alpha_branches()
+        return [j for j in K if not (j in z and j in zero_dirs)]
+
+    return cut
 
 
-class _SlotComplexBuilder:
-    """Assemble a filtered complex from per-(K, component) slot subspaces."""
+def koszul_complex(branches, blocks, cut, weight=None,
+                   hodge=None) -> FilteredComplex:
+    """The filtered Koszul complex of commuting operators on a sum of blocks.
 
-    def __init__(self, model, slot_space, with_filtrations=True,
-                 weight_rule=None, hodge_rule=None, components=None):
-        self.model = model
-        self.components = components if components is not None \
-            else list(range(len(model.components)))
-        n = model.branches
-        self.slot_space = {}
-        self.slot_list = {}
-        for k in range(n + 1):
-            slots = []
-            for K in itertools.combinations(range(n), k):
-                for ci in self.components:
-                    space = slot_space(model.components[ci], K, ci)
-                    slots.append(((K, ci), space))
-            self.slot_list[k] = slots
-        self.with_filtrations = with_filtrations
-        self.weight_rule = weight_rule
-        self.hodge_rule = hodge_rule
-
-    def offsets(self, k):
-        off, out = 0, {}
-        for key, space in self.slot_list.get(k, []):
-            out[key] = (off, space)
-            off += space.dim
-        return out, off
-
-    def build(self) -> FilteredComplex:
-        model, n = self.model, self.model.branches
-        dims, d, weight, hodge, slots = [], {}, {}, {}, {}
-        layout = {k: self.offsets(k) for k in range(n + 1)}
-        for k in range(n + 1):
-            dims.append(layout[k][1])
-            slots[k] = tuple(key for key, _ in self.slot_list[k])
-        for k in range(n):
-            src_off, src_dim = layout[k]
-            tgt_off, tgt_dim = layout[k + 1]
-            rows = [[ZERO] * src_dim for _ in range(tgt_dim)]
-            for (K, ci), (off, space) in src_off.items():
-                comp = model.components[ci]
-                for j in range(n):
-                    if j in K:
-                        continue
-                    kj = tuple(sorted(K + (j,)))
-                    t_off, t_space = tgt_off[(kj, ci)]
-                    op = _alpha_op(comp, j)
-                    sign = _koszul_sign(kj, j)
-                    for c_idx, v in enumerate(space.basis):
-                        w = op(v)
-                        if not t_space.contains_vector(w):
-                            raise ShapeError(
-                                "differential leaves the declared slot space")
-                        for r_idx, x in enumerate(t_space.coords(w)):
-                            if x:
-                                rows[t_off + r_idx][off + c_idx] = \
-                                    rows[t_off + r_idx][off + c_idx] + sign * x
-            d[k] = LinearMap(Matrix(rows, cols=src_dim))
-        if self.with_filtrations:
-            for k in range(n + 1):
-                off_map, dim_k = layout[k]
-                if dim_k == 0:
+    blocks[b] is (dim, ops) with ops[j] the operator of branch j on block b.
+    Degree k has one slot (K, b) per k-subset K of branches and block b, in
+    that order: the image in block b of the operators of the branches
+    cut(K, b), a subset of K.  The differential sends slot (K, b) to slot
+    (K + j, b) by ops[j] with the Koszul sign.  When given, weight(K, b) and
+    hodge(K, b) are filtrations of block b; the slot carries their
+    restrictions.  The result records its slot layout.
+    """
+    branches = tuple(branches)
+    layout, dims = {}, []
+    for k in range(len(branches) + 1):
+        slots, off = {}, 0
+        for K in itertools.combinations(branches, k):
+            for b, (dim, ops) in enumerate(blocks):
+                space = slot_image(ops, cut(K, b), dim)
+                slots[(K, b)] = (off, space)
+                off += space.dim
+        layout[k] = slots
+        dims.append(off)
+    d = {}
+    for k in range(len(branches)):
+        rows = [[ZERO] * dims[k] for _ in range(dims[k + 1])]
+        for (K, b), (off, space) in layout[k].items():
+            ops = blocks[b][1]
+            for j in branches:
+                if j in K:
                     continue
-                if self.weight_rule is not None:
-                    slot_filts = {key: self.weight_rule(key[1], key[0], space)
-                                  for key, (off, space) in off_map.items()}
-                    labels = sorted({r for f in slot_filts.values()
-                                     for r in f.jumps()})
-                    steps = []
-                    for r in labels:
-                        rows_ = []
-                        for key, (off, space) in off_map.items():
-                            part = slot_filts[key].at(r)
-                            for v in part.basis:
-                                row = zero_vector(off) + tuple(v) + \
-                                    zero_vector(dim_k - off - space.dim)
-                                rows_.append(row)
-                        steps.append((r, Subspace.span(rows_, dim_k)))
-                    weight[k] = IncreasingFiltration(dim_k, steps)
-                if self.hodge_rule is not None:
-                    slot_filts = {key: self.hodge_rule(key[1], key[0], space)
-                                  for key, (off, space) in off_map.items()}
-                    labels = sorted({p for f in slot_filts.values()
-                                     for p in f.jumps()})
-                    steps = []
-                    for p in labels:
-                        rows_ = []
-                        for key, (off, space) in off_map.items():
-                            part = slot_filts[key].at(p)
-                            for v in part.basis:
-                                row = zero_vector(off) + tuple(v) + \
-                                    zero_vector(dim_k - off - space.dim)
-                                rows_.append(row)
-                        steps.append((p, Subspace.span(rows_, dim_k)))
-                    hodge[k] = DecreasingFiltration(dim_k, steps)
-        out = FilteredComplex(
-            0, tuple(dims), d,
-            weight if self.with_filtrations and self.weight_rule else None,
-            hodge if self.with_filtrations and self.hodge_rule else None,
-            slots)
-        out._slot_spaces = {k: dict(self.slot_list[k]) for k in range(n + 1)}
-        out.validate()
-        return out
+                t_off, t_space = layout[k + 1][(tuple(sorted(K + (j,))), b)]
+                sign = -ONE if sum(1 for i in K if i < j) % 2 else ONE
+                for c_idx, v in enumerate(space.basis):
+                    w = ops[j](v)
+                    if not t_space.contains_vector(w):
+                        raise ShapeError(
+                            "differential leaves the declared slot space")
+                    for r_idx, x in enumerate(t_space.coords(w)):
+                        if x:
+                            rows[t_off + r_idx][off + c_idx] = sign * x
+        d[k] = LinearMap(Matrix(rows, cols=dims[k]))
+    filts = []
+    for rule in (weight, hodge):
+        filts.append(None if rule is None else {
+            k: _direct_sum([(off, rule(K, b).restrict_to(space))
+                            for (K, b), (off, space) in slots.items()], dims[k])
+            for k, slots in layout.items() if dims[k]})
+    out = FilteredComplex(0, tuple(dims), d, *filts, layout=layout)
+    out.validate()
+    return out
 
 
-def _weight_rule_for(model):
-    # Unipotent slot (K, ci) carries W^K shifted by |K|, cut to the slot space.
-    # Components with a nonzero exponent are acyclic and sit outside the weight
-    # machinery; they carry the plain W restriction (which every residue
-    # operator preserves) so the filtration stays a subcomplex.
-    def rule(ci, K, space: Subspace) -> IncreasingFiltration:
-        comp = model.components[ci]
-        if comp.is_unipotent():
-            shifted = model.wj(ci, frozenset(K)).shift_weights(len(K))
-        else:
-            shifted = model.weight_on_component(ci)
-        steps = []
-        for r, s in shifted.steps:
-            inter = s.intersect(space)
-            steps.append((r, Subspace.span([space.coords(v) for v in inter.basis],
-                                           space.dim)))
-        return IncreasingFiltration(space.dim, steps)
+def _model_complex(model, cut, with_filtrations) -> FilteredComplex:
+    """Koszul complex of the residue operators alpha_j - N_j per component."""
+    comps = model.components
+    blocks = [(c.dim, alpha_ops(c)) for c in comps]
+    if not with_filtrations:
+        return koszul_complex(range(model.branches), blocks, cut)
 
-    return rule
+    def weight(K, ci):
+        # Unipotent slot (K, ci) carries W^K shifted by |K|.  Components with
+        # a nonzero exponent are acyclic and sit outside the weight machinery;
+        # they carry the plain W restriction (which every residue operator
+        # preserves) so the filtration stays a subcomplex.
+        if comps[ci].is_unipotent():
+            return model.wj(ci, frozenset(K)).shift(len(K))
+        return model.weight_on_component(ci)
 
+    hodge = None
+    if model.hodge is not None:
+        hodges = [model.hodge_on_component(ci) for ci in range(len(comps))]
 
-def _hodge_rule_for(model):
-    # slot (K, ci) carries F shifted by |K|, intersected with the slot space
-    def rule(ci, K, space: Subspace) -> DecreasingFiltration:
-        shifted = model.hodge_on_component(ci).shift_indices(len(K))
-        steps = []
-        for p, s in shifted.steps:
-            inter = s.intersect(space)
-            steps.append((p, Subspace.span([space.coords(v) for v in inter.basis],
-                                           space.dim)))
-        return DecreasingFiltration(space.dim, steps)
+        def hodge(K, ci):
+            return hodges[ci].shift(len(K))
 
-    return rule
+    return koszul_complex(range(model.branches), blocks, cut, weight, hodge)
 
 
 def build_omega(model, with_filtrations=True) -> FilteredComplex:
     """The logarithmic Koszul complex of the instance, with weight/Hodge data."""
-    builder = _SlotComplexBuilder(
-        model,
-        slot_space=lambda comp, K, ci: Subspace.full(comp.dim),
-        with_filtrations=with_filtrations,
-        weight_rule=_weight_rule_for(model) if with_filtrations else None,
-        hodge_rule=_hodge_rule_for(model)
-        if with_filtrations and model.hodge is not None else None,
-    )
-    return builder.build()
+    return _model_complex(model, lambda K, ci: (), with_filtrations)
 
 
 def build_ic(model, with_filtrations=True) -> FilteredComplex:
     """The intersection subcomplex: slot K carries the K-fold residue image."""
-    builder = _SlotComplexBuilder(
-        model,
-        slot_space=lambda comp, K, ci: _slot_product_image(comp, K),
-        with_filtrations=with_filtrations,
-        weight_rule=_weight_rule_for(model) if with_filtrations else None,
-        hodge_rule=_hodge_rule_for(model)
-        if with_filtrations and model.hodge is not None else None,
-    )
-    return builder.build()
+    return _model_complex(model, ic_cut(model, frozenset()), with_filtrations)
 
 
 def build_ic_log(model, z, with_filtrations=True) -> FilteredComplex:
     """Logarithmic intersection complex: branches in z keep the full space in
     their locally unipotent directions."""
     z = _check_branches(model, z)
-
-    def space(comp, K, ci):
-        zero_dirs = set(comp.zero_alpha_branches())
-        keep = [j for j in K if not (j in z and j in zero_dirs)]
-        return _slot_product_image(comp, keep)
-
-    builder = _SlotComplexBuilder(
-        model,
-        slot_space=space,
-        with_filtrations=with_filtrations,
-        weight_rule=_weight_rule_for(model) if with_filtrations else None,
-        hodge_rule=_hodge_rule_for(model)
-        if with_filtrations and model.hodge is not None else None,
-    )
-    return builder.build()
+    return _model_complex(model, ic_cut(model, z), with_filtrations)
 
 
 def _check_branches(model, z) -> frozenset:
@@ -628,10 +475,8 @@ def ic_into_iclog(model, ic: FilteredComplex, log: FilteredComplex) -> ComplexMa
         if not src_dim:
             continue
         rows = [[ZERO] * src_dim for _ in range(tgt_dim)]
-        src_layout = _layout_from(model, ic, k)
-        tgt_layout = _layout_from(model, log, k)
-        for key, (off, space) in src_layout.items():
-            t_off, t_space = tgt_layout[key]
+        for key, (off, space) in ic.layout[k].items():
+            t_off, t_space = log.layout[k][key]
             for c_idx, v in enumerate(space.basis):
                 for r_idx, x in enumerate(t_space.coords(v)):
                     if x:
@@ -662,25 +507,10 @@ def quotient_complex(sub_map: ComplexMap) -> tuple[FilteredComplex, dict]:
     for k in range(lo, hi):
         if dims[k - lo] and dims[k + 1 - lo]:
             d[k] = induced_map(b.differential(k), pres[k], pres[k + 1])
-    weight = None
-    if b.weight is not None:
-        weight = {}
-        for k in range(lo, hi + 1):
-            if not dims[k - lo]:
-                continue
-            wk = b.weight_at(k)
-            steps = [(r, pres[k].project_subspace(s)) for r, s in wk.steps]
-            weight[k] = IncreasingFiltration(dims[k - lo], steps)
-    hodge = None
-    if b.hodge is not None:
-        hodge = {}
-        for k in range(lo, hi + 1):
-            if not dims[k - lo] or k not in b.hodge:
-                continue
-            fk = b.hodge[k]
-            steps = [(p, pres[k].project_subspace(s)) for p, s in fk.steps]
-            steps.append((fk.highest() + 1, Subspace.zero(dims[k - lo])))
-            hodge[k] = DecreasingFiltration(dims[k - lo], steps)
+    weight, hodge = (
+        None if filt is None else
+        {k: f.project_to(pres[k]) for k, f in filt.items() if dims[k - lo]}
+        for filt in (b.weight, b.hodge))
     out = FilteredComplex(lo, tuple(dims), d, weight, hodge)
     out.validate()
     return out, pres
@@ -853,8 +683,8 @@ def _slot_pairing(model, ic, log):
         return ONE if sign == 1 else -ONE
 
     def pair(k, u_ic, w_log):
-        ic_layout = _layout_from(model, ic, k)
-        log_layout = _layout_from(model, log, n - k)
+        ic_layout = ic.layout.get(k, {})
+        log_layout = log.layout.get(n - k, {})
         total = ZERO
         for (K, ci), (off, space) in ic_layout.items():
             comp_k = tuple(j for j in all_branches if j not in K)
@@ -881,18 +711,6 @@ def _into_component(model, ci, slot_space: Subspace, coords):
     total = model.total_dim
     return zero_vector(off) + tuple(v) + zero_vector(total - off -
                                                      slot_space.ambient_dim)
-
-
-def _layout_from(model, c: FilteredComplex, k: int):
-    """(offset, slot space) per slot key, from the builder's attachment."""
-    out, off = {}, 0
-    spaces = getattr(c, "_slot_spaces", None)
-    if spaces is None or k not in spaces:
-        return out
-    for key, space in spaces[k].items():
-        out[key] = (off, space)
-        off += space.dim
-    return out
 
 
 def link_complex(model, z) -> FilteredComplex:
@@ -953,7 +771,7 @@ def _lift_h_map(data: IntersectionData) -> ComplexMap:
                     span = span.sum(Subspace.span([v], da))
         change = Matrix(basis_rows, cols=da).transpose()
         vals = Matrix(values, cols=db).transpose() if db else Matrix.zero(0, da)
-        maps[k] = LinearMap(vals * _matrix_inverse(change))
+        maps[k] = LinearMap(vals * change.inverse())
     rho = ComplexMap(a, b, maps)
     rho.validate(check_filtrations=False)
     try:
@@ -961,11 +779,7 @@ def _lift_h_map(data: IntersectionData) -> ComplexMap:
     except FiltrationNotPreserved:
         raise AssertionError("weight-adapted lift lost weight compatibility")
     if a.hodge is not None and b.hodge is not None and not _hodge_compatible(rho):
-        a2 = FilteredComplex(a.min_deg, a.dims, dict(a.d), a.weight, None,
-                             a.slots, a.weight_offset)
-        b2 = FilteredComplex(b.min_deg, b.dims, dict(b.d), b.weight, None,
-                             b.slots, b.weight_offset)
-        return ComplexMap(a2, b2, maps)
+        return ComplexMap(replace(a, hodge=None), replace(b, hodge=None), maps)
     return rho
 
 
@@ -997,14 +811,3 @@ def _class_representative(h: DegreeCohomology, b: FilteredComplex, k: int,
         out = vec_add(out, vec_scale(c, g))
     return out
 
-
-def _matrix_inverse(m: Matrix) -> Matrix:
-    n = m.rows
-    if n != m.cols:
-        raise ShapeError("inverse of a non-square matrix")
-    aug = [list(m.entries[i]) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    red = rref(aug, 2 * n)
-    if len(red) != n:
-        raise ShapeError("matrix is singular")
-    return Matrix([row[n:] for row in red], cols=n)

@@ -14,22 +14,24 @@ from dataclasses import dataclass, field
 from .complexes import (
     CohomologyReport,
     FilteredComplex,
+    alpha_ops,
     build_ic,
     build_ic_log,
     build_omega,
     cohomology,
+    ic_cut,
     intersection_morphism,
+    koszul_complex,
+    slot_image,
 )
 from .errors import ShapeError
 from .linalg import (
     LinearMap,
-    Matrix,
     Subquotient,
     Subspace,
     induced_map,
 )
 from .model import CheckResult, NCModel
-from .scalars import ONE, ZERO
 
 
 # -- primitive parts ----------------------------------------------------------
@@ -137,62 +139,18 @@ class DecompositionReport:
 
 def _slot_cut(model, ci, which, z, K) -> Subspace | None:
     """The subspace of the component whose Gr the primitive part is cut to."""
-    comp = model.components[ci]
     if which == "omega":
         return None
-    if which == "ic":
-        branches = K
-    else:
-        zero_dirs = set(comp.zero_alpha_branches())
-        branches = [j for j in K if not (j in z and j in zero_dirs)]
-    out = Subspace.full(comp.dim)
-    for j in branches:
-        out = Subspace.span([comp.nilpotents[j](v) for v in out.basis], comp.dim)
-    return out
+    comp = model.components[ci]
+    cut = ic_cut(model, z if which == "iclog" else frozenset())
+    return slot_image(alpha_ops(comp), cut(K, ci), comp.dim)
 
 
 def _ic_of_part(part: PrimitiveComponentPart, branches: list[int],
                 shift_by: int) -> FilteredComplex:
     """IC complex of a primitive part under its residual operators, shifted."""
-    dim = part.dim
-    ops = [part.residual[j] for j in branches]
-    n = len(ops)
-    spaces = {}
-    for r in range(n + 1):
-        for T in itertools.combinations(range(n), r):
-            s = Subspace.full(dim)
-            for t in T:
-                s = Subspace.span([ops[t](v) for v in s.basis], dim)
-            spaces[T] = s
-    dims, d = [], {}
-    layout = {}
-    for r in range(n + 1):
-        off, cur = 0, {}
-        for T in itertools.combinations(range(n), r):
-            cur[T] = (off, spaces[T])
-            off += spaces[T].dim
-        layout[r] = (cur, off)
-        dims.append(off)
-    for r in range(n):
-        src, sdim = layout[r]
-        tgt, tdim = layout[r + 1]
-        rows = [[ZERO] * sdim for _ in range(tdim)]
-        for T, (off, space) in src.items():
-            for j in range(n):
-                if j in T:
-                    continue
-                tj = tuple(sorted(T + (j,)))
-                t_off, t_space = tgt[tj]
-                sign = -ONE if sum(1 for i in tj if i < j) % 2 else ONE
-                for c_idx, v in enumerate(space.basis):
-                    w = ops[j](v)
-                    for r_idx, x in enumerate(t_space.coords(w)):
-                        if x:
-                            rows[t_off + r_idx][off + c_idx] = sign * x
-        d[r] = LinearMap(Matrix(rows, cols=sdim))
-    out = FilteredComplex(0, tuple(dims), d)
-    out.validate()
-    return out.shift(-shift_by)
+    ic = koszul_complex(branches, [(part.dim, part.residual)], lambda T, b: T)
+    return ic.shift(-shift_by)
 
 
 def graded_piece_complex(c: FilteredComplex, k: int) -> FilteredComplex:

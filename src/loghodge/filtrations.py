@@ -8,7 +8,7 @@ weight step and re-verified against both defining axioms before returning.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     FiltrationNotPreserved,
@@ -28,61 +28,54 @@ from .linalg import (
     vec_scale,
     zero_vector,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, is_integer
 
 
-class IncreasingFiltration:
-    """Exhaustive increasing filtration, stored at its jumps.
+class Filtration:
+    """Exhaustive filtration stored at its jumps, in canonical form.
 
-    W_k for any integer k is the step at the largest stored weight <= k, and
-    the zero subspace below all steps.  The top stored step is the full space.
+    The step at index k is the stored step at the largest index <= k; below
+    all stored indices it is the space the filtration starts from (zero for
+    an increasing filtration, the full space for a decreasing one).  The last
+    stored step is the space it ends at.  Subclasses fix the direction.
     """
 
     __slots__ = ("ambient_dim", "steps")
 
+    KEY: str        # JSON key of a step's index
+    _NAME: str      # the filtration in error messages
+    _INDEX: str     # the index in error messages
+
     def __init__(self, ambient_dim: int, steps: Sequence[tuple[int, Subspace]]):
         cleaned = []
-        prev = Subspace.zero(ambient_dim)
-        last_w = None
-        for w, sub in sorted(steps, key=lambda t: t[0]):
+        prev = self._start(ambient_dim)
+        last = None
+        for i, sub in sorted(steps, key=lambda t: t[0]):
             if sub.ambient_dim != ambient_dim:
                 raise ShapeError("filtration step in wrong ambient space")
-            if last_w is not None and w == last_w:
-                raise ShapeError(f"duplicate filtration weight {w}")
+            if last is not None and i == last:
+                raise ShapeError(f"duplicate filtration {self._INDEX} {i}")
             if sub == prev:
                 continue
-            if not sub.contains(prev):
-                raise ShapeError("filtration steps are not increasing")
-            cleaned.append((w, sub))
+            self._check_order(prev, sub)
+            cleaned.append((i, sub))
             prev = sub
-            last_w = w
-        if not prev.is_full():
-            raise ShapeError("filtration is not exhaustive (top step != full space)")
+            last = i
+        self._check_end(prev)
         self.ambient_dim = ambient_dim
         self.steps = tuple(cleaned)
 
-    @staticmethod
-    def pure(ambient_dim: int, weight: int) -> "IncreasingFiltration":
-        return IncreasingFiltration(
-            ambient_dim, [(weight, Subspace.full(ambient_dim))]
-        )
-
-    @staticmethod
-    def from_function(ambient_dim: int, lo: int, hi: int,
-                      f: Callable[[int], Subspace]) -> "IncreasingFiltration":
-        return IncreasingFiltration(ambient_dim, [(k, f(k)) for k in range(lo, hi + 1)])
-
     def at(self, k: int) -> Subspace:
-        out = Subspace.zero(self.ambient_dim)
-        for w, sub in self.steps:
-            if w <= k:
+        out = self._start(self.ambient_dim)
+        for i, sub in self.steps:
+            if i <= k:
                 out = sub
             else:
                 break
         return out
 
     def jumps(self) -> tuple[int, ...]:
-        return tuple(w for w, _ in self.steps)
+        return tuple(i for i, _ in self.steps)
 
     def lowest(self) -> int:
         return self.steps[0][0] if self.steps else 0
@@ -92,7 +85,7 @@ class IncreasingFiltration:
 
     def __eq__(self, other):
         return (
-            isinstance(other, IncreasingFiltration)
+            type(other) is type(self)
             and self.ambient_dim == other.ambient_dim
             and self.steps == other.steps
         )
@@ -101,8 +94,80 @@ class IncreasingFiltration:
         return hash((self.ambient_dim, self.steps))
 
     def __repr__(self):
-        parts = ", ".join(f"{w}:{s.dim}" for w, s in self.steps)
-        return f"IncreasingFiltration({parts})"
+        parts = ", ".join(f"{i}:{s.dim}" for i, s in self.steps)
+        return f"{type(self).__name__}({parts})"
+
+    def shift(self, m: int):
+        """The same steps with every index moved by m."""
+        return type(self)(self.ambient_dim, [(i + m, s) for i, s in self.steps])
+
+    def restrict_to(self, sub: Subspace):
+        """Induced filtration on sub, in sub's canonical coordinates."""
+        steps = []
+        for i, s in self.steps:
+            inter = s.intersect(sub)
+            steps.append((i, Subspace.span([sub.coords(v) for v in inter.basis],
+                                           sub.dim)))
+        return type(self)(sub.dim, steps)
+
+    def project_to(self, sq: Subquotient):
+        """Induced filtration on a subquotient, in its canonical coordinates."""
+        return type(self)(
+            sq.dim, [(i, sq.project_subspace(s)) for i, s in self.steps]
+        )
+
+    def dual(self, center: int):
+        """Step i is the annihilator of the step at center - i, on the dual
+        coordinate space."""
+        labels = range(center - self.highest() - 1, center - self.lowest() + 3)
+        return type(self)(self.ambient_dim,
+                          [(i, self.at(center - i).annihilator()) for i in labels])
+
+    def to_json(self) -> list[dict]:
+        return [
+            {self.KEY: i, "basis": [[str(e) for e in row] for row in s.basis]}
+            for i, s in self.steps
+        ]
+
+    @classmethod
+    def from_json(cls, data, ambient_dim: int):
+        if not isinstance(data, list):
+            raise ParseError("filtration must be a list of steps")
+        steps = []
+        for entry in data:
+            if not isinstance(entry, dict) or set(entry) != {cls.KEY, "basis"}:
+                raise ParseError(
+                    f"{cls._NAME} step must have exactly {cls.KEY} and basis")
+            i = entry[cls.KEY]
+            if not is_integer(i):
+                raise ParseError(f"{cls._NAME} {cls._INDEX} must be an integer")
+            steps.append((i, Subspace.span(entry["basis"], ambient_dim)))
+        return cls(ambient_dim, steps)
+
+
+class IncreasingFiltration(Filtration):
+    """Weight-style filtration: W_k grows with k from zero to the full space."""
+
+    __slots__ = ()
+
+    KEY, _NAME, _INDEX = "weight", "filtration", "weight"
+    _start = staticmethod(Subspace.zero)
+
+    @staticmethod
+    def _check_order(prev: Subspace, sub: Subspace):
+        if not sub.contains(prev):
+            raise ShapeError("filtration steps are not increasing")
+
+    @staticmethod
+    def _check_end(top: Subspace):
+        if not top.is_full():
+            raise ShapeError("filtration is not exhaustive (top step != full space)")
+
+    @staticmethod
+    def pure(ambient_dim: int, weight: int) -> "IncreasingFiltration":
+        return IncreasingFiltration(
+            ambient_dim, [(weight, Subspace.full(ambient_dim))]
+        )
 
     def graded_piece(self, k: int) -> Subquotient:
         return Subquotient(self.at(k), self.at(k - 1))
@@ -117,143 +182,39 @@ class IncreasingFiltration:
             prev = sub.dim
         return out
 
-    def shift_weights(self, m: int) -> "IncreasingFiltration":
-        return IncreasingFiltration(
-            self.ambient_dim, [(w + m, s) for w, s in self.steps]
-        )
-
-    def restrict_to(self, sub: Subspace) -> "IncreasingFiltration":
-        """Induced filtration on sub, in sub's canonical coordinates."""
-        steps = []
-        for w, s in self.steps:
-            inter = s.intersect(sub)
-            steps.append((w, Subspace.span([sub.coords(v) for v in inter.basis],
-                                           sub.dim)))
-        return IncreasingFiltration(sub.dim, steps)
-
-    def project_to(self, sq: Subquotient) -> "IncreasingFiltration":
-        """Induced filtration on a subquotient, in its canonical coordinates."""
-        return IncreasingFiltration(
-            sq.dim, [(w, sq.project_subspace(s)) for w, s in self.steps]
-        )
-
     def is_preserved_by(self, f: LinearMap) -> bool:
         return all(
             s.contains_vector(f(v)) for _, s in self.steps for v in s.basis
         )
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"weight": w, "basis": [[str(e) for e in row] for row in s.basis]}
-            for w, s in self.steps
-        ]
+
+class DecreasingFiltration(Filtration):
+    """Hodge-style filtration: F^p shrinks with p from the full space to zero."""
+
+    __slots__ = ()
+
+    KEY, _NAME, _INDEX = "p", "Hodge filtration", "index"
+    _start = staticmethod(Subspace.full)
 
     @staticmethod
-    def from_json(data, ambient_dim: int) -> "IncreasingFiltration":
-        if not isinstance(data, list):
-            raise ParseError("filtration must be a list of steps")
-        steps = []
-        for entry in data:
-            if not isinstance(entry, dict) or set(entry) != {"weight", "basis"}:
-                raise ParseError("filtration step must have exactly weight and basis")
-            w = entry["weight"]
-            if not isinstance(w, int):
-                raise ParseError("filtration weight must be an integer")
-            steps.append((w, Subspace.span(entry["basis"], ambient_dim)))
-        return IncreasingFiltration(ambient_dim, steps)
+    def _check_order(prev: Subspace, sub: Subspace):
+        if not prev.contains(sub):
+            raise ShapeError("filtration steps are not decreasing")
 
-
-class DecreasingFiltration:
-    """Exhaustive decreasing filtration (Hodge style), stored at its jumps.
-
-    F^p is the step at the largest stored index <= p; the full space below
-    all stored indices.  The last stored step is the zero subspace.
-    """
-
-    __slots__ = ("ambient_dim", "steps")
-
-    def __init__(self, ambient_dim: int, steps: Sequence[tuple[int, Subspace]]):
-        cleaned = []
-        prev = Subspace.full(ambient_dim)
-        last_p = None
-        for p, sub in sorted(steps, key=lambda t: t[0]):
-            if sub.ambient_dim != ambient_dim:
-                raise ShapeError("filtration step in wrong ambient space")
-            if last_p is not None and p == last_p:
-                raise ShapeError(f"duplicate filtration index {p}")
-            if sub == prev:
-                continue
-            if not prev.contains(sub):
-                raise ShapeError("filtration steps are not decreasing")
-            cleaned.append((p, sub))
-            prev = sub
-            last_p = p
-        if not prev.is_zero():
+    @staticmethod
+    def _check_end(bottom: Subspace):
+        if not bottom.is_zero():
             raise ShapeError("decreasing filtration does not reach zero")
-        self.ambient_dim = ambient_dim
-        self.steps = tuple(cleaned)
-
-    def at(self, p: int) -> Subspace:
-        out = Subspace.full(self.ambient_dim)
-        for q, sub in self.steps:
-            if q <= p:
-                out = sub
-            else:
-                break
-        return out
-
-    def jumps(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.steps)
-
-    def lowest(self) -> int:
-        return self.steps[0][0] if self.steps else 0
-
-    def highest(self) -> int:
-        return self.steps[-1][0] if self.steps else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecreasingFiltration)
-            and self.ambient_dim == other.ambient_dim
-            and self.steps == other.steps
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.steps))
-
-    def __repr__(self):
-        parts = ", ".join(f"{p}:{s.dim}" for p, s in self.steps)
-        return f"DecreasingFiltration({parts})"
 
     def graded_dims(self) -> dict[int, int]:
         out = {}
         prev_dim = self.ambient_dim
-        prev_p = None
         for p, sub in self.steps:
             d = prev_dim - sub.dim
             if d:
-                out[p - 1 if prev_p is None else p - 1] = d
+                out[p - 1] = d
             prev_dim = sub.dim
-            prev_p = p
         return out
-
-    def shift_indices(self, m: int) -> "DecreasingFiltration":
-        return DecreasingFiltration(
-            self.ambient_dim, [(p + m, s) for p, s in self.steps]
-        )
-
-    def restrict_to(self, sub: Subspace) -> "DecreasingFiltration":
-        steps = []
-        for p, s in self.steps:
-            inter = s.intersect(sub)
-            steps.append((p, Subspace.span([sub.coords(v) for v in inter.basis],
-                                           sub.dim)))
-        return DecreasingFiltration(sub.dim, steps)
-
-    def project_to(self, sq: Subquotient) -> "DecreasingFiltration":
-        return DecreasingFiltration(
-            sq.dim, [(p, sq.project_subspace(s)) for p, s in self.steps]
-        )
 
     def is_preserved_by(self, f: LinearMap, shift: int = 0) -> bool:
         """True when f(F^p) <= F^{p+shift} for all p."""
@@ -264,26 +225,6 @@ class DecreasingFiltration:
             if not all(tgt.contains_vector(f(v)) for v in self.at(p).basis):
                 return False
         return True
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"p": p, "basis": [[str(e) for e in row] for row in s.basis]}
-            for p, s in self.steps
-        ]
-
-    @staticmethod
-    def from_json(data, ambient_dim: int) -> "DecreasingFiltration":
-        if not isinstance(data, list):
-            raise ParseError("filtration must be a list of steps")
-        steps = []
-        for entry in data:
-            if not isinstance(entry, dict) or set(entry) != {"p", "basis"}:
-                raise ParseError("Hodge filtration step must have exactly p and basis")
-            p = entry["p"]
-            if not isinstance(p, int):
-                raise ParseError("Hodge filtration index must be an integer")
-            steps.append((p, Subspace.span(entry["basis"], ambient_dim)))
-        return DecreasingFiltration(ambient_dim, steps)
 
 
 # -- monodromy filtrations --------------------------------------------------
@@ -561,11 +502,7 @@ def iterated_star(operators: Sequence[LinearMap], w: IncreasingFiltration,
 
 def dual_filtration(w: IncreasingFiltration) -> IncreasingFiltration:
     """(W*)_k = annihilator of W_{-k-1}, on the dual coordinate space."""
-    n = w.ambient_dim
-    lo = -w.highest() - 1
-    hi = -w.lowest() + 1
-    steps = [(k, w.at(-k - 1).annihilator()) for k in range(lo, hi + 1)]
-    out = IncreasingFiltration(n, steps)
+    out = w.dual(-1)
     # graded dimensions must reflect: Gr_k(W*) ~ (Gr_{-k} W)*
     gd, gdd = w.graded_dims(), out.graded_dims()
     if {(-k, d) for k, d in gd.items()} != set(gdd.items()):

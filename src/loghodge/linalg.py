@@ -133,6 +133,19 @@ class Matrix:
     def to_strings(self):
         return [[str(e) for e in r] for r in self.entries]
 
+    def inverse(self) -> "Matrix":
+        """Exact inverse; ShapeError on a non-square or singular matrix."""
+        n = self.rows
+        if n != self.cols:
+            raise ShapeError("inverse of a non-square matrix")
+        aug = [list(self.entries[i]) + [ONE if j == i else ZERO for j in range(n)]
+               for i in range(n)]
+        red = rref(aug, 2 * n)
+        # [A | I] always has rank n; A is invertible iff every pivot lies in A
+        if n and not red[-1][n - 1]:
+            raise ShapeError("matrix is singular")
+        return Matrix([row[n:] for row in red], cols=n)
+
 
 def rref(rows: Iterable[Vector], width: int) -> tuple[Vector, ...]:
     """Reduced row echelon form: pivots 1, pivot columns cleared, rows by pivot."""

@@ -12,7 +12,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MissingHodgeFiltration, ParseError, ShapeError
+from .errors import (
+    LogHodgeError,
+    MissingHodgeFiltration,
+    ParseError,
+    ShapeError,
+)
 from .filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
@@ -20,7 +25,7 @@ from .filtrations import (
     relative_monodromy_filtration,
 )
 from .linalg import LinearMap, Matrix, Subquotient, Subspace, rref
-from .scalars import ONE, ZERO, I, Scalar, format_scalar, parse_scalar
+from .scalars import ONE, ZERO, I, Scalar, format_scalar, is_integer, parse_scalar
 
 
 @dataclass
@@ -335,14 +340,6 @@ def direct_sum(a: NCModel, b: NCModel) -> NCModel:
 
     emb_a, emb_b = embed(a, 0), embed(b, 1)
 
-    def push(filtr_steps, emb, ambient):
-        return [
-            Subspace.span(
-                [_apply_embedding(v, emb, total) for v in s.basis], total
-            )
-            for s in filtr_steps
-        ]
-
     lo = min(a.weight.lowest(), b.weight.lowest())
     hi = max(a.weight.highest(), b.weight.highest())
     wsteps = []
@@ -517,7 +514,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
                      for t in samples]
         try:
             filts = [monodromy_filtration(ng, center=i) for ng in n_grs]
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
+        except LogHodgeError as exc:
             add(f"NilpotentOrbit[w={i}]", False, f"monodromy failed: {exc}")
             continue
         t_independent = all(f == filts[0] for f in filts)
@@ -543,7 +540,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
             nsum = model.nilpotent_sum(subset, [t[j] for j in subset])
             try:
                 filts.append(relative_monodromy_filtration(nsum, model.weight))
-            except Exception as exc:  # noqa: BLE001
+            except LogHodgeError as exc:
                 ok, detail = False, str(exc)
                 break
         if ok and any(f != filts[0] for f in filts):
@@ -641,7 +638,7 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, i: int, form) -> bo
         try:
             nk1 = induced_map(n_gr.power(k + 1), top, bottom)
             prim = nk1.kernel()
-        except Exception:  # noqa: BLE001 - treated as failed polarization
+        except LogHodgeError:
             return False
         if prim.dim == 0:
             continue
@@ -703,10 +700,10 @@ def model_from_json(doc) -> NCModel:
     _require_keys(doc, {"branches", "base_weight", "perverse_shift",
                         "components", "W"}, {"F", "S"}, "instance")
     n = doc["branches"]
-    if not isinstance(n, int) or n < 0:
+    if not is_integer(n) or n < 0:
         raise ParseError("branches must be a non-negative integer")
     for key in ("base_weight", "perverse_shift"):
-        if not isinstance(doc[key], int):
+        if not is_integer(doc[key]):
             raise ParseError(f"{key} must be an integer")
     comps = []
     seen_alphas = set()
@@ -732,7 +729,7 @@ def model_from_json(doc) -> NCModel:
             raise ParseError(f"component {k}: duplicate exponent vector")
         seen_alphas.add(alpha)
         d = cdoc["dim"]
-        if not isinstance(d, int) or d < 0:
+        if not is_integer(d) or d < 0:
             raise ParseError(f"component {k}: dim must be a non-negative integer")
         nmats = cdoc["N"]
         if not isinstance(nmats, list) or len(nmats) != n:
@@ -754,7 +751,7 @@ def model_from_json(doc) -> NCModel:
         if not isinstance(sdoc, dict):
             raise ParseError("S must be an object")
         _require_keys(sdoc, {"matrix", "parity"}, set(), "S")
-        if not isinstance(sdoc["parity"], int):
+        if not is_integer(sdoc["parity"]):
             raise ParseError("S parity must be an integer")
         pairing = _matrix_from_json(sdoc["matrix"], total, "S matrix")
         parity = sdoc["parity"]

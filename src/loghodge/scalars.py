@@ -80,10 +80,6 @@ class Scalar:
     def conj(self) -> "Scalar":
         return Scalar(self.re, -self.im)
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -150,6 +146,11 @@ def parse_scalar(s: str) -> Scalar:
     if m:
         return Scalar(_parse_fraction(m.group(1)), _parse_fraction(m.group(2)))
     raise ParseError(f"malformed scalar {s!r}")
+
+
+def is_integer(value) -> bool:
+    """True for a JSON integer; a JSON boolean loads as an int but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from loghodge.errors import (
     FiltrationNotPreserved,
     NotNilpotent,
+    ParseError,
     RelativeMonodromyNonexistent,
     ShapeError,
 )
@@ -19,7 +21,7 @@ from loghodge.filtrations import (
     shriek,
     star,
 )
-from loghodge.linalg import LinearMap, Matrix, Subspace, canonicalize
+from loghodge.linalg import LinearMap, Matrix, Subquotient, Subspace, canonicalize
 
 J2 = LinearMap([[0, 1], [0, 0]])
 J3 = LinearMap([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -38,19 +40,7 @@ def random_nilpotent(dim, rng):
         for k in range(dim):
             g[i][k] += c * g[j][k]
     gm = Matrix(g)
-    # inverse of an integer unimodular matrix via adjugate-free exact solve
-    ginv = _invert(gm)
-    return LinearMap(gm * Matrix(upper) * ginv)
-
-
-def _invert(m):
-    n = m.rows
-    aug = [list(m.entries[i]) + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    from loghodge.linalg import rref
-
-    red = rref(aug, 2 * n)
-    return Matrix([row[n:] for row in red], cols=n)
+    return LinearMap(gm * Matrix(upper) * gm.inverse())
 
 
 def test_filtration_normalization():
@@ -206,3 +196,96 @@ def test_filtration_json_roundtrip():
                                      (1, Subspace.full(2))])
     again = IncreasingFiltration.from_json(mixed.to_json(), 2)
     assert again == mixed
+
+
+# -- both directions through the shared base ------------------------------------
+
+BOTH = pytest.mark.parametrize("cls", [IncreasingFiltration,
+                                       DecreasingFiltration])
+LINE = canonicalize([[1, 0]])
+DIAGONAL = canonicalize([[1, 1]])
+
+
+def _end(cls, dim):
+    """The space a filtration of this direction ends at."""
+    return Subspace.full(dim) if cls is IncreasingFiltration else Subspace.zero(dim)
+
+
+def _through(cls, dim, step0):
+    """The filtration with step0 at index 0 and its end space from index 1."""
+    return cls(dim, [(0, step0), (1, _end(cls, dim))])
+
+
+@BOTH
+def test_json_round_trip_both_directions(cls):
+    f = _through(cls, 2, LINE)
+    doc = f.to_json()
+    assert [sorted(step) for step in doc] == [sorted([cls.KEY, "basis"])] * 2
+    assert cls.from_json(doc, 2) == f
+
+
+@BOTH
+def test_restrict_to_both_directions(cls):
+    f = _through(cls, 2, LINE)
+    assert f.restrict_to(LINE) == _through(cls, 1, Subspace.full(1))
+    assert f.restrict_to(DIAGONAL) == _through(cls, 1, Subspace.zero(1))
+    assert f.restrict_to(Subspace.full(2)) == f
+
+
+@BOTH
+def test_project_to_both_directions(cls):
+    f = _through(cls, 2, LINE)
+    assert f.project_to(Subquotient(Subspace.full(2), LINE)) == \
+        _through(cls, 1, Subspace.zero(1))
+    assert f.project_to(Subquotient(LINE, Subspace.zero(2))) == \
+        _through(cls, 1, Subspace.full(1))
+
+
+@BOTH
+def test_shift_both_directions(cls):
+    f = _through(cls, 2, LINE)
+    moved = f.shift(3)
+    assert type(moved) is cls
+    assert moved.jumps() == tuple(j + 3 for j in f.jumps())
+    assert all(moved.at(k + 3) == f.at(k) for k in range(-2, 4))
+    assert f.shift(0) == f and moved.shift(-3) == f
+
+
+@pytest.mark.parametrize("cls, steps, message", [
+    (IncreasingFiltration, [(0, Subspace.full(3))],
+     "filtration step in wrong ambient space"),
+    (DecreasingFiltration, [(0, Subspace.zero(3))],
+     "filtration step in wrong ambient space"),
+    (IncreasingFiltration, [(0, LINE), (0, DIAGONAL)],
+     "duplicate filtration weight 0"),
+    (DecreasingFiltration, [(0, LINE), (0, DIAGONAL)],
+     "duplicate filtration index 0"),
+    (IncreasingFiltration, [(0, LINE), (1, DIAGONAL), (2, Subspace.full(2))],
+     "filtration steps are not increasing"),
+    (DecreasingFiltration, [(0, LINE), (1, DIAGONAL), (2, Subspace.zero(2))],
+     "filtration steps are not decreasing"),
+    (IncreasingFiltration, [(0, LINE)],
+     "filtration is not exhaustive (top step != full space)"),
+    (DecreasingFiltration, [(0, LINE)],
+     "decreasing filtration does not reach zero"),
+])
+def test_constructor_rejections_both_directions(cls, steps, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        cls(2, steps)
+
+
+@pytest.mark.parametrize("cls, data, message", [
+    (IncreasingFiltration, {"weight": 0}, "filtration must be a list of steps"),
+    (DecreasingFiltration, {"p": 0}, "filtration must be a list of steps"),
+    (IncreasingFiltration, [{"p": 0, "basis": []}],
+     "filtration step must have exactly weight and basis"),
+    (DecreasingFiltration, [{"weight": 0, "basis": []}],
+     "Hodge filtration step must have exactly p and basis"),
+    (IncreasingFiltration, [{"weight": "0", "basis": [["1", "0"]]}],
+     "filtration weight must be an integer"),
+    (DecreasingFiltration, [{"p": True, "basis": []}],
+     "Hodge filtration index must be an integer"),
+])
+def test_from_json_rejections_both_directions(cls, data, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        cls.from_json(data, 2)

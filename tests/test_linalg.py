@@ -128,3 +128,13 @@ def test_annihilator():
     ann = e1.annihilator()
     assert ann == canonicalize([[0, 1]])
     assert Subspace.zero(3).annihilator() == Subspace.full(3)
+
+
+def test_inverse_is_exact_and_rejects_singular_input():
+    m = Matrix([[2, 1], [1, 1]])
+    assert m * m.inverse() == Matrix.identity(2)
+    assert Matrix([], cols=0).inverse() == Matrix([], cols=0)
+    with pytest.raises(ShapeError, match="singular"):
+        Matrix([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ShapeError, match="non-square"):
+        Matrix([[1, 2]]).inverse()

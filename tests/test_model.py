@@ -1,7 +1,10 @@
+import copy
 import json
 
 import pytest
 
+import loghodge.model
+from loghodge.cli import main
 from loghodge.errors import MissingHodgeFiltration, ParseError
 from loghodge.model import (
     canonical_json,
@@ -149,3 +152,38 @@ def test_parse_rejections(mutate):
     mutate(doc)
     with pytest.raises(ParseError):
         model_from_json(doc)
+
+
+# every mutation keeps the document loadable if a boolean counted as 1
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(branches=True),
+    lambda d: d.update(base_weight=True),
+    lambda d: d.update(perverse_shift=True),
+    lambda d: d["components"][0].update(dim=True),
+    lambda d: d["W"][0].update(weight=True),
+    lambda d: d["F"][0].update(p=True),
+    lambda d: d["S"].update(parity=True),
+], ids=["branches", "base_weight", "perverse_shift", "dim", "W.weight", "F.p",
+        "S.parity"])
+def test_json_booleans_are_not_integers(mutate, tmp_path, capsys):
+    doc = copy.deepcopy(TRIVIAL)
+    mutate(doc)
+    with pytest.raises(ParseError):
+        model_from_json(doc)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "error"
+
+
+@pytest.mark.parametrize("name", ["monodromy_filtration",
+                                  "relative_monodromy_filtration"])
+def test_imhs_lets_internal_errors_propagate(monkeypatch, name):
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal bug")
+
+    # without S no polarization check runs, so only the guarded calls remain
+    doc = {k: v for k, v in J2_WEIGHT1.items() if k != "S"}
+    monkeypatch.setattr(loghodge.model, name, broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        imhs_check(model_from_json(doc))

@@ -2,7 +2,8 @@
 
 Output is a single JSON document on stdout (or a plain-text table with
 --format text).  Exit codes: 0 success, 1 a checker verb found a violated
-property, 2 bad input.  Identical input bytes produce identical output bytes.
+property, 2 bad input, 3 an internal error (a bug, not a property of the
+input).  Identical input bytes produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -10,16 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import decomposition as dec
 from . import complexes as cx
-from .errors import LogHodgeError, ParseError
+from .errors import InvalidModel, LogHodgeError, ParseError
 from .model import canonical_json, imhs_check, load_model, validate
 
 CHECKER_VERBS = {"validate", "imhs", "purity", "decompose", "duality", "link",
                  "corpus", "intersect"}
+
+# validate rows that the verbs reading the pairing S rely on
+PAIRING_ROWS = ("PairingParity", "InfinitesimalIsometry")
 
 
 def _parse_z(text, model):
@@ -58,6 +63,14 @@ def _purity_complex(model, mode, z):
     if mode == "link":
         return cx.link_complex(model, z)
     raise ParseError(f"unknown purity mode {mode!r}")
+
+
+def _require_valid_pairing(model):
+    """Raise InvalidModel when S fails a validate row a verdict relies on."""
+    failed = [c.name for c in validate(model).checks
+              if c.name in PAIRING_ROWS and c.status == "fail"]
+    if failed:
+        raise InvalidModel(f"instance fails validate: {', '.join(failed)}")
 
 
 def run_validate(model, args):
@@ -131,6 +144,7 @@ def run_intersect(model, args):
     z = _parse_z(args.z, model)
     if not z:
         raise ParseError("intersect needs a nonempty --z")
+    _require_valid_pairing(model)
     results = []
     ok = True
     for i in range(0, model.branches + 2):
@@ -144,6 +158,7 @@ def run_intersect(model, args):
 def run_purity(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
+    _require_valid_pairing(model)
     c = _purity_complex(model, args.mode, z)
     verdict = dec.purity_check(cx.cohomology(c), model.base_weight, shift,
                                args.mode)
@@ -153,6 +168,7 @@ def run_purity(model, args):
 def run_link(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
+    _require_valid_pairing(model)
     link = cx.link_complex(model, z)
     rep = cx.cohomology(link)
     verdict = dec.purity_check(rep, model.base_weight, shift, "link")
@@ -163,6 +179,7 @@ def run_link(model, args):
 def run_duality(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     a = model.base_weight
+    _require_valid_pairing(model)
     results = []
     ok = True
     for kind in ("omega", "ic"):
@@ -334,6 +351,12 @@ def main(argv=None) -> int:
         doc["verdict"] = "error"
         _emit(doc, args)
         return 2
+    except Exception as exc:  # a bug: report it, never as a verdict
+        traceback.print_exc(file=sys.stderr)
+        doc["error"] = f"internal error: {type(exc).__name__}: {exc}"
+        doc["verdict"] = "error"
+        _emit(doc, args)
+        return 3
     _emit(doc, args)
     if args.verb in CHECKER_VERBS and passed is False:
         return 1

@@ -35,3 +35,7 @@ class PairingDegenerate(LogHodgeError):
 
 class MissingHodgeFiltration(LogHodgeError):
     """A Hodge-filtration dependent check was requested on a model without F."""
+
+
+class InvalidModel(LogHodgeError):
+    """The instance fails a validate row that the requested verb relies on."""

@@ -266,7 +266,7 @@ def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
 
 
 def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap, center: int):
-    if not _shifts_by_two(m, N):
+    if not shifts_by_two(m, N):
         raise RelativeMonodromyNonexistent("candidate violates N M_i <= M_{i-2}")
     lo = m.lowest() - 1
     hi = m.highest()
@@ -286,7 +286,8 @@ def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap, center: int):
             )
 
 
-def _shifts_by_two(m: IncreasingFiltration, N: LinearMap) -> bool:
+def shifts_by_two(m: IncreasingFiltration, N: LinearMap) -> bool:
+    """N M_w <= M_{w-2} for every step w of m."""
     for w, sub in m.steps:
         tgt = m.at(w - 2)
         if not all(tgt.contains_vector(N(v)) for v in sub.basis):
@@ -297,7 +298,7 @@ def _shifts_by_two(m: IncreasingFiltration, N: LinearMap) -> bool:
 def check_relative_axioms(m: IncreasingFiltration, N: LinearMap,
                           w: IncreasingFiltration) -> bool:
     """Both relative monodromy axioms, as exact subspace statements."""
-    if not _shifts_by_two(m, N):
+    if not shifts_by_two(m, N):
         return False
     for j in w.jumps():
         gr = w.graded_piece(j)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, _scalar, as_scalar
 
 Vector = tuple  # tuple of Scalar
 
@@ -116,19 +116,33 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bt = other.transpose().entries
+        # row i of the product is the sum of a * (row k of other) over the
+        # nonzero entries a = self[i, k]
+        supports = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
         out = []
         for r in self.entries:
-            out.append(
-                tuple(sum((a * b for a, b in zip(r, c)), ZERO) for c in bt)
-            )
+            acc = [ZERO] * other.cols
+            for a, support in zip(r, supports):
+                if a:
+                    for j, b in support:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return Matrix(out, cols=other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector; v has length .cols."""
         if len(v) != self.cols:
             raise ShapeError("vector length does not match matrix columns")
-        return tuple(sum((a * b for a, b in zip(r, v)), ZERO) for r in self.entries)
+        support = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for r in self.entries:
+            acc = ZERO
+            for j, x in support:
+                a = r[j]
+                if a:
+                    acc = acc + a * x
+            out.append(acc)
+        return tuple(out)
 
     def to_strings(self):
         return [[str(e) for e in r] for r in self.entries]
@@ -148,33 +162,44 @@ class Matrix:
 
 
 def rref(rows: Iterable[Vector], width: int) -> tuple[Vector, ...]:
-    """Reduced row echelon form: pivots 1, pivot columns cleared, rows by pivot."""
+    """Reduced row echelon form: pivots 1, pivot columns cleared, rows by pivot.
+
+    Gauss-Jordan with the first nonzero row as pivot.  When no entry has an
+    imaginary part the loop runs on the bare real parts (Fractions), else on
+    the Scalars; the rows come back as Scalars either way.  A row update
+    touches only the pivot row's nonzero columns: the pivot row is zero left
+    of the pivot, and elsewhere subtracting zero changes nothing.
+    """
     work = [list(r) for r in rows if not vec_is_zero(r)]
     for r in work:
         if len(r) != width:
             raise ShapeError("vector of wrong ambient dimension")
-    pivots = []
+    rational = not any(e.im for r in work for e in r)
+    if rational:
+        work = [[e.re for e in r] for r in work]
     row_i = 0
     for col in range(width):
-        pivot_row = None
-        for i in range(row_i, len(work)):
-            if work[i][col]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(row_i, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
-        work[row_i], work[pivot_row] = work[pivot_row], work[row_i]
-        inv = ONE / work[row_i][col]
-        work[row_i] = [inv * e for e in work[row_i]]
-        for i in range(len(work)):
-            if i != row_i and work[i][col]:
-                c = work[i][col]
-                work[i] = [e - c * p for e, p in zip(work[i], work[row_i])]
-        pivots.append(col)
+        prow = work[pivot_row]
+        work[pivot_row] = work[row_i]
+        work[row_i] = prow
+        inv = 1 / prow[col]
+        support = [j for j in range(col, width) if prow[j]]
+        for j in support:
+            prow[j] = prow[j] * inv
+        for i, r in enumerate(work):
+            c = r[col]
+            if c and i != row_i:
+                for j in support:
+                    r[j] = r[j] - c * prow[j]
         row_i += 1
         if row_i == len(work):
             break
-    return tuple(tuple(r) for r in work[:row_i] if not vec_is_zero(tuple(r)))
+    if rational:
+        return tuple(tuple(_scalar(e) if e else ZERO for e in r) for r in work[:row_i])
+    return tuple(tuple(r) for r in work[:row_i])
 
 
 class Subspace:
@@ -242,7 +267,11 @@ class Subspace:
         for row, p in zip(self.basis, self._pivots):
             c = out[p]
             if c:
-                out = [e - c * b for e, b in zip(out, row)]
+                # a canonical basis row is zero left of its pivot
+                for j in range(p, self.ambient_dim):
+                    b = row[j]
+                    if b:
+                        out[j] = out[j] - c * b
         return tuple(out)
 
     def contains_vector(self, v: Vector) -> bool:

@@ -21,8 +21,9 @@ _BOTH_RE = re.compile(rf"^({_FRAC})([+-]\d+(?:/\d+)?)\*i$")
 class Scalar:
     """Gaussian rational re + im*i with Fraction components.
 
-    Immutable by convention: no method mutates self.  Conjugation is the
-    exact involution fixing the rational subfield.
+    Immutable by convention: no method mutates self, so an operation may
+    return one of its operands (x + 0 is x).  Conjugation is the exact
+    involution fixing the rational subfield.
     """
 
     __slots__ = ("re", "im")
@@ -34,26 +35,41 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        if not other.re and not other.im:
+            return self
+        if not self.re and not self.im:
+            return other
+        if not self.im and not other.im:
+            return _scalar(self.re + other.re)
+        return _scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        if not other.re and not other.im:
+            return self
+        if not self.im and not other.im:
+            return _scalar(self.re - other.re)
+        return _scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return as_scalar(other).__sub__(self)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = as_scalar(other)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
         if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
+            if not self.re or not other.re:
+                return ZERO
+            return _scalar(self.re * other.re)
+        return _scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -61,13 +77,14 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar(other)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
         if not other.re and not other.im:
             raise ZeroDivisionError("scalar division by zero")
         if not self.im and not other.im:
-            return Scalar(self.re / other.re)
+            return _scalar(self.re / other.re)
         norm = other.re * other.re + other.im * other.im
-        return Scalar(
+        return _scalar(
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
@@ -78,7 +95,7 @@ class Scalar:
     # -- structure --------------------------------------------------------
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self.re, -self.im) if self.im else self
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -100,6 +117,17 @@ class Scalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_F0 = Fraction(0)
+
+
+def _scalar(re: Fraction, im: Fraction = _F0) -> Scalar:
+    """A Scalar from components that are already Fractions, unchecked."""
+    x = object.__new__(Scalar)
+    x.re = re
+    x.im = im
+    return x
 
 
 ZERO = Scalar(0)

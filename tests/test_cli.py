@@ -2,6 +2,9 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
+from loghodge import cli
 from loghodge.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -140,3 +143,46 @@ def test_corpus_deterministic_across_jobs(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def _pairing_failing_validate(tmp_path):
+    """J2 weight 1 with S = identity declared at parity 1: symmetric, so the
+    parity row fails, and N^T S + S N = N^T + N != 0."""
+    doc = json.loads(J2.read_text())
+    doc["S"] = {"matrix": [["1", "0"], ["0", "1"]], "parity": 1}
+    path = tmp_path / "bad_pairing.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    *[["purity", "--mode", mode]
+      for mode in ("open", "support", "closed", "compact", "link")],
+    ["link"], ["intersect", "--z", "1"], ["duality"],
+])
+def test_verbs_using_the_pairing_refuse_one_failing_validate(argv, tmp_path,
+                                                             capsys):
+    path = _pairing_failing_validate(tmp_path)
+    code, out = run_cli(argv + [str(path)], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["verdict"] == "error" and "results" not in doc
+    assert doc["error"] == ("loghodge.errors.InvalidModel: instance fails "
+                            "validate: PairingParity, InfinitesimalIsometry")
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
+def test_internal_error_exits_three_with_one_json_document(monkeypatch,
+                                                           capsys):
+    def broken(model, args):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setitem(cli.VERBS, "validate", broken)
+    code = main(["validate", str(J2)])
+    captured = capsys.readouterr()
+    assert code == 3
+    doc = json.loads(captured.out)
+    assert doc == {"instance": str(J2), "verb": "validate", "verdict": "error",
+                   "error": "internal error: RuntimeError: internal bug"}
+    assert "Traceback" in captured.err

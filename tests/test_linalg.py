@@ -13,6 +13,7 @@ from loghodge.linalg import (
     canonicalize,
     induced_map,
     induced_map_on,
+    rref,
 )
 from loghodge.scalars import Scalar
 
@@ -138,3 +139,108 @@ def test_inverse_is_exact_and_rejects_singular_input():
         Matrix([[1, 2], [2, 4]]).inverse()
     with pytest.raises(ShapeError, match="non-square"):
         Matrix([[1, 2]]).inverse()
+
+
+# -- the zero-skipping kernels against dense textbook formulas ----------------
+
+nonzero_frac = small_frac.filter(bool)
+
+
+def sparse_entries(gaussian):
+    """Mostly zeros, then rationals; with gaussian, now and then an a+bi, b != 0."""
+    def entry(k):
+        if k < 5:
+            return st.just(Scalar(0))
+        if gaussian and k == 9:
+            return st.builds(Scalar, small_frac, nonzero_frac)
+        return st.builds(Scalar, small_frac)
+    return st.integers(0, 9).flatmap(entry)
+
+
+@st.composite
+def sparse_rows(draw, rows=None, cols=None):
+    """A list of rows (possibly none, possibly of width 0), all-rational or not."""
+    gaussian = draw(st.booleans())
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    row = st.lists(sparse_entries(gaussian), min_size=cols, max_size=cols)
+    return [tuple(r) for r in draw(st.lists(row, min_size=rows, max_size=rows))]
+
+
+def dense_rref(rows, width):
+    work = [list(r) for r in rows if any(r)]
+    top = 0
+    for col in range(width):
+        pivot = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[top], work[pivot] = work[pivot], work[top]
+        inv = Scalar(1) / work[top][col]
+        work[top] = [inv * e for e in work[top]]
+        for i in range(len(work)):
+            if i != top:
+                c = work[i][col]
+                work[i] = [e - c * p for e, p in zip(work[i], work[top])]
+        top += 1
+    return tuple(tuple(r) for r in work[:top])
+
+
+def dense_product(a, b, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Scalar(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def all_scalars(rows):
+    return all(type(e) is Scalar for r in rows for e in r)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5).flatmap(lambda w: st.tuples(st.just(w),
+                                                     sparse_rows(cols=w))))
+def test_rref_matches_dense_reference(case):
+    width, rows = case
+    out = rref(rows, width)
+    assert out == dense_rref(rows, width)
+    assert all_scalars(out)
+
+
+@settings(max_examples=150)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_rows(s[0], s[1]), sparse_rows(s[1], s[2]))))
+def test_matmul_and_apply_match_dense_reference(case):
+    (rows, inner, cols), a, b = case
+    product = Matrix(a, cols=inner) * Matrix(b, cols=cols)
+    assert (product.rows, product.cols) == (rows, cols)
+    assert [list(r) for r in product.entries] == dense_product(a, b, inner, cols)
+    assert all_scalars(product.entries)
+    for j in range(cols):
+        column = tuple(r[j] for r in b)
+        image = Matrix(a, cols=inner).apply(column)
+        assert list(image) == [row[j] for row in dense_product(a, b, inner, cols)]
+        assert all_scalars([image])
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5).flatmap(
+    lambda w: st.tuples(st.just(w), sparse_rows(cols=w), sparse_rows(1, w))))
+def test_reduce_matches_dense_reference(case):
+    width, gens, (v,) = case
+    sub = Subspace.span(gens, width)
+    expected = list(v)
+    for row in sub.basis:
+        p = next(j for j, e in enumerate(row) if e)
+        c = expected[p]
+        expected = [e - c * b for e, b in zip(expected, row)]
+    out = sub.reduce(v)
+    assert list(out) == expected
+    assert all_scalars([out])
+    assert sub.contains_vector(v) == (not any(expected))
+
+
+def test_kernels_on_empty_and_zero_width_input():
+    assert rref([], 3) == () and rref([(), ()], 0) == ()
+    assert Matrix([], cols=3) * Matrix([[1], [2], [3]]) == Matrix([], cols=1)
+    empty_inner = Matrix([(), ()], cols=0) * Matrix([], cols=2)
+    assert empty_inner == Matrix.zero(2, 2) and all_scalars(empty_inner.entries)
+    assert Matrix([(), ()], cols=0).apply(()) == (Scalar(0), Scalar(0))
+    assert Subspace.zero(0).reduce(()) == ()

@@ -1,12 +1,18 @@
 import copy
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loghodge.model
 from loghodge.cli import main
 from loghodge.errors import MissingHodgeFiltration, ParseError
+from loghodge.linalg import Matrix
 from loghodge.model import (
+    _hermitian_positive,
     canonical_json,
     direct_sum,
     imhs_check,
@@ -15,6 +21,7 @@ from loghodge.model import (
     unipotent_part,
     validate,
 )
+from loghodge.scalars import Scalar
 
 J2_WEIGHT1 = {
     "branches": 1, "base_weight": 1, "perverse_shift": 1,
@@ -187,3 +194,43 @@ def test_imhs_lets_internal_errors_propagate(monkeypatch, name):
     monkeypatch.setattr(loghodge.model, name, broken)
     with pytest.raises(RuntimeError, match="internal bug"):
         imhs_check(model_from_json(doc))
+
+
+small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian n x n (n <= 3), sometimes made non-Hermitian by one entry."""
+    n = draw(st.integers(0, 3))
+    rows = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Scalar(draw(st.integers(-2, 6)))
+        for j in range(i + 1, n):
+            rows[i][j] = Scalar(draw(small), draw(small))
+            rows[j][i] = rows[i][j].conj()
+    if n and draw(st.booleans()) and draw(st.booleans()):
+        rows[0][n - 1] = rows[0][n - 1] + Scalar(0, 1)
+    return Matrix(rows, cols=n)
+
+
+def leibniz_det(rows):
+    total = Scalar(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        term = Scalar(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+@settings(max_examples=200)
+@given(hermitian_matrices())
+def test_hermitian_positive_is_sylvesters_criterion(h):
+    # every leading principal minor real and > 0, by the permutation formula
+    minors = [leibniz_det([r[:k] for r in h.entries[:k]])
+              for k in range(1, h.rows + 1)]
+    expected = (h.transpose().conj() == h
+                and all(not d.im and d.re > 0 for d in minors))
+    assert _hermitian_positive(h) == expected

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loghodge.errors import ParseError
-from loghodge.scalars import Scalar, format_scalar, parse_scalar
+from loghodge.scalars import ZERO, Scalar, format_scalar, parse_scalar
 
 fractions = st.builds(
     Fraction,
@@ -57,3 +57,24 @@ def test_field_ops(x, y):
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Scalar(1) / Scalar(0)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), Scalar(0)])
+@given(scalars)
+def test_zero_shortcuts(zero, x):
+    assert x + zero is x and zero + x == x
+    if x:
+        assert zero + x is x
+    assert x - zero is x
+    assert zero - x == -x
+    for product in (x * zero, zero * x):
+        assert type(product) is Scalar and product == 0 and not product
+    if not x.im:
+        assert x * zero is ZERO and zero * x is ZERO
+
+
+@given(scalars, scalars)
+def test_results_are_scalars_with_fraction_parts(x, y):
+    for z in (x + y, x - y, x * y, -x, x.conj(), 1 + x, 1 - x, 2 * x):
+        assert type(z) is Scalar
+        assert type(z.re) is Fraction and type(z.im) is Fraction

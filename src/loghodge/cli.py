@@ -18,6 +18,7 @@ from pathlib import Path
 from . import decomposition as dec
 from . import complexes as cx
 from .errors import InvalidModel, LogHodgeError, ParseError
+from .filtrations import relative_monodromy_filtration, star
 from .model import canonical_json, imhs_check, load_model, validate
 
 CHECKER_VERBS = {"validate", "imhs", "purity", "decompose", "duality", "link",
@@ -38,16 +39,6 @@ def _parse_z(text, model):
         if not 1 <= j <= model.branches:
             raise ParseError(f"branch index {j} out of range 1..{model.branches}")
     return frozenset(j - 1 for j in idx)
-
-
-def _complex_for(model, kind, z):
-    if kind == "omega":
-        return cx.build_omega(model)
-    if kind == "ic":
-        return cx.build_ic(model)
-    if kind == "iclog":
-        return cx.build_ic_log(model, z)
-    raise ParseError(f"unknown complex kind {kind!r}")
 
 
 def _purity_complex(model, mode, z):
@@ -85,7 +76,7 @@ def run_imhs(model, args):
 
 def run_cohomology(model, args):
     z = _parse_z(args.z, model)
-    c = _complex_for(model, args.complex, z)
+    c = cx.build_complex(model, args.complex, z)
     return cohomology_json(c), None
 
 
@@ -100,8 +91,6 @@ def run_filtration(model, args):
 
 
 def run_star(model, args):
-    from .filtrations import star
-
     j = args.branch - 1
     if not 0 <= j < model.branches:
         raise ParseError(f"--branch {args.branch} out of range")
@@ -110,8 +99,6 @@ def run_star(model, args):
 
 
 def run_relmono(model, args):
-    from .filtrations import relative_monodromy_filtration
-
     z = _parse_z(args.z or "", model) or frozenset(range(model.branches))
     n = model.nilpotent_sum(sorted(z))
     out = relative_monodromy_filtration(n, model.weight)
@@ -147,8 +134,7 @@ def run_intersect(model, args):
     _require_valid_pairing(model)
     results = []
     ok = True
-    for i in range(0, model.branches + 2):
-        rep = dec.intersection_image(model, z, i)
+    for rep in dec.intersection_image(model, z):
         if rep.dim or not rep.passed:
             results.append(rep.to_json())
             ok = ok and rep.passed
@@ -183,7 +169,7 @@ def run_duality(model, args):
     results = []
     ok = True
     for kind in ("omega", "ic"):
-        c = _complex_for(model, kind, z)
+        c = cx.build_complex(model, kind, z)
         base = cx.cohomology(c).profile()
         double = cx.cohomology(
             cx.dualize(cx.dualize(c, a=a), a=a)).profile()

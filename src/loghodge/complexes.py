@@ -10,7 +10,7 @@ honest weight via label + (k - shift).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     FiltrationNotPreserved,
@@ -27,9 +27,7 @@ from .linalg import (
     rref,
     solve_in_span,
     solve_linear,
-    vec_add,
     vec_is_zero,
-    vec_scale,
     zero_vector,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -151,14 +149,12 @@ class ComplexMap:
             return self.maps[k]
         return LinearMap.zero(self.source.term_dim(k), self.target.term_dim(k))
 
-    def validate(self, check_filtrations=True) -> None:
+    def validate(self) -> None:
         for k in self.source.degrees():
             lhs = self.target.differential(k).compose(self.at(k))
             rhs = self.at(k + 1).compose(self.source.differential(k))
             if lhs != rhs:
                 raise ShapeError(f"not a chain map at degree {k}")
-        if not check_filtrations:
-            return
         for src, tgt, step in ((self.source.weight, self.target.weight, "W_"),
                                (self.source.hodge, self.target.hodge, "F^")):
             if src is None or tgt is None:
@@ -363,6 +359,17 @@ def ic_cut(model, z: frozenset):
     return cut
 
 
+def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
+    """The complex of one kind: omega, ic, or iclog along the branches z."""
+    if kind == "omega":
+        return build_omega(model)
+    if kind == "ic":
+        return build_ic(model)
+    if kind == "iclog":
+        return build_ic_log(model, z)
+    raise ShapeError(f"unknown complex kind {kind!r}")
+
+
 def koszul_complex(branches, blocks, cut, weight=None,
                    hodge=None) -> FilteredComplex:
     """The filtered Koszul complex of commuting operators on a sum of blocks.
@@ -489,31 +496,64 @@ def ic_into_iclog(model, ic: FilteredComplex, log: FilteredComplex) -> ComplexMa
 
 # -- quotient, shrieks, stars, link -------------------------------------------
 
+def subquotient_complex(c: FilteredComplex, pres: dict[int, Subquotient], *,
+                        filtered: bool) -> FilteredComplex:
+    """The complex of subquotients pres[k] of the terms of c, k over c's
+    degrees, with the induced differentials.
+
+    Each pres[k] is a subcomplex term modulo a smaller one.  When filtered,
+    c's weight and Hodge filtrations are carried as image filtrations.
+    """
+    dims = tuple(pres[k].dim for k in c.degrees())
+    d = {k: induced_map(c.differential(k), pres[k], pres[k + 1])
+         for k in c.degrees()
+         if k < c.max_deg and pres[k].dim and pres[k + 1].dim}
+    weight, hodge = (
+        None if not filtered or filt is None else
+        {k: f.project_to(pres[k]) for k, f in filt.items() if pres[k].dim}
+        for filt in (c.weight, c.hodge))
+    out = FilteredComplex(c.min_deg, dims, d, weight, hodge)
+    out.validate()
+    return out
+
+
 def quotient_complex(sub_map: ComplexMap) -> tuple[FilteredComplex, dict]:
     """Target/Image(sub) with induced differentials and image filtrations.
 
     Returns the quotient complex and the per-degree Subquotient presentations.
     """
     a, b = sub_map.source, sub_map.target
-    pres = {}
-    dims = []
-    lo, hi = b.min_deg, b.max_deg
-    for k in range(lo, hi + 1):
-        img = sub_map.at(k).image() if a.term_dim(k) else \
-            Subspace.zero(b.term_dim(k))
-        pres[k] = Subquotient(Subspace.full(b.term_dim(k)), img)
-        dims.append(pres[k].dim)
-    d = {}
-    for k in range(lo, hi):
-        if dims[k - lo] and dims[k + 1 - lo]:
-            d[k] = induced_map(b.differential(k), pres[k], pres[k + 1])
-    weight, hodge = (
-        None if filt is None else
-        {k: f.project_to(pres[k]) for k, f in filt.items() if dims[k - lo]}
-        for filt in (b.weight, b.hodge))
-    out = FilteredComplex(lo, tuple(dims), d, weight, hodge)
-    out.validate()
-    return out, pres
+    pres = {k: Subquotient(Subspace.full(b.term_dim(k)),
+                           sub_map.at(k).image() if a.term_dim(k) else
+                           Subspace.zero(b.term_dim(k)))
+            for k in b.degrees()}
+    return subquotient_complex(b, pres, filtered=True), pres
+
+
+@dataclass
+class _SupportTower:
+    """IC inside IC_log along z, the quotient Q = IC_log/IC with its
+    presentations, and the sections supported on z, i^! = Q[-1]."""
+
+    model: object
+    ic: FilteredComplex
+    log: FilteredComplex
+    emb: ComplexMap
+    pres: dict[int, Subquotient]
+    shriek: FilteredComplex
+
+    def star(self) -> FilteredComplex:
+        """i^*, the twisted dual of i^!."""
+        return dualize(self.shriek, a=self.model.base_weight,
+                       top=self.model.branches + 1, pairing=self.model.pairing)
+
+
+def _support_tower(model, z: frozenset) -> _SupportTower:
+    ic = build_ic(model)
+    log = build_ic_log(model, z)
+    emb = ic_into_iclog(model, ic, log)
+    quot, pres = quotient_complex(emb)
+    return _SupportTower(model, ic, log, emb, pres, quot.shift(-1))
 
 
 def i_shriek(model, z) -> FilteredComplex:
@@ -521,11 +561,7 @@ def i_shriek(model, z) -> FilteredComplex:
     z = _check_branches(model, z)
     if not z:
         raise ShapeError("i_shriek needs a nonempty branch set")
-    ic = build_ic(model)
-    log = build_ic_log(model, z)
-    emb = ic_into_iclog(model, ic, log)
-    quot, _ = quotient_complex(emb)
-    return quot.shift(-1)
+    return _support_tower(model, z).shriek
 
 
 def i_star(model, z) -> FilteredComplex:
@@ -535,17 +571,13 @@ def i_star(model, z) -> FilteredComplex:
         raise ShapeError("i_star needs a nonempty branch set")
     if model.pairing is None:
         raise PairingDegenerate("i_star needs the model pairing")
-    shr = i_shriek(model, z)
-    return dualize(shr, a=model.base_weight, top=model.branches + 1,
-                   pairing=model.pairing)
+    return _support_tower(model, z).star()
 
 
 @dataclass
 class IntersectionData:
     """The intersection morphism on cohomology, with its ingredients."""
 
-    model: object
-    z: frozenset
     shriek: FilteredComplex
     star: FilteredComplex
     h_shriek: CohomologyReport
@@ -564,17 +596,12 @@ def intersection_morphism(model, z) -> IntersectionData:
     if model.pairing is None:
         raise PairingDegenerate("intersection morphism needs the pairing")
     n = model.branches
-    ic = build_ic(model)
-    log = build_ic_log(model, z)
-    emb = ic_into_iclog(model, ic, log)
-    quot, pres = quotient_complex(emb)
-    shr = quot.shift(-1)
-    st = dualize(shr, a=model.base_weight, top=n + 1, pairing=model.pairing)
+    tower = _support_tower(model, z)
+    shr, st = tower.shriek, tower.star()
     h_shr = cohomology(shr)
     h_st = cohomology(st)
-    h_ic = cohomology(ic)
 
-    pair = _slot_pairing(model, ic, log)
+    pair = _slot_pairing(model, tower.ic, tower.log)
     maps = {}
     for k in shr.degrees():
         hk = h_shr.degrees.get(k)
@@ -590,7 +617,7 @@ def intersection_morphism(model, z) -> IntersectionData:
         if tdim == 0:
             maps[k] = LinearMap.zero(hk.dim, 0)
             continue
-        _check_pairing_ambiguities(model, ic, log, emb, pair, k)
+        _check_pairing_ambiguities(tower, pair, k)
         # evaluation pairing between H^k(star) and H^{n+1-k}(shriek)
         eval_rows = []
         for r in range(tdim):
@@ -604,12 +631,11 @@ def intersection_morphism(model, z) -> IntersectionData:
         cols = []
         for s_idx in range(hk.dim):
             u = hk.presentation.lift(_unit(hk.dim, s_idx))      # in Q-coords, deg k-1
-            delta_u = _connecting_class(model, ic, log, emb, quot, pres,
-                                        h_ic, k, u)
+            delta_u = _connecting_class(tower, k, u)
             vals = []
             for s in range(ddim):
                 wq = dual_h.presentation.lift(_unit(ddim, s))   # Q-coords, deg n-k
-                w_log = pres[dual_deg - 1].lift(wq)
+                w_log = tower.pres[dual_deg - 1].lift(wq)
                 vals.append(pair(k, delta_u, w_log))
             sol = solve_linear(LinearMap(eval_m.transpose()), tuple(vals))
             if sol is None:
@@ -617,28 +643,29 @@ def intersection_morphism(model, z) -> IntersectionData:
             cols.append(sol)
         maps[k] = LinearMap(Matrix(cols, cols=tdim).transpose()) if hk.dim else \
             LinearMap.zero(0, tdim)
-    return IntersectionData(model, z, shr, st, h_shr, h_st, maps)
+    return IntersectionData(shr, st, h_shr, h_st, maps)
 
 
 def _unit(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def _connecting_class(model, ic, log, emb, quot, pres, h_ic, k, u_quot):
+def _connecting_class(tower: _SupportTower, k, u_quot):
     """delta: H^{k-1}(Q) -> H^k(IC) as a cocycle in IC-term coordinates."""
-    w = pres[k - 1].lift(u_quot)            # representative in log term k-1
-    dw = log.differential(k - 1)(w)         # lands in the embedded IC term k
-    x = solve_linear(emb.at(k), dw)
+    w = tower.pres[k - 1].lift(u_quot)      # representative in log term k-1
+    dw = tower.log.differential(k - 1)(w)   # lands in the embedded IC term k
+    x = solve_linear(tower.emb.at(k), dw)
     if x is None:
         raise AssertionError("connecting image not in the subcomplex")
     return x
 
 
-def _check_pairing_ambiguities(model, ic, log, emb, pair, k):
+def _check_pairing_ambiguities(tower: _SupportTower, pair, k):
     """The slot pairing must be independent of every representative choice
     made at degree k: Q-class reps (mod the subcomplex and mod coboundaries)
     and connecting-cocycle reps (mod intersection-complex coboundaries)."""
-    n = model.branches
+    n = tower.model.branches
+    ic, log, emb = tower.ic, tower.log, tower.emb
     z_ic = ic.differential(k).kernel()
     b_ic = ic.differential(k - 1).image()
     emb_img = emb.at(n - k).image() if ic.term_dim(n - k) else \
@@ -717,8 +744,8 @@ def link_complex(model, z) -> FilteredComplex:
     """Mixed cone over the intersection morphism i^! -> i^*.
 
     The chain map is a weight-adapted lift of the exactly computed
-    cohomology-level morphism; the Hodge filtration is carried along only
-    when the lift respects it.
+    cohomology-level morphism.  It must preserve both W and F (F when the
+    model carries one), or the build fails.
     """
     data = intersection_morphism(model, z)
     rho = _lift_h_map(data)
@@ -773,22 +800,11 @@ def _lift_h_map(data: IntersectionData) -> ComplexMap:
         vals = Matrix(values, cols=db).transpose() if db else Matrix.zero(0, da)
         maps[k] = LinearMap(vals * change.inverse())
     rho = ComplexMap(a, b, maps)
-    rho.validate(check_filtrations=False)
     try:
         rho.validate()
     except FiltrationNotPreserved:
-        raise AssertionError("weight-adapted lift lost weight compatibility")
-    if a.hodge is not None and b.hodge is not None and not _hodge_compatible(rho):
-        return ComplexMap(replace(a, hodge=None), replace(b, hodge=None), maps)
+        raise AssertionError("weight-adapted lift does not preserve W and F")
     return rho
-
-
-def _hodge_compatible(f: ComplexMap) -> bool:
-    try:
-        f.validate()
-        return True
-    except FiltrationNotPreserved:
-        return False
 
 
 def _class_representative(h: DegreeCohomology, b: FilteredComplex, k: int,
@@ -797,17 +813,11 @@ def _class_representative(h: DegreeCohomology, b: FilteredComplex, k: int,
     if h.dim == 0 or vec_is_zero(cls):
         return zero_vector(b.term_dim(k))
     v0 = h.presentation.lift(cls)
-    z = b.differential(k).kernel()
+    zw = b.differential(k).kernel().intersect(b.weight_at(k).at(weight_bound))
     bd = b.differential(k - 1).image()
-    wk = b.weight_at(k).at(weight_bound)
-    gens = list(z.intersect(wk).basis) + list(bd.basis)
-    coeffs = solve_in_span(gens, v0, b.term_dim(k))
+    coeffs = solve_in_span(list(zw.basis) + list(bd.basis), v0, b.term_dim(k))
     if coeffs is None:
         raise FiltrationNotPreserved(
             "cohomology class has no representative at its weight level")
-    nz = z.intersect(wk).basis
-    out = zero_vector(b.term_dim(k))
-    for c, g in zip(coeffs[: len(nz)], nz):
-        out = vec_add(out, vec_scale(c, g))
-    return out
+    return zw.from_coords(coeffs[: zw.dim])
 

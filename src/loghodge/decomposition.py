@@ -9,29 +9,26 @@ the declared bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import (
     CohomologyReport,
     FilteredComplex,
-    alpha_ops,
-    build_ic,
-    build_ic_log,
-    build_omega,
+    build_complex,
     cohomology,
-    ic_cut,
     intersection_morphism,
     koszul_complex,
-    slot_image,
+    subquotient_complex,
 )
 from .errors import ShapeError
+from .filtrations import relative_monodromy_filtration
 from .linalg import (
     LinearMap,
     Subquotient,
     Subspace,
     induced_map,
 )
-from .model import CheckResult, NCModel
+from .model import CheckReport, NCModel
 
 
 # -- primitive parts ----------------------------------------------------------
@@ -62,8 +59,7 @@ class PrimitivePart:
 
 
 def _gr_wj(model: NCModel, ci: int, J: tuple, k: int) -> Subquotient:
-    wj = model.wj(ci, frozenset(J))
-    return Subquotient(wj.at(k), wj.at(k - 1))
+    return model.wj(ci, frozenset(J)).graded_piece(k)
 
 
 def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
@@ -94,8 +90,6 @@ def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
         residual[j] = nj.restrict(space, space)
     # purity with respect to the relative monodromy of the J-sum
     if J and space.dim:
-        from .filtrations import relative_monodromy_filtration
-
         nsum = comp.nilpotents[J[0]]
         for j in J[1:]:
             nsum = nsum + comp.nilpotents[j]
@@ -120,53 +114,11 @@ def primitive_part(model: NCModel, J, k: int) -> PrimitivePart:
 
 # -- graded decomposition ------------------------------------------------------
 
-@dataclass
-class DecompositionReport:
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, name, ok, detail=""):
-        self.checks.append(
-            CheckResult(name, "pass" if ok else "fail", "" if ok else detail))
-
-    @property
-    def passed(self):
-        return all(c.status != "fail" for c in self.checks)
-
-    def to_json(self):
-        return {"checks": [c.to_json() for c in self.checks],
-                "verdict": "pass" if self.passed else "fail"}
-
-
-def _slot_cut(model, ci, which, z, K) -> Subspace | None:
-    """The subspace of the component whose Gr the primitive part is cut to."""
-    if which == "omega":
-        return None
-    comp = model.components[ci]
-    cut = ic_cut(model, z if which == "iclog" else frozenset())
-    return slot_image(alpha_ops(comp), cut(K, ci), comp.dim)
-
-
 def _ic_of_part(part: PrimitiveComponentPart, branches: list[int],
                 shift_by: int) -> FilteredComplex:
     """IC complex of a primitive part under its residual operators, shifted."""
     ic = koszul_complex(branches, [(part.dim, part.residual)], lambda T, b: T)
     return ic.shift(-shift_by)
-
-
-def graded_piece_complex(c: FilteredComplex, k: int) -> FilteredComplex:
-    """Gr^W_k of a filtered complex, materialized."""
-    pres, dims = {}, []
-    for deg in c.degrees():
-        wk = c.weight_at(deg)
-        pres[deg] = Subquotient(wk.at(k), wk.at(k - 1))
-        dims.append(pres[deg].dim)
-    d = {}
-    for deg in c.degrees():
-        if pres[deg].dim and deg + 1 in pres and pres[deg + 1].dim:
-            d[deg] = induced_map(c.differential(deg), pres[deg], pres[deg + 1])
-    out = FilteredComplex(c.min_deg, tuple(dims), d)
-    out.validate()
-    return out
 
 
 def check_distinguished_pair(model: NCModel, ci: int, j: int):
@@ -178,10 +130,10 @@ def check_distinguished_pair(model: NCModel, ci: int, j: int):
     lo = min(w.lowest(), wj.lowest()) - 1
     hi = max(w.highest(), wj.highest())
     for m in range(lo, hi + 1):
-        gr_t = Subquotient(wj.at(m), wj.at(m - 1))
+        gr_t = wj.graded_piece(m)
         if gr_t.dim == 0:
             continue
-        gr_s = Subquotient(w.at(m + 1), w.at(m))
+        gr_s = w.graded_piece(m + 1)
         n_bar = induced_map(nj, gr_s, gr_t)
         img = n_bar.image()
         ident = induced_map(LinearMap.identity(comp.dim), gr_t, gr_s)
@@ -195,12 +147,9 @@ def check_distinguished_pair(model: NCModel, ci: int, j: int):
 
 
 def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
-                               z=()) -> DecompositionReport:
+                               z=()) -> CheckReport:
     """Layered verification that Gr^W_k splits into intersection complexes."""
-    if which not in ("omega", "ic", "iclog"):
-        raise ShapeError(f"unknown complex kind {which!r}")
-    z = frozenset(z)
-    report = DecompositionReport()
+    report = CheckReport()
     n = model.branches
     unipotent = [ci for ci, c in enumerate(model.components) if c.is_unipotent()]
 
@@ -253,23 +202,21 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
                     f"TermSplitting[c={ci},J={{{','.join(str(j + 1) for j in J)}}}"
                     f",w={w_tgt}]", ok, detail)
 
-    # (2)+(3) cohomology dimensions of the graded piece match the sum of
-    # intersection complexes of primitive parts
-    if which == "omega":
-        full = build_omega(model)
-    elif which == "ic":
-        full = build_ic(model)
-    else:
-        full = build_ic_log(model, z)
-    graded = graded_piece_complex(full, k)
+    # (2)+(3) cohomology dimensions of the graded piece Gr^W_k of the full
+    # complex match the sum of intersection complexes of primitive parts,
+    # each cut to its slot of the full complex
+    full = build_complex(model, which, z)
+    graded = subquotient_complex(
+        full, {deg: full.weight_at(deg).graded_piece(k)
+               for deg in full.degrees()}, filtered=False)
     lhs = {deg: h.dim for deg, h in cohomology(graded).degrees.items() if h.dim}
     rhs: dict[int, int] = {}
     for r in range(n + 1):
         for K in itertools.combinations(range(n), r):
             for ci in unipotent:
-                cut = _slot_cut(model, ci, which, z, K)
+                slot = full.layout[r][(K, ci)][1]
                 part = _primitive_component(model, ci, K, k - len(K),
-                                            inside=cut)
+                                            inside=slot)
                 if part.dim == 0:
                     continue
                 rest = [j for j in range(n) if j not in K]
@@ -301,29 +248,34 @@ class IntersectionImageReport:
                 "verdict": "pass" if self.passed else "fail"}
 
 
-def intersection_image(model: NCModel, z, i: int) -> IntersectionImageReport:
-    """Image of H^i(i^!) -> H^i(i^*) with its induced weight profile.
+def intersection_image(model: NCModel, z) -> list[IntersectionImageReport]:
+    """Image of H^i(i^!) -> H^i(i^*) with its induced weight profile, for
+    i = 0 .. n+1, read from one intersection morphism.
 
     A nonzero image must be pure at label a (honest weight a + i - shift).
     """
     data = intersection_morphism(model, z)
-    h_star = data.h_star.degrees.get(i)
-    f = data.maps.get(i)
-    if f is None or h_star is None or h_star.dim == 0:
-        return IntersectionImageReport(i, 0, {}, None, True)
-    img = f.image()
-    weights = {}
-    if h_star.weights is not None:
-        prev = 0
-        for w, sub in h_star.weights.steps:
-            d = img.intersect(sub).dim
-            if d > prev:
-                weights[w] = d - prev
-            prev = d
     a = model.base_weight
-    pure = list(weights) in ([], [a])
-    return IntersectionImageReport(i, img.dim, weights,
-                                   a if img.dim else None, pure)
+    reports = []
+    for i in range(model.branches + 2):
+        h_star = data.h_star.degrees.get(i)
+        f = data.maps.get(i)
+        if f is None or h_star is None or h_star.dim == 0:
+            reports.append(IntersectionImageReport(i, 0, {}, None, True))
+            continue
+        img = f.image()
+        weights = {}
+        if h_star.weights is not None:
+            prev = 0
+            for w, sub in h_star.weights.steps:
+                d = img.intersect(sub).dim
+                if d > prev:
+                    weights[w] = d - prev
+                prev = d
+        pure = list(weights) in ([], [a])
+        reports.append(IntersectionImageReport(i, img.dim, weights,
+                                               a if img.dim else None, pure))
+    return reports
 
 
 # -- purity verdicts -----------------------------------------------------------

@@ -8,6 +8,7 @@ weight step and re-verified against both defining axioms before returning.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .errors import (
@@ -24,9 +25,6 @@ from .linalg import (
     Vector,
     induced_map,
     solve_in_span,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 from .scalars import ONE, ZERO, is_integer
 
@@ -229,6 +227,14 @@ class DecreasingFiltration(Filtration):
 
 # -- monodromy filtrations --------------------------------------------------
 
+def _powers(N: LinearMap, top: int) -> list[LinearMap]:
+    """N^0, N^1, ..., N^top."""
+    out = [LinearMap.identity(N.source_dim)]
+    for _ in range(top):
+        out.append(N.compose(out[-1]))
+    return out
+
+
 def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
     """The unique filtration M with N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
@@ -239,9 +245,7 @@ def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
     if e is None:
         raise NotNilpotent("operator is not nilpotent")
     n = N.source_dim
-    powers = [LinearMap.identity(n)]
-    for _ in range(e):
-        powers.append(N.compose(powers[-1]))
+    powers = _powers(N, e)
     images = [p.image() for p in powers]           # Im N^j
     kernels = [p.kernel() for p in powers]         # Ker N^j
 
@@ -256,8 +260,6 @@ def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
     for k in range(-e, e + 1):
         acc = Subspace.zero(n)
         for j in range(e + 1):
-            if j >= len(images):
-                break
             acc = acc.sum(images[j].intersect(ker(j + k + 1)))
         steps.append((center + k, acc))
     m = IncreasingFiltration(n, steps)
@@ -325,9 +327,7 @@ def _jordan_chain_tops(N: LinearMap) -> list[tuple[Vector, int]]:
     if e is None:
         raise NotNilpotent("jordan chains of a non-nilpotent operator")
     n = N.source_dim
-    powers = [LinearMap.identity(n)]
-    for _ in range(e + 1):
-        powers.append(N.compose(powers[-1]))
+    powers = _powers(N, e)
 
     def ker(i):
         if i <= 0:
@@ -404,10 +404,7 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
     except NotNilpotent:
         raise RelativeMonodromyNonexistent("induced operator on top step not nilpotent")
 
-    e = N.nilpotency_index()
-    powers = [LinearMap.identity(n)]
-    for _ in range(e + 1):
-        powers.append(N.compose(powers[-1]))
+    powers = _powers(N, N.nilpotency_index())
 
     contributions = []  # (weight level, vector)
     for vbar, length in tops:
@@ -420,9 +417,7 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
             raise RelativeMonodromyNonexistent(
                 f"no admissible lift for a chain of length {length} over weight {b}"
             )
-        corr = zero_vector(n)
-        for c, u in zip(coeffs[target_m.dim:], v_sub.basis):
-            corr = vec_add(corr, vec_scale(c, u))
+        corr = v_sub.from_coords(coeffs[target_m.dim:])
         x = tuple(a - bb for a, bb in zip(x0, corr))
         for j in range(length):
             contributions.append((b + length - 1 - 2 * j, powers[j](x)))
@@ -486,8 +481,6 @@ def iterated_star(operators: Sequence[LinearMap], w: IncreasingFiltration,
     if check_order is None:
         check_order = len(branches) <= 3
     if check_order and len(branches) > 1:
-        import itertools
-
         for perm in itertools.permutations(branches):
             if list(perm) == branches:
                 continue

@@ -315,12 +315,7 @@ class Subspace:
         if not stacked:
             return Subspace.zero(self.ambient_dim)
         m = Matrix(stacked, cols=self.ambient_dim).transpose()
-        gens = []
-        for z in _kernel_basis(m):
-            v = zero_vector(self.ambient_dim)
-            for c, row in zip(z[: self.dim], self.basis):
-                v = vec_add(v, vec_scale(c, row))
-            gens.append(v)
+        gens = [self.from_coords(z[: self.dim]) for z in _kernel_basis(m)]
         return Subspace.span(gens, self.ambient_dim)
 
     def annihilator(self) -> "Subspace":

@@ -7,6 +7,7 @@ scalars in the canonical grammar) and re-serialization is byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -24,8 +25,9 @@ from .filtrations import (
     monodromy_filtration,
     relative_monodromy_filtration,
     shifts_by_two,
+    star,
 )
-from .linalg import LinearMap, Matrix, Subquotient, Subspace, rref
+from .linalg import LinearMap, Matrix, Subquotient, Subspace, induced_map, rref
 from .scalars import ONE, ZERO, I, Scalar, format_scalar, is_integer, parse_scalar
 
 
@@ -110,8 +112,6 @@ class NCModel:
 
     def wj(self, ci: int, branch_set: frozenset) -> IncreasingFiltration:
         """W^J on component ci, cached and built incrementally by max branch."""
-        from .filtrations import star
-
         key = (ci, branch_set)
         if key in self._wj_cache:
             return self._wj_cache[key]
@@ -156,8 +156,18 @@ class CheckResult:
 
 
 @dataclass
-class ValidationReport:
-    checks: list[CheckResult]
+class CheckReport:
+    """Named checks in the order run; the report passes when none fails."""
+
+    checks: list[CheckResult] = field(default_factory=list)
+
+    def add(self, name, ok, detail=""):
+        """A passing check, or a failing one carrying detail."""
+        self.checks.append(
+            CheckResult(name, "pass" if ok else "fail", "" if ok else detail))
+
+    def skip(self, name, detail):
+        self.checks.append(CheckResult(name, "skip", detail))
 
     @property
     def passed(self) -> bool:
@@ -168,27 +178,25 @@ class ValidationReport:
                 "verdict": "pass" if self.passed else "fail"}
 
 
-def validate(model: NCModel) -> ValidationReport:
+def validate(model: NCModel) -> CheckReport:
     """Run every structural invariant; failures are report rows, not raises."""
-    checks: list[CheckResult] = []
-
-    def add(name, ok, detail=""):
-        checks.append(CheckResult(name, "pass" if ok else "fail",
-                                  "" if ok else detail))
+    report = CheckReport()
 
     for ci, comp in enumerate(model.components):
         ok = all(0 <= a < 1 for a in comp.alpha)
-        add("AlphaRange", ok, f"component {ci} has an exponent outside [0,1)")
+        report.add("AlphaRange", ok,
+                   f"component {ci} has an exponent outside [0,1)")
         ok = all(n.nilpotency_index() is not None for n in comp.nilpotents)
-        add("NilpotentOperators", ok, f"component {ci} has a non-nilpotent operator")
+        report.add("NilpotentOperators", ok,
+                   f"component {ci} has a non-nilpotent operator")
         commuting = True
         for a in range(model.branches):
             for b in range(a + 1, model.branches):
                 na, nb = comp.nilpotents[a], comp.nilpotents[b]
                 if na.compose(nb) != nb.compose(na):
                     commuting = False
-        add("NonCommutingOperators", commuting,
-            f"component {ci} operators do not commute")
+        report.add("NonCommutingOperators", commuting,
+                   f"component {ci} operators do not commute")
 
     # the weight filtration must be the direct sum of its component restrictions
     split_ok = True
@@ -198,14 +206,15 @@ def validate(model: NCModel) -> ValidationReport:
             total = total.sum(sub.intersect(model.component_subspace(ci)))
         if total != sub:
             split_ok = False
-    add("WeightRestrictsToComponents", split_ok,
-        "W is not a direct sum of component pieces")
+    report.add("WeightRestrictsToComponents", split_ok,
+               "W is not a direct sum of component pieces")
 
     preserved = all(
         model.weight.is_preserved_by(model.nilpotent(j))
         for j in range(model.branches)
     )
-    add("FiltrationNotPreserved", preserved, "some N_j does not preserve W")
+    report.add("FiltrationNotPreserved", preserved,
+               "some N_j does not preserve W")
 
     if model.hodge is not None:
         split_ok = True
@@ -215,35 +224,36 @@ def validate(model: NCModel) -> ValidationReport:
                 total = total.sum(sub.intersect(model.component_subspace(ci)))
             if total != sub:
                 split_ok = False
-        add("HodgeRestrictsToComponents", split_ok,
-            "F is not a direct sum of component pieces")
+        report.add("HodgeRestrictsToComponents", split_ok,
+                   "F is not a direct sum of component pieces")
         shifted = all(
             model.hodge.is_preserved_by(model.nilpotent(j), shift=-1)
             for j in range(model.branches)
         )
-        add("HodgeShiftedByOperators", shifted,
-            "some N_j does not map F^p into F^{p-1}")
+        report.add("HodgeShiftedByOperators", shifted,
+                   "some N_j does not map F^p into F^{p-1}")
     else:
-        checks.append(CheckResult("HodgeChecks", "skip", "no Hodge filtration"))
+        report.skip("HodgeChecks", "no Hodge filtration")
 
     if model.pairing is not None:
         s = model.pairing
         n = model.total_dim
         ok = s.rows == n and s.cols == n
-        add("PairingShape", ok, "pairing matrix has wrong shape")
+        report.add("PairingShape", ok, "pairing matrix has wrong shape")
         if ok:
             rank = len(rref(s.entries, n))
-            add("PairingNondegenerate", rank == n, "pairing matrix is singular")
+            report.add("PairingNondegenerate", rank == n,
+                       "pairing matrix is singular")
             sign = -ONE if model.pairing_parity % 2 else ONE
-            add("PairingParity", s.transpose() == s.scale(sign),
-                "pairing parity does not match declared weight")
+            report.add("PairingParity", s.transpose() == s.scale(sign),
+                       "pairing parity does not match declared weight")
             iso = True
             for j in range(model.branches):
                 nj = model.nilpotent(j).matrix
                 if nj.transpose() * s + s * nj != Matrix.zero(n, n):
                     iso = False
-            add("InfinitesimalIsometry", iso,
-                "some N_j is not an infinitesimal isometry of S")
+            report.add("InfinitesimalIsometry", iso,
+                       "some N_j is not an infinitesimal isometry of S")
             blocks = True
             for ci in range(len(model.components)):
                 for cj in range(len(model.components)):
@@ -253,12 +263,12 @@ def validate(model: NCModel) -> ValidationReport:
                     oj, dj = model.component_offset(cj), model.components[cj].dim
                     if any(s[oi + r, oj + c] for r in range(di) for c in range(dj)):
                         blocks = False
-            add("PairingRestrictsToComponents", blocks,
-                "S pairs distinct components")
+            report.add("PairingRestrictsToComponents", blocks,
+                       "S pairs distinct components")
     else:
-        checks.append(CheckResult("PairingChecks", "skip", "no pairing"))
+        report.skip("PairingChecks", "no pairing")
 
-    return ValidationReport(checks)
+    return report
 
 
 def unipotent_part(model: NCModel) -> NCModel:
@@ -296,15 +306,13 @@ def direct_sum(a: NCModel, b: NCModel) -> NCModel:
     if (a.base_weight, a.perverse_shift) != (b.base_weight, b.perverse_shift):
         raise ShapeError("direct sum needs matching weight conventions")
     comps = list(a.components)
-    placements = []  # (source model index, component index) in output order
-    for ci in range(len(a.components)):
-        placements.append((0, ci))
-    merged_into = {}
-    for cj, comp in enumerate(b.components):
+    # (output component, offset inside it) of each summand's components
+    places = ([(ci, 0) for ci in range(len(a.components))], [])
+    for comp in b.components:
         hit = next((k for k, c in enumerate(comps) if c.alpha == comp.alpha), None)
         if hit is None:
+            places[1].append((len(comps), 0))
             comps.append(comp)
-            placements.append((1, cj))
         else:
             old = comps[hit]
             nils = tuple(
@@ -312,87 +320,50 @@ def direct_sum(a: NCModel, b: NCModel) -> NCModel:
                 for j in range(a.branches)
             )
             comps[hit] = AlphaComponent(old.alpha, old.dim + comp.dim, nils)
-            merged_into[cj] = hit
+            places[1].append((hit, old.dim))
 
     total = sum(c.dim for c in comps)
+    starts = [sum(c.dim for c in comps[:ci]) for ci in range(len(comps))]
+    # positions[s][i]: the coordinate of summand s's coordinate i in the sum
+    positions = [
+        [starts[ci] + inner + i
+         for (ci, inner), comp in zip(pl, m.components)
+         for i in range(comp.dim)]
+        for pl, m in zip(places, (a, b))]
 
-    def embed(model, model_idx):
-        """Coordinate embedding of model's total space into the sum."""
-        rows = []
-        for ci, comp in enumerate(model.components):
-            if model_idx == 0:
-                out_ci, inner_off = ci, 0
-            else:
-                out_ci = merged_into.get(ci)
-                if out_ci is None:
-                    out_ci = next(
-                        k for k, (src, idx) in enumerate(placements)
-                        if (src, idx) == (1, ci)
-                    )
-                    inner_off = 0
-                else:
-                    inner_off = a.components[out_ci].dim
-            base = sum(c.dim for c in comps[:out_ci]) + inner_off
-            for i in range(comp.dim):
-                row = [ZERO] * total
-                row[base + i] = ONE
-                rows.append(tuple(row))
-        return rows
+    def push(v, pos):
+        out = [ZERO] * total
+        for i, x in zip(pos, v):
+            out[i] = x
+        return tuple(out)
 
-    emb_a, emb_b = embed(a, 0), embed(b, 1)
-
-    lo = min(a.weight.lowest(), b.weight.lowest())
-    hi = max(a.weight.highest(), b.weight.highest())
-    wsteps = []
-    for k in range(lo, hi + 1):
-        sa = Subspace.span([_apply_embedding(v, emb_a, total)
-                            for v in a.weight.at(k).basis], total)
-        sb = Subspace.span([_apply_embedding(v, emb_b, total)
-                            for v in b.weight.at(k).basis], total)
-        wsteps.append((k, sa.sum(sb)))
-    weight = IncreasingFiltration(total, wsteps)
-
-    hodge = None
-    if a.hodge is not None and b.hodge is not None:
-        lo = min(a.hodge.lowest(), b.hodge.lowest()) - 1
-        hi = max(a.hodge.highest(), b.hodge.highest())
-        fsteps = []
-        for p in range(lo, hi + 1):
-            sa = Subspace.span([_apply_embedding(v, emb_a, total)
-                                for v in a.hodge.at(p).basis], total)
-            sb = Subspace.span([_apply_embedding(v, emb_b, total)
-                                for v in b.hodge.at(p).basis], total)
-            fsteps.append((p, sa.sum(sb)))
-        hodge = DecreasingFiltration(total, fsteps)
+    filts = []
+    for fa, fb, below in ((a.weight, b.weight, 0), (a.hodge, b.hodge, 1)):
+        if fa is None or fb is None:
+            filts.append(None)
+            continue
+        steps = []
+        for k in range(min(fa.lowest(), fb.lowest()) - below,
+                       max(fa.highest(), fb.highest()) + 1):
+            vecs = [push(v, pos) for f, pos in zip((fa, fb), positions)
+                    for v in f.at(k).basis]
+            steps.append((k, Subspace.span(vecs, total)))
+        filts.append(type(fa)(total, steps))
 
     pairing = None
     parity = None
     if a.pairing is not None and b.pairing is not None \
             and a.pairing_parity == b.pairing_parity:
         rows = [[ZERO] * total for _ in range(total)]
-        for (m, emb) in ((a, emb_a), (b, emb_b)):
+        for m, pos in zip((a, b), positions):
             for r in range(m.total_dim):
-                vr = emb[r]
                 for c in range(m.total_dim):
-                    vc = emb[c]
-                    pr = next(i for i, x in enumerate(vr) if x)
-                    pc = next(i for i, x in enumerate(vc) if x)
-                    rows[pr][pc] = m.pairing[r, c]
+                    rows[pos[r]][pos[c]] = m.pairing[r, c]
         pairing = Matrix(rows, cols=total)
         parity = a.pairing_parity
 
     return NCModel(a.branches, tuple(comps), a.base_weight, a.perverse_shift,
-                   weight, hodge, pairing, parity)
-
-
-def _apply_embedding(v, emb_rows, total):
-    out = [ZERO] * total
-    for coord, row in zip(v, emb_rows):
-        if coord:
-            for i, x in enumerate(row):
-                if x:
-                    out[i] = out[i] + coord * x
-    return tuple(out)
+                   *filts, pairing, parity)
 
 
 def _block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -407,19 +378,6 @@ def _block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
 
 # -- IMHS checker -------------------------------------------------------------
 
-@dataclass
-class IMHSReport:
-    checks: list[CheckResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def to_json(self):
-        return {"checks": [c.to_json() for c in self.checks],
-                "verdict": "pass" if self.passed else "fail"}
-
-
 def _sample_t_vectors(n: int, seed: int):
     """All-ones plus three seeded pseudo-random positive rational vectors."""
     rng = random.Random(seed)
@@ -431,8 +389,6 @@ def _sample_t_vectors(n: int, seed: int):
 
 
 def _subsets(n):
-    import itertools
-
     items = list(range(n))
     for r in range(1, n + 1):
         for c in itertools.combinations(items, r):
@@ -478,15 +434,11 @@ def _hermitian_positive(h: Matrix) -> bool:
     return True
 
 
-def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
+def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     """The infinitesimal mixed Hodge structure axioms, reported one by one."""
     if model.hodge is None:
         raise MissingHodgeFiltration("IMHS checks need the Hodge filtration")
-    checks: list[CheckResult] = []
-
-    def add(name, ok, detail=""):
-        checks.append(CheckResult(name, "pass" if ok else "fail",
-                                  "" if ok else detail))
+    report = CheckReport()
 
     n_branches = model.branches
     samples = _sample_t_vectors(n_branches, seed)
@@ -499,18 +451,17 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
             continue
         n_grs = [LinearMap.zero(gr.dim, gr.dim)]
         if n_branches:
-            from .linalg import induced_map
-
             n_grs = [induced_map(model.nilpotent_sum(all_branches, t), gr, gr)
                      for t in samples]
         try:
             filts = [monodromy_filtration(ng, center=i) for ng in n_grs]
         except LogHodgeError as exc:
-            add(f"NilpotentOrbit[w={i}]", False, f"monodromy failed: {exc}")
+            report.add(f"NilpotentOrbit[w={i}]", False,
+                       f"monodromy failed: {exc}")
             continue
         t_independent = all(f == filts[0] for f in filts)
-        add(f"OrbitTIndependence[w={i}]", t_independent,
-            "monodromy filtration depends on the scaling vector")
+        report.add(f"OrbitTIndependence[w={i}]", t_independent,
+                   "monodromy filtration depends on the scaling vector")
         m = filts[0]
         f_gr = model.hodge.project_to(gr)
         hs_ok = True
@@ -518,7 +469,8 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
             piece = m.graded_piece(k)
             if piece.dim and not _hodge_decomposes(piece, f_gr.project_to(piece), k):
                 hs_ok = False
-        add(f"OrbitHodgeStructure[w={i}]", hs_ok,
+        report.add(
+            f"OrbitHodgeStructure[w={i}]", hs_ok,
             f"Gr^M of Gr^W_{i} is not a Hodge structure of the right weight")
 
     # (2) relative monodromy filtrations for every branch subset
@@ -542,8 +494,8 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
             for j in subset:
                 if not shifts_by_two(mj, model.nilpotent(j)):
                     ok, detail = False, f"N_{j+1} does not shift M(J) by -2"
-        add(f"RelativeMonodromy[J={{{','.join(str(j+1) for j in subset)}}}]",
-            ok, detail)
+        names = ','.join(str(j + 1) for j in subset)
+        report.add(f"RelativeMonodromy[J={{{names}}}]", ok, detail)
 
     # (3) graded MHS for the full set, with W compatible
     if n_branches and all_branches in relmono:
@@ -555,8 +507,8 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
                 continue
             if not _hodge_decomposes(piece, model.hodge.project_to(piece), k):
                 mhs_ok = False
-        add("TotalGradedMHS", mhs_ok,
-            "(L, M(I), F) is not a graded mixed Hodge structure")
+        report.add("TotalGradedMHS", mhs_ok,
+                   "(L, M(I), F) is not a graded mixed Hodge structure")
         compat = True
         for j in model.weight.jumps():
             wj_sub = model.weight.at(j)
@@ -573,12 +525,12 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
                     span = span.sum(hpq.intersect(v))
                 if span != v:
                     compat = False
-        add("WeightCompatibleWithMHS", compat,
-            "W is not a filtration by sub mixed Hodge structures")
+        report.add("WeightCompatibleWithMHS", compat,
+                   "W is not a filtration by sub mixed Hodge structures")
 
     # (4) polarization of primitive parts
     if model.pairing is None:
-        checks.append(CheckResult("Polarization", "skip", "no pairing supplied"))
+        report.skip("Polarization", "no pairing supplied")
     else:
         form = model.pairing_form()
         for i in model.weight.jumps():
@@ -591,20 +543,19 @@ def imhs_check(model: NCModel, seed: int = 0) -> IMHSReport:
                 for u in below.basis for v in model.weight.at(i).basis
             )
             if not descends:
-                checks.append(CheckResult(
-                    f"Polarization[w={i}]", "skip",
-                    "single pairing does not descend to this graded piece"))
+                report.skip(
+                    f"Polarization[w={i}]",
+                    "single pairing does not descend to this graded piece")
                 continue
             ok = _polarization_on_graded(model, gr, i, form)
-            add(f"Polarization[w={i}]", ok,
+            report.add(
+                f"Polarization[w={i}]", ok,
                 f"primitive parts of Gr^W_{i} are not positively polarized")
 
-    return IMHSReport(checks)
+    return report
 
 
 def _polarization_on_graded(model: NCModel, gr: Subquotient, i: int, form) -> bool:
-    from .linalg import induced_map
-
     d = gr.dim
     if model.branches:
         n_gr = induced_map(model.nilpotent_sum(tuple(range(model.branches))),

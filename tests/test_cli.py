@@ -1,10 +1,12 @@
+import hashlib
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-from loghodge import cli
+from loghodge import cli, complexes
 from loghodge.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -186,3 +188,42 @@ def test_internal_error_exits_three_with_one_json_document(monkeypatch,
     assert doc == {"instance": str(J2), "verb": "validate", "verdict": "error",
                    "error": "internal error: RuntimeError: internal bug"}
     assert "Traceback" in captured.err
+
+
+# stdout sha256 and exit code of the verbs the corpus verb does not replay,
+# per corpus instance, run as `loghodge <verb> corpus/<instance>.json` from
+# the repository root (the instance path is part of the output)
+VERB_BYTES = json.loads((Path(__file__).parent / "verb_bytes.json").read_text())
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_BYTES))
+def test_unreplayed_verbs_keep_their_bytes(verb, monkeypatch, capsys):
+    monkeypatch.chdir(CORPUS.parent)
+    wrong = []
+    for stem, want in sorted(VERB_BYTES[verb].items()):
+        code, out = run_cli(verb.split() + [f"corpus/{stem}.json"], capsys)
+        got = {"exit": code,
+               "sha256": hashlib.sha256(out.encode()).hexdigest()}
+        if got != want:
+            wrong.append((stem, got["exit"], out[:200]))
+    assert not wrong
+
+
+def test_intersect_builds_one_intersection_morphism(monkeypatch, capsys):
+    original = complexes.intersection_morphism
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module-level binding, so a caller that imported the name counts
+    for name, mod in list(sys.modules.items()):
+        if name == "loghodge" or name.startswith("loghodge."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    code, out = run_cli(["intersect", "--z", "1",
+                         str(CORPUS / "gen_pure_n3.json")], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from loghodge.complexes import (
     ComplexMap,
+    build_complex,
     build_ic,
     build_ic_log,
     build_omega,
@@ -197,6 +198,14 @@ def test_intersection_morphism_zero_on_disjoint_support():
     data = intersection_morphism(RANK1, [0])
     for k, f in data.maps.items():
         assert f.image().dim == 0
+
+
+def test_build_complex_dispatches_to_the_named_builders():
+    assert build_complex(J2, "omega") == build_omega(J2)
+    assert build_complex(J2, "ic") == build_ic(J2)
+    assert build_complex(J2, "iclog", [0]) == build_ic_log(J2, [0])
+    with pytest.raises(ShapeError, match="unknown complex kind 'nope'"):
+        build_complex(J2, "nope")
 
 
 def test_quotient_complex_profile():

@@ -71,8 +71,9 @@ def test_decomposition_on_fuzz_models():
 
 
 def test_intersection_image_rank1_zero():
-    for i in range(4):
-        rep = intersection_image(RANK1, [0], i)
+    reports = intersection_image(RANK1, [0])
+    assert [rep.degree for rep in reports] == [0, 1, 2]
+    for rep in reports:
         assert rep.dim == 0 and rep.passed
 
 
@@ -80,8 +81,7 @@ def test_intersection_image_purity_on_fuzz():
     rng = random.Random(33)
     for _ in range(3):
         model = random_imhs_model(2, rng, max_dim=5)
-        for i in range(model.branches + 2):
-            rep = intersection_image(model, range(model.branches), i)
+        for rep in intersection_image(model, range(model.branches)):
             assert rep.passed, rep.to_json()
 
 
@@ -177,6 +177,5 @@ def test_intersection_image_zero_model():
         "W": [],
         "S": {"matrix": [], "parity": 0},
     })
-    for i in range(3):
-        rep = intersection_image(zero, [0], i)
+    for rep in intersection_image(zero, [0]):
         assert rep.dim == 0 and rep.passed

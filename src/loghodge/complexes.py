@@ -14,19 +14,19 @@ from dataclasses import dataclass, field
 
 from .errors import (
     FiltrationNotPreserved,
+    IllDefinedInducedMap,
     PairingDegenerate,
     ShapeError,
 )
-from .filtrations import DecreasingFiltration, IncreasingFiltration
+from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
 from .linalg import (
     LinearMap,
     Matrix,
     Subquotient,
     Subspace,
     induced_map,
+    place,
     rref,
-    solve_in_span,
-    solve_linear,
     vec_is_zero,
     zero_vector,
 )
@@ -38,7 +38,7 @@ class FilteredComplex:
     """Bounded cochain complex with optional weight/Hodge filtrations.
 
     A complex built by ``koszul_complex`` records its slot layout: per degree,
-    slot key -> (offset of the slot in the term, slot space).
+    slot key -> (coordinates of the slot in the term, slot space).
     """
 
     min_deg: int
@@ -46,7 +46,7 @@ class FilteredComplex:
     d: dict[int, LinearMap] = field(default_factory=dict)
     weight: dict[int, IncreasingFiltration] | None = None
     hodge: dict[int, DecreasingFiltration] | None = None
-    layout: dict[int, dict[tuple, tuple[int, Subspace]]] = field(
+    layout: dict[int, dict[tuple, tuple[range, Subspace]]] = field(
         default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -110,8 +110,7 @@ class FilteredComplex:
                     continue
                 dk, fk, fk1 = self.differential(k), filt[k], filt[k + 1]
                 for r, sub in fk.steps:
-                    tgt = fk1.at(r)
-                    if not all(tgt.contains_vector(dk(v)) for v in sub.basis):
+                    if not dk.maps_into(sub, fk1.at(r)):
                         raise FiltrationNotPreserved(
                             f"{step}{r} at degree {k} is not a subcomplex")
 
@@ -164,25 +163,9 @@ class ComplexMap:
                     continue
                 f = self.at(k)
                 for r, sub in src[k].steps:
-                    t = tgt[k].at(r)
-                    if not all(t.contains_vector(f(v)) for v in sub.basis):
+                    if not f.maps_into(sub, tgt[k].at(r)):
                         raise FiltrationNotPreserved(
                             f"map violates {step}{r} at degree {k}")
-
-
-def _direct_sum(parts, total: int):
-    """Direct sum of filtrations placed on consecutive coordinate blocks.
-
-    parts is a non-empty list of (offset, filtration) covering 0..total.
-    """
-    labels = sorted({i for _, f in parts for i in f.jumps()})
-    steps = []
-    for i in labels:
-        rows = [zero_vector(off) + tuple(v)
-                + zero_vector(total - off - f.ambient_dim)
-                for off, f in parts for v in f.at(i).basis]
-        steps.append((i, Subspace.span(rows, total)))
-    return type(parts[0][1])(total, steps)
 
 
 def cone(f: ComplexMap) -> FilteredComplex:
@@ -194,20 +177,14 @@ def cone(f: ComplexMap) -> FilteredComplex:
     dims, d = [], {}
     for k in range(lo, hi + 1):
         da, db = a.term_dim(k + 1), b.term_dim(k)
-        dims.append(da + db)
-    for k in range(lo, hi + 1):
-        da, db = a.term_dim(k + 1), b.term_dim(k)
         da2, db2 = a.term_dim(k + 2), b.term_dim(k + 1)
-        rows = []
-        d_a = a.differential(k + 1)
-        d_b = b.differential(k)
-        f_k1 = f.at(k + 1)
-        for r in range(da2):
-            rows.append([-d_a.matrix[r, c] for c in range(da)] + [ZERO] * db)
-        for r in range(db2):
-            rows.append([f_k1.matrix[r, c] for c in range(da)]
-                        + [d_b.matrix[r, c] for c in range(db)])
-        d[k] = LinearMap(Matrix(rows, cols=da + db))
+        dims.append(da + db)
+        top, bottom = range(da2), range(da2, da2 + db2)
+        left, right = range(da), range(da, da + db)
+        d[k] = LinearMap(place((da2 + db2, da + db), [
+            (-a.differential(k + 1).matrix, top, left),
+            (f.at(k + 1).matrix, bottom, left),
+            (b.differential(k).matrix, bottom, right)]))
     filts = []
     for fa, fb, name, lift in ((a.weight, b.weight, "weight", 1),
                                (a.hodge, b.hodge, "Hodge", 0)):
@@ -220,11 +197,11 @@ def cone(f: ComplexMap) -> FilteredComplex:
             if (da and k + 1 not in fa) or (db and k not in fb):
                 raise FiltrationNotPreserved(
                     f"cone input misses a {name} filtration near degree {k}")
-            parts = [(0, fa[k + 1].shift(lift))] if da else []
+            parts = [(range(da), fa[k + 1].shift(lift))] if da else []
             if db:
-                parts.append((da, fb[k]))
+                parts.append((range(da, da + db), fb[k]))
             if parts:
-                per_degree[k] = _direct_sum(parts, da + db)
+                per_degree[k] = filtration_sum(parts, da + db)
         filts.append(per_degree)
     out = FilteredComplex(lo, tuple(dims), d, *filts)
     out.validate()
@@ -344,7 +321,7 @@ def slot_image(ops: dict[int, LinearMap], branches, dim: int) -> Subspace:
     """Image of the product of the operators of the listed branches."""
     out = Subspace.full(dim)
     for j in branches:
-        out = Subspace.span([ops[j](v) for v in out.basis], dim)
+        out = ops[j].image(out)
     return out
 
 
@@ -389,34 +366,33 @@ def koszul_complex(branches, blocks, cut, weight=None,
         for K in itertools.combinations(branches, k):
             for b, (dim, ops) in enumerate(blocks):
                 space = slot_image(ops, cut(K, b), dim)
-                slots[(K, b)] = (off, space)
+                slots[(K, b)] = (range(off, off + space.dim), space)
                 off += space.dim
         layout[k] = slots
         dims.append(off)
     d = {}
     for k in range(len(branches)):
-        rows = [[ZERO] * dims[k] for _ in range(dims[k + 1])]
-        for (K, b), (off, space) in layout[k].items():
+        pieces = []
+        for (K, b), (pos, space) in layout[k].items():
             ops = blocks[b][1]
             for j in branches:
                 if j in K:
                     continue
-                t_off, t_space = layout[k + 1][(tuple(sorted(K + (j,))), b)]
+                t_pos, t_space = layout[k + 1][(tuple(sorted(K + (j,))), b)]
                 sign = -ONE if sum(1 for i in K if i < j) % 2 else ONE
-                for c_idx, v in enumerate(space.basis):
-                    w = ops[j](v)
-                    if not t_space.contains_vector(w):
-                        raise ShapeError(
-                            "differential leaves the declared slot space")
-                    for r_idx, x in enumerate(t_space.coords(w)):
-                        if x:
-                            rows[t_off + r_idx][off + c_idx] = sign * x
-        d[k] = LinearMap(Matrix(rows, cols=dims[k]))
+                try:
+                    block = induced_map(ops[j], Subquotient.of(space),
+                                        Subquotient.of(t_space))
+                except IllDefinedInducedMap:
+                    raise ShapeError(
+                        "differential leaves the declared slot space") from None
+                pieces.append((block.matrix.scale(sign), t_pos, pos))
+        d[k] = LinearMap(place((dims[k + 1], dims[k]), pieces))
     filts = []
     for rule in (weight, hodge):
         filts.append(None if rule is None else {
-            k: _direct_sum([(off, rule(K, b).restrict_to(space))
-                            for (K, b), (off, space) in slots.items()], dims[k])
+            k: filtration_sum([(pos, rule(K, b).project_to(Subquotient.of(space)))
+                               for (K, b), (pos, space) in slots.items()], dims[k])
             for k, slots in layout.items() if dims[k]})
     out = FilteredComplex(0, tuple(dims), d, *filts, layout=layout)
     out.validate()
@@ -478,17 +454,15 @@ def ic_into_iclog(model, ic: FilteredComplex, log: FilteredComplex) -> ComplexMa
     """Termwise inclusion of the intersection complex into the log variant."""
     maps = {}
     for k in ic.degrees():
-        src_dim, tgt_dim = ic.term_dim(k), log.term_dim(k)
-        if not src_dim:
+        if not ic.term_dim(k):
             continue
-        rows = [[ZERO] * src_dim for _ in range(tgt_dim)]
-        for key, (off, space) in ic.layout[k].items():
-            t_off, t_space = log.layout[k][key]
-            for c_idx, v in enumerate(space.basis):
-                for r_idx, x in enumerate(t_space.coords(v)):
-                    if x:
-                        rows[t_off + r_idx][off + c_idx] = x
-        maps[k] = LinearMap(Matrix(rows, cols=src_dim))
+        pieces = []
+        for key, (pos, space) in ic.layout[k].items():
+            t_pos, t_space = log.layout[k][key]
+            block = Matrix([t_space.coords(v) for v in space.basis],
+                           cols=t_space.dim).transpose()
+            pieces.append((block, t_pos, pos))
+        maps[k] = LinearMap(place((log.term_dim(k), ic.term_dim(k)), pieces))
     out = ComplexMap(ic, log, maps)
     out.validate()
     return out
@@ -522,10 +496,8 @@ def quotient_complex(sub_map: ComplexMap) -> tuple[FilteredComplex, dict]:
 
     Returns the quotient complex and the per-degree Subquotient presentations.
     """
-    a, b = sub_map.source, sub_map.target
-    pres = {k: Subquotient(Subspace.full(b.term_dim(k)),
-                           sub_map.at(k).image() if a.term_dim(k) else
-                           Subspace.zero(b.term_dim(k)))
+    b = sub_map.target
+    pres = {k: Subquotient(Subspace.full(b.term_dim(k)), sub_map.at(k).image())
             for k in b.degrees()}
     return subquotient_complex(b, pres, filtered=True), pres
 
@@ -618,43 +590,29 @@ def intersection_morphism(model, z) -> IntersectionData:
             maps[k] = LinearMap.zero(hk.dim, 0)
             continue
         _check_pairing_ambiguities(tower, pair, k)
-        # evaluation pairing between H^k(star) and H^{n+1-k}(shriek)
-        eval_rows = []
-        for r in range(tdim):
-            phi = target.presentation.lift(_unit(tdim, r))
-            row = []
-            for s in range(ddim):
-                wv = dual_h.presentation.lift(_unit(ddim, s))
-                row.append(sum((pc * wc for pc, wc in zip(phi, wv)), ZERO))
-            eval_rows.append(row)
-        eval_m = Matrix(eval_rows, cols=ddim)
+        duals = dual_h.presentation.lifts.basis            # Q-coords, deg n-k
+        w_logs = [tower.pres[dual_deg - 1].lift(wq) for wq in duals]
+        # evaluation pairing between H^{n+1-k}(shriek) and H^k(star)
+        evaluation = LinearMap(Matrix(
+            [[sum((pc * wc for pc, wc in zip(phi, wv)), ZERO)
+              for phi in target.presentation.lifts.basis] for wv in duals],
+            cols=tdim))
         cols = []
-        for s_idx in range(hk.dim):
-            u = hk.presentation.lift(_unit(hk.dim, s_idx))      # in Q-coords, deg k-1
+        for u in hk.presentation.lifts.basis:               # Q-coords, deg k-1
             delta_u = _connecting_class(tower, k, u)
-            vals = []
-            for s in range(ddim):
-                wq = dual_h.presentation.lift(_unit(ddim, s))   # Q-coords, deg n-k
-                w_log = tower.pres[dual_deg - 1].lift(wq)
-                vals.append(pair(k, delta_u, w_log))
-            sol = solve_linear(LinearMap(eval_m.transpose()), tuple(vals))
+            sol = evaluation.solve(tuple(pair(k, delta_u, w) for w in w_logs))
             if sol is None:
                 raise AssertionError("evaluation pairing is degenerate")
             cols.append(sol)
-        maps[k] = LinearMap(Matrix(cols, cols=tdim).transpose()) if hk.dim else \
-            LinearMap.zero(0, tdim)
+        maps[k] = LinearMap(Matrix(cols, cols=tdim).transpose())
     return IntersectionData(shr, st, h_shr, h_st, maps)
-
-
-def _unit(n, i):
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def _connecting_class(tower: _SupportTower, k, u_quot):
     """delta: H^{k-1}(Q) -> H^k(IC) as a cocycle in IC-term coordinates."""
     w = tower.pres[k - 1].lift(u_quot)      # representative in log term k-1
     dw = tower.log.differential(k - 1)(w)   # lands in the embedded IC term k
-    x = solve_linear(tower.emb.at(k), dw)
+    x = tower.emb.at(k).solve(dw)
     if x is None:
         raise AssertionError("connecting image not in the subcomplex")
     return x
@@ -668,11 +626,8 @@ def _check_pairing_ambiguities(tower: _SupportTower, pair, k):
     ic, log, emb = tower.ic, tower.log, tower.emb
     z_ic = ic.differential(k).kernel()
     b_ic = ic.differential(k - 1).image()
-    emb_img = emb.at(n - k).image() if ic.term_dim(n - k) else \
-        Subspace.zero(log.term_dim(n - k))
-    rep_space = log.differential(n - k).preimage(
-        emb.at(n - k + 1).image() if ic.term_dim(n - k + 1) else
-        Subspace.zero(log.term_dim(n - k + 1)))
+    emb_img = emb.at(n - k).image()
+    rep_space = log.differential(n - k).preimage(emb.at(n - k + 1).image())
     for u in z_ic.basis:
         for v in emb_img.basis:
             if pair(k, u, v):
@@ -683,15 +638,12 @@ def _check_pairing_ambiguities(tower: _SupportTower, pair, k):
             if pair(k, u, v):
                 raise AssertionError(
                     f"pairing does not kill coboundaries at degree {k}")
+    source_coboundaries = log.differential(n - k - 1).matrix.transpose().entries
     for u in z_ic.basis:
-        for y in _std_basis(log.term_dim(n - k - 1)):
-            if pair(k, u, log.differential(n - k - 1)(y)):
+        for y in source_coboundaries:
+            if pair(k, u, y):
                 raise AssertionError(
                     f"pairing does not kill source coboundaries at degree {k}")
-
-
-def _std_basis(n):
-    return [_unit(n, i) for i in range(n)]
 
 
 def _slot_pairing(model, ic, log):
@@ -713,31 +665,24 @@ def _slot_pairing(model, ic, log):
         ic_layout = ic.layout.get(k, {})
         log_layout = log.layout.get(n - k, {})
         total = ZERO
-        for (K, ci), (off, space) in ic_layout.items():
+        for (K, ci), (pos, space) in ic_layout.items():
             comp_k = tuple(j for j in all_branches if j not in K)
             key = (comp_k, ci)
             if key not in log_layout:
                 continue
-            t_off, t_space = log_layout[key]
-            u_slot = u_ic[off: off + space.dim]
-            w_slot = w_log[t_off: t_off + t_space.dim]
+            t_pos, t_space = log_layout[key]
+            u_slot = u_ic[pos.start: pos.stop]
+            w_slot = w_log[t_pos.start: t_pos.stop]
             if not any(u_slot) or not any(w_slot):
                 continue
-            uv = _into_component(model, ci, space, u_slot)
-            wv = _into_component(model, ci, t_space, w_slot)
+            # slot coordinates -> total-space vectors supported on component ci
+            on_ci = model.component_positions(ci)
+            uv = place(model.total_dim, [(space.from_coords(u_slot), on_ci)])
+            wv = place(model.total_dim, [(t_space.from_coords(w_slot), on_ci)])
             total = total + eps(K) * form(uv, wv)
         return total
 
     return pair
-
-
-def _into_component(model, ci, slot_space: Subspace, coords):
-    """Slot coordinates -> total-space vector supported on component ci."""
-    v = slot_space.from_coords(coords)
-    off = model.component_offset(ci)
-    total = model.total_dim
-    return zero_vector(off) + tuple(v) + zero_vector(total - off -
-                                                     slot_space.ambient_dim)
 
 
 def link_complex(model, z) -> FilteredComplex:
@@ -815,7 +760,8 @@ def _class_representative(h: DegreeCohomology, b: FilteredComplex, k: int,
     v0 = h.presentation.lift(cls)
     zw = b.differential(k).kernel().intersect(b.weight_at(k).at(weight_bound))
     bd = b.differential(k - 1).image()
-    coeffs = solve_in_span(list(zw.basis) + list(bd.basis), v0, b.term_dim(k))
+    gens = list(zw.basis) + list(bd.basis)
+    coeffs = LinearMap(Matrix(gens, cols=b.term_dim(k)).transpose()).solve(v0)
     if coeffs is None:
         raise FiltrationNotPreserved(
             "cohomology class has no representative at its weight level")

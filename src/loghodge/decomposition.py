@@ -79,15 +79,15 @@ def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
     if inside is not None:
         space = space.intersect(gr.project_subspace(inside))
     residual = {}
+    part = Subquotient.of(space)
     for j in range(model.branches):
         if j in J:
             continue
         nj = induced_map(comp.nilpotents[j], gr, gr)
-        for v in space.basis:
-            if not space.contains_vector(nj(v)):
-                raise ShapeError(
-                    "residual operator does not preserve the primitive part")
-        residual[j] = nj.restrict(space, space)
+        if not nj.maps_into(space, space):
+            raise ShapeError(
+                "residual operator does not preserve the primitive part")
+        residual[j] = induced_map(nj, part, part)
     # purity with respect to the relative monodromy of the J-sum
     if J and space.dim:
         nsum = comp.nilpotents[J[0]]
@@ -187,9 +187,7 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
                         for j in J:
                             if j not in K:
                                 op = comp.nilpotents[j].compose(op)
-                        g = induced_map(op, p.gr, gr)
-                        img = Subspace.span(
-                            [g(v) for v in p.space.basis], gr.dim)
+                        img = induced_map(op, p.gr, gr).image(p.space)
                         if total.intersect(img).dim != 0:
                             ok = False
                             detail = "translated primitive parts overlap"

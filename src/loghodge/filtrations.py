@@ -20,13 +20,14 @@ from .errors import (
 )
 from .linalg import (
     LinearMap,
+    Matrix,
     Subquotient,
     Subspace,
     Vector,
     induced_map,
-    solve_in_span,
+    place,
 )
-from .scalars import ONE, ZERO, is_integer
+from .scalars import is_integer
 
 
 class Filtration:
@@ -99,17 +100,9 @@ class Filtration:
         """The same steps with every index moved by m."""
         return type(self)(self.ambient_dim, [(i + m, s) for i, s in self.steps])
 
-    def restrict_to(self, sub: Subspace):
-        """Induced filtration on sub, in sub's canonical coordinates."""
-        steps = []
-        for i, s in self.steps:
-            inter = s.intersect(sub)
-            steps.append((i, Subspace.span([sub.coords(v) for v in inter.basis],
-                                           sub.dim)))
-        return type(self)(sub.dim, steps)
-
     def project_to(self, sq: Subquotient):
-        """Induced filtration on a subquotient, in its canonical coordinates."""
+        """Induced filtration on a subquotient, in its canonical coordinates;
+        on Subquotient.of(sub) the restriction to sub."""
         return type(self)(
             sq.dim, [(i, sq.project_subspace(s)) for i, s in self.steps]
         )
@@ -181,9 +174,7 @@ class IncreasingFiltration(Filtration):
         return out
 
     def is_preserved_by(self, f: LinearMap) -> bool:
-        return all(
-            s.contains_vector(f(v)) for _, s in self.steps for v in s.basis
-        )
+        return all(f.maps_into(s, s) for _, s in self.steps)
 
 
 class DecreasingFiltration(Filtration):
@@ -216,13 +207,22 @@ class DecreasingFiltration(Filtration):
 
     def is_preserved_by(self, f: LinearMap, shift: int = 0) -> bool:
         """True when f(F^p) <= F^{p+shift} for all p."""
-        lo = self.lowest() - 1
-        hi = self.highest()
-        for p in range(lo, hi + 1):
-            tgt = self.at(p + shift)
-            if not all(tgt.contains_vector(f(v)) for v in self.at(p).basis):
-                return False
-        return True
+        return all(f.maps_into(self.at(p), self.at(p + shift))
+                   for p in range(self.lowest() - 1, self.highest() + 1))
+
+
+def filtration_sum(parts, total: int):
+    """Direct sum of filtrations of one direction, each placed at its list of
+    coordinate positions.
+
+    parts is a non-empty list of (positions, filtration) whose position lists
+    partition 0..total-1.
+    """
+    labels = sorted({i for _, f in parts for i in f.jumps()})
+    return type(parts[0][1])(total, [
+        (i, Subspace.span([place(total, [(v, pos)])
+                           for pos, f in parts for v in f.at(i).basis], total))
+        for i in labels])
 
 
 # -- monodromy filtrations --------------------------------------------------
@@ -235,27 +235,29 @@ def _powers(N: LinearMap, top: int) -> list[LinearMap]:
     return out
 
 
+def _kernel_tower(N: LinearMap, message: str):
+    """The nilpotency index e of N, its powers N^0..N^e, and ker(m), the
+    kernel of N^m clamped to zero for m <= 0 and to the full space for
+    m >= e; each kernel is computed once.  NotNilpotent(message) otherwise."""
+    e = N.nilpotency_index()
+    if e is None:
+        raise NotNilpotent(message)
+    n = N.source_dim
+    powers = _powers(N, e)
+    kernels = ([Subspace.zero(n)] + [p.kernel() for p in powers[1:e]]
+               + [Subspace.full(n)])
+    return e, powers, lambda m: kernels[min(max(m, 0), e)]
+
+
 def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
     """The unique filtration M with N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
     Built from the closed formula M_{c+k} = sum_j Im(N^j) cap Ker(N^{j+k+1});
     both axioms are re-verified before returning.
     """
-    e = N.nilpotency_index()
-    if e is None:
-        raise NotNilpotent("operator is not nilpotent")
+    e, powers, ker = _kernel_tower(N, "operator is not nilpotent")
     n = N.source_dim
-    powers = _powers(N, e)
     images = [p.image() for p in powers]           # Im N^j
-    kernels = [p.kernel() for p in powers]         # Ker N^j
-
-    def ker(m: int) -> Subspace:
-        if m <= 0:
-            return Subspace.zero(n)
-        if m >= e:
-            return Subspace.full(n)
-        return kernels[m]
-
     steps = []
     for k in range(-e, e + 1):
         acc = Subspace.zero(n)
@@ -290,11 +292,7 @@ def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap, center: int):
 
 def shifts_by_two(m: IncreasingFiltration, N: LinearMap) -> bool:
     """N M_w <= M_{w-2} for every step w of m."""
-    for w, sub in m.steps:
-        tgt = m.at(w - 2)
-        if not all(tgt.contains_vector(N(v)) for v in sub.basis):
-            return False
-    return True
+    return all(N.maps_into(sub, m.at(w - 2)) for w, sub in m.steps)
 
 
 def check_relative_axioms(m: IncreasingFiltration, N: LinearMap,
@@ -323,27 +321,14 @@ def _jordan_chain_tops(N: LinearMap) -> list[tuple[Vector, int]]:
     Tops of length m are a canonical complement basis of
     Ker N^m / (Ker N^{m-1} + N Ker N^{m+1}).
     """
-    e = N.nilpotency_index()
-    if e is None:
-        raise NotNilpotent("jordan chains of a non-nilpotent operator")
+    e, powers, ker = _kernel_tower(N, "jordan chains of a non-nilpotent operator")
     n = N.source_dim
-    powers = _powers(N, e)
-
-    def ker(i):
-        if i <= 0:
-            return Subspace.zero(n)
-        if i >= e:
-            return Subspace.full(n)
-        return powers[i].kernel()
-
     tops = []
     for m in range(e, 0, -1):
         space = ker(m)
-        lower = ker(m - 1).sum(Subspace.span([N(v) for v in ker(m + 1).basis], n))
+        lower = ker(m - 1).sum(N.image(ker(m + 1)))
         sq = Subquotient(space, lower.intersect(space))
-        for i in range(sq.dim):
-            coords = [ONE if i == j else ZERO for j in range(sq.dim)]
-            tops.append((sq.lift(coords), m))
+        tops.extend((v, m) for v in sq.lifts.basis)
     # sanity: translates form a basis of the whole space
     translates = [powers[j](v) for v, m in tops for j in range(m)]
     if Subspace.span(translates, n).dim != n:
@@ -389,8 +374,9 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
     b = jumps[-1]
     v_sub = w.at(jumps[-2])
     # restriction to the part below the top weight, in V-coordinates
-    nv = N.restrict(v_sub, v_sub)
-    wv = w.restrict_to(v_sub)
+    v_part = Subquotient.of(v_sub)
+    nv = induced_map(N, v_part, v_part)
+    wv = w.project_to(v_part)
     m_below = _relative_monodromy_rec(nv, wv)
 
     def below(k: int) -> Subspace:
@@ -412,7 +398,7 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
         tail = powers[length](x0)
         target_m = below(b - length - 1)
         gens = list(target_m.basis) + [powers[length](u) for u in v_sub.basis]
-        coeffs = solve_in_span(gens, tail, n)
+        coeffs = LinearMap(Matrix(gens, cols=n).transpose()).solve(tail)
         if coeffs is None:
             raise RelativeMonodromyNonexistent(
                 f"no admissible lift for a chain of length {length} over weight {b}"
@@ -445,7 +431,7 @@ def star(N: LinearMap, w: IncreasingFiltration) -> IncreasingFiltration:
     hi = max(w.highest(), m.highest()) + 1
     steps = []
     for k in range(lo, hi + 1):
-        img = Subspace.span([N(v) for v in w.at(k + 1).basis], n)
+        img = N.image(w.at(k + 1))
         primary = img.sum(m.at(k).intersect(w.at(k)))
         alternate = img.sum(m.at(k).intersect(w.at(k + 1)))
         if primary != alternate:

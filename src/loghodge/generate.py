@@ -9,6 +9,7 @@ axioms by construction; the test suites re-verify rather than trust this.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -57,9 +58,7 @@ class _Block:
 def _tensor_blocks(n_branches: int, sizes: list[int]) -> _Block:
     """Tensor of one Jordan string per branch; monomial Hodge filtration."""
     dims = sizes
-    total = 1
-    for m in dims:
-        total *= m
+    total = math.prod(dims)
     index = list(itertools.product(*[range(m) for m in dims]))
     pos = {t: i for i, t in enumerate(index)}
     nilpotents = []
@@ -135,8 +134,7 @@ def conjugate_model(model: NCModel, g: Matrix) -> NCModel:
     nil = tuple(LinearMap(g * nj.matrix * ginv) for nj in comp.nilpotents)
     new_comp = AlphaComponent(comp.alpha, comp.dim, nil)
 
-    def push_subspace(s: Subspace) -> Subspace:
-        return Subspace.span([tuple(g.apply(v)) for v in s.basis], comp.dim)
+    push_subspace = LinearMap(g).image
 
     weight = IncreasingFiltration(
         comp.dim, [(w, push_subspace(s)) for w, s in model.weight.steps])
@@ -167,15 +165,8 @@ def random_imhs_model(n_branches: int, rng: random.Random,
         if rng.random() < 0.2 and budget >= 2:
             block = _elliptic_block(n_branches)
         else:
-            sizes = []
-            for _ in range(max(n_branches, 1)):
-                sizes.append(rng.choice([1, 1, 2, 2, 3]))
-            while _product(sizes) > budget:
-                big = max(range(len(sizes)), key=lambda i: sizes[i])
-                if sizes[big] == 1:
-                    break
-                sizes[big] -= 1
-            block = _tensor_blocks(n_branches, sizes)
+            sizes = [rng.choice([1, 1, 2, 2, 3]) for _ in range(max(n_branches, 1))]
+            block = _tensor_blocks(n_branches, _fit(sizes, budget))
         if block.dim > budget:
             continue
         # twist to a target weight of the shared parity
@@ -202,11 +193,15 @@ def random_imhs_model(n_branches: int, rng: random.Random,
     return model
 
 
-def _product(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+def _fit(sizes: list[int], budget: int) -> list[int]:
+    """Shrink the longest Jordan string until the tensor dimension fits the
+    budget or every string has length 1."""
+    while math.prod(sizes) > budget:
+        big = max(range(len(sizes)), key=lambda i: sizes[i])
+        if sizes[big] == 1:
+            break
+        sizes[big] -= 1
+    return sizes
 
 
 def random_pure_model(n_branches: int, rng: random.Random,
@@ -214,12 +209,7 @@ def random_pure_model(n_branches: int, rng: random.Random,
                       max_dim: int = 8) -> NCModel:
     """Single pure weight; handy for the pure-anchor and purity suites."""
     sizes = [rng.choice([1, 2, 2, 3]) for _ in range(max(n_branches, 1))]
-    while _product(sizes) > max_dim:
-        big = max(range(len(sizes)), key=lambda i: sizes[i])
-        if sizes[big] == 1:
-            break
-        sizes[big] -= 1
-    block = _tensor_blocks(n_branches, sizes)
+    block = _tensor_blocks(n_branches, _fit(sizes, max_dim))
     model = _block_model(n_branches, block, block.weight, n_branches,
                          with_pairing, True)
     return conjugate_model(model, random_unimodular(model.total_dim, rng))

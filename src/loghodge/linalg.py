@@ -35,6 +35,29 @@ def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
 
+def place(shape, pieces):
+    """A zero vector of length shape, or a zero Matrix of shape (rows, cols),
+    with each piece written at its coordinate positions.
+
+    A vector piece is (entries, positions): entry i lands at positions[i].  A
+    matrix piece is (block, row positions, column positions): block[r, c]
+    lands at (rows[r], cols[c]).
+    """
+    if isinstance(shape, int):
+        out = [ZERO] * shape
+        for entries, pos in pieces:
+            for i, x in zip(pos, entries):
+                out[i] = x
+        return tuple(out)
+    rows, cols = shape
+    out = [[ZERO] * cols for _ in range(rows)]
+    for block, row_pos, col_pos in pieces:
+        for r, entries in zip(row_pos, block.entries):
+            for c, x in zip(col_pos, entries):
+                out[r][c] = x
+    return Matrix(out, cols=cols)
+
+
 class Matrix:
     """Dense exact matrix; rows of Scalars."""
 
@@ -432,6 +455,10 @@ class LinearMap:
             sub = Subspace.full(self.source_dim)
         return Subspace.span([self(v) for v in sub.basis], self.target_dim)
 
+    def maps_into(self, src: Subspace, tgt: Subspace) -> bool:
+        """f(src) <= tgt."""
+        return all(tgt.contains_vector(self(v)) for v in src.basis)
+
     def kernel(self) -> Subspace:
         return Subspace.span(_kernel_basis(self.matrix), self.source_dim)
 
@@ -442,25 +469,22 @@ class LinearMap:
         if target_sub.is_full():
             return Subspace.full(self.source_dim)
         # residual-after-reduction is linear; kernel of (residual o f).
-        cols = []
-        for j in range(self.target_dim):
-            e = list(zero_vector(self.target_dim))
-            e[j] = ONE
-            cols.append(target_sub.reduce(tuple(e)))
-        proj = Matrix(cols, cols=self.target_dim).transpose()
-        return LinearMap(proj * self.matrix).kernel()
+        cols = [target_sub.reduce(c) for c in self.matrix.transpose().entries]
+        return LinearMap(Matrix(cols, cols=self.target_dim).transpose()).kernel()
 
-    def restrict(self, src: Subspace, tgt: Subspace) -> "LinearMap":
-        """Matrix of the map src -> tgt in the canonical bases; requires f(src) <= tgt."""
-        cols = []
-        for v in src.basis:
-            w = self(v)
-            if not tgt.contains_vector(w):
-                raise IllDefinedInducedMap("image leaves the declared target subspace")
-            cols.append(tgt.coords(w))
-        if not cols:
-            return LinearMap.zero(0, tgt.dim)
-        return LinearMap(Matrix(cols, cols=tgt.dim).transpose())
+    def solve(self, v: Vector):
+        """One x with f(x) = v, or None."""
+        if vec_is_zero(v):
+            return zero_vector(self.source_dim)
+        aug = [list(r) + [t] for r, t in zip(self.matrix.entries, v)]
+        reduced = rref(aug, self.source_dim + 1)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+        if self.source_dim in pivots:
+            return None
+        x = [ZERO] * self.source_dim
+        for row, p in zip(reduced, pivots):
+            x[p] = row[-1]
+        return tuple(x)
 
 
 def canonicalize(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Subspace:
@@ -489,8 +513,16 @@ class Subquotient:
             raise ShapeError("quot_by is not contained in sub")
         self.sub = sub
         self.quot_by = quot_by
-        reduced = [quot_by.reduce(v) for v in sub.basis]
-        self.lifts = Subspace.span(reduced, sub.ambient_dim)
+        if quot_by.is_zero():
+            self.lifts = sub
+        else:
+            reduced = [quot_by.reduce(v) for v in sub.basis]
+            self.lifts = Subspace.span(reduced, sub.ambient_dim)
+
+    @staticmethod
+    def of(sub: Subspace) -> "Subquotient":
+        """sub modulo zero, in sub's own canonical coordinates."""
+        return Subquotient(sub, Subspace.zero(sub.ambient_dim))
 
     @property
     def ambient_dim(self) -> int:
@@ -518,47 +550,21 @@ class Subquotient:
         return Subspace.span([self.coords(v) for v in inter.basis], self.dim)
 
 
-def solve_in_span(gens: Sequence[Vector], target: Vector, width: int):
-    """Coefficients c with sum c_i gens_i = target, or None if unsolvable."""
-    if vec_is_zero(target):
-        return [ZERO] * len(gens)
-    if not gens:
-        return None
-    cols = Matrix(gens, cols=width).transpose()
-    aug = [list(r) + [t] for r, t in zip(cols.entries, target)]
-    reduced = rref(aug, len(gens) + 1)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-    if len(gens) in pivots:
-        return None
-    coeffs = [ZERO] * len(gens)
-    for row, p in zip(reduced, pivots):
-        coeffs[p] = row[-1]
-    return coeffs
-
-
-def solve_linear(f: LinearMap, v: Vector):
-    """One preimage x with f(x) = v, or None."""
-    cols = [f.matrix.col(j) for j in range(f.source_dim)]
-    coeffs = solve_in_span(cols, v, f.target_dim)
-    return None if coeffs is None else tuple(coeffs)
-
-
 def induced_map(f: LinearMap, src: Subquotient, tgt: Subquotient) -> LinearMap:
     """Map induced by f on subquotients; raises IllDefinedInducedMap.
 
     Functorial: induced(g o f) = induced(g) o induced(f) whenever both sides
-    are defined.
+    are defined.  Column j is the class of f(src.lifts.basis[j]).
     """
-    for v in src.sub.basis:
-        if not tgt.sub.contains_vector(f(v)):
-            raise IllDefinedInducedMap("f(sub) not contained in target sub")
-    for v in src.quot_by.basis:
-        if not tgt.quot_by.contains_vector(f(v)):
-            raise IllDefinedInducedMap("f(quot_by) not contained in target quot_by")
-    cols = [tgt.coords(f(src.lift([ONE if i == j else ZERO for i in range(src.dim)])))
-            for j in range(src.dim)]
-    if not cols:
-        return LinearMap.zero(0, tgt.dim)
+    # src.sub is spanned by the lifts together with src.quot_by
+    lifted = [f(v) for v in src.lifts.basis]
+    pushed = [f(v) for v in src.quot_by.basis]
+    if not all(tgt.sub.contains_vector(w) for w in lifted + pushed):
+        raise IllDefinedInducedMap("f(sub) not contained in target sub")
+    if not all(tgt.quot_by.contains_vector(w) for w in pushed):
+        raise IllDefinedInducedMap("f(quot_by) not contained in target quot_by")
+    # tgt.coords without its membership test, which the check above made
+    cols = [tgt.lifts.coords(tgt.quot_by.reduce(w)) for w in lifted]
     return LinearMap(Matrix(cols, cols=tgt.dim).transpose())
 
 

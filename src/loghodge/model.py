@@ -22,12 +22,21 @@ from .errors import (
 from .filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
+    filtration_sum,
     monodromy_filtration,
     relative_monodromy_filtration,
     shifts_by_two,
     star,
 )
-from .linalg import LinearMap, Matrix, Subquotient, Subspace, induced_map, rref
+from .linalg import (
+    LinearMap,
+    Matrix,
+    Subquotient,
+    Subspace,
+    induced_map,
+    place,
+    rref,
+)
 from .scalars import ONE, ZERO, I, Scalar, format_scalar, is_integer, parse_scalar
 
 
@@ -66,31 +75,25 @@ class NCModel:
     def total_dim(self) -> int:
         return sum(c.dim for c in self.components)
 
-    def component_offset(self, ci: int) -> int:
-        return sum(c.dim for c in self.components[:ci])
+    def component_positions(self, ci: int) -> range:
+        """The coordinates of component ci in the total space."""
+        off = sum(c.dim for c in self.components[:ci])
+        return range(off, off + self.components[ci].dim)
 
     def component_subspace(self, ci: int) -> Subspace:
-        off = self.component_offset(ci)
-        d = self.components[ci].dim
         n = self.total_dim
-        rows = []
-        for i in range(d):
-            row = [ZERO] * n
-            row[off + i] = ONE
-            rows.append(tuple(row))
-        return Subspace(n, tuple(rows), _canonical=True)
+        return Subspace(n, tuple(place(n, [((ONE,), (i,))])
+                                 for i in self.component_positions(ci)),
+                        _canonical=True)
 
     def nilpotent(self, j: int) -> LinearMap:
         """N_j on the total space (block diagonal over components)."""
         n = self.total_dim
-        rows = [[ZERO] * n for _ in range(n)]
+        pieces = []
         for ci, comp in enumerate(self.components):
-            off = self.component_offset(ci)
-            m = comp.nilpotents[j].matrix
-            for r in range(comp.dim):
-                for c in range(comp.dim):
-                    rows[off + r][off + c] = m[r, c]
-        return LinearMap(Matrix(rows, cols=n))
+            pos = self.component_positions(ci)
+            pieces.append((comp.nilpotents[j].matrix, pos, pos))
+        return LinearMap(place((n, n), pieces))
 
     def nilpotent_sum(self, branches, t=None) -> LinearMap:
         n = self.total_dim
@@ -103,12 +106,12 @@ class NCModel:
         return out
 
     def weight_on_component(self, ci: int) -> IncreasingFiltration:
-        return self.weight.restrict_to(self.component_subspace(ci))
+        return self.weight.project_to(Subquotient.of(self.component_subspace(ci)))
 
     def hodge_on_component(self, ci: int) -> DecreasingFiltration | None:
         if self.hodge is None:
             return None
-        return self.hodge.restrict_to(self.component_subspace(ci))
+        return self.hodge.project_to(Subquotient.of(self.component_subspace(ci)))
 
     def wj(self, ci: int, branch_set: frozenset) -> IncreasingFiltration:
         """W^J on component ci, cached and built incrementally by max branch."""
@@ -131,11 +134,7 @@ class NCModel:
         s = self.pairing
 
         def form(x, y):
-            return sum(
-                (xi * sum((s[i, j] * yj for j, yj in enumerate(y)), ZERO)
-                 for i, xi in enumerate(x)),
-                ZERO,
-            )
+            return sum((xi * syi for xi, syi in zip(x, s.apply(y))), ZERO)
 
         return form
 
@@ -198,42 +197,28 @@ def validate(model: NCModel) -> CheckReport:
         report.add("NonCommutingOperators", commuting,
                    f"component {ci} operators do not commute")
 
-    # the weight filtration must be the direct sum of its component restrictions
-    split_ok = True
-    for w, sub in model.weight.steps:
-        total = Subspace.zero(model.total_dim)
-        for ci in range(len(model.components)):
-            total = total.sum(sub.intersect(model.component_subspace(ci)))
-        if total != sub:
-            split_ok = False
-    report.add("WeightRestrictsToComponents", split_ok,
-               "W is not a direct sum of component pieces")
-
-    preserved = all(
-        model.weight.is_preserved_by(model.nilpotent(j))
-        for j in range(model.branches)
-    )
-    report.add("FiltrationNotPreserved", preserved,
-               "some N_j does not preserve W")
-
-    if model.hodge is not None:
+    # W and F must be direct sums of their component restrictions, and each
+    # N_j must preserve W and lower F by one
+    pieces = [model.component_subspace(ci) for ci in range(len(model.components))]
+    for filt, name, letter, row, detail, how in (
+            (model.weight, "Weight", "W", "FiltrationNotPreserved",
+             "some N_j does not preserve W", {}),
+            (model.hodge, "Hodge", "F", "HodgeShiftedByOperators",
+             "some N_j does not map F^p into F^{p-1}", {"shift": -1})):
+        if filt is None:
+            report.skip("HodgeChecks", "no Hodge filtration")
+            continue
         split_ok = True
-        for _, sub in model.hodge.steps:
+        for _, sub in filt.steps:
             total = Subspace.zero(model.total_dim)
-            for ci in range(len(model.components)):
-                total = total.sum(sub.intersect(model.component_subspace(ci)))
+            for piece in pieces:
+                total = total.sum(sub.intersect(piece))
             if total != sub:
                 split_ok = False
-        report.add("HodgeRestrictsToComponents", split_ok,
-                   "F is not a direct sum of component pieces")
-        shifted = all(
-            model.hodge.is_preserved_by(model.nilpotent(j), shift=-1)
-            for j in range(model.branches)
-        )
-        report.add("HodgeShiftedByOperators", shifted,
-                   "some N_j does not map F^p into F^{p-1}")
-    else:
-        report.skip("HodgeChecks", "no Hodge filtration")
+        report.add(f"{name}RestrictsToComponents", split_ok,
+                   f"{letter} is not a direct sum of component pieces")
+        report.add(row, all(filt.is_preserved_by(model.nilpotent(j), **how)
+                            for j in range(model.branches)), detail)
 
     if model.pairing is not None:
         s = model.pairing
@@ -257,11 +242,9 @@ def validate(model: NCModel) -> CheckReport:
             blocks = True
             for ci in range(len(model.components)):
                 for cj in range(len(model.components)):
-                    if ci == cj:
-                        continue
-                    oi, di = model.component_offset(ci), model.components[ci].dim
-                    oj, dj = model.component_offset(cj), model.components[cj].dim
-                    if any(s[oi + r, oj + c] for r in range(di) for c in range(dj)):
+                    if ci != cj and any(s[r, c]
+                                        for r in model.component_positions(ci)
+                                        for c in model.component_positions(cj)):
                         blocks = False
             report.add("PairingRestrictsToComponents", blocks,
                        "S pairs distinct components")
@@ -278,8 +261,8 @@ def unipotent_part(model: NCModel) -> NCModel:
     sub = Subspace.zero(model.total_dim)
     for ci in keep:
         sub = sub.sum(model.component_subspace(ci))
-    weight = model.weight.restrict_to(sub)
-    hodge = model.hodge.restrict_to(sub) if model.hodge is not None else None
+    weight, hodge = (None if filt is None else filt.project_to(Subquotient.of(sub))
+                     for filt in (model.weight, model.hodge))
     pairing = None
     if model.pairing is not None:
         rows = []
@@ -315,11 +298,13 @@ def direct_sum(a: NCModel, b: NCModel) -> NCModel:
             comps.append(comp)
         else:
             old = comps[hit]
+            d = old.dim + comp.dim
+            halves = (range(old.dim), range(old.dim, d))
             nils = tuple(
-                _block_diag(old.nilpotents[j], comp.nilpotents[j])
-                for j in range(a.branches)
-            )
-            comps[hit] = AlphaComponent(old.alpha, old.dim + comp.dim, nils)
+                LinearMap(place((d, d), [(f.matrix, pos, pos)
+                                         for f, pos in zip(ops, halves)]))
+                for ops in zip(old.nilpotents, comp.nilpotents))
+            comps[hit] = AlphaComponent(old.alpha, d, nils)
             places[1].append((hit, old.dim))
 
     total = sum(c.dim for c in comps)
@@ -330,50 +315,20 @@ def direct_sum(a: NCModel, b: NCModel) -> NCModel:
          for (ci, inner), comp in zip(pl, m.components)
          for i in range(comp.dim)]
         for pl, m in zip(places, (a, b))]
-
-    def push(v, pos):
-        out = [ZERO] * total
-        for i, x in zip(pos, v):
-            out[i] = x
-        return tuple(out)
-
-    filts = []
-    for fa, fb, below in ((a.weight, b.weight, 0), (a.hodge, b.hodge, 1)):
-        if fa is None or fb is None:
-            filts.append(None)
-            continue
-        steps = []
-        for k in range(min(fa.lowest(), fb.lowest()) - below,
-                       max(fa.highest(), fb.highest()) + 1):
-            vecs = [push(v, pos) for f, pos in zip((fa, fb), positions)
-                    for v in f.at(k).basis]
-            steps.append((k, Subspace.span(vecs, total)))
-        filts.append(type(fa)(total, steps))
+    filts = [None if fa is None or fb is None else
+             filtration_sum(list(zip(positions, (fa, fb))), total)
+             for fa, fb in ((a.weight, b.weight), (a.hodge, b.hodge))]
 
     pairing = None
     parity = None
     if a.pairing is not None and b.pairing is not None \
             and a.pairing_parity == b.pairing_parity:
-        rows = [[ZERO] * total for _ in range(total)]
-        for m, pos in zip((a, b), positions):
-            for r in range(m.total_dim):
-                for c in range(m.total_dim):
-                    rows[pos[r]][pos[c]] = m.pairing[r, c]
-        pairing = Matrix(rows, cols=total)
+        pairing = place((total, total), [(m.pairing, pos, pos)
+                                         for m, pos in zip((a, b), positions)])
         parity = a.pairing_parity
 
     return NCModel(a.branches, tuple(comps), a.base_weight, a.perverse_shift,
                    *filts, pairing, parity)
-
-
-def _block_diag(f: LinearMap, g: LinearMap) -> LinearMap:
-    n, m = f.source_dim, g.source_dim
-    rows = []
-    for r in range(n):
-        rows.append(list(f.matrix.entries[r]) + [ZERO] * m)
-    for r in range(m):
-        rows.append([ZERO] * n + list(g.matrix.entries[r]))
-    return LinearMap(Matrix(rows, cols=n + m))
 
 
 # -- IMHS checker -------------------------------------------------------------

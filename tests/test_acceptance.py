@@ -77,7 +77,7 @@ def test_criterion_01_acyclicity():
                 continue
             sub = NCModel(model.branches, (comp,), model.base_weight,
                           model.perverse_shift,
-                          model.weight.restrict_to(model.component_subspace(ci)))
+                          model.weight_on_component(ci))
             h = cohomology(build_omega(sub, with_filtrations=False))
             for k in range(n + 2):
                 assert h.dim(k) == 0, \

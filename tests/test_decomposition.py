@@ -119,7 +119,7 @@ def test_descent_strictness():
     import itertools
 
     from loghodge.filtrations import IncreasingFiltration, star
-    from loghodge.linalg import Subspace
+    from loghodge.linalg import Subquotient, Subspace, induced_map
 
     rng = random.Random(55)
     models = [J2] + [random_imhs_model(2, rng, max_dim=5, with_pairing=False)
@@ -132,10 +132,11 @@ def test_descent_strictness():
                     sub = Subspace.full(comp.dim)
                     filt = model.weight_on_component(ci)
                     for j in K:
-                        op = comp.nilpotents[j].restrict(sub, sub)
+                        op = induced_map(comp.nilpotents[j], Subquotient.of(sub),
+                                         Subquotient.of(sub))
                         starred = star(op, filt)
                         img = op.image()
-                        inner = starred.restrict_to(img)
+                        inner = starred.project_to(Subquotient.of(img))
                         new_sub = Subspace.span(
                             [sub.from_coords(v) for v in img.basis], comp.dim)
                         filt = IncreasingFiltration(
@@ -148,7 +149,8 @@ def test_descent_strictness():
                         sub = new_sub
                     if sub.dim == 0:
                         continue
-                    induced = model.wj(ci, frozenset(K)).restrict_to(sub)
+                    induced = model.wj(ci, frozenset(K)).project_to(
+                        Subquotient.of(sub))
                     assert induced == filt, (ci, K)
 
 

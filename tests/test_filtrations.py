@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loghodge.errors import (
     FiltrationNotPreserved,
@@ -15,6 +17,7 @@ from loghodge.filtrations import (
     IncreasingFiltration,
     check_relative_axioms,
     dual_filtration,
+    filtration_sum,
     iterated_star,
     monodromy_filtration,
     relative_monodromy_filtration,
@@ -227,9 +230,11 @@ def test_json_round_trip_both_directions(cls):
 @BOTH
 def test_restrict_to_both_directions(cls):
     f = _through(cls, 2, LINE)
-    assert f.restrict_to(LINE) == _through(cls, 1, Subspace.full(1))
-    assert f.restrict_to(DIAGONAL) == _through(cls, 1, Subspace.zero(1))
-    assert f.restrict_to(Subspace.full(2)) == f
+    # restriction to a subspace is projection to it modulo zero
+    assert f.project_to(Subquotient.of(LINE)) == _through(cls, 1, Subspace.full(1))
+    assert f.project_to(Subquotient.of(DIAGONAL)) == \
+        _through(cls, 1, Subspace.zero(1))
+    assert f.project_to(Subquotient.of(Subspace.full(2))) == f
 
 
 @BOTH
@@ -239,6 +244,61 @@ def test_project_to_both_directions(cls):
         _through(cls, 1, Subspace.zero(1))
     assert f.project_to(Subquotient(LINE, Subspace.zero(2))) == \
         _through(cls, 1, Subspace.full(1))
+
+
+def _flag(cls, dim, vectors, labels):
+    """Step labels[i] spans the first i + 1 vectors (increasing) or all from
+    the i-th on (decreasing); the end space follows the last label."""
+    spans = ([vectors[:i + 1] for i in range(len(vectors))]
+             if cls is IncreasingFiltration else
+             [vectors[i:] for i in range(len(vectors))])
+    top = max(labels, default=0) + 1
+    return cls(dim, [(i, canonicalize(vs, dim)) for i, vs in zip(labels, spans)]
+               + [(top, _end(cls, dim))])
+
+
+@st.composite
+def split_flags(draw, cls):
+    """Filtrations of one direction on a random split of 0..total-1 into
+    lists of increasing, mostly non-consecutive positions."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    owner = draw(st.permutations([i for i, d in enumerate(dims) for _ in range(d)]))
+    parts = []
+    for i, d in enumerate(dims):
+        vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                max_size=d + 1))
+        labels = sorted(draw(st.lists(st.integers(-3, 3), unique=True,
+                                      min_size=len(vectors), max_size=len(vectors))))
+        parts.append(([p for p, o in enumerate(owner) if o == i],
+                      _flag(cls, d, vectors, labels)))
+    return len(owner), parts
+
+
+def _embedding(pos, total):
+    """total x len(pos) matrix sending the i-th unit vector to the pos[i]-th."""
+    return Matrix([[1 if p == r else 0 for p in pos] for r in range(total)],
+                  cols=len(pos))
+
+
+@BOTH
+@settings(max_examples=80)
+@given(data=st.data())
+def test_filtration_sum_matches_brute_force_both_directions(cls, data):
+    total, parts = data.draw(split_flags(cls))
+    out = filtration_sum(parts, total)
+    # brute force: every index from below the lowest to above the highest
+    # step, each part's step carried in by its embedding matrix
+    lo = min(f.lowest() for _, f in parts) - 1
+    hi = max(f.highest() for _, f in parts) + 1
+    expected = cls(total, [
+        (k, Subspace.span([_embedding(pos, total).apply(v)
+                           for pos, f in parts for v in f.at(k).basis], total))
+        for k in range(lo, hi + 1)])
+    assert type(out) is cls and out == expected
+    # and back: restricting the sum to a part's coordinates gives the part
+    for pos, f in parts:
+        coords = Subspace.span(_embedding(pos, total).transpose().entries, total)
+        assert out.project_to(Subquotient.of(coords)) == f
 
 
 @BOTH

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loghodge import linalg
 from loghodge.errors import IllDefinedInducedMap, ShapeError
 from loghodge.linalg import (
     LinearMap,
@@ -13,6 +14,7 @@ from loghodge.linalg import (
     canonicalize,
     induced_map,
     induced_map_on,
+    place,
     rref,
 )
 from loghodge.scalars import Scalar
@@ -98,6 +100,23 @@ def test_induced_map_examples():
     # contract violation
     with pytest.raises(IllDefinedInducedMap):
         induced_map_on(n, full, zero, zero, zero)
+
+
+def test_zero_quotient_transport_runs_no_rref(monkeypatch):
+    sub = canonicalize([[1, 0, 0], [0, 1, 1]])
+    f = LinearMap([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(rows, width):
+        calls.append(width)
+        return real_rref(rows, width)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    part = Subquotient.of(sub)
+    assert part.lifts is sub
+    assert induced_map(f, part, part) == LinearMap([[0, 1], [0, 0]])
+    assert calls == []
 
 
 def test_induced_map_functorial():
@@ -235,6 +254,59 @@ def test_reduce_matches_dense_reference(case):
     assert list(out) == expected
     assert all_scalars([out])
     assert sub.contains_vector(v) == (not any(expected))
+
+
+@st.composite
+def position_groups(draw):
+    """A size and a split of 0..size-1 into up to four lists of positions in
+    random order."""
+    size = draw(st.integers(0, 6))
+    order = draw(st.permutations(range(size)))
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=3)))
+    return size, [order[a:b] for a, b in zip([0] + cuts, cuts + [size])]
+
+
+def _embedding(pos, size):
+    """size x len(pos) matrix sending the i-th unit vector to the pos[i]-th."""
+    return Matrix([[1 if p == r else 0 for p in pos] for r in range(size)],
+                  cols=len(pos))
+
+
+@settings(max_examples=150)
+@given(position_groups(), st.data())
+def test_place_vector_matches_embedding_sum(case, data):
+    size, groups = case
+    pieces = [(data.draw(sparse_rows(1, len(g)))[0], g) for g in groups]
+    out = place(size, pieces)
+    expected = [Scalar(0)] * size
+    for entries, pos in pieces:
+        expected = [a + b for a, b in
+                    zip(expected, _embedding(pos, size).apply(entries))]
+    assert list(out) == expected
+    assert all_scalars([out])
+
+
+@settings(max_examples=150)
+@given(position_groups(), position_groups(), st.data())
+def test_place_matrix_matches_embedding_products(row_case, col_case, data):
+    (rows, row_groups), (cols, col_groups) = row_case, col_case
+    cells = data.draw(st.lists(
+        st.tuples(st.integers(0, len(row_groups) - 1),
+                  st.integers(0, len(col_groups) - 1)), unique=True, max_size=4))
+    pieces = []
+    for i, j in cells:
+        r_pos, c_pos = row_groups[i], col_groups[j]
+        block = data.draw(sparse_rows(len(r_pos), len(c_pos)))
+        pieces.append((Matrix(block, cols=len(c_pos)), r_pos, c_pos))
+    out = place((rows, cols), pieces)
+    # reference: the sum of E_rows * block * E_cols^T over the pieces
+    expected = Matrix.zero(rows, cols)
+    for block, r_pos, c_pos in pieces:
+        expected = expected + (_embedding(r_pos, rows) * block
+                               * _embedding(c_pos, cols).transpose())
+    assert (out.rows, out.cols) == (rows, cols)
+    assert out == expected
+    assert all_scalars(out.entries)
 
 
 def test_kernels_on_empty_and_zero_width_input():

@@ -76,12 +76,7 @@ def run_imhs(model, args):
 
 def run_cohomology(model, args):
     z = _parse_z(args.z, model)
-    c = cx.build_complex(model, args.complex, z)
-    return cohomology_json(c), None
-
-
-def cohomology_json(c):
-    return cx.cohomology(c).to_json()
+    return cx.cohomology(cx.build_complex(model, args.complex, z)).to_json(), None
 
 
 def run_filtration(model, args):
@@ -245,8 +240,8 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
     model = load_model(path)
     entry = {"validate": validate(model).to_json()}
     entry["cohomology"] = {
-        "omega": cohomology_json(cx.build_omega(model)),
-        "ic": cohomology_json(cx.build_ic(model)),
+        "omega": cx.cohomology(cx.build_omega(model)).to_json(),
+        "ic": cx.cohomology(cx.build_ic(model)).to_json(),
     }
     if model.hodge is not None:
         entry["imhs"] = imhs_check(model, seed=seed).to_json()
@@ -258,8 +253,7 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
             entry["purity"][mode] = dec.purity_check(
                 cx.cohomology(c), model.base_weight, model.perverse_shift,
                 mode).to_json()
-        link = cx.link_complex(model, z)
-        entry["link"] = cohomology_json(link)
+        entry["link"] = cx.cohomology(cx.link_complex(model, z)).to_json()
     return entry
 
 

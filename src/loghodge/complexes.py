@@ -108,11 +108,10 @@ class FilteredComplex:
             for k in self.degrees():
                 if not self.term_dim(k) or not self.term_dim(k + 1):
                     continue
-                dk, fk, fk1 = self.differential(k), filt[k], filt[k + 1]
-                for r, sub in fk.steps:
-                    if not dk.maps_into(sub, fk1.at(r)):
-                        raise FiltrationNotPreserved(
-                            f"{step}{r} at degree {k} is not a subcomplex")
+                r = filt[k].first_violation(self.differential(k), filt[k + 1])
+                if r is not None:
+                    raise FiltrationNotPreserved(
+                        f"{step}{r} at degree {k} is not a subcomplex")
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
@@ -161,11 +160,10 @@ class ComplexMap:
             for k in self.source.degrees():
                 if k not in src or k not in tgt:
                     continue
-                f = self.at(k)
-                for r, sub in src[k].steps:
-                    if not f.maps_into(sub, tgt[k].at(r)):
-                        raise FiltrationNotPreserved(
-                            f"map violates {step}{r} at degree {k}")
+                r = src[k].first_violation(self.at(k), tgt[k])
+                if r is not None:
+                    raise FiltrationNotPreserved(
+                        f"map violates {step}{r} at degree {k}")
 
 
 def cone(f: ComplexMap) -> FilteredComplex:
@@ -399,12 +397,10 @@ def koszul_complex(branches, blocks, cut, weight=None,
     return out
 
 
-def _model_complex(model, cut, with_filtrations) -> FilteredComplex:
+def _model_complex(model, cut) -> FilteredComplex:
     """Koszul complex of the residue operators alpha_j - N_j per component."""
     comps = model.components
     blocks = [(c.dim, alpha_ops(c)) for c in comps]
-    if not with_filtrations:
-        return koszul_complex(range(model.branches), blocks, cut)
 
     def weight(K, ci):
         # Unipotent slot (K, ci) carries W^K shifted by |K|.  Components with
@@ -425,21 +421,21 @@ def _model_complex(model, cut, with_filtrations) -> FilteredComplex:
     return koszul_complex(range(model.branches), blocks, cut, weight, hodge)
 
 
-def build_omega(model, with_filtrations=True) -> FilteredComplex:
+def build_omega(model) -> FilteredComplex:
     """The logarithmic Koszul complex of the instance, with weight/Hodge data."""
-    return _model_complex(model, lambda K, ci: (), with_filtrations)
+    return _model_complex(model, lambda K, ci: ())
 
 
-def build_ic(model, with_filtrations=True) -> FilteredComplex:
+def build_ic(model) -> FilteredComplex:
     """The intersection subcomplex: slot K carries the K-fold residue image."""
-    return _model_complex(model, ic_cut(model, frozenset()), with_filtrations)
+    return _model_complex(model, ic_cut(model, frozenset()))
 
 
-def build_ic_log(model, z, with_filtrations=True) -> FilteredComplex:
+def build_ic_log(model, z) -> FilteredComplex:
     """Logarithmic intersection complex: branches in z keep the full space in
     their locally unipotent directions."""
     z = _check_branches(model, z)
-    return _model_complex(model, ic_cut(model, z), with_filtrations)
+    return _model_complex(model, ic_cut(model, z))
 
 
 def _check_branches(model, z) -> frozenset:
@@ -718,29 +714,19 @@ def _lift_h_map(data: IntersectionData) -> ComplexMap:
         h_map = data.maps.get(k)
         h_b = data.h_star.degrees.get(k)
         wa = a.weight_at(k)
+        lifts = h_map is not None and h_b is not None and h_b.dim > 0
         basis_rows, values, span = [], [], Subspace.zero(da)
         for r in wa.jumps():
             wr = wa.at(r)
-            for v in wr.intersect(bd).basis:
-                if not span.contains_vector(v):
-                    basis_rows.append(v)
-                    values.append(zero_vector(db))
-                    span = span.sum(Subspace.span([v], da))
-            for v in wr.intersect(z).basis:
-                if not span.contains_vector(v):
-                    cls = h_a.presentation.coords(v)
-                    if h_map is not None and h_b is not None and h_b.dim:
-                        rep = _class_representative(h_b, b, k, h_map(cls), r)
-                    else:
-                        rep = zero_vector(db)
-                    basis_rows.append(v)
-                    values.append(rep)
-                    span = span.sum(Subspace.span([v], da))
-            for v in wr.basis:
-                if not span.contains_vector(v):
-                    basis_rows.append(v)
-                    values.append(zero_vector(db))
-                    span = span.sum(Subspace.span([v], da))
+            for part, cocycles in ((wr.intersect(bd), False),
+                                   (wr.intersect(z), lifts), (wr, False)):
+                for v in part.basis:
+                    if not span.contains_vector(v):
+                        basis_rows.append(v)
+                        values.append(_class_representative(
+                            h_b, b, k, h_map(h_a.presentation.coords(v)), r)
+                            if cocycles else zero_vector(db))
+                        span = span.sum(Subspace.span([v], da))
         change = Matrix(basis_rows, cols=da).transpose()
         vals = Matrix(values, cols=db).transpose() if db else Matrix.zero(0, da)
         maps[k] = LinearMap(vals * change.inverse())

@@ -58,19 +58,15 @@ class PrimitivePart:
         return sum(p.dim for p in self.parts)
 
 
-def _gr_wj(model: NCModel, ci: int, J: tuple, k: int) -> Subquotient:
-    return model.wj(ci, frozenset(J)).graded_piece(k)
-
-
 def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
                          inside: Subspace | None = None) -> PrimitiveComponentPart:
     """P^J_k of one unipotent component, optionally cut to a subspace of L."""
     comp = model.components[ci]
-    gr = _gr_wj(model, ci, J, k)
+    gr = model.wj(ci, frozenset(J)).graded_piece(k)
     space = Subspace.full(gr.dim)
     for i in J:
         K = tuple(j for j in J if j != i)
-        gr_k = _gr_wj(model, ci, K, k + 1)
+        gr_k = model.wj(ci, frozenset(K)).graded_piece(k + 1)
         if gr_k.dim == 0:
             continue
         ident = LinearMap.identity(comp.dim)
@@ -173,7 +169,7 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
         for r in range(n + 1):
             for J in itertools.combinations(range(n), r):
                 w_tgt = k - len(J)
-                gr = _gr_wj(model, ci, J, w_tgt)
+                gr = model.wj(ci, frozenset(J)).graded_piece(w_tgt)
                 if gr.dim == 0:
                     continue
                 total = Subspace.zero(gr.dim)

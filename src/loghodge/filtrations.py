@@ -44,6 +44,9 @@ class Filtration:
     KEY: str        # JSON key of a step's index
     _NAME: str      # the filtration in error messages
     _INDEX: str     # the index in error messages
+    # offset from a jump to the index of its graded piece: the jump itself
+    # (increasing) or the index just below it (decreasing)
+    _SIDE: int
 
     def __init__(self, ambient_dim: int, steps: Sequence[tuple[int, Subspace]]):
         cleaned = []
@@ -81,6 +84,28 @@ class Filtration:
 
     def highest(self) -> int:
         return self.steps[-1][0] if self.steps else 0
+
+    def graded_dims(self) -> dict[int, int]:
+        """Nonzero graded dimensions, W_i/W_{i-1} at i and F^p/F^{p+1} at p."""
+        dims = [self._start(self.ambient_dim).dim] + [s.dim for _, s in self.steps]
+        return {i + self._SIDE: abs(b - a)
+                for (i, _), a, b in zip(self.steps, dims, dims[1:])}
+
+    def first_violation(self, f: LinearMap, target, shift: int = 0):
+        """An index r at which f(self_r) is not inside target_{r+shift}, or
+        None when there is none; target has self's direction.
+
+        self is constant between its jumps, where an increasing target only
+        grows and a decreasing one only shrinks.  So it suffices to test, in
+        order, each jump of an increasing self and the index just below each
+        jump of a decreasing one; r is the first that fails, for an
+        increasing self the least failing index.
+        """
+        for i in self.jumps():
+            r = i + self._SIDE
+            if not f.maps_into(self.at(r), target.at(r + shift)):
+                return r
+        return None
 
     def __eq__(self, other):
         return (
@@ -141,7 +166,7 @@ class IncreasingFiltration(Filtration):
 
     __slots__ = ()
 
-    KEY, _NAME, _INDEX = "weight", "filtration", "weight"
+    KEY, _NAME, _INDEX, _SIDE = "weight", "filtration", "weight", 0
     _start = staticmethod(Subspace.zero)
 
     @staticmethod
@@ -163,26 +188,13 @@ class IncreasingFiltration(Filtration):
     def graded_piece(self, k: int) -> Subquotient:
         return Subquotient(self.at(k), self.at(k - 1))
 
-    def graded_dims(self) -> dict[int, int]:
-        out = {}
-        prev = 0
-        for w, sub in self.steps:
-            d = sub.dim - prev
-            if d:
-                out[w] = d
-            prev = sub.dim
-        return out
-
-    def is_preserved_by(self, f: LinearMap) -> bool:
-        return all(f.maps_into(s, s) for _, s in self.steps)
-
 
 class DecreasingFiltration(Filtration):
     """Hodge-style filtration: F^p shrinks with p from the full space to zero."""
 
     __slots__ = ()
 
-    KEY, _NAME, _INDEX = "p", "Hodge filtration", "index"
+    KEY, _NAME, _INDEX, _SIDE = "p", "Hodge filtration", "index", -1
     _start = staticmethod(Subspace.full)
 
     @staticmethod
@@ -194,21 +206,6 @@ class DecreasingFiltration(Filtration):
     def _check_end(bottom: Subspace):
         if not bottom.is_zero():
             raise ShapeError("decreasing filtration does not reach zero")
-
-    def graded_dims(self) -> dict[int, int]:
-        out = {}
-        prev_dim = self.ambient_dim
-        for p, sub in self.steps:
-            d = prev_dim - sub.dim
-            if d:
-                out[p - 1] = d
-            prev_dim = sub.dim
-        return out
-
-    def is_preserved_by(self, f: LinearMap, shift: int = 0) -> bool:
-        """True when f(F^p) <= F^{p+shift} for all p."""
-        return all(f.maps_into(self.at(p), self.at(p + shift))
-                   for p in range(self.lowest() - 1, self.highest() + 1))
 
 
 def filtration_sum(parts, total: int):
@@ -227,26 +224,17 @@ def filtration_sum(parts, total: int):
 
 # -- monodromy filtrations --------------------------------------------------
 
-def _powers(N: LinearMap, top: int) -> list[LinearMap]:
-    """N^0, N^1, ..., N^top."""
-    out = [LinearMap.identity(N.source_dim)]
-    for _ in range(top):
-        out.append(N.compose(out[-1]))
-    return out
-
-
 def _kernel_tower(N: LinearMap, message: str):
-    """The nilpotency index e of N, its powers N^0..N^e, and ker(m), the
-    kernel of N^m clamped to zero for m <= 0 and to the full space for
-    m >= e; each kernel is computed once.  NotNilpotent(message) otherwise."""
-    e = N.nilpotency_index()
-    if e is None:
+    """The powers N^0..N^e of N, N^e = 0, and ker(m), the kernel of N^m
+    clamped to zero for m <= 0 and to the full space for m >= e; each kernel
+    is computed once.  NotNilpotent(message) otherwise."""
+    powers = N.powers()
+    if powers is None:
         raise NotNilpotent(message)
-    n = N.source_dim
-    powers = _powers(N, e)
+    n, e = N.source_dim, len(powers) - 1
     kernels = ([Subspace.zero(n)] + [p.kernel() for p in powers[1:e]]
                + [Subspace.full(n)])
-    return e, powers, lambda m: kernels[min(max(m, 0), e)]
+    return powers, lambda m: kernels[min(max(m, 0), e)]
 
 
 def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
@@ -255,8 +243,8 @@ def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
     Built from the closed formula M_{c+k} = sum_j Im(N^j) cap Ker(N^{j+k+1});
     both axioms are re-verified before returning.
     """
-    e, powers, ker = _kernel_tower(N, "operator is not nilpotent")
-    n = N.source_dim
+    powers, ker = _kernel_tower(N, "operator is not nilpotent")
+    n, e = N.source_dim, len(powers) - 1
     images = [p.image() for p in powers]           # Im N^j
     steps = []
     for k in range(-e, e + 1):
@@ -265,12 +253,15 @@ def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
             acc = acc.sum(images[j].intersect(ker(j + k + 1)))
         steps.append((center + k, acc))
     m = IncreasingFiltration(n, steps)
-    _check_monodromy_axioms(m, N, center)
+    _check_monodromy_axioms(m, N, powers, center)
     return m
 
 
-def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap, center: int):
-    if not shifts_by_two(m, N):
+def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap,
+                            powers: list[LinearMap], center: int):
+    """Both axioms; Gr^m is zero beyond center +- e, so powers[k] exists
+    wherever it is read."""
+    if m.first_violation(N, m, -2) is not None:
         raise RelativeMonodromyNonexistent("candidate violates N M_i <= M_{i-2}")
     lo = m.lowest() - 1
     hi = m.highest()
@@ -283,22 +274,17 @@ def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap, center: int):
             )
         if top.dim == 0:
             continue
-        g = induced_map(N.power(k), top, bot)
+        g = induced_map(powers[k], top, bot)
         if LinearMap(g.matrix).kernel().dim != 0:
             raise RelativeMonodromyNonexistent(
                 f"N^{k} is not an isomorphism Gr_{center + k} -> Gr_{center - k}"
             )
 
 
-def shifts_by_two(m: IncreasingFiltration, N: LinearMap) -> bool:
-    """N M_w <= M_{w-2} for every step w of m."""
-    return all(N.maps_into(sub, m.at(w - 2)) for w, sub in m.steps)
-
-
 def check_relative_axioms(m: IncreasingFiltration, N: LinearMap,
                           w: IncreasingFiltration) -> bool:
     """Both relative monodromy axioms, as exact subspace statements."""
-    if not shifts_by_two(m, N):
+    if m.first_violation(N, m, -2) is not None:
         return False
     for j in w.jumps():
         gr = w.graded_piece(j)
@@ -321,10 +307,10 @@ def _jordan_chain_tops(N: LinearMap) -> list[tuple[Vector, int]]:
     Tops of length m are a canonical complement basis of
     Ker N^m / (Ker N^{m-1} + N Ker N^{m+1}).
     """
-    e, powers, ker = _kernel_tower(N, "jordan chains of a non-nilpotent operator")
+    powers, ker = _kernel_tower(N, "jordan chains of a non-nilpotent operator")
     n = N.source_dim
     tops = []
-    for m in range(e, 0, -1):
+    for m in range(len(powers) - 1, 0, -1):
         space = ker(m)
         lower = ker(m - 1).sum(N.image(ker(m + 1)))
         sq = Subquotient(space, lower.intersect(space))
@@ -348,12 +334,11 @@ def relative_monodromy_filtration(N: LinearMap,
     the span of the lifted chains over M'.  The result is re-verified
     against both axioms.
     """
-    e = N.nilpotency_index()
-    if e is None:
+    if N.powers() is None:
         raise NotNilpotent("operator is not nilpotent")
     if N.source_dim != w.ambient_dim:
         raise ShapeError("operator and filtration live on different spaces")
-    if not w.is_preserved_by(N):
+    if w.first_violation(N, w) is not None:
         raise FiltrationNotPreserved("N does not preserve the weight filtration")
     m = _relative_monodromy_rec(N, w)
     if not check_relative_axioms(m, N, w):
@@ -375,13 +360,10 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
     v_sub = w.at(jumps[-2])
     # restriction to the part below the top weight, in V-coordinates
     v_part = Subquotient.of(v_sub)
+    inclusion = LinearMap(Matrix(v_sub.basis, cols=n).transpose())
     nv = induced_map(N, v_part, v_part)
     wv = w.project_to(v_part)
     m_below = _relative_monodromy_rec(nv, wv)
-
-    def below(k: int) -> Subspace:
-        s = m_below.at(k)
-        return Subspace.span([v_sub.from_coords(row) for row in s.basis], n)
 
     top = Subquotient(Subspace.full(n), v_sub)
     n_top = induced_map(N, top, top)
@@ -390,13 +372,13 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
     except NotNilpotent:
         raise RelativeMonodromyNonexistent("induced operator on top step not nilpotent")
 
-    powers = _powers(N, N.nilpotency_index())
+    powers = N.powers()
 
     contributions = []  # (weight level, vector)
     for vbar, length in tops:
         x0 = top.lift(vbar)
         tail = powers[length](x0)
-        target_m = below(b - length - 1)
+        target_m = inclusion.image(m_below.at(b - length - 1))
         gens = list(target_m.basis) + [powers[length](u) for u in v_sub.basis]
         coeffs = LinearMap(Matrix(gens, cols=n).transpose()).solve(tail)
         if coeffs is None:
@@ -412,7 +394,7 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
     hi = max([m_below.highest()] + [lv for lv, _ in contributions]) + 1
     steps = []
     for k in range(lo, hi + 1):
-        acc = below(k)
+        acc = inclusion.image(m_below.at(k))
         vecs = [vec for lv, vec in contributions if lv <= k]
         if vecs:
             acc = acc.sum(Subspace.span(vecs, n))

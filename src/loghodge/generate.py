@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from .filtrations import DecreasingFiltration, IncreasingFiltration
+from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
 # rref is imported for perfbench's tracer, which rebinds the name in every
 # module that binds it; its tests check this module too
 from .linalg import LinearMap, Matrix, Subspace, rref  # noqa: F401
@@ -224,8 +224,6 @@ def random_spectral_model(n_branches: int, rng: random.Random,
     """
     comps = []
     alphas = set()
-    weight_steps = []
-    total = 0
     n_comp = rng.randint(1, max_components)
     choices = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                Fraction(1, 4)]
@@ -244,27 +242,11 @@ def random_spectral_model(n_branches: int, rng: random.Random,
             c1, c2 = rng.randint(-2, 2), rng.randint(-1, 1)
             nil.append(base.scale(c1) + base.compose(base).scale(c2))
         comps.append(AlphaComponent(alpha, d, tuple(nil)))
-        total += d
-    rows_so_far = 0
-    steps = []
-    for ci, comp in enumerate(comps):
-        w = rng.randint(-2, 2)
-        rows = []
-        for i in range(comp.dim):
-            row = [ZERO] * total
-            row[rows_so_far + i] = ONE
-            rows.append(tuple(row))
-        steps.append((w, rows))
-        rows_so_far += comp.dim
-    # cumulative exhaustive filtration over component blocks
-    by_weight = {}
-    for w, rows in steps:
-        by_weight.setdefault(w, []).extend(rows)
-    acc, filt_steps = [], []
-    for w in sorted(by_weight):
-        acc.extend(by_weight[w])
-        filt_steps.append((w, Subspace.span(list(acc), total)))
-    top = max(by_weight) if by_weight else 0
-    filt_steps.append((top + 1, Subspace.full(total)))
-    weight = IncreasingFiltration(total, filt_steps)
-    return NCModel(n_branches, tuple(comps), 0, n_branches, weight)
+    # a pure weight per component, drawn in component order
+    parts, total = [], 0
+    for comp in comps:
+        parts.append((range(total, total + comp.dim),
+                      IncreasingFiltration.pure(comp.dim, rng.randint(-2, 2))))
+        total += comp.dim
+    return NCModel(n_branches, tuple(comps), 0, n_branches,
+                   filtration_sum(parts, total))

@@ -22,9 +22,6 @@ def as_vector(entries: Sequence) -> Vector:
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
 def vec_scale(c: Scalar, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
@@ -121,14 +118,10 @@ class Matrix:
         )
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix subtraction shape mismatch")
-        return Matrix(
-            [vec_sub(a, b) for a, b in zip(self.entries, other.entries)], cols=self.cols
-        )
+        return self + -other
 
     def __neg__(self):
-        return Matrix([vec_scale(-ONE, r) for r in self.entries], cols=self.cols)
+        return self.scale(-ONE)
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
@@ -355,14 +348,14 @@ class Subspace:
 
 def _kernel_basis(m: Matrix) -> list[Vector]:
     """Basis of {v : m v = 0}, from the RREF free-variable construction."""
-    reduced = rref(m.entries, m.cols)
-    pivots = [next(j for j, e in enumerate(r) if e) for r in reduced]
-    free = [j for j in range(m.cols) if j not in pivots]
+    rows = Subspace(m.cols, m.entries)
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in rows._pivots:
+            continue
         v = [ZERO] * m.cols
         v[f] = ONE
-        for row, p in zip(reduced, pivots):
+        for row, p in zip(rows.basis, rows._pivots):
             v[p] = -row[f]
         basis.append(tuple(v))
     return basis
@@ -373,19 +366,12 @@ class LinearMap:
 
     __slots__ = ("source_dim", "target_dim", "matrix")
 
-    def __init__(self, matrix: Matrix, source_dim: int | None = None,
-                 target_dim: int | None = None):
+    def __init__(self, matrix: Matrix):
         if not isinstance(matrix, Matrix):
             matrix = Matrix(matrix)
-        if source_dim is None:
-            source_dim = matrix.cols
-        if target_dim is None:
-            target_dim = matrix.rows
-        if (matrix.rows, matrix.cols) != (target_dim, source_dim):
-            raise ShapeError("matrix shape does not match declared dimensions")
         self.matrix = matrix
-        self.source_dim = source_dim
-        self.target_dim = target_dim
+        self.source_dim = matrix.cols
+        self.target_dim = matrix.rows
 
     @staticmethod
     def identity(n: int) -> "LinearMap":
@@ -425,30 +411,23 @@ class LinearMap:
     def scale(self, c) -> "LinearMap":
         return LinearMap(self.matrix.scale(c))
 
-    def power(self, k: int) -> "LinearMap":
-        if self.source_dim != self.target_dim:
-            raise ShapeError("power of non-endomorphism")
-        out = LinearMap.identity(self.source_dim)
-        for _ in range(k):
-            out = out.compose(self)
-        return out
-
     def transpose(self) -> "LinearMap":
         return LinearMap(self.matrix.transpose())
 
     def is_zero(self) -> bool:
         return all(not e for r in self.matrix.entries for e in r)
 
-    def nilpotency_index(self) -> int | None:
-        """Least e with self^e == 0, or None if not nilpotent."""
+    def powers(self) -> list["LinearMap"] | None:
+        """self^0, ..., self^e with self^e the first zero power, or None when
+        self is not nilpotent (no power up to the dimension vanishes)."""
         if self.source_dim != self.target_dim:
-            raise ShapeError("nilpotency of non-endomorphism")
-        p = LinearMap.identity(self.source_dim)
-        for e in range(self.source_dim + 1):
-            if p.is_zero():
-                return e
-            p = self.compose(p)
-        return 0 if p.is_zero() else None
+            raise ShapeError("powers of a non-endomorphism")
+        out = [LinearMap.identity(self.source_dim)]
+        while not out[-1].is_zero():
+            if len(out) > self.source_dim:
+                return None
+            out.append(self.compose(out[-1]))
+        return out
 
     def image(self, sub: Subspace | None = None) -> Subspace:
         if sub is None:
@@ -476,13 +455,12 @@ class LinearMap:
         """One x with f(x) = v, or None."""
         if vec_is_zero(v):
             return zero_vector(self.source_dim)
-        aug = [list(r) + [t] for r, t in zip(self.matrix.entries, v)]
-        reduced = rref(aug, self.source_dim + 1)
-        pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-        if self.source_dim in pivots:
+        aug = Subspace(self.source_dim + 1, [
+            r + (t,) for r, t in zip(self.matrix.entries, v)])
+        if self.source_dim in aug._pivots:
             return None
         x = [ZERO] * self.source_dim
-        for row, p in zip(reduced, pivots):
+        for row, p in zip(aug.basis, aug._pivots):
             x[p] = row[-1]
         return tuple(x)
 
@@ -536,10 +514,14 @@ class Subquotient:
         return f"Subquotient(dim={self.dim})"
 
     def coords(self, v: Vector) -> Vector:
-        """Coordinates of the class of v; requires v in sub."""
-        if not self.sub.contains_vector(v):
+        """Coordinates of the class of v; requires v in sub.
+
+        v lies in sub exactly when its residual mod quot_by lies in lifts.
+        """
+        r = self.quot_by.reduce(v)
+        if not self.lifts.contains_vector(r):
             raise ShapeError("vector not in the ambient sub of the subquotient")
-        return self.lifts.coords(self.quot_by.reduce(v))
+        return tuple(r[p] for p in self.lifts._pivots)
 
     def lift(self, coords: Sequence) -> Vector:
         return self.lifts.from_coords(coords)
@@ -563,12 +545,6 @@ def induced_map(f: LinearMap, src: Subquotient, tgt: Subquotient) -> LinearMap:
         raise IllDefinedInducedMap("f(sub) not contained in target sub")
     if not all(tgt.quot_by.contains_vector(w) for w in pushed):
         raise IllDefinedInducedMap("f(quot_by) not contained in target quot_by")
-    # tgt.coords without its membership test, which the check above made
-    cols = [tgt.lifts.coords(tgt.quot_by.reduce(w)) for w in lifted]
+    cols = [tgt.coords(w) for w in lifted]
     return LinearMap(Matrix(cols, cols=tgt.dim).transpose())
 
-
-def induced_map_on(f: LinearMap, src_sub: Subspace, src_quot_by: Subspace,
-                   tgt_sub: Subspace, tgt_quot_by: Subspace) -> LinearMap:
-    return induced_map(f, Subquotient(src_sub, src_quot_by),
-                       Subquotient(tgt_sub, tgt_quot_by))

@@ -25,7 +25,6 @@ from .filtrations import (
     filtration_sum,
     monodromy_filtration,
     relative_monodromy_filtration,
-    shifts_by_two,
     star,
 )
 from .linalg import (
@@ -185,26 +184,22 @@ def validate(model: NCModel) -> CheckReport:
         ok = all(0 <= a < 1 for a in comp.alpha)
         report.add("AlphaRange", ok,
                    f"component {ci} has an exponent outside [0,1)")
-        ok = all(n.nilpotency_index() is not None for n in comp.nilpotents)
+        ok = all(n.powers() is not None for n in comp.nilpotents)
         report.add("NilpotentOperators", ok,
                    f"component {ci} has a non-nilpotent operator")
-        commuting = True
-        for a in range(model.branches):
-            for b in range(a + 1, model.branches):
-                na, nb = comp.nilpotents[a], comp.nilpotents[b]
-                if na.compose(nb) != nb.compose(na):
-                    commuting = False
-        report.add("NonCommutingOperators", commuting,
+        ok = all(na.compose(nb) == nb.compose(na)
+                 for na, nb in itertools.combinations(comp.nilpotents, 2))
+        report.add("NonCommutingOperators", ok,
                    f"component {ci} operators do not commute")
 
     # W and F must be direct sums of their component restrictions, and each
     # N_j must preserve W and lower F by one
     pieces = [model.component_subspace(ci) for ci in range(len(model.components))]
-    for filt, name, letter, row, detail, how in (
+    for filt, name, letter, row, detail, shift in (
             (model.weight, "Weight", "W", "FiltrationNotPreserved",
-             "some N_j does not preserve W", {}),
+             "some N_j does not preserve W", 0),
             (model.hodge, "Hodge", "F", "HodgeShiftedByOperators",
-             "some N_j does not map F^p into F^{p-1}", {"shift": -1})):
+             "some N_j does not map F^p into F^{p-1}", -1)):
         if filt is None:
             report.skip("HodgeChecks", "no Hodge filtration")
             continue
@@ -217,8 +212,9 @@ def validate(model: NCModel) -> CheckReport:
                 split_ok = False
         report.add(f"{name}RestrictsToComponents", split_ok,
                    f"{letter} is not a direct sum of component pieces")
-        report.add(row, all(filt.is_preserved_by(model.nilpotent(j), **how)
-                            for j in range(model.branches)), detail)
+        report.add(row, all(
+            filt.first_violation(model.nilpotent(j), filt, shift) is None
+            for j in range(model.branches)), detail)
 
     if model.pairing is not None:
         s = model.pairing
@@ -232,22 +228,17 @@ def validate(model: NCModel) -> CheckReport:
             sign = -ONE if model.pairing_parity % 2 else ONE
             report.add("PairingParity", s.transpose() == s.scale(sign),
                        "pairing parity does not match declared weight")
-            iso = True
-            for j in range(model.branches):
-                nj = model.nilpotent(j).matrix
-                if nj.transpose() * s + s * nj != Matrix.zero(n, n):
-                    iso = False
-            report.add("InfinitesimalIsometry", iso,
-                       "some N_j is not an infinitesimal isometry of S")
-            blocks = True
-            for ci in range(len(model.components)):
-                for cj in range(len(model.components)):
-                    if ci != cj and any(s[r, c]
-                                        for r in model.component_positions(ci)
-                                        for c in model.component_positions(cj)):
-                        blocks = False
-            report.add("PairingRestrictsToComponents", blocks,
-                       "S pairs distinct components")
+            report.add("InfinitesimalIsometry", all(
+                nj.transpose() * s + s * nj == Matrix.zero(n, n)
+                for nj in (model.nilpotent(j).matrix
+                           for j in range(model.branches))),
+                "some N_j is not an infinitesimal isometry of S")
+            pos = model.component_positions
+            report.add("PairingRestrictsToComponents", not any(
+                s[r, c] for ci, cj in itertools.permutations(
+                    range(len(model.components)), 2)
+                for r in pos(ci) for c in pos(cj)),
+                "S pairs distinct components")
     else:
         report.skip("PairingChecks", "no pairing")
 
@@ -350,8 +341,7 @@ def _subsets(n):
             yield c
 
 
-def _hodge_decomposes(piece: Subquotient, f_piece: DecreasingFiltration,
-                      weight: int) -> bool:
+def _hodge_decomposes(f_piece: DecreasingFiltration, weight: int) -> bool:
     """F^p (+) conj F^{weight-p+1} spans the piece exactly, for every p."""
     d = f_piece.ambient_dim
     if d == 0:
@@ -422,7 +412,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         hs_ok = True
         for k in m.jumps():
             piece = m.graded_piece(k)
-            if piece.dim and not _hodge_decomposes(piece, f_gr.project_to(piece), k):
+            if piece.dim and not _hodge_decomposes(f_gr.project_to(piece), k):
                 hs_ok = False
         report.add(
             f"OrbitHodgeStructure[w={i}]", hs_ok,
@@ -447,39 +437,34 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
             mj = filts[0]
             relmono[subset] = mj
             for j in subset:
-                if not shifts_by_two(mj, model.nilpotent(j)):
+                if mj.first_violation(model.nilpotent(j), mj, -2) is not None:
                     ok, detail = False, f"N_{j+1} does not shift M(J) by -2"
         names = ','.join(str(j + 1) for j in subset)
         report.add(f"RelativeMonodromy[J={{{names}}}]", ok, detail)
 
-    # (3) graded MHS for the full set, with W compatible
+    # (3) graded MHS for the full set, with W compatible: each nonzero
+    # Gr^M_k with its F and its H^{p,q} = F^p cap conj F^{k-p}
     if n_branches and all_branches in relmono:
         m_total = relmono[all_branches]
-        mhs_ok = True
+        pieces = []
         for k in m_total.jumps():
             piece = m_total.graded_piece(k)
-            if piece.dim == 0:
-                continue
-            if not _hodge_decomposes(piece, model.hodge.project_to(piece), k):
-                mhs_ok = False
-        report.add("TotalGradedMHS", mhs_ok,
+            if piece.dim:
+                f_piece = model.hodge.project_to(piece)
+                hpqs = [f_piece.at(p).intersect(f_piece.at(k - p).conj())
+                        for p in range(f_piece.lowest() - 1, f_piece.highest() + 2)]
+                pieces.append((k, piece, f_piece, hpqs))
+        report.add("TotalGradedMHS",
+                   all(_hodge_decomposes(f, k) for k, _, f, _ in pieces),
                    "(L, M(I), F) is not a graded mixed Hodge structure")
         compat = True
         for j in model.weight.jumps():
-            wj_sub = model.weight.at(j)
-            for k in m_total.jumps():
-                piece = m_total.graded_piece(k)
-                if piece.dim == 0:
-                    continue
-                v = piece.project_subspace(wj_sub)
-                f_piece = model.hodge.project_to(piece)
+            for _, piece, _, hpqs in pieces:
+                v = piece.project_subspace(model.weight.at(j))
                 span = Subspace.zero(piece.dim)
-                lo, hi = f_piece.lowest() - 1, f_piece.highest() + 1
-                for p in range(lo, hi + 1):
-                    hpq = f_piece.at(p).intersect(f_piece.at(k - p).conj())
+                for hpq in hpqs:
                     span = span.sum(hpq.intersect(v))
-                if span != v:
-                    compat = False
+                compat = compat and span == v
         report.add("WeightCompatibleWithMHS", compat,
                    "W is not a filtration by sub mixed Hodge structures")
 
@@ -523,21 +508,23 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, i: int, form) -> bo
     def s_bar(x, y):
         return form(gr.lift(x), gr.lift(y))
 
-    e = n_gr.nilpotency_index()
+    # N^e = 0 for e = len(powers) - 1, so powers[min(j, e)] is N^j
+    powers = n_gr.powers()
+    e = len(powers) - 1
     for k in range(0, e + 1):
         top = m.graded_piece(i + k)
         if top.dim == 0:
             continue
         bottom = m.graded_piece(i - k - 2)
         try:
-            nk1 = induced_map(n_gr.power(k + 1), top, bottom)
+            nk1 = induced_map(powers[min(k + 1, e)], top, bottom)
             prim = nk1.kernel()
         except LogHodgeError:
             return False
         if prim.dim == 0:
             continue
         # S_k(x, y) = S(x, N^k y) must descend to Gr^M
-        nk = n_gr.power(k)
+        nk = powers[k]
         for u in m.at(i + k - 1).basis:
             for v in m.at(i + k).basis:
                 if s_bar(u, nk(v)) or s_bar(v, nk(u)):

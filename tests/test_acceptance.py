@@ -78,7 +78,7 @@ def test_criterion_01_acyclicity():
             sub = NCModel(model.branches, (comp,), model.base_weight,
                           model.perverse_shift,
                           model.weight_on_component(ci))
-            h = cohomology(build_omega(sub, with_filtrations=False))
+            h = cohomology(build_omega(sub))
             for k in range(n + 2):
                 assert h.dim(k) == 0, \
                     f"trial {trial} component {ci} not acyclic in degree {k}"

@@ -4,6 +4,7 @@ import pytest
 
 from loghodge.complexes import (
     ComplexMap,
+    FilteredComplex,
     build_complex,
     build_ic,
     build_ic_log,
@@ -18,9 +19,10 @@ from loghodge.complexes import (
     link_complex,
     quotient_complex,
 )
-from loghodge.errors import PairingDegenerate, ShapeError
+from loghodge.errors import FiltrationNotPreserved, PairingDegenerate, ShapeError
 from loghodge.generate import random_imhs_model, random_spectral_model
-from loghodge.linalg import LinearMap
+from loghodge.filtrations import DecreasingFiltration
+from loghodge.linalg import LinearMap, Subspace
 from loghodge.model import model_from_json, unipotent_part
 
 RANK1 = model_from_json({
@@ -235,7 +237,7 @@ def test_rescaling_invariance():
     rng = random.Random(9)
     for _ in range(4):
         model = random_spectral_model(2, rng)
-        base = dims_of(build_omega(model, with_filtrations=False))
+        base = dims_of(build_omega(model))
         scaled_comps = []
         from loghodge.model import AlphaComponent, NCModel
 
@@ -245,4 +247,19 @@ def test_rescaling_invariance():
                 tuple(nj.scale(3) for nj in comp.nilpotents)))
         scaled = NCModel(model.branches, tuple(scaled_comps), model.base_weight,
                          model.perverse_shift, model.weight)
-        assert dims_of(build_omega(scaled, with_filtrations=False)) == base
+        assert dims_of(build_omega(scaled)) == base
+
+
+def test_hodge_break_where_only_the_target_jumps():
+    # d = id on a line; F^1 is the line in degree 0 but zero in degree 1, so
+    # d(F^1) is not inside F^1 although F jumps only at 2 in degree 0
+    f_src = DecreasingFiltration(1, [(2, Subspace.zero(1))])
+    f_tgt = DecreasingFiltration(1, [(1, Subspace.zero(1))])
+    ident = LinearMap.identity(1)
+    c = FilteredComplex(0, (1, 1), {0: ident}, hodge={0: f_src, 1: f_tgt})
+    with pytest.raises(FiltrationNotPreserved, match=r"F\^1 at degree 0"):
+        c.validate()
+    a = FilteredComplex(0, (1,), hodge={0: f_src})
+    b = FilteredComplex(0, (1,), hodge={0: f_tgt})
+    with pytest.raises(FiltrationNotPreserved, match=r"F\^1 at degree 0"):
+        ComplexMap(a, b, {0: ident}).validate()

@@ -349,3 +349,46 @@ def test_constructor_rejections_both_directions(cls, steps, message):
 def test_from_json_rejections_both_directions(cls, data, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         cls.from_json(data, 2)
+
+
+@st.composite
+def filtered_maps(draw, cls):
+    """A filtration of each end, a map between them and a shift."""
+    def flag(dim):
+        vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                                         max_size=dim), max_size=dim + 1))
+        labels = sorted(draw(st.lists(st.integers(-3, 3), unique=True,
+                                      min_size=len(vectors),
+                                      max_size=len(vectors))))
+        return _flag(cls, dim, vectors, labels)
+
+    ds, dt = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    source, target = flag(ds), flag(dt)
+    kind = draw(st.sampled_from(["random", "zero", "identity"]))
+    if kind == "identity" and ds == dt:
+        f = LinearMap.identity(ds)
+        target = draw(st.sampled_from([source, target]))
+    elif kind == "zero":
+        f = LinearMap.zero(ds, dt)
+    else:
+        f = LinearMap(Matrix(draw(st.lists(
+            st.lists(st.integers(-1, 1), min_size=ds, max_size=ds),
+            min_size=dt, max_size=dt)), cols=ds))
+    return source, f, target, draw(st.integers(-2, 1))
+
+
+@BOTH
+@settings(max_examples=150)
+@given(data=st.data())
+def test_first_violation_matches_every_index(cls, data):
+    source, f, target, shift = data.draw(filtered_maps(cls))
+    lo = min(source.lowest(), target.lowest()) - 2
+    hi = max(source.highest(), target.highest()) + 2
+    bad = [r for r in range(lo, hi + 1)
+           if not f.maps_into(source.at(r), target.at(r + shift))]
+    r = source.first_violation(f, target, shift)
+    assert (r is None) == (not bad)
+    if r is not None:
+        assert r in bad
+        if cls is IncreasingFiltration:
+            assert r == bad[0]

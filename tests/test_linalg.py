@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from loghodge import linalg
 from loghodge.errors import IllDefinedInducedMap, ShapeError
+from loghodge.generate import random_unimodular
 from loghodge.linalg import (
     LinearMap,
     Matrix,
@@ -13,7 +15,6 @@ from loghodge.linalg import (
     Subspace,
     canonicalize,
     induced_map,
-    induced_map_on,
     place,
     rref,
 )
@@ -91,15 +92,15 @@ def test_induced_map_examples():
     e1 = canonicalize([[1, 0]])
     full, zero = Subspace.full(2), Subspace.zero(2)
     # identity with sub == quot-by gives the zero-dimensional map
-    m = induced_map_on(LinearMap.identity(2), e1, e1, e1, e1)
+    m = induced_map(LinearMap.identity(2), Subquotient(e1, e1), Subquotient(e1, e1))
     assert m.source_dim == 0 and m.target_dim == 0
     # Jordan-2 induces an isomorphism Gr_1 -> Gr_{-1}
-    m = induced_map_on(n, full, e1, e1, zero)
+    m = induced_map(n, Subquotient(full, e1), Subquotient(e1, zero))
     assert m.source_dim == 1 and m.target_dim == 1
     assert m.kernel().dim == 0
     # contract violation
     with pytest.raises(IllDefinedInducedMap):
-        induced_map_on(n, full, zero, zero, zero)
+        induced_map(n, Subquotient(full, zero), Subquotient(zero, zero))
 
 
 def test_zero_quotient_transport_runs_no_rref(monkeypatch):
@@ -123,7 +124,7 @@ def test_induced_map_functorial():
     n = LinearMap([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     full = Subspace.full(3)
     k1 = n.kernel()
-    k2 = n.power(2).kernel()
+    k2 = n.compose(n).kernel()
     src = Subquotient(full, k2)
     mid = Subquotient(k2, k1)
     tgt = Subquotient(k1, Subspace.zero(3))
@@ -141,6 +142,28 @@ def test_subquotient_coords_roundtrip():
     v = (Scalar(5), Scalar(2), Scalar(0))
     c = sq.coords(v)
     assert sq.coords(sq.lift(c)) == c
+    with pytest.raises(ShapeError, match="not in the ambient sub"):
+        sq.coords((Scalar(5), Scalar(2), Scalar(1)))
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_subquotient_coords_tests_membership_and_finds_the_class(data):
+    sub = data.draw(subspace_strategy(3))
+    gens = data.draw(st.lists(st.lists(small_frac, min_size=sub.dim,
+                                       max_size=sub.dim), max_size=sub.dim))
+    quot = Subspace.span([sub.from_coords(c) for c in gens], 3)
+    sq = Subquotient(sub, quot)
+    entries = data.draw(st.lists(small_frac, min_size=3, max_size=3))
+    v = (sub.from_coords(entries[:sub.dim]) if data.draw(st.booleans())
+         else tuple(Scalar(x) for x in entries))
+    if sub.contains_vector(v):
+        # the lift of the class differs from v by an element of quot_by
+        diff = tuple(a - b for a, b in zip(sq.lift(sq.coords(v)), v))
+        assert quot.contains_vector(diff)
+    else:
+        with pytest.raises(ShapeError, match="not in the ambient sub"):
+            sq.coords(v)
 
 
 def test_annihilator():
@@ -316,3 +339,27 @@ def test_kernels_on_empty_and_zero_width_input():
     assert empty_inner == Matrix.zero(2, 2) and all_scalars(empty_inner.entries)
     assert Matrix([(), ()], cols=0).apply(()) == (Scalar(0), Scalar(0))
     assert Subspace.zero(0).reduce(()) == ()
+
+
+def test_powers_stop_at_the_first_zero_power():
+    assert LinearMap.identity(0).powers() == [LinearMap.identity(0)]
+    assert LinearMap.zero(3, 3).powers() == [LinearMap.identity(3),
+                                             LinearMap.zero(3, 3)]
+    assert LinearMap.identity(2).powers() is None
+    with pytest.raises(ShapeError):
+        LinearMap.zero(2, 3).powers()
+    # conjugated Jordan blocks: the powers stop at the largest block size
+    rng = random.Random(3)
+    for sizes in ([1], [2], [3, 1], [2, 2], [1, 1, 1], [4, 2, 1]):
+        n = sum(sizes)
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        jordan = Matrix([[1 if c == r + 1 and c not in starts else 0
+                          for c in range(n)] for r in range(n)])
+        g = random_unimodular(n, rng)
+        nil = LinearMap(g * jordan * g.inverse())
+        powers = nil.powers()
+        assert len(powers) - 1 == max(sizes)
+        assert powers[0] == LinearMap.identity(n) and powers[-1].is_zero()
+        assert not powers[-2].is_zero()
+        assert all(p.compose(nil) == q for p, q in zip(powers, powers[1:]))
+        assert LinearMap(nil.matrix + Matrix.identity(n)).powers() is None

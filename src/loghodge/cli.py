@@ -18,7 +18,7 @@ from pathlib import Path
 from . import decomposition as dec
 from . import complexes as cx
 from .errors import InvalidModel, LogHodgeError, ParseError
-from .filtrations import relative_monodromy_filtration, star
+from .filtrations import evaluation, relative_monodromy_filtration, star
 from .model import canonical_json, imhs_check, load_model, validate
 
 CHECKER_VERBS = {"validate", "imhs", "purity", "decompose", "duality", "link",
@@ -236,25 +236,27 @@ def run_corpus(args):
 
 
 def corpus_entry(path: str, seed: int = 0) -> dict:
-    """The standard battery replayed by the corpus verb."""
-    model = load_model(path)
-    entry = {"validate": validate(model).to_json()}
-    entry["cohomology"] = {
-        "omega": cx.cohomology(cx.build_omega(model)).to_json(),
-        "ic": cx.cohomology(cx.build_ic(model)).to_json(),
-    }
-    if model.hodge is not None:
-        entry["imhs"] = imhs_check(model, seed=seed).to_json()
-    if model.pairing is not None and model.branches:
-        z = frozenset(range(model.branches))
-        entry["purity"] = {}
-        for mode in ("closed", "support", "open", "compact"):
-            c = _purity_complex(model, mode, z)
-            entry["purity"][mode] = dec.purity_check(
-                cx.cohomology(c), model.base_weight, model.perverse_shift,
-                mode).to_json()
-        entry["link"] = cx.cohomology(cx.link_complex(model, z)).to_json()
-    return entry
+    """The standard battery replayed by the corpus verb, in an evaluation of
+    its own (a pool thread does not see its caller's)."""
+    with evaluation():
+        model = load_model(path)
+        entry = {"validate": validate(model).to_json()}
+        entry["cohomology"] = {
+            "omega": cx.cohomology(cx.build_omega(model)).to_json(),
+            "ic": cx.cohomology(cx.build_ic(model)).to_json(),
+        }
+        if model.hodge is not None:
+            entry["imhs"] = imhs_check(model, seed=seed).to_json()
+        if model.pairing is not None and model.branches:
+            z = frozenset(range(model.branches))
+            entry["purity"] = {}
+            for mode in ("closed", "support", "open", "compact"):
+                c = _purity_complex(model, mode, z)
+                entry["purity"][mode] = dec.purity_check(
+                    cx.cohomology(c), model.base_weight, model.perverse_shift,
+                    mode).to_json()
+            entry["link"] = cx.cohomology(cx.link_complex(model, z)).to_json()
+        return entry
 
 
 VERBS = {
@@ -277,22 +279,20 @@ def build_parser():
         prog="loghodge",
         description="Exact checks for local weight/purity structure near a "
                     "normal crossing point.")
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb in list(VERBS) + ["corpus"]:
-        p = sub.add_parser(verb)
-        p.add_argument("input", help="instance file (directory for corpus)")
-        p.add_argument("--z", default="",
-                       help="comma-separated 1-based branch indices")
-        p.add_argument("--complex", default="omega",
-                       choices=["omega", "ic", "iclog"])
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--mode", default="closed",
-                       choices=["open", "support", "closed", "compact", "link"])
-        p.add_argument("--shift", type=int, default=None)
-        p.add_argument("--branch", type=int, default=1)
-        p.add_argument("--format", default="json", choices=["json", "text"])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("verb", choices=list(VERBS) + ["corpus"])
+    ap.add_argument("input", help="instance file (directory for corpus)")
+    ap.add_argument("--z", default="",
+                    help="comma-separated 1-based branch indices")
+    ap.add_argument("--complex", default="omega",
+                    choices=["omega", "ic", "iclog"])
+    ap.add_argument("--k", type=int, default=None)
+    ap.add_argument("--mode", default="closed",
+                    choices=["open", "support", "closed", "compact", "link"])
+    ap.add_argument("--shift", type=int, default=None)
+    ap.add_argument("--branch", type=int, default=1)
+    ap.add_argument("--format", default="json", choices=["json", "text"])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--jobs", type=int, default=1)
     return ap
 
 
@@ -318,7 +318,8 @@ def main(argv=None) -> int:
             results, passed = run_corpus(args)
         else:
             model = load_model(args.input)
-            results, passed = VERBS[args.verb](model, args)
+            with evaluation():
+                results, passed = VERBS[args.verb](model, args)
         doc["results"] = results
         doc["verdict"] = "pass" if passed in (True, None) else "fail"
     except ParseError as exc:

@@ -4,10 +4,15 @@ Increasing filtrations are stored by their jump steps only, in canonical
 form, so equality of filtrations is equality of representations.  The
 relative monodromy filtration is constructed recursively over the top
 weight step and re-verified against both defining axioms before returning.
+
+Inside an ``evaluation()`` block both filtration constructors remember their
+results by the value of their arguments, so an equal input is built once per
+block; outside any block they compute on every call.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from typing import Sequence
 
@@ -222,6 +227,42 @@ def filtration_sum(parts, total: int):
         for i in labels])
 
 
+# -- evaluation memo --------------------------------------------------------
+
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "loghodge_filtration_memo", default=None)
+
+
+class evaluation:
+    """Context manager: while it is open, monodromy_filtration and
+    relative_monodromy_filtration remember each result by argument value.
+
+    Both are pure and their arguments are immutable values, so a remembered
+    result is what a recomputation would return.  A call that raises stores
+    nothing.  The memo lives in a context variable: it is dropped when the
+    block closes, and a thread sees only a block opened in that thread.
+    """
+
+    def __enter__(self):
+        self._token = _MEMO.set({})
+        return self
+
+    def __exit__(self, *exc_info):
+        _MEMO.reset(self._token)
+
+
+def _memoized(fn, *args):
+    """fn(*args), looked up by (fn, *args) in the open evaluation's memo."""
+    memo = _MEMO.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *args)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = fn(*args)
+    return out
+
+
 # -- monodromy filtrations --------------------------------------------------
 
 def _kernel_tower(N: LinearMap, message: str):
@@ -241,8 +282,12 @@ def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
     """The unique filtration M with N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
     Built from the closed formula M_{c+k} = sum_j Im(N^j) cap Ker(N^{j+k+1});
-    both axioms are re-verified before returning.
+    both axioms are re-verified before returning.  Memoized per evaluation.
     """
+    return _memoized(_monodromy_filtration, N, center)
+
+
+def _monodromy_filtration(N: LinearMap, center: int) -> IncreasingFiltration:
     powers, ker = _kernel_tower(N, "operator is not nilpotent")
     n, e = N.source_dim, len(powers) - 1
     images = [p.image() for p in powers]           # Im N^j
@@ -332,15 +377,21 @@ def relative_monodromy_filtration(N: LinearMap,
     M'_{b-m-1} of the recursively built filtration on the step below (a
     solvable linear condition exactly when M exists), and the candidate is
     the span of the lifted chains over M'.  The result is re-verified
-    against both axioms.
+    against both axioms.  Memoized per evaluation.
     """
-    if N.powers() is None:
+    return _memoized(_relative_monodromy_filtration, N, w)
+
+
+def _relative_monodromy_filtration(N: LinearMap, w: IncreasingFiltration
+                                   ) -> IncreasingFiltration:
+    powers = N.powers()
+    if powers is None:
         raise NotNilpotent("operator is not nilpotent")
     if N.source_dim != w.ambient_dim:
         raise ShapeError("operator and filtration live on different spaces")
     if w.first_violation(N, w) is not None:
         raise FiltrationNotPreserved("N does not preserve the weight filtration")
-    m = _relative_monodromy_rec(N, w)
+    m = _relative_monodromy_rec(N, w, powers)
     if not check_relative_axioms(m, N, w):
         raise RelativeMonodromyNonexistent(
             "constructed candidate fails the relative monodromy axioms"
@@ -348,7 +399,10 @@ def relative_monodromy_filtration(N: LinearMap,
     return m
 
 
-def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
+def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration,
+                            powers: list[LinearMap] | None = None):
+    """M(N, W) before verification; powers is N's tower when the caller
+    holds it, else it is built here where it is read."""
     n = w.ambient_dim
     jumps = w.jumps()
     if n == 0:
@@ -372,7 +426,8 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration):
     except NotNilpotent:
         raise RelativeMonodromyNonexistent("induced operator on top step not nilpotent")
 
-    powers = N.powers()
+    if powers is None:
+        powers = N.powers()
 
     contributions = []  # (weight level, vector)
     for vbar, length in tops:

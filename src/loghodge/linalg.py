@@ -52,7 +52,17 @@ def place(shape, pieces):
         for r, entries in zip(row_pos, block.entries):
             for c, x in zip(col_pos, entries):
                 out[r][c] = x
-    return Matrix(out, cols=cols)
+    return _matrix(tuple(map(tuple, out)), cols)
+
+
+def _matrix(rows: tuple[Vector, ...], cols: int) -> "Matrix":
+    """A Matrix from a tuple of rows that are already tuples of Scalars, each
+    of length cols, unchecked."""
+    m = object.__new__(Matrix)
+    m.entries = rows
+    m.rows = len(rows)
+    m.cols = cols
+    return m
 
 
 class Matrix:
@@ -77,11 +87,12 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                             for i in range(n)), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([zero_vector(cols)] * rows, cols=cols)
+        return _matrix((zero_vector(cols),) * rows, cols)
 
     def __eq__(self, other):
         return (
@@ -105,17 +116,18 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)], cols=self.rows)
+        return _matrix(tuple(self.col(j) for j in range(self.cols)), self.rows)
 
     def conj(self) -> "Matrix":
-        return Matrix([[e.conj() for e in r] for r in self.entries], cols=self.cols)
+        return _matrix(tuple(tuple(e.conj() for e in r) for r in self.entries),
+                       self.cols)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix addition shape mismatch")
-        return Matrix(
-            [vec_add(a, b) for a, b in zip(self.entries, other.entries)], cols=self.cols
-        )
+        return _matrix(
+            tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)),
+            self.cols)
 
     def __sub__(self, other):
         return self + -other
@@ -125,7 +137,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix([vec_scale(c, r) for r in self.entries], cols=self.cols)
+        return _matrix(tuple(vec_scale(c, r) for r in self.entries), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -142,8 +154,8 @@ class Matrix:
                 if a:
                     for j, b in support:
                         acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(out, cols=other.cols)
+            out.append(tuple(acc))
+        return _matrix(tuple(out), other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector; v has length .cols."""
@@ -174,7 +186,7 @@ class Matrix:
         # [A | I] always has rank n; A is invertible iff every pivot lies in A
         if n and not red[-1][n - 1]:
             raise ShapeError("matrix is singular")
-        return Matrix([row[n:] for row in red], cols=n)
+        return _matrix(tuple(row[n:] for row in red), n)
 
 
 def rref(rows: Iterable[Vector], width: int) -> tuple[Vector, ...]:
@@ -330,7 +342,7 @@ class Subspace:
         stacked = self.basis + other.basis
         if not stacked:
             return Subspace.zero(self.ambient_dim)
-        m = Matrix(stacked, cols=self.ambient_dim).transpose()
+        m = _matrix(stacked, self.ambient_dim).transpose()
         gens = [self.from_coords(z[: self.dim]) for z in _kernel_basis(m)]
         return Subspace.span(gens, self.ambient_dim)
 
@@ -338,7 +350,7 @@ class Subspace:
         """Functionals (in dual coordinates) vanishing on this subspace."""
         if self.is_zero():
             return Subspace.full(self.ambient_dim)
-        m = Matrix(self.basis, cols=self.ambient_dim)
+        m = _matrix(self.basis, self.ambient_dim)
         return Subspace.span(_kernel_basis(m), self.ambient_dim)
 
     def conj(self) -> "Subspace":
@@ -449,7 +461,7 @@ class LinearMap:
             return Subspace.full(self.source_dim)
         # residual-after-reduction is linear; kernel of (residual o f).
         cols = [target_sub.reduce(c) for c in self.matrix.transpose().entries]
-        return LinearMap(Matrix(cols, cols=self.target_dim).transpose()).kernel()
+        return LinearMap(_matrix(tuple(cols), self.target_dim).transpose()).kernel()
 
     def solve(self, v: Vector):
         """One x with f(x) = v, or None."""
@@ -546,5 +558,5 @@ def induced_map(f: LinearMap, src: Subquotient, tgt: Subquotient) -> LinearMap:
     if not all(tgt.quot_by.contains_vector(w) for w in pushed):
         raise IllDefinedInducedMap("f(quot_by) not contained in target quot_by")
     cols = [tgt.coords(w) for w in lifted]
-    return LinearMap(Matrix(cols, cols=tgt.dim).transpose())
+    return LinearMap(_matrix(tuple(cols), tgt.dim).transpose())
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from loghodge import cli, complexes
+from loghodge import cli, complexes, filtrations, linalg
 from loghodge.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -139,12 +139,42 @@ def test_corpus_detects_drift(tmp_path, capsys):
 
 
 def test_corpus_deterministic_across_jobs(capsys):
+    # each pool thread opens its own evaluation for the entries it runs
     outputs = []
-    for jobs in ("1", "3"):
+    for jobs in ("1", "2", "3"):
         code, out = run_cli(["corpus", "--jobs", jobs, str(CORPUS)], capsys)
         assert code == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_unknown_verb_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["frobnicate", str(J2)])
+    assert info.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+def test_back_to_back_runs_share_no_memo(monkeypatch, capsys):
+    """The filtration memo lives for one main call: a second identical run
+    does all the work again and leaves no memo behind."""
+    calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(rows, width):
+        calls.append(width)
+        return real_rref(rows, width)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    counts = []
+    for _ in range(2):
+        del calls[:]
+        code, _out = run_cli(["imhs", str(CORPUS / "gen_mixed_n2.json")],
+                             capsys)
+        assert code == 0
+        counts.append(len(calls))
+        assert filtrations._MEMO.get() is None
+    assert counts[0] == counts[1] > 0
 
 
 def _pairing_failing_validate(tmp_path):

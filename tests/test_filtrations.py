@@ -1,3 +1,4 @@
+import pathlib
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loghodge import filtrations, linalg, model
 from loghodge.errors import (
     FiltrationNotPreserved,
     NotNilpotent,
@@ -17,6 +19,7 @@ from loghodge.filtrations import (
     IncreasingFiltration,
     check_relative_axioms,
     dual_filtration,
+    evaluation,
     filtration_sum,
     iterated_star,
     monodromy_filtration,
@@ -25,6 +28,7 @@ from loghodge.filtrations import (
     star,
 )
 from loghodge.linalg import LinearMap, Matrix, Subquotient, Subspace, canonicalize
+from loghodge.model import imhs_check, load_model
 
 J2 = LinearMap([[0, 1], [0, 0]])
 J3 = LinearMap([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -392,3 +396,114 @@ def test_first_violation_matches_every_index(cls, data):
         assert r in bad
         if cls is IncreasingFiltration:
             assert r == bad[0]
+
+
+# -- the evaluation memo -------------------------------------------------------
+
+def _count_rref(monkeypatch):
+    calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(rows, width):
+        calls.append(width)
+        return real_rref(rows, width)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    return calls
+
+
+def _mixed_extension():
+    """A fresh (N, W) pair, equal to but not identical with every other."""
+    n = LinearMap([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    w = IncreasingFiltration(3, [(-1, canonicalize([[1, 0, 0]])),
+                                 (0, Subspace.full(3))])
+    return n, w
+
+
+def test_evaluation_returns_the_remembered_object_without_rref(monkeypatch):
+    calls = _count_rref(monkeypatch)
+    with evaluation():
+        m = monodromy_filtration(J3, 1)
+        r = relative_monodromy_filtration(*_mixed_extension())
+        copy = LinearMap([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        n, w = _mixed_extension()
+        del calls[:]
+        assert monodromy_filtration(copy, center=1) is m
+        assert relative_monodromy_filtration(n, w) is r
+        assert calls == []
+        # a different center is a different input
+        assert monodromy_filtration(J3, 2) == m.shift(1)
+        assert calls
+    # the defaults and the keyword spelling share one entry
+    with evaluation():
+        assert monodromy_filtration(J2) is monodromy_filtration(J2, center=0)
+
+
+def test_nothing_is_remembered_outside_an_evaluation(monkeypatch):
+    calls = _count_rref(monkeypatch)
+    assert filtrations._MEMO.get() is None
+    first = relative_monodromy_filtration(*_mixed_extension())
+    built = len(calls)
+    again = relative_monodromy_filtration(*_mixed_extension())
+    assert again == first and again is not first and len(calls) == 2 * built
+    with evaluation():
+        inside = relative_monodromy_filtration(*_mixed_extension())
+    # the block's entries went with it
+    assert filtrations._MEMO.get() is None
+    assert relative_monodromy_filtration(*_mixed_extension()) is not inside
+
+
+_MIXED_LINE = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
+                                      (1, Subspace.full(2))])
+_NOT_PRESERVED = IncreasingFiltration(2, [(0, canonicalize([[0, 1]])),
+                                         (1, Subspace.full(2))])
+
+
+@pytest.mark.parametrize("fn, args, error", [
+    (monodromy_filtration, (LinearMap.identity(2), 0), NotNilpotent),
+    (relative_monodromy_filtration, (J2, _MIXED_LINE),
+     RelativeMonodromyNonexistent),
+    (relative_monodromy_filtration, (J2, _NOT_PRESERVED),
+     FiltrationNotPreserved),
+])
+def test_a_raising_input_raises_again_inside_an_evaluation(fn, args, error):
+    builder = getattr(filtrations, "_" + fn.__name__)
+    with evaluation():
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                fn(*args)
+            messages.append(str(info.value))
+            assert (builder, *args) not in filtrations._MEMO.get()
+        assert messages[0] == messages[1]
+
+
+def test_polarization_reuses_the_orbit_step_monodromy_filtration(monkeypatch):
+    """imhs step (4) asks for the monodromy filtration of N on each Gr^W_i
+    that step (1) built at t = (1, ..., 1): inside one evaluation it is never
+    built again."""
+    built = []
+    real_build = filtrations._monodromy_filtration
+
+    def counting_build(n, center):
+        built.append((n, center))
+        return real_build(n, center)
+
+    monkeypatch.setattr(filtrations, "_monodromy_filtration", counting_build)
+    asked = []
+    real_polarization = model._polarization_on_graded
+
+    def watched_polarization(*args):
+        before = len(built)
+        out = real_polarization(*args)
+        asked.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(model, "_polarization_on_graded", watched_polarization)
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+    for name in ("jordan2_weight1", "j2xj2_weight2", "gen_pure_n3"):
+        instance = load_model(str(corpus / f"{name}.json"))
+        del asked[:]
+        with evaluation():
+            assert imhs_check(instance).passed
+        assert asked and asked == [0] * len(asked)

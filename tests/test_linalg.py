@@ -279,6 +279,45 @@ def test_reduce_matches_dense_reference(case):
     assert sub.contains_vector(v) == (not any(expected))
 
 
+@settings(max_examples=150)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(sparse_rows(*s), sparse_rows(*s),
+                        st.builds(Scalar, small_frac, small_frac))))
+def test_scalar_row_producers_match_the_public_constructor(case):
+    """Sum, scale, negation, difference, transpose and conj build their rows
+    unchecked; each equals, and hashes as, the public constructor's matrix
+    of the textbook entries."""
+    a, b, c = case
+    rows, cols = len(a), len(a[0]) if a else 0
+    ma, mb = Matrix(a, cols=cols), Matrix(b, cols=cols)
+    expected = [
+        (ma + mb, [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)], cols),
+        (ma.scale(c), [[c * x for x in r] for r in a], cols),
+        (-ma, [[-x for x in r] for r in a], cols),
+        (ma - mb, [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)], cols),
+        (ma.transpose(), [[r[j] for r in a] for j in range(cols)], rows),
+        (ma.conj(), [[x.conj() for x in r] for r in a], cols),
+    ]
+    for got, entries, width in expected:
+        want = Matrix(entries, cols=width)
+        assert got == want and hash(got) == hash(want)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert type(got.entries) is tuple
+        assert all(type(r) is tuple for r in got.entries)
+        assert all_scalars(got.entries)
+
+
+def test_public_constructor_still_coerces_and_checks_shape():
+    m = Matrix([[1, "1/2"], [Fraction(2, 3), "1*i"]])
+    assert all_scalars(m.entries) and m[1, 1] == Scalar(0, 1)
+    with pytest.raises(ShapeError, match="ragged matrix input"):
+        Matrix([[1, 0], [1]])
+    with pytest.raises(ShapeError, match="declared 3 columns, rows have 2"):
+        Matrix([[1, 0]], cols=3)
+    assert all_scalars(Matrix.identity(3).entries)
+    assert all_scalars(Matrix.zero(2, 3).entries)
+
+
 @st.composite
 def position_groups(draw):
     """A size and a split of 0..size-1 into up to four lists of positions in

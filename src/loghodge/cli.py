@@ -236,8 +236,8 @@ def run_corpus(args):
 
 
 def corpus_entry(path: str, seed: int = 0) -> dict:
-    """The standard battery replayed by the corpus verb, in an evaluation of
-    its own (a pool thread does not see its caller's)."""
+    """The standard battery replayed by the corpus verb, in an evaluation
+    (the caller's when one is open; a pool thread sees none and opens its own)."""
     with evaluation():
         model = load_model(path)
         entry = {"validate": validate(model).to_json()}

@@ -18,7 +18,8 @@ from .errors import (
     PairingDegenerate,
     ShapeError,
 )
-from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
+from .filtrations import (DecreasingFiltration, IncreasingFiltration, _memoized,
+                          filtration_sum)
 from .linalg import (
     LinearMap,
     Matrix,
@@ -323,17 +324,6 @@ def slot_image(ops: dict[int, LinearMap], branches, dim: int) -> Subspace:
     return out
 
 
-def ic_cut(model, z: frozenset):
-    """Slot choice of the intersection complexes: slot (K, ci) is cut by the
-    branches of K, except those in z along which component ci is locally
-    unipotent (z empty gives IC, z nonempty its logarithmic variant)."""
-    def cut(K, ci):
-        zero_dirs = model.components[ci].zero_alpha_branches()
-        return [j for j in K if not (j in z and j in zero_dirs)]
-
-    return cut
-
-
 def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
     """The complex of one kind: omega, ic, or iclog along the branches z."""
     if kind == "omega":
@@ -397,10 +387,18 @@ def koszul_complex(branches, blocks, cut, weight=None,
     return out
 
 
-def _model_complex(model, cut) -> FilteredComplex:
-    """Koszul complex of the residue operators alpha_j - N_j per component."""
+def _model_complex(model, kind: str, z: frozenset) -> FilteredComplex:
+    """Koszul complex of the residue operators alpha_j - N_j per component.
+    Apart from omega, slot (K, ci) is cut by the branches of K, except those
+    in z along which component ci is locally unipotent."""
     comps = model.components
     blocks = [(c.dim, alpha_ops(c)) for c in comps]
+
+    def cut(K, ci):
+        if kind == "omega":
+            return ()
+        zero_dirs = comps[ci].zero_alpha_branches()
+        return [j for j in K if not (j in z and j in zero_dirs)]
 
     def weight(K, ci):
         # Unipotent slot (K, ci) carries W^K shifted by |K|.  Components with
@@ -422,20 +420,20 @@ def _model_complex(model, cut) -> FilteredComplex:
 
 
 def build_omega(model) -> FilteredComplex:
-    """The logarithmic Koszul complex of the instance, with weight/Hodge data."""
-    return _model_complex(model, lambda K, ci: ())
+    """The logarithmic Koszul complex of the instance, with weight/Hodge data;
+    like the other two builders, memoized per evaluation by (model, kind, z)."""
+    return _memoized(_model_complex, model, "omega", frozenset())
 
 
 def build_ic(model) -> FilteredComplex:
     """The intersection subcomplex: slot K carries the K-fold residue image."""
-    return _model_complex(model, ic_cut(model, frozenset()))
+    return _memoized(_model_complex, model, "ic", frozenset())
 
 
 def build_ic_log(model, z) -> FilteredComplex:
     """Logarithmic intersection complex: branches in z keep the full space in
     their locally unipotent directions."""
-    z = _check_branches(model, z)
-    return _model_complex(model, ic_cut(model, z))
+    return _memoized(_model_complex, model, "iclog", _check_branches(model, z))
 
 
 def _check_branches(model, z) -> frozenset:
@@ -498,7 +496,7 @@ def quotient_complex(sub_map: ComplexMap) -> tuple[FilteredComplex, dict]:
     return subquotient_complex(b, pres, filtered=True), pres
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SupportTower:
     """IC inside IC_log along z, the quotient Q = IC_log/IC with its
     presentations, and the sections supported on z, i^! = Q[-1]."""
@@ -517,6 +515,10 @@ class _SupportTower:
 
 
 def _support_tower(model, z: frozenset) -> _SupportTower:
+    return _memoized(_build_support_tower, model, z)
+
+
+def _build_support_tower(model, z: frozenset) -> _SupportTower:
     ic = build_ic(model)
     log = build_ic_log(model, z)
     emb = ic_into_iclog(model, ic, log)
@@ -649,13 +651,10 @@ def _slot_pairing(model, ic, log):
     all_branches = tuple(range(n))
 
     def eps(K):
-        perm = list(K) + [j for j in all_branches if j not in K]
-        sign = 1
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        return ONE if sign == 1 else -ONE
+        # sign of the shuffle (K, complement of K), K sorted: its inversions
+        # are the pairs i in K, j outside K with j < i
+        return -ONE if sum(j < i for i in K for j in all_branches
+                           if j not in K) % 2 else ONE
 
     def pair(k, u_ic, w_log):
         ic_layout = ic.layout.get(k, {})

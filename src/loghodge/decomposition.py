@@ -21,7 +21,7 @@ from .complexes import (
     subquotient_complex,
 )
 from .errors import ShapeError
-from .filtrations import relative_monodromy_filtration
+from .filtrations import _memoized, evaluation, relative_monodromy_filtration
 from .linalg import (
     LinearMap,
     Subquotient,
@@ -60,7 +60,12 @@ class PrimitivePart:
 
 def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
                          inside: Subspace | None = None) -> PrimitiveComponentPart:
-    """P^J_k of one unipotent component, optionally cut to a subspace of L."""
+    """P^J_k of one unipotent component, cut to inside when given; memoized."""
+    return _memoized(_build_primitive_component, model, ci, tuple(J), k, inside)
+
+
+def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
+                               inside: Subspace | None) -> PrimitiveComponentPart:
     comp = model.components[ci]
     gr = model.wj(ci, frozenset(J)).graded_piece(k)
     space = Subspace.full(gr.dim)
@@ -144,7 +149,13 @@ def check_distinguished_pair(model: NCModel, ci: int, j: int):
 
 def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
                                z=()) -> CheckReport:
-    """Layered verification that Gr^W_k splits into intersection complexes."""
+    """Layered verification that Gr^W_k splits into intersection complexes,
+    in an evaluation (joining the caller's when one is open)."""
+    with evaluation():
+        return _graded_decomposition(model, k, which, z)
+
+
+def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
     report = CheckReport()
     n = model.branches
     unipotent = [ci for ci, c in enumerate(model.components) if c.is_unipotent()]
@@ -156,14 +167,6 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
             report.add(f"DistinguishedPair[c={ci},j={j + 1}]", ok, detail)
 
     # (1b) term-level splitting of Gr^{W^J} into translated primitive parts
-    prim_cache: dict = {}
-
-    def prim(ci, K, kk):
-        key = (ci, K, kk)
-        if key not in prim_cache:
-            prim_cache[key] = _primitive_component(model, ci, K, kk)
-        return prim_cache[key]
-
     for ci in unipotent:
         comp = model.components[ci]
         for r in range(n + 1):
@@ -176,7 +179,7 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
                 ok, detail = True, ""
                 for s in range(len(J) + 1):
                     for K in itertools.combinations(J, s):
-                        p = prim(ci, K, w_tgt + len(J) - len(K))
+                        p = _primitive_component(model, ci, K, w_tgt + len(J) - len(K))
                         if p.dim == 0:
                             continue
                         op = LinearMap.identity(comp.dim)

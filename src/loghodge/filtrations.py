@@ -5,9 +5,9 @@ form, so equality of filtrations is equality of representations.  The
 relative monodromy filtration is constructed recursively over the top
 weight step and re-verified against both defining axioms before returning.
 
-Inside an ``evaluation()`` block both filtration constructors remember their
-results by the value of their arguments, so an equal input is built once per
-block; outside any block they compute on every call.
+Inside an ``evaluation()`` block every builder that goes through
+``_memoized`` remembers its results by argument, so an equal input is built
+once per block; outside any block it computes on every call.
 """
 
 from __future__ import annotations
@@ -234,21 +234,24 @@ _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 
 class evaluation:
-    """Context manager: while it is open, monodromy_filtration and
-    relative_monodromy_filtration remember each result by argument value.
+    """Context manager: while it is open, the builders that go through
+    ``_memoized`` remember each result by argument value (a model by
+    identity).
 
-    Both are pure and their arguments are immutable values, so a remembered
-    result is what a recomputation would return.  A call that raises stores
-    nothing.  The memo lives in a context variable: it is dropped when the
-    block closes, and a thread sees only a block opened in that thread.
+    Each is pure and its arguments immutable, so a remembered result is what
+    a recomputation would return.  A call that raises stores nothing.  A block
+    opened inside another joins it, and only the outermost exit drops the
+    memo.  The memo lives in a context variable, so a thread sees only a
+    block opened in that thread.
     """
 
     def __enter__(self):
-        self._token = _MEMO.set({})
+        self._token = _MEMO.set({}) if _MEMO.get() is None else None
         return self
 
     def __exit__(self, *exc_info):
-        _MEMO.reset(self._token)
+        if self._token is not None:
+            _MEMO.reset(self._token)
 
 
 def _memoized(fn, *args):

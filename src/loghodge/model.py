@@ -22,6 +22,7 @@ from .errors import (
 from .filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
+    _memoized,
     filtration_sum,
     monodromy_filtration,
     relative_monodromy_filtration,
@@ -39,7 +40,7 @@ from .linalg import (
 from .scalars import ONE, ZERO, I, Scalar, format_scalar, is_integer, parse_scalar
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaComponent:
     """One piece of the residue spectral decomposition."""
 
@@ -54,9 +55,9 @@ class AlphaComponent:
         return tuple(j for j, a in enumerate(self.alpha) if a == 0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NCModel:
-    """Local model at a point on n crossing branches."""
+    """Local model at a point on n crossing branches, compared by identity."""
 
     branches: int
     components: tuple[AlphaComponent, ...]
@@ -66,7 +67,6 @@ class NCModel:
     hodge: DecreasingFiltration | None = None
     pairing: Matrix | None = None
     pairing_parity: int | None = None
-    _wj_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- layout -------------------------------------------------------------
 
@@ -113,18 +113,8 @@ class NCModel:
         return self.hodge.project_to(Subquotient.of(self.component_subspace(ci)))
 
     def wj(self, ci: int, branch_set: frozenset) -> IncreasingFiltration:
-        """W^J on component ci, cached and built incrementally by max branch."""
-        key = (ci, branch_set)
-        if key in self._wj_cache:
-            return self._wj_cache[key]
-        if not branch_set:
-            out = self.weight_on_component(ci)
-        else:
-            j = max(branch_set)
-            prev = self.wj(ci, branch_set - {j})
-            out = star(self.components[ci].nilpotents[j], prev)
-        self._wj_cache[key] = out
-        return out
+        """W^J on component ci, built by max branch; memoized per evaluation."""
+        return _memoized(_wj, self, ci, frozenset(branch_set))
 
     def pairing_form(self):
         """S(x, y) as a callable on total-space vectors."""
@@ -136,6 +126,13 @@ class NCModel:
             return sum((xi * syi for xi, syi in zip(x, s.apply(y))), ZERO)
 
         return form
+
+
+def _wj(model: NCModel, ci: int, branch_set: frozenset) -> IncreasingFiltration:
+    if not branch_set:
+        return model.weight_on_component(ci)
+    j = max(branch_set)
+    return star(model.components[ci].nilpotents[j], model.wj(ci, branch_set - {j}))
 
 
 # -- validation ---------------------------------------------------------------
@@ -389,7 +386,9 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     samples = _sample_t_vectors(n_branches, seed)
     all_branches = tuple(range(n_branches))
 
-    # (1) mixed nilpotent orbit on every weight-graded piece
+    # (1) mixed nilpotent orbit on every weight-graded piece; graded[i] is
+    # the nonzero Gr^W_i with the N it induces at t = (1, ..., 1)
+    graded = {}
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
         if gr.dim == 0:
@@ -398,6 +397,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         if n_branches:
             n_grs = [induced_map(model.nilpotent_sum(all_branches, t), gr, gr)
                      for t in samples]
+        graded[i] = gr, n_grs[0]
         try:
             filts = [monodromy_filtration(ng, center=i) for ng in n_grs]
         except LogHodgeError as exc:
@@ -473,10 +473,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         report.skip("Polarization", "no pairing supplied")
     else:
         form = model.pairing_form()
-        for i in model.weight.jumps():
-            gr = model.weight.graded_piece(i)
-            if gr.dim == 0:
-                continue
+        for i, (gr, n_gr) in graded.items():
             below = model.weight.at(i - 1)
             descends = all(
                 not form(u, v) and not form(v, u)
@@ -487,7 +484,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
                     f"Polarization[w={i}]",
                     "single pairing does not descend to this graded piece")
                 continue
-            ok = _polarization_on_graded(model, gr, i, form)
+            ok = _polarization_on_graded(model, gr, n_gr, i, form)
             report.add(
                 f"Polarization[w={i}]", ok,
                 f"primitive parts of Gr^W_{i} are not positively polarized")
@@ -495,13 +492,9 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     return report
 
 
-def _polarization_on_graded(model: NCModel, gr: Subquotient, i: int, form) -> bool:
-    d = gr.dim
-    if model.branches:
-        n_gr = induced_map(model.nilpotent_sum(tuple(range(model.branches))),
-                           gr, gr)
-    else:
-        n_gr = LinearMap.zero(d, d)
+def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: LinearMap,
+                            i: int, form) -> bool:
+    """Step (4) on Gr^W_i = gr, on which N induces n_gr."""
     m = monodromy_filtration(n_gr, center=i)
     f_gr = model.hodge.project_to(gr)
 

@@ -34,6 +34,7 @@ from loghodge.filtrations import (
     IncreasingFiltration,
     check_relative_axioms,
     dual_filtration,
+    evaluation,
     iterated_star,
     monodromy_filtration,
     relative_monodromy_filtration,
@@ -205,11 +206,12 @@ def test_criterion_04_order_independence():
 
 def test_criterion_05_boundary_equalities():
     for name, model in corpus_models():
-        assert build_ic_log(model, []) == build_ic(model), \
-            f"{name}: empty log set differs from the intersection complex"
-        assert build_ic_log(model, range(model.branches)) == \
-            build_omega(unipotent_part(model)), \
-            f"{name}: full log set differs from the unipotent Koszul complex"
+        with evaluation():
+            assert build_ic_log(model, []) == build_ic(model), \
+                f"{name}: empty log set differs from the intersection complex"
+            assert build_ic_log(model, range(model.branches)) == \
+                build_omega(unipotent_part(model)), \
+                f"{name}: full log set differs from the unipotent Koszul complex"
     print(f"\n[PASS] criterion 5: boundary equalities on "
           f"{len(CORPUS_PATHS)} corpus instances")
 
@@ -223,19 +225,20 @@ def test_criterion_06_pure_weight_anchor():
                for i in range(5)]
     assert models
     for name, model in models:
-        a = model.weight.jumps()[0]
-        om = build_omega(model)
-        ic = build_ic(model)
-        emb = ic_into_iclog(model, ic, build_ic_log(model,
-                                                    range(model.branches)))
-        for k in om.degrees():
-            if not om.term_dim(k):
-                continue
-            w_a = om.weight_at(k).at(a)
-            w_below = om.weight_at(k).at(a - 1)
-            assert w_below.dim == 0, f"{name}: W_(a-1) nonzero in degree {k}"
-            assert w_a == emb.at(k).image(), \
-                f"{name}: W_a does not equal the intersection subcomplex at {k}"
+        with evaluation():
+            a = model.weight.jumps()[0]
+            om = build_omega(model)
+            ic = build_ic(model)
+            emb = ic_into_iclog(model, ic, build_ic_log(model,
+                                                        range(model.branches)))
+            for k in om.degrees():
+                if not om.term_dim(k):
+                    continue
+                w_a = om.weight_at(k).at(a)
+                w_below = om.weight_at(k).at(a - 1)
+                assert w_below.dim == 0, f"{name}: W_(a-1) nonzero in degree {k}"
+                assert w_a == emb.at(k).image(), \
+                    f"{name}: W_a does not equal the intersection subcomplex at {k}"
     print(f"\n[PASS] criterion 6: pure-weight anchor on {len(models)} instances")
 
 
@@ -249,18 +252,19 @@ def test_criterion_07_decomposition_suite():
                   for i in range(50)]
     total_checks = 0
     for name, model in instances:
-        om = build_omega(model)
-        labels = set()
-        for k in om.degrees():
-            if om.term_dim(k):
-                labels.update(om.weight_at(k).jumps())
-        for k in sorted(labels):
-            for which in ("omega", "ic"):
-                rep = check_graded_decomposition(model, k, which)
-                assert rep.passed, \
-                    (name, k, which,
-                     [c.detail for c in rep.checks if c.status == "fail"])
-                total_checks += 1
+        with evaluation():
+            om = build_omega(model)
+            labels = set()
+            for k in om.degrees():
+                if om.term_dim(k):
+                    labels.update(om.weight_at(k).jumps())
+            for k in sorted(labels):
+                for which in ("omega", "ic"):
+                    rep = check_graded_decomposition(model, k, which)
+                    assert rep.passed, \
+                        (name, k, which,
+                         [c.detail for c in rep.checks if c.status == "fail"])
+                    total_checks += 1
     print(f"\n[PASS] criterion 7: graded decomposition, {total_checks} "
           f"(instance, weight, kind) checks")
 
@@ -268,32 +272,33 @@ def test_criterion_07_decomposition_suite():
 def test_criterion_08_weight_bounds():
     run = 0
     for name, model in corpus_models():
-        if model.hodge is None or not imhs_check(model).passed:
-            continue
-        a, shift = model.base_weight, model.perverse_shift
-        subsets = [frozenset(c)
-                   for r in range(1, model.branches + 1)
-                   for c in itertools.combinations(range(model.branches), r)]
-        for z in subsets:
-            open_v = purity_check(cohomology(build_ic_log(model, z)), a,
-                                  shift, "open")
-            assert open_v.passed, (name, sorted(z), "open")
-            run += 1
-            if model.pairing is None:
+        with evaluation():
+            if model.hodge is None or not imhs_check(model).passed:
                 continue
-            shr = purity_check(cohomology(i_shriek(model, z)), a, shift,
-                               "support")
-            assert shr.passed, (name, sorted(z), "support")
-            st = purity_check(cohomology(i_star(model, z)), a, shift,
-                              "closed")
-            assert st.passed, (name, sorted(z), "closed")
-            comp = purity_check(
-                cohomology(dualize(build_ic_log(model, z), a=a,
-                                   top=model.branches,
-                                   pairing=model.pairing)),
-                a, shift, "compact")
-            assert comp.passed, (name, sorted(z), "compact")
-            run += 3
+            a, shift = model.base_weight, model.perverse_shift
+            subsets = [frozenset(c)
+                       for r in range(1, model.branches + 1)
+                       for c in itertools.combinations(range(model.branches), r)]
+            for z in subsets:
+                open_v = purity_check(cohomology(build_ic_log(model, z)), a,
+                                      shift, "open")
+                assert open_v.passed, (name, sorted(z), "open")
+                run += 1
+                if model.pairing is None:
+                    continue
+                shr = purity_check(cohomology(i_shriek(model, z)), a, shift,
+                                   "support")
+                assert shr.passed, (name, sorted(z), "support")
+                st = purity_check(cohomology(i_star(model, z)), a, shift,
+                                  "closed")
+                assert st.passed, (name, sorted(z), "closed")
+                comp = purity_check(
+                    cohomology(dualize(build_ic_log(model, z), a=a,
+                                       top=model.branches,
+                                       pairing=model.pairing)),
+                    a, shift, "compact")
+                assert comp.passed, (name, sorted(z), "compact")
+                run += 3
     assert run >= 12
     print(f"\n[PASS] criterion 8: weight bounds, {run} mode checks")
 
@@ -316,26 +321,27 @@ def test_criterion_09_local_purity_with_oracle():
 
 def test_criterion_10_duality_involution():
     for name, model in corpus_models():
-        a = model.base_weight
-        for builder in (build_omega, build_ic):
-            c = builder(model)
-            twice = dualize(dualize(c, a=a), a=a)
-            assert cohomology(twice).profile() == cohomology(c).profile(), \
-                f"{name}: double dual changed the weight profile"
-        if model.pairing is None or model.branches != 1:
-            # the reflection presumes a compact stratum; the local germ of a
-            # multi-branch crossing is not one, so only point strata qualify
-            continue
-        rep = cohomology(link_complex(model, range(model.branches)))
-        m = model.perverse_shift
-        for k in rep.nonzero_degrees():
-            k2 = 2 * m - 1 - k
-            prof = rep.degrees[k].weight_profile()
-            other = rep.degrees[k2].weight_profile() if k2 in rep.degrees \
-                else {}
-            reflected = {2 * a + 1 - w: d for w, d in other.items()}
-            assert prof == reflected, \
-                f"{name}: link self-duality fails between degrees {k}, {k2}"
+        with evaluation():
+            a = model.base_weight
+            for builder in (build_omega, build_ic):
+                c = builder(model)
+                twice = dualize(dualize(c, a=a), a=a)
+                assert cohomology(twice).profile() == cohomology(c).profile(), \
+                    f"{name}: double dual changed the weight profile"
+            if model.pairing is None or model.branches != 1:
+                # the reflection presumes a compact stratum; the local germ of a
+                # multi-branch crossing is not one, so only point strata qualify
+                continue
+            rep = cohomology(link_complex(model, range(model.branches)))
+            m = model.perverse_shift
+            for k in rep.nonzero_degrees():
+                k2 = 2 * m - 1 - k
+                prof = rep.degrees[k].weight_profile()
+                other = rep.degrees[k2].weight_profile() if k2 in rep.degrees \
+                    else {}
+                reflected = {2 * a + 1 - w: d for w, d in other.items()}
+                assert prof == reflected, \
+                    f"{name}: link self-duality fails between degrees {k}, {k2}"
     print("\n[PASS] criterion 10: duality involution and link self-duality "
           f"on {len(CORPUS_PATHS)} corpus instances")
 

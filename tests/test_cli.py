@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import shutil
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 from loghodge import cli, complexes, filtrations, linalg
 from loghodge.cli import main
+from loghodge.generate import random_pure_model
+from loghodge.model import canonical_json, model_to_json
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 J2 = CORPUS / "jordan2_weight1.json"
@@ -176,6 +179,46 @@ def test_back_to_back_runs_share_no_memo(monkeypatch, capsys):
         assert filtrations._MEMO.get() is None
     assert counts[0] == counts[1] > 0
 
+
+
+def _record_calls(monkeypatch, module, name):
+    """The arguments of every later call to module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_decompose_builds_the_omega_complex_once(tmp_path, monkeypatch,
+                                                 capsys):
+    """decompose asks for omega once for its weight list and once per
+    weight; inside the run's evaluation the Koszul build runs once."""
+    model = random_pure_model(3, random.Random(72))
+    assert model.total_dim == 4
+    path = tmp_path / "pure3-72.json"
+    path.write_text(canonical_json(model_to_json(model)))
+    built = _record_calls(monkeypatch, complexes, "_model_complex")
+    code, out = run_cli(["decompose", str(path)], capsys)
+    assert code == 0 and len(json.loads(out)["results"]) > 1
+    assert [args[1:] for args in built] == [("omega", frozenset())]
+
+
+def test_corpus_entry_builds_each_support_tower_once(monkeypatch):
+    """The closed, support and link batteries of one corpus entry share the
+    support tower of z, and no complex is built twice."""
+    towers = _record_calls(monkeypatch, complexes, "_build_support_tower")
+    built = _record_calls(monkeypatch, complexes, "_model_complex")
+    cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
+    assert [z for _, z in towers] == [frozenset({0, 1})]
+    kinds = [args[1:] for args in built]
+    assert kinds.count(("ic", frozenset())) == 1
+    assert len(kinds) == len(set(kinds))
+    assert filtrations._MEMO.get() is None
 
 def _pairing_failing_validate(tmp_path):
     """J2 weight 1 with S = identity declared at parity 1: symmetric, so the

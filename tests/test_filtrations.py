@@ -453,6 +453,21 @@ def test_nothing_is_remembered_outside_an_evaluation(monkeypatch):
     assert relative_monodromy_filtration(*_mixed_extension()) is not inside
 
 
+
+def test_a_nested_evaluation_joins_the_open_one():
+    """An inner block sees the outer block's entries and leaves its own in
+    place; only the outermost exit drops the memo."""
+    with evaluation():
+        outer = filtrations._MEMO.get()
+        m = monodromy_filtration(J3, 1)
+        with evaluation():
+            assert filtrations._MEMO.get() is outer
+            assert monodromy_filtration(J3, 1) is m
+            r = relative_monodromy_filtration(*_mixed_extension())
+        assert filtrations._MEMO.get() is outer
+        assert relative_monodromy_filtration(*_mixed_extension()) is r
+    assert filtrations._MEMO.get() is None
+
 _MIXED_LINE = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
                                       (1, Subspace.full(2))])
 _NOT_PRESERVED = IncreasingFiltration(2, [(0, canonicalize([[0, 1]])),

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loghodge.model
+from loghodge import filtrations
 from loghodge.cli import main
 from loghodge.errors import MissingHodgeFiltration, ParseError
+from loghodge.generate import random_pure_model
 from loghodge.linalg import Matrix
 from loghodge.model import (
+    NCModel,
     _hermitian_positive,
     canonical_json,
     direct_sum,
@@ -234,3 +239,27 @@ def test_hermitian_positive_is_sylvesters_criterion(h):
     expected = (h.transpose().conj() == h
                 and all(not d.im and d.re > 0 for d in minors))
     assert _hermitian_positive(h) == expected
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NCModel)])
+def test_model_fields_cannot_be_assigned(name):
+    model = model_from_json(J2_WEIGHT1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(model, name, getattr(model, name))
+    # nor can an attribute be added after construction
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model._wj_cache = {}
+
+
+def test_wj_outside_an_evaluation_is_the_star_fold():
+    """With no memo open, W^J is W on the component with star applied for
+    each branch of J in increasing order."""
+    model = random_pure_model(3, random.Random(72))
+    assert filtrations._MEMO.get() is None
+    for ci, comp in enumerate(model.components):
+        for r in range(model.branches + 1):
+            for J in itertools.combinations(range(model.branches), r):
+                expected = model.weight_on_component(ci)
+                for j in sorted(J):
+                    expected = filtrations.star(comp.nilpotents[j], expected)
+                assert model.wj(ci, frozenset(J)) == expected

@@ -41,19 +41,19 @@ def _parse_z(text, model):
     return frozenset(j - 1 for j in idx)
 
 
-def _purity_complex(model, mode, z):
-    if mode == "closed":
-        return cx.i_star(model, z)
-    if mode == "support":
-        return cx.i_shriek(model, z)
+def _purity_cohomology(model, mode, z):
+    if mode in ("closed", "support"):
+        return cx.support_cohomology(model, z, star=mode == "closed")
     if mode == "open":
-        return cx.build_ic_log(model, z)
-    if mode == "compact":
-        return cx.dualize(cx.build_ic_log(model, z), a=model.base_weight,
-                          top=model.branches, pairing=model.pairing)
-    if mode == "link":
-        return cx.link_complex(model, z)
-    raise ParseError(f"unknown purity mode {mode!r}")
+        c = cx.build_ic_log(model, z)
+    elif mode == "compact":
+        c = cx.dualize(cx.build_ic_log(model, z), a=model.base_weight,
+                       top=model.branches, pairing=model.pairing)
+    elif mode == "link":
+        c = cx.link_complex(model, z)
+    else:
+        raise ParseError(f"unknown purity mode {mode!r}")
+    return cx.cohomology(c)
 
 
 def _require_valid_pairing(model):
@@ -140,9 +140,8 @@ def run_purity(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
     _require_valid_pairing(model)
-    c = _purity_complex(model, args.mode, z)
-    verdict = dec.purity_check(cx.cohomology(c), model.base_weight, shift,
-                               args.mode)
+    verdict = dec.purity_check(_purity_cohomology(model, args.mode, z),
+                               model.base_weight, shift, args.mode)
     return verdict.to_json(), verdict.passed
 
 
@@ -251,10 +250,9 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
             z = frozenset(range(model.branches))
             entry["purity"] = {}
             for mode in ("closed", "support", "open", "compact"):
-                c = _purity_complex(model, mode, z)
                 entry["purity"][mode] = dec.purity_check(
-                    cx.cohomology(c), model.base_weight, model.perverse_shift,
-                    mode).to_json()
+                    _purity_cohomology(model, mode, z), model.base_weight,
+                    model.perverse_shift, mode).to_json()
             entry["link"] = cx.cohomology(cx.link_complex(model, z)).to_json()
         return entry
 

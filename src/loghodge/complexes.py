@@ -496,10 +496,12 @@ def quotient_complex(sub_map: ComplexMap) -> tuple[FilteredComplex, dict]:
     return subquotient_complex(b, pres, filtered=True), pres
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SupportTower:
     """IC inside IC_log along z, the quotient Q = IC_log/IC with its
-    presentations, and the sections supported on z, i^! = Q[-1]."""
+    presentations, and the sections supported on z, i^! = Q[-1].  The memo
+    builds one tower per (model, z) and keys i^* and H(i^!), H(i^*) on it.
+    """
 
     model: object
     ic: FilteredComplex
@@ -510,8 +512,18 @@ class _SupportTower:
 
     def star(self) -> FilteredComplex:
         """i^*, the twisted dual of i^!."""
-        return dualize(self.shriek, a=self.model.base_weight,
-                       top=self.model.branches + 1, pairing=self.model.pairing)
+        return _memoized(_tower_star, self)
+
+
+def _tower_star(tower: _SupportTower) -> FilteredComplex:
+    m = tower.model
+    return dualize(tower.shriek, a=m.base_weight, top=m.branches + 1,
+                   pairing=m.pairing)
+
+
+def _tower_cohomology(tower: _SupportTower, star: bool) -> CohomologyReport:
+    """H(i^*) when star, else H(i^!)."""
+    return cohomology(tower.star() if star else tower.shriek)
 
 
 def _support_tower(model, z: frozenset) -> _SupportTower:
@@ -526,22 +538,31 @@ def _build_support_tower(model, z: frozenset) -> _SupportTower:
     return _SupportTower(model, ic, log, emb, pres, quot.shift(-1))
 
 
-def i_shriek(model, z) -> FilteredComplex:
-    """Sections supported on the branches in z: (log/ic)[-1] with shifted W."""
+def _checked_tower(model, z, star: bool) -> _SupportTower:
+    """The support tower on z, for i^* when star, else for i^!."""
+    name = "i_star" if star else "i_shriek"
     z = _check_branches(model, z)
     if not z:
-        raise ShapeError("i_shriek needs a nonempty branch set")
-    return _support_tower(model, z).shriek
+        raise ShapeError(f"{name} needs a nonempty branch set")
+    if star and model.pairing is None:
+        raise PairingDegenerate("i_star needs the model pairing")
+    return _support_tower(model, z)
+
+
+def i_shriek(model, z) -> FilteredComplex:
+    """Sections supported on the branches in z: (log/ic)[-1] with shifted W."""
+    return _checked_tower(model, z, False).shriek
 
 
 def i_star(model, z) -> FilteredComplex:
     """Restriction to the branches in z, realized as the twisted dual of i^!."""
-    z = _check_branches(model, z)
-    if not z:
-        raise ShapeError("i_star needs a nonempty branch set")
-    if model.pairing is None:
-        raise PairingDegenerate("i_star needs the model pairing")
-    return _support_tower(model, z).star()
+    return _checked_tower(model, z, True).star()
+
+
+def support_cohomology(model, z, star: bool) -> CohomologyReport:
+    """cohomology(i_star(model, z)) when star, else of i_shriek(model, z);
+    inside an evaluation each is computed once."""
+    return _memoized(_tower_cohomology, _checked_tower(model, z, star), star)
 
 
 @dataclass
@@ -568,8 +589,7 @@ def intersection_morphism(model, z) -> IntersectionData:
     n = model.branches
     tower = _support_tower(model, z)
     shr, st = tower.shriek, tower.star()
-    h_shr = cohomology(shr)
-    h_st = cohomology(st)
+    h_shr, h_st = (_memoized(_tower_cohomology, tower, s) for s in (False, True))
 
     pair = _slot_pairing(model, tower.ic, tower.log)
     maps = {}

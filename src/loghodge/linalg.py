@@ -7,10 +7,11 @@ equality of filtrations built from them is decidable by comparison.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
-from .scalars import ONE, ZERO, Scalar, _scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, _canon, as_scalar
 
 Vector = tuple  # tuple of Scalar
 
@@ -192,42 +193,60 @@ class Matrix:
 def rref(rows: Iterable[Vector], width: int) -> tuple[Vector, ...]:
     """Reduced row echelon form: pivots 1, pivot columns cleared, rows by pivot.
 
-    Gauss-Jordan with the first nonzero row as pivot.  When no entry has an
-    imaginary part the loop runs on the bare real parts (Fractions), else on
-    the Scalars; the rows come back as Scalars either way.  A row update
-    touches only the pivot row's nonzero columns: the pivot row is zero left
-    of the pivot, and elsewhere subtracting zero changes nothing.
+    Fraction-free Gauss-Jordan with the first nonzero row as pivot: a row
+    with entry c in the pivot column becomes p*row - c*(pivot row), p the
+    pivot, and is then stripped.  When no entry has an imaginary part, each
+    row is first cleared of denominators, the loop runs on ints and strips a
+    row of its content, and each row is divided by its pivot only when it is
+    emitted.  Otherwise the loop runs on the Scalars and strips a row to a
+    leading 1.  Either way the result is the unique canonical form.
     """
-    work = [list(r) for r in rows if not vec_is_zero(r)]
+    work = [r for r in rows if not vec_is_zero(r)]
     for r in work:
         if len(r) != width:
             raise ShapeError("vector of wrong ambient dimension")
-    rational = not any(e.im for r in work for e in r)
-    if rational:
-        work = [[e.re for e in r] for r in work]
-    row_i = 0
+    gaussian = any(e.b for r in work for e in r)
+    strip = _monic if gaussian else _primitive
+    work = [strip(r if gaussian else _cleared(r)) for r in work]
+    pivots = []
     for col in range(width):
-        pivot_row = next((i for i in range(row_i, len(work)) if work[i][col]), None)
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
         prow = work[pivot_row]
-        work[pivot_row] = work[row_i]
-        work[row_i] = prow
-        inv = 1 / prow[col]
-        support = [j for j in range(col, width) if prow[j]]
-        for j in support:
-            prow[j] = prow[j] * inv
+        work[pivot_row] = work[rank]
+        work[rank] = prow
+        p = prow[col]
         for i, r in enumerate(work):
             c = r[col]
-            if c and i != row_i:
-                for j in support:
-                    r[j] = r[j] - c * prow[j]
-        row_i += 1
-        if row_i == len(work):
+            if c and i != rank:
+                work[i] = strip([p * x - c * y for x, y in zip(r, prow)])
+        pivots.append(col)
+        if rank + 1 == len(work):
             break
-    if rational:
-        return tuple(tuple(_scalar(e) if e else ZERO for e in r) for r in work[:row_i])
-    return tuple(tuple(r) for r in work[:row_i])
+    if gaussian:
+        return tuple(map(tuple, work[:len(pivots)]))
+    return tuple(tuple(_canon(x, 0, r[p]) if x else ZERO for x in r)
+                 for r, p in zip(work, pivots))
+
+
+def _cleared(row: Vector) -> list[int]:
+    """The integer row m*row, m the lcm of the entries' denominators."""
+    m = lcm(*(e.d for e in row))
+    return [e.a * (m // e.d) for e in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _monic(row: list[Scalar]) -> list[Scalar]:
+    """row divided by its first nonzero entry."""
+    lead = next((x for x in row if x), ONE)
+    return row if lead == ONE else [x / lead for x in row]
 
 
 class Subspace:
@@ -328,6 +347,8 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch in sum")
+        if not self.basis or not other.basis:
+            return other if not self.basis else self
         return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -337,25 +358,24 @@ class Subspace:
             return other
         if other.is_full():
             return self
+        if not self.basis or not other.basis:
+            return Subspace.zero(self.ambient_dim)
         # left kernel of the stacked basis matrix: z*(A;B) = 0 gives
         # intersection vectors sum_i z_i A_i.
-        stacked = self.basis + other.basis
-        if not stacked:
-            return Subspace.zero(self.ambient_dim)
-        m = _matrix(stacked, self.ambient_dim).transpose()
+        m = _matrix(self.basis + other.basis, self.ambient_dim).transpose()
         gens = [self.from_coords(z[: self.dim]) for z in _kernel_basis(m)]
-        return Subspace.span(gens, self.ambient_dim)
+        return Subspace(self.ambient_dim, gens)
 
     def annihilator(self) -> "Subspace":
         """Functionals (in dual coordinates) vanishing on this subspace."""
         if self.is_zero():
             return Subspace.full(self.ambient_dim)
         m = _matrix(self.basis, self.ambient_dim)
-        return Subspace.span(_kernel_basis(m), self.ambient_dim)
+        return Subspace(self.ambient_dim, _kernel_basis(m))
 
     def conj(self) -> "Subspace":
-        return Subspace.span([tuple(e.conj() for e in r) for r in self.basis],
-                             self.ambient_dim)
+        return Subspace(self.ambient_dim,
+                        [tuple(e.conj() for e in r) for r in self.basis])
 
 
 def _kernel_basis(m: Matrix) -> list[Vector]:
@@ -444,14 +464,14 @@ class LinearMap:
     def image(self, sub: Subspace | None = None) -> Subspace:
         if sub is None:
             sub = Subspace.full(self.source_dim)
-        return Subspace.span([self(v) for v in sub.basis], self.target_dim)
+        return Subspace(self.target_dim, [self(v) for v in sub.basis])
 
     def maps_into(self, src: Subspace, tgt: Subspace) -> bool:
         """f(src) <= tgt."""
         return all(tgt.contains_vector(self(v)) for v in src.basis)
 
     def kernel(self) -> Subspace:
-        return Subspace.span(_kernel_basis(self.matrix), self.source_dim)
+        return Subspace(self.source_dim, _kernel_basis(self.matrix))
 
     def preimage(self, target_sub: Subspace) -> Subspace:
         """{v : f(v) in target_sub}."""
@@ -507,7 +527,7 @@ class Subquotient:
             self.lifts = sub
         else:
             reduced = [quot_by.reduce(v) for v in sub.basis]
-            self.lifts = Subspace.span(reduced, sub.ambient_dim)
+            self.lifts = Subspace(sub.ambient_dim, reduced)
 
     @staticmethod
     def of(sub: Subspace) -> "Subquotient":
@@ -541,7 +561,7 @@ class Subquotient:
     def project_subspace(self, s: Subspace) -> Subspace:
         """Image of (s intersect sub) in the quotient coordinates."""
         inter = s.intersect(self.sub)
-        return Subspace.span([self.coords(v) for v in inter.basis], self.dim)
+        return Subspace(self.dim, [self.coords(v) for v in inter.basis])
 
 
 def induced_map(f: LinearMap, src: Subquotient, tgt: Subquotient) -> LinearMap:

@@ -1,14 +1,17 @@
 """Exact scalars: rationals and Gaussian rationals Q(i).
 
 A single scalar type carries both fields: a value with zero imaginary part
-is a rational, and serializes as one.  All arithmetic is exact; there is no
-floating point anywhere in the package.
+is a rational, and serializes as one.  A scalar is a canonical triple of
+Python ints and all arithmetic runs on them; Fractions appear only at the
+edges (parsing, formatting and the read-only re/im parts).  All arithmetic
+is exact; there is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError
 
@@ -19,75 +22,81 @@ _BOTH_RE = re.compile(rf"^({_FRAC})([+-]\d+(?:/\d+)?)\*i$")
 
 
 class Scalar:
-    """Gaussian rational re + im*i with Fraction components.
+    """Gaussian rational (a + b*i)/d, stored as three ints.
 
-    Immutable by convention: no method mutates self, so an operation may
-    return one of its operands (x + 0 is x).  Conjugation is the exact
-    involution fixing the rational subfield.
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal triples, and a value with b = 0 is a rational that compares
+    and hashes like its Fraction.  Immutable by convention: no method
+    mutates self, so an operation may return one of its operands (x + 0 is
+    x).  Conjugation is the exact involution fixing the rational subfield.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, (int, Fraction)) else Fraction(re)
+        im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        # over the lcm of the two denominators no prime divides a, b and d
+        self.d = d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not Scalar:
             other = as_scalar(other)
-        if not other.re and not other.im:
+        if not other.a and not other.b:
             return self
-        if not self.re and not self.im:
+        if not self.a and not self.b:
             return other
-        if not self.im and not other.im:
-            return _scalar(self.re + other.re)
-        return _scalar(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        return _canon(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not Scalar:
             other = as_scalar(other)
-        if not other.re and not other.im:
+        if not other.a and not other.b:
             return self
-        if not self.im and not other.im:
-            return _scalar(self.re - other.re)
-        return _scalar(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        return _canon(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return as_scalar(other).__sub__(self)
 
     def __neg__(self):
-        return _scalar(-self.re, -self.im)
+        return _canon(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = as_scalar(other)
-        if not self.im and not other.im:
-            if not self.re or not other.re:
-                return ZERO
-            return _scalar(self.re * other.re)
-        return _scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not b1 and not b2:
+            return _canon(a1 * a2, 0, self.d * other.d) if a1 and a2 else ZERO
+        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2)
+        #   = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
         if type(other) is not Scalar:
             other = as_scalar(other)
-        if not other.re and not other.im:
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not a2 and not b2:
             raise ZeroDivisionError("scalar division by zero")
-        if not self.im and not other.im:
-            return _scalar(self.re / other.re)
-        norm = other.re * other.re + other.im * other.im
-        return _scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _canon((a1 * a2 + b1 * b2) * other.d, (b1 * a2 - a1 * b2) * other.d,
+                      self.d * (a2 * a2 + b2 * b2))
 
     def __rtruediv__(self, other):
         return as_scalar(other).__truediv__(self)
@@ -95,22 +104,22 @@ class Scalar:
     # -- structure --------------------------------------------------------
 
     def conj(self) -> "Scalar":
-        return _scalar(self.re, -self.im) if self.im else self
+        return _canon(self.a, -self.b, self.d) if self.b else self
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
+        if type(other) is Scalar:
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return not self.b and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(self.re)
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r})"
@@ -119,14 +128,13 @@ class Scalar:
         return format_scalar(self)
 
 
-_F0 = Fraction(0)
-
-
-def _scalar(re: Fraction, im: Fraction = _F0) -> Scalar:
-    """A Scalar from components that are already Fractions, unchecked."""
+def _canon(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d, d != 0, brought to canonical form."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
     x = object.__new__(Scalar)
-    x.re = re
-    x.im = im
+    x.a, x.b, x.d = a // g, b // g, d // g
     return x
 
 
@@ -145,18 +153,20 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _format_fraction(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_scalar(x: Scalar) -> str:
     """Canonical string form: "p/q", "r/s*i" or "p/q+r/s*i" (lowest terms)."""
-    if not x.im:
-        return _format_fraction(x.re)
-    if not x.re:
-        return f"{_format_fraction(x.im)}*i"
-    sign = "+" if x.im > 0 else "-"
-    return f"{_format_fraction(x.re)}{sign}{_format_fraction(abs(x.im))}*i"
+    if not x.b:
+        return _format_fraction(x.a, x.d)
+    if not x.a:
+        return f"{_format_fraction(x.b, x.d)}*i"
+    sign = "+" if x.b > 0 else "-"
+    return f"{_format_fraction(x.a, x.d)}{sign}{_format_fraction(abs(x.b), x.d)}*i"
 
 
 def parse_scalar(s: str) -> Scalar:

@@ -220,6 +220,26 @@ def test_corpus_entry_builds_each_support_tower_once(monkeypatch):
     assert len(kinds) == len(set(kinds))
     assert filtrations._MEMO.get() is None
 
+
+def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
+    """i^* is the dual of i^!: the closed and support batteries and the link
+    of one corpus entry share one dualization of i^! and one cohomology
+    report each of i^! and i^*, so no complex is dualized or has its
+    cohomology taken twice."""
+    seen = {"dualize": [], "cohomology": []}
+    for name, calls in seen.items():
+        real = getattr(complexes, name)
+
+        def recording(c, *args, real=real, calls=calls, **kwargs):
+            calls.append(c)
+            return real(c, *args, **kwargs)
+        monkeypatch.setattr(complexes, name, recording)
+    cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
+    for name, calls in seen.items():
+        assert [sum(c is d for d in calls) for c in calls] == [1] * len(calls), name
+    assert len(seen["dualize"]) == 2 and len(seen["cohomology"]) == 7
+
+
 def _pairing_failing_validate(tmp_path):
     """J2 weight 1 with S = identity declared at parity 1: symmetric, so the
     parity row fails, and N^T S + S N = N^T + N != 0."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,36 @@ def test_zero_quotient_transport_runs_no_rref(monkeypatch):
     assert part.lifts is sub
     assert induced_map(f, part, part) == LinearMap([[0, 1], [0, 0]])
     assert calls == []
+
+
+def test_lattice_with_a_zero_operand_runs_no_rref(monkeypatch):
+    line = canonicalize([[1, 1, 0]])
+    zero = Subspace.zero(3)
+    calls = []
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows, width:
+                        calls.append(width) or real_rref(rows, width))
+    assert line.sum(zero) is line and zero.sum(line) is line
+    assert line.intersect(zero) == zero.intersect(line) == zero
+    assert zero.sum(zero) == zero.intersect(zero) == zero
+    assert calls == []
+
+
+def test_span_coerces_only_at_the_public_entry(monkeypatch):
+    """image, kernel, intersect, annihilator and project_subspace pass
+    Scalar tuples on without coercing them; span still coerces and checks."""
+    n = LinearMap([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    a, b = canonicalize([[1, 0, 0], [0, 1, 0]]), canonicalize([[0, 1, 1], [1, 0, 0]])
+    e1, e3 = canonicalize([[1, 0, 0]]), canonicalize([[0, 0, 1]])
+    quotient = Subquotient(Subspace.full(3), e3)
+    monkeypatch.setattr(Subspace, "span", None)
+    assert n.image() == a and n.kernel() == e1 == n.image(a)
+    assert a.intersect(b) == e1 and a.annihilator() == e3
+    assert quotient.project_subspace(b) == Subspace.full(2)
+    monkeypatch.undo()
+    assert Subspace.span([[1, "1/2"]], 2).basis == ((Scalar(1), Scalar(Fraction(1, 2))),)
+    with pytest.raises(ShapeError, match="wrong ambient dimension"):
+        Subspace.span([[1, 0], [0]], 2)
 
 
 def test_induced_map_functorial():
@@ -244,6 +275,62 @@ def test_rref_matches_dense_reference(case):
     out = rref(rows, width)
     assert out == dense_rref(rows, width)
     assert all_scalars(out)
+
+
+def fraction_rref(rows, width):
+    """Gauss-Jordan on (re, im) pairs of Fractions, sharing no code with
+    Scalar: the dense reference for the fraction-free package rref."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def inverse(x):
+        norm = x[0] * x[0] + x[1] * x[1]
+        return (x[0] / norm, -x[1] / norm)
+
+    work = [list(r) for r in rows if any(any(e) for e in r)]
+    top = 0
+    for col in range(width):
+        pivot = next((i for i in range(top, len(work)) if any(work[i][col])), None)
+        if pivot is None:
+            continue
+        work[top], work[pivot] = work[pivot], work[top]
+        inv = inverse(work[top][col])
+        work[top] = [mul(inv, e) for e in work[top]]
+        for i in range(len(work)):
+            c = work[i][col]
+            if i != top and any(c):
+                work[i] = [(e[0] - q[0], e[1] - q[1])
+                           for e, q in zip(work[i], (mul(c, p) for p in work[top]))]
+        top += 1
+    return [list(r) for r in work[:top]]
+
+
+@st.composite
+def fraction_rows(draw):
+    """Rows of (re, im) Fraction pairs, |numerator| <= 50, denominator <= 20,
+    often zero; all-real or Gaussian; plus sums of drawn rows, so that rank
+    drops and rows need their content removed."""
+    width = draw(st.integers(0, 6))
+    zero = st.just(Fraction(0))
+    part = st.one_of(zero, st.builds(Fraction, st.integers(-50, 50),
+                                     st.integers(1, 20)))
+    entry = st.tuples(part, part if draw(st.booleans()) else zero)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=5))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              max_size=2)):
+        if i < len(rows) and j < len(rows):
+            rows.append([(x[0] + y[0], x[1] + y[1]) for x, y in zip(rows[i], rows[j])])
+    return width, rows
+
+
+@settings(max_examples=300)
+@given(fraction_rows())
+def test_rref_matches_the_fraction_reference(case):
+    width, rows = case
+    out = rref([tuple(Scalar(*e) for e in r) for r in rows], width)
+    assert [[(e.re, e.im) for e in r] for r in out] == fraction_rref(rows, width)
+    assert all(e.d > 0 and gcd(e.a, e.b, e.d) == 1 for r in out for e in r)
 
 
 @settings(max_examples=150)

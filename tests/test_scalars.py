@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -78,3 +79,27 @@ def test_results_are_scalars_with_fraction_parts(x, y):
     for z in (x + y, x - y, x * y, -x, x.conj(), 1 + x, 1 - x, 2 * x):
         assert type(z) is Scalar
         assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
+def is_canonical(z):
+    return type(z) is Scalar and z.d > 0 and gcd(z.a, z.b, z.d) == 1
+
+
+@given(scalars, scalars)
+def test_every_op_returns_a_canonical_triple(x, y):
+    results = [x + y, x - y, x * y, -x, x.conj(), 1 + x, 1 - x, 2 * x,
+               Scalar(x.re, x.im), parse_scalar(format_scalar(x))]
+    if y:
+        results += [x / y, 1 / y]
+    assert all(is_canonical(z) for z in results)
+    # equal values have equal triples, so they hash alike
+    back = (x + y) - y
+    assert (back.a, back.b, back.d) == (x.a, x.b, x.d) and hash(back) == hash(x)
+
+
+@given(fractions, st.integers(-50, 50))
+def test_a_real_scalar_equals_and_hashes_like_its_fraction(f, n):
+    assert Scalar(f) == f and hash(Scalar(f)) == hash(f)
+    assert Scalar(n) == n and hash(Scalar(n)) == hash(n)
+    assert Scalar(f) * 3 / 3 == f and hash(Scalar(f) * 3 / 3) == hash(f)
+    assert Scalar(f, 1) != f and Scalar(f) != Fraction(f.numerator + 1, f.denominator)

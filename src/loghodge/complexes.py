@@ -21,7 +21,6 @@ from .errors import (
 from .filtrations import (DecreasingFiltration, IncreasingFiltration, _memoized,
                           filtration_sum)
 from .linalg import (
-    LinearMap,
     Matrix,
     Subquotient,
     Subspace,
@@ -44,7 +43,7 @@ class FilteredComplex:
 
     min_deg: int
     dims: tuple[int, ...]                      # dims[i] = dim of term min_deg+i
-    d: dict[int, LinearMap] = field(default_factory=dict)
+    d: dict[int, Matrix] = field(default_factory=dict)
     weight: dict[int, IncreasingFiltration] | None = None
     hodge: dict[int, DecreasingFiltration] | None = None
     layout: dict[int, dict[tuple, tuple[range, Subspace]]] = field(
@@ -77,10 +76,10 @@ class FilteredComplex:
         i = k - self.min_deg
         return self.dims[i] if 0 <= i < len(self.dims) else 0
 
-    def differential(self, k: int) -> LinearMap:
+    def differential(self, k: int) -> Matrix:
         if k in self.d:
             return self.d[k]
-        return LinearMap.zero(self.term_dim(k), self.term_dim(k + 1))
+        return Matrix.zero(self.term_dim(k + 1), self.term_dim(k))
 
     def weight_at(self, k: int) -> IncreasingFiltration:
         if self.weight is None:
@@ -93,10 +92,9 @@ class FilteredComplex:
     def validate(self) -> None:
         for k in self.degrees():
             dk = self.differential(k)
-            if (dk.source_dim, dk.target_dim) != (self.term_dim(k),
-                                                  self.term_dim(k + 1)):
+            if (dk.cols, dk.rows) != (self.term_dim(k), self.term_dim(k + 1)):
                 raise ShapeError(f"differential at degree {k} has wrong shape")
-            comp = self.differential(k + 1).compose(dk)
+            comp = self.differential(k + 1) * dk
             if not comp.is_zero():
                 raise ShapeError(f"d o d != 0 at degree {k}")
         for filt, name, step in ((self.weight, "weight", "W_"),
@@ -141,17 +139,17 @@ class ComplexMap:
 
     source: FilteredComplex
     target: FilteredComplex
-    maps: dict[int, LinearMap]
+    maps: dict[int, Matrix]
 
-    def at(self, k: int) -> LinearMap:
+    def at(self, k: int) -> Matrix:
         if k in self.maps:
             return self.maps[k]
-        return LinearMap.zero(self.source.term_dim(k), self.target.term_dim(k))
+        return Matrix.zero(self.target.term_dim(k), self.source.term_dim(k))
 
     def validate(self) -> None:
         for k in self.source.degrees():
-            lhs = self.target.differential(k).compose(self.at(k))
-            rhs = self.at(k + 1).compose(self.source.differential(k))
+            lhs = self.target.differential(k) * self.at(k)
+            rhs = self.at(k + 1) * self.source.differential(k)
             if lhs != rhs:
                 raise ShapeError(f"not a chain map at degree {k}")
         for src, tgt, step in ((self.source.weight, self.target.weight, "W_"),
@@ -180,10 +178,10 @@ def cone(f: ComplexMap) -> FilteredComplex:
         dims.append(da + db)
         top, bottom = range(da2), range(da2, da2 + db2)
         left, right = range(da), range(da, da + db)
-        d[k] = LinearMap(place((da2 + db2, da + db), [
-            (-a.differential(k + 1).matrix, top, left),
-            (f.at(k + 1).matrix, bottom, left),
-            (b.differential(k).matrix, bottom, right)]))
+        d[k] = place((da2 + db2, da + db), [
+            (-a.differential(k + 1), top, left),
+            (f.at(k + 1), bottom, left),
+            (b.differential(k), bottom, right)])
     filts = []
     for fa, fb, name, lift in ((a.weight, b.weight, "weight", 1),
                                (a.hodge, b.hodge, "Hodge", 0)):
@@ -229,7 +227,7 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None,
     for k in range(lo, hi):
         src = c.differential(top - k - 1)  # term(top-k-1) -> term(top-k)
         sign = -ONE if (k % 2 == 0) else ONE
-        d[k] = LinearMap(src.matrix.transpose().scale(sign))
+        d[k] = src.transpose().scale(sign)
     weight, hodge = (
         None if filt is None else
         {k: filt[top - k].dual(center) for k in range(lo, hi + 1)
@@ -309,14 +307,14 @@ def cohomology(c: FilteredComplex) -> CohomologyReport:
 
 # -- the Koszul slot complex ----------------------------------------------------
 
-def alpha_ops(comp) -> dict[int, LinearMap]:
+def alpha_ops(comp) -> dict[int, Matrix]:
     """alpha_j Id - N_j on one component, per branch j."""
-    ident = LinearMap.identity(comp.dim)
+    ident = Matrix.identity(comp.dim)
     return {j: ident.scale(Scalar(a)) - nj
             for j, (a, nj) in enumerate(zip(comp.alpha, comp.nilpotents))}
 
 
-def slot_image(ops: dict[int, LinearMap], branches, dim: int) -> Subspace:
+def slot_image(ops: dict[int, Matrix], branches, dim: int) -> Subspace:
     """Image of the product of the operators of the listed branches."""
     out = Subspace.full(dim)
     for j in branches:
@@ -374,8 +372,8 @@ def koszul_complex(branches, blocks, cut, weight=None,
                 except IllDefinedInducedMap:
                     raise ShapeError(
                         "differential leaves the declared slot space") from None
-                pieces.append((block.matrix.scale(sign), t_pos, pos))
-        d[k] = LinearMap(place((dims[k + 1], dims[k]), pieces))
+                pieces.append((block.scale(sign), t_pos, pos))
+        d[k] = place((dims[k + 1], dims[k]), pieces)
     filts = []
     for rule in (weight, hodge):
         filts.append(None if rule is None else {
@@ -456,7 +454,7 @@ def ic_into_iclog(model, ic: FilteredComplex, log: FilteredComplex) -> ComplexMa
             block = Matrix([t_space.coords(v) for v in space.basis],
                            cols=t_space.dim).transpose()
             pieces.append((block, t_pos, pos))
-        maps[k] = LinearMap(place((log.term_dim(k), ic.term_dim(k)), pieces))
+        maps[k] = place((log.term_dim(k), ic.term_dim(k)), pieces)
     out = ComplexMap(ic, log, maps)
     out.validate()
     return out
@@ -573,7 +571,7 @@ class IntersectionData:
     star: FilteredComplex
     h_shriek: CohomologyReport
     h_star: CohomologyReport
-    maps: dict[int, LinearMap]  # H^k(i^!) -> H^k(i^*)
+    maps: dict[int, Matrix]  # H^k(i^!) -> H^k(i^*)
 
 
 def intersection_morphism(model, z) -> IntersectionData:
@@ -605,16 +603,16 @@ def intersection_morphism(model, z) -> IntersectionData:
         if tdim != ddim:
             raise AssertionError("dual cohomology dimensions disagree")
         if tdim == 0:
-            maps[k] = LinearMap.zero(hk.dim, 0)
+            maps[k] = Matrix.zero(0, hk.dim)
             continue
         _check_pairing_ambiguities(tower, pair, k)
         duals = dual_h.presentation.lifts.basis            # Q-coords, deg n-k
         w_logs = [tower.pres[dual_deg - 1].lift(wq) for wq in duals]
         # evaluation pairing between H^{n+1-k}(shriek) and H^k(star)
-        evaluation = LinearMap(Matrix(
+        evaluation = Matrix(
             [[sum((pc * wc for pc, wc in zip(phi, wv)), ZERO)
               for phi in target.presentation.lifts.basis] for wv in duals],
-            cols=tdim))
+            cols=tdim)
         cols = []
         for u in hk.presentation.lifts.basis:               # Q-coords, deg k-1
             delta_u = _connecting_class(tower, k, u)
@@ -622,7 +620,7 @@ def intersection_morphism(model, z) -> IntersectionData:
             if sol is None:
                 raise AssertionError("evaluation pairing is degenerate")
             cols.append(sol)
-        maps[k] = LinearMap(Matrix(cols, cols=tdim).transpose())
+        maps[k] = Matrix(cols, cols=tdim).transpose()
     return IntersectionData(shr, st, h_shr, h_st, maps)
 
 
@@ -656,7 +654,7 @@ def _check_pairing_ambiguities(tower: _SupportTower, pair, k):
             if pair(k, u, v):
                 raise AssertionError(
                     f"pairing does not kill coboundaries at degree {k}")
-    source_coboundaries = log.differential(n - k - 1).matrix.transpose().entries
+    source_coboundaries = log.differential(n - k - 1).transpose().entries
     for u in z_ic.basis:
         for y in source_coboundaries:
             if pair(k, u, y):
@@ -748,7 +746,7 @@ def _lift_h_map(data: IntersectionData) -> ComplexMap:
                         span = span.sum(Subspace.span([v], da))
         change = Matrix(basis_rows, cols=da).transpose()
         vals = Matrix(values, cols=db).transpose() if db else Matrix.zero(0, da)
-        maps[k] = LinearMap(vals * change.inverse())
+        maps[k] = vals * change.inverse()
     rho = ComplexMap(a, b, maps)
     try:
         rho.validate()
@@ -766,7 +764,7 @@ def _class_representative(h: DegreeCohomology, b: FilteredComplex, k: int,
     zw = b.differential(k).kernel().intersect(b.weight_at(k).at(weight_bound))
     bd = b.differential(k - 1).image()
     gens = list(zw.basis) + list(bd.basis)
-    coeffs = LinearMap(Matrix(gens, cols=b.term_dim(k)).transpose()).solve(v0)
+    coeffs = Matrix(gens, cols=b.term_dim(k)).transpose().solve(v0)
     if coeffs is None:
         raise FiltrationNotPreserved(
             "cohomology class has no representative at its weight level")

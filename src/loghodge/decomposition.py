@@ -23,7 +23,7 @@ from .complexes import (
 from .errors import ShapeError
 from .filtrations import _memoized, evaluation, relative_monodromy_filtration
 from .linalg import (
-    LinearMap,
+    Matrix,
     Subquotient,
     Subspace,
     induced_map,
@@ -40,7 +40,7 @@ class PrimitiveComponentPart:
     weight: int
     gr: Subquotient                 # Gr^{W^J}_k of the component space
     space: Subspace                 # the primitive part, in gr coordinates
-    residual: dict[int, LinearMap]  # induced N_j on the part, j outside J
+    residual: dict[int, Matrix]  # induced N_j on the part, j outside J
 
     @property
     def dim(self):
@@ -74,7 +74,7 @@ def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
         gr_k = model.wj(ci, frozenset(K)).graded_piece(k + 1)
         if gr_k.dim == 0:
             continue
-        ident = LinearMap.identity(comp.dim)
+        ident = Matrix.identity(comp.dim)
         g = induced_map(ident, gr, gr_k)
         space = space.intersect(g.kernel())
     if inside is not None:
@@ -137,7 +137,7 @@ def check_distinguished_pair(model: NCModel, ci: int, j: int):
         gr_s = w.graded_piece(m + 1)
         n_bar = induced_map(nj, gr_s, gr_t)
         img = n_bar.image()
-        ident = induced_map(LinearMap.identity(comp.dim), gr_t, gr_s)
+        ident = induced_map(Matrix.identity(comp.dim), gr_t, gr_s)
         ker_i = ident.kernel()
         if img.intersect(ker_i).dim != 0 or img.sum(ker_i).dim != gr_t.dim:
             return False, f"no exact splitting at weight {m}"
@@ -182,10 +182,10 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
                         p = _primitive_component(model, ci, K, w_tgt + len(J) - len(K))
                         if p.dim == 0:
                             continue
-                        op = LinearMap.identity(comp.dim)
+                        op = Matrix.identity(comp.dim)
                         for j in J:
                             if j not in K:
-                                op = comp.nilpotents[j].compose(op)
+                                op = comp.nilpotents[j] * op
                         img = induced_map(op, p.gr, gr).image(p.space)
                         if total.intersect(img).dim != 0:
                             ok = False

@@ -24,7 +24,6 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
-    LinearMap,
     Matrix,
     Subquotient,
     Subspace,
@@ -60,14 +59,14 @@ class Filtration:
         for i, sub in sorted(steps, key=lambda t: t[0]):
             if sub.ambient_dim != ambient_dim:
                 raise ShapeError("filtration step in wrong ambient space")
-            if last is not None and i == last:
+            if i == last:
                 raise ShapeError(f"duplicate filtration {self._INDEX} {i}")
+            last = i
             if sub == prev:
                 continue
             self._check_order(prev, sub)
             cleaned.append((i, sub))
             prev = sub
-            last = i
         self._check_end(prev)
         self.ambient_dim = ambient_dim
         self.steps = tuple(cleaned)
@@ -96,7 +95,7 @@ class Filtration:
         return {i + self._SIDE: abs(b - a)
                 for (i, _), a, b in zip(self.steps, dims, dims[1:])}
 
-    def first_violation(self, f: LinearMap, target, shift: int = 0):
+    def first_violation(self, f: Matrix, target, shift: int = 0):
         """An index r at which f(self_r) is not inside target_{r+shift}, or
         None when there is none; target has self's direction.
 
@@ -268,20 +267,20 @@ def _memoized(fn, *args):
 
 # -- monodromy filtrations --------------------------------------------------
 
-def _kernel_tower(N: LinearMap, message: str):
+def _kernel_tower(N: Matrix, message: str):
     """The powers N^0..N^e of N, N^e = 0, and ker(m), the kernel of N^m
     clamped to zero for m <= 0 and to the full space for m >= e; each kernel
     is computed once.  NotNilpotent(message) otherwise."""
     powers = N.powers()
     if powers is None:
         raise NotNilpotent(message)
-    n, e = N.source_dim, len(powers) - 1
+    n, e = N.cols, len(powers) - 1
     kernels = ([Subspace.zero(n)] + [p.kernel() for p in powers[1:e]]
                + [Subspace.full(n)])
     return powers, lambda m: kernels[min(max(m, 0), e)]
 
 
-def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
+def monodromy_filtration(N: Matrix, center: int = 0) -> IncreasingFiltration:
     """The unique filtration M with N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
     Built from the closed formula M_{c+k} = sum_j Im(N^j) cap Ker(N^{j+k+1});
@@ -290,9 +289,9 @@ def monodromy_filtration(N: LinearMap, center: int = 0) -> IncreasingFiltration:
     return _memoized(_monodromy_filtration, N, center)
 
 
-def _monodromy_filtration(N: LinearMap, center: int) -> IncreasingFiltration:
+def _monodromy_filtration(N: Matrix, center: int) -> IncreasingFiltration:
     powers, ker = _kernel_tower(N, "operator is not nilpotent")
-    n, e = N.source_dim, len(powers) - 1
+    n, e = N.cols, len(powers) - 1
     images = [p.image() for p in powers]           # Im N^j
     steps = []
     for k in range(-e, e + 1):
@@ -305,8 +304,8 @@ def _monodromy_filtration(N: LinearMap, center: int) -> IncreasingFiltration:
     return m
 
 
-def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap,
-                            powers: list[LinearMap], center: int):
+def _check_monodromy_axioms(m: IncreasingFiltration, N: Matrix,
+                            powers: list[Matrix], center: int):
     """Both axioms; Gr^m is zero beyond center +- e, so powers[k] exists
     wherever it is read."""
     if m.first_violation(N, m, -2) is not None:
@@ -323,13 +322,13 @@ def _check_monodromy_axioms(m: IncreasingFiltration, N: LinearMap,
         if top.dim == 0:
             continue
         g = induced_map(powers[k], top, bot)
-        if LinearMap(g.matrix).kernel().dim != 0:
+        if g.kernel().dim != 0:
             raise RelativeMonodromyNonexistent(
                 f"N^{k} is not an isomorphism Gr_{center + k} -> Gr_{center - k}"
             )
 
 
-def check_relative_axioms(m: IncreasingFiltration, N: LinearMap,
+def check_relative_axioms(m: IncreasingFiltration, N: Matrix,
                           w: IncreasingFiltration) -> bool:
     """Both relative monodromy axioms, as exact subspace statements."""
     if m.first_violation(N, m, -2) is not None:
@@ -349,14 +348,14 @@ def check_relative_axioms(m: IncreasingFiltration, N: LinearMap,
     return True
 
 
-def _jordan_chain_tops(N: LinearMap) -> list[tuple[Vector, int]]:
+def _jordan_chain_tops(N: Matrix) -> list[tuple[Vector, int]]:
     """Chain tops (v, m) with N^m v = 0: translates N^j v form a basis.
 
     Tops of length m are a canonical complement basis of
     Ker N^m / (Ker N^{m-1} + N Ker N^{m+1}).
     """
     powers, ker = _kernel_tower(N, "jordan chains of a non-nilpotent operator")
-    n = N.source_dim
+    n = N.cols
     tops = []
     for m in range(len(powers) - 1, 0, -1):
         space = ker(m)
@@ -370,7 +369,7 @@ def _jordan_chain_tops(N: LinearMap) -> list[tuple[Vector, int]]:
     return tops
 
 
-def relative_monodromy_filtration(N: LinearMap,
+def relative_monodromy_filtration(N: Matrix,
                                   w: IncreasingFiltration) -> IncreasingFiltration:
     """The filtration M(N, W), or RelativeMonodromyNonexistent.
 
@@ -385,12 +384,12 @@ def relative_monodromy_filtration(N: LinearMap,
     return _memoized(_relative_monodromy_filtration, N, w)
 
 
-def _relative_monodromy_filtration(N: LinearMap, w: IncreasingFiltration
+def _relative_monodromy_filtration(N: Matrix, w: IncreasingFiltration
                                    ) -> IncreasingFiltration:
     powers = N.powers()
     if powers is None:
         raise NotNilpotent("operator is not nilpotent")
-    if N.source_dim != w.ambient_dim:
+    if N.cols != w.ambient_dim:
         raise ShapeError("operator and filtration live on different spaces")
     if w.first_violation(N, w) is not None:
         raise FiltrationNotPreserved("N does not preserve the weight filtration")
@@ -402,8 +401,8 @@ def _relative_monodromy_filtration(N: LinearMap, w: IncreasingFiltration
     return m
 
 
-def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration,
-                            powers: list[LinearMap] | None = None):
+def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration,
+                            powers: list[Matrix] | None = None):
     """M(N, W) before verification; powers is N's tower when the caller
     holds it, else it is built here where it is read."""
     n = w.ambient_dim
@@ -417,7 +416,7 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration,
     v_sub = w.at(jumps[-2])
     # restriction to the part below the top weight, in V-coordinates
     v_part = Subquotient.of(v_sub)
-    inclusion = LinearMap(Matrix(v_sub.basis, cols=n).transpose())
+    inclusion = Matrix(v_sub.basis, cols=n).transpose()
     nv = induced_map(N, v_part, v_part)
     wv = w.project_to(v_part)
     m_below = _relative_monodromy_rec(nv, wv)
@@ -438,7 +437,7 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration,
         tail = powers[length](x0)
         target_m = inclusion.image(m_below.at(b - length - 1))
         gens = list(target_m.basis) + [powers[length](u) for u in v_sub.basis]
-        coeffs = LinearMap(Matrix(gens, cols=n).transpose()).solve(tail)
+        coeffs = Matrix(gens, cols=n).transpose().solve(tail)
         if coeffs is None:
             raise RelativeMonodromyNonexistent(
                 f"no admissible lift for a chain of length {length} over weight {b}"
@@ -462,7 +461,7 @@ def _relative_monodromy_rec(N: LinearMap, w: IncreasingFiltration,
 
 # -- star, shriek, iterated star --------------------------------------------
 
-def star(N: LinearMap, w: IncreasingFiltration) -> IncreasingFiltration:
+def star(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
     """(N*W)_k = N W_{k+1} + M_k(N,W) cap W_k; the alternate form with
     W_{k+1} is computed too and asserted equal."""
     m = relative_monodromy_filtration(N, w)
@@ -480,7 +479,7 @@ def star(N: LinearMap, w: IncreasingFiltration) -> IncreasingFiltration:
     return IncreasingFiltration(n, steps)
 
 
-def shriek(N: LinearMap, w: IncreasingFiltration) -> IncreasingFiltration:
+def shriek(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
     """(N!W)_k = W_{k-1} + M_k(N,W) cap N^{-1} W_{k-1}."""
     m = relative_monodromy_filtration(N, w)
     n = w.ambient_dim
@@ -493,7 +492,7 @@ def shriek(N: LinearMap, w: IncreasingFiltration) -> IncreasingFiltration:
     return IncreasingFiltration(n, steps)
 
 
-def iterated_star(operators: Sequence[LinearMap], w: IncreasingFiltration,
+def iterated_star(operators: Sequence[Matrix], w: IncreasingFiltration,
                   branches: Sequence[int],
                   check_order: bool | None = None) -> IncreasingFiltration:
     """W^J: star-compose the listed branch operators over W.

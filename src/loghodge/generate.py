@@ -16,7 +16,7 @@ from fractions import Fraction
 from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
 # rref is imported for perfbench's tracer, which rebinds the name in every
 # module that binds it; its tests check this module too
-from .linalg import LinearMap, Matrix, Subspace, rref  # noqa: F401
+from .linalg import Matrix, Subspace, rref  # noqa: F401
 from .model import AlphaComponent, NCModel, direct_sum
 from .scalars import ONE, ZERO, I
 
@@ -34,11 +34,11 @@ def random_unimodular(dim: int, rng: random.Random, ops: int | None = None) -> M
     return Matrix(g)
 
 
-def random_nilpotent(dim: int, rng: random.Random) -> LinearMap:
+def random_nilpotent(dim: int, rng: random.Random) -> Matrix:
     upper = [[rng.randint(-2, 2) if j > i else 0 for j in range(dim)]
              for i in range(dim)]
     g = random_unimodular(dim, rng)
-    return LinearMap(g * Matrix(upper) * g.inverse())
+    return g * Matrix(upper) * g.inverse()
 
 
 # -- building blocks ----------------------------------------------------------
@@ -68,7 +68,7 @@ def _tensor_blocks(n_branches: int, sizes: list[int]) -> _Block:
             if t[b] + 1 < dims[b]:
                 t2 = t[:b] + (t[b] + 1,) + t[b + 1:]
                 rows[pos[t2]][pos[t]] = ONE
-        nilpotents.append(LinearMap(Matrix(rows, cols=total)))
+        nilpotents.append(Matrix(rows, cols=total))
     w0 = sum(m - 1 for m in dims)
     s_rows = [[ZERO] * total for _ in range(total)]
     for t in index:
@@ -94,7 +94,7 @@ def _tensor_blocks(n_branches: int, sizes: list[int]) -> _Block:
 
 def _elliptic_block(n_branches: int) -> _Block:
     """Weight-one rank-two piece with trivial operators: types (1,0)+(0,1)."""
-    nil = [LinearMap.zero(2, 2) for _ in range(n_branches)]
+    nil = [Matrix.zero(2, 2) for _ in range(n_branches)]
     s = Matrix([[ZERO, ONE], [-ONE, ZERO]], cols=2)
     f = [(0, [(ONE, ZERO), (ZERO, ONE)]),
          (1, [(ONE, I)]),
@@ -131,10 +131,10 @@ def conjugate_model(model: NCModel, g: Matrix) -> NCModel:
         raise ValueError("conjugation helper expects a single component")
     comp = model.components[0]
     ginv = g.inverse()
-    nil = tuple(LinearMap(g * nj.matrix * ginv) for nj in comp.nilpotents)
+    nil = tuple(g * nj * ginv for nj in comp.nilpotents)
     new_comp = AlphaComponent(comp.alpha, comp.dim, nil)
 
-    push_subspace = LinearMap(g).image
+    push_subspace = g.image
 
     weight = IncreasingFiltration(
         comp.dim, [(w, push_subspace(s)) for w, s in model.weight.steps])
@@ -240,7 +240,7 @@ def random_spectral_model(n_branches: int, rng: random.Random,
         nil = []
         for _ in range(n_branches):
             c1, c2 = rng.randint(-2, 2), rng.randint(-1, 1)
-            nil.append(base.scale(c1) + base.compose(base).scale(c2))
+            nil.append(base.scale(c1) + (base * base).scale(c2))
         comps.append(AlphaComponent(alpha, d, tuple(nil)))
     # a pure weight per component, drawn in component order
     parts, total = [], 0

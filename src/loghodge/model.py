@@ -29,7 +29,6 @@ from .filtrations import (
     star,
 )
 from .linalg import (
-    LinearMap,
     Matrix,
     Subquotient,
     Subspace,
@@ -46,7 +45,7 @@ class AlphaComponent:
 
     alpha: tuple[Fraction, ...]
     dim: int
-    nilpotents: tuple[LinearMap, ...]
+    nilpotents: tuple[Matrix, ...]
 
     def is_unipotent(self) -> bool:
         return all(a == 0 for a in self.alpha)
@@ -85,18 +84,18 @@ class NCModel:
                                  for i in self.component_positions(ci)),
                         _canonical=True)
 
-    def nilpotent(self, j: int) -> LinearMap:
+    def nilpotent(self, j: int) -> Matrix:
         """N_j on the total space (block diagonal over components)."""
         n = self.total_dim
         pieces = []
         for ci, comp in enumerate(self.components):
             pos = self.component_positions(ci)
-            pieces.append((comp.nilpotents[j].matrix, pos, pos))
-        return LinearMap(place((n, n), pieces))
+            pieces.append((comp.nilpotents[j], pos, pos))
+        return place((n, n), pieces)
 
-    def nilpotent_sum(self, branches, t=None) -> LinearMap:
+    def nilpotent_sum(self, branches, t=None) -> Matrix:
         n = self.total_dim
-        out = LinearMap.zero(n, n)
+        out = Matrix.zero(n, n)
         for idx, j in enumerate(branches):
             nj = self.nilpotent(j)
             if t is not None:
@@ -184,7 +183,7 @@ def validate(model: NCModel) -> CheckReport:
         ok = all(n.powers() is not None for n in comp.nilpotents)
         report.add("NilpotentOperators", ok,
                    f"component {ci} has a non-nilpotent operator")
-        ok = all(na.compose(nb) == nb.compose(na)
+        ok = all(na * nb == nb * na
                  for na, nb in itertools.combinations(comp.nilpotents, 2))
         report.add("NonCommutingOperators", ok,
                    f"component {ci} operators do not commute")
@@ -227,8 +226,7 @@ def validate(model: NCModel) -> CheckReport:
                        "pairing parity does not match declared weight")
             report.add("InfinitesimalIsometry", all(
                 nj.transpose() * s + s * nj == Matrix.zero(n, n)
-                for nj in (model.nilpotent(j).matrix
-                           for j in range(model.branches))),
+                for nj in map(model.nilpotent, range(model.branches))),
                 "some N_j is not an infinitesimal isometry of S")
             pos = model.component_positions
             report.add("PairingRestrictsToComponents", not any(
@@ -257,7 +255,7 @@ def unipotent_part(model: NCModel) -> NCModel:
         for v in sub.basis:
             row = [model.pairing_form()(v, u) for u in sub.basis]
             rows.append(row)
-        pairing = Matrix(rows, cols=sub.dim) if sub.dim else Matrix([], cols=0)
+        pairing = Matrix(rows, cols=sub.dim)
     return NCModel(
         branches=model.branches,
         components=comps,
@@ -289,8 +287,7 @@ def direct_sum(a: NCModel, b: NCModel) -> NCModel:
             d = old.dim + comp.dim
             halves = (range(old.dim), range(old.dim, d))
             nils = tuple(
-                LinearMap(place((d, d), [(f.matrix, pos, pos)
-                                         for f, pos in zip(ops, halves)]))
+                place((d, d), [(f, pos, pos) for f, pos in zip(ops, halves)])
                 for ops in zip(old.nilpotents, comp.nilpotents))
             comps[hit] = AlphaComponent(old.alpha, d, nils)
             places[1].append((hit, old.dim))
@@ -393,7 +390,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         gr = model.weight.graded_piece(i)
         if gr.dim == 0:
             continue
-        n_grs = [LinearMap.zero(gr.dim, gr.dim)]
+        n_grs = [Matrix.zero(gr.dim, gr.dim)]
         if n_branches:
             n_grs = [induced_map(model.nilpotent_sum(all_branches, t), gr, gr)
                      for t in samples]
@@ -492,7 +489,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     return report
 
 
-def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: LinearMap,
+def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
                             i: int, form) -> bool:
     """Step (4) on Gr^W_i = gr, on which N induces n_gr."""
     m = monodromy_filtration(n_gr, center=i)
@@ -608,11 +605,9 @@ def model_from_json(doc) -> NCModel:
         nmats = cdoc["N"]
         if not isinstance(nmats, list) or len(nmats) != n:
             raise ParseError(f"component {k}: N must list {n} matrices")
-        nil = []
-        for j, mdoc in enumerate(nmats):
-            m = _matrix_from_json(mdoc, d, f"component {k} N[{j}]")
-            nil.append(LinearMap(m))
-        comps.append(AlphaComponent(alpha, d, tuple(nil)))
+        nil = tuple(_matrix_from_json(mdoc, d, f"component {k} N[{j}]")
+                    for j, mdoc in enumerate(nmats))
+        comps.append(AlphaComponent(alpha, d, nil))
     total = sum(c.dim for c in comps)
     weight = IncreasingFiltration.from_json(doc["W"], total)
     hodge = None
@@ -641,7 +636,7 @@ def _matrix_from_json(mdoc, d: int, where: str) -> Matrix:
         if not isinstance(r, list) or len(r) != d:
             raise ParseError(f"{where}: expected square {d}x{d} matrix")
         rows.append([parse_scalar(e) for e in r])
-    return Matrix(rows, cols=d) if d else Matrix([], cols=0)
+    return Matrix(rows, cols=d)
 
 
 def model_to_json(model: NCModel) -> dict:
@@ -653,7 +648,7 @@ def model_to_json(model: NCModel) -> dict:
             {
                 "alpha": [format_scalar(Scalar(a)) for a in c.alpha],
                 "dim": c.dim,
-                "N": [m.matrix.to_strings() for m in c.nilpotents],
+                "N": [m.to_strings() for m in c.nilpotents],
             }
             for c in model.components
         ],

@@ -34,8 +34,9 @@ class Scalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        re = re if isinstance(re, (int, Fraction)) else Fraction(re)
-        im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("Scalar parts must be int or Fraction, not "
+                            f"{type(re).__name__} and {type(im).__name__}")
         # over the lcm of the two denominators no prime divides a, b and d
         self.d = d = lcm(re.denominator, im.denominator)
         self.a = re.numerator * (d // re.denominator)

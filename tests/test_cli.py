@@ -55,6 +55,19 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "error"
 
 
+def test_a_repeated_weight_exits_two(tmp_path, capsys):
+    doc = {
+        "branches": 1, "base_weight": 0, "perverse_shift": 0,
+        "components": [{"alpha": ["0"], "dim": 1, "N": [[["0"]]]}],
+        "W": [{"weight": 0, "basis": []}, {"weight": 0, "basis": [["1"]]}],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert "duplicate filtration weight 0" in json.loads(out)["error"]
+
+
 def test_purity_verb(capsys):
     code, out = run_cli(["purity", "--mode", "closed", "--z", "1", str(J2)],
                         capsys)

@@ -22,7 +22,7 @@ from loghodge.complexes import (
 from loghodge.errors import FiltrationNotPreserved, PairingDegenerate, ShapeError
 from loghodge.generate import random_imhs_model, random_spectral_model
 from loghodge.filtrations import DecreasingFiltration
-from loghodge.linalg import LinearMap, Subspace
+from loghodge.linalg import Matrix, Subspace
 from loghodge.model import model_from_json, unipotent_part
 
 RANK1 = model_from_json({
@@ -102,7 +102,7 @@ def test_iclog_bad_branch():
 
 def test_cone_of_identity_acyclic():
     c = build_ic(J2)
-    ident = ComplexMap(c, c, {k: LinearMap.identity(c.term_dim(k))
+    ident = ComplexMap(c, c, {k: Matrix.identity(c.term_dim(k))
                               for k in c.degrees()})
     assert dims_of(cone(ident)) == {}
 
@@ -255,7 +255,7 @@ def test_hodge_break_where_only_the_target_jumps():
     # d(F^1) is not inside F^1 although F jumps only at 2 in degree 0
     f_src = DecreasingFiltration(1, [(2, Subspace.zero(1))])
     f_tgt = DecreasingFiltration(1, [(1, Subspace.zero(1))])
-    ident = LinearMap.identity(1)
+    ident = Matrix.identity(1)
     c = FilteredComplex(0, (1, 1), {0: ident}, hodge={0: f_src, 1: f_tgt})
     with pytest.raises(FiltrationNotPreserved, match=r"F\^1 at degree 0"):
         c.validate()

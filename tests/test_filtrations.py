@@ -27,11 +27,11 @@ from loghodge.filtrations import (
     shriek,
     star,
 )
-from loghodge.linalg import LinearMap, Matrix, Subquotient, Subspace, canonicalize
+from loghodge.linalg import Matrix, Subquotient, Subspace, canonicalize
 from loghodge.model import imhs_check, load_model
 
-J2 = LinearMap([[0, 1], [0, 0]])
-J3 = LinearMap([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+J2 = Matrix([[0, 1], [0, 0]])
+J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def random_nilpotent(dim, rng):
@@ -47,7 +47,7 @@ def random_nilpotent(dim, rng):
         for k in range(dim):
             g[i][k] += c * g[j][k]
     gm = Matrix(g)
-    return LinearMap(gm * Matrix(upper) * gm.inverse())
+    return gm * Matrix(upper) * gm.inverse()
 
 
 def test_filtration_normalization():
@@ -70,7 +70,7 @@ def test_decreasing_filtration():
 
 
 def test_monodromy_examples():
-    assert monodromy_filtration(LinearMap.zero(3, 3), 0).graded_dims() == {0: 3}
+    assert monodromy_filtration(Matrix.zero(3, 3), 0).graded_dims() == {0: 3}
     assert monodromy_filtration(J2, 0).graded_dims() == {-1: 1, 1: 1}
     assert monodromy_filtration(J3, 0).graded_dims() == {-2: 1, 0: 1, 2: 1}
     m = monodromy_filtration(J2, 5)
@@ -79,7 +79,7 @@ def test_monodromy_examples():
 
 def test_monodromy_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
-        monodromy_filtration(LinearMap.identity(2), 0)
+        monodromy_filtration(Matrix.identity(2), 0)
 
 
 def test_monodromy_axioms_on_random_nilpotents():
@@ -99,7 +99,7 @@ def test_relative_monodromy_examples():
     assert relative_monodromy_filtration(J2, w_pure) == monodromy_filtration(J2, 0)
     mixed = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
                                      (1, Subspace.full(2))])
-    assert relative_monodromy_filtration(LinearMap.zero(2, 2), mixed) == mixed
+    assert relative_monodromy_filtration(Matrix.zero(2, 2), mixed) == mixed
     with pytest.raises(RelativeMonodromyNonexistent):
         relative_monodromy_filtration(J2, mixed)
     with pytest.raises(FiltrationNotPreserved):
@@ -110,7 +110,7 @@ def test_relative_monodromy_examples():
 
 def test_relative_monodromy_mixed_extension():
     # weight -1 line plus a Jordan block at weight 0; basis (e, f1, f2), N f2 = f1
-    n = LinearMap([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     w = IncreasingFiltration(3, [(-1, canonicalize([[1, 0, 0]])),
                                  (0, Subspace.full(3))])
     m = relative_monodromy_filtration(n, w)
@@ -119,7 +119,7 @@ def test_relative_monodromy_mixed_extension():
 
 
 def test_relative_monodromy_uniqueness_by_perturbation():
-    n = LinearMap([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     w = IncreasingFiltration(3, [(-1, canonicalize([[1, 0, 0]])),
                                  (0, Subspace.full(3))])
     m = relative_monodromy_filtration(n, w)
@@ -137,9 +137,9 @@ def test_star_examples():
     assert s.at(-2).dim == 0
     assert s.at(-1) == s.at(0) == canonicalize([[1, 0]])
     assert s.at(1).is_full()
-    assert star(LinearMap.zero(2, 2), w) == w
+    assert star(Matrix.zero(2, 2), w) == w
     rank1 = IncreasingFiltration.pure(1, 5)
-    assert star(LinearMap.zero(1, 1), rank1) == rank1
+    assert star(Matrix.zero(1, 1), rank1) == rank1
 
 
 def test_shriek_examples():
@@ -147,7 +147,7 @@ def test_shriek_examples():
     assert shriek(J2, w) == star(J2, w)  # self-dual instance
     mixed = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
                                      (1, Subspace.full(2))])
-    assert shriek(LinearMap.zero(2, 2), mixed) == mixed
+    assert shriek(Matrix.zero(2, 2), mixed) == mixed
 
 
 def test_star_monodromy_identity():
@@ -171,7 +171,7 @@ def test_star_drop_and_raise_maps():
 
 
 def test_iterated_star_order_independence():
-    ops = [J2, LinearMap.zero(2, 2)]
+    ops = [J2, Matrix.zero(2, 2)]
     w = IncreasingFiltration.pure(2, 0)
     assert iterated_star(ops, w, [0, 1]) == iterated_star(ops, w, [1, 0])
     assert iterated_star(ops, w, [0]) == star(J2, w)
@@ -332,6 +332,15 @@ def test_shift_both_directions(cls):
      "filtration is not exhaustive (top step != full space)"),
     (DecreasingFiltration, [(0, LINE)],
      "decreasing filtration does not reach zero"),
+    # a step equal to the start space is dropped, but its index still counts
+    (IncreasingFiltration, [(0, Subspace.zero(2)), (0, Subspace.full(2))],
+     "duplicate filtration weight 0"),
+    (IncreasingFiltration, [(0, Subspace.full(2)), (0, Subspace.zero(2))],
+     "duplicate filtration weight 0"),
+    (DecreasingFiltration, [(0, Subspace.full(2)), (0, Subspace.zero(2))],
+     "duplicate filtration index 0"),
+    (DecreasingFiltration, [(0, Subspace.zero(2)), (0, Subspace.full(2))],
+     "duplicate filtration index 0"),
 ])
 def test_constructor_rejections_both_directions(cls, steps, message):
     with pytest.raises(ShapeError, match=re.escape(message)):
@@ -370,14 +379,14 @@ def filtered_maps(draw, cls):
     source, target = flag(ds), flag(dt)
     kind = draw(st.sampled_from(["random", "zero", "identity"]))
     if kind == "identity" and ds == dt:
-        f = LinearMap.identity(ds)
+        f = Matrix.identity(ds)
         target = draw(st.sampled_from([source, target]))
     elif kind == "zero":
-        f = LinearMap.zero(ds, dt)
+        f = Matrix.zero(dt, ds)
     else:
-        f = LinearMap(Matrix(draw(st.lists(
+        f = Matrix(draw(st.lists(
             st.lists(st.integers(-1, 1), min_size=ds, max_size=ds),
-            min_size=dt, max_size=dt)), cols=ds))
+            min_size=dt, max_size=dt)), cols=ds)
     return source, f, target, draw(st.integers(-2, 1))
 
 
@@ -414,7 +423,7 @@ def _count_rref(monkeypatch):
 
 def _mixed_extension():
     """A fresh (N, W) pair, equal to but not identical with every other."""
-    n = LinearMap([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     w = IncreasingFiltration(3, [(-1, canonicalize([[1, 0, 0]])),
                                  (0, Subspace.full(3))])
     return n, w
@@ -425,7 +434,7 @@ def test_evaluation_returns_the_remembered_object_without_rref(monkeypatch):
     with evaluation():
         m = monodromy_filtration(J3, 1)
         r = relative_monodromy_filtration(*_mixed_extension())
-        copy = LinearMap([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        copy = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         n, w = _mixed_extension()
         del calls[:]
         assert monodromy_filtration(copy, center=1) is m
@@ -475,7 +484,7 @@ _NOT_PRESERVED = IncreasingFiltration(2, [(0, canonicalize([[0, 1]])),
 
 
 @pytest.mark.parametrize("fn, args, error", [
-    (monodromy_filtration, (LinearMap.identity(2), 0), NotNilpotent),
+    (monodromy_filtration, (Matrix.identity(2), 0), NotNilpotent),
     (relative_monodromy_filtration, (J2, _MIXED_LINE),
      RelativeMonodromyNonexistent),
     (relative_monodromy_filtration, (J2, _NOT_PRESERVED),

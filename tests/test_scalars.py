@@ -16,6 +16,13 @@ fractions = st.builds(
 scalars = st.builds(Scalar, fractions, fractions)
 
 
+@pytest.mark.parametrize("re, im", [(0.1, 0), (0, 0.5), ("1/3", 0), (1, "2"),
+                                    (1j, 0), (None, 0)])
+def test_constructor_takes_only_ints_and_fractions(re, im):
+    with pytest.raises(TypeError):
+        Scalar(re, im)
+
+
 def test_parse_formats():
     assert parse_scalar("3") == Scalar(3)
     assert parse_scalar("-3/2") == Scalar(Fraction(-3, 2))

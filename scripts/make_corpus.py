@@ -8,7 +8,6 @@ as literal complex identities; mixed-weight instances carry no pairing since
 the one-weight purity bounds presume a pure coefficient system.
 """
 
-import json
 import random
 import sys
 from pathlib import Path
@@ -86,19 +85,26 @@ def generated_instances():
     yield "gen_pure_n3", model_to_json(random_pure_model(3, rng, max_dim=4))
 
 
+def instances():
+    """Every corpus instance as (name, document), in the order written."""
+    return list(hand_instances()) + list(generated_instances())
+
+
+def instance_json(doc) -> str:
+    """The committed bytes of an instance document: its canonical
+    re-serialisation, which also validates the schema."""
+    return canonical_json(model_to_json(model_from_json(doc)))
+
+
 def main():
     ROOT.mkdir(exist_ok=True)
     names = []
-    for name, doc in list(hand_instances()) + list(generated_instances()):
-        model = model_from_json(doc)          # validates the schema
-        path = ROOT / f"{name}.json"
-        path.write_text(canonical_json(model_to_json(model)))
+    for name, doc in instances():
+        (ROOT / f"{name}.json").write_text(instance_json(doc))
         names.append(name)
     for name in names:
-        path = ROOT / f"{name}.json"
-        entry = corpus_entry(str(path))
-        (ROOT / f"{name}.expected.json").write_text(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        entry = corpus_entry(str(ROOT / f"{name}.json"))
+        (ROOT / f"{name}.expected.json").write_text(canonical_json(entry))
         print(f"wrote {name}")
 
 

@@ -47,17 +47,6 @@ class PrimitiveComponentPart:
         return self.space.dim
 
 
-@dataclass
-class PrimitivePart:
-    branch_set: tuple[int, ...]
-    weight: int
-    parts: list[PrimitiveComponentPart]
-
-    @property
-    def dim(self):
-        return sum(p.dim for p in self.parts)
-
-
 def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
                          inside: Subspace | None = None) -> PrimitiveComponentPart:
     """P^J_k of one unipotent component, cut to inside when given; memoized."""
@@ -100,17 +89,6 @@ def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
                 space.intersect(proj.at(k - 1)).dim != 0:
             raise ShapeError("primitive part is not pure at its weight")
     return PrimitiveComponentPart(ci, tuple(J), k, gr, space, residual)
-
-
-def primitive_part(model: NCModel, J, k: int) -> PrimitivePart:
-    """P^J_k over all unipotent components, with residual branch actions."""
-    J = tuple(sorted(set(J)))
-    parts = [
-        _primitive_component(model, ci, J, k)
-        for ci, comp in enumerate(model.components)
-        if comp.is_unipotent()
-    ]
-    return PrimitivePart(J, k, parts)
 
 
 # -- graded decomposition ------------------------------------------------------

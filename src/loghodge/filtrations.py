@@ -13,7 +13,6 @@ once per block; outside any block it computes on every call.
 from __future__ import annotations
 
 import contextvars
-import itertools
 from typing import Sequence
 
 from .errors import (
@@ -31,7 +30,7 @@ from .linalg import (
     induced_map,
     place,
 )
-from .scalars import is_integer
+from .scalars import is_integer, parse_scalar
 
 
 class Filtration:
@@ -161,7 +160,12 @@ class Filtration:
             i = entry[cls.KEY]
             if not is_integer(i):
                 raise ParseError(f"{cls._NAME} {cls._INDEX} must be an integer")
-            steps.append((i, Subspace.span(entry["basis"], ambient_dim)))
+            basis = entry["basis"]
+            if not isinstance(basis, list) or \
+                    not all(isinstance(row, list) for row in basis):
+                raise ParseError(f"{cls._NAME} basis must be a list of rows")
+            rows = [[parse_scalar(e) for e in row] for row in basis]
+            steps.append((i, Subspace.span(rows, ambient_dim)))
         return cls(ambient_dim, steps)
 
 
@@ -491,39 +495,3 @@ def shriek(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
         steps.append((k, w.at(k - 1).sum(m.at(k).intersect(pre))))
     return IncreasingFiltration(n, steps)
 
-
-def iterated_star(operators: Sequence[Matrix], w: IncreasingFiltration,
-                  branches: Sequence[int],
-                  check_order: bool | None = None) -> IncreasingFiltration:
-    """W^J: star-compose the listed branch operators over W.
-
-    Order independence is asserted for |J| <= 3 unless check_order=False.
-    """
-    branches = list(branches)
-    out = w
-    for j in branches:
-        out = star(operators[j], out)
-    if check_order is None:
-        check_order = len(branches) <= 3
-    if check_order and len(branches) > 1:
-        for perm in itertools.permutations(branches):
-            if list(perm) == branches:
-                continue
-            other = w
-            for j in perm:
-                other = star(operators[j], other)
-            if other != out:
-                raise AssertionError(
-                    f"iterated star is order dependent for branches {branches}"
-                )
-    return out
-
-
-def dual_filtration(w: IncreasingFiltration) -> IncreasingFiltration:
-    """(W*)_k = annihilator of W_{-k-1}, on the dual coordinate space."""
-    out = w.dual(-1)
-    # graded dimensions must reflect: Gr_k(W*) ~ (Gr_{-k} W)*
-    gd, gdd = w.graded_dims(), out.graded_dims()
-    if {(-k, d) for k, d in gd.items()} != set(gdd.items()):
-        raise AssertionError("dual filtration graded dimensions do not reflect")
-    return out

@@ -7,6 +7,7 @@ equality of filtrations built from them is decidable by comparison.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -257,9 +258,10 @@ def rref(rows: Iterable[Vector], width: int) -> tuple[Vector, ...]:
     for r in work:
         if len(r) != width:
             raise ShapeError("vector of wrong ambient dimension")
-    gaussian = any(e.b for r in work for e in r)
+    cleared = [_cleared(r) for r in work]
+    gaussian = None in cleared
     strip = _monic if gaussian else _primitive
-    work = [strip(r if gaussian else _cleared(r)) for r in work]
+    work = [strip(r) for r in (work if gaussian else cleared)]
     pivots = []
     for col in range(width):
         rank = len(pivots)
@@ -283,10 +285,11 @@ def rref(rows: Iterable[Vector], width: int) -> tuple[Vector, ...]:
                  for r, p in zip(work, pivots))
 
 
-def _cleared(row: Vector) -> list[int]:
-    """The integer row m*row, m the lcm of the entries' denominators."""
-    m = lcm(*(e.d for e in row))
-    return [e.a * (m // e.d) for e in row]
+def _cleared(row: Vector) -> list[int] | None:
+    """The integer row m*row, m the lcm of the entries' denominators, or None
+    when an entry has an imaginary part (which puts a 0 into the lcm)."""
+    m = lcm(*(0 if e.b else e.d for e in row))
+    return [e.a * (m // e.d) for e in row] if m else None
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -334,7 +337,9 @@ class Subspace:
         return Subspace(ambient_dim, (), _canonical=True)
 
     @staticmethod
+    @cache
     def full(ambient_dim: int) -> "Subspace":
+        """The whole space, built once per dimension: it is an immutable value."""
         return Subspace(
             ambient_dim, Matrix.identity(ambient_dim).entries, _canonical=True
         )
@@ -455,16 +460,6 @@ def _kernel_basis(m: Matrix) -> list[Vector]:
             v[p] = -row[f]
         basis.append(tuple(v))
     return basis
-
-
-def canonicalize(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Subspace:
-    """Row space of the input in canonical RREF form; idempotent."""
-    vecs = [as_vector(v) for v in vectors]
-    if ambient_dim is None:
-        if not vecs:
-            raise ShapeError("empty input needs an explicit ambient dimension")
-        ambient_dim = len(vecs[0])
-    return Subspace.span(vecs, ambient_dim)
 
 
 class Subquotient:

@@ -68,6 +68,24 @@ def test_a_repeated_weight_exits_two(tmp_path, capsys):
     assert "duplicate filtration weight 0" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("key, step", [
+    ("W", {"weight": 0, "basis": 5}),
+    ("W", {"weight": 0, "basis": [["1", 1.5], ["0", "1"]]}),
+    ("W", {"weight": 0, "basis": [["1", None], ["0", "1"]]}),
+    ("W", {"weight": 0, "basis": [[1, 0], [0, 1]]}),
+    ("F", {"p": 0, "basis": [["1", 0]]}),
+])
+def test_a_malformed_basis_exits_two(tmp_path, capsys, key, step):
+    doc = json.loads(J2.read_text())
+    doc[key] = [step] + ([{"p": 1, "basis": []}] if key == "F" else [])
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error" and "internal error" not in report["error"]
+
+
 def test_purity_verb(capsys):
     code, out = run_cli(["purity", "--mode", "closed", "--z", "1", str(J2)],
                         capsys)

@@ -1,18 +1,20 @@
+import functools
+import itertools
 import random
 
 import pytest
 
 from loghodge.complexes import build_ic_log, cohomology, dualize, i_shriek, i_star
 from loghodge.decomposition import (
+    _primitive_component,
     check_graded_decomposition,
     intersection_image,
-    primitive_part,
     purity_check,
 )
 from loghodge.errors import ShapeError
-from loghodge.filtrations import evaluation
+from loghodge.filtrations import evaluation, star
 from loghodge.generate import random_imhs_model
-from loghodge.model import model_from_json
+from loghodge.model import imhs_check, model_from_json
 
 J2 = model_from_json({
     "branches": 1, "base_weight": 0, "perverse_shift": 1,
@@ -30,16 +32,18 @@ RANK1 = model_from_json({
 
 
 def test_primitive_part_examples():
+    # J2 and RANK1 have one component, so its part is the whole P^J_k
     # empty branch set: the whole graded piece
-    assert primitive_part(J2, (), 0).dim == 2
-    assert primitive_part(J2, (), 1).dim == 0
+    assert _primitive_component(J2, 0, (), 0).dim == 2
+    assert _primitive_component(J2, 0, (), 1).dim == 0
     # Jordan pair: only the coinvariant line survives at the shifted weight
-    assert primitive_part(J2, [0], 1).dim == 1
-    assert primitive_part(J2, [0], -1).dim == 0
-    assert primitive_part(J2, [0], 0).dim == 0
+    assert _primitive_component(J2, 0, (0,), 1).dim == 1
+    assert _primitive_component(J2, 0, (0,), -1).dim == 0
+    assert _primitive_component(J2, 0, (0,), 0).dim == 0
     # the translated-primitive totality forces the trivial line to appear at
     # the raised weight for the trivial system
-    assert [primitive_part(RANK1, [0], k).dim for k in (-1, 0, 1)] == [0, 1, 0]
+    assert [_primitive_component(RANK1, 0, (0,), k).dim
+            for k in (-1, 0, 1)] == [0, 1, 0]
 
 
 def test_decomposition_jordan2_all_weights():
@@ -157,21 +161,19 @@ def test_descent_strictness():
 
 
 def test_imhs_passing_models_never_lack_relative_filtrations():
-    import itertools
-
-    from loghodge.filtrations import iterated_star
-    from loghodge.model import imhs_check
-
     rng = random.Random(77)
     for _ in range(3):
         n = rng.randint(1, 3)
         model = random_imhs_model(n, rng, max_dim=5)
         assert imhs_check(model).passed
-        ops = [model.nilpotent(j) for j in range(n)]
         for r in range(1, n + 1):
             for j_set in itertools.combinations(range(n), r):
-                iterated_star(ops, model.weight, list(j_set),
-                              check_order=False)
+                for ci, comp in enumerate(model.components):
+                    wj = model.wj(ci, frozenset(j_set))
+                    for perm in itertools.permutations(j_set):
+                        assert functools.reduce(
+                            lambda f, j: star(comp.nilpotents[j], f), perm,
+                            model.weight_on_component(ci)) == wj, (ci, perm)
 
 
 def test_intersection_image_zero_model():

@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import random
 import re
@@ -18,16 +19,14 @@ from loghodge.filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
     check_relative_axioms,
-    dual_filtration,
     evaluation,
     filtration_sum,
-    iterated_star,
     monodromy_filtration,
     relative_monodromy_filtration,
     shriek,
     star,
 )
-from loghodge.linalg import Matrix, Subquotient, Subspace, canonicalize
+from loghodge.linalg import Matrix, Subquotient, Subspace
 from loghodge.model import imhs_check, load_model
 
 J2 = Matrix([[0, 1], [0, 0]])
@@ -51,7 +50,7 @@ def random_nilpotent(dim, rng):
 
 
 def test_filtration_normalization():
-    sub = canonicalize([[1, 0]])
+    sub = Subspace.span([[1, 0]], 2)
     w = IncreasingFiltration(2, [(-5, Subspace.zero(2)), (0, sub), (1, sub),
                                  (3, Subspace.full(2))])
     assert w.jumps() == (0, 3)
@@ -60,11 +59,11 @@ def test_filtration_normalization():
 
 def test_filtration_requires_exhaustive():
     with pytest.raises(ShapeError):
-        IncreasingFiltration(2, [(0, canonicalize([[1, 0]]))])
+        IncreasingFiltration(2, [(0, Subspace.span([[1, 0]], 2))])
 
 
 def test_decreasing_filtration():
-    line = canonicalize([[1, 0]])
+    line = Subspace.span([[1, 0]], 2)
     f = DecreasingFiltration(2, [(1, line), (2, Subspace.zero(2))])
     assert f.at(0).is_full() and f.at(1) == line and f.at(5).is_zero()
 
@@ -97,13 +96,13 @@ def test_monodromy_axioms_on_random_nilpotents():
 def test_relative_monodromy_examples():
     w_pure = IncreasingFiltration.pure(2, 0)
     assert relative_monodromy_filtration(J2, w_pure) == monodromy_filtration(J2, 0)
-    mixed = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
+    mixed = IncreasingFiltration(2, [(0, Subspace.span([[1, 0]], 2)),
                                      (1, Subspace.full(2))])
     assert relative_monodromy_filtration(Matrix.zero(2, 2), mixed) == mixed
     with pytest.raises(RelativeMonodromyNonexistent):
         relative_monodromy_filtration(J2, mixed)
     with pytest.raises(FiltrationNotPreserved):
-        bad = IncreasingFiltration(2, [(0, canonicalize([[0, 1]])),
+        bad = IncreasingFiltration(2, [(0, Subspace.span([[0, 1]], 2)),
                                        (1, Subspace.full(2))])
         relative_monodromy_filtration(J2, bad)
 
@@ -111,21 +110,21 @@ def test_relative_monodromy_examples():
 def test_relative_monodromy_mixed_extension():
     # weight -1 line plus a Jordan block at weight 0; basis (e, f1, f2), N f2 = f1
     n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    w = IncreasingFiltration(3, [(-1, canonicalize([[1, 0, 0]])),
+    w = IncreasingFiltration(3, [(-1, Subspace.span([[1, 0, 0]], 3)),
                                  (0, Subspace.full(3))])
     m = relative_monodromy_filtration(n, w)
     assert m.graded_dims() == {-1: 2, 1: 1}
-    assert m.at(-1) == canonicalize([[1, 0, 0], [0, 1, 0]])
+    assert m.at(-1) == Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
 
 
 def test_relative_monodromy_uniqueness_by_perturbation():
     n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    w = IncreasingFiltration(3, [(-1, canonicalize([[1, 0, 0]])),
+    w = IncreasingFiltration(3, [(-1, Subspace.span([[1, 0, 0]], 3)),
                                  (0, Subspace.full(3))])
     m = relative_monodromy_filtration(n, w)
     # replace the -1 step by any other 2-dim subspace between the neighbours
     for alt_rows in ([[1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1]]):
-        alt = canonicalize(alt_rows)
+        alt = Subspace.span(alt_rows, 3)
         perturbed = IncreasingFiltration(3, [(-1, alt), (1, Subspace.full(3))])
         assert perturbed != m
         assert not check_relative_axioms(perturbed, n, w)
@@ -135,7 +134,7 @@ def test_star_examples():
     w = IncreasingFiltration.pure(2, 0)
     s = star(J2, w)
     assert s.at(-2).dim == 0
-    assert s.at(-1) == s.at(0) == canonicalize([[1, 0]])
+    assert s.at(-1) == s.at(0) == Subspace.span([[1, 0]], 2)
     assert s.at(1).is_full()
     assert star(Matrix.zero(2, 2), w) == w
     rank1 = IncreasingFiltration.pure(1, 5)
@@ -145,7 +144,7 @@ def test_star_examples():
 def test_shriek_examples():
     w = IncreasingFiltration.pure(2, 0)
     assert shriek(J2, w) == star(J2, w)  # self-dual instance
-    mixed = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
+    mixed = IncreasingFiltration(2, [(0, Subspace.span([[1, 0]], 2)),
                                      (1, Subspace.full(2))])
     assert shriek(Matrix.zero(2, 2), mixed) == mixed
 
@@ -173,19 +172,22 @@ def test_star_drop_and_raise_maps():
 def test_iterated_star_order_independence():
     ops = [J2, Matrix.zero(2, 2)]
     w = IncreasingFiltration.pure(2, 0)
-    assert iterated_star(ops, w, [0, 1]) == iterated_star(ops, w, [1, 0])
-    assert iterated_star(ops, w, [0]) == star(J2, w)
-    assert iterated_star(ops, w, []) == w
+
+    def fold(order):
+        return functools.reduce(lambda f, j: star(ops[j], f), order, w)
+
+    assert fold([0, 1]) == fold([1, 0])
+    assert fold([0]) == star(J2, w)
+    assert fold([]) == w
 
 
 def test_dual_filtration_examples():
     w = IncreasingFiltration.pure(2, 0)
-    assert dual_filtration(w) == w
-    mixed = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
+    assert w.dual(-1) == w
+    mixed = IncreasingFiltration(2, [(0, Subspace.span([[1, 0]], 2)),
                                      (1, Subspace.full(2))])
-    assert dual_filtration(mixed).graded_dims() == {-1: 1, 0: 1}
-    assert dual_filtration(dual_filtration(mixed)).graded_dims() == \
-        mixed.graded_dims()
+    assert mixed.dual(-1).graded_dims() == {-1: 1, 0: 1}
+    assert mixed.dual(-1).dual(-1).graded_dims() == mixed.graded_dims()
 
 
 def test_star_shriek_transpose_duality():
@@ -194,12 +196,11 @@ def test_star_shriek_transpose_duality():
         dim = rng.randint(1, 5)
         n = random_nilpotent(dim, rng)
         w = IncreasingFiltration.pure(dim, rng.randint(-1, 1))
-        assert dual_filtration(star(n, w)) == shriek(n.transpose(),
-                                                     dual_filtration(w))
+        assert star(n, w).dual(-1) == shriek(n.transpose(), w.dual(-1))
 
 
 def test_filtration_json_roundtrip():
-    mixed = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
+    mixed = IncreasingFiltration(2, [(0, Subspace.span([[1, 0]], 2)),
                                      (1, Subspace.full(2))])
     again = IncreasingFiltration.from_json(mixed.to_json(), 2)
     assert again == mixed
@@ -209,8 +210,8 @@ def test_filtration_json_roundtrip():
 
 BOTH = pytest.mark.parametrize("cls", [IncreasingFiltration,
                                        DecreasingFiltration])
-LINE = canonicalize([[1, 0]])
-DIAGONAL = canonicalize([[1, 1]])
+LINE = Subspace.span([[1, 0]], 2)
+DIAGONAL = Subspace.span([[1, 1]], 2)
 
 
 def _end(cls, dim):
@@ -257,8 +258,19 @@ def _flag(cls, dim, vectors, labels):
              if cls is IncreasingFiltration else
              [vectors[i:] for i in range(len(vectors))])
     top = max(labels, default=0) + 1
-    return cls(dim, [(i, canonicalize(vs, dim)) for i, vs in zip(labels, spans)]
+    return cls(dim, [(i, Subspace.span(vs, dim)) for i, vs in zip(labels, spans)]
                + [(top, _end(cls, dim))])
+
+
+@st.composite
+def flags(draw, cls, dim):
+    """A filtration of this direction on a dim-dimensional space: a _flag of
+    up to dim + 1 small integer vectors at distinct labels in -3..3."""
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                                     max_size=dim), max_size=dim + 1))
+    labels = sorted(draw(st.lists(st.integers(-3, 3), unique=True,
+                                  min_size=len(vectors), max_size=len(vectors))))
+    return _flag(cls, dim, vectors, labels)
 
 
 @st.composite
@@ -267,15 +279,8 @@ def split_flags(draw, cls):
     lists of increasing, mostly non-consecutive positions."""
     dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     owner = draw(st.permutations([i for i, d in enumerate(dims) for _ in range(d)]))
-    parts = []
-    for i, d in enumerate(dims):
-        vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
-                                max_size=d + 1))
-        labels = sorted(draw(st.lists(st.integers(-3, 3), unique=True,
-                                      min_size=len(vectors), max_size=len(vectors))))
-        parts.append(([p for p, o in enumerate(owner) if o == i],
-                      _flag(cls, d, vectors, labels)))
-    return len(owner), parts
+    return len(owner), [([p for p, o in enumerate(owner) if o == i],
+                          draw(flags(cls, d))) for i, d in enumerate(dims)]
 
 
 def _embedding(pos, total):
@@ -303,6 +308,19 @@ def test_filtration_sum_matches_brute_force_both_directions(cls, data):
     for pos, f in parts:
         coords = Subspace.span(_embedding(pos, total).transpose().entries, total)
         assert out.project_to(Subquotient.of(coords)) == f
+
+
+@BOTH
+@settings(max_examples=100)
+@given(data=st.data())
+def test_dual_reflects_the_graded_pieces_both_directions(cls, data):
+    f = data.draw(flags(cls, data.draw(st.integers(0, 4))))
+    c = data.draw(st.integers(-2, 2))
+    d = f.dual(c)
+    assert type(d) is cls and d.dual(c) == f
+    # Gr_i(W.dual(c)) is dual to Gr_{c+1-i}(W), Gr^p(F.dual(c)) to Gr^{c-1-p}(F)
+    mirror = c + 1 if cls is IncreasingFiltration else c - 1
+    assert d.graded_dims() == {mirror - i: n for i, n in f.graded_dims().items()}
 
 
 @BOTH
@@ -358,6 +376,19 @@ def test_constructor_rejections_both_directions(cls, steps, message):
      "filtration weight must be an integer"),
     (DecreasingFiltration, [{"p": True, "basis": []}],
      "Hodge filtration index must be an integer"),
+    # a basis is a list of rows of scalar strings
+    (IncreasingFiltration, [{"weight": 0, "basis": 5}],
+     "filtration basis must be a list of rows"),
+    (DecreasingFiltration, [{"p": 0, "basis": ["1", "0"]}],
+     "Hodge filtration basis must be a list of rows"),
+    (IncreasingFiltration, [{"weight": 0, "basis": [["1", 1.5]]}],
+     "scalar must be a string, got float"),
+    (DecreasingFiltration, [{"p": 0, "basis": [[None, "1"]]}],
+     "scalar must be a string, got NoneType"),
+    (IncreasingFiltration, [{"weight": 0, "basis": [[1, 0], [0, 1]]}],
+     "scalar must be a string, got int"),
+    (DecreasingFiltration, [{"p": 0, "basis": [["1.5", "0"]]}],
+     "malformed scalar '1.5'"),
 ])
 def test_from_json_rejections_both_directions(cls, data, message):
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -367,16 +398,8 @@ def test_from_json_rejections_both_directions(cls, data, message):
 @st.composite
 def filtered_maps(draw, cls):
     """A filtration of each end, a map between them and a shift."""
-    def flag(dim):
-        vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
-                                         max_size=dim), max_size=dim + 1))
-        labels = sorted(draw(st.lists(st.integers(-3, 3), unique=True,
-                                      min_size=len(vectors),
-                                      max_size=len(vectors))))
-        return _flag(cls, dim, vectors, labels)
-
     ds, dt = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    source, target = flag(ds), flag(dt)
+    source, target = draw(flags(cls, ds)), draw(flags(cls, dt))
     kind = draw(st.sampled_from(["random", "zero", "identity"]))
     if kind == "identity" and ds == dt:
         f = Matrix.identity(ds)
@@ -424,7 +447,7 @@ def _count_rref(monkeypatch):
 def _mixed_extension():
     """A fresh (N, W) pair, equal to but not identical with every other."""
     n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    w = IncreasingFiltration(3, [(-1, canonicalize([[1, 0, 0]])),
+    w = IncreasingFiltration(3, [(-1, Subspace.span([[1, 0, 0]], 3)),
                                  (0, Subspace.full(3))])
     return n, w
 
@@ -477,9 +500,9 @@ def test_a_nested_evaluation_joins_the_open_one():
         assert relative_monodromy_filtration(*_mixed_extension()) is r
     assert filtrations._MEMO.get() is None
 
-_MIXED_LINE = IncreasingFiltration(2, [(0, canonicalize([[1, 0]])),
+_MIXED_LINE = IncreasingFiltration(2, [(0, Subspace.span([[1, 0]], 2)),
                                       (1, Subspace.full(2))])
-_NOT_PRESERVED = IncreasingFiltration(2, [(0, canonicalize([[0, 1]])),
+_NOT_PRESERVED = IncreasingFiltration(2, [(0, Subspace.span([[0, 1]], 2)),
                                          (1, Subspace.full(2))])
 
 

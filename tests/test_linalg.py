@@ -13,7 +13,6 @@ from loghodge.linalg import (
     Matrix,
     Subquotient,
     Subspace,
-    canonicalize,
     induced_map,
     place,
     rref,
@@ -26,26 +25,26 @@ small_frac = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 def subspace_strategy(dim):
     return st.lists(
         st.lists(small_frac, min_size=dim, max_size=dim), min_size=0, max_size=dim + 1
-    ).map(lambda rows: canonicalize(rows, dim))
+    ).map(lambda rows: Subspace.span(rows, dim))
 
 
 def test_canonicalize_examples():
-    assert canonicalize([[2, 0], [0, 3]]) == Subspace.full(2)
-    s = canonicalize([[1, 1], [2, 2]])
+    assert Subspace.span([[2, 0], [0, 3]], 2) == Subspace.full(2)
+    s = Subspace.span([[1, 1], [2, 2]], 2)
     assert s.dim == 1 and s.basis == ((Scalar(1), Scalar(1)),)
-    assert canonicalize([], ambient_dim=2) == Subspace.zero(2)
+    assert Subspace.span([], 2) == Subspace.zero(2)
 
 
 def test_canonicalize_rejects_ragged():
     with pytest.raises(ShapeError):
-        canonicalize([[1, 0], [1]])
+        Subspace.span([[1, 0], [1]], 2)
 
 
 def test_lattice_examples():
-    e1 = canonicalize([[1, 0]])
-    e2 = canonicalize([[0, 1]])
+    e1 = Subspace.span([[1, 0]], 2)
+    e2 = Subspace.span([[0, 1]], 2)
     assert e1.sum(e2) == Subspace.full(2)
-    assert canonicalize([[1, 1]]).intersect(e1) == Subspace.zero(2)
+    assert Subspace.span([[1, 1]], 2).intersect(e1) == Subspace.zero(2)
     n = Matrix([[0, 1], [0, 0]])  # N e2 = e1
     assert n.preimage(Subspace.zero(2)) == n.kernel() == e1
 
@@ -64,7 +63,7 @@ def test_canonical_form_uniqueness(s, change):
               for j in range(4))
         for r in rows
     ]
-    regenerated = canonicalize(list(mixed) + list(s.basis), 4)
+    regenerated = Subspace.span(list(mixed) + list(s.basis), 4)
     assert regenerated == s
 
 
@@ -89,7 +88,7 @@ def test_preimage_adjunction(rows, b):
 
 def test_induced_map_examples():
     n = Matrix([[0, 1], [0, 0]])
-    e1 = canonicalize([[1, 0]])
+    e1 = Subspace.span([[1, 0]], 2)
     full, zero = Subspace.full(2), Subspace.zero(2)
     # identity with sub == quot-by gives the zero-dimensional map
     m = induced_map(Matrix.identity(2), Subquotient(e1, e1), Subquotient(e1, e1))
@@ -104,7 +103,7 @@ def test_induced_map_examples():
 
 
 def test_zero_quotient_transport_runs_no_rref(monkeypatch):
-    sub = canonicalize([[1, 0, 0], [0, 1, 1]])
+    sub = Subspace.span([[1, 0, 0], [0, 1, 1]], 3)
     f = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     calls = []
     real_rref = linalg.rref
@@ -121,7 +120,7 @@ def test_zero_quotient_transport_runs_no_rref(monkeypatch):
 
 
 def test_lattice_with_a_zero_operand_runs_no_rref(monkeypatch):
-    line = canonicalize([[1, 1, 0]])
+    line = Subspace.span([[1, 1, 0]], 3)
     zero = Subspace.zero(3)
     calls = []
     real_rref = linalg.rref
@@ -133,12 +132,20 @@ def test_lattice_with_a_zero_operand_runs_no_rref(monkeypatch):
     assert calls == []
 
 
+def test_the_full_space_is_built_once_per_dimension():
+    full = Subspace.full(3)
+    assert Subspace.full(3) is full and full.is_full()
+    assert full.basis == Matrix.identity(3).entries and full._pivots == (0, 1, 2)
+    assert Subspace.full(0).dim == 0 and Subspace.full(2) != full
+
+
 def test_span_coerces_only_at_the_public_entry(monkeypatch):
     """image, kernel, intersect, annihilator and project_subspace pass
     Scalar tuples on without coercing them; span still coerces and checks."""
     n = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    a, b = canonicalize([[1, 0, 0], [0, 1, 0]]), canonicalize([[0, 1, 1], [1, 0, 0]])
-    e1, e3 = canonicalize([[1, 0, 0]]), canonicalize([[0, 0, 1]])
+    a = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
+    b = Subspace.span([[0, 1, 1], [1, 0, 0]], 3)
+    e1, e3 = Subspace.span([[1, 0, 0]], 3), Subspace.span([[0, 0, 1]], 3)
     quotient = Subquotient(Subspace.full(3), e3)
     monkeypatch.setattr(Subspace, "span", None)
     assert n.image() == a and n.kernel() == e1 == n.image(a)
@@ -165,8 +172,8 @@ def test_induced_map_functorial():
 
 
 def test_subquotient_coords_roundtrip():
-    w = canonicalize([[1, 0, 0], [0, 1, 0]])
-    q = canonicalize([[1, 0, 0]])
+    w = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
+    q = Subspace.span([[1, 0, 0]], 3)
     sq = Subquotient(w, q)
     assert sq.dim == 1
     v = (Scalar(5), Scalar(2), Scalar(0))
@@ -197,9 +204,9 @@ def test_subquotient_coords_tests_membership_and_finds_the_class(data):
 
 
 def test_annihilator():
-    e1 = canonicalize([[1, 0]])
+    e1 = Subspace.span([[1, 0]], 2)
     ann = e1.annihilator()
-    assert ann == canonicalize([[0, 1]])
+    assert ann == Subspace.span([[0, 1]], 2)
     assert Subspace.zero(3).annihilator() == Subspace.full(3)
 
 

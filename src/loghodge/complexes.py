@@ -27,7 +27,6 @@ from .linalg import (
     induced_map,
     place,
     rref,
-    vec_is_zero,
     zero_vector,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -610,9 +609,8 @@ def intersection_morphism(model, z) -> IntersectionData:
         w_logs = [tower.pres[dual_deg - 1].lift(wq) for wq in duals]
         # evaluation pairing between H^{n+1-k}(shriek) and H^k(star)
         evaluation = Matrix(
-            [[sum((pc * wc for pc, wc in zip(phi, wv)), ZERO)
-              for phi in target.presentation.lifts.basis] for wv in duals],
-            cols=tdim)
+            [[phi.dot(wv) for phi in target.presentation.lifts.basis]
+             for wv in duals], cols=tdim)
         cols = []
         for u in hk.presentation.lifts.basis:               # Q-coords, deg k-1
             delta_u = _connecting_class(tower, k, u)
@@ -686,7 +684,7 @@ def _slot_pairing(model, ic, log):
             t_pos, t_space = log_layout[key]
             u_slot = u_ic[pos.start: pos.stop]
             w_slot = w_log[t_pos.start: t_pos.stop]
-            if not any(u_slot) or not any(w_slot):
+            if u_slot.is_zero() or w_slot.is_zero():
                 continue
             # slot coordinates -> total-space vectors supported on component ci
             on_ci = model.component_positions(ci)
@@ -758,7 +756,7 @@ def _lift_h_map(data: IntersectionData) -> ComplexMap:
 def _class_representative(h: DegreeCohomology, b: FilteredComplex, k: int,
                           cls, weight_bound: int):
     """A cocycle representative of cls inside W_{weight_bound}, if possible."""
-    if h.dim == 0 or vec_is_zero(cls):
+    if h.dim == 0 or cls.is_zero():
         return zero_vector(b.term_dim(k))
     v0 = h.presentation.lift(cls)
     zw = b.differential(k).kernel().intersect(b.weight_at(k).at(weight_bound))

@@ -24,9 +24,9 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    Row,
     Subquotient,
     Subspace,
-    Vector,
     induced_map,
     place,
 )
@@ -130,7 +130,10 @@ class Filtration:
 
     def project_to(self, sq: Subquotient):
         """Induced filtration on a subquotient, in its canonical coordinates;
-        on Subquotient.of(sub) the restriction to sub."""
+        on Subquotient.of(sub) the restriction to sub, and self itself when
+        sub is the whole space."""
+        if sq.sub.is_full() and sq.quot_by.is_zero():
+            return self
         return type(self)(
             sq.dim, [(i, sq.project_subspace(s)) for i, s in self.steps]
         )
@@ -352,7 +355,7 @@ def check_relative_axioms(m: IncreasingFiltration, N: Matrix,
     return True
 
 
-def _jordan_chain_tops(N: Matrix) -> list[tuple[Vector, int]]:
+def _jordan_chain_tops(N: Matrix) -> list[tuple[Row, int]]:
     """Chain tops (v, m) with N^m v = 0: translates N^j v form a basis.
 
     Tops of length m are a canonical complement basis of
@@ -447,7 +450,7 @@ def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration,
                 f"no admissible lift for a chain of length {length} over weight {b}"
             )
         corr = v_sub.from_coords(coeffs[target_m.dim:])
-        x = tuple(a - bb for a, bb in zip(x0, corr))
+        x = x0 - corr
         for j in range(length):
             contributions.append((b + length - 1 - 2 * j, powers[j](x)))
 

@@ -22,8 +22,7 @@ from .scalars import ONE, ZERO, I
 
 
 def random_unimodular(dim: int, rng: random.Random, ops: int | None = None) -> Matrix:
-    g = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-         for i in range(dim)]
+    g = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(ops if ops is not None else 2 * dim):
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j:

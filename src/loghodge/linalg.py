@@ -1,31 +1,159 @@
-"""Exact linear algebra over Q(i): matrices, canonical subspaces, subquotients.
+"""Exact linear algebra over Q(i): integer rows, matrices, canonical
+subspaces, subquotients.
 
-Subspaces of a fixed coordinate space are always stored in reduced row
-echelon form, so two equal subspaces have equal representations and
+Every vector, matrix row and subspace basis row is a ``Row``: Python ints
+over one positive denominator, in lowest terms, with the imaginary
+numerators in a second tuple that is None for a rational row.  Every kernel
+runs on those ints; a ``Scalar`` appears only at the edges, as the view of
+one entry when a row is indexed or iterated.  Subspaces are stored in
+reduced row echelon form, so two equal subspaces have equal rows, and
 equality of filtrations built from them is decidable by comparison.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
-from .scalars import ONE, ZERO, Scalar, _canon, as_scalar
-
-Vector = tuple  # tuple of Scalar
+from .scalars import Scalar, _canon, as_scalar
 
 
-def as_vector(entries: Sequence) -> Vector:
-    return tuple(as_scalar(e) for e in entries)
+class Row:
+    """The vector (num + im*i)/den, num and im tuples of ints, immutable.
+
+    Canonical: den > 0, gcd(*num, *im, den) = 1, and im is None when every
+    imaginary part is zero.  So rows compare and hash by their ints, and a
+    row never equals a plain tuple.  An index gives a Scalar, a slice a Row.
+    """
+
+    __slots__ = ("num", "im", "den")
+
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return _row(self.num[j], self.im and self.im[j], self.den)
+        return _canon(self.num[j], self.im[j] if self.im else 0, self.den)
+
+    def __iter__(self):
+        return map(_canon, self.num, self.im or repeat(0), repeat(self.den))
+
+    def __eq__(self, other):
+        return (type(other) is Row and self.num == other.num
+                and self.den == other.den and self.im == other.im)
+
+    def __hash__(self):
+        return hash((self.num, self.im, self.den))
+
+    def __repr__(self):
+        return f"Row({[str(e) for e in self]})"
+
+    def is_zero(self) -> bool:
+        return self.im is None and not any(self.num)
+
+    def __sub__(self, other: "Row") -> "Row":
+        return _lincomb(_row((1, -1), None, 1), (self, other), len(self.num))
+
+    def __neg__(self) -> "Row":
+        return _row([-x for x in self.num], self.im and [-x for x in self.im],
+                    self.den)
+
+    def conj(self) -> "Row":
+        return self if self.im is None else _row(
+            self.num, [-x for x in self.im], self.den)
+
+    def dot(self, other: "Row") -> Scalar:
+        """sum_j self[j] * other[j], bilinear (no conjugation)."""
+        return _matrix((self,), len(self.num)).apply(other)[0]
 
 
-def vec_is_zero(v: Vector) -> bool:
-    return not any(v)
+def _row(num, im, den: int) -> Row:
+    """The Row (num + im*i)/den, den != 0, im None or a sequence of ints,
+    brought to canonical form."""
+    if im is not None and not any(im):
+        im = None
+    if den != 1:
+        g = gcd(*num, *im, den) if im else gcd(*num, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [x // g for x in num]
+            im = im and [x // g for x in im]
+            den //= g
+    r = object.__new__(Row)
+    r.num = tuple(num)
+    r.im = im and tuple(im)
+    r.den = den
+    return r
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
+
+def _comb(a, ai, x, xi, c, ci, y, yi):
+    """(a + ai*i)*x - (c + ci*i)*y for int rows x + xi*i and y + yi*i of one
+    length, xi and yi None when zero: the real and imaginary int lists, the
+    second None when every input is real."""
+    if not (ai or ci or xi or yi):
+        return [a * u - c * v for u, v in zip(x, y)], None
+    zero = (0,) * len(x)
+    xi, yi = xi or zero, yi or zero
+    return ([a * u - ai * ui - c * v + ci * vi
+             for u, ui, v, vi in zip(x, xi, y, yi)],
+            [a * ui + ai * u - c * vi - ci * v
+             for u, ui, v, vi in zip(x, xi, y, yi)])
+
+
+def _lincomb(c: Row, rows, n: int) -> Row:
+    """sum_k c[k] * rows[k], rows of length n."""
+    num, im, den = [0] * n, None, 1
+    for x, y, row in zip(c.num, c.im or repeat(0), rows):
+        if x or y:
+            d = lcm(den, row.den)
+            m = d // row.den
+            num, im = _comb(d // den, 0, num, im, -x * m, -y * m, row.num, row.im)
+            den = d
+    return _row(num, im, den * c.den)
+
+
+def _common(rows, n: int):
+    """The numerators of rows of length n over one denominator: (den, real
+    rows, imaginary rows or None when every row is rational)."""
+    den = lcm(*{r.den for r in rows})
+    nums = [r.num if r.den == den else [x * (den // r.den) for x in r.num]
+            for r in rows]
+    ims = ([[x * (den // r.den) for x in r.im or (0,) * n] for r in rows]
+           if any([r.im for r in rows]) else None)
+    return den, nums, ims
+
+
+def as_vector(entries: Sequence) -> Row:
+    """The Row of a sequence of Scalars, ints, Fractions or scalar strings;
+    a Row is returned as it is."""
+    if type(entries) is Row:
+        return entries
+    xs = [as_scalar(e) for e in entries]
+    den = lcm(*[x.d for x in xs])
+    return _row([x.a * (den // x.d) for x in xs],
+                [x.b * (den // x.d) for x in xs], den)
+
+
+def zero_vector(n: int) -> Row:
+    return _row((0,) * n, None, 1)
+
+
+def _placed(n: int, parts) -> Row:
+    """The Row of length n holding, for each (vector, positions) part, the
+    vector's entry i at positions[i], and zero elsewhere."""
+    parts = [(as_vector(v), pos) for v, pos in parts]
+    den = lcm(*[v.den for v, _ in parts])
+    num, im = [0] * n, [0] * n
+    for v, pos in parts:
+        m = den // v.den
+        for i, x, y in zip(pos, v.num, v.im or repeat(0)):
+            num[i], im[i] = x * m, y * m
+    return _row(num, im, den)
 
 
 def place(shape, pieces):
@@ -37,23 +165,17 @@ def place(shape, pieces):
     lands at (rows[r], cols[c]).
     """
     if isinstance(shape, int):
-        out = [ZERO] * shape
-        for entries, pos in pieces:
-            for i, x in zip(pos, entries):
-                out[i] = x
-        return tuple(out)
+        return _placed(shape, pieces)
     rows, cols = shape
-    out = [[ZERO] * cols for _ in range(rows)]
+    parts = [[] for _ in range(rows)]
     for block, row_pos, col_pos in pieces:
         for r, entries in zip(row_pos, block.entries):
-            for c, x in zip(col_pos, entries):
-                out[r][c] = x
-    return _matrix(tuple(map(tuple, out)), cols)
+            parts[r].append((entries, col_pos))
+    return _matrix(tuple(_placed(cols, p) for p in parts), cols)
 
 
-def _matrix(rows: tuple[Vector, ...], cols: int) -> "Matrix":
-    """A Matrix from a tuple of rows that are already tuples of Scalars, each
-    of length cols, unchecked."""
+def _matrix(rows: tuple[Row, ...], cols: int) -> "Matrix":
+    """A Matrix from a tuple of Rows, each of length cols, unchecked."""
     m = object.__new__(Matrix)
     m.entries = rows
     m.rows = len(rows)
@@ -62,7 +184,7 @@ def _matrix(rows: tuple[Vector, ...], cols: int) -> "Matrix":
 
 
 class Matrix:
-    """Dense exact matrix, rows of Scalars, and the linear map of shape
+    """Dense exact matrix, a tuple of Rows, and the linear map of shape
     rows x cols it defines (columns act): m(v) is m.apply(v) and m * n is
     m after n."""
 
@@ -84,8 +206,10 @@ class Matrix:
         self.cols = cols
 
     @staticmethod
+    @cache
     def identity(n: int) -> "Matrix":
-        return _matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n))
+        """Built once per n: it is an immutable value."""
+        return _matrix(tuple(_row([int(i == j) for j in range(n)], None, 1)
                              for i in range(n)), n)
 
     @staticmethod
@@ -108,30 +232,29 @@ class Matrix:
         return self.entries[i][j]
 
     def transpose(self) -> "Matrix":
-        return _matrix(tuple(tuple(r[j] for r in self.entries)
-                             for j in range(self.cols)), self.rows)
+        den, nums, ims = _common(self.entries, self.cols)
+        cols = zip(*nums) if nums else repeat((), self.cols)
+        return _matrix(tuple(map(_row, cols, zip(*ims) if ims else repeat(None),
+                                 repeat(den))), self.rows)
 
     def conj(self) -> "Matrix":
-        return _matrix(tuple(tuple(e.conj() for e in r) for r in self.entries),
-                       self.cols)
+        return _matrix(tuple(r.conj() for r in self.entries), self.cols)
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix addition shape mismatch")
-        return _matrix(
-            tuple(tuple(x + y for x, y in zip(a, b))
-                  for a, b in zip(self.entries, other.entries)),
-            self.cols)
+        return self - -other
 
     def __sub__(self, other):
-        return self + -other
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError("matrix addition shape mismatch")
+        return _matrix(tuple(a - b for a, b in zip(self.entries, other.entries)),
+                       self.cols)
 
     def __neg__(self):
-        return self.scale(-ONE)
+        return _matrix(tuple(-r for r in self.entries), self.cols)
 
     def scale(self, c) -> "Matrix":
-        c = as_scalar(c)
-        return _matrix(tuple(tuple(c * x for x in r) for r in self.entries),
+        c = as_vector((c,))     # row times c is the combination c[0] * row
+        return _matrix(tuple(_lincomb(c, (r,), self.cols) for r in self.entries),
                        self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -139,42 +262,40 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # row i of the product is the sum of a * (row k of other) over the
-        # nonzero entries a = self[i, k]
-        supports = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
-        out = []
-        for r in self.entries:
-            acc = [ZERO] * other.cols
-            for a, support in zip(r, supports):
-                if a:
-                    for j, b in support:
-                        acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
-        return _matrix(tuple(out), other.cols)
+        # row i of the product is sum_k self[i, k] * (row k of other)
+        return _matrix(tuple(_lincomb(r, other.entries, other.cols)
+                             for r in self.entries), other.cols)
 
-    def apply(self, v: Vector) -> Vector:
+    def apply(self, v: Row) -> Row:
         """Matrix times column vector; v has length .cols."""
-        if len(v) != self.cols:
-            raise ShapeError("vector length does not match matrix columns")
-        support = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for r in self.entries:
-            acc = ZERO
-            for j, x in support:
-                a = r[j]
-                if a:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return self.apply_all((v,))[0]
 
-    def __call__(self, v: Vector) -> Vector:
+    def apply_all(self, vectors) -> list[Row]:
+        """The images of the vectors, each of length .cols."""
+        den, nums, ims = _common(self.entries, self.cols)
+        cols = list(zip(*nums)) if nums else [()] * self.cols
+        icols = ims and list(zip(*ims))
+        out = []
+        for v in map(as_vector, vectors):
+            if len(v.num) != self.cols:
+                raise ShapeError("vector length does not match matrix columns")
+            # the sum of v[j] times column j over the nonzero entries of v
+            acc, acc_im = [0] * self.rows, None
+            for j, (x, y) in enumerate(zip(v.num, v.im or repeat(0))):
+                if x or y:
+                    acc, acc_im = _comb(1, 0, acc, acc_im, -x, -y, cols[j],
+                                        icols and icols[j])
+            out.append(_row(acc, acc_im, den * v.den))
+        return out
+
+    def __call__(self, v: Row) -> Row:
         return self.apply(v)
 
     def to_strings(self):
         return [[str(e) for e in r] for r in self.entries]
 
     def is_zero(self) -> bool:
-        return all(not e for r in self.entries for e in r)
+        return all(r.is_zero() for r in self.entries)
 
     def powers(self) -> list["Matrix"] | None:
         """self^0, ..., self^e with self^e the first zero power, or None when
@@ -189,13 +310,13 @@ class Matrix:
         return out
 
     def image(self, sub: Subspace | None = None) -> Subspace:
-        if sub is None:
-            sub = Subspace.full(self.cols)
-        return Subspace(self.rows, [self(v) for v in sub.basis])
+        if sub is None:     # spanned by the columns
+            return Subspace(self.rows, self.transpose().entries)
+        return Subspace(self.rows, self.apply_all(sub.basis))
 
     def maps_into(self, src: Subspace, tgt: Subspace) -> bool:
         """f(src) <= tgt."""
-        return all(tgt.contains_vector(self(v)) for v in src.basis)
+        return all(map(tgt.contains_vector, self.apply_all(src.basis)))
 
     def kernel(self) -> Subspace:
         return Subspace(self.cols, _kernel_basis(self))
@@ -210,28 +331,29 @@ class Matrix:
         cols = [target_sub.reduce(c) for c in self.transpose().entries]
         return _matrix(tuple(cols), self.rows).transpose().kernel()
 
-    def solve(self, v: Vector):
+    def solve(self, v: Row):
         """One x with f(x) = v, or None."""
-        if vec_is_zero(v):
+        v = as_vector(v)
+        if v.is_zero():
             return zero_vector(self.cols)
-        aug = Subspace(self.cols + 1, [r + (t,) for r, t in zip(self.entries, v)])
+        aug = Subspace(self.cols + 1, [     # the rows of [f | v]
+            _placed(self.cols + 1, [(r, range(self.cols)), (v[i:i + 1], (self.cols,))])
+            for i, r in enumerate(self.entries)])
         if self.cols in aug._pivots:
             return None
-        x = [ZERO] * self.cols
-        for row, p in zip(aug.basis, aug._pivots):
-            x[p] = row[-1]
-        return tuple(x)
+        return _placed(self.cols, [(row[-1:], (p,))
+                                   for row, p in zip(aug.basis, aug._pivots)])
 
     def inverse(self) -> "Matrix":
         """Exact inverse; ShapeError on a non-square or singular matrix."""
         n = self.rows
         if n != self.cols:
             raise ShapeError("inverse of a non-square matrix")
-        aug = [list(self.entries[i]) + [ONE if j == i else ZERO for j in range(n)]
-               for i in range(n)]
-        red = rref(aug, 2 * n)
+        one = _row((1,), None, 1)
+        red = rref([_placed(2 * n, [(r, range(n)), (one, (n + i,))])
+                    for i, r in enumerate(self.entries)], 2 * n)
         # [A | I] always has rank n; A is invertible iff every pivot lies in A
-        if n and not red[-1][n - 1]:
+        if n and not red[-1].num[n - 1]:
             raise ShapeError("matrix is singular")
         return _matrix(tuple(row[n:] for row in red), n)
 
@@ -243,82 +365,79 @@ class Matrix:
 LinearMap = Matrix
 
 
-def rref(rows: Iterable[Vector], width: int) -> tuple[Vector, ...]:
+def rref(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
     """Reduced row echelon form: pivots 1, pivot columns cleared, rows by pivot.
 
-    Fraction-free Gauss-Jordan with the first nonzero row as pivot: a row
-    with entry c in the pivot column becomes p*row - c*(pivot row), p the
-    pivot, and is then stripped.  When no entry has an imaginary part, each
-    row is first cleared of denominators, the loop runs on ints and strips a
-    row of its content, and each row is divided by its pivot only when it is
-    emitted.  Otherwise the loop runs on the Scalars and strips a row to a
-    leading 1.  Either way the result is the unique canonical form.
+    Fraction-free Gauss-Jordan on the numerators (a denominator only scales
+    its row), with the first nonzero row as pivot: a row with entry c in the
+    pivot column becomes p*row - c*(pivot row), p the pivot, and is then
+    divided by the gcd of its ints.  When a row has an imaginary part the
+    same loop runs on Gaussian integers.  Each row is divided by its pivot
+    when it is emitted, which gives the unique canonical form.
     """
-    work = [r for r in rows if not vec_is_zero(r)]
-    for r in work:
-        if len(r) != width:
+    work, imag = [], []
+    for r in map(as_vector, rows):
+        if len(r.num) != width:
             raise ShapeError("vector of wrong ambient dimension")
-    cleared = [_cleared(r) for r in work]
-    gaussian = None in cleared
-    strip = _monic if gaussian else _primitive
-    work = [strip(r) for r in (work if gaussian else cleared)]
-    pivots = []
+        if r.is_zero():
+            continue
+        work.append(r.num)
+        imag.append(r.im)
+    imag = [x or (0,) * width for x in imag] if any(imag) else None
+    pivots, n = [], len(work)
     for col in range(width):
         rank = len(pivots)
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot_row is None:
+        for k in range(rank, n):
+            if work[k][col] or imag and imag[k][col]:
+                break
+        else:
             continue
-        prow = work[pivot_row]
-        work[pivot_row] = work[rank]
-        work[rank] = prow
+        work[k], work[rank] = work[rank], work[k]
+        prow = work[rank]
         p = prow[col]
-        for i, r in enumerate(work):
-            c = r[col]
-            if c and i != rank:
-                work[i] = strip([p * x - c * y for x, y in zip(r, prow)])
+        if imag is None:
+            for k, r in enumerate(work):
+                c = r[col]
+                if c and k != rank:
+                    r = [p * x - c * y for x, y in zip(r, prow)]
+                    g = gcd(*r)
+                    work[k] = [x // g for x in r] if g > 1 else r
+        else:
+            imag[k], imag[rank] = imag[rank], imag[k]
+            pim = imag[rank]
+            for k, (r, ri) in enumerate(zip(work, imag)):
+                c, ci = r[col], ri[col]
+                if (c or ci) and k != rank:
+                    re, im = _comb(p, pim[col], r, ri, c, ci, prow, pim)
+                    g = gcd(*re, *im)
+                    work[k] = [x // g for x in re] if g > 1 else re
+                    imag[k] = [x // g for x in im] if g > 1 else im
         pivots.append(col)
-        if rank + 1 == len(work):
+        if rank + 1 == n:
             break
-    if gaussian:
-        return tuple(map(tuple, work[:len(pivots)]))
-    return tuple(tuple(_canon(x, 0, r[p]) if x else ZERO for x in r)
-                 for r, p in zip(work, pivots))
-
-
-def _cleared(row: Vector) -> list[int] | None:
-    """The integer row m*row, m the lcm of the entries' denominators, or None
-    when an entry has an imaginary part (which puts a 0 into the lcm)."""
-    m = lcm(*(0 if e.b else e.d for e in row))
-    return [e.a * (m // e.d) for e in row] if m else None
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """row divided by its content, the gcd of its entries."""
-    g = gcd(*row)
-    return row if g < 2 else [x // g for x in row]
-
-
-def _monic(row: list[Scalar]) -> list[Scalar]:
-    """row divided by its first nonzero entry."""
-    lead = next((x for x in row if x), ONE)
-    return row if lead == ONE else [x / lead for x in row]
+    if not imag:
+        return tuple(_row(r, None, r[p]) for r, p in zip(work, pivots))
+    # divide by the pivot a + b*i: times a - b*i over a^2 + b^2
+    return tuple(_row(*_comb(r[p], -ri[p], r, ri, 0, 0, r, None),
+                      r[p] ** 2 + ri[p] ** 2)
+                 for r, ri, p in zip(work, imag, pivots))
 
 
 class Subspace:
-    """A subspace of Q(i)^ambient_dim in canonical (RREF) form."""
+    """A subspace of Q(i)^ambient_dim in canonical (RREF) form: each basis
+    row is 1 at its pivot, where the other rows are 0."""
 
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...], _canonical=False):
+    def __init__(self, ambient_dim: int, basis: tuple[Row, ...], _canonical=False):
         if not _canonical:
             basis = rref(basis, ambient_dim)
         self.ambient_dim = ambient_dim
         self.basis = basis
-        # canonical rows have strictly increasing pivots: each search starts
-        # one past the previous pivot
+        # pivots strictly increase: each search starts one past the last
         pivots, p = [], 0
         for r in basis:
-            while not r[p]:
+            while not r.num[p]:
                 p += 1
             pivots.append(p)
             p += 1
@@ -326,13 +445,10 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = [as_vector(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ShapeError("vector of wrong ambient dimension")
-        return Subspace(ambient_dim, rref(vecs, ambient_dim), _canonical=True)
+        return Subspace(ambient_dim, vectors)
 
     @staticmethod
+    @cache
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, (), _canonical=True)
 
@@ -367,49 +483,49 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
-    def reduce(self, v: Vector) -> Vector:
+    def _residual(self, v: Row):
+        """v - sum_k v[p_k] * basis[k], p_k the pivots, as raw (num, im, den)."""
+        v = as_vector(v)
+        if len(v.num) != self.ambient_dim:
+            raise ShapeError("vector of wrong ambient dimension")
+        num, im, den = v.num, v.im, v.den
+        if len(self.basis) == len(num):
+            return [0] * len(num), None, 1
+        # a basis row is 0 at the other pivots: the coefficients of v do not
+        # change as the rows are taken out
+        for row, p in zip(self.basis, self._pivots):
+            c, ci = num[p], im[p] if im else 0
+            if c or ci:
+                d = row.den
+                num, im = _comb(d, 0, num, im, c, ci, row.num, row.im)
+                den *= d
+        return num, im, den
+
+    def reduce(self, v: Row) -> Row:
         """Residual of v after eliminating this subspace's pivot columns.
 
         The residual is zero iff v lies in the subspace; v - reduce(v) is the
         projection along the pivot coordinates.  Linear in v.
         """
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector of wrong ambient dimension")
-        out = list(v)
-        for row, p in zip(self.basis, self._pivots):
-            c = out[p]
-            if c:
-                # a canonical basis row is zero left of its pivot
-                for j in range(p, self.ambient_dim):
-                    b = row[j]
-                    if b:
-                        out[j] = out[j] - c * b
-        return tuple(out)
+        return _row(*self._residual(v))
 
-    def contains_vector(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+    def contains_vector(self, v: Row) -> bool:
+        num, im, _ = self._residual(v)
+        return not any(num) and not (im and any(im))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis)
 
-    def coords(self, v: Vector) -> Vector:
+    def coords(self, v: Row) -> Row:
         """Coordinates of v in the canonical basis; requires membership."""
-        if not self.contains_vector(v):
-            raise ShapeError("vector not in subspace")
-        return tuple(v[p] for p in self._pivots)
+        return Subquotient.of(self).coords(v)
 
-    def from_coords(self, coords: Sequence) -> Vector:
+    def from_coords(self, coords: Sequence) -> Row:
         """The vector with these coordinates in the canonical basis."""
+        coords = as_vector(coords)
         if len(coords) != self.dim:
             raise ShapeError("coordinate length mismatch")
-        out = [ZERO] * self.ambient_dim
-        for c, row, p in zip(coords, self.basis, self._pivots):
-            if c:
-                for j in range(p, self.ambient_dim):
-                    b = row[j]
-                    if b:
-                        out[j] = out[j] + c * b
-        return tuple(out)
+        return _lincomb(coords, self.basis, self.ambient_dim)
 
     # -- lattice ----------------------------------------------------------
 
@@ -443,23 +559,17 @@ class Subspace:
         return Subspace(self.ambient_dim, _kernel_basis(m))
 
     def conj(self) -> "Subspace":
-        return Subspace(self.ambient_dim,
-                        [tuple(e.conj() for e in r) for r in self.basis])
+        return Subspace(self.ambient_dim, [r.conj() for r in self.basis])
 
 
-def _kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of {v : m v = 0}, from the RREF free-variable construction."""
+def _kernel_basis(m: Matrix) -> list[Row]:
+    """Basis of {v : m v = 0}, from the RREF free-variable construction:
+    free column f gives e_f minus column f of the RREF at the pivots."""
     rows = Subspace(m.cols, m.entries)
-    basis = []
-    for f in range(m.cols):
-        if f in rows._pivots:
-            continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for row, p in zip(rows.basis, rows._pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+    cols = _matrix(rows.basis, m.cols).transpose().entries
+    one = _row((1,), None, 1)
+    return [_placed(m.cols, [(-cols[f], rows._pivots), (one, (f,))])
+            for f in range(m.cols) if f not in rows._pivots]
 
 
 class Subquotient:
@@ -500,7 +610,7 @@ class Subquotient:
     def __repr__(self):
         return f"Subquotient(dim={self.dim})"
 
-    def coords(self, v: Vector) -> Vector:
+    def coords(self, v: Row) -> Row:
         """Coordinates of the class of v; requires v in sub.
 
         v lies in sub exactly when its residual mod quot_by lies in lifts.
@@ -508,9 +618,11 @@ class Subquotient:
         r = self.quot_by.reduce(v)
         if not self.lifts.contains_vector(r):
             raise ShapeError("vector not in the ambient sub of the subquotient")
-        return tuple(r[p] for p in self.lifts._pivots)
+        # the entries of r at the pivots of lifts
+        return _row([r.num[p] for p in self.lifts._pivots],
+                    r.im and [r.im[p] for p in self.lifts._pivots], r.den)
 
-    def lift(self, coords: Sequence) -> Vector:
+    def lift(self, coords: Sequence) -> Row:
         return self.lifts.from_coords(coords)
 
     def project_subspace(self, s: Subspace) -> Subspace:
@@ -526,12 +638,11 @@ def induced_map(f: Matrix, src: Subquotient, tgt: Subquotient) -> Matrix:
     are defined.  Column j is the class of f(src.lifts.basis[j]).
     """
     # src.sub is spanned by the lifts together with src.quot_by
-    lifted = [f(v) for v in src.lifts.basis]
-    pushed = [f(v) for v in src.quot_by.basis]
+    lifted = f.apply_all(src.lifts.basis)
+    pushed = f.apply_all(src.quot_by.basis)
     if not all(tgt.sub.contains_vector(w) for w in lifted + pushed):
         raise IllDefinedInducedMap("f(sub) not contained in target sub")
     if not all(tgt.quot_by.contains_vector(w) for w in pushed):
         raise IllDefinedInducedMap("f(quot_by) not contained in target quot_by")
     cols = [tgt.coords(w) for w in lifted]
     return _matrix(tuple(cols), tgt.dim).transpose()
-

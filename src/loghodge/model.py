@@ -36,7 +36,7 @@ from .linalg import (
     place,
     rref,
 )
-from .scalars import ONE, ZERO, I, Scalar, format_scalar, is_integer, parse_scalar
+from .scalars import ONE, I, Scalar, format_scalar, is_integer, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ class NCModel:
 
     def component_subspace(self, ci: int) -> Subspace:
         n = self.total_dim
-        return Subspace(n, tuple(place(n, [((ONE,), (i,))])
-                                 for i in self.component_positions(ci)),
+        unit = Matrix.identity(n).entries
+        return Subspace(n, tuple(unit[i] for i in self.component_positions(ci)),
                         _canonical=True)
 
     def nilpotent(self, j: int) -> Matrix:
@@ -122,7 +122,7 @@ class NCModel:
         s = self.pairing
 
         def form(x, y):
-            return sum((xi * syi for xi, syi in zip(x, s.apply(y))), ZERO)
+            return x.dot(s.apply(y))
 
         return form
 
@@ -250,12 +250,9 @@ def unipotent_part(model: NCModel) -> NCModel:
     weight, hodge = (None if filt is None else filt.project_to(Subquotient.of(sub))
                      for filt in (model.weight, model.hodge))
     pairing = None
-    if model.pairing is not None:
-        rows = []
-        for v in sub.basis:
-            row = [model.pairing_form()(v, u) for u in sub.basis]
-            rows.append(row)
-        pairing = Matrix(rows, cols=sub.dim)
+    if model.pairing is not None:   # S(v, u) over the basis rows v, u of sub
+        b = Matrix(sub.basis, cols=model.total_dim)
+        pairing = b * model.pairing * b.transpose()
     return NCModel(
         branches=model.branches,
         components=comps,
@@ -534,13 +531,8 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
             covered += hpq.dim
             ipq = _i_power(p - q)
             basis = [top.lift(v) for v in hpq.basis]
-            rows = []
-            for x in basis:
-                row = []
-                for y in basis:
-                    ybar = tuple(c.conj() for c in y)
-                    row.append(global_sign * ipq * s_bar(x, nk(ybar)))
-                rows.append(row)
+            rows = [[global_sign * ipq * s_bar(x, nk(y.conj())) for y in basis]
+                    for x in basis]
             if not _hermitian_positive(Matrix(rows, cols=len(basis))):
                 return False
         if covered != prim.dim:

@@ -2,9 +2,9 @@
 
 A single scalar type carries both fields: a value with zero imaginary part
 is a rational, and serializes as one.  A scalar is a canonical triple of
-Python ints and all arithmetic runs on them; Fractions appear only at the
-edges (parsing, formatting and the read-only re/im parts).  All arithmetic
-is exact; there is no floating point anywhere in the package.
+Python ints, the type of one value at the edges: parsing, printing, the
+Hermitian test, and one entry of a ``linalg.Row``, whose kernels run on the
+ints of whole rows.  All arithmetic is exact; there is no floating point.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from math import gcd, lcm
 
 from .errors import ParseError
 
-_FRAC = r"[+-]?\d+(?:/\d+)?"
-_REAL_RE = re.compile(rf"^({_FRAC})$")
-_IMAG_RE = re.compile(rf"^({_FRAC})\*i$")
-_BOTH_RE = re.compile(rf"^({_FRAC})([+-]\d+(?:/\d+)?)\*i$")
+# exactly the strings format_scalar writes: "0", a nonzero real part, a
+# nonzero imaginary part "...*i" or both; parse_scalar checks the lowest terms
+_PART = r"(-?)([1-9][0-9]*)(?:/([1-9][0-9]*))?"
+_SCALAR_RE = re.compile(
+    rf"0|{_PART}|{_PART}\*i|{_PART}([+-])([1-9][0-9]*)(?:/([1-9][0-9]*))?\*i")
 
 
 class Scalar:
@@ -171,31 +172,24 @@ def format_scalar(x: Scalar) -> str:
 
 
 def parse_scalar(s: str) -> Scalar:
-    """Parse the serialization grammar; reject anything else."""
+    """Parse the serialization grammar, exactly the strings format_scalar
+    writes; reject anything else."""
     if not isinstance(s, str):
         raise ParseError(f"scalar must be a string, got {type(s).__name__}")
-    text = s.strip()
-    m = _REAL_RE.match(text)
-    if m:
-        return Scalar(_parse_fraction(m.group(1)))
-    m = _IMAG_RE.match(text)
-    if m:
-        return Scalar(0, _parse_fraction(m.group(1)))
-    m = _BOTH_RE.match(text)
-    if m:
-        return Scalar(_parse_fraction(m.group(1)), _parse_fraction(m.group(2)))
-    raise ParseError(f"malformed scalar {s!r}")
+    m = _SCALAR_RE.fullmatch(s)
+    if m is None:
+        raise ParseError(f"malformed scalar {s!r}")
+    # one alternative matched: the groups of the others read as the part 0
+    g, parts = m.groups(), []
+    for sign, num, den in (g[0:3] if g[1] else g[6:9], g[3:6] if g[4] else g[9:12]):
+        n, d = (int(sign + num), int(den or 1)) if num else (0, 1)
+        if den and (d == 1 or gcd(n, d) != 1):
+            raise ParseError(f"scalar {s!r} is not in lowest terms")
+        parts.append((n, d))
+    (a, d), (b, e) = parts
+    return _canon(a * e, b * d, d * e)
 
 
 def is_integer(value) -> bool:
     """True for a JSON integer; a JSON boolean loads as an int but is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))

@@ -55,6 +55,17 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "error"
 
 
+@pytest.mark.parametrize("bad", ["2/4", "04", "+1", " 1 ", "1\n", "\u0661"])
+def test_a_non_canonical_scalar_exits_two(bad, tmp_path, capsys):
+    doc = json.loads(J2.read_text())
+    doc["components"][0]["N"][0][0][1] = bad
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["verdict"] == "error"
+
+
 def test_a_repeated_weight_exits_two(tmp_path, capsys):
     doc = {
         "branches": 1, "base_weight": 0, "perverse_shift": 0,

@@ -251,6 +251,24 @@ def test_project_to_both_directions(cls):
         _through(cls, 1, Subspace.full(1))
 
 
+@BOTH
+def test_restricting_to_the_whole_space_builds_no_subspace(cls, monkeypatch):
+    f = _through(cls, 2, LINE)
+    built = []
+    real_init = Subspace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counting_init)
+    whole = Subquotient.of(Subspace.full(2))
+    assert f.project_to(whole) is f and built == []
+    # taken step by step, the same restriction builds each step again
+    rebuilt = type(f)(2, [(i, whole.project_subspace(s)) for i, s in f.steps])
+    assert rebuilt == f and len(built) == len(f.steps)
+
+
 def _flag(cls, dim, vectors, labels):
     """Step labels[i] spans the first i + 1 vectors (increasing) or all from
     the i-th on (decreasing); the end space follows the last label."""

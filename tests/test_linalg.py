@@ -11,8 +11,10 @@ from loghodge.errors import IllDefinedInducedMap, ShapeError
 from loghodge.generate import random_unimodular
 from loghodge.linalg import (
     Matrix,
+    Row,
     Subquotient,
     Subspace,
+    as_vector,
     induced_map,
     place,
     rref,
@@ -31,7 +33,7 @@ def subspace_strategy(dim):
 def test_canonicalize_examples():
     assert Subspace.span([[2, 0], [0, 3]], 2) == Subspace.full(2)
     s = Subspace.span([[1, 1], [2, 2]], 2)
-    assert s.dim == 1 and s.basis == ((Scalar(1), Scalar(1)),)
+    assert s.dim == 1 and tuple(map(tuple, s.basis)) == ((Scalar(1), Scalar(1)),)
     assert Subspace.span([], 2) == Subspace.zero(2)
 
 
@@ -152,7 +154,8 @@ def test_span_coerces_only_at_the_public_entry(monkeypatch):
     assert a.intersect(b) == e1 and a.annihilator() == e3
     assert quotient.project_subspace(b) == Subspace.full(2)
     monkeypatch.undo()
-    assert Subspace.span([[1, "1/2"]], 2).basis == ((Scalar(1), Scalar(Fraction(1, 2))),)
+    assert tuple(map(tuple, Subspace.span([[1, "1/2"]], 2).basis)) == (
+        (Scalar(1), Scalar(Fraction(1, 2))),)
     with pytest.raises(ShapeError, match="wrong ambient dimension"):
         Subspace.span([[1, 0], [0]], 2)
 
@@ -279,16 +282,18 @@ def all_scalars(rows):
 def test_rref_matches_dense_reference(case):
     width, rows = case
     out = rref(rows, width)
-    assert out == dense_rref(rows, width)
+    assert tuple(map(tuple, out)) == dense_rref(rows, width)
     assert all_scalars(out)
+
+
+def f_mul(x, y):
+    """The product of two (re, im) pairs of Fractions."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
 def fraction_rref(rows, width):
     """Gauss-Jordan on (re, im) pairs of Fractions, sharing no code with
     Scalar: the dense reference for the fraction-free package rref."""
-    def mul(x, y):
-        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
     def inverse(x):
         norm = x[0] * x[0] + x[1] * x[1]
         return (x[0] / norm, -x[1] / norm)
@@ -301,12 +306,12 @@ def fraction_rref(rows, width):
             continue
         work[top], work[pivot] = work[pivot], work[top]
         inv = inverse(work[top][col])
-        work[top] = [mul(inv, e) for e in work[top]]
+        work[top] = [f_mul(inv, e) for e in work[top]]
         for i in range(len(work)):
             c = work[i][col]
             if i != top and any(c):
                 work[i] = [(e[0] - q[0], e[1] - q[1])
-                           for e, q in zip(work[i], (mul(c, p) for p in work[top]))]
+                           for e, q in zip(work[i], (f_mul(c, p) for p in work[top]))]
         top += 1
     return [list(r) for r in work[:top]]
 
@@ -363,6 +368,223 @@ def test_solve_and_kernel_match_the_fraction_reference(case, data):
     k = a.kernel()
     assert k.dim == width - rank
     assert all(not any(a(u)) for u in k.basis)
+
+
+# -- the integer rows against the Fraction reference --------------------------
+#
+# Vectors and matrices below are lists of (re, im) Fraction pairs; the
+# reference arithmetic shares no code with Row or Scalar.
+
+def f_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def f_dot(u, v):
+    out = (Fraction(0), Fraction(0))
+    for x, y in zip(u, v):
+        p = f_mul(x, y)
+        out = (out[0] + p[0], out[1] + p[1])
+    return out
+
+
+def f_transpose(rows, width):
+    return [[r[j] for r in rows] for j in range(width)]
+
+
+def f_pivot(row):
+    return next(j for j, e in enumerate(row) if any(e))
+
+
+def f_reduce(basis, v):
+    """v minus its projection along the pivots of a canonical basis."""
+    out = list(v)
+    for row in basis:
+        c = out[f_pivot(row)]
+        out = [f_sub(e, f_mul(c, b)) for e, b in zip(out, row)]
+    return out
+
+
+def f_kernel(rows, width):
+    """Canonical basis of {v : rows . v = 0}."""
+    red = fraction_rref(rows, width)
+    pivots = [f_pivot(r) for r in red]
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    gens = []
+    for f in range(width):
+        if f not in pivots:
+            v = [one if j == f else zero for j in range(width)]
+            for r, p in zip(red, pivots):
+                v[p] = f_sub(zero, r[f])
+            gens.append(v)
+    return fraction_rref(gens, width)
+
+
+def pkg(v):
+    return as_vector([Scalar(*e) for e in v])
+
+
+def ref(row):
+    return [(e.re, e.im) for e in row]
+
+
+def assert_canonical(row):
+    """A Row in lowest terms over a positive denominator, im None iff real."""
+    assert type(row) is Row and row.den > 0
+    assert gcd(*row.num, *(row.im or ()), row.den) == 1
+    assert row.im is None or any(row.im)
+    return row
+
+
+@st.composite
+def fraction_matrix(draw, rows, cols, gaussian=None):
+    """rows x cols (re, im) Fraction pairs, numerators <= 9 and denominators
+    <= 6 in size, often zero; Gaussian or all-real, as drawn."""
+    gaussian = draw(st.booleans()) if gaussian is None else gaussian
+    zero = st.just(Fraction(0))
+    part = st.one_of(zero, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    entry = st.tuples(part, part if gaussian else zero)
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+dims = st.integers(0, 5)
+
+
+@settings(max_examples=150)
+@given(dims.flatmap(lambda n: st.tuples(
+    st.integers(0, n + 1).flatmap(lambda k: fraction_matrix(k, n)),
+    fraction_matrix(1, n), st.data())))
+def test_reduce_and_coordinates_match_the_fraction_reference(case):
+    gens, (v,), data = case
+    n = len(v)
+    sub = Subspace.span([pkg(g) for g in gens], n)
+    basis = fraction_rref(gens, n)
+    assert [ref(assert_canonical(r)) for r in sub.basis] == basis
+    assert ref(assert_canonical(sub.reduce(pkg(v)))) == f_reduce(basis, v)
+    assert sub.contains_vector(pkg(v)) == (not any(map(any, f_reduce(basis, v))))
+    (c,) = data.draw(fraction_matrix(1, sub.dim))
+    w = assert_canonical(sub.from_coords(pkg(c)))
+    assert ref(w) == [f_dot(c, col) for col in f_transpose(basis, n)]
+    assert assert_canonical(sub.coords(w)) == pkg(c)
+
+
+@settings(max_examples=150)
+@given(st.tuples(dims, dims, dims).flatmap(lambda s: st.tuples(
+    fraction_matrix(s[0], s[1]), fraction_matrix(s[1], s[2]),
+    fraction_matrix(1, s[1]), st.just(s))))
+def test_apply_and_product_match_the_fraction_reference(case):
+    a, b, (v,), (rows, inner, cols) = case
+    ma, mb = Matrix([pkg(r) for r in a], cols=inner), Matrix([pkg(r) for r in b], cols=cols)
+    product = ma * mb
+    assert [ref(assert_canonical(r)) for r in product.entries] == \
+        [[f_dot(r, col) for col in f_transpose(b, cols)] for r in a]
+    image = assert_canonical(ma.apply(pkg(v)))
+    assert ref(image) == [f_dot(r, v) for r in a]
+    assert [ref(assert_canonical(r)) for r in ma.transpose().entries] == \
+        f_transpose(a, inner)
+
+
+@settings(max_examples=150)
+@given(dims.flatmap(lambda n: st.tuples(
+    st.integers(0, n + 1).flatmap(lambda k: fraction_matrix(k, n)),
+    st.integers(0, n + 1).flatmap(lambda k: fraction_matrix(k, n)), st.just(n))))
+def test_sum_and_intersection_match_the_fraction_reference(case):
+    a, b, n = case
+    sa, sb = (Subspace.span([pkg(r) for r in m], n) for m in (a, b))
+    assert [ref(r) for r in sa.sum(sb).basis] == fraction_rref(a + b, n)
+    # x = sum_i z_i A_i with z (A; B) = 0: z in the kernel of (A; B)^T
+    ba, bb = fraction_rref(a, n), fraction_rref(b, n)
+    kernel = f_kernel(f_transpose(ba + bb, n), len(ba) + len(bb))
+    meet = fraction_rref([[f_dot(z[:len(ba)], col) for col in f_transpose(ba, n)]
+                          for z in kernel], n)
+    got = sa.intersect(sb)
+    assert [ref(assert_canonical(r)) for r in got.basis] == meet
+
+
+@settings(max_examples=150)
+@given(st.tuples(dims, dims).flatmap(lambda s: st.tuples(
+    fraction_matrix(s[0], s[1]),
+    st.integers(0, s[0] + 1).flatmap(lambda k: fraction_matrix(k, s[0])),
+    fraction_matrix(1, s[1]), st.just(s))))
+def test_kernel_preimage_and_solve_match_the_fraction_reference(case):
+    a, t, (x,), (rows, cols) = case
+    f = Matrix([pkg(r) for r in a], cols=cols)
+    assert [ref(assert_canonical(r)) for r in f.kernel().basis] == f_kernel(a, cols)
+    # the preimage of T is the kernel of v -> f(v) mod T
+    target = Subspace.span([pkg(r) for r in t], rows)
+    tb = fraction_rref(t, rows)
+    mod_t = f_transpose([f_reduce(tb, col) for col in f_transpose(a, cols)], rows)
+    assert [ref(r) for r in f.preimage(target).basis] == f_kernel(mod_t, cols)
+    # solve finds a preimage of f(x)
+    fx = [f_dot(r, x) for r in a]
+    y = assert_canonical(f.solve(pkg(fx)))
+    assert [f_dot(r, ref(y)) for r in a] == fx
+
+
+@settings(max_examples=100)
+@given(dims.flatmap(lambda n: st.tuples(
+    fraction_matrix(n, n),
+    st.integers(0, n + 1).flatmap(lambda k: fraction_matrix(k, n)),
+    st.integers(0, n + 1).flatmap(lambda k: fraction_matrix(k, n)),
+    st.integers(0, n + 1).flatmap(lambda k: fraction_matrix(k, n)), st.just(n))))
+def test_induced_map_matches_the_fraction_reference(case):
+    """f on S/Q into the whole space modulo T = f(Q) + E."""
+    a, s_gens, q_coeffs, extra, n = case
+    f = Matrix([pkg(r) for r in a], cols=n)
+    sb = fraction_rref(s_gens, n)
+    q = [[f_dot(c[:len(sb)], col) for col in f_transpose(sb, n)]
+         for c in q_coeffs if len(c) >= len(sb)]
+    t = [[f_dot(r, v) for r in a] for v in q] + extra
+    src = Subquotient(Subspace.span([pkg(r) for r in s_gens], n),
+                      Subspace.span([pkg(r) for r in q], n))
+    tgt = Subquotient(Subspace.full(n), Subspace.span([pkg(r) for r in t], n))
+    got = induced_map(f, src, tgt)
+    # reference: column j is the class of f(lift j) in the target
+    qb, tb = fraction_rref(q, n), fraction_rref(t, n)
+    lifts = fraction_rref([f_reduce(qb, r) for r in sb], n)
+    one = [[(Fraction(int(i == j)), Fraction(0)) for j in range(n)] for i in range(n)]
+    t_lifts = fraction_rref([f_reduce(tb, r) for r in one], n)
+    pivots = [f_pivot(r) for r in t_lifts]
+    cols = [[f_reduce(tb, [f_dot(r, lift) for r in a])[p] for p in pivots]
+            for lift in lifts]
+    assert (got.rows, got.cols) == (len(t_lifts), len(lifts))
+    assert [ref(assert_canonical(r)) for r in got.entries] == \
+        f_transpose(cols, len(t_lifts))
+
+
+@settings(max_examples=150)
+@given(dims.flatmap(lambda n: st.tuples(
+    st.integers(0, n + 1).flatmap(lambda k: fraction_matrix(k, n)),
+    fraction_matrix(n + 2, n + 1), st.data(), st.just(n))))
+def test_equal_subspaces_have_equal_rows_and_hashes(case):
+    """Spanning sets of one subspace (recombined, with dependent rows added,
+    shuffled, scaled by 2/3 or i) give equal rows that hash alike."""
+    gens, mix, data, n = case
+    basis = fraction_rref(gens, n)
+    rows = gens + [[f_dot(c[:len(basis)], col) for col in f_transpose(basis, n)]
+                   for c in mix]
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(st.lists(st.sampled_from([(Fraction(2, 3), 0), (0, 1)]),
+                                min_size=len(rows), max_size=len(rows)))
+    scaled = [[f_mul(scales[i], e) for e in rows[i]] for i in order]
+    s1 = Subspace.span([pkg(r) for r in gens], n)
+    s2 = Subspace.span([pkg(r) for r in scaled], n)
+    assert s1 == s2 and hash(s1) == hash(s2) and s1.basis == s2.basis
+    assert [hash(r) for r in s1.basis] == [hash(r) for r in s2.basis]
+    assert all(assert_canonical(r) for r in s2.basis)
+
+
+def test_a_row_equals_only_rows():
+    """Rows compare and hash by their ints; a row never equals a tuple, the
+    tuple of its entries included."""
+    half = as_vector(["1/2", 1, "1/3*i"])
+    assert half == as_vector([Fraction(1, 2), Scalar(1), Scalar(0, Fraction(1, 3))])
+    assert hash(half) == hash(as_vector(("1/2", "1", "1/3*i")))
+    assert (half.num, half.im, half.den) == ((3, 6, 0), (0, 0, 2), 6)
+    assert tuple(half) == (Scalar(Fraction(1, 2)), Scalar(1), Scalar(0, Fraction(1, 3)))
+    assert half != tuple(half) and tuple(half) != half
+    assert as_vector([1, 2]) != (1, 2) and as_vector([]) != ()
+    assert as_vector([2, 4]).den == 1
+    assert as_vector([Fraction(2, 4), 0]) == as_vector(["1/2", 0])
 
 
 @settings(max_examples=150)
@@ -422,7 +644,7 @@ def test_scalar_row_producers_match_the_public_constructor(case):
         assert got == want and hash(got) == hash(want)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert type(got.entries) is tuple
-        assert all(type(r) is tuple for r in got.entries)
+        assert all(type(r) is Row for r in got.entries)
         assert all_scalars(got.entries)
 
 
@@ -495,8 +717,8 @@ def test_kernels_on_empty_and_zero_width_input():
     assert Matrix([], cols=3) * Matrix([[1], [2], [3]]) == Matrix([], cols=1)
     empty_inner = Matrix([(), ()], cols=0) * Matrix([], cols=2)
     assert empty_inner == Matrix.zero(2, 2) and all_scalars(empty_inner.entries)
-    assert Matrix([(), ()], cols=0).apply(()) == (Scalar(0), Scalar(0))
-    assert Subspace.zero(0).reduce(()) == ()
+    assert tuple(Matrix([(), ()], cols=0).apply(())) == (Scalar(0), Scalar(0))
+    assert tuple(Subspace.zero(0).reduce(())) == ()
 
 
 def test_powers_stop_at_the_first_zero_power():

@@ -110,3 +110,23 @@ def test_a_real_scalar_equals_and_hashes_like_its_fraction(f, n):
     assert Scalar(n) == n and hash(Scalar(n)) == hash(n)
     assert Scalar(f) * 3 / 3 == f and hash(Scalar(f) * 3 / 3) == hash(f)
     assert Scalar(f, 1) != f and Scalar(f) != Fraction(f.numerator + 1, f.denominator)
+
+
+# each loads through a loose grammar and re-serialises to other bytes
+NON_CANONICAL = ["2/4", "04", "+1", " 1 ", "1\n", "١",
+                 "3/1", "0/5", "-0", "0*i", "1+0*i", "0+1*i", "1/2+2/4*i", "1/01"]
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL)
+def test_parse_rejects_what_format_never_writes(bad):
+    with pytest.raises(ParseError):
+        parse_scalar(bad)
+
+
+@given(st.text(alphabet="0123456789-+/*i \n١", max_size=9))
+def test_every_accepted_string_is_the_format_of_its_value(text):
+    try:
+        x = parse_scalar(text)
+    except ParseError:
+        return
+    assert format_scalar(x) == text

@@ -12,13 +12,14 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from pathlib import Path
 
 from . import decomposition as dec
 from . import complexes as cx
 from .errors import InvalidModel, LogHodgeError, ParseError
-from .filtrations import evaluation, relative_monodromy_filtration, star
+from .filtrations import relative_monodromy_filtration, star
+from .linalg import evaluation
 from .model import canonical_json, imhs_check, load_model, validate
 
 # validate rows that the verbs reading the pairing S rely on
@@ -205,6 +206,7 @@ def run_corpus(args):
         return path, corpus_entry(str(path), args.seed)
 
     if args.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             produced = dict(pool.map(one, paths))
     else:
@@ -269,7 +271,9 @@ VERBS = {
 }
 
 
+@cache
 def build_parser():
+    """Built once per process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="loghodge",
         description="Exact checks for local weight/purity structure near a "

@@ -18,12 +18,12 @@ from .errors import (
     PairingDegenerate,
     ShapeError,
 )
-from .filtrations import (DecreasingFiltration, IncreasingFiltration, _memoized,
-                          filtration_sum)
+from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
 from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
+    _memoized,
     induced_map,
     place,
     rref,

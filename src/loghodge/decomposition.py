@@ -21,11 +21,13 @@ from .complexes import (
     subquotient_complex,
 )
 from .errors import ShapeError
-from .filtrations import _memoized, evaluation, relative_monodromy_filtration
+from .filtrations import relative_monodromy_filtration
 from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
+    _memoized,
+    evaluation,
     induced_map,
 )
 from .model import CheckReport, NCModel

@@ -5,14 +5,13 @@ form, so equality of filtrations is equality of representations.  The
 relative monodromy filtration is constructed recursively over the top
 weight step and re-verified against both defining axioms before returning.
 
-Inside an ``evaluation()`` block every builder that goes through
-``_memoized`` remembers its results by argument, so an equal input is built
-once per block; outside any block it computes on every call.
+The monodromy and relative monodromy builders and ``graded_piece`` go
+through the evaluation memo of ``linalg``, so inside an ``evaluation()``
+block an equal input is built once.
 """
 
 from __future__ import annotations
 
-import contextvars
 from typing import Sequence
 
 from .errors import (
@@ -27,6 +26,8 @@ from .linalg import (
     Row,
     Subquotient,
     Subspace,
+    _memoized,
+    _remembered,
     induced_map,
     place,
 )
@@ -196,6 +197,7 @@ class IncreasingFiltration(Filtration):
             ambient_dim, [(weight, Subspace.full(ambient_dim))]
         )
 
+    @_remembered
     def graded_piece(self, k: int) -> Subquotient:
         return Subquotient(self.at(k), self.at(k - 1))
 
@@ -231,45 +233,6 @@ def filtration_sum(parts, total: int):
         (i, Subspace.span([place(total, [(v, pos)])
                            for pos, f in parts for v in f.at(i).basis], total))
         for i in labels])
-
-
-# -- evaluation memo --------------------------------------------------------
-
-_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "loghodge_filtration_memo", default=None)
-
-
-class evaluation:
-    """Context manager: while it is open, the builders that go through
-    ``_memoized`` remember each result by argument value (a model by
-    identity).
-
-    Each is pure and its arguments immutable, so a remembered result is what
-    a recomputation would return.  A call that raises stores nothing.  A block
-    opened inside another joins it, and only the outermost exit drops the
-    memo.  The memo lives in a context variable, so a thread sees only a
-    block opened in that thread.
-    """
-
-    def __enter__(self):
-        self._token = _MEMO.set({}) if _MEMO.get() is None else None
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._token is not None:
-            _MEMO.reset(self._token)
-
-
-def _memoized(fn, *args):
-    """fn(*args), looked up by (fn, *args) in the open evaluation's memo."""
-    memo = _MEMO.get()
-    if memo is None:
-        return fn(*args)
-    key = (fn, *args)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = fn(*args)
-    return out
 
 
 # -- monodromy filtrations --------------------------------------------------

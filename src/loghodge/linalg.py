@@ -8,17 +8,65 @@ runs on those ints; a ``Scalar`` appears only at the edges, as the view of
 one entry when a row is indexed or iterated.  Subspaces are stored in
 reduced row echelon form, so two equal subspaces have equal rows, and
 equality of filtrations built from them is decidable by comparison.
+
+The evaluation memo lives here, under every other layer: inside an
+``evaluation()`` block each call through ``_memoized``, and so each lattice
+operation marked ``@_remembered``, is computed once per equal input.
 """
 
 from __future__ import annotations
 
-from functools import cache
+import contextvars
+from functools import cache, wraps
 from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
 from .scalars import Scalar, _canon, as_scalar
+
+# -- evaluation memo --------------------------------------------------------
+
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "loghodge_evaluation_memo", default=None)
+
+
+class evaluation:
+    """Context manager: while it is open, the builders that go through
+    ``_memoized`` remember each result by argument value (a model by
+    identity).
+
+    Each is pure and its arguments immutable, so a remembered result is what
+    a recomputation would return.  A call that raises stores nothing.  A block
+    opened inside another joins it, and only the outermost exit drops the
+    memo.  The memo lives in a context variable, so a thread sees only a
+    block opened in that thread.
+    """
+
+    def __enter__(self):
+        self._token = _MEMO.set({}) if _MEMO.get() is None else None
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._token is not None:
+            _MEMO.reset(self._token)
+
+
+def _memoized(fn, *args):
+    """fn(*args), looked up by (fn, *args) in the open evaluation's memo."""
+    memo = _MEMO.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *args)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = fn(*args)
+    return out
+
+
+def _remembered(fn):
+    """fn with every call, positional only, going through _memoized."""
+    return wraps(fn)(lambda *args: _memoized(fn, *args))
 
 
 class Row:
@@ -117,17 +165,6 @@ def _lincomb(c: Row, rows, n: int) -> Row:
     return _row(num, im, den * c.den)
 
 
-def _common(rows, n: int):
-    """The numerators of rows of length n over one denominator: (den, real
-    rows, imaginary rows or None when every row is rational)."""
-    den = lcm(*{r.den for r in rows})
-    nums = [r.num if r.den == den else [x * (den // r.den) for x in r.num]
-            for r in rows]
-    ims = ([[x * (den // r.den) for x in r.im or (0,) * n] for r in rows]
-           if any([r.im for r in rows]) else None)
-    return den, nums, ims
-
-
 def as_vector(entries: Sequence) -> Row:
     """The Row of a sequence of Scalars, ints, Fractions or scalar strings;
     a Row is returned as it is."""
@@ -180,6 +217,7 @@ def _matrix(rows: tuple[Row, ...], cols: int) -> "Matrix":
     m.entries = rows
     m.rows = len(rows)
     m.cols = cols
+    m._hash = m._columns = None
     return m
 
 
@@ -188,7 +226,7 @@ class Matrix:
     rows x cols it defines (columns act): m(v) is m.apply(v) and m * n is
     m after n."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_columns")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
         rows = [as_vector(r) for r in entries]
@@ -204,6 +242,7 @@ class Matrix:
         self.entries = tuple(rows)
         self.rows = len(rows)
         self.cols = cols
+        self._hash = self._columns = None
 
     @staticmethod
     @cache
@@ -225,17 +264,32 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.entries))
+        return self._hash
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
+    def _column_form(self):
+        """(den, real columns, imaginary columns or None when every row is
+        rational): the numerators of the columns over one denominator."""
+        if self._columns is None:
+            rows, n = self.entries, self.cols
+            den = lcm(*{r.den for r in rows})
+            nums = [r.num if r.den == den else [x * (den // r.den) for x in r.num]
+                    for r in rows]
+            ims = ([[x * (den // r.den) for x in r.im or (0,) * n] for r in rows]
+                   if any([r.im for r in rows]) else None)
+            self._columns = (den, tuple(zip(*nums)) if nums else ((),) * n,
+                             ims and tuple(zip(*ims)))
+        return self._columns
+
     def transpose(self) -> "Matrix":
-        den, nums, ims = _common(self.entries, self.cols)
-        cols = zip(*nums) if nums else repeat((), self.cols)
-        return _matrix(tuple(map(_row, cols, zip(*ims) if ims else repeat(None),
-                                 repeat(den))), self.rows)
+        den, cols, icols = self._column_form()
+        return _matrix(tuple(map(_row, cols, icols or repeat(None), repeat(den))),
+                       self.rows)
 
     def conj(self) -> "Matrix":
         return _matrix(tuple(r.conj() for r in self.entries), self.cols)
@@ -272,9 +326,7 @@ class Matrix:
 
     def apply_all(self, vectors) -> list[Row]:
         """The images of the vectors, each of length .cols."""
-        den, nums, ims = _common(self.entries, self.cols)
-        cols = list(zip(*nums)) if nums else [()] * self.cols
-        icols = ims and list(zip(*ims))
+        den, cols, icols = self._column_form()
         out = []
         for v in map(as_vector, vectors):
             if len(v.num) != self.cols:
@@ -309,15 +361,18 @@ class Matrix:
             out.append(self * out[-1])
         return out
 
+    @_remembered
     def image(self, sub: Subspace | None = None) -> Subspace:
         if sub is None:     # spanned by the columns
             return Subspace(self.rows, self.transpose().entries)
         return Subspace(self.rows, self.apply_all(sub.basis))
 
+    @_remembered
     def maps_into(self, src: Subspace, tgt: Subspace) -> bool:
         """f(src) <= tgt."""
         return all(map(tgt.contains_vector, self.apply_all(src.basis)))
 
+    @_remembered
     def kernel(self) -> Subspace:
         return Subspace(self.cols, _kernel_basis(self))
 
@@ -427,7 +482,7 @@ class Subspace:
     """A subspace of Q(i)^ambient_dim in canonical (RREF) form: each basis
     row is 1 at its pivot, where the other rows are 0."""
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_pivots", "_hash")
 
     def __init__(self, ambient_dim: int, basis: tuple[Row, ...], _canonical=False):
         if not _canonical:
@@ -442,6 +497,7 @@ class Subspace:
             pivots.append(p)
             p += 1
         self._pivots = tuple(pivots)
+        self._hash = None
 
     @staticmethod
     def span(vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
@@ -478,7 +534,9 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        if self._hash is None:
+            self._hash = hash((self.ambient_dim, self.basis))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -529,6 +587,7 @@ class Subspace:
 
     # -- lattice ----------------------------------------------------------
 
+    @_remembered
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch in sum")
@@ -536,6 +595,7 @@ class Subspace:
             return other if not self.basis else self
         return Subspace(self.ambient_dim, self.basis + other.basis)
 
+    @_remembered
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch in intersect")
@@ -551,6 +611,7 @@ class Subspace:
         gens = [self.from_coords(z[: self.dim]) for z in _kernel_basis(m)]
         return Subspace(self.ambient_dim, gens)
 
+    @_remembered
     def annihilator(self) -> "Subspace":
         """Functionals (in dual coordinates) vanishing on this subspace."""
         if self.is_zero():
@@ -576,7 +637,8 @@ class Subquotient:
     """Presentation of sub/quot_by with a canonical complement basis.
 
     The lift basis is the RREF of (basis of sub reduced mod quot_by), so the
-    presentation is deterministic and coordinates are canonical.
+    presentation is deterministic and coordinates are canonical; it compares
+    and hashes by (sub, quot_by).
     """
 
     __slots__ = ("sub", "quot_by", "lifts")
@@ -610,6 +672,13 @@ class Subquotient:
     def __repr__(self):
         return f"Subquotient(dim={self.dim})"
 
+    def __eq__(self, other):
+        return type(other) is Subquotient and (
+            (self.sub, self.quot_by) == (other.sub, other.quot_by))
+
+    def __hash__(self):
+        return hash((self.sub, self.quot_by))
+
     def coords(self, v: Row) -> Row:
         """Coordinates of the class of v; requires v in sub.
 
@@ -625,12 +694,14 @@ class Subquotient:
     def lift(self, coords: Sequence) -> Row:
         return self.lifts.from_coords(coords)
 
+    @_remembered
     def project_subspace(self, s: Subspace) -> Subspace:
         """Image of (s intersect sub) in the quotient coordinates."""
         inter = s.intersect(self.sub)
         return Subspace(self.dim, [self.coords(v) for v in inter.basis])
 
 
+@_remembered
 def induced_map(f: Matrix, src: Subquotient, tgt: Subquotient) -> Matrix:
     """Map induced by f on subquotients; raises IllDefinedInducedMap.
 

@@ -22,7 +22,6 @@ from .errors import (
 from .filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
-    _memoized,
     filtration_sum,
     monodromy_filtration,
     relative_monodromy_filtration,
@@ -32,6 +31,7 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
+    _memoized,
     induced_map,
     place,
     rref,
@@ -383,14 +383,12 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     # (1) mixed nilpotent orbit on every weight-graded piece; graded[i] is
     # the nonzero Gr^W_i with the N it induces at t = (1, ..., 1)
     graded = {}
+    n_ts = [model.nilpotent_sum(all_branches, t) for t in samples]
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
         if gr.dim == 0:
             continue
-        n_grs = [Matrix.zero(gr.dim, gr.dim)]
-        if n_branches:
-            n_grs = [induced_map(model.nilpotent_sum(all_branches, t), gr, gr)
-                     for t in samples]
+        n_grs = [induced_map(n_t, gr, gr) for n_t in n_ts]
         graded[i] = gr, n_grs[0]
         try:
             filts = [monodromy_filtration(ng, center=i) for ng in n_grs]

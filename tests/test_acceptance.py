@@ -34,7 +34,6 @@ from loghodge.decomposition import (
 from loghodge.filtrations import (
     IncreasingFiltration,
     check_relative_axioms,
-    evaluation,
     monodromy_filtration,
     relative_monodromy_filtration,
     shriek,
@@ -46,7 +45,7 @@ from loghodge.generate import (
     random_pure_model,
     random_spectral_model,
 )
-from loghodge.linalg import Subspace
+from loghodge.linalg import Subspace, evaluation
 from loghodge.model import (
     NCModel,
     imhs_check,

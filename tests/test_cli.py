@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from loghodge import cli, complexes, filtrations, linalg
+from loghodge import cli, complexes, linalg
 from loghodge.cli import main
 from loghodge.generate import random_pure_model
 from loghodge.model import canonical_json, model_to_json
@@ -218,7 +218,7 @@ def test_back_to_back_runs_share_no_memo(monkeypatch, capsys):
                              capsys)
         assert code == 0
         counts.append(len(calls))
-        assert filtrations._MEMO.get() is None
+        assert linalg._MEMO.get() is None
     assert counts[0] == counts[1] > 0
 
 
@@ -260,7 +260,7 @@ def test_corpus_entry_builds_each_support_tower_once(monkeypatch):
     kinds = [args[1:] for args in built]
     assert kinds.count(("ic", frozenset())) == 1
     assert len(kinds) == len(set(kinds))
-    assert filtrations._MEMO.get() is None
+    assert linalg._MEMO.get() is None
 
 
 def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):

@@ -12,8 +12,9 @@ from loghodge.decomposition import (
     purity_check,
 )
 from loghodge.errors import ShapeError
-from loghodge.filtrations import evaluation, star
+from loghodge.filtrations import star
 from loghodge.generate import random_imhs_model
+from loghodge.linalg import evaluation
 from loghodge.model import imhs_check, model_from_json
 
 J2 = model_from_json({

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from loghodge import filtrations, linalg, model
 from loghodge.errors import (
     FiltrationNotPreserved,
+    IllDefinedInducedMap,
     NotNilpotent,
     ParseError,
     RelativeMonodromyNonexistent,
@@ -19,14 +20,13 @@ from loghodge.filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
     check_relative_axioms,
-    evaluation,
     filtration_sum,
     monodromy_filtration,
     relative_monodromy_filtration,
     shriek,
     star,
 )
-from loghodge.linalg import Matrix, Subquotient, Subspace
+from loghodge.linalg import Matrix, Subquotient, Subspace, evaluation, induced_map
 from loghodge.model import imhs_check, load_model
 
 J2 = Matrix([[0, 1], [0, 0]])
@@ -491,7 +491,7 @@ def test_evaluation_returns_the_remembered_object_without_rref(monkeypatch):
 
 def test_nothing_is_remembered_outside_an_evaluation(monkeypatch):
     calls = _count_rref(monkeypatch)
-    assert filtrations._MEMO.get() is None
+    assert linalg._MEMO.get() is None
     first = relative_monodromy_filtration(*_mixed_extension())
     built = len(calls)
     again = relative_monodromy_filtration(*_mixed_extension())
@@ -499,7 +499,7 @@ def test_nothing_is_remembered_outside_an_evaluation(monkeypatch):
     with evaluation():
         inside = relative_monodromy_filtration(*_mixed_extension())
     # the block's entries went with it
-    assert filtrations._MEMO.get() is None
+    assert linalg._MEMO.get() is None
     assert relative_monodromy_filtration(*_mixed_extension()) is not inside
 
 
@@ -508,15 +508,78 @@ def test_a_nested_evaluation_joins_the_open_one():
     """An inner block sees the outer block's entries and leaves its own in
     place; only the outermost exit drops the memo."""
     with evaluation():
-        outer = filtrations._MEMO.get()
+        outer = linalg._MEMO.get()
         m = monodromy_filtration(J3, 1)
         with evaluation():
-            assert filtrations._MEMO.get() is outer
+            assert linalg._MEMO.get() is outer
             assert monodromy_filtration(J3, 1) is m
             r = relative_monodromy_filtration(*_mixed_extension())
-        assert filtrations._MEMO.get() is outer
+        assert linalg._MEMO.get() is outer
         assert relative_monodromy_filtration(*_mixed_extension()) is r
-    assert filtrations._MEMO.get() is None
+    assert linalg._MEMO.get() is None
+
+
+def _count_work(monkeypatch):
+    """The rref calls and the Matrix.apply_all calls made from now on."""
+    calls = _count_rref(monkeypatch)
+    real_apply_all = Matrix.apply_all
+
+    def counting_apply_all(matrix, vectors):
+        calls.append("apply_all")
+        return real_apply_all(matrix, vectors)
+
+    monkeypatch.setattr(Matrix, "apply_all", counting_apply_all)
+    return calls
+
+
+def _lattice_calls():
+    """Fresh, equal inputs each time: an intersect, a project_subspace and
+    an induced_map, as (name, thunk) pairs."""
+    a = Subspace.span([[1, 1, 0], [0, 0, 1]], 3)
+    b = Subspace.span([[1, 0, 0], [0, 1, 1]], 3)
+    e1 = Subspace.span([[1, 0, 0]], 3)
+    plane = Subquotient(Subspace.span([[1, 0, 0], [0, 1, 0]], 3), e1)
+    return [("intersect", lambda: a.intersect(b)),
+            ("project_subspace", lambda: plane.project_subspace(a)),
+            ("induced_map",
+             lambda: induced_map(J3, plane, Subquotient.of(e1)))]
+
+
+def test_lattice_operations_return_the_remembered_object(monkeypatch):
+    """Inside an evaluation an equal call returns the object the first call
+    built, with no rref and no matrix application."""
+    calls = _count_work(monkeypatch)
+    with evaluation():
+        first = {name: thunk() for name, thunk in _lattice_calls()}
+        for name, thunk in _lattice_calls():
+            del calls[:]
+            assert thunk() is first[name]
+            assert calls == [], name
+
+
+def test_lattice_operations_recompute_outside_an_evaluation(monkeypatch):
+    calls = _count_work(monkeypatch)
+    assert linalg._MEMO.get() is None
+    first = {name: thunk() for name, thunk in _lattice_calls()}
+    for name, thunk in _lattice_calls():
+        del calls[:]
+        again = thunk()
+        assert again == first[name] and again is not first[name]
+        assert calls, name
+
+
+def test_equal_subquotient_presentations_compare_and_hash_equal():
+    e1 = Subspace.span([[1, 0, 0]], 3)
+    one = Subquotient(Subspace.span([[1, 0, 0], [0, 1, 0]], 3), e1)
+    two = Subquotient(Subspace.span([[2, 1, 0], [1, 0, 0]], 3),
+                      Subspace.span([[3, 0, 0]], 3))
+    assert one == two and hash(one) == hash(two)
+    # the same quotient space presented over another sub is another key
+    other = Subquotient(Subspace.span([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+                        Subspace.span([[1, 0, 0], [0, 0, 1]], 3))
+    assert other.dim == one.dim and other != one
+    assert one != one.sub and one != Subquotient.of(one.sub)
+
 
 _MIXED_LINE = IncreasingFiltration(2, [(0, Subspace.span([[1, 0]], 2)),
                                       (1, Subspace.full(2))])
@@ -530,16 +593,21 @@ _NOT_PRESERVED = IncreasingFiltration(2, [(0, Subspace.span([[0, 1]], 2)),
      RelativeMonodromyNonexistent),
     (relative_monodromy_filtration, (J2, _NOT_PRESERVED),
      FiltrationNotPreserved),
+    (induced_map, (J2, Subquotient.of(Subspace.span([[0, 1]], 2)),
+                   Subquotient.of(Subspace.span([[0, 1]], 2))),
+     IllDefinedInducedMap),
 ])
 def test_a_raising_input_raises_again_inside_an_evaluation(fn, args, error):
-    builder = getattr(filtrations, "_" + fn.__name__)
+    # a decorated lattice operation keys its undecorated function
+    builder = getattr(fn, "__wrapped__", None) or getattr(filtrations,
+                                                          "_" + fn.__name__)
     with evaluation():
         messages = []
         for _ in range(2):
             with pytest.raises(error) as info:
                 fn(*args)
             messages.append(str(info.value))
-            assert (builder, *args) not in filtrations._MEMO.get()
+            assert (builder, *args) not in linalg._MEMO.get()
         assert messages[0] == messages[1]
 
 

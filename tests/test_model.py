@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loghodge.model
-from loghodge import filtrations
+from loghodge import filtrations, linalg
 from loghodge.cli import main
 from loghodge.errors import MissingHodgeFiltration, ParseError
 from loghodge.generate import random_pure_model
@@ -255,7 +255,7 @@ def test_wj_outside_an_evaluation_is_the_star_fold():
     """With no memo open, W^J is W on the component with star applied for
     each branch of J in increasing order."""
     model = random_pure_model(3, random.Random(72))
-    assert filtrations._MEMO.get() is None
+    assert linalg._MEMO.get() is None
     for ci, comp in enumerate(model.components):
         for r in range(model.branches + 1):
             for J in itertools.combinations(range(model.branches), r):

@@ -180,10 +180,7 @@ def run_duality(model, args):
             k2 = 2 * m - 1 - k
             prof = rep.degrees[k].weight_profile()
             other = rep.degrees[k2].weight_profile() if k2 in rep.degrees else {}
-            reflected = {}
-            for w, d in other.items():
-                reflected[2 * a + 1 - w] = d
-            if prof != reflected:
+            if prof != {2 * a + 1 - w: d for w, d in other.items()}:
                 good = False
         ok = ok and good
         results.append({"check": "link_self_duality",
@@ -321,13 +318,9 @@ def main(argv=None) -> int:
                 results, passed = VERBS[args.verb](model, args)
         doc["results"] = results
         doc["verdict"] = "pass" if passed in (True, None) else "fail"
-    except ParseError as exc:
-        doc["error"] = str(exc)
-        doc["verdict"] = "error"
-        _emit(doc, args)
-        return 2
     except LogHodgeError as exc:
-        doc["error"] = f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
+        doc["error"] = str(exc) if isinstance(exc, ParseError) else \
+            f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
         doc["verdict"] = "error"
         _emit(doc, args)
         return 2

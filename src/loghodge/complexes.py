@@ -24,12 +24,14 @@ from .linalg import (
     Subquotient,
     Subspace,
     _memoized,
+    _remembered,
+    combination,
     induced_map,
     place,
     rref,
     zero_vector,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO
 
 
 @dataclass
@@ -306,10 +308,11 @@ def cohomology(c: FilteredComplex) -> CohomologyReport:
 
 # -- the Koszul slot complex ----------------------------------------------------
 
+@_remembered
 def alpha_ops(comp) -> dict[int, Matrix]:
-    """alpha_j Id - N_j on one component, per branch j."""
-    ident = Matrix.identity(comp.dim)
-    return {j: ident.scale(Scalar(a)) - nj
+    """alpha_j Id - N_j on one component, per branch j; remembered."""
+    d = comp.dim
+    return {j: combination((a, -1), (Matrix.identity(d), nj), d, d)
             for j, (a, nj) in enumerate(zip(comp.alpha, comp.nilpotents))}
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     Subquotient,
     Subspace,
     _memoized,
+    combination,
     evaluation,
     induced_map,
 )
@@ -65,8 +66,7 @@ def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
         gr_k = model.wj(ci, frozenset(K)).graded_piece(k + 1)
         if gr_k.dim == 0:
             continue
-        ident = Matrix.identity(comp.dim)
-        g = induced_map(ident, gr, gr_k)
+        g = induced_map(Matrix.identity(comp.dim), gr, gr_k)
         space = space.intersect(g.kernel())
     if inside is not None:
         space = space.intersect(gr.project_subspace(inside))
@@ -82,9 +82,8 @@ def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
         residual[j] = induced_map(nj, part, part)
     # purity with respect to the relative monodromy of the J-sum
     if J and space.dim:
-        nsum = comp.nilpotents[J[0]]
-        for j in J[1:]:
-            nsum = nsum + comp.nilpotents[j]
+        nsum = combination([1] * len(J), [comp.nilpotents[j] for j in J],
+                           comp.dim, comp.dim)
         m = relative_monodromy_filtration(nsum, model.weight_on_component(ci))
         proj = m.project_to(gr)
         if not proj.at(k).contains(space) or \

@@ -226,13 +226,22 @@ def filtration_sum(parts, total: int):
     coordinate positions.
 
     parts is a non-empty list of (positions, filtration) whose position lists
-    partition 0..total-1.
+    partition 0..total-1.  When every list increases, each placed basis row
+    keeps its pivot first and meets the other rows' pivots at zero, so the
+    rows sorted by pivot are already canonical and nothing is eliminated.
     """
     labels = sorted({i for _, f in parts for i in f.jumps()})
-    return type(parts[0][1])(total, [
-        (i, Subspace.span([place(total, [(v, pos)])
-                           for pos, f in parts for v in f.at(i).basis], total))
-        for i in labels])
+    increasing = all(list(pos) == sorted(pos) for pos, _ in parts)
+
+    def step(i):
+        rows = []       # (its pivot in the sum, placed row), sorted by pivot
+        for pos, f in parts:
+            sub = f.at(i)
+            rows += [(pos[p], place(total, [(v, pos)]))
+                     for v, p in zip(sub.basis, sub._pivots)]
+        rows.sort()
+        return Subspace(total, tuple(r for _, r in rows), _canonical=increasing)
+    return type(parts[0][1])(total, [(i, step(i)) for i in labels])
 
 
 # -- monodromy filtrations --------------------------------------------------
@@ -356,14 +365,13 @@ def relative_monodromy_filtration(N: Matrix,
 
 def _relative_monodromy_filtration(N: Matrix, w: IncreasingFiltration
                                    ) -> IncreasingFiltration:
-    powers = N.powers()
-    if powers is None:
+    if N.powers() is None:
         raise NotNilpotent("operator is not nilpotent")
     if N.cols != w.ambient_dim:
         raise ShapeError("operator and filtration live on different spaces")
     if w.first_violation(N, w) is not None:
         raise FiltrationNotPreserved("N does not preserve the weight filtration")
-    m = _relative_monodromy_rec(N, w, powers)
+    m = _relative_monodromy_rec(N, w)
     if not check_relative_axioms(m, N, w):
         raise RelativeMonodromyNonexistent(
             "constructed candidate fails the relative monodromy axioms"
@@ -371,10 +379,8 @@ def _relative_monodromy_filtration(N: Matrix, w: IncreasingFiltration
     return m
 
 
-def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration,
-                            powers: list[Matrix] | None = None):
-    """M(N, W) before verification; powers is N's tower when the caller
-    holds it, else it is built here where it is read."""
+def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration):
+    """M(N, W) before verification."""
     n = w.ambient_dim
     jumps = w.jumps()
     if n == 0:
@@ -398,9 +404,7 @@ def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration,
     except NotNilpotent:
         raise RelativeMonodromyNonexistent("induced operator on top step not nilpotent")
 
-    if powers is None:
-        powers = N.powers()
-
+    powers = N.powers()
     contributions = []  # (weight level, vector)
     for vbar, length in tops:
         x0 = top.lift(vbar)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
 # rref is imported for perfbench's tracer, which rebinds the name in every
 # module that binds it; its tests check this module too
-from .linalg import Matrix, Subspace, rref  # noqa: F401
+from .linalg import Matrix, Subspace, combination, rref  # noqa: F401
 from .model import AlphaComponent, NCModel, direct_sum
 from .scalars import ONE, ZERO, I
 
@@ -239,7 +239,7 @@ def random_spectral_model(n_branches: int, rng: random.Random,
         nil = []
         for _ in range(n_branches):
             c1, c2 = rng.randint(-2, 2), rng.randint(-1, 1)
-            nil.append(base.scale(c1) + (base * base).scale(c2))
+            nil.append(combination((c1, c2), (base, base * base), d, d))
         comps.append(AlphaComponent(alpha, d, tuple(nil)))
     # a pure weight per component, drawn in component order
     parts, total = [], 0

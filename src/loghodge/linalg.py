@@ -58,8 +58,8 @@ def _memoized(fn, *args):
     if memo is None:
         return fn(*args)
     key = (fn, *args)
-    out = memo.get(key)
-    if out is None:
+    out = memo.get(key, memo)   # a value never stored, so None can be a result
+    if out is memo:
         out = memo[key] = fn(*args)
     return out
 
@@ -221,6 +221,16 @@ def _matrix(rows: tuple[Row, ...], cols: int) -> "Matrix":
     return m
 
 
+def combination(coeffs, mats, rows: int, cols: int) -> "Matrix":
+    """sum_k coeffs[k] * mats[k], each a rows x cols Matrix: row i is one
+    exact combination of the rows i, so no partial sum is built."""
+    if any((m.rows, m.cols) != (rows, cols) for m in mats):
+        raise ShapeError("matrix combination shape mismatch")
+    c = as_vector(coeffs)
+    return _matrix(tuple(_lincomb(c, [m.entries[i] for m in mats], cols)
+                         for i in range(rows)), cols)
+
+
 class Matrix:
     """Dense exact matrix, a tuple of Rows, and the linear map of shape
     rows x cols it defines (columns act): m(v) is m.apply(v) and m * n is
@@ -295,21 +305,16 @@ class Matrix:
         return _matrix(tuple(r.conj() for r in self.entries), self.cols)
 
     def __add__(self, other):
-        return self - -other
+        return combination((1, 1), (self, other), self.rows, self.cols)
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix addition shape mismatch")
-        return _matrix(tuple(a - b for a, b in zip(self.entries, other.entries)),
-                       self.cols)
+        return combination((1, -1), (self, other), self.rows, self.cols)
 
     def __neg__(self):
         return _matrix(tuple(-r for r in self.entries), self.cols)
 
     def scale(self, c) -> "Matrix":
-        c = as_vector((c,))     # row times c is the combination c[0] * row
-        return _matrix(tuple(_lincomb(c, (r,), self.cols) for r in self.entries),
-                       self.cols)
+        return combination((c,), (self,), self.rows, self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -349,9 +354,11 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(r.is_zero() for r in self.entries)
 
+    @_remembered
     def powers(self) -> list["Matrix"] | None:
         """self^0, ..., self^e with self^e the first zero power, or None when
-        self is not nilpotent (no power up to the dimension vanishes)."""
+        self is not nilpotent (no power up to the dimension vanishes).  The
+        list may be a remembered one: read it, never change it."""
         if self.rows != self.cols:
             raise ShapeError("powers of a non-endomorphism")
         out = [Matrix.identity(self.cols)]

@@ -32,6 +32,8 @@ from .linalg import (
     Subquotient,
     Subspace,
     _memoized,
+    _remembered,
+    combination,
     induced_map,
     place,
     rref,
@@ -84,24 +86,19 @@ class NCModel:
         return Subspace(n, tuple(unit[i] for i in self.component_positions(ci)),
                         _canonical=True)
 
+    @_remembered
     def nilpotent(self, j: int) -> Matrix:
-        """N_j on the total space (block diagonal over components)."""
-        n = self.total_dim
-        pieces = []
-        for ci, comp in enumerate(self.components):
-            pos = self.component_positions(ci)
-            pieces.append((comp.nilpotents[j], pos, pos))
-        return place((n, n), pieces)
+        """N_j on the total space (block diagonal over components);
+        remembered per evaluation."""
+        n, comps = self.total_dim, self.components
+        pos = map(self.component_positions, range(len(comps)))
+        return place((n, n), [(c.nilpotents[j], p, p) for c, p in zip(comps, pos)])
 
     def nilpotent_sum(self, branches, t=None) -> Matrix:
+        """sum_k t[k] N_{branches[k]}, t all ones when None, in one pass."""
         n = self.total_dim
-        out = Matrix.zero(n, n)
-        for idx, j in enumerate(branches):
-            nj = self.nilpotent(j)
-            if t is not None:
-                nj = nj.scale(t[idx])
-            out = out + nj
-        return out
+        return combination([1] * len(branches) if t is None else t,
+                           [self.nilpotent(j) for j in branches], n, n)
 
     def weight_on_component(self, ci: int) -> IncreasingFiltration:
         return self.weight.project_to(Subquotient.of(self.component_subspace(ci)))
@@ -326,10 +323,7 @@ def _sample_t_vectors(n: int, seed: int):
 
 
 def _subsets(n):
-    items = list(range(n))
-    for r in range(1, n + 1):
-        for c in itertools.combinations(items, r):
-            yield c
+    return [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
 
 
 def _hodge_decomposes(f_piece: DecreasingFiltration, weight: int) -> bool:
@@ -527,7 +521,7 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
             if hpq.dim == 0:
                 continue
             covered += hpq.dim
-            ipq = _i_power(p - q)
+            ipq = (ONE, I, -ONE, -I)[(p - q) % 4]      # i^(p-q)
             basis = [top.lift(v) for v in hpq.basis]
             rows = [[global_sign * ipq * s_bar(x, nk(y.conj())) for y in basis]
                     for x in basis]
@@ -536,11 +530,6 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
         if covered != prim.dim:
             return False
     return True
-
-
-def _i_power(k: int) -> Scalar:
-    k %= 4
-    return (ONE, I, -ONE, -I)[k]
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import ParseError
 _PART = r"(-?)([1-9][0-9]*)(?:/([1-9][0-9]*))?"
 _SCALAR_RE = re.compile(
     rf"0|{_PART}|{_PART}\*i|{_PART}([+-])([1-9][0-9]*)(?:/([1-9][0-9]*))?\*i")
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")     # the common case, read by int()
 
 
 class Scalar:
@@ -176,6 +177,8 @@ def parse_scalar(s: str) -> Scalar:
     writes; reject anything else."""
     if not isinstance(s, str):
         raise ParseError(f"scalar must be a string, got {type(s).__name__}")
+    if _INT_RE.fullmatch(s):
+        return _canon(int(s), 0, 1)
     m = _SCALAR_RE.fullmatch(s)
     if m is None:
         raise ParseError(f"malformed scalar {s!r}")

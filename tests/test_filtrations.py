@@ -26,7 +26,14 @@ from loghodge.filtrations import (
     shriek,
     star,
 )
-from loghodge.linalg import Matrix, Subquotient, Subspace, evaluation, induced_map
+from loghodge.linalg import (
+    Matrix,
+    Subquotient,
+    Subspace,
+    evaluation,
+    induced_map,
+    place,
+)
 from loghodge.model import imhs_check, load_model
 
 J2 = Matrix([[0, 1], [0, 0]])
@@ -299,6 +306,30 @@ def split_flags(draw, cls):
     owner = draw(st.permutations([i for i, d in enumerate(dims) for _ in range(d)]))
     return len(owner), [([p for p, o in enumerate(owner) if o == i],
                           draw(flags(cls, d))) for i, d in enumerate(dims)]
+
+
+@BOTH
+@settings(max_examples=80)
+@given(data=st.data())
+def test_filtration_sum_equals_the_span_of_the_placed_rows(cls, data):
+    """Parts at increasing positions are summed with no elimination; parts at
+    shuffled positions go through one.  Either way each step is the span of
+    the parts' basis rows placed at their positions."""
+    total, parts = data.draw(split_flags(cls))
+    if data.draw(st.booleans()):
+        parts = [(data.draw(st.permutations(pos)), f) for pos, f in parts]
+    increasing = all(list(pos) == sorted(pos) for pos, _ in parts)
+    labels = sorted({i for _, f in parts for i in f.jumps()})
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_rref(mp)
+        out = filtration_sum(parts, total)
+    assert (not calls) == (increasing or not labels)
+    expected = cls(total, [
+        (i, Subspace.span([place(total, [(v, pos)])
+                           for pos, f in parts for v in f.at(i).basis], total))
+        for i in labels])
+    assert type(out) is cls and out == expected
+    assert all(out.at(i).basis == expected.at(i).basis for i in labels)
 
 
 def _embedding(pos, total):

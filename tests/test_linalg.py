@@ -742,3 +742,71 @@ def test_powers_stop_at_the_first_zero_power():
         assert not powers[-2].is_zero()
         assert all(p * nil == q for p, q in zip(powers, powers[1:]))
         assert (nil + Matrix.identity(n)).powers() is None
+
+
+@settings(max_examples=150)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)).flatmap(
+    lambda s: st.tuples(st.lists(sparse_rows(s[0], s[1]), min_size=s[2],
+                                 max_size=s[2]),
+                        st.lists(st.builds(Scalar, small_frac, small_frac),
+                                 min_size=s[2], max_size=s[2]),
+                        st.just(s[:2]))))
+def test_combination_matches_the_entrywise_sum(case):
+    """sum_k c_k M_k in one pass equals the entrywise Scalar sum, with
+    Gaussian entries and coefficients and with no matrix at all."""
+    mats, coeffs, (rows, cols) = case
+    got = linalg.combination(coeffs, [Matrix(m, cols=cols) for m in mats],
+                             rows, cols)
+    want = [[sum((c * m[i][j] for c, m in zip(coeffs, mats)), Scalar(0))
+             for j in range(cols)] for i in range(rows)]
+    assert got == Matrix(want, cols=cols) and (got.rows, got.cols) == (rows, cols)
+    assert all_scalars(got.entries)
+
+
+def test_combination_rejects_a_matrix_of_another_shape():
+    with pytest.raises(ShapeError):
+        linalg.combination((1, 1), (Matrix.zero(2, 2), Matrix.zero(2, 3)), 2, 2)
+    with pytest.raises(ShapeError):
+        Matrix.zero(2, 2) + Matrix.zero(3, 2)
+
+
+def test_a_remembered_none_is_not_recomputed():
+    calls = []
+
+    def nothing(x):
+        calls.append(x)
+
+    with linalg.evaluation():
+        assert linalg._memoized(nothing, 1) is None
+        assert linalg._memoized(nothing, 1) is None
+    assert calls == [1]
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        calls.append(a)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    return calls
+
+
+@pytest.mark.parametrize("m", [Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                               Matrix([[1, 1], [0, 1]])])
+def test_powers_are_remembered_nilpotent_or_not(monkeypatch, m):
+    """Inside an evaluation the tower, or the None of a non-nilpotent
+    operator, is built by the first call only; outside one, every call
+    builds it."""
+    calls = _count_products(monkeypatch)
+    with linalg.evaluation():
+        first = m.powers()
+        assert calls
+        del calls[:]
+        assert Matrix(m.entries).powers() is first and calls == []
+    again = m.powers()
+    assert again == first and calls
+    if first is not None:
+        assert again is not first

@@ -13,7 +13,12 @@ import loghodge.model
 from loghodge import filtrations, linalg
 from loghodge.cli import main
 from loghodge.errors import MissingHodgeFiltration, ParseError
-from loghodge.generate import random_pure_model
+from loghodge.complexes import alpha_ops
+from loghodge.generate import (
+    random_imhs_model,
+    random_pure_model,
+    random_spectral_model,
+)
 from loghodge.linalg import Matrix
 from loghodge.model import (
     NCModel,
@@ -263,3 +268,65 @@ def test_wj_outside_an_evaluation_is_the_star_fold():
                 for j in sorted(J):
                     expected = filtrations.star(comp.nilpotents[j], expected)
                 assert model.wj(ci, frozenset(J)) == expected
+
+
+def _gaussian(model):
+    """The model with every N_j times 1 + i: Gaussian operator entries."""
+    return dataclasses.replace(model, components=tuple(
+        dataclasses.replace(c, nilpotents=tuple(
+            n.scale(Scalar(1, 1)) for n in c.nilpotents))
+        for c in model.components))
+
+
+def _draws():
+    rng = random.Random(14)
+    for n in (1, 2, 3):
+        for make in (random_imhs_model, random_pure_model, random_spectral_model):
+            model = make(n, rng)
+            yield model
+            yield _gaussian(model)
+
+
+def test_nilpotent_sum_is_the_scale_and_add_fold():
+    """sum_k t_k N_{j_k} on the total space equals the entrywise sum of the
+    component blocks, for every branch list (the empty one included), with t
+    all ones or Fractions, on rational and Gaussian operators."""
+    rng = random.Random(5)
+    for model in _draws():
+        n = model.total_dim
+        block = [None] * n      # coordinate -> (component, index inside it)
+        for ci in range(len(model.components)):
+            for i, p in enumerate(model.component_positions(ci)):
+                block[p] = (ci, i)
+        for r in range(model.branches + 1):
+            for branches in itertools.combinations(range(model.branches), r):
+                t = [Fraction(rng.randint(1, 7), rng.randint(1, 5))
+                     for _ in branches]
+                for coeffs in (None, t):
+                    ts = [1] * r if coeffs is None else coeffs
+                    want = [[sum((Scalar(s) * model.components[block[p][0]]
+                                  .nilpotents[j][block[p][1], block[q][1]]
+                                  for s, j in zip(ts, branches)), Scalar(0))
+                             if block[p][0] == block[q][0] else Scalar(0)
+                             for q in range(n)] for p in range(n)]
+                    assert model.nilpotent_sum(branches, coeffs) == \
+                        Matrix(want, cols=n)
+        for j in range(model.branches):
+            assert model.nilpotent(j) == model.nilpotent_sum([j])
+
+
+@pytest.mark.parametrize("name", ["nilpotent", "powers", "alpha_ops"])
+def test_operators_are_remembered_inside_an_evaluation(name):
+    """N_j, the power tower of N_j and the alpha Id - N_j of a component are
+    built once per evaluation; outside one each call builds them again."""
+    model = random_spectral_model(2, random.Random(3))
+    build = {
+        "nilpotent": lambda: model.nilpotent(1),
+        "powers": lambda: model.nilpotent(0).powers(),
+        "alpha_ops": lambda: alpha_ops(model.components[0]),
+    }[name]
+    with linalg.evaluation():
+        first = build()
+        assert build() is first
+    again = build()
+    assert again == first and again is not first and build() is not again

@@ -130,3 +130,21 @@ def test_every_accepted_string_is_the_format_of_its_value(text):
     except ParseError:
         return
     assert format_scalar(x) == text
+
+
+@given(st.integers(-10**30, 10**30))
+def test_the_integer_fast_path_agrees_with_the_full_grammar(n):
+    from loghodge import scalars
+    text = str(n)
+    assert scalars._INT_RE.fullmatch(text) and scalars._SCALAR_RE.fullmatch(text)
+    x = parse_scalar(text)
+    assert x == Scalar(n) and (x.a, x.b, x.d) == (n, 0, 1)
+    assert format_scalar(x) == text
+
+
+@pytest.mark.parametrize("bad", ["04", "-0", "+1", " 1 ", "1\n", "١"])
+def test_integer_lookalikes_miss_the_fast_path_and_raise(bad):
+    from loghodge import scalars
+    assert scalars._INT_RE.fullmatch(bad) is None
+    with pytest.raises(ParseError):
+        parse_scalar(bad)

@@ -22,8 +22,9 @@ from .filtrations import relative_monodromy_filtration, star
 from .linalg import evaluation
 from .model import canonical_json, imhs_check, load_model, validate
 
-# validate rows that the verbs reading the pairing S rely on
-PAIRING_ROWS = ("PairingParity", "InfinitesimalIsometry")
+# validate rows that the verdicts on S rely on (they hold for polarizations)
+PAIRING_ROWS = ("PairingNondegenerate", "PairingParity",
+                "InfinitesimalIsometry")
 
 
 def _parse_z(text, model):
@@ -46,7 +47,7 @@ def _purity_cohomology(model, mode, z):
         c = cx.build_ic_log(model, z)
     elif mode == "compact":
         c = cx.dualize(cx.build_ic_log(model, z), a=model.base_weight,
-                       top=model.branches, pairing=model.pairing)
+                       top=model.branches)
     elif mode == "link":
         c = cx.link_complex(model, z)
     else:
@@ -54,12 +55,12 @@ def _purity_cohomology(model, mode, z):
     return cx.cohomology(c)
 
 
-def _require_valid_pairing(model):
-    """Raise InvalidModel when S fails a validate row a verdict relies on."""
-    failed = [c.name for c in validate(model).checks
+def _require_valid_pairing(report, subject):
+    """Raise InvalidModel, naming subject, if report fails a PAIRING_ROWS row."""
+    failed = [c.name for c in report.checks
               if c.name in PAIRING_ROWS and c.status == "fail"]
     if failed:
-        raise InvalidModel(f"instance fails validate: {', '.join(failed)}")
+        raise InvalidModel(f"{subject} fails validate: {', '.join(failed)}")
 
 
 def run_validate(model, args):
@@ -124,7 +125,7 @@ def run_intersect(model, args):
     z = _parse_z(args.z, model)
     if not z:
         raise ParseError("intersect needs a nonempty --z")
-    _require_valid_pairing(model)
+    _require_valid_pairing(validate(model), "instance")
     results = []
     ok = True
     for rep in dec.intersection_image(model, z):
@@ -137,7 +138,7 @@ def run_intersect(model, args):
 def run_purity(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_valid_pairing(model)
+    _require_valid_pairing(validate(model), "instance")
     verdict = dec.purity_check(_purity_cohomology(model, args.mode, z),
                                model.base_weight, shift, args.mode)
     return verdict.to_json(), verdict.passed
@@ -146,7 +147,7 @@ def run_purity(model, args):
 def run_link(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_valid_pairing(model)
+    _require_valid_pairing(validate(model), "instance")
     link = cx.link_complex(model, z)
     rep = cx.cohomology(link)
     verdict = dec.purity_check(rep, model.base_weight, shift, "link")
@@ -157,7 +158,7 @@ def run_link(model, args):
 def run_duality(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     a = model.base_weight
-    _require_valid_pairing(model)
+    _require_valid_pairing(validate(model), "instance")
     results = []
     ok = True
     for kind in ("omega", "ic"):
@@ -170,8 +171,8 @@ def run_duality(model, args):
         results.append({"check": f"double_dual[{kind}]",
                         "status": "pass" if good else "fail"})
     if model.pairing is not None and model.branches == 1:
-        # self-duality of the link reflection needs a compact stratum, which
-        # the local germ provides only for a single branch
+        # the link S^{2n-1} is compact for every n, but for n >= 2 it is still
+        # built from the union-of-branches i^! and i^*, which miss the link
         link = cx.link_complex(model, z)
         rep = cx.cohomology(link)
         m = model.perverse_shift
@@ -235,7 +236,9 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
     (the caller's when one is open; a pool thread sees none and opens its own)."""
     with evaluation():
         model = load_model(path)
-        entry = {"validate": validate(model).to_json()}
+        report = validate(model)
+        _require_valid_pairing(report, f"instance {path}")
+        entry = {"validate": report.to_json()}
         entry["cohomology"] = {
             "omega": cx.cohomology(cx.build_omega(model)).to_json(),
             "ic": cx.cohomology(cx.build_ic(model)).to_json(),

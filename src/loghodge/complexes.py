@@ -28,7 +28,6 @@ from .linalg import (
     combination,
     induced_map,
     place,
-    rref,
     zero_vector,
 )
 from .scalars import ONE, ZERO
@@ -209,17 +208,12 @@ def cone(f: ComplexMap) -> FilteredComplex:
     return out
 
 
-def dualize(c: FilteredComplex, a: int, top: int | None = None,
-            pairing: Matrix | None = None) -> FilteredComplex:
+def dualize(c: FilteredComplex, a: int, top: int | None = None) -> FilteredComplex:
     """Dual complex: term k = (term(top-k))*, weights reflected about a.
 
     W_w(dual term) is the annihilator of W_{2a-w-1} and F^p(dual term) that
-    of F^{a-p+1}; the optional pairing is only checked for nondegeneracy (the
-    dual itself is coordinate-abstract).
+    of F^{a-p+1}.
     """
-    if pairing is not None:
-        if len(rref(pairing.entries, pairing.cols)) != pairing.rows:
-            raise PairingDegenerate("declared pairing is singular")
     if top is None:
         top = c.min_deg + c.max_deg
     lo, hi = top - c.max_deg, top - c.min_deg
@@ -243,7 +237,6 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None,
 
 @dataclass
 class DegreeCohomology:
-    degree: int
     presentation: Subquotient
     weights: IncreasingFiltration | None
     hodge: DecreasingFiltration | None
@@ -258,7 +251,6 @@ class DegreeCohomology:
 
 @dataclass
 class CohomologyReport:
-    complex: FilteredComplex
     degrees: dict[int, DegreeCohomology]
 
     def dim(self, k: int) -> int:
@@ -299,11 +291,11 @@ def cohomology(c: FilteredComplex) -> CohomologyReport:
         w_filtr, f_filtr = (
             filt[k].project_to(h) if filt is not None and k in filt else None
             for filt in (c.weight, c.hodge))
-        degrees[k] = DegreeCohomology(k, h, w_filtr, f_filtr)
+        degrees[k] = DegreeCohomology(h, w_filtr, f_filtr)
         total += (-1) ** k * h.dim
     if total != c.euler_characteristic():
         raise AssertionError("Euler characteristic mismatch in cohomology")
-    return CohomologyReport(c, degrees)
+    return CohomologyReport(degrees)
 
 
 # -- the Koszul slot complex ----------------------------------------------------
@@ -407,11 +399,11 @@ def _model_complex(model, kind: str, z: frozenset) -> FilteredComplex:
         # preserves) so the filtration stays a subcomplex.
         if comps[ci].is_unipotent():
             return model.wj(ci, frozenset(K)).shift(len(K))
-        return model.weight_on_component(ci)
+        return model.on_component(model.weight, ci)
 
     hodge = None
     if model.hodge is not None:
-        hodges = [model.hodge_on_component(ci) for ci in range(len(comps))]
+        hodges = [model.on_component(model.hodge, ci) for ci in range(len(comps))]
 
         def hodge(K, ci):
             return hodges[ci].shift(len(K))
@@ -444,7 +436,7 @@ def _check_branches(model, z) -> frozenset:
     return z
 
 
-def ic_into_iclog(model, ic: FilteredComplex, log: FilteredComplex) -> ComplexMap:
+def ic_into_iclog(ic: FilteredComplex, log: FilteredComplex) -> ComplexMap:
     """Termwise inclusion of the intersection complex into the log variant."""
     maps = {}
     for k in ic.degrees():
@@ -517,8 +509,7 @@ class _SupportTower:
 
 def _tower_star(tower: _SupportTower) -> FilteredComplex:
     m = tower.model
-    return dualize(tower.shriek, a=m.base_weight, top=m.branches + 1,
-                   pairing=m.pairing)
+    return dualize(tower.shriek, a=m.base_weight, top=m.branches + 1)
 
 
 def _tower_cohomology(tower: _SupportTower, star: bool) -> CohomologyReport:
@@ -533,7 +524,7 @@ def _support_tower(model, z: frozenset) -> _SupportTower:
 def _build_support_tower(model, z: frozenset) -> _SupportTower:
     ic = build_ic(model)
     log = build_ic_log(model, z)
-    emb = ic_into_iclog(model, ic, log)
+    emb = ic_into_iclog(ic, log)
     quot, pres = quotient_complex(emb)
     return _SupportTower(model, ic, log, emb, pres, quot.shift(-1))
 

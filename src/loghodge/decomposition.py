@@ -38,9 +38,6 @@ from .model import CheckReport, NCModel
 
 @dataclass
 class PrimitiveComponentPart:
-    component: int
-    branch_set: tuple[int, ...]
-    weight: int
     gr: Subquotient                 # Gr^{W^J}_k of the component space
     space: Subspace                 # the primitive part, in gr coordinates
     residual: dict[int, Matrix]  # induced N_j on the part, j outside J
@@ -84,12 +81,12 @@ def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
     if J and space.dim:
         nsum = combination([1] * len(J), [comp.nilpotents[j] for j in J],
                            comp.dim, comp.dim)
-        m = relative_monodromy_filtration(nsum, model.weight_on_component(ci))
+        m = relative_monodromy_filtration(nsum, model.on_component(model.weight, ci))
         proj = m.project_to(gr)
         if not proj.at(k).contains(space) or \
                 space.intersect(proj.at(k - 1)).dim != 0:
             raise ShapeError("primitive part is not pure at its weight")
-    return PrimitiveComponentPart(ci, tuple(J), k, gr, space, residual)
+    return PrimitiveComponentPart(gr, space, residual)
 
 
 # -- graded decomposition ------------------------------------------------------
@@ -104,7 +101,7 @@ def _ic_of_part(part: PrimitiveComponentPart, branches: list[int],
 def check_distinguished_pair(model: NCModel, ci: int, j: int):
     """Exact splitting Gr^{N_j*W} = Im(Gr N_j) (+) Ker(Gr I_j), all weights."""
     comp = model.components[ci]
-    w = model.weight_on_component(ci)
+    w = model.on_component(model.weight, ci)
     wj = model.wj(ci, frozenset([j]))
     nj = comp.nilpotents[j]
     lo = min(w.lowest(), wj.lowest()) - 1

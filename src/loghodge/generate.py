@@ -21,9 +21,9 @@ from .model import AlphaComponent, NCModel, direct_sum
 from .scalars import ONE, ZERO, I
 
 
-def random_unimodular(dim: int, rng: random.Random, ops: int | None = None) -> Matrix:
+def random_unimodular(dim: int, rng: random.Random) -> Matrix:
     g = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for _ in range(ops if ops is not None else 2 * dim):
+    for _ in range(2 * dim):
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j:
             continue
@@ -109,16 +109,13 @@ def _twist_block(block: _Block, r: int) -> _Block:
 
 
 def _block_model(n_branches: int, block: _Block, base_weight: int,
-                 perverse_shift: int, with_pairing: bool,
-                 with_hodge: bool) -> NCModel:
+                 perverse_shift: int, with_pairing: bool) -> NCModel:
     comp = AlphaComponent(tuple(Fraction(0) for _ in range(n_branches)),
                           block.dim, tuple(block.nilpotents))
     weight = IncreasingFiltration.pure(block.dim, block.weight)
-    hodge = None
-    if with_hodge:
-        hodge = DecreasingFiltration(
-            block.dim,
-            [(p, Subspace.span(rows, block.dim)) for p, rows in block.f_steps])
+    hodge = DecreasingFiltration(
+        block.dim,
+        [(p, Subspace.span(rows, block.dim)) for p, rows in block.f_steps])
     return NCModel(n_branches, (comp,), base_weight, perverse_shift, weight,
                    hodge, block.s_matrix if with_pairing else None,
                    block.parity if with_pairing else None)
@@ -150,9 +147,8 @@ def conjugate_model(model: NCModel, g: Matrix) -> NCModel:
 
 
 def random_imhs_model(n_branches: int, rng: random.Random,
-                      with_pairing: bool = True, with_hodge: bool = True,
-                      max_dim: int = 8, max_blocks: int = 3,
-                      conjugate: bool = True) -> NCModel:
+                      with_pairing: bool = True, max_dim: int = 8,
+                      max_blocks: int = 3) -> NCModel:
     """Direct sum of twisted tensor blocks, then a rational change of basis."""
     blocks = []
     budget = max_dim
@@ -182,14 +178,11 @@ def random_imhs_model(n_branches: int, rng: random.Random,
     base_weight = min(b.weight for b in blocks)
     shift = n_branches
     model = _block_model(n_branches, blocks[0], base_weight, shift,
-                         with_pairing, with_hodge)
+                         with_pairing)
     for b in blocks[1:]:
         model = direct_sum(model, _block_model(n_branches, b, base_weight, shift,
-                                               with_pairing, with_hodge))
-    if conjugate:
-        g = random_unimodular(model.total_dim, rng)
-        model = conjugate_model(model, g)
-    return model
+                                               with_pairing))
+    return conjugate_model(model, random_unimodular(model.total_dim, rng))
 
 
 def _fit(sizes: list[int], budget: int) -> list[int]:
@@ -204,18 +197,15 @@ def _fit(sizes: list[int], budget: int) -> list[int]:
 
 
 def random_pure_model(n_branches: int, rng: random.Random,
-                      with_pairing: bool = True,
                       max_dim: int = 8) -> NCModel:
     """Single pure weight; handy for the pure-anchor and purity suites."""
     sizes = [rng.choice([1, 2, 2, 3]) for _ in range(max(n_branches, 1))]
     block = _tensor_blocks(n_branches, _fit(sizes, max_dim))
-    model = _block_model(n_branches, block, block.weight, n_branches,
-                         with_pairing, True)
+    model = _block_model(n_branches, block, block.weight, n_branches, True)
     return conjugate_model(model, random_unimodular(model.total_dim, rng))
 
 
-def random_spectral_model(n_branches: int, rng: random.Random,
-                          max_components: int = 3) -> NCModel:
+def random_spectral_model(n_branches: int, rng: random.Random) -> NCModel:
     """Model with nonzero residue exponents, for the acyclicity suite.
 
     Operators on each component are polynomials in one nilpotent, hence
@@ -223,7 +213,7 @@ def random_spectral_model(n_branches: int, rng: random.Random,
     """
     comps = []
     alphas = set()
-    n_comp = rng.randint(1, max_components)
+    n_comp = rng.randint(1, 3)
     choices = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                Fraction(1, 4)]
     for _ in range(n_comp):

@@ -100,13 +100,9 @@ class NCModel:
         return combination([1] * len(branches) if t is None else t,
                            [self.nilpotent(j) for j in branches], n, n)
 
-    def weight_on_component(self, ci: int) -> IncreasingFiltration:
-        return self.weight.project_to(Subquotient.of(self.component_subspace(ci)))
-
-    def hodge_on_component(self, ci: int) -> DecreasingFiltration | None:
-        if self.hodge is None:
-            return None
-        return self.hodge.project_to(Subquotient.of(self.component_subspace(ci)))
+    def on_component(self, filt, ci: int):
+        """A filtration of the total space (W or F) restricted to component ci."""
+        return filt.project_to(Subquotient.of(self.component_subspace(ci)))
 
     def wj(self, ci: int, branch_set: frozenset) -> IncreasingFiltration:
         """W^J on component ci, built by max branch; memoized per evaluation."""
@@ -126,7 +122,7 @@ class NCModel:
 
 def _wj(model: NCModel, ci: int, branch_set: frozenset) -> IncreasingFiltration:
     if not branch_set:
-        return model.weight_on_component(ci)
+        return model.on_component(model.weight, ci)
     j = max(branch_set)
     return star(model.components[ci].nilpotents[j], model.wj(ci, branch_set - {j}))
 
@@ -373,16 +369,19 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     n_branches = model.branches
     samples = _sample_t_vectors(n_branches, seed)
     all_branches = tuple(range(n_branches))
+    # N(t) for each branch subset (the empty one when n = 0) and sample t
+    n_ts = {subset: [model.nilpotent_sum(subset, [t[j] for j in subset])
+                     for t in samples]
+            for subset in {*_subsets(n_branches), all_branches}}
 
     # (1) mixed nilpotent orbit on every weight-graded piece; graded[i] is
     # the nonzero Gr^W_i with the N it induces at t = (1, ..., 1)
     graded = {}
-    n_ts = [model.nilpotent_sum(all_branches, t) for t in samples]
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
         if gr.dim == 0:
             continue
-        n_grs = [induced_map(n_t, gr, gr) for n_t in n_ts]
+        n_grs = [induced_map(n_t, gr, gr) for n_t in n_ts[all_branches]]
         graded[i] = gr, n_grs[0]
         try:
             filts = [monodromy_filtration(ng, center=i) for ng in n_grs]
@@ -410,8 +409,7 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         ok = True
         detail = ""
         filts = []
-        for t in samples:
-            nsum = model.nilpotent_sum(subset, [t[j] for j in subset])
+        for nsum in n_ts[subset]:
             try:
                 filts.append(relative_monodromy_filtration(nsum, model.weight))
             except LogHodgeError as exc:

@@ -76,7 +76,7 @@ def test_criterion_01_acyclicity():
                 continue
             sub = NCModel(model.branches, (comp,), model.base_weight,
                           model.perverse_shift,
-                          model.weight_on_component(ci))
+                          model.on_component(model.weight, ci))
             h = cohomology(build_omega(sub))
             for k in range(n + 2):
                 assert h.dim(k) == 0, \
@@ -197,7 +197,7 @@ def test_criterion_04_order_independence():
                     for perm in itertools.permutations(j_set):
                         folded = functools.reduce(
                             lambda f, j: star(comp.nilpotents[j], f), perm,
-                            model.weight_on_component(ci))
+                            model.on_component(model.weight, ci))
                         assert folded == wj, \
                             f"trial {trial}: ordering {perm} disagrees"
     print("\n[PASS] criterion 4: order independence for |J| <= 3 on 12 "
@@ -229,8 +229,7 @@ def test_criterion_06_pure_weight_anchor():
             a = model.weight.jumps()[0]
             om = build_omega(model)
             ic = build_ic(model)
-            emb = ic_into_iclog(model, ic, build_ic_log(model,
-                                                        range(model.branches)))
+            emb = ic_into_iclog(ic, build_ic_log(model, range(model.branches)))
             for k in om.degrees():
                 if not om.term_dim(k):
                     continue
@@ -294,8 +293,7 @@ def test_criterion_08_weight_bounds():
                 assert st.passed, (name, sorted(z), "closed")
                 comp = purity_check(
                     cohomology(dualize(build_ic_log(model, z), a=a,
-                                       top=model.branches,
-                                       pairing=model.pairing)),
+                                       top=model.branches)),
                     a, shift, "compact")
                 assert comp.passed, (name, sorted(z), "compact")
                 run += 3

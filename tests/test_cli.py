@@ -9,6 +9,7 @@ import pytest
 
 from loghodge import cli, complexes, linalg
 from loghodge.cli import main
+from loghodge.errors import InvalidModel
 from loghodge.generate import random_pure_model
 from loghodge.model import canonical_json, model_to_json
 
@@ -282,14 +283,24 @@ def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
     assert len(seen["dualize"]) == 2 and len(seen["cohomology"]) == 7
 
 
-def _pairing_failing_validate(tmp_path):
-    """J2 weight 1 with S = identity declared at parity 1: symmetric, so the
-    parity row fails, and N^T S + S N = N^T + N != 0."""
+def _with_pairing(tmp_path, name, matrix):
+    """J2 weight 1 with the pairing matrix declared at parity 1."""
     doc = json.loads(J2.read_text())
-    doc["S"] = {"matrix": [["1", "0"], ["0", "1"]], "parity": 1}
-    path = tmp_path / "bad_pairing.json"
+    doc["S"] = {"matrix": matrix, "parity": 1}
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _pairing_failing_validate(tmp_path):
+    """S = identity: symmetric, so the parity row fails, and
+    N^T S + S N = N^T + N != 0."""
+    return _with_pairing(tmp_path, "bad_pairing", [["1", "0"], ["0", "1"]])
+
+
+def _singular_pairing(tmp_path):
+    """S = 0: antisymmetric and an infinitesimal isometry, but singular."""
+    return _with_pairing(tmp_path, "singular_pairing", [["0", "0"], ["0", "0"]])
 
 
 @pytest.mark.parametrize("argv", [
@@ -299,15 +310,35 @@ def _pairing_failing_validate(tmp_path):
 ])
 def test_verbs_using_the_pairing_refuse_one_failing_validate(argv, tmp_path,
                                                              capsys):
+    for path, failed in (
+            (_pairing_failing_validate(tmp_path),
+             "PairingParity, InfinitesimalIsometry"),
+            (_singular_pairing(tmp_path), "PairingNondegenerate")):
+        code, out = run_cli(argv + [str(path)], capsys)
+        assert code == 2, path.name
+        doc = json.loads(out)
+        assert doc["verdict"] == "error" and "results" not in doc
+        assert doc["error"] == ("loghodge.errors.InvalidModel: instance fails "
+                                f"validate: {failed}")
+        code, out = run_cli(["validate", str(path)], capsys)
+        assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_refuses_an_instance_failing_validate_and_names_it(
+        jobs, tmp_path, capsys):
+    for p in CORPUS.glob("jordan2_weight1*"):
+        shutil.copy(p, tmp_path / p.name)
     path = _pairing_failing_validate(tmp_path)
-    code, out = run_cli(argv + [str(path)], capsys)
+    with pytest.raises(InvalidModel):
+        cli.corpus_entry(str(path))
+    code, out = run_cli(["corpus", "--jobs", jobs, str(tmp_path)], capsys)
     assert code == 2
     doc = json.loads(out)
     assert doc["verdict"] == "error" and "results" not in doc
-    assert doc["error"] == ("loghodge.errors.InvalidModel: instance fails "
-                            "validate: PairingParity, InfinitesimalIsometry")
-    code, out = run_cli(["validate", str(path)], capsys)
-    assert code == 1 and json.loads(out)["verdict"] == "fail"
+    assert doc["error"] == (
+        f"loghodge.errors.InvalidModel: instance {path} fails validate: "
+        "PairingParity, InfinitesimalIsometry")
 
 
 def test_internal_error_exits_three_with_one_json_document(monkeypatch,

@@ -130,7 +130,7 @@ def test_shriek_matches_cone_route():
     for model in (J2, TWO_BRANCH):
         ic = build_ic(model)
         log = build_ic_log(model, range(model.branches))
-        emb = ic_into_iclog(model, ic, log)
+        emb = ic_into_iclog(ic, log)
         via_cone = cone(emb).shift(-1)
         quot = i_shriek(model, range(model.branches))
         hc, hq = cohomology(via_cone), cohomology(quot)
@@ -213,7 +213,7 @@ def test_build_complex_dispatches_to_the_named_builders():
 def test_quotient_complex_profile():
     ic = build_ic(J2)
     log = build_ic_log(J2, [0])
-    emb = ic_into_iclog(J2, ic, log)
+    emb = ic_into_iclog(ic, log)
     quot, _ = quotient_complex(emb)
     assert cohomology(quot).profile() == {1: {3: 1}}
 
@@ -226,7 +226,7 @@ def test_builders_on_random_models():
         om, ic = build_omega(model), build_ic(model)
         om.validate()
         ic.validate()
-        emb = ic_into_iclog(model, ic, build_ic_log(model, range(n)))
+        emb = ic_into_iclog(ic, build_ic_log(model, range(n)))
         emb.validate()
         # Euler characteristics agree with cohomology (asserted inside)
         cohomology(om), cohomology(ic)

@@ -99,7 +99,7 @@ def test_purity_check_modes():
                         "support").passed
     assert purity_check(cohomology(build_ic_log(J2, [0])), a, shift,
                         "open").passed
-    dual = dualize(build_ic_log(J2, [0]), a=a, top=1, pairing=J2.pairing)
+    dual = dualize(build_ic_log(J2, [0]), a=a, top=1)
     assert purity_check(cohomology(dual), a, shift, "compact").passed
 
 
@@ -137,7 +137,7 @@ def test_descent_strictness():
             for r in range(1, n + 1):
                 for K in itertools.combinations(range(n), r):
                     sub = Subspace.full(comp.dim)
-                    filt = model.weight_on_component(ci)
+                    filt = model.on_component(model.weight, ci)
                     for j in K:
                         op = induced_map(comp.nilpotents[j], Subquotient.of(sub),
                                          Subquotient.of(sub))
@@ -174,7 +174,8 @@ def test_imhs_passing_models_never_lack_relative_filtrations():
                     for perm in itertools.permutations(j_set):
                         assert functools.reduce(
                             lambda f, j: star(comp.nilpotents[j], f), perm,
-                            model.weight_on_component(ci)) == wj, (ci, perm)
+                            model.on_component(model.weight, ci)
+                        ) == wj, (ci, perm)
 
 
 def test_intersection_image_zero_model():

@@ -264,7 +264,7 @@ def test_wj_outside_an_evaluation_is_the_star_fold():
     for ci, comp in enumerate(model.components):
         for r in range(model.branches + 1):
             for J in itertools.combinations(range(model.branches), r):
-                expected = model.weight_on_component(ci)
+                expected = model.on_component(model.weight, ci)
                 for j in sorted(J):
                     expected = filtrations.star(comp.nilpotents[j], expected)
                 assert model.wj(ci, frozenset(J)) == expected

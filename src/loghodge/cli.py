@@ -201,7 +201,10 @@ def run_corpus(args):
         raise ParseError(f"no instances found in {root}")
 
     def one(path):
-        return path, corpus_entry(str(path), args.seed)
+        try:
+            return path, corpus_entry(str(path), args.seed)
+        except LogHodgeError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
     if args.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -237,7 +240,7 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
     with evaluation():
         model = load_model(path)
         report = validate(model)
-        _require_valid_pairing(report, f"instance {path}")
+        _require_valid_pairing(report, "instance")
         entry = {"validate": report.to_json()}
         entry["cohomology"] = {
             "omega": cx.cohomology(cx.build_omega(model)).to_json(),

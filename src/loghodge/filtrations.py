@@ -3,7 +3,9 @@
 Increasing filtrations are stored by their jump steps only, in canonical
 form, so equality of filtrations is equality of representations.  The
 relative monodromy filtration is constructed recursively over the top
-weight step and re-verified against both defining axioms before returning.
+weight step; each builder re-verifies its result with the membership test
+``monodromy_violation`` or ``check_relative_axioms``, which holds for a
+filtration exactly when the builder returns it.
 
 The monodromy and relative monodromy builders and ``graded_piece`` go
 through the evaluation memo of ``linalg``, so inside an ``evaluation()``
@@ -29,9 +31,11 @@ from .linalg import (
     _memoized,
     _remembered,
     induced_map,
+    is_rref,
+    parse_row,
     place,
 )
-from .scalars import is_integer, parse_scalar
+from .scalars import is_integer
 
 
 class Filtration:
@@ -129,6 +133,7 @@ class Filtration:
         """The same steps with every index moved by m."""
         return type(self)(self.ambient_dim, [(i + m, s) for i, s in self.steps])
 
+    @_remembered
     def project_to(self, sq: Subquotient):
         """Induced filtration on a subquotient, in its canonical coordinates;
         on Subquotient.of(sub) the restriction to sub, and self itself when
@@ -168,8 +173,9 @@ class Filtration:
             if not isinstance(basis, list) or \
                     not all(isinstance(row, list) for row in basis):
                 raise ParseError(f"{cls._NAME} basis must be a list of rows")
-            rows = [[parse_scalar(e) for e in row] for row in basis]
-            steps.append((i, Subspace.span(rows, ambient_dim)))
+            rows = tuple(map(parse_row, basis))
+            steps.append((i, Subspace(ambient_dim, rows,
+                                      _canonical=is_rref(rows, ambient_dim))))
         return cls(ambient_dim, steps)
 
 
@@ -279,50 +285,50 @@ def _monodromy_filtration(N: Matrix, center: int) -> IncreasingFiltration:
             acc = acc.sum(images[j].intersect(ker(j + k + 1)))
         steps.append((center + k, acc))
     m = IncreasingFiltration(n, steps)
-    _check_monodromy_axioms(m, N, powers, center)
+    if (reason := monodromy_violation(m, N, center)) is not None:
+        raise RelativeMonodromyNonexistent(reason)
     return m
 
 
-def _check_monodromy_axioms(m: IncreasingFiltration, N: Matrix,
-                            powers: list[Matrix], center: int):
-    """Both axioms; Gr^m is zero beyond center +- e, so powers[k] exists
-    wherever it is read."""
+@_remembered
+def monodromy_violation(m: IncreasingFiltration, N: Matrix,
+                        center: int) -> str | None:
+    """Why m is not W(N) centred at center, or None exactly when
+    monodromy_filtration(N, center) returns m: the unique M with N nilpotent,
+    N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k} (Deligne, Weil II 1.6.1),
+    N^k counting as zero for k >= e, N^e = 0.  Memoized per evaluation."""
+    if not N.rows == N.cols == m.ambient_dim:
+        return "operator and filtration live on different spaces"
+    powers = N.powers()
+    if powers is None:
+        return "operator is not nilpotent"
     if m.first_violation(N, m, -2) is not None:
-        raise RelativeMonodromyNonexistent("candidate violates N M_i <= M_{i-2}")
-    lo = m.lowest() - 1
-    hi = m.highest()
-    for k in range(1, max(hi - center, center - lo) + 1):
+        return "candidate violates N M_i <= M_{i-2}"
+    for k in range(1, max(m.highest() - center, center - m.lowest() + 1) + 1):
         top = m.graded_piece(center + k)
         bot = m.graded_piece(center - k)
         if top.dim != bot.dim:
-            raise RelativeMonodromyNonexistent(
-                f"graded pieces at {center + k} and {center - k} differ in dimension"
-            )
-        if top.dim == 0:
-            continue
-        g = induced_map(powers[k], top, bot)
-        if g.kernel().dim != 0:
-            raise RelativeMonodromyNonexistent(
-                f"N^{k} is not an isomorphism Gr_{center + k} -> Gr_{center - k}"
-            )
+            return (f"graded pieces at {center + k} and {center - k} "
+                    "differ in dimension")
+        if top.dim and (k >= len(powers) - 1
+                        or induced_map(powers[k], top, bot).kernel().dim):
+            return (f"N^{k} is not an isomorphism "
+                    f"Gr_{center + k} -> Gr_{center - k}")
+    return None
 
 
 def check_relative_axioms(m: IncreasingFiltration, N: Matrix,
                           w: IncreasingFiltration) -> bool:
-    """Both relative monodromy axioms, as exact subspace statements."""
-    if m.first_violation(N, m, -2) is not None:
+    """True exactly when relative_monodromy_filtration(N, w) returns m: the
+    unique M (Steenbrink-Zucker 1985) with N preserving W, N M_k <= M_{k-2}
+    (so N is nilpotent) and W(N) centred at l induced on each Gr^W_l."""
+    if not (N.rows == N.cols == w.ambient_dim == m.ambient_dim) \
+            or w.first_violation(N, w) is not None \
+            or m.first_violation(N, m, -2) is not None:
         return False
     for j in w.jumps():
         gr = w.graded_piece(j)
-        if gr.dim == 0:
-            continue
-        n_gr = induced_map(N, gr, gr)
-        induced = m.project_to(gr)
-        try:
-            expected = monodromy_filtration(n_gr, center=j)
-        except (NotNilpotent, RelativeMonodromyNonexistent):
-            return False
-        if induced != expected:
+        if monodromy_violation(m.project_to(gr), induced_map(N, gr, gr), j):
             return False
     return True
 

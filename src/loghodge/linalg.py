@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
-from .scalars import Scalar, _canon, as_scalar
+from .scalars import _INT_RE, Scalar, _canon, as_scalar, parse_scalar
 
 # -- evaluation memo --------------------------------------------------------
 
@@ -174,6 +174,14 @@ def as_vector(entries: Sequence) -> Row:
     den = lcm(*[x.d for x in xs])
     return _row([x.a * (den // x.d) for x in xs],
                 [x.b * (den // x.d) for x in xs], den)
+
+
+def parse_row(strings: Sequence) -> Row:
+    """The Row of a list of scalar strings, read straight into ints when
+    every entry is an integer; ParseError as parse_scalar gives otherwise."""
+    if all(type(s) is str and _INT_RE.fullmatch(s) for s in strings):
+        return _row([int(s) for s in strings], None, 1)
+    return as_vector([parse_scalar(s) for s in strings])
 
 
 def zero_vector(n: int) -> Row:
@@ -483,6 +491,21 @@ def rref(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
     return tuple(_row(*_comb(r[p], -ri[p], r, ri, 0, 0, r, None),
                       r[p] ** 2 + ri[p] ** 2)
                  for r, ri, p in zip(work, imag, pivots))
+
+
+def is_rref(rows: Sequence[Row], width: int) -> bool:
+    """Whether rref(rows, width) is rows itself, in one pass: each row has
+    length width, its first nonzero entry, real or imaginary, is a 1 at a
+    pivot past the previous row's, and it is 0 at the later rows' pivots."""
+    pivots = []
+    for r in rows:
+        p = next((j for j, x in enumerate(r.num) if x), width)
+        if len(r.num) != width or p == width or r.num[p] != r.den \
+                or r.im and any(r.im[:p + 1]) or pivots and p <= pivots[-1]:
+            return False
+        pivots.append(p)
+    return not any(r.num[q] or r.im and r.im[q]
+                   for k, r in enumerate(rows) for q in pivots[k + 1:])
 
 
 class Subspace:

@@ -22,8 +22,10 @@ from .errors import (
 from .filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
+    check_relative_axioms,
     filtration_sum,
     monodromy_filtration,
+    monodromy_violation,
     relative_monodromy_filtration,
     star,
 )
@@ -35,6 +37,7 @@ from .linalg import (
     _remembered,
     combination,
     induced_map,
+    parse_row,
     place,
     rref,
 )
@@ -369,6 +372,9 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     n_branches = model.branches
     samples = _sample_t_vectors(n_branches, seed)
     all_branches = tuple(range(n_branches))
+    # Steps (1) and (2) build each filtration at the first t.  It is unique,
+    # so a later t keeps it when it passes the axioms there and builds anew
+    # only where it fails: rows and errors are those of building at every t.
     # N(t) for each branch subset (the empty one when n = 0) and sample t
     n_ts = {subset: [model.nilpotent_sum(subset, [t[j] for j in subset])
                      for t in samples]
@@ -384,15 +390,16 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         n_grs = [induced_map(n_t, gr, gr) for n_t in n_ts[all_branches]]
         graded[i] = gr, n_grs[0]
         try:
-            filts = [monodromy_filtration(ng, center=i) for ng in n_grs]
+            m = monodromy_filtration(n_grs[0], center=i)
+            filts = [m if monodromy_violation(m, ng, i) is None
+                     else monodromy_filtration(ng, center=i) for ng in n_grs[1:]]
         except LogHodgeError as exc:
             report.add(f"NilpotentOrbit[w={i}]", False,
                        f"monodromy failed: {exc}")
             continue
-        t_independent = all(f == filts[0] for f in filts)
+        t_independent = all(f == m for f in filts)
         report.add(f"OrbitTIndependence[w={i}]", t_independent,
                    "monodromy filtration depends on the scaling vector")
-        m = filts[0]
         f_gr = model.hodge.project_to(gr)
         hs_ok = True
         for k in m.jumps():
@@ -408,17 +415,16 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     for subset in _subsets(n_branches):
         ok = True
         detail = ""
-        filts = []
-        for nsum in n_ts[subset]:
-            try:
-                filts.append(relative_monodromy_filtration(nsum, model.weight))
-            except LogHodgeError as exc:
-                ok, detail = False, str(exc)
-                break
-        if ok and any(f != filts[0] for f in filts):
+        try:
+            mj = relative_monodromy_filtration(n_ts[subset][0], model.weight)
+            filts = [mj if check_relative_axioms(mj, nsum, model.weight)
+                     else relative_monodromy_filtration(nsum, model.weight)
+                     for nsum in n_ts[subset][1:]]
+        except LogHodgeError as exc:
+            ok, detail = False, str(exc)
+        if ok and any(f != mj for f in filts):
             ok, detail = False, "relative filtration depends on the scaling vector"
         if ok:
-            mj = filts[0]
             relmono[subset] = mj
             for j in subset:
                 if mj.first_violation(model.nilpotent(j), mj, -2) is not None:
@@ -612,7 +618,7 @@ def _matrix_from_json(mdoc, d: int, where: str) -> Matrix:
     for r in mdoc:
         if not isinstance(r, list) or len(r) != d:
             raise ParseError(f"{where}: expected square {d}x{d} matrix")
-        rows.append([parse_scalar(e) for e in r])
+        rows.append(parse_row(r))
     return Matrix(rows, cols=d)
 
 

@@ -337,8 +337,33 @@ def test_corpus_refuses_an_instance_failing_validate_and_names_it(
     doc = json.loads(out)
     assert doc["verdict"] == "error" and "results" not in doc
     assert doc["error"] == (
-        f"loghodge.errors.InvalidModel: instance {path} fails validate: "
+        f"loghodge.errors.InvalidModel: {path}: instance fails validate: "
         "PairingParity, InfinitesimalIsometry")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_names_the_file_of_every_error(jobs, tmp_path, capsys):
+    for p in CORPUS.glob("jordan2_weight1*"):
+        shutil.copy(p, tmp_path / p.name)
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1]")
+    doc = json.loads(J2.read_text())
+    doc["components"][0].update(dim=1, N=[[["1"]]])
+    doc.update(W=[{"weight": 1, "basis": [["1"]]}], F=[{"p": 1, "basis": []}])
+    del doc["S"]
+    not_nilpotent = tmp_path / "not_nilpotent.json"
+    not_nilpotent.write_text(json.dumps(doc))
+    # the instances run in name order, so each error is the first one left
+    for path, error in (
+            (not_an_object, f"{not_an_object}: instance must be a JSON object"),
+            (not_nilpotent, "loghodge.errors.NotNilpotent: "
+                            f"{not_nilpotent}: operator is not nilpotent")):
+        code, out = run_cli(["corpus", "--jobs", jobs, str(tmp_path)], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "error" and "results" not in doc
+        assert doc["error"] == error
+        path.unlink()
 
 
 def test_internal_error_exits_three_with_one_json_document(monkeypatch,

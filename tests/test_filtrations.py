@@ -11,6 +11,7 @@ from loghodge import filtrations, linalg, model
 from loghodge.errors import (
     FiltrationNotPreserved,
     IllDefinedInducedMap,
+    LogHodgeError,
     NotNilpotent,
     ParseError,
     RelativeMonodromyNonexistent,
@@ -671,3 +672,105 @@ def test_polarization_reuses_the_orbit_step_monodromy_filtration(monkeypatch):
         with evaluation():
             assert imhs_check(instance).passed
         assert asked and asked == [0] * len(asked)
+
+
+# -- the membership tests against their builders -------------------------------
+
+def _built(build, *args):
+    """What the builder returns, or None when it raises a LogHodgeError."""
+    try:
+        return build(*args)
+    except LogHodgeError:
+        return None
+
+
+def _perturbed(m: IncreasingFiltration, rng) -> IncreasingFiltration:
+    """m moved by an elementary unipotent change of basis."""
+    n = m.ambient_dim
+    a, b = rng.sample(range(n), 2)
+    h = Matrix([[int(i == j) + (rng.choice((-1, 1, 2)) if (i, j) == (a, b)
+                                else 0) for j in range(n)] for i in range(n)])
+    return IncreasingFiltration(n, [(i, h.image(s)) for i, s in m.steps])
+
+
+def _stretched(m: IncreasingFiltration, center: int, factor: int):
+    """m with each label's distance from center multiplied by factor, so its
+    graded pieces reach beyond center +- e."""
+    return IncreasingFiltration(
+        m.ambient_dim, [(center + factor * (i - center), s) for i, s in m.steps])
+
+
+def _w_candidates(m, center, rng):
+    out = [m, m.shift(1), m.shift(-2), _stretched(m, center, 2),
+           _stretched(m, center, 3), IncreasingFiltration.pure(m.ambient_dim, center)]
+    if m.ambient_dim > 1:
+        out += [_perturbed(m, rng) for _ in range(3)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_monodromy_violation_is_none_exactly_for_the_built_filtration(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 6)
+    n = random_nilpotent(dim, rng)
+    center = rng.randint(-2, 2)
+    m = monodromy_filtration(n, center)
+    operators = [(n, c) for c in (center, center + 1, center - 1)]
+    operators.append((n + Matrix.identity(dim), center))     # not nilpotent
+    for op, c in operators:
+        built = _built(monodromy_filtration, op, c)
+        for cand in _w_candidates(m, center, rng):
+            assert (filtrations.monodromy_violation(cand, op, c) is None) == \
+                (cand == built), (cand, c)
+    assert filtrations.monodromy_violation(m, n, center) is None
+
+
+def _flag_model(rng):
+    """A nilpotent N preserving a random W: a strictly upper triangular U
+    preserves the coordinate flag, and g carries both to N = g U g^-1 and
+    W = g(flag), with random weights on the flag steps."""
+    dim = rng.randint(1, 6)
+    u = Matrix([[rng.randint(-1, 1) if j > i else 0 for j in range(dim)]
+                for i in range(dim)])
+    g = random_nilpotent(dim, rng) + Matrix.identity(dim)   # unipotent
+    cuts = sorted(rng.sample(range(1, dim), rng.randint(0, min(2, dim - 1))))
+    weights = sorted(rng.sample(range(-2, 3), len(cuts) + 1))
+    cols = g.transpose().entries                  # g e_j, the columns of g
+    w = IncreasingFiltration(dim, [
+        (wt, Subspace.span(cols[:end], dim))
+        for wt, end in zip(weights, cuts + [dim])])
+    return g * u * g.inverse(), w
+
+
+def _m_candidates(ops, w, built, rng):
+    """W itself, W(N) of each nilpotent operator, and the built filtration
+    moved, stretched and perturbed."""
+    out = [w] + [monodromy_filtration(op, 0) for op in ops
+                 if op.powers() is not None]
+    if built is not None:
+        out += [built, built.shift(1), _stretched(built, 0, 3)]
+        if built.ambient_dim > 1:
+            out += [_perturbed(built, rng) for _ in range(3)]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_check_relative_axioms_holds_exactly_for_the_built_filtration(seed):
+    rng = random.Random(seed)
+    n, w = _flag_model(rng)
+    dim = w.ambient_dim
+    built = _built(relative_monodromy_filtration, n, w)
+    others = [n + Matrix.identity(dim)]                       # not nilpotent
+    loose = random_nilpotent(dim, rng)
+    if w.first_violation(loose, w) is not None:
+        others.append(loose)                                  # moves W
+    candidates = _m_candidates([n, *others], w, built, rng)
+    for op in [n, *others]:
+        expected = built if op is n else _built(relative_monodromy_filtration,
+                                                op, w)
+        if op is not n:
+            assert expected is None
+        for cand in candidates:
+            assert check_relative_axioms(cand, op, w) == (cand == expected), cand

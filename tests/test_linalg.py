@@ -286,6 +286,29 @@ def test_rref_matches_dense_reference(case):
     assert all_scalars(out)
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 5).flatmap(lambda w: st.tuples(st.just(w),
+                                                     sparse_rows(cols=w))))
+def test_is_rref_holds_exactly_for_rows_rref_leaves_as_they_are(case):
+    """On raw rows, their RREF, and the RREF with its rows reversed, its
+    first row scaled by i, given an i before its pivot or plus the second
+    row: is_rref is whether rref returns the rows unchanged."""
+    width, rows = case
+    canonical = rref(rows, width)
+    candidates = [tuple(map(as_vector, rows)), canonical, canonical[::-1]]
+    if canonical:
+        first, rest = list(canonical[0]), canonical[1:]
+        i_first = [Scalar(0, 1) * e for e in first]
+        i_before = [Scalar(0, 1) if j == 0 else e for j, e in enumerate(first)]
+        candidates += [(as_vector(i_first), *rest), (as_vector(i_before), *rest)]
+        if rest:
+            plus = [x + y for x, y in zip(first, rest[0])]
+            candidates.append((as_vector(plus), *rest))
+    for cand in candidates:
+        assert linalg.is_rref(cand, width) == (rref(cand, width) == cand)
+    assert linalg.is_rref(canonical, width)
+
+
 def f_mul(x, y):
     """The product of two (re, im) pairs of Fractions."""
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])

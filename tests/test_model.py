@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import dataclasses
 import itertools
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import loghodge.model
 from loghodge import filtrations, linalg
 from loghodge.cli import main
-from loghodge.errors import MissingHodgeFiltration, ParseError
+from loghodge.errors import LogHodgeError, MissingHodgeFiltration, ParseError
 from loghodge.complexes import alpha_ops
 from loghodge.generate import (
     random_imhs_model,
@@ -32,6 +34,8 @@ from loghodge.model import (
     validate,
 )
 from loghodge.scalars import Scalar
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 J2_WEIGHT1 = {
     "branches": 1, "base_weight": 1, "perverse_shift": 1,
@@ -330,3 +334,185 @@ def test_operators_are_remembered_inside_an_evaluation(name):
         assert build() is first
     again = build()
     assert again == first and again is not first and build() is not again
+
+
+# -- the sampled t: tested against the held filtration, built on failure -----
+
+def _opposite_branches(weight_doc):
+    """Two branches with N_2 = -N_1 = -J2 on a plane, so N(t) = (t_1 - t_2) J2
+    is zero at t = (1, 1) and not at every sampled t."""
+    return model_from_json({
+        "branches": 2, "base_weight": 1, "perverse_shift": 1,
+        "components": [{"alpha": ["0", "0"], "dim": 2,
+                        "N": [[["0", "1"], ["0", "0"]], [["0", "-1"], ["0", "0"]]]}],
+        "W": weight_doc, "F": J2_WEIGHT1["F"]})
+
+
+SAMPLED_ROWS = ("NilpotentOrbit", "OrbitTIndependence", "RelativeMonodromy")
+
+
+def _built_at_every_t(model, seed=0):
+    """The sampled rows of imhs_check, each filtration built at every t of
+    _sample_t_vectors, with no test of a held one."""
+    samples = loghodge.model._sample_t_vectors(model.branches, seed)
+    rows = []
+    for i in model.weight.jumps():
+        gr = model.weight.graded_piece(i)
+        try:
+            fs = [filtrations.monodromy_filtration(linalg.induced_map(
+                model.nilpotent_sum(range(model.branches), t), gr, gr), i)
+                for t in samples]
+        except LogHodgeError as exc:
+            rows.append((f"NilpotentOrbit[w={i}]", "fail",
+                         f"monodromy failed: {exc}"))
+            continue
+        same = all(f == fs[0] for f in fs)
+        rows.append((f"OrbitTIndependence[w={i}]", "pass" if same else "fail",
+                     "" if same else
+                     "monodromy filtration depends on the scaling vector"))
+    for r in range(1, model.branches + 1):
+        for subset in itertools.combinations(range(model.branches), r):
+            ok, detail = True, ""
+            try:
+                fs = [filtrations.relative_monodromy_filtration(
+                    model.nilpotent_sum(subset, [t[j] for j in subset]),
+                    model.weight) for t in samples]
+            except LogHodgeError as exc:
+                ok, detail = False, str(exc)
+            if ok and any(f != fs[0] for f in fs):
+                ok, detail = False, "relative filtration depends on the scaling vector"
+            for j in subset if ok else ():
+                if fs[0].first_violation(model.nilpotent(j), fs[0], -2) is not None:
+                    detail = f"N_{j + 1} does not shift M(J) by -2"
+            names = ",".join(str(j + 1) for j in subset)
+            rows.append((f"RelativeMonodromy[J={{{names}}}]",
+                         "fail" if detail else "pass", detail))
+    return rows
+
+
+@pytest.mark.parametrize("weight_doc, failing", [
+    # W pure: W(N(t)) is pure at t = (1, 1) and the J2 filtration elsewhere
+    ([{"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
+     "relative filtration depends on the scaling vector"),
+    # W_0 = ker J2: M(0, W) = W exists, M(c J2, W) does not for c != 0
+    ([{"weight": 0, "basis": [["1", "0"]]},
+      {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
+     "no admissible lift for a chain of length 1 over weight 1"),
+])
+def test_a_t_dependent_orbit_reports_what_building_at_every_t_gives(
+        weight_doc, failing):
+    model = _opposite_branches(weight_doc)
+    want = _built_at_every_t(model)
+    assert ("RelativeMonodromy[J={1,2}]", "fail", failing) in want
+    for memo in (linalg.evaluation(), contextlib.nullcontext()):
+        with memo:
+            report = imhs_check(model)
+        assert [(c.name, c.status, c.detail) for c in report.checks
+                if c.name.startswith(SAMPLED_ROWS)] == want
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_sampled_rows_equal_building_at_every_t_on_generated_draws(draw):
+    model = (random_imhs_model, random_pure_model)[draw % 2](
+        1 + draw // 2, random.Random(draw))
+    with linalg.evaluation():
+        got = [(c.name, c.status, c.detail) for c in imhs_check(model).checks
+               if c.name.startswith(SAMPLED_ROWS)]
+    assert got == _built_at_every_t(model)
+
+
+def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
+    """Three branches: one build per branch subset, at the first t; the
+    three later t of each subset are tested against it.  No memo is open,
+    so every build is counted."""
+    built = []
+    real_build = filtrations._relative_monodromy_filtration
+
+    def counting_build(n, w):
+        built.append(n)
+        return real_build(n, w)
+
+    monkeypatch.setattr(filtrations, "_relative_monodromy_filtration",
+                        counting_build)
+    instance = loghodge.model.load_model(str(CORPUS / "gen_pure_n3.json"))
+    assert imhs_check(instance).passed
+    assert len(built) == 7
+
+
+# -- loading: canonical step bases are taken as they are ----------------------
+
+CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.json")
+                      if not p.name.endswith(".expected.json"))
+COEFFS = [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(1, 3)), Scalar(1, 1),
+          Scalar(0, -2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(CORPUS_NAMES), seed=st.integers(0, 10 ** 6))
+def test_any_basis_of_the_same_steps_loads_to_the_same_model(name, seed):
+    """Each step basis of W and F shuffled, each row scaled by a nonzero
+    Gaussian rational and another row added to it: the same subspaces, so
+    the same canonical document."""
+    rng = random.Random(seed)
+    doc = json.loads((CORPUS / f"{name}.json").read_text())
+    want = canonical_json(model_to_json(model_from_json(doc)))
+    for step in doc["W"] + doc.get("F", []):
+        rows = [linalg.parse_row(r) for r in step["basis"]]
+        rng.shuffle(rows)
+        for k in range(len(rows)):
+            c = rng.choice(COEFFS)
+            mixed = [c * e for e in rows[k]]
+            if len(rows) > 1:
+                other = rows[rng.choice([j for j in range(len(rows)) if j != k])]
+                d = rng.choice(COEFFS)
+                mixed = [x + d * y for x, y in zip(mixed, other)]
+            rows[k] = linalg.as_vector(mixed)
+        step["basis"] = [[str(e) for e in r] for r in rows]
+    assert canonical_json(model_to_json(model_from_json(doc))) == want
+
+
+def test_a_non_canonical_basis_is_eliminated_and_a_canonical_one_is_not(
+        monkeypatch):
+    calls = []
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows, width: calls.append(1) or real_rref(rows, width))
+    full = [["1", "0"], ["0", "1"]]
+    for basis, eliminations in ((full, 0), ([["2", "0"], ["1", "1"]], 1),
+                                ([["0", "1"], ["1", "0"]], 1),
+                                ([["1", "1"], ["0", "1"]], 1)):
+        del calls[:]
+        w = filtrations.IncreasingFiltration.from_json(
+            [{"weight": 0, "basis": basis}], 2)
+        assert w.to_json() == [{"weight": 0, "basis": full}]
+        assert len(calls) == eliminations
+
+
+def test_an_imaginary_pivot_is_found_and_eliminated():
+    """(i, 1, 0) has its pivot in column 0: its RREF is (1, -i, 0)."""
+    row = linalg.parse_row(["1*i", "1", "0"])
+    assert not linalg.is_rref([row], 3)
+    f = filtrations.DecreasingFiltration.from_json(
+        [{"p": 1, "basis": [["1*i", "1", "0"]]}, {"p": 2, "basis": []}], 3)
+    assert f.to_json() == [{"p": 1, "basis": [["1", "-1*i", "0"]]},
+                           {"p": 2, "basis": []}]
+    assert linalg.is_rref([linalg.parse_row(["1", "-1*i", "0"])], 3)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("2/4", "scalar '2/4' is not in lowest terms"),
+    ("04", "malformed scalar '04'"),
+    ("-0", "malformed scalar '-0'"),
+    (1, "scalar must be a string, got int"),
+    (None, "scalar must be a string, got NoneType"),
+])
+@pytest.mark.parametrize("where", ["N", "W", "F", "S"])
+def test_a_bad_scalar_raises_the_parse_error_of_parse_scalar(bad, message,
+                                                             where):
+    doc = copy.deepcopy(J2_WEIGHT1)
+    row = {"N": doc["components"][0]["N"][0][1], "W": doc["W"][0]["basis"][1],
+           "F": doc["F"][0]["basis"][0], "S": doc["S"]["matrix"][1]}[where]
+    row[1] = bad
+    with pytest.raises(ParseError) as info:
+        model_from_json(doc)
+    assert str(info.value) == message

@@ -22,10 +22,6 @@ from .filtrations import relative_monodromy_filtration, star
 from .linalg import evaluation
 from .model import canonical_json, imhs_check, load_model, validate
 
-# validate rows that the verdicts on S rely on (they hold for polarizations)
-PAIRING_ROWS = ("PairingNondegenerate", "PairingParity",
-                "InfinitesimalIsometry")
-
 
 def _parse_z(text, model):
     if not text:
@@ -55,12 +51,11 @@ def _purity_cohomology(model, mode, z):
     return cx.cohomology(c)
 
 
-def _require_valid_pairing(report, subject):
-    """Raise InvalidModel, naming subject, if report fails a PAIRING_ROWS row."""
-    failed = [c.name for c in report.checks
-              if c.name in PAIRING_ROWS and c.status == "fail"]
+def _require_valid(report):
+    """Raise InvalidModel naming the failed rows, if report fails any."""
+    failed = dict.fromkeys(c.name for c in report.checks if c.status == "fail")
     if failed:
-        raise InvalidModel(f"{subject} fails validate: {', '.join(failed)}")
+        raise InvalidModel(f"instance fails validate: {', '.join(failed)}")
 
 
 def run_validate(model, args):
@@ -125,20 +120,14 @@ def run_intersect(model, args):
     z = _parse_z(args.z, model)
     if not z:
         raise ParseError("intersect needs a nonempty --z")
-    _require_valid_pairing(validate(model), "instance")
-    results = []
-    ok = True
-    for rep in dec.intersection_image(model, z):
-        if rep.dim or not rep.passed:
-            results.append(rep.to_json())
-            ok = ok and rep.passed
-    return results, ok
+    _require_valid(validate(model))
+    return dec.intersection_image(model, z), True
 
 
 def run_purity(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_valid_pairing(validate(model), "instance")
+    _require_valid(validate(model))
     verdict = dec.purity_check(_purity_cohomology(model, args.mode, z),
                                model.base_weight, shift, args.mode)
     return verdict.to_json(), verdict.passed
@@ -147,7 +136,7 @@ def run_purity(model, args):
 def run_link(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_valid_pairing(validate(model), "instance")
+    _require_valid(validate(model))
     link = cx.link_complex(model, z)
     rep = cx.cohomology(link)
     verdict = dec.purity_check(rep, model.base_weight, shift, "link")
@@ -158,7 +147,7 @@ def run_link(model, args):
 def run_duality(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     a = model.base_weight
-    _require_valid_pairing(validate(model), "instance")
+    _require_valid(validate(model))
     results = []
     ok = True
     for kind in ("omega", "ic"):
@@ -240,7 +229,7 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
     with evaluation():
         model = load_model(path)
         report = validate(model)
-        _require_valid_pairing(report, "instance")
+        _require_valid(report)
         entry = {"validate": report.to_json()}
         entry["cohomology"] = {
             "omega": cx.cohomology(cx.build_omega(model)).to_json(),

@@ -5,6 +5,13 @@ materialized into fresh canonical coordinates so every construction stays
 exact.  Weight labels follow the convention of the weight machinery on the
 underlying instance; the purity checker converts a label at degree k into an
 honest weight via label + (k - shift).
+
+i^! on a branch set z is (IC_log(z)/IC)[-1] and i^* its twisted dual.  The
+intersection morphism i^! -> i^* is the zero map, by the support and
+cosupport conditions of IC, so the link is the mixed cone of zero:
+H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  For n >= 2 these are objects on the
+union of the branches, not on the point stratum, so the link of n >= 2
+branches has the wrong cohomology.
 """
 
 from __future__ import annotations
@@ -28,9 +35,8 @@ from .linalg import (
     combination,
     induced_map,
     place,
-    zero_vector,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 @dataclass
@@ -477,288 +483,77 @@ def subquotient_complex(c: FilteredComplex, pres: dict[int, Subquotient], *,
     return out
 
 
-def quotient_complex(sub_map: ComplexMap) -> tuple[FilteredComplex, dict]:
-    """Target/Image(sub) with induced differentials and image filtrations.
-
-    Returns the quotient complex and the per-degree Subquotient presentations.
-    """
+def quotient_complex(sub_map: ComplexMap) -> FilteredComplex:
+    """Target/Image(sub) with induced differentials and image filtrations."""
     b = sub_map.target
     pres = {k: Subquotient(Subspace.full(b.term_dim(k)), sub_map.at(k).image())
             for k in b.degrees()}
-    return subquotient_complex(b, pres, filtered=True), pres
+    return subquotient_complex(b, pres, filtered=True)
 
 
-@dataclass(frozen=True, eq=False)
-class _SupportTower:
-    """IC inside IC_log along z, the quotient Q = IC_log/IC with its
-    presentations, and the sections supported on z, i^! = Q[-1].  The memo
-    builds one tower per (model, z) and keys i^* and H(i^!), H(i^*) on it.
-    """
-
-    model: object
-    ic: FilteredComplex
-    log: FilteredComplex
-    emb: ComplexMap
-    pres: dict[int, Subquotient]
-    shriek: FilteredComplex
-
-    def star(self) -> FilteredComplex:
-        """i^*, the twisted dual of i^!."""
-        return _memoized(_tower_star, self)
+@_remembered
+def _shriek(model, z: frozenset) -> FilteredComplex:
+    return quotient_complex(
+        ic_into_iclog(build_ic(model), build_ic_log(model, z))).shift(-1)
 
 
-def _tower_star(tower: _SupportTower) -> FilteredComplex:
-    m = tower.model
-    return dualize(tower.shriek, a=m.base_weight, top=m.branches + 1)
+@_remembered
+def _star(model, z: frozenset) -> FilteredComplex:
+    return dualize(_shriek(model, z), a=model.base_weight, top=model.branches + 1)
 
 
-def _tower_cohomology(tower: _SupportTower, star: bool) -> CohomologyReport:
-    """H(i^*) when star, else H(i^!)."""
-    return cohomology(tower.star() if star else tower.shriek)
+@_remembered
+def _support_cohomology(model, z: frozenset, star: bool) -> CohomologyReport:
+    return cohomology(_star(model, z) if star else _shriek(model, z))
 
 
-def _support_tower(model, z: frozenset) -> _SupportTower:
-    return _memoized(_build_support_tower, model, z)
-
-
-def _build_support_tower(model, z: frozenset) -> _SupportTower:
-    ic = build_ic(model)
-    log = build_ic_log(model, z)
-    emb = ic_into_iclog(ic, log)
-    quot, pres = quotient_complex(emb)
-    return _SupportTower(model, ic, log, emb, pres, quot.shift(-1))
-
-
-def _checked_tower(model, z, star: bool) -> _SupportTower:
-    """The support tower on z, for i^* when star, else for i^!."""
+def _checked(model, z, star: bool) -> frozenset:
+    """z as a checked branch set for i^* when star, else for i^!."""
     name = "i_star" if star else "i_shriek"
     z = _check_branches(model, z)
     if not z:
         raise ShapeError(f"{name} needs a nonempty branch set")
     if star and model.pairing is None:
         raise PairingDegenerate("i_star needs the model pairing")
-    return _support_tower(model, z)
+    return z
 
 
 def i_shriek(model, z) -> FilteredComplex:
-    """Sections supported on the branches in z: (log/ic)[-1] with shifted W."""
-    return _checked_tower(model, z, False).shriek
+    """Sections supported on the branches in z: (IC_log(z)/IC)[-1] with
+    shifted W; memoized per evaluation, like i_star and support_cohomology."""
+    return _shriek(model, _checked(model, z, False))
 
 
 def i_star(model, z) -> FilteredComplex:
     """Restriction to the branches in z, realized as the twisted dual of i^!."""
-    return _checked_tower(model, z, True).star()
+    return _star(model, _checked(model, z, True))
 
 
 def support_cohomology(model, z, star: bool) -> CohomologyReport:
-    """cohomology(i_star(model, z)) when star, else of i_shriek(model, z);
-    inside an evaluation each is computed once."""
-    return _memoized(_tower_cohomology, _checked_tower(model, z, star), star)
+    """cohomology(i_star(model, z)) when star, else of i_shriek(model, z)."""
+    return _support_cohomology(model, _checked(model, z, star), star)
 
 
-@dataclass
-class IntersectionData:
-    """The intersection morphism on cohomology, with its ingredients."""
-
-    shriek: FilteredComplex
-    star: FilteredComplex
-    h_shriek: CohomologyReport
-    h_star: CohomologyReport
-    maps: dict[int, Matrix]  # H^k(i^!) -> H^k(i^*)
-
-
-def intersection_morphism(model, z) -> IntersectionData:
-    """H-level intersection morphism through the intersection complex.
-
-    The connecting map of 0 -> IC -> log -> Q -> 0 lands in H(IC); classes
-    there pair against H(Q) by the complementary-slot polarization pairing,
-    which identifies with H of the dual complex.
-    """
+def intersection_branches(model, z) -> frozenset:
+    """z checked for the intersection morphism: in range, and S present."""
     z = _check_branches(model, z)
     if model.pairing is None:
         raise PairingDegenerate("intersection morphism needs the pairing")
-    n = model.branches
-    tower = _support_tower(model, z)
-    shr, st = tower.shriek, tower.star()
-    h_shr, h_st = (_memoized(_tower_cohomology, tower, s) for s in (False, True))
-
-    pair = _slot_pairing(model, tower.ic, tower.log)
-    maps = {}
-    for k in shr.degrees():
-        hk = h_shr.degrees.get(k)
-        if hk is None or hk.dim == 0:
-            continue
-        target = h_st.degrees.get(k)
-        tdim = target.dim if target else 0
-        dual_deg = n + 1 - k
-        dual_h = h_shr.degrees.get(dual_deg)
-        ddim = dual_h.dim if dual_h else 0
-        if tdim != ddim:
-            raise AssertionError("dual cohomology dimensions disagree")
-        if tdim == 0:
-            maps[k] = Matrix.zero(0, hk.dim)
-            continue
-        _check_pairing_ambiguities(tower, pair, k)
-        duals = dual_h.presentation.lifts.basis            # Q-coords, deg n-k
-        w_logs = [tower.pres[dual_deg - 1].lift(wq) for wq in duals]
-        # evaluation pairing between H^{n+1-k}(shriek) and H^k(star)
-        evaluation = Matrix(
-            [[phi.dot(wv) for phi in target.presentation.lifts.basis]
-             for wv in duals], cols=tdim)
-        cols = []
-        for u in hk.presentation.lifts.basis:               # Q-coords, deg k-1
-            delta_u = _connecting_class(tower, k, u)
-            sol = evaluation.solve(tuple(pair(k, delta_u, w) for w in w_logs))
-            if sol is None:
-                raise AssertionError("evaluation pairing is degenerate")
-            cols.append(sol)
-        maps[k] = Matrix(cols, cols=tdim).transpose()
-    return IntersectionData(shr, st, h_shr, h_st, maps)
+    return z
 
 
-def _connecting_class(tower: _SupportTower, k, u_quot):
-    """delta: H^{k-1}(Q) -> H^k(IC) as a cocycle in IC-term coordinates."""
-    w = tower.pres[k - 1].lift(u_quot)      # representative in log term k-1
-    dw = tower.log.differential(k - 1)(w)   # lands in the embedded IC term k
-    x = tower.emb.at(k).solve(dw)
-    if x is None:
-        raise AssertionError("connecting image not in the subcomplex")
-    return x
+def intersection_morphism(model, z) -> ComplexMap:
+    """The intersection morphism i^! -> i^* on the branches z: zero.
 
-
-def _check_pairing_ambiguities(tower: _SupportTower, pair, k):
-    """The slot pairing must be independent of every representative choice
-    made at degree k: Q-class reps (mod the subcomplex and mod coboundaries)
-    and connecting-cocycle reps (mod intersection-complex coboundaries)."""
-    n = tower.model.branches
-    ic, log, emb = tower.ic, tower.log, tower.emb
-    z_ic = ic.differential(k).kernel()
-    b_ic = ic.differential(k - 1).image()
-    emb_img = emb.at(n - k).image()
-    rep_space = log.differential(n - k).preimage(emb.at(n - k + 1).image())
-    for u in z_ic.basis:
-        for v in emb_img.basis:
-            if pair(k, u, v):
-                raise AssertionError(
-                    f"pairing does not kill the subcomplex at degree {k}")
-    for u in b_ic.basis:
-        for v in rep_space.basis:
-            if pair(k, u, v):
-                raise AssertionError(
-                    f"pairing does not kill coboundaries at degree {k}")
-    source_coboundaries = log.differential(n - k - 1).transpose().entries
-    for u in z_ic.basis:
-        for y in source_coboundaries:
-            if pair(k, u, y):
-                raise AssertionError(
-                    f"pairing does not kill source coboundaries at degree {k}")
-
-
-def _slot_pairing(model, ic, log):
-    """Pairing(k): IC-term-k x log-term-(n-k) -> Scalar via complementary slots."""
-    n = model.branches
-    form = model.pairing_form()
-    all_branches = tuple(range(n))
-
-    def eps(K):
-        # sign of the shuffle (K, complement of K), K sorted: its inversions
-        # are the pairs i in K, j outside K with j < i
-        return -ONE if sum(j < i for i in K for j in all_branches
-                           if j not in K) % 2 else ONE
-
-    def pair(k, u_ic, w_log):
-        ic_layout = ic.layout.get(k, {})
-        log_layout = log.layout.get(n - k, {})
-        total = ZERO
-        for (K, ci), (pos, space) in ic_layout.items():
-            comp_k = tuple(j for j in all_branches if j not in K)
-            key = (comp_k, ci)
-            if key not in log_layout:
-                continue
-            t_pos, t_space = log_layout[key]
-            u_slot = u_ic[pos.start: pos.stop]
-            w_slot = w_log[t_pos.start: t_pos.stop]
-            if u_slot.is_zero() or w_slot.is_zero():
-                continue
-            # slot coordinates -> total-space vectors supported on component ci
-            on_ci = model.component_positions(ci)
-            uv = place(model.total_dim, [(space.from_coords(u_slot), on_ci)])
-            wv = place(model.total_dim, [(t_space.from_coords(w_slot), on_ci)])
-            total = total + eps(K) * form(uv, wv)
-        return total
-
-    return pair
+    H(i^!) and H(i^*) of IC sit in disjoint degree ranges (the support and
+    cosupport conditions), so the map between them vanishes on every stratum;
+    a nonzero intersection form lives only on direct images.
+    """
+    z = intersection_branches(model, z)
+    return ComplexMap(_shriek(model, z), _star(model, z), {})
 
 
 def link_complex(model, z) -> FilteredComplex:
-    """Mixed cone over the intersection morphism i^! -> i^*.
-
-    The chain map is a weight-adapted lift of the exactly computed
-    cohomology-level morphism.  It must preserve both W and F (F when the
-    model carries one), or the build fails.
-    """
-    data = intersection_morphism(model, z)
-    rho = _lift_h_map(data)
-    return cone(rho)
-
-
-def _lift_h_map(data: IntersectionData) -> ComplexMap:
-    """Chain lift of the cohomology-level morphism, adapted to W.
-
-    Each term of the source gets a basis refining the weight flag, split at
-    every level into boundary / extra-cocycle / complement vectors.  The lift
-    kills boundaries and complements and sends each extra cocycle to a
-    representative of its image class found inside the same weight level, so
-    chain and weight compatibility hold by construction.
-    """
-    a, b = data.shriek, data.star
-    maps = {}
-    for k in a.degrees():
-        da, db = a.term_dim(k), b.term_dim(k)
-        if not da:
-            continue
-        z = a.differential(k).kernel()
-        bd = a.differential(k - 1).image()
-        h_a = data.h_shriek.degrees[k]
-        h_map = data.maps.get(k)
-        h_b = data.h_star.degrees.get(k)
-        wa = a.weight_at(k)
-        lifts = h_map is not None and h_b is not None and h_b.dim > 0
-        basis_rows, values, span = [], [], Subspace.zero(da)
-        for r in wa.jumps():
-            wr = wa.at(r)
-            for part, cocycles in ((wr.intersect(bd), False),
-                                   (wr.intersect(z), lifts), (wr, False)):
-                for v in part.basis:
-                    if not span.contains_vector(v):
-                        basis_rows.append(v)
-                        values.append(_class_representative(
-                            h_b, b, k, h_map(h_a.presentation.coords(v)), r)
-                            if cocycles else zero_vector(db))
-                        span = span.sum(Subspace.span([v], da))
-        change = Matrix(basis_rows, cols=da).transpose()
-        vals = Matrix(values, cols=db).transpose() if db else Matrix.zero(0, da)
-        maps[k] = vals * change.inverse()
-    rho = ComplexMap(a, b, maps)
-    try:
-        rho.validate()
-    except FiltrationNotPreserved:
-        raise AssertionError("weight-adapted lift does not preserve W and F")
-    return rho
-
-
-def _class_representative(h: DegreeCohomology, b: FilteredComplex, k: int,
-                          cls, weight_bound: int):
-    """A cocycle representative of cls inside W_{weight_bound}, if possible."""
-    if h.dim == 0 or cls.is_zero():
-        return zero_vector(b.term_dim(k))
-    v0 = h.presentation.lift(cls)
-    zw = b.differential(k).kernel().intersect(b.weight_at(k).at(weight_bound))
-    bd = b.differential(k - 1).image()
-    gens = list(zw.basis) + list(bd.basis)
-    coeffs = Matrix(gens, cols=b.term_dim(k)).transpose().solve(v0)
-    if coeffs is None:
-        raise FiltrationNotPreserved(
-            "cohomology class has no representative at its weight level")
-    return zw.from_coords(coeffs[: zw.dim])
-
+    """Mixed cone over the intersection morphism: i^* plus i^![1], whose
+    weight labels move up by one."""
+    return cone(intersection_morphism(model, z))

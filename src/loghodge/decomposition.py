@@ -1,5 +1,6 @@
 """Primitive parts, graded decomposition into intersection complexes, the
-intersection-morphism image, and the weight-inequality checkers.
+(empty) image of the zero intersection morphism, and the weight-inequality
+checkers.
 
 Weight labels on complexes are pre-decalage: the checker converts a label w
 at degree k into the honest weight w + (k - shift) before comparing against
@@ -16,7 +17,7 @@ from .complexes import (
     FilteredComplex,
     build_complex,
     cohomology,
-    intersection_morphism,
+    intersection_branches,
     koszul_complex,
     subquotient_complex,
 )
@@ -206,49 +207,12 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
 
 # -- intersection image --------------------------------------------------------
 
-@dataclass
-class IntersectionImageReport:
-    degree: int
-    dim: int
-    weights: dict[int, int]
-    pure_at: int | None
-    passed: bool
-
-    def to_json(self):
-        return {"degree": self.degree, "dim": self.dim,
-                "weights": {str(w): d for w, d in sorted(self.weights.items())},
-                "pure_at": self.pure_at,
-                "verdict": "pass" if self.passed else "fail"}
-
-
-def intersection_image(model: NCModel, z) -> list[IntersectionImageReport]:
-    """Image of H^i(i^!) -> H^i(i^*) with its induced weight profile, for
-    i = 0 .. n+1, read from one intersection morphism.
-
-    A nonzero image must be pure at label a (honest weight a + i - shift).
-    """
-    data = intersection_morphism(model, z)
-    a = model.base_weight
-    reports = []
-    for i in range(model.branches + 2):
-        h_star = data.h_star.degrees.get(i)
-        f = data.maps.get(i)
-        if f is None or h_star is None or h_star.dim == 0:
-            reports.append(IntersectionImageReport(i, 0, {}, None, True))
-            continue
-        img = f.image()
-        weights = {}
-        if h_star.weights is not None:
-            prev = 0
-            for w, sub in h_star.weights.steps:
-                d = img.intersect(sub).dim
-                if d > prev:
-                    weights[w] = d - prev
-                prev = d
-        pure = list(weights) in ([], [a])
-        reports.append(IntersectionImageReport(i, img.dim, weights,
-                                               a if img.dim else None, pure))
-    return reports
+def intersection_image(model: NCModel, z) -> list:
+    """The nonzero rows of the image of H^i(i^!) -> H^i(i^*) on the branches
+    z: none, as the intersection morphism is zero.  Only its input checks
+    run; no complex is built."""
+    intersection_branches(model, z)
+    return []
 
 
 # -- purity verdicts -----------------------------------------------------------

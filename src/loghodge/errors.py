@@ -30,7 +30,7 @@ class IllDefinedInducedMap(LogHodgeError):
 
 
 class PairingDegenerate(LogHodgeError):
-    """Bilinear pairing required to be nondegenerate is degenerate."""
+    """The computation needs the pairing S and the instance carries none."""
 
 
 class MissingHodgeFiltration(LogHodgeError):
@@ -38,4 +38,4 @@ class MissingHodgeFiltration(LogHodgeError):
 
 
 class InvalidModel(LogHodgeError):
-    """The instance fails a validate row that the requested verb relies on."""
+    """The instance fails a validate row, so a verdict verb refuses it."""

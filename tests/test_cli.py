@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import shutil
-import sys
 from pathlib import Path
 
 import pytest
@@ -251,15 +250,16 @@ def test_decompose_builds_the_omega_complex_once(tmp_path, monkeypatch,
     assert [args[1:] for args in built] == [("omega", frozenset())]
 
 
-def test_corpus_entry_builds_each_support_tower_once(monkeypatch):
-    """The closed, support and link batteries of one corpus entry share the
-    support tower of z, and no complex is built twice."""
-    towers = _record_calls(monkeypatch, complexes, "_build_support_tower")
+def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
+    """The closed, support and link batteries of one corpus entry share i^!
+    of z (one quotient IC_log(z)/IC), and no complex is built twice."""
+    quotients = _record_calls(monkeypatch, complexes, "quotient_complex")
     built = _record_calls(monkeypatch, complexes, "_model_complex")
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
-    assert [z for _, z in towers] == [frozenset({0, 1})]
+    assert len(quotients) == 1
     kinds = [args[1:] for args in built]
     assert kinds.count(("ic", frozenset())) == 1
+    assert ("iclog", frozenset({0, 1})) in kinds
     assert len(kinds) == len(set(kinds))
     assert linalg._MEMO.get() is None
 
@@ -303,11 +303,15 @@ def _singular_pairing(tmp_path):
     return _with_pairing(tmp_path, "singular_pairing", [["0", "0"], ["0", "0"]])
 
 
-@pytest.mark.parametrize("argv", [
+# the verbs that give a purity, link, intersection or duality verdict
+VERDICT_ARGV = [
     *[["purity", "--mode", mode]
       for mode in ("open", "support", "closed", "compact", "link")],
     ["link"], ["intersect", "--z", "1"], ["duality"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", VERDICT_ARGV)
 def test_verbs_using_the_pairing_refuse_one_failing_validate(argv, tmp_path,
                                                              capsys):
     for path, failed in (
@@ -322,6 +326,49 @@ def test_verbs_using_the_pairing_refuse_one_failing_validate(argv, tmp_path,
                                 f"validate: {failed}")
         code, out = run_cli(["validate", str(path)], capsys)
         assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
+def _w_across_components(tmp_path):
+    """Two 1-dim components (exponents 0 and 1/2) with W_0 = span(e1 + e2),
+    which is not the sum of its pieces in the components."""
+    doc = {"branches": 1, "base_weight": 0, "perverse_shift": 1,
+           "components": [{"alpha": [a], "dim": 1, "N": [[["0"]]]}
+                          for a in ("0", "1/2")],
+           "W": [{"weight": 0, "basis": [["1", "1"]]},
+                 {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
+           "S": {"matrix": [["1", "0"], ["0", "1"]], "parity": 0}}
+    path = tmp_path / "w_across_components.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _n_moves_w(tmp_path):
+    """J2 weight 1, without F, with W_0 = span(e2), which N_1 sends to e1."""
+    doc = json.loads(J2.read_text())
+    del doc["F"]
+    doc["W"] = [{"weight": 0, "basis": [["0", "1"]]},
+                {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}]
+    path = tmp_path / "n_moves_w.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("argv", VERDICT_ARGV)
+def test_verdict_verbs_refuse_an_instance_failing_any_validate_row(
+        argv, tmp_path, capsys):
+    """S is fine on both instances; W is not, and no verdict verb gives a
+    verdict on an instance that fails validate."""
+    for path, failed in ((_w_across_components(tmp_path),
+                          "WeightRestrictsToComponents"),
+                         (_n_moves_w(tmp_path), "FiltrationNotPreserved")):
+        code, out = run_cli(argv + [str(path)], capsys)
+        assert code == 2, path.name
+        doc = json.loads(out)
+        assert doc["verdict"] == "error" and "results" not in doc
+        assert doc["error"] == ("loghodge.errors.InvalidModel: instance fails "
+                                f"validate: {failed}")
+        with pytest.raises(InvalidModel, match=f"validate: {failed}$"):
+            cli.corpus_entry(str(path))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -353,11 +400,17 @@ def test_corpus_names_the_file_of_every_error(jobs, tmp_path, capsys):
     del doc["S"]
     not_nilpotent = tmp_path / "not_nilpotent.json"
     not_nilpotent.write_text(json.dumps(doc))
+    doc["W"] = [{"weight": 1, "basis": [["1", "0"]]}]
+    wide_w = tmp_path / "wide_w.json"
+    wide_w.write_text(json.dumps(doc))
     # the instances run in name order, so each error is the first one left
     for path, error in (
             (not_an_object, f"{not_an_object}: instance must be a JSON object"),
-            (not_nilpotent, "loghodge.errors.NotNilpotent: "
-                            f"{not_nilpotent}: operator is not nilpotent")):
+            (not_nilpotent, "loghodge.errors.InvalidModel: "
+                            f"{not_nilpotent}: instance fails validate: "
+                            "NilpotentOperators"),
+            (wide_w, "loghodge.errors.ShapeError: "
+                     f"{wide_w}: vector of wrong ambient dimension")):
         code, out = run_cli(["corpus", "--jobs", jobs, str(tmp_path)], capsys)
         assert code == 2
         doc = json.loads(out)
@@ -400,21 +453,20 @@ def test_unreplayed_verbs_keep_their_bytes(verb, monkeypatch, capsys):
     assert not wrong
 
 
-def test_intersect_builds_one_intersection_morphism(monkeypatch, capsys):
-    original = complexes.intersection_morphism
-    calls = []
+def test_intersect_builds_no_complex(monkeypatch, capsys):
+    """The intersection morphism is zero, so intersect reports its empty
+    image without constructing any complex."""
+    built = []
+    original = complexes.FilteredComplex.__post_init__
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(self):
+        built.append(self)
+        original(self)
 
-    # every module-level binding, so a caller that imported the name counts
-    for name, mod in list(sys.modules.items()):
-        if name == "loghodge" or name.startswith("loghodge."):
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, counting)
+    monkeypatch.setattr(complexes.FilteredComplex, "__post_init__", counting)
     code, out = run_cli(["intersect", "--z", "1",
                          str(CORPUS / "gen_pure_n3.json")], capsys)
     assert code == 0 and json.loads(out)["verdict"] == "pass"
-    assert len(calls) == 1
+    assert json.loads(out)["results"] == [] and built == []
+    run_cli(["link", str(CORPUS / "gen_pure_n3.json")], capsys)
+    assert built

@@ -1,4 +1,6 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +22,16 @@ from loghodge.complexes import (
     quotient_complex,
 )
 from loghodge.errors import FiltrationNotPreserved, PairingDegenerate, ShapeError
-from loghodge.generate import random_imhs_model, random_spectral_model
+from loghodge.generate import (
+    random_imhs_model,
+    random_pure_model,
+    random_spectral_model,
+)
 from loghodge.filtrations import DecreasingFiltration
-from loghodge.linalg import Matrix, Subspace
-from loghodge.model import model_from_json, unipotent_part
+from loghodge.linalg import Matrix, Subspace, evaluation
+from loghodge.model import load_model, model_from_json, unipotent_part
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 RANK1 = model_from_json({
     "branches": 1, "base_weight": 0, "perverse_shift": 1,
@@ -197,9 +205,52 @@ def test_link_jordan2():
 
 
 def test_intersection_morphism_zero_on_disjoint_support():
-    data = intersection_morphism(RANK1, [0])
-    for k, f in data.maps.items():
-        assert f.image().dim == 0
+    for model in (RANK1, J2, TWO_BRANCH):
+        z = range(model.branches)
+        f = intersection_morphism(model, z)
+        assert f.source == i_shriek(model, z) and f.target == i_star(model, z)
+        for k in range(min(f.source.min_deg, f.target.min_deg),
+                       max(f.source.max_deg, f.target.max_deg) + 1):
+            assert f.at(k).is_zero()
+
+
+def _link_cases():
+    """(name, model, z): every corpus instance with S at every nonempty z,
+    and the 2x2x2 Jordan tensor (pure n = 3, seed 3, dim 8) at z = all."""
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name.endswith(".expected.json"):
+            continue
+        model = load_model(str(path))
+        if model.pairing is None:
+            continue
+        for r in range(1, model.branches + 1):
+            for z in itertools.combinations(range(model.branches), r):
+                yield path.stem, model, z
+    yield "pure3-3", random_pure_model(3, random.Random(3)), (0, 1, 2)
+
+
+def test_link_is_the_star_plus_the_raised_shriek():
+    """H^k(link) = H^k(i^*) (+) H^{k+1}(i^!), the i^! weight labels raised by
+    one: the link is the mixed cone of the zero map i^! -> i^*."""
+    cases = 0
+    for name, model, z in _link_cases():
+        with evaluation():
+            link = cohomology(link_complex(model, z))
+            h_star = cohomology(i_star(model, z))
+            h_shriek = cohomology(i_shriek(model, z))
+        degrees = set(h_star.nonzero_degrees()) | \
+            {k - 1 for k in h_shriek.nonzero_degrees()}
+        assert link.nonzero_degrees() == sorted(degrees), (name, z)
+        for k in degrees:
+            want = dict(h_star.degrees[k].weight_profile()) \
+                if k in h_star.degrees else {}
+            if k + 1 in h_shriek.degrees:
+                for w, d in h_shriek.degrees[k + 1].weight_profile().items():
+                    want[w + 1] = want.get(w + 1, 0) + d
+            assert link.dim(k) == h_star.dim(k) + h_shriek.dim(k + 1), (name, z, k)
+            assert link.degrees[k].weight_profile() == want, (name, z, k)
+        cases += 1
+    assert cases == 17
 
 
 def test_build_complex_dispatches_to_the_named_builders():
@@ -214,7 +265,7 @@ def test_quotient_complex_profile():
     ic = build_ic(J2)
     log = build_ic_log(J2, [0])
     emb = ic_into_iclog(ic, log)
-    quot, _ = quotient_complex(emb)
+    quot = quotient_complex(emb)
     assert cohomology(quot).profile() == {1: {3: 1}}
 
 

@@ -78,18 +78,14 @@ def test_decomposition_on_fuzz_models():
 
 
 def test_intersection_image_rank1_zero():
-    reports = intersection_image(RANK1, [0])
-    assert [rep.degree for rep in reports] == [0, 1, 2]
-    for rep in reports:
-        assert rep.dim == 0 and rep.passed
+    assert intersection_image(RANK1, [0]) == []
 
 
 def test_intersection_image_purity_on_fuzz():
     rng = random.Random(33)
     for _ in range(3):
         model = random_imhs_model(2, rng, max_dim=5)
-        for rep in intersection_image(model, range(model.branches)):
-            assert rep.passed, rep.to_json()
+        assert intersection_image(model, range(model.branches)) == []
 
 
 def test_purity_check_modes():
@@ -185,5 +181,4 @@ def test_intersection_image_zero_model():
         "W": [],
         "S": {"matrix": [], "parity": 0},
     })
-    for rep in intersection_image(zero, [0]):
-        assert rep.dim == 0 and rep.passed
+    assert intersection_image(zero, [0]) == []

@@ -5,7 +5,8 @@ the instance sha256 in ``perfbench/reference.json``, and run through each of
 its verbs with ``cli.main`` from the instance's directory, as the benchmark's
 passes run them (reports echo the instance path).  Every op the reference
 completed must give the recorded exit code and stdout sha256; the two ops on
-the 2x2x2 Jordan tensor that raise the known AssertionError must still exit 3.
+the 2x2x2 Jordan tensor that the reference records as crashed must now
+complete: exit 0 or 1 with one JSON document.
 The test reads ``perfbench/`` and writes nothing there.
 """
 
@@ -38,7 +39,7 @@ def _load(name):
 
 wl = _load("workloads")
 checks = _load("checks")
-KNOWN_CRASH = {("pure3-3", "link"), ("pure3-3", "intersect")}
+RECORDED_CRASH = {("pure3-3", "link"), ("pure3-3", "intersect")}
 
 
 def _run(argv):
@@ -65,11 +66,10 @@ def test_every_completed_reference_op_gives_the_same_bytes(workload, tmp_path,
         (tmp_path / f"{key}.json").write_text(text, encoding="utf-8")
         for verb in verbs:
             code, out = _run(wl.op_argv(verb, f"{key}.json"))
-            if (key, verb) in KNOWN_CRASH:
-                assert code == 3, (key, verb)
-                doc = json.loads(out)
-                assert doc["verdict"] == "error" and doc["error"].startswith(
-                    "internal error: AssertionError: pairing does not kill")
+            if (key, verb) in RECORDED_CRASH:
+                assert not checks.completed(ref["ops"][verb]), (key, verb)
+                assert code in (0, 1) and out.count("\n") == 1, (key, verb)
+                assert json.loads(out)["verdict"] == ("pass", "fail")[code]
                 continue
             rec = ref["ops"][verb]
             assert checks.completed(rec), (key, verb)
@@ -77,4 +77,4 @@ def test_every_completed_reference_op_gives_the_same_bytes(workload, tmp_path,
             assert (code, digest) == (rec["exit"], rec["stdout_sha256"]), (key, verb)
             compared += 1
     assert compared == sum(len(d["ops"]) for d in draws.values()) - (
-        len(KNOWN_CRASH) if workload == wl.KOSZUL else 0)
+        len(RECORDED_CRASH) if workload == wl.KOSZUL else 0)

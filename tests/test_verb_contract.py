@@ -64,3 +64,26 @@ def test_every_run_prints_one_document_and_a_documented_code(
         doc = json.loads(out)
         assert doc["verb"] == variant[0] and doc["verdict"] == VERDICT[code], \
             f"{path.name}: exit {code} with verdict {doc['verdict']}"
+
+
+# the dim-8 three-branch draws among seeds 0-29 whose link, purity --mode
+# link and intersect runs once exited 3: every dim-8 pure draw, and the imhs
+# draws of seeds 1, 3 and 26
+DIM8_DRAWS = [(random_pure_model, s)
+              for s in (3, 7, 8, 9, 11, 12, 13, 16, 17, 21, 24, 26, 27)] + \
+    [(random_imhs_model, s) for s in (1, 3, 26)]
+
+
+def test_the_dim8_link_runs_end_in_a_verdict(tmp_path, capsys):
+    for make, seed in DIM8_DRAWS:
+        model = make(3, random.Random(seed))
+        assert model.total_dim == 8 and model.pairing is not None
+        path = tmp_path / f"{make.__name__}-{seed}.json"
+        path.write_text(canonical_json(model_to_json(model)))
+        for variant in (["link"], ["purity", "--mode", "link"],
+                        ["intersect", "--z", "1"]):
+            code = main([variant[0], str(path)] + variant[1:])
+            out = capsys.readouterr().out
+            assert code in (0, 1), f"{path.name} {variant}: exit {code}: {out}"
+            assert out.count("\n") == 1
+            assert json.loads(out)["verdict"] == VERDICT[code]

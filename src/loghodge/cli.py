@@ -37,17 +37,17 @@ def _parse_z(text, model):
 
 
 def _purity_cohomology(model, mode, z):
-    if mode in ("closed", "support"):
-        return cx.support_cohomology(model, z, star=mode == "closed")
-    if mode == "open":
+    if mode == "closed":
+        c = cx.i_star(model, z)
+    elif mode == "support":
+        c = cx.i_shriek(model, z)
+    elif mode == "open":
         c = cx.build_ic_log(model, z)
     elif mode == "compact":
         c = cx.dualize(cx.build_ic_log(model, z), a=model.base_weight,
                        top=model.branches)
-    elif mode == "link":
-        c = cx.link_complex(model, z)
     else:
-        raise ParseError(f"unknown purity mode {mode!r}")
+        c = cx.link_complex(model, z)
     return cx.cohomology(c)
 
 
@@ -56,6 +56,13 @@ def _require_valid(report):
     failed = dict.fromkeys(c.name for c in report.checks if c.status == "fail")
     if failed:
         raise InvalidModel(f"instance fails validate: {', '.join(failed)}")
+
+
+def _require_polarized(model):
+    """Raise InvalidModel unless the instance passes validate and carries S."""
+    _require_valid(validate(model))
+    if model.pairing is None:
+        raise InvalidModel("instance carries no pairing S")
 
 
 def run_validate(model, args):
@@ -120,14 +127,14 @@ def run_intersect(model, args):
     z = _parse_z(args.z, model)
     if not z:
         raise ParseError("intersect needs a nonempty --z")
-    _require_valid(validate(model))
+    _require_polarized(model)
     return dec.intersection_image(model, z), True
 
 
 def run_purity(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_valid(validate(model))
+    _require_polarized(model)
     verdict = dec.purity_check(_purity_cohomology(model, args.mode, z),
                                model.base_weight, shift, args.mode)
     return verdict.to_json(), verdict.passed
@@ -136,7 +143,7 @@ def run_purity(model, args):
 def run_link(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_valid(validate(model))
+    _require_polarized(model)
     link = cx.link_complex(model, z)
     rep = cx.cohomology(link)
     verdict = dec.purity_check(rep, model.base_weight, shift, "link")

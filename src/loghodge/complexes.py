@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .errors import (
     FiltrationNotPreserved,
     IllDefinedInducedMap,
-    PairingDegenerate,
     ShapeError,
 )
 from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
@@ -502,44 +501,23 @@ def _star(model, z: frozenset) -> FilteredComplex:
     return dualize(_shriek(model, z), a=model.base_weight, top=model.branches + 1)
 
 
-@_remembered
-def _support_cohomology(model, z: frozenset, star: bool) -> CohomologyReport:
-    return cohomology(_star(model, z) if star else _shriek(model, z))
-
-
-def _checked(model, z, star: bool) -> frozenset:
-    """z as a checked branch set for i^* when star, else for i^!."""
-    name = "i_star" if star else "i_shriek"
+def _checked(model, z, name: str) -> frozenset:
+    """z as a checked, nonempty branch set for i_shriek or i_star (name)."""
     z = _check_branches(model, z)
     if not z:
         raise ShapeError(f"{name} needs a nonempty branch set")
-    if star and model.pairing is None:
-        raise PairingDegenerate("i_star needs the model pairing")
     return z
 
 
 def i_shriek(model, z) -> FilteredComplex:
     """Sections supported on the branches in z: (IC_log(z)/IC)[-1] with
-    shifted W; memoized per evaluation, like i_star and support_cohomology."""
-    return _shriek(model, _checked(model, z, False))
+    shifted W; memoized per evaluation, like i_star."""
+    return _shriek(model, _checked(model, z, "i_shriek"))
 
 
 def i_star(model, z) -> FilteredComplex:
     """Restriction to the branches in z, realized as the twisted dual of i^!."""
-    return _star(model, _checked(model, z, True))
-
-
-def support_cohomology(model, z, star: bool) -> CohomologyReport:
-    """cohomology(i_star(model, z)) when star, else of i_shriek(model, z)."""
-    return _support_cohomology(model, _checked(model, z, star), star)
-
-
-def intersection_branches(model, z) -> frozenset:
-    """z checked for the intersection morphism: in range, and S present."""
-    z = _check_branches(model, z)
-    if model.pairing is None:
-        raise PairingDegenerate("intersection morphism needs the pairing")
-    return z
+    return _star(model, _checked(model, z, "i_star"))
 
 
 def intersection_morphism(model, z) -> ComplexMap:
@@ -549,7 +527,7 @@ def intersection_morphism(model, z) -> ComplexMap:
     cosupport conditions), so the map between them vanishes on every stratum;
     a nonzero intersection form lives only on direct images.
     """
-    z = intersection_branches(model, z)
+    z = _check_branches(model, z)
     return ComplexMap(_shriek(model, z), _star(model, z), {})
 
 

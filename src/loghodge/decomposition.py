@@ -16,8 +16,8 @@ from .complexes import (
     CohomologyReport,
     FilteredComplex,
     build_complex,
+    _check_branches,
     cohomology,
-    intersection_branches,
     koszul_complex,
     subquotient_complex,
 )
@@ -178,7 +178,7 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
 
     # (2)+(3) cohomology dimensions of the graded piece Gr^W_k of the full
     # complex match the sum of intersection complexes of primitive parts,
-    # each cut to its slot of the full complex
+    # each cut to its slot of the full complex (a full slot cuts nothing)
     full = build_complex(model, which, z)
     graded = subquotient_complex(
         full, {deg: full.weight_at(deg).graded_piece(k)
@@ -189,8 +189,8 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
         for K in itertools.combinations(range(n), r):
             for ci in unipotent:
                 slot = full.layout[r][(K, ci)][1]
-                part = _primitive_component(model, ci, K, k - len(K),
-                                            inside=slot)
+                part = _primitive_component(
+                    model, ci, K, k - len(K), None if slot.is_full() else slot)
                 if part.dim == 0:
                     continue
                 rest = [j for j in range(n) if j not in K]
@@ -211,7 +211,7 @@ def intersection_image(model: NCModel, z) -> list:
     """The nonzero rows of the image of H^i(i^!) -> H^i(i^*) on the branches
     z: none, as the intersection morphism is zero.  Only its input checks
     run; no complex is built."""
-    intersection_branches(model, z)
+    _check_branches(model, z)
     return []
 
 

@@ -29,13 +29,10 @@ class IllDefinedInducedMap(LogHodgeError):
     """Map does not descend to the requested subquotients."""
 
 
-class PairingDegenerate(LogHodgeError):
-    """The computation needs the pairing S and the instance carries none."""
-
-
 class MissingHodgeFiltration(LogHodgeError):
     """A Hodge-filtration dependent check was requested on a model without F."""
 
 
 class InvalidModel(LogHodgeError):
-    """The instance fails a validate row, so a verdict verb refuses it."""
+    """The instance fails a validate row, or carries no pairing S where the
+    verb's theorem is about polarized input, so a verdict verb refuses it."""

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
-from .scalars import _INT_RE, Scalar, _canon, as_scalar, parse_scalar
+from .scalars import _INT_RE, _canon, as_scalar, parse_scalar
 
 # -- evaluation memo --------------------------------------------------------
 
@@ -113,10 +113,6 @@ class Row:
     def conj(self) -> "Row":
         return self if self.im is None else _row(
             self.num, [-x for x in self.im], self.den)
-
-    def dot(self, other: "Row") -> Scalar:
-        """sum_j self[j] * other[j], bilinear (no conjugation)."""
-        return _matrix((self,), len(self.num)).apply(other)[0]
 
 
 def _row(num, im, den: int) -> Row:

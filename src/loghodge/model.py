@@ -111,17 +111,6 @@ class NCModel:
         """W^J on component ci, built by max branch; memoized per evaluation."""
         return _memoized(_wj, self, ci, frozenset(branch_set))
 
-    def pairing_form(self):
-        """S(x, y) as a callable on total-space vectors."""
-        if self.pairing is None:
-            raise MissingHodgeFiltration("model carries no pairing")
-        s = self.pairing
-
-        def form(x, y):
-            return x.dot(s.apply(y))
-
-        return form
-
 
 def _wj(model: NCModel, ci: int, branch_set: frozenset) -> IncreasingFiltration:
     if not branch_set:
@@ -247,7 +236,7 @@ def unipotent_part(model: NCModel) -> NCModel:
                      for filt in (model.weight, model.hodge))
     pairing = None
     if model.pairing is not None:   # S(v, u) over the basis rows v, u of sub
-        b = Matrix(sub.basis, cols=model.total_dim)
+        b = _basis(sub)
         pairing = b * model.pairing * b.transpose()
     return NCModel(
         branches=model.branches,
@@ -385,8 +374,6 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     graded = {}
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
-        if gr.dim == 0:
-            continue
         n_grs = [induced_map(n_t, gr, gr) for n_t in n_ts[all_branches]]
         graded[i] = gr, n_grs[0]
         try:
@@ -458,23 +445,20 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         report.add("WeightCompatibleWithMHS", compat,
                    "W is not a filtration by sub mixed Hodge structures")
 
-    # (4) polarization of primitive parts
+    # (4) polarization of primitive parts, S as a Gram matrix on each Gr^W_i
     if model.pairing is None:
         report.skip("Polarization", "no pairing supplied")
     else:
-        form = model.pairing_form()
+        s = model.pairing
         for i, (gr, n_gr) in graded.items():
-            below = model.weight.at(i - 1)
-            descends = all(
-                not form(u, v) and not form(v, u)
-                for u in below.basis for v in model.weight.at(i).basis
-            )
-            if not descends:
+            if not _descends(s, model.weight.at(i - 1), model.weight.at(i)):
                 report.skip(
                     f"Polarization[w={i}]",
                     "single pairing does not descend to this graded piece")
                 continue
-            ok = _polarization_on_graded(model, gr, n_gr, i, form)
+            lifts = _basis(gr.lifts)
+            ok = _polarization_on_graded(model, gr, n_gr, i,
+                                         lifts * s * lifts.transpose())
             report.add(
                 f"Polarization[w={i}]", ok,
                 f"primitive parts of Gr^W_{i} are not positively polarized")
@@ -482,14 +466,24 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     return report
 
 
+def _basis(sub: Subspace) -> Matrix:
+    """The matrix whose rows are the basis of sub."""
+    return Matrix(sub.basis, cols=sub.ambient_dim)
+
+
+def _descends(s: Matrix, below: Subspace, at: Subspace) -> bool:
+    """The form of Gram matrix s pairs below with at to zero, both ways, so it
+    descends to at / below: A S B^T = B S A^T = 0 for their bases A and B."""
+    a, b = _basis(below), _basis(at)
+    return (a * s * b.transpose()).is_zero() and \
+        (b * s * a.transpose()).is_zero()
+
+
 def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
-                            i: int, form) -> bool:
-    """Step (4) on Gr^W_i = gr, on which N induces n_gr."""
+                            i: int, s_gr: Matrix) -> bool:
+    """Step (4) on Gr^W_i = gr, where N induces n_gr and S has Gram matrix s_gr."""
     m = monodromy_filtration(n_gr, center=i)
     f_gr = model.hodge.project_to(gr)
-
-    def s_bar(x, y):
-        return form(gr.lift(x), gr.lift(y))
 
     # N^e = 0 for e = len(powers) - 1, so powers[min(j, e)] is N^j
     powers = n_gr.powers()
@@ -506,12 +500,10 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
             return False
         if prim.dim == 0:
             continue
-        # S_k(x, y) = S(x, N^k y) must descend to Gr^M
-        nk = powers[k]
-        for u in m.at(i + k - 1).basis:
-            for v in m.at(i + k).basis:
-                if s_bar(u, nk(v)) or s_bar(v, nk(u)):
-                    return False
+        # S_k(x, y) = S(x, N^k y), of Gram matrix S_gr N^k, must descend to Gr^M
+        s_k = s_gr * powers[k]
+        if not _descends(s_k, m.at(i + k - 1), m.at(i + k)):
+            return False
         # positivity of i^{p-q} S(N^k x, conj x) on primitives; moving N^k to
         # the right side through the infinitesimal isometry costs (-1)^k.
         w = i + k
@@ -526,10 +518,9 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
                 continue
             covered += hpq.dim
             ipq = (ONE, I, -ONE, -I)[(p - q) % 4]      # i^(p-q)
-            basis = [top.lift(v) for v in hpq.basis]
-            rows = [[global_sign * ipq * s_bar(x, nk(y.conj())) for y in basis]
-                    for x in basis]
-            if not _hermitian_positive(Matrix(rows, cols=len(basis))):
+            x = Matrix([top.lift(v) for v in hpq.basis], cols=gr.dim)
+            gram = (x * s_k * x.conj().transpose()).scale(global_sign * ipq)
+            if not _hermitian_positive(gram):
                 return False
         if covered != prim.dim:
             return False

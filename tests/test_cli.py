@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from loghodge import cli, complexes, linalg
+from loghodge import cli, complexes, decomposition, linalg
 from loghodge.cli import main
 from loghodge.errors import InvalidModel
-from loghodge.generate import random_pure_model
+from loghodge.generate import random_pure_model, random_spectral_model
 from loghodge.model import canonical_json, model_to_json
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -250,6 +250,21 @@ def test_decompose_builds_the_omega_complex_once(tmp_path, monkeypatch,
     assert [args[1:] for args in built] == [("omega", frozenset())]
 
 
+def test_decompose_builds_each_primitive_part_once(tmp_path, monkeypatch,
+                                                   capsys):
+    """The graded-cohomology step cuts each primitive part to its slot of
+    omega, which is the whole component space: it asks for the part the
+    term-splitting step built, and nothing is built twice."""
+    path = tmp_path / "pure3-72.json"
+    path.write_text(canonical_json(model_to_json(
+        random_pure_model(3, random.Random(72)))))
+    built = _record_calls(monkeypatch, decomposition,
+                          "_build_primitive_component")
+    code, out = run_cli(["decompose", str(path)], capsys)
+    assert code == 0
+    assert len(built) == 48 and len(set(built)) == 48
+
+
 def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
     """The closed, support and link batteries of one corpus entry share i^!
     of z (one quotient IC_log(z)/IC), and no complex is built twice."""
@@ -369,6 +384,32 @@ def test_verdict_verbs_refuse_an_instance_failing_any_validate_row(
                                 f"validate: {failed}")
         with pytest.raises(InvalidModel, match=f"validate: {failed}$"):
             cli.corpus_entry(str(path))
+
+
+def test_purity_link_and_intersect_refuse_an_instance_without_s(tmp_path,
+                                                                capsys):
+    """Both instances pass validate and carry no S.  The purity and link
+    theorems are about polarized input, so those verdicts are refused;
+    duality, decompose and cohomology need no S and still run."""
+    seed = 0    # the n = 1 spectral draw of test_verb_contract
+    while (spectral := random_spectral_model(1, random.Random(seed))
+           ).total_dim > 4:
+        seed += 1
+    spectral_path = tmp_path / "spectral1.json"
+    spectral_path.write_text(canonical_json(model_to_json(spectral)))
+    for path in (CORPUS / "gen_mixed_n1.json", spectral_path):
+        code, out = run_cli(["validate", str(path)], capsys)
+        assert code == 0 and "S" not in json.loads(path.read_text())
+        for argv in (a for a in VERDICT_ARGV if a != ["duality"]):
+            code, out = run_cli(argv + [str(path)], capsys)
+            doc = json.loads(out)
+            assert code == 2 and "results" not in doc, (path.name, argv)
+            assert doc["error"] == ("loghodge.errors.InvalidModel: instance "
+                                    "carries no pairing S")
+        for argv in (["duality"], ["decompose"], ["cohomology"]):
+            code, out = run_cli(argv + [str(path)], capsys)
+            assert code in (0, 1), (path.name, argv, out)
+            assert json.loads(out)["verdict"] in ("pass", "fail")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -21,7 +21,7 @@ from loghodge.complexes import (
     link_complex,
     quotient_complex,
 )
-from loghodge.errors import FiltrationNotPreserved, PairingDegenerate, ShapeError
+from loghodge.errors import FiltrationNotPreserved, ShapeError
 from loghodge.generate import (
     random_imhs_model,
     random_pure_model,
@@ -151,13 +151,14 @@ def test_shriek_matches_cone_route():
 def test_star_examples():
     assert cohomology(i_star(J2, [0])).profile() == {0: {0: 1}}
     assert cohomology(i_star(RANK1, [0])).profile() == {0: {0: 1}}
-    degenerate = model_from_json({
+    # i^* never reads S: RANK1 without S (and F) has the same i^*
+    unpolarized = model_from_json({
         "branches": 1, "base_weight": 0, "perverse_shift": 1,
         "components": [{"alpha": ["0"], "dim": 1, "N": [[["0"]]]}],
         "W": [{"weight": 0, "basis": [["1"]]}],
     })
-    with pytest.raises(PairingDegenerate):
-        i_star(degenerate, [0])
+    assert unpolarized.pairing is None
+    assert cohomology(i_star(unpolarized, [0])).profile() == {0: {0: 1}}
 
 
 def test_star_stalk_sanity_z_all():

@@ -118,6 +118,38 @@ def test_imhs_rejects_f_line_in_kernel():
     assert not rep.passed
 
 
+# weight one, N = 0: H^{1,0} = span(e1 + i e2), on which x S conj(x)^T is
+# -2i, so the form vanishes without the conjugation
+ELLIPTIC = {
+    "branches": 1, "base_weight": 1, "perverse_shift": 1,
+    "components": [{"alpha": ["0"], "dim": 2,
+                    "N": [[["0", "0"], ["0", "0"]]]}],
+    "W": [{"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
+    "F": [{"p": 1, "basis": [["1", "1*i"]]}, {"p": 2, "basis": []}],
+    "S": {"matrix": [["0", "1"], ["-1", "0"]], "parity": 1},
+}
+
+
+@pytest.mark.parametrize("name", ["rank1_trivial", "jordan2_weight1",
+                                  "j2xj2_weight2", "gen_pure_n2",
+                                  "gen_pure_n3", "elliptic"])
+def test_a_negated_pairing_fails_only_the_polarization_rows(name):
+    """S polarizes each instance and -S, which passes every validate row
+    too, does not: the form i^{p-q} S(N^k x, conj x) is negative definite
+    on each primitive piece.  Every other imhs row passes both ways.  This
+    pins the sign (jordan2_weight1 has k = 1) and the conjugation (the
+    H^{1,0} of elliptic is not real) of the form."""
+    good = model_from_json(ELLIPTIC) if name == "elliptic" else \
+        loghodge.model.load_model(str(CORPUS / f"{name}.json"))
+    bad = dataclasses.replace(good, pairing=good.pairing.scale(-1))
+    assert imhs_check(good).passed and validate(bad).passed
+    rows = imhs_check(bad).checks
+    assert any(c.name.startswith("Polarization[w=") for c in rows)
+    for c in rows:
+        want = "fail" if c.name.startswith("Polarization[w=") else "pass"
+        assert c.status == want, (c.name, c.status)
+
+
 def test_imhs_needs_hodge():
     doc = {k: v for k, v in J2_WEIGHT1.items() if k != "F"}
     with pytest.raises(MissingHodgeFiltration):

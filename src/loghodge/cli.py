@@ -166,9 +166,9 @@ def run_duality(model, args):
         ok = ok and good
         results.append({"check": f"double_dual[{kind}]",
                         "status": "pass" if good else "fail"})
-    if model.pairing is not None and model.branches == 1:
-        # the link S^{2n-1} is compact for every n, but for n >= 2 it is still
-        # built from the union-of-branches i^! and i^*, which miss the link
+    if model.branches == 1:
+        # the link reads no S; for n >= 2 it is still built from the
+        # union-of-branches i^! and i^*, which miss the link S^{2n-1}
         link = cx.link_complex(model, z)
         rep = cx.cohomology(link)
         m = model.perverse_shift
@@ -182,7 +182,7 @@ def run_duality(model, args):
         ok = ok and good
         results.append({"check": "link_self_duality",
                         "status": "pass" if good else "fail"})
-    elif model.pairing is not None:
+    else:
         results.append({"check": "link_self_duality", "status": "skip"})
     return results, ok
 

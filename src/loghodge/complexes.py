@@ -1,4 +1,4 @@
-"""Bounded filtered cochain complexes and the logarithmic/intersection builders.
+"""Bounded cochain complexes with filtrations and the log/intersection builders.
 
 Complex terms are plain coordinate spaces; quotients and graded pieces are
 materialized into fresh canonical coordinates so every construction stays
@@ -6,7 +6,8 @@ exact.  Weight labels follow the convention of the weight machinery on the
 underlying instance; the purity checker converts a label at degree k into an
 honest weight via label + (k - shift).
 
-i^! on a branch set z is (IC_log(z)/IC)[-1] and i^* its twisted dual.  The
+i^! on a branch set z is (IC_log(z)/IC)[-1]: the Koszul complex of the slot
+quotients IC_log(z)/IC, shifted, and i^* is its twisted dual.  The
 intersection morphism i^! -> i^* is the zero map, by the support and
 cosupport conditions of IC, so the link is the mixed cone of zero:
 H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  For n >= 2 these are objects on the
@@ -43,7 +44,7 @@ class FilteredComplex:
     """Bounded cochain complex with optional weight/Hodge filtrations.
 
     A complex built by ``koszul_complex`` records its slot layout: per degree,
-    slot key -> (coordinates of the slot in the term, slot space).
+    slot key -> (coordinates of the slot in the term, slot subquotient).
     """
 
     min_deg: int
@@ -51,7 +52,7 @@ class FilteredComplex:
     d: dict[int, Matrix] = field(default_factory=dict)
     weight: dict[int, IncreasingFiltration] | None = None
     hodge: dict[int, DecreasingFiltration] | None = None
-    layout: dict[int, dict[tuple, tuple[range, Subspace]]] = field(
+    layout: dict[int, dict[tuple, tuple[range, Subquotient]]] = field(
         default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -332,42 +333,41 @@ def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
     raise ShapeError(f"unknown complex kind {kind!r}")
 
 
-def koszul_complex(branches, blocks, cut, weight=None,
+def koszul_complex(branches, blocks, slot, weight=None,
                    hodge=None) -> FilteredComplex:
-    """The filtered Koszul complex of commuting operators on a sum of blocks.
+    """The Koszul complex of commuting operators on a sum of blocks.
 
     blocks[b] is (dim, ops) with ops[j] the operator of branch j on block b.
     Degree k has one slot (K, b) per k-subset K of branches and block b, in
-    that order: the image in block b of the operators of the branches
-    cut(K, b), a subset of K.  The differential sends slot (K, b) to slot
-    (K + j, b) by ops[j] with the Koszul sign.  When given, weight(K, b) and
-    hodge(K, b) are filtrations of block b; the slot carries their
-    restrictions.  The result records its slot layout.
+    that order: the subquotient slot(K, b) of block b.  The differential sends
+    slot (K, b) to slot (K + j, b) by the map ops[j] induces, with the Koszul
+    sign.  When given, weight(K, b) and hodge(K, b) are filtrations of block
+    b; the slot carries the filtrations they induce.  The result records its
+    slot layout.
     """
     branches = tuple(branches)
     layout, dims = {}, []
     for k in range(len(branches) + 1):
         slots, off = {}, 0
         for K in itertools.combinations(branches, k):
-            for b, (dim, ops) in enumerate(blocks):
-                space = slot_image(ops, cut(K, b), dim)
-                slots[(K, b)] = (range(off, off + space.dim), space)
-                off += space.dim
+            for b in range(len(blocks)):
+                sq = slot(K, b)
+                slots[(K, b)] = (range(off, off + sq.dim), sq)
+                off += sq.dim
         layout[k] = slots
         dims.append(off)
     d = {}
     for k in range(len(branches)):
         pieces = []
-        for (K, b), (pos, space) in layout[k].items():
+        for (K, b), (pos, sq) in layout[k].items():
             ops = blocks[b][1]
             for j in branches:
                 if j in K:
                     continue
-                t_pos, t_space = layout[k + 1][(tuple(sorted(K + (j,))), b)]
+                t_pos, t_sq = layout[k + 1][(tuple(sorted(K + (j,))), b)]
                 sign = -ONE if sum(1 for i in K if i < j) % 2 else ONE
                 try:
-                    block = induced_map(ops[j], Subquotient.of(space),
-                                        Subquotient.of(t_space))
+                    block = induced_map(ops[j], sq, t_sq)
                 except IllDefinedInducedMap:
                     raise ShapeError(
                         "differential leaves the declared slot space") from None
@@ -376,8 +376,8 @@ def koszul_complex(branches, blocks, cut, weight=None,
     filts = []
     for rule in (weight, hodge):
         filts.append(None if rule is None else {
-            k: filtration_sum([(pos, rule(K, b).project_to(Subquotient.of(space)))
-                               for (K, b), (pos, space) in slots.items()], dims[k])
+            k: filtration_sum([(pos, rule(K, b).project_to(sq))
+                               for (K, b), (pos, sq) in slots.items()], dims[k])
             for k, slots in layout.items() if dims[k]})
     out = FilteredComplex(0, tuple(dims), d, *filts, layout=layout)
     out.validate()
@@ -386,16 +386,21 @@ def koszul_complex(branches, blocks, cut, weight=None,
 
 def _model_complex(model, kind: str, z: frozenset) -> FilteredComplex:
     """Koszul complex of the residue operators alpha_j - N_j per component.
-    Apart from omega, slot (K, ci) is cut by the branches of K, except those
-    in z along which component ci is locally unipotent."""
+    Slot (K, ci) of ic is the image of the operators of the branches of K;
+    that of iclog skips those in z along which component ci is locally
+    unipotent; omega's is the whole space, and shriek's is iclog's modulo
+    ic's, which it contains because the operators commute."""
     comps = model.components
     blocks = [(c.dim, alpha_ops(c)) for c in comps]
 
-    def cut(K, ci):
-        if kind == "omega":
-            return ()
-        zero_dirs = comps[ci].zero_alpha_branches()
-        return [j for j in K if not (j in z and j in zero_dirs)]
+    def image(K, ci, along=frozenset()):
+        cut = [j for j in K if j not in along or comps[ci].alpha[j]]
+        return slot_image(blocks[ci][1], cut, comps[ci].dim)
+
+    def slot(K, ci):
+        if kind == "shriek":
+            return Subquotient(image(K, ci, z), image(K, ci))
+        return Subquotient.of(image(() if kind == "omega" else K, ci, z))
 
     def weight(K, ci):
         # Unipotent slot (K, ci) carries W^K shifted by |K|.  Components with
@@ -413,7 +418,7 @@ def _model_complex(model, kind: str, z: frozenset) -> FilteredComplex:
         def hodge(K, ci):
             return hodges[ci].shift(len(K))
 
-    return koszul_complex(range(model.branches), blocks, cut, weight, hodge)
+    return koszul_complex(range(model.branches), blocks, slot, weight, hodge)
 
 
 def build_omega(model) -> FilteredComplex:
@@ -441,59 +446,31 @@ def _check_branches(model, z) -> frozenset:
     return z
 
 
-def ic_into_iclog(ic: FilteredComplex, log: FilteredComplex) -> ComplexMap:
-    """Termwise inclusion of the intersection complex into the log variant."""
-    maps = {}
-    for k in ic.degrees():
-        if not ic.term_dim(k):
-            continue
-        pieces = []
-        for key, (pos, space) in ic.layout[k].items():
-            t_pos, t_space = log.layout[k][key]
-            block = Matrix([t_space.coords(v) for v in space.basis],
-                           cols=t_space.dim).transpose()
-            pieces.append((block, t_pos, pos))
-        maps[k] = place((log.term_dim(k), ic.term_dim(k)), pieces)
-    out = ComplexMap(ic, log, maps)
-    out.validate()
-    return out
-
-
 # -- quotient, shrieks, stars, link -------------------------------------------
 
-def subquotient_complex(c: FilteredComplex, pres: dict[int, Subquotient], *,
-                        filtered: bool) -> FilteredComplex:
+def subquotient_complex(c: FilteredComplex,
+                        pres: dict[int, Subquotient]) -> FilteredComplex:
     """The complex of subquotients pres[k] of the terms of c, k over c's
-    degrees, with the induced differentials.
-
-    Each pres[k] is a subcomplex term modulo a smaller one.  When filtered,
-    c's weight and Hodge filtrations are carried as image filtrations.
-    """
+    degrees (each a subcomplex term modulo a smaller one), with the induced
+    differentials and no filtrations."""
     dims = tuple(pres[k].dim for k in c.degrees())
     d = {k: induced_map(c.differential(k), pres[k], pres[k + 1])
          for k in c.degrees()
          if k < c.max_deg and pres[k].dim and pres[k + 1].dim}
-    weight, hodge = (
-        None if not filtered or filt is None else
-        {k: f.project_to(pres[k]) for k, f in filt.items() if pres[k].dim}
-        for filt in (c.weight, c.hodge))
-    out = FilteredComplex(c.min_deg, dims, d, weight, hodge)
+    out = FilteredComplex(c.min_deg, dims, d)
     out.validate()
     return out
 
 
-def quotient_complex(sub_map: ComplexMap) -> FilteredComplex:
-    """Target/Image(sub) with induced differentials and image filtrations."""
-    b = sub_map.target
-    pres = {k: Subquotient(Subspace.full(b.term_dim(k)), sub_map.at(k).image())
-            for k in b.degrees()}
-    return subquotient_complex(b, pres, filtered=True)
+def quotient_complex(model, z) -> FilteredComplex:
+    """IC_log(z)/IC, the Koszul complex of the slot quotients, with the
+    induced filtrations; memoized per evaluation by (model, kind, z)."""
+    return _memoized(_model_complex, model, "shriek", _check_branches(model, z))
 
 
 @_remembered
 def _shriek(model, z: frozenset) -> FilteredComplex:
-    return quotient_complex(
-        ic_into_iclog(build_ic(model), build_ic_log(model, z))).shift(-1)
+    return quotient_complex(model, z).shift(-1)
 
 
 @_remembered

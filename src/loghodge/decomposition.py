@@ -19,6 +19,7 @@ from .complexes import (
     _check_branches,
     cohomology,
     koszul_complex,
+    slot_image,
     subquotient_complex,
 )
 from .errors import ShapeError
@@ -95,7 +96,8 @@ def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
 def _ic_of_part(part: PrimitiveComponentPart, branches: list[int],
                 shift_by: int) -> FilteredComplex:
     """IC complex of a primitive part under its residual operators, shifted."""
-    ic = koszul_complex(branches, [(part.dim, part.residual)], lambda T, b: T)
+    ic = koszul_complex(branches, [(part.dim, part.residual)], lambda T, b:
+                        Subquotient.of(slot_image(part.residual, T, part.dim)))
     return ic.shift(-shift_by)
 
 
@@ -182,13 +184,13 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
     full = build_complex(model, which, z)
     graded = subquotient_complex(
         full, {deg: full.weight_at(deg).graded_piece(k)
-               for deg in full.degrees()}, filtered=False)
+               for deg in full.degrees()})
     lhs = {deg: h.dim for deg, h in cohomology(graded).degrees.items() if h.dim}
     rhs: dict[int, int] = {}
     for r in range(n + 1):
         for K in itertools.combinations(range(n), r):
             for ci in unipotent:
-                slot = full.layout[r][(K, ci)][1]
+                slot = full.layout[r][(K, ci)][1].sub
                 part = _primitive_component(
                     model, ci, K, k - len(K), None if slot.is_full() else slot)
                 if part.dim == 0:

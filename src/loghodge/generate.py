@@ -160,7 +160,7 @@ def random_imhs_model(n_branches: int, rng: random.Random,
         if rng.random() < 0.2 and budget >= 2:
             block = _elliptic_block(n_branches)
         else:
-            sizes = [rng.choice([1, 1, 2, 2, 3]) for _ in range(max(n_branches, 1))]
+            sizes = [rng.choice([1, 1, 2, 2, 3]) for _ in range(n_branches)]
             block = _tensor_blocks(n_branches, _fit(sizes, budget))
         if block.dim > budget:
             continue
@@ -172,7 +172,7 @@ def random_imhs_model(n_branches: int, rng: random.Random,
         blocks.append(block)
         budget -= block.dim
     if not blocks:
-        blocks = [_tensor_blocks(n_branches, [1] * max(n_branches, 1))]
+        blocks = [_tensor_blocks(n_branches, [1] * n_branches)]
     # the declared center is the lower bound of the weights, so the one-sided
     # purity bounds stay meaningful on mixed instances
     base_weight = min(b.weight for b in blocks)
@@ -199,7 +199,7 @@ def _fit(sizes: list[int], budget: int) -> list[int]:
 def random_pure_model(n_branches: int, rng: random.Random,
                       max_dim: int = 8) -> NCModel:
     """Single pure weight; handy for the pure-anchor and purity suites."""
-    sizes = [rng.choice([1, 2, 2, 3]) for _ in range(max(n_branches, 1))]
+    sizes = [rng.choice([1, 2, 2, 3]) for _ in range(n_branches)]
     block = _tensor_blocks(n_branches, _fit(sizes, max_dim))
     model = _block_model(n_branches, block, block.weight, n_branches, True)
     return conjugate_model(model, random_unimodular(model.total_dim, rng))

@@ -55,9 +55,6 @@ class AlphaComponent:
     def is_unipotent(self) -> bool:
         return all(a == 0 for a in self.alpha)
 
-    def zero_alpha_branches(self) -> tuple[int, ...]:
-        return tuple(j for j, a in enumerate(self.alpha) if a == 0)
-
 
 @dataclass(frozen=True, eq=False)
 class NCModel:

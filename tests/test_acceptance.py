@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from inclusion import ic_into_iclog
 from link_oracle import oracle_link
 
 from loghodge.complexes import (
@@ -23,7 +24,6 @@ from loghodge.complexes import (
     dualize,
     i_shriek,
     i_star,
-    ic_into_iclog,
     link_complex,
 )
 from loghodge.decomposition import (

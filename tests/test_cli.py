@@ -200,6 +200,61 @@ def test_unknown_verb_exits_two(capsys):
     assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
+TWO_BRANCHES = CORPUS / "gen_pure_n2.json"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["cohomology", "--complex", "iclog", "--z", "a"],
+     "--z must be comma-separated integers: "
+     "invalid literal for int() with base 10: 'a'"),
+    (["cohomology", "--complex", "iclog", "--z", "3"],
+     "branch index 3 out of range 1..2"),
+    (["star", "--branch", "3"], "--branch 3 out of range"),
+    (["intersect"], "intersect needs a nonempty --z"),
+])
+def test_bad_branch_arguments_exit_two(argv, error, capsys):
+    code, out = run_cli(argv + [str(TWO_BRANCHES)], capsys)
+    assert code == 2
+    assert json.loads(out) == {"instance": str(TWO_BRANCHES),
+                               "verb": argv[0], "verdict": "error",
+                               "error": error}
+
+
+def test_corpus_needs_a_directory_of_instances(tmp_path, capsys):
+    code, out = run_cli(["corpus", str(TWO_BRANCHES)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == \
+        f"corpus path {TWO_BRANCHES} is not a directory"
+    code, out = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == f"no instances found in {tmp_path}"
+
+
+def test_corpus_fails_an_instance_without_its_expected_report(tmp_path, capsys):
+    shutil.copy(CORPUS / "rank1_trivial.json", tmp_path / "rank1_trivial.json")
+    code, out = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    assert doc["results"] == [{"instance": str(tmp_path / "rank1_trivial.json"),
+                               "status": "fail",
+                               "detail": "missing expected report"}]
+
+
+@pytest.mark.parametrize("stem", ["j2xj2_weight2", "gen_pure_n3", "gen_mixed_n2"])
+def test_decompose_at_one_weight_is_that_row_of_the_full_run(stem, capsys):
+    path = str(CORPUS / f"{stem}.json")
+    code, out = run_cli(["decompose", path], capsys)
+    rows = json.loads(out)["results"]
+    assert code == 0 and len(rows) > 1
+    for row in rows:
+        code, out = run_cli(["decompose", "--k", str(row["k"]), path], capsys)
+        doc = json.loads(out)
+        assert doc["results"] == [row]
+        assert (code, doc["verdict"]) == \
+            ((0, "pass") if row["verdict"] == "pass" else (1, "fail"))
+
+
 def test_back_to_back_runs_share_no_memo(monkeypatch, capsys):
     """The filtration memo lives for one main call: a second identical run
     does all the work again and leaves no memo behind."""
@@ -273,10 +328,27 @@ def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
     assert len(quotients) == 1
     kinds = [args[1:] for args in built]
+    assert kinds.count(("shriek", frozenset({0, 1}))) == 1
     assert kinds.count(("ic", frozenset())) == 1
     assert ("iclog", frozenset({0, 1})) in kinds
     assert len(kinds) == len(set(kinds))
     assert linalg._MEMO.get() is None
+
+
+def test_corpus_entry_constructs_only_the_zero_morphism(monkeypatch):
+    """i^! is built slot by slot from the model, so the one chain map an
+    entry with S constructs is the zero intersection morphism, whose cone is
+    the link."""
+    made = []
+    real = complexes.ComplexMap.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(complexes.ComplexMap, "__init__", recording)
+    cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
+    assert len(made) == 1 and made[0].maps == {}
 
 
 def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):

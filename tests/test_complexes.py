@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from loghodge.complexes import (
     dualize,
     i_shriek,
     i_star,
-    ic_into_iclog,
     intersection_morphism,
     link_complex,
     quotient_complex,
@@ -30,6 +30,9 @@ from loghodge.generate import (
 from loghodge.filtrations import DecreasingFiltration
 from loghodge.linalg import Matrix, Subspace, evaluation
 from loghodge.model import load_model, model_from_json, unipotent_part
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from inclusion import ic_into_iclog
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -263,11 +266,28 @@ def test_build_complex_dispatches_to_the_named_builders():
 
 
 def test_quotient_complex_profile():
-    ic = build_ic(J2)
-    log = build_ic_log(J2, [0])
-    emb = ic_into_iclog(ic, log)
-    quot = quotient_complex(emb)
+    quot = quotient_complex(J2, {0})
     assert cohomology(quot).profile() == {1: {3: 1}}
+
+
+def test_quotient_complex_is_built_slot_by_slot():
+    # i^! comes from the Koszul builder: each slot of IC_log(z)/IC is the
+    # iclog slot modulo the ic slot, and the layout records it
+    for model in (J2, TWO_BRANCH):
+        z = range(model.branches)
+        ic, log = build_ic(model), build_ic_log(model, z)
+        quot = quotient_complex(model, z)
+        assert set(quot.layout) == set(log.layout)
+        for k, slots in quot.layout.items():
+            assert set(slots) == set(log.layout[k])
+            for key, (pos, sq) in slots.items():
+                assert (sq.sub, sq.quot_by) == \
+                    (log.layout[k][key][1].sub, ic.layout[k][key][1].sub)
+                assert len(pos) == sq.dim
+            assert sum(sq.dim for _, sq in slots.values()) == \
+                log.term_dim(k) - ic.term_dim(k) == quot.term_dim(k)
+    with pytest.raises(ShapeError, match="branch index 2 out of range"):
+        quotient_complex(J2, {2})
 
 
 def test_builders_on_random_models():

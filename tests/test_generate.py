@@ -15,7 +15,14 @@ from loghodge.generate import (
     random_pure_model,
     random_spectral_model,
 )
-from loghodge.model import canonical_json, direct_sum, model_from_json, model_to_json
+from loghodge.model import (
+    canonical_json,
+    direct_sum,
+    imhs_check,
+    model_from_json,
+    model_to_json,
+    validate,
+)
 
 GENERATORS = {"pure": random_pure_model, "imhs": random_imhs_model,
               "spectral": random_spectral_model}
@@ -86,3 +93,14 @@ def test_sum_with_hodge_and_pairing_keeps_its_bytes():
     doubled = direct_sum(m, m)
     assert [c.dim for c in doubled.components] == [4, 2]
     assert _digest(doubled) == TWO_COMPONENTS_SUM
+
+
+@pytest.mark.parametrize("gen", ["pure", "imhs"])
+def test_zero_branch_draws_pass_validate_and_imhs(gen):
+    # with no branch there is no Jordan string to draw; a string that no
+    # branch carries left most of these draws failing validate
+    for seed in range(30):
+        model = GENERATORS[gen](0, random.Random(seed))
+        assert model.branches == 0
+        assert validate(model).passed, seed
+        assert imhs_check(model).passed, seed

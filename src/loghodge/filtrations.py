@@ -30,10 +30,12 @@ from .linalg import (
     Subspace,
     _memoized,
     _remembered,
+    combination,
     induced_map,
     is_rref,
     parse_row,
     place,
+    rref,
 )
 from .scalars import is_integer
 
@@ -331,6 +333,41 @@ def check_relative_axioms(m: IncreasingFiltration, N: Matrix,
         if monodromy_violation(m.project_to(gr), induced_map(N, gr, gr), j):
             return False
     return True
+
+
+def axioms_in_t(m: IncreasingFiltration, ops: Sequence[Matrix],
+                w: IncreasingFiltration):
+    """A test of t that holds exactly when check_relative_axioms(m, N(t), w)
+    does, N(t) = sum_j t[j] ops[j]; None unless each op preserves w and maps
+    m_a into m_{a-2}, so that every N(t) does.  Then on Gr^W_l, N(t)^k:
+    Gr^M_{l+k} -> Gr^M_{l-k} is a product of k sums of the ops' graded blocks
+    Gr^M_a -> Gr^M_{a-2}, built here once, and must be invertible."""
+    if any(not op.rows == op.cols == w.ambient_dim == m.ambient_dim
+           or w.first_violation(op, w) is not None
+           or m.first_violation(op, m, -2) is not None for op in ops):
+        return None
+    pieces = []     # per Gr^W_l: l, dims of its Gr^M_a, reach, blocks by a
+    for l in w.jumps():
+        gr = w.graded_piece(l)
+        m_gr, ops_gr = m.project_to(gr), [induced_map(op, gr, gr) for op in ops]
+        dims = m_gr.graded_dims()
+        reach = max(abs(a - l) for a in dims)
+        pieces.append((l, dims, reach, {
+            a: [induced_map(op, m_gr.graded_piece(a), m_gr.graded_piece(a - 2))
+                for op in ops_gr] for a in range(l - reach + 2, l + reach + 1)}))
+
+    def holds(t) -> bool:
+        for l, dims, reach, blocks in pieces:
+            sums = {a: combination(t, bs, dims.get(a - 2, 0), dims.get(a, 0))
+                    for a, bs in blocks.items()}
+            for k in range(1, reach + 1):
+                p = Matrix.identity(dims.get(l + k, 0))
+                for a in range(l + k, l - k, -2):
+                    p = sums[a] * p
+                if p.rows != p.cols or len(rref(p.entries, p.cols)) != p.cols:
+                    return False
+        return True
+    return holds
 
 
 def _jordan_chain_tops(N: Matrix) -> list[tuple[Row, int]]:

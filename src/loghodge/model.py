@@ -22,10 +22,9 @@ from .errors import (
 from .filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
-    check_relative_axioms,
+    axioms_in_t,
     filtration_sum,
     monodromy_filtration,
-    monodromy_violation,
     relative_monodromy_filtration,
     star,
 )
@@ -358,25 +357,35 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     n_branches = model.branches
     samples = _sample_t_vectors(n_branches, seed)
     all_branches = tuple(range(n_branches))
+    ops = [model.nilpotent(j) for j in all_branches]
+    w_kept = all(model.weight.first_violation(op, model.weight) is None
+                 for op in ops)
     # Steps (1) and (2) build each filtration at the first t.  It is unique,
-    # so a later t keeps it when it passes the axioms there and builds anew
-    # only where it fails: rows and errors are those of building at every t.
-    # N(t) for each branch subset (the empty one when n = 0) and sample t
-    n_ts = {subset: [model.nilpotent_sum(subset, [t[j] for j in subset])
-                     for t in samples]
-            for subset in {*_subsets(n_branches), all_branches}}
+    # so a later t keeps it where it passes the axioms on the graded blocks
+    # of the N_j (filtrations.axioms_in_t) and builds anew where that test
+    # is None or fails: rows and errors are those of building at every t.
+    def n_at(subset, t):
+        return model.nilpotent_sum(subset, [t[j] for j in subset])
+    firsts = {subset: n_at(subset, samples[0])     # the empty subset when n = 0
+              for subset in {*_subsets(n_branches), all_branches}}
 
-    # (1) mixed nilpotent orbit on every weight-graded piece; graded[i] is
-    # the nonzero Gr^W_i with the N it induces at t = (1, ..., 1)
+    # (1) mixed nilpotent orbit on every weight-graded piece; graded[i] holds
+    # Gr^W_i, the N it induces at t = (1, ..., 1) and W(N), where built
     graded = {}
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
-        n_grs = [induced_map(n_t, gr, gr) for n_t in n_ts[all_branches]]
-        graded[i] = gr, n_grs[0]
+        n_gr = induced_map(firsts[all_branches], gr, gr)
+        if not w_kept:      # some N_j moves W: inducing N(t) may raise here
+            n_grs = [induced_map(n_at(all_branches, t), gr, gr) for t in samples[1:]]
         try:
-            m = monodromy_filtration(n_grs[0], center=i)
-            filts = [m if monodromy_violation(m, ng, i) is None
-                     else monodromy_filtration(ng, center=i) for ng in n_grs[1:]]
+            m = monodromy_filtration(n_gr, center=i)
+            graded[i] = gr, n_gr, m
+            if w_kept:
+                test = axioms_in_t(m, [induced_map(op, gr, gr) for op in ops],
+                                   IncreasingFiltration.pure(gr.dim, i))
+                n_grs = [induced_map(n_at(all_branches, t), gr, gr)
+                         for t in samples[1:] if not (test and test(t))]
+            filts = [monodromy_filtration(ng, center=i) for ng in n_grs]
         except LogHodgeError as exc:
             report.add(f"NilpotentOrbit[w={i}]", False,
                        f"monodromy failed: {exc}")
@@ -400,10 +409,11 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         ok = True
         detail = ""
         try:
-            mj = relative_monodromy_filtration(n_ts[subset][0], model.weight)
-            filts = [mj if check_relative_axioms(mj, nsum, model.weight)
-                     else relative_monodromy_filtration(nsum, model.weight)
-                     for nsum in n_ts[subset][1:]]
+            mj = relative_monodromy_filtration(firsts[subset], model.weight)
+            test = axioms_in_t(mj, [ops[j] for j in subset], model.weight)
+            filts = [relative_monodromy_filtration(n_at(subset, t), model.weight)
+                     for t in samples[1:]
+                     if not (test and test([t[j] for j in subset]))]
         except LogHodgeError as exc:
             ok, detail = False, str(exc)
         if ok and any(f != mj for f in filts):
@@ -447,14 +457,17 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
         report.skip("Polarization", "no pairing supplied")
     else:
         s = model.pairing
-        for i, (gr, n_gr) in graded.items():
-            if not _descends(s, model.weight.at(i - 1), model.weight.at(i)):
-                report.skip(
-                    f"Polarization[w={i}]",
-                    "single pairing does not descend to this graded piece")
+        for i in model.weight.jumps():
+            if i not in graded or not _descends(
+                    s, model.weight.at(i - 1), model.weight.at(i)):
+                report.skip(f"Polarization[w={i}]", (
+                    "single pairing does not descend to this graded piece"
+                    if i in graded else
+                    "N has no monodromy filtration on this graded piece"))
                 continue
+            gr, n_gr, m = graded[i]
             lifts = _basis(gr.lifts)
-            ok = _polarization_on_graded(model, gr, n_gr, i,
+            ok = _polarization_on_graded(model, gr, n_gr, m, i,
                                          lifts * s * lifts.transpose())
             report.add(
                 f"Polarization[w={i}]", ok,
@@ -477,9 +490,8 @@ def _descends(s: Matrix, below: Subspace, at: Subspace) -> bool:
 
 
 def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
-                            i: int, s_gr: Matrix) -> bool:
-    """Step (4) on Gr^W_i = gr, where N induces n_gr and S has Gram matrix s_gr."""
-    m = monodromy_filtration(n_gr, center=i)
+                            m: IncreasingFiltration, i: int, s_gr: Matrix) -> bool:
+    """Step (4) on Gr^W_i = gr: N induces n_gr, W(N) is m, S has Gram matrix s_gr."""
     f_gr = model.hodge.project_to(gr)
 
     # N^e = 0 for e = len(powers) - 1, so powers[min(j, e)] is N^j
@@ -490,11 +502,7 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
         if top.dim == 0:
             continue
         bottom = m.graded_piece(i - k - 2)
-        try:
-            nk1 = induced_map(powers[min(k + 1, e)], top, bottom)
-            prim = nk1.kernel()
-        except LogHodgeError:
-            return False
+        prim = induced_map(powers[min(k + 1, e)], top, bottom).kernel()
         if prim.dim == 0:
             continue
         # S_k(x, y) = S(x, N^k y), of Gram matrix S_gr N^k, must descend to Gr^M

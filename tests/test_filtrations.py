@@ -2,6 +2,7 @@ import functools
 import pathlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -726,13 +727,16 @@ def test_monodromy_violation_is_none_exactly_for_the_built_filtration(seed):
     assert filtrations.monodromy_violation(m, n, center) is None
 
 
-def _flag_model(rng):
-    """A nilpotent N preserving a random W: a strictly upper triangular U
-    preserves the coordinate flag, and g carries both to N = g U g^-1 and
-    W = g(flag), with random weights on the flag steps."""
+def _flag_model(rng, count=1):
+    """count nilpotents N preserving a random W, and W: a strictly upper
+    triangular U preserves the coordinate flag, and g carries both to
+    N = g U g^-1 and W = g(flag), with random weights on the flag steps."""
     dim = rng.randint(1, 6)
-    u = Matrix([[rng.randint(-1, 1) if j > i else 0 for j in range(dim)]
-                for i in range(dim)])
+
+    def upper():
+        return Matrix([[rng.randint(-1, 1) if j > i else 0 for j in range(dim)]
+                       for i in range(dim)])
+    u = upper()
     g = random_nilpotent(dim, rng) + Matrix.identity(dim)   # unipotent
     cuts = sorted(rng.sample(range(1, dim), rng.randint(0, min(2, dim - 1))))
     weights = sorted(rng.sample(range(-2, 3), len(cuts) + 1))
@@ -740,7 +744,8 @@ def _flag_model(rng):
     w = IncreasingFiltration(dim, [
         (wt, Subspace.span(cols[:end], dim))
         for wt, end in zip(weights, cuts + [dim])])
-    return g * u * g.inverse(), w
+    us = [u] + [upper() for _ in range(count - 1)]
+    return (*(g * x * g.inverse() for x in us), w)
 
 
 def _m_candidates(ops, w, built, rng):
@@ -774,3 +779,68 @@ def test_check_relative_axioms_holds_exactly_for_the_built_filtration(seed):
             assert expected is None
         for cand in candidates:
             assert check_relative_axioms(cand, op, w) == (cand == expected), cand
+
+
+# -- the t-test on graded blocks against check_relative_axioms ----------------
+
+def _sum(ops, t):
+    return functools.reduce(lambda a, b: a + b,
+                            (op.scale(c) for op, c in zip(ops, t)))
+
+
+def _positive_t(rng, k):
+    return [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_axioms_in_t_agrees_with_check_relative_axioms_at_positive_t(seed):
+    """Wherever the block test applies, it decides check_relative_axioms at
+    N(t) = sum t_j N_j, for the filtration built at one t and for moved,
+    stretched and perturbed ones.  The second operator is a multiple of the
+    first (so N(t) vanishes where the t_j cancel), a polynomial in it, or
+    another operator preserving W."""
+    rng = random.Random(seed)
+    n1, other, w = _flag_model(rng, 2)
+    n2 = rng.choice([n1.scale(rng.choice((-2, -1, 2))), n1 * n1 + n1.scale(2),
+                     other])
+    ops = [n1, n2]
+    built = _built(relative_monodromy_filtration, _sum(ops, _positive_t(rng, 2)), w)
+    for cand in _m_candidates(ops, w, built, rng):
+        test = filtrations.axioms_in_t(cand, ops, w)
+        if test is None:
+            continue
+        for _ in range(4):
+            t = _positive_t(rng, 2)
+            assert test(t) == check_relative_axioms(cand, _sum(ops, t), w), \
+                (cand, t)
+
+
+def test_axioms_in_t_fails_where_the_scaling_vector_cancels():
+    """N_1 e1 = e3, N_1 e2 = -e4 and N_2 e1 = e3, N_2 e2 = e4 commute; the
+    filtration built at t = (1, 2) is kept at (2, 1) and not at (1, 1), where
+    N(t) kills e2."""
+    n1 = place((4, 4), [(Matrix([[1, 0], [0, -1]]), (2, 3), (0, 1))])
+    n2 = place((4, 4), [(Matrix.identity(2), (2, 3), (0, 1))])
+    w = IncreasingFiltration.pure(4, 0)
+    m = relative_monodromy_filtration(_sum([n1, n2], [1, 2]), w)
+    test = filtrations.axioms_in_t(m, [n1, n2], w)
+    for t, holds in (((2, 1), True), ((1, 1), False), ((3, 3), False)):
+        assert test(t) is holds
+        assert check_relative_axioms(m, _sum([n1, n2], t), w) is holds
+
+
+@pytest.mark.parametrize("ops, w, m", [
+    # N_2 = -N_1 = -J2 with W pure of weight 1: built at t = (1, 1), where
+    # N(t) = 0, M is W itself, which J2 does not lower by two
+    ([J2, -J2], IncreasingFiltration.pure(2, 1), IncreasingFiltration.pure(2, 1)),
+    # the same branches over W_0 = ker J2 <= W_1: J2 lowers M = W by one only
+    ([J2, -J2], _MIXED_LINE, _MIXED_LINE),
+    # E21 lowers its own W(E21) by two but moves W_0 = span(e1)
+    ([Matrix([[0, 0], [1, 0]])], _MIXED_LINE,
+     monodromy_filtration(Matrix([[0, 0], [1, 0]]), 0)),
+])
+def test_axioms_in_t_is_none_unless_every_op_preserves_w_and_lowers_m(ops, w, m):
+    if len(ops) == 2:
+        assert relative_monodromy_filtration(_sum(ops, [1, 1]), w) == m
+    assert filtrations.axioms_in_t(m, ops, w) is None

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -443,32 +444,107 @@ def test_a_t_dependent_orbit_reports_what_building_at_every_t_gives(
                 if c.name.startswith(SAMPLED_ROWS)] == want
 
 
-@pytest.mark.parametrize("draw", range(6))
-def test_sampled_rows_equal_building_at_every_t_on_generated_draws(draw):
-    model = (random_imhs_model, random_pure_model)[draw % 2](
-        1 + draw // 2, random.Random(draw))
+def test_a_later_t_failing_the_block_test_reports_what_building_gives():
+    """N_1 e1 = N_2 e1 = e3, N_1 e2 = 15 e4 and N_2 e2 = -4 e4: the blocks
+    apply, and N(t) kills e2 at the third sample t = (1/3, 5/4) of seed 0
+    only, where the block test fails and the filtrations are built."""
+    zero = ["0"] * 4
+    n1, n2 = ([zero, zero, ["1", "0", "0", "0"], ["0", c, "0", "0"]]
+              for c in ("15", "-4"))
+    model = model_from_json({
+        "branches": 2, "base_weight": 0, "perverse_shift": 2,
+        "components": [{"alpha": ["0", "0"], "dim": 4, "N": [n1, n2]}],
+        "W": [{"weight": 0, "basis": [[str(int(i == j)) for j in range(4)]
+                                      for i in range(4)]}],
+        "F": [{"p": 1, "basis": []}]})
+    assert loghodge.model._sample_t_vectors(2, 0)[2] == (Fraction(1, 3),
+                                                         Fraction(5, 4))
+    want = _built_at_every_t(model)
+    assert ("OrbitTIndependence[w=0]", "fail",
+            "monodromy filtration depends on the scaling vector") in want
+    assert ("RelativeMonodromy[J={1,2}]", "fail",
+            "relative filtration depends on the scaling vector") in want
     with linalg.evaluation():
-        got = [(c.name, c.status, c.detail) for c in imhs_check(model).checks
-               if c.name.startswith(SAMPLED_ROWS)]
-    assert got == _built_at_every_t(model)
+        assert [(c.name, c.status, c.detail) for c in imhs_check(model).checks
+                if c.name.startswith(SAMPLED_ROWS)] == want
+
+
+@pytest.mark.parametrize("draw", range(18))
+def test_sampled_rows_equal_building_at_every_t_on_generated_draws(draw):
+    """imhs and pure draws at n = 1, 2, 3, three generator seeds each, at
+    the sample t of --seed 0 and 3."""
+    model = (random_imhs_model, random_pure_model)[draw % 2](
+        1 + draw // 2 % 3, random.Random(draw))
+    for seed in (0, 3):
+        with linalg.evaluation():
+            got = [(c.name, c.status, c.detail)
+                   for c in imhs_check(model, seed).checks
+                   if c.name.startswith(SAMPLED_ROWS)]
+        assert got == _built_at_every_t(model, seed)
 
 
 def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
-    """Three branches: one build per branch subset, at the first t; the
-    three later t of each subset are tested against it.  No memo is open,
-    so every build is counted."""
-    built = []
-    real_build = filtrations._relative_monodromy_filtration
+    """Three branches: N(t) is summed and each filtration built once per
+    branch subset, at the first t; the three later t of each subset are
+    decided on graded blocks, not at an N(t) of the whole space.  W(N) is
+    built once on the one Gr^W, and once inside each of the 7 relative
+    builds.  No memo is open, so every build is counted."""
+    calls = collections.Counter()
 
-    def counting_build(n, w):
-        built.append(n)
-        return real_build(n, w)
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(filtrations, "_relative_monodromy_filtration",
-                        counting_build)
+    for name in ("_monodromy_filtration", "_relative_monodromy_filtration"):
+        monkeypatch.setattr(filtrations, name,
+                            counting(name, getattr(filtrations, name)))
+    monkeypatch.setattr(NCModel, "nilpotent_sum",
+                        counting("nilpotent_sum", NCModel.nilpotent_sum))
     instance = loghodge.model.load_model(str(CORPUS / "gen_pure_n3.json"))
     assert imhs_check(instance).passed
-    assert len(built) == 7
+    assert calls == {"nilpotent_sum": 7, "_monodromy_filtration": 8,
+                     "_relative_monodromy_filtration": 7}
+
+
+# -- step (4) polarizes the pieces step (1) built a W(N) on -------------------
+
+def _non_commuting_plane(with_pairing, branches=2):
+    """N_1 = E12 and N_2 = E21 on a plane: N(1, 1) is not nilpotent, so
+    step (1) builds no W(N) on the pure Gr^W_1.  A third branch N_3 = -E21
+    makes N(1, 1, 1) = E12, which has one, while N(t) is not nilpotent
+    wherever t_2 != t_3."""
+    ops = [[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]],
+           [["0", "0"], ["-1", "0"]]][:branches]
+    doc = {"branches": branches, "base_weight": 1, "perverse_shift": branches,
+           "components": [{"alpha": ["0"] * branches, "dim": 2, "N": ops}],
+           "W": [{"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
+           "F": [{"p": 1, "basis": [["1", "0"]]}, {"p": 2, "basis": []}]}
+    if with_pairing:
+        doc["S"] = {"matrix": [["0", "1"], ["-1", "0"]], "parity": 1}
+    return doc
+
+
+@pytest.mark.parametrize("with_pairing, branches, last_row", [
+    (True, 2, {"name": "Polarization[w=1]", "status": "skip",
+               "detail": "N has no monodromy filtration on this graded piece"}),
+    (False, 2, {"name": "Polarization", "status": "skip",
+                "detail": "no pairing supplied"}),
+    (True, 3, {"name": "Polarization[w=1]", "status": "fail",
+               "detail": "primitive parts of Gr^W_1 are not positively polarized"}),
+])
+def test_an_orbit_without_monodromy_filtration_is_reported(
+        with_pairing, branches, last_row, tmp_path, capsys):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(_non_commuting_plane(with_pairing, branches)))
+    assert main(["imhs", str(path)]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results[0] == {"name": "NilpotentOrbit[w=1]", "status": "fail",
+                          "detail": "monodromy failed: operator is not nilpotent"}
+    assert results[-1] == last_row
+    assert [r["name"] for r in results if r["status"] == "fail"][:2] == [
+        "NilpotentOrbit[w=1]", "RelativeMonodromy[J={1,2}]"]
 
 
 # -- loading: canonical step bases are taken as they are ----------------------

@@ -58,13 +58,6 @@ def _require_valid(report):
         raise InvalidModel(f"instance fails validate: {', '.join(failed)}")
 
 
-def _require_polarized(model):
-    """Raise InvalidModel unless the instance passes validate and carries S."""
-    _require_valid(validate(model))
-    if model.pairing is None:
-        raise InvalidModel("instance carries no pairing S")
-
-
 def run_validate(model, args):
     rep = validate(model)
     return rep.to_json()["checks"], rep.passed
@@ -127,14 +120,12 @@ def run_intersect(model, args):
     z = _parse_z(args.z, model)
     if not z:
         raise ParseError("intersect needs a nonempty --z")
-    _require_polarized(model)
     return dec.intersection_image(model, z), True
 
 
 def run_purity(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_polarized(model)
     verdict = dec.purity_check(_purity_cohomology(model, args.mode, z),
                                model.base_weight, shift, args.mode)
     return verdict.to_json(), verdict.passed
@@ -143,7 +134,6 @@ def run_purity(model, args):
 def run_link(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    _require_polarized(model)
     link = cx.link_complex(model, z)
     rep = cx.cohomology(link)
     verdict = dec.purity_check(rep, model.base_weight, shift, "link")
@@ -154,7 +144,6 @@ def run_link(model, args):
 def run_duality(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     a = model.base_weight
-    _require_valid(validate(model))
     results = []
     ok = True
     for kind in ("omega", "ic"):
@@ -255,6 +244,13 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
         return entry
 
 
+# what a verb presumes of its instance, enforced by main before it runs:
+# VALID, a passing validate; POLARIZED, that and S.  The other verbs report
+# on any instance, and main names the validate rows behind their errors.
+VALID, POLARIZED = "valid", "polarized"
+NEEDS = {"imhs": VALID, "decompose": VALID, "duality": VALID,
+         "purity": POLARIZED, "link": POLARIZED, "intersect": POLARIZED}
+
 VERBS = {
     "validate": run_validate,
     "imhs": run_imhs,
@@ -316,8 +312,18 @@ def main(argv=None) -> int:
             results, passed = run_corpus(args)
         else:
             model = load_model(args.input)
+            need = NEEDS.get(args.verb)
             with evaluation():
-                results, passed = VERBS[args.verb](model, args)
+                if need:
+                    _require_valid(validate(model))
+                if need == POLARIZED and model.pairing is None:
+                    raise InvalidModel("instance carries no pairing S")
+                try:
+                    results, passed = VERBS[args.verb](model, args)
+                except LogHodgeError as exc:
+                    if not (need or isinstance(exc, ParseError)):
+                        _require_valid(validate(model))     # name its rows
+                    raise
         doc["results"] = results
         doc["verdict"] = "pass" if passed in (True, None) else "fail"
     except LogHodgeError as exc:

@@ -20,11 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import (
-    FiltrationNotPreserved,
-    IllDefinedInducedMap,
-    ShapeError,
-)
+from .errors import FiltrationNotPreserved, ShapeError
 from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
 from .linalg import (
     Matrix,
@@ -366,11 +362,7 @@ def koszul_complex(branches, blocks, slot, weight=None,
                     continue
                 t_pos, t_sq = layout[k + 1][(tuple(sorted(K + (j,))), b)]
                 sign = -ONE if sum(1 for i in K if i < j) % 2 else ONE
-                try:
-                    block = induced_map(ops[j], sq, t_sq)
-                except IllDefinedInducedMap:
-                    raise ShapeError(
-                        "differential leaves the declared slot space") from None
+                block = induced_map(ops[j], sq, t_sq)
                 pieces.append((block.scale(sign), t_pos, pos))
         d[k] = place((dims[k + 1], dims[k]), pieces)
     filts = []

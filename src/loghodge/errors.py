@@ -35,4 +35,5 @@ class MissingHodgeFiltration(LogHodgeError):
 
 class InvalidModel(LogHodgeError):
     """The instance fails a validate row, or carries no pairing S where the
-    verb's theorem is about polarized input, so a verdict verb refuses it."""
+    verb's theorem is about polarized input, so a verdict verb refuses it
+    (a report verb, when it errors)."""

@@ -390,11 +390,12 @@ def _singular_pairing(tmp_path):
     return _with_pairing(tmp_path, "singular_pairing", [["0", "0"], ["0", "0"]])
 
 
-# the verbs that give a purity, link, intersection or duality verdict
+# the verbs that give a verdict, each refused by main's gate unless the
+# instance passes validate (and carries S, for the first seven)
 VERDICT_ARGV = [
     *[["purity", "--mode", mode]
       for mode in ("open", "support", "closed", "compact", "link")],
-    ["link"], ["intersect", "--z", "1"], ["duality"],
+    ["link"], ["intersect", "--z", "1"], ["duality"], ["imhs"], ["decompose"],
 ]
 
 
@@ -462,7 +463,8 @@ def test_purity_link_and_intersect_refuse_an_instance_without_s(tmp_path,
                                                                 capsys):
     """Both instances pass validate and carry no S.  The purity and link
     theorems are about polarized input, so those verdicts are refused;
-    duality, decompose and cohomology need no S and still run."""
+    duality, decompose, imhs and cohomology need no S and still run (imhs
+    needs F, which the spectral draw lacks)."""
     seed = 0    # the n = 1 spectral draw of test_verb_contract
     while (spectral := random_spectral_model(1, random.Random(seed))
            ).total_dim > 4:
@@ -472,14 +474,19 @@ def test_purity_link_and_intersect_refuse_an_instance_without_s(tmp_path,
     for path in (CORPUS / "gen_mixed_n1.json", spectral_path):
         code, out = run_cli(["validate", str(path)], capsys)
         assert code == 0 and "S" not in json.loads(path.read_text())
-        for argv in (a for a in VERDICT_ARGV if a != ["duality"]):
+        for argv in VERDICT_ARGV[:7]:
+            assert cli.NEEDS[argv[0]] == cli.POLARIZED
             code, out = run_cli(argv + [str(path)], capsys)
             doc = json.loads(out)
             assert code == 2 and "results" not in doc, (path.name, argv)
             assert doc["error"] == ("loghodge.errors.InvalidModel: instance "
                                     "carries no pairing S")
-        for argv in (["duality"], ["decompose"], ["cohomology"]):
+        for argv in (["duality"], ["decompose"], ["imhs"], ["cohomology"]):
             code, out = run_cli(argv + [str(path)], capsys)
+            if argv == ["imhs"] and path == spectral_path:
+                assert code == 2 and json.loads(out)["error"].startswith(
+                    "loghodge.errors.MissingHodgeFiltration: "), out
+                continue
             assert code in (0, 1), (path.name, argv, out)
             assert json.loads(out)["verdict"] in ("pass", "fail")
 

@@ -381,7 +381,7 @@ def _opposite_branches(weight_doc):
         "W": weight_doc, "F": J2_WEIGHT1["F"]})
 
 
-SAMPLED_ROWS = ("NilpotentOrbit", "OrbitTIndependence", "RelativeMonodromy")
+SAMPLED_ROWS = ("OrbitTIndependence", "RelativeMonodromy")
 
 
 def _built_at_every_t(model, seed=0):
@@ -391,14 +391,9 @@ def _built_at_every_t(model, seed=0):
     rows = []
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
-        try:
-            fs = [filtrations.monodromy_filtration(linalg.induced_map(
-                model.nilpotent_sum(range(model.branches), t), gr, gr), i)
-                for t in samples]
-        except LogHodgeError as exc:
-            rows.append((f"NilpotentOrbit[w={i}]", "fail",
-                         f"monodromy failed: {exc}"))
-            continue
+        fs = [filtrations.monodromy_filtration(linalg.induced_map(
+            model.nilpotent_sum(range(model.branches), t), gr, gr), i)
+            for t in samples]
         same = all(f == fs[0] for f in fs)
         rows.append((f"OrbitTIndependence[w={i}]", "pass" if same else "fail",
                      "" if same else
@@ -484,11 +479,13 @@ def test_sampled_rows_equal_building_at_every_t_on_generated_draws(draw):
 
 
 def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
-    """Three branches: N(t) is summed and each filtration built once per
-    branch subset, at the first t; the three later t of each subset are
-    decided on graded blocks, not at an N(t) of the whole space.  W(N) is
-    built once on the one Gr^W, and once inside each of the 7 relative
-    builds.  No memo is open, so every build is counted."""
+    """N(t) is summed and each filtration built once per branch subset, at
+    the first t.  The three later t of a subset of two or more branches are
+    decided on graded blocks, one block test per subset and one on the
+    Gr^W of gen_pure_n3; a one-branch subset builds no block test, as
+    t_j N_j has the filtrations of N_j.  W(N) is built once on each Gr^W
+    and once inside each relative build.  No memo is open, so every build
+    is counted."""
     calls = collections.Counter()
 
     def counting(name, real):
@@ -497,24 +494,31 @@ def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
             return real(*args)
         return call
 
-    for name in ("_monodromy_filtration", "_relative_monodromy_filtration"):
-        monkeypatch.setattr(filtrations, name,
-                            counting(name, getattr(filtrations, name)))
+    for fname in ("_monodromy_filtration", "_relative_monodromy_filtration"):
+        monkeypatch.setattr(filtrations, fname,
+                            counting(fname, getattr(filtrations, fname)))
+    monkeypatch.setattr(loghodge.model, "axioms_in_t",
+                        counting("axioms_in_t", filtrations.axioms_in_t))
     monkeypatch.setattr(NCModel, "nilpotent_sum",
                         counting("nilpotent_sum", NCModel.nilpotent_sum))
-    instance = loghodge.model.load_model(str(CORPUS / "gen_pure_n3.json"))
-    assert imhs_check(instance).passed
-    assert calls == {"nilpotent_sum": 7, "_monodromy_filtration": 8,
-                     "_relative_monodromy_filtration": 7}
+    for name, counts in (
+            ("gen_pure_n3", {"nilpotent_sum": 7, "axioms_in_t": 5,
+                             "_monodromy_filtration": 8,
+                             "_relative_monodromy_filtration": 7}),
+            ("jordan2_weight1", {"nilpotent_sum": 1,
+                                 "_monodromy_filtration": 2,
+                                 "_relative_monodromy_filtration": 1})):
+        calls.clear()
+        instance = loghodge.model.load_model(str(CORPUS / f"{name}.json"))
+        assert imhs_check(instance).passed
+        assert calls == counts, name
 
 
-# -- step (4) polarizes the pieces step (1) built a W(N) on -------------------
+# -- no verb gives a verdict on an instance that fails validate ---------------
 
-def _non_commuting_plane(with_pairing, branches=2):
-    """N_1 = E12 and N_2 = E21 on a plane: N(1, 1) is not nilpotent, so
-    step (1) builds no W(N) on the pure Gr^W_1.  A third branch N_3 = -E21
-    makes N(1, 1, 1) = E12, which has one, while N(t) is not nilpotent
-    wherever t_2 != t_3."""
+def _non_commuting_plane(with_pairing, branches):
+    """N_1 = E12 and N_2 = E21 on a plane, and for three branches N_3 = -E21,
+    so N(1, 1, 1) = E12 is nilpotent while the N_j do not commute."""
     ops = [[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]],
            [["0", "0"], ["-1", "0"]]][:branches]
     doc = {"branches": branches, "base_weight": 1, "perverse_shift": branches,
@@ -526,25 +530,34 @@ def _non_commuting_plane(with_pairing, branches=2):
     return doc
 
 
-@pytest.mark.parametrize("with_pairing, branches, last_row", [
-    (True, 2, {"name": "Polarization[w=1]", "status": "skip",
-               "detail": "N has no monodromy filtration on this graded piece"}),
-    (False, 2, {"name": "Polarization", "status": "skip",
-                "detail": "no pairing supplied"}),
-    (True, 3, {"name": "Polarization[w=1]", "status": "fail",
-               "detail": "primitive parts of Gr^W_1 are not positively polarized"}),
-])
-def test_an_orbit_without_monodromy_filtration_is_reported(
-        with_pairing, branches, last_row, tmp_path, capsys):
+@pytest.mark.parametrize("with_pairing", [True, False])
+@pytest.mark.parametrize("branches", [2, 3])
+def test_imhs_and_cohomology_name_the_failed_validate_row_of_a_non_commuting_plane(
+        with_pairing, branches, tmp_path, capsys):
+    """imhs refuses the plane at the gate; cohomology reports on any
+    instance, and its error on this one names the row validate fails."""
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(_non_commuting_plane(with_pairing, branches)))
-    assert main(["imhs", str(path)]) == 1
-    results = json.loads(capsys.readouterr().out)["results"]
-    assert results[0] == {"name": "NilpotentOrbit[w=1]", "status": "fail",
-                          "detail": "monodromy failed: operator is not nilpotent"}
-    assert results[-1] == last_row
-    assert [r["name"] for r in results if r["status"] == "fail"][:2] == [
-        "NilpotentOrbit[w=1]", "RelativeMonodromy[J={1,2}]"]
+    for argv in (["imhs"], ["cohomology", "--complex", "ic"]):
+        assert main(argv + [str(path)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert "results" not in doc and doc["error"] == (
+            "loghodge.errors.InvalidModel: instance fails validate: "
+            "NonCommutingOperators")
+
+
+def test_a_report_verb_error_on_a_valid_instance_is_kept(tmp_path, capsys):
+    """W_0 = ker J2 passes validate and M(J2, W) does not exist: relmono
+    reports that error, not a validate row."""
+    model = _opposite_branches([{"weight": 0, "basis": [["1", "0"]]},
+                                {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}])
+    assert validate(model).passed
+    path = tmp_path / "kernel_w.json"
+    path.write_text(canonical_json(model_to_json(model)))
+    assert main(["relmono", "--z", "1", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "loghodge.errors.RelativeMonodromyNonexistent: no admissible lift "
+        "for a chain of length 1 over weight 1")
 
 
 # -- loading: canonical step bases are taken as they are ----------------------

@@ -37,17 +37,17 @@ def _parse_z(text, model):
 
 
 def _purity_cohomology(model, mode, z):
+    if mode == "link":  # from H(i^!) and H(i^*); z is empty when n = 0
+        return cx.link_cohomology(*map(cx.cohomology, cx.link_summands(model, z)))
     if mode == "closed":
         c = cx.i_star(model, z)
     elif mode == "support":
         c = cx.i_shriek(model, z)
     elif mode == "open":
         c = cx.build_ic_log(model, z)
-    elif mode == "compact":
+    else:
         c = cx.dualize(cx.build_ic_log(model, z), a=model.base_weight,
                        top=model.branches)
-    else:
-        c = cx.link_complex(model, z)
     return cx.cohomology(c)
 
 
@@ -134,8 +134,7 @@ def run_purity(model, args):
 def run_link(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
     shift = args.shift if args.shift is not None else model.perverse_shift
-    link = cx.link_complex(model, z)
-    rep = cx.cohomology(link)
+    rep = _purity_cohomology(model, "link", z)
     verdict = dec.purity_check(rep, model.base_weight, shift, "link")
     return {"cohomology": rep.to_json(), "purity": verdict.to_json()}, \
         verdict.passed
@@ -158,8 +157,7 @@ def run_duality(model, args):
     if model.branches == 1:
         # the link reads no S; for n >= 2 it is still built from the
         # union-of-branches i^! and i^*, which miss the link S^{2n-1}
-        link = cx.link_complex(model, z)
-        rep = cx.cohomology(link)
+        rep = _purity_cohomology(model, "link", z)
         m = model.perverse_shift
         good = True
         for k in rep.nonzero_degrees():
@@ -235,12 +233,13 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
             entry["imhs"] = imhs_check(model, seed=seed).to_json()
         if model.pairing is not None and model.branches:
             z = frozenset(range(model.branches))
-            entry["purity"] = {}
-            for mode in ("closed", "support", "open", "compact"):
-                entry["purity"][mode] = dec.purity_check(
-                    _purity_cohomology(model, mode, z), model.base_weight,
-                    model.perverse_shift, mode).to_json()
-            entry["link"] = cx.cohomology(cx.link_complex(model, z)).to_json()
+            reps = {mode: _purity_cohomology(model, mode, z)
+                    for mode in ("closed", "support", "open", "compact")}
+            entry["purity"] = {mode: dec.purity_check(
+                rep, model.base_weight, model.perverse_shift, mode).to_json()
+                for mode, rep in reps.items()}
+            entry["link"] = cx.link_cohomology(reps["support"],
+                                               reps["closed"]).to_json()
         return entry
 
 

@@ -10,9 +10,10 @@ i^! on a branch set z is (IC_log(z)/IC)[-1]: the Koszul complex of the slot
 quotients IC_log(z)/IC, shifted, and i^* is its twisted dual.  The
 intersection morphism i^! -> i^* is the zero map, by the support and
 cosupport conditions of IC, so the link is the mixed cone of zero:
-H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  For n >= 2 these are objects on the
-union of the branches, not on the point stratum, so the link of n >= 2
-branches has the wrong cohomology.
+H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read H(link) off those two
+summands with link_cohomology; the cone, link_complex, remains the reference.
+For n >= 2 these are objects on the union of the branches, not on the point
+stratum, so the link of n >= 2 branches has the wrong cohomology.
 """
 
 from __future__ import annotations
@@ -239,13 +240,9 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None) -> FilteredCompl
 
 @dataclass
 class DegreeCohomology:
-    presentation: Subquotient
+    dim: int
     weights: IncreasingFiltration | None
     hodge: DecreasingFiltration | None
-
-    @property
-    def dim(self):
-        return self.presentation.dim
 
     def weight_profile(self) -> dict[int, int]:
         return self.weights.graded_dims() if self.weights is not None else {}
@@ -293,7 +290,7 @@ def cohomology(c: FilteredComplex) -> CohomologyReport:
         w_filtr, f_filtr = (
             filt[k].project_to(h) if filt is not None and k in filt else None
             for filt in (c.weight, c.hodge))
-        degrees[k] = DegreeCohomology(h, w_filtr, f_filtr)
+        degrees[k] = DegreeCohomology(h.dim, w_filtr, f_filtr)
         total += (-1) ** k * h.dim
     if total != c.euler_characteristic():
         raise AssertionError("Euler characteristic mismatch in cohomology")
@@ -489,6 +486,12 @@ def i_star(model, z) -> FilteredComplex:
     return _star(model, _checked(model, z, "i_star"))
 
 
+def link_summands(model, z) -> tuple[FilteredComplex, FilteredComplex]:
+    """(i^!, i^*) on the branches z, which may be empty here."""
+    z = _check_branches(model, z)
+    return _shriek(model, z), _star(model, z)
+
+
 def intersection_morphism(model, z) -> ComplexMap:
     """The intersection morphism i^! -> i^* on the branches z: zero.
 
@@ -496,11 +499,33 @@ def intersection_morphism(model, z) -> ComplexMap:
     cosupport conditions), so the map between them vanishes on every stratum;
     a nonzero intersection form lives only on direct images.
     """
-    z = _check_branches(model, z)
-    return ComplexMap(_shriek(model, z), _star(model, z), {})
+    return ComplexMap(*link_summands(model, z), {})
 
 
 def link_complex(model, z) -> FilteredComplex:
     """Mixed cone over the intersection morphism: i^* plus i^![1], whose
-    weight labels move up by one."""
+    weight labels move up by one: the reference for link_cohomology."""
     return cone(intersection_morphism(model, z))
+
+
+def link_cohomology(shriek: CohomologyReport,
+                    star: CohomologyReport) -> CohomologyReport:
+    """H(link) off H(i^!) and H(i^*): the cone of the zero map has a
+    block-diagonal differential, so its kernels, images and induced
+    filtrations split.  H^k(link) is H^{k+1}(i^!), W labels raised by one,
+    placed before H^k(i^*), as in cohomology(link_complex), the reference."""
+    degrees = {}
+    for k in sorted(set(star.degrees) | {j - 1 for j in shriek.degrees}):
+        halves, dim = [], 0
+        for h, lift in ((shriek.degrees.get(k + 1), 1), (star.degrees.get(k), 0)):
+            if h is not None and h.dim:
+                halves.append((range(dim, dim + h.dim), h, lift))
+                dim += h.dim
+        if dim:
+            weights, hodge = (
+                None if any(getattr(h, name) is None for _, h, _ in halves)
+                else filtration_sum([(pos, getattr(h, name).shift(lift * by))
+                                     for pos, h, lift in halves], dim)
+                for name, by in (("weights", 1), ("hodge", 0)))
+            degrees[k] = DegreeCohomology(dim, weights, hodge)
+    return CohomologyReport(degrees)

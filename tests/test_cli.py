@@ -335,10 +335,10 @@ def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
     assert linalg._MEMO.get() is None
 
 
-def test_corpus_entry_constructs_only_the_zero_morphism(monkeypatch):
-    """i^! is built slot by slot from the model, so the one chain map an
-    entry with S constructs is the zero intersection morphism, whose cone is
-    the link."""
+def test_corpus_entry_constructs_no_chain_map(monkeypatch):
+    """i^! is built slot by slot from the model, and the link is read off
+    H(i^!) and H(i^*), so an entry with S constructs no chain map: not even
+    the zero intersection morphism, whose cone is the link."""
     made = []
     real = complexes.ComplexMap.__init__
 
@@ -348,14 +348,14 @@ def test_corpus_entry_constructs_only_the_zero_morphism(monkeypatch):
 
     monkeypatch.setattr(complexes.ComplexMap, "__init__", recording)
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
-    assert len(made) == 1 and made[0].maps == {}
+    assert made == []
 
 
 def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
     """i^* is the dual of i^!: the closed and support batteries and the link
     of one corpus entry share one dualization of i^! and one cohomology
     report each of i^! and i^*, so no complex is dualized or has its
-    cohomology taken twice."""
+    cohomology taken twice, and the link takes none of its own."""
     seen = {"dualize": [], "cohomology": []}
     for name, calls in seen.items():
         real = getattr(complexes, name)
@@ -367,7 +367,28 @@ def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
     for name, calls in seen.items():
         assert [sum(c is d for d in calls) for c in calls] == [1] * len(calls), name
-    assert len(seen["dualize"]) == 2 and len(seen["cohomology"]) == 7
+    assert len(seen["dualize"]) == 2 and len(seen["cohomology"]) == 6
+
+
+# stdout of both link verbs on a draw with no branch, run as
+# `loghodge <verb> p0.json`: z is empty, and so is H(link)
+N0_LINK_PURITY = ('{"center":0,"convention":"weight = label + (degree - shift)",'
+                  '"mode":"link","rows":[],"shift":0,"verdict":"pass"}')
+N0_LINK = {
+    "link": '{"instance":"p0.json","results":{"cohomology":[],"purity":'
+            + N0_LINK_PURITY + '},"verb":"link","verdict":"pass"}\n',
+    "purity --mode link": '{"instance":"p0.json","results":' + N0_LINK_PURITY
+                          + ',"verb":"purity","verdict":"pass"}\n',
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_link_of_no_branch_is_empty(seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    model = random_pure_model(0, random.Random(seed))
+    (tmp_path / "p0.json").write_text(canonical_json(model_to_json(model)))
+    for verb, want in N0_LINK.items():
+        assert run_cli(verb.split() + ["p0.json"], capsys) == (0, want), verb
 
 
 def _with_pairing(tmp_path, name, matrix):

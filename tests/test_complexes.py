@@ -18,7 +18,9 @@ from loghodge.complexes import (
     i_shriek,
     i_star,
     intersection_morphism,
+    link_cohomology,
     link_complex,
+    link_summands,
     quotient_complex,
 )
 from loghodge.errors import FiltrationNotPreserved, ShapeError
@@ -29,7 +31,12 @@ from loghodge.generate import (
 )
 from loghodge.filtrations import DecreasingFiltration
 from loghodge.linalg import Matrix, Subspace, evaluation
-from loghodge.model import load_model, model_from_json, unipotent_part
+from loghodge.model import (
+    canonical_json,
+    load_model,
+    model_from_json,
+    unipotent_part,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from inclusion import ic_into_iclog
@@ -233,15 +240,38 @@ def _link_cases():
     yield "pure3-3", random_pure_model(3, random.Random(3)), (0, 1, 2)
 
 
+def _link_draws():
+    """(name, model, z): pure and imhs draws at n = 1..3, seeds 0-2, z = all."""
+    for n, seed in itertools.product((1, 2, 3), range(3)):
+        for gen in (random_pure_model, random_imhs_model):
+            yield f"{gen.__name__}-{n}-{seed}", gen(n, random.Random(seed)), \
+                tuple(range(n))
+
+
+def _hodge_profile(report):
+    return {k: report.degrees[k].hodge.graded_dims()
+            for k in report.nonzero_degrees() if report.degrees[k].hodge}
+
+
 def test_link_is_the_star_plus_the_raised_shriek():
     """H^k(link) = H^k(i^*) (+) H^{k+1}(i^!), the i^! weight labels raised by
-    one: the link is the mixed cone of the zero map i^! -> i^*."""
+    one: the link is the mixed cone of the zero map i^! -> i^*.
+    link_cohomology reads it off the two summands, and the cohomology of the
+    cone is its reference: same dimensions, weight and Hodge profiles and
+    JSON bytes."""
     cases = 0
-    for name, model, z in _link_cases():
+    for name, model, z in itertools.chain(_link_cases(), _link_draws()):
         with evaluation():
             link = cohomology(link_complex(model, z))
             h_star = cohomology(i_star(model, z))
             h_shriek = cohomology(i_shriek(model, z))
+        summed = link_cohomology(h_shriek, h_star)
+        assert canonical_json(summed.to_json()) == \
+            canonical_json(link.to_json()), (name, z)
+        assert {k: summed.dim(k) for k in summed.nonzero_degrees()} == \
+            {k: link.dim(k) for k in link.nonzero_degrees()}, (name, z)
+        assert summed.profile() == link.profile(), (name, z)
+        assert _hodge_profile(summed) == _hodge_profile(link), (name, z)
         degrees = set(h_star.nonzero_degrees()) | \
             {k - 1 for k in h_shriek.nonzero_degrees()}
         assert link.nonzero_degrees() == sorted(degrees), (name, z)
@@ -254,7 +284,18 @@ def test_link_is_the_star_plus_the_raised_shriek():
             assert link.dim(k) == h_star.dim(k) + h_shriek.dim(k + 1), (name, z, k)
             assert link.degrees[k].weight_profile() == want, (name, z, k)
         cases += 1
-    assert cases == 17
+    assert cases == 17 + 18
+
+
+def test_link_summands_take_the_empty_branch_set():
+    """With no branch, i^! and i^* are zero and so is the link, where
+    i_shriek and i_star refuse the empty set."""
+    model = random_pure_model(0, random.Random(0))
+    shriek, star = link_summands(model, ())
+    assert shriek.dims == star.dims == ()
+    assert link_cohomology(cohomology(shriek), cohomology(star)).to_json() == []
+    with pytest.raises(ShapeError):
+        i_shriek(model, ())
 
 
 def test_build_complex_dispatches_to_the_named_builders():

@@ -125,6 +125,9 @@ def run_intersect(model, args):
 
 def run_purity(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
+    if not z and args.mode in ("closed", "support"):
+        raise ParseError(f"purity --mode {args.mode} needs a branch, "
+                         "and the instance has none")
     shift = args.shift if args.shift is not None else model.perverse_shift
     verdict = dec.purity_check(_purity_cohomology(model, args.mode, z),
                                model.base_weight, shift, args.mode)

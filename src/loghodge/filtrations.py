@@ -3,9 +3,10 @@
 Increasing filtrations are stored by their jump steps only, in canonical
 form, so equality of filtrations is equality of representations.  The
 relative monodromy filtration is constructed recursively over the top
-weight step; each builder re-verifies its result with the membership test
-``monodromy_violation`` or ``check_relative_axioms``, which holds for a
-filtration exactly when the builder returns it.
+weight step.  Both builders re-verify their result with the one membership
+test of the axioms, ``axioms_in_t`` on the graded blocks of the operators
+(``check_relative_axioms`` at one operator, W(N) as M(N, W) over a pure W),
+which holds for a filtration exactly when the builder returns it.
 
 The monodromy and relative monodromy builders and ``graded_piece`` go
 through the evaluation memo of ``linalg``, so inside an ``evaluation()``
@@ -287,61 +288,31 @@ def _monodromy_filtration(N: Matrix, center: int) -> IncreasingFiltration:
             acc = acc.sum(images[j].intersect(ker(j + k + 1)))
         steps.append((center + k, acc))
     m = IncreasingFiltration(n, steps)
-    if (reason := monodromy_violation(m, N, center)) is not None:
-        raise RelativeMonodromyNonexistent(reason)
+    # W(N) of a nilpotent N exists, so a failure here is a bug
+    if not check_relative_axioms(m, N, IncreasingFiltration.pure(n, center)):
+        raise AssertionError("the closed formula for W(N) fails its axioms")
     return m
 
 
 @_remembered
-def monodromy_violation(m: IncreasingFiltration, N: Matrix,
-                        center: int) -> str | None:
-    """Why m is not W(N) centred at center, or None exactly when
-    monodromy_filtration(N, center) returns m: the unique M with N nilpotent,
-    N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k} (Deligne, Weil II 1.6.1),
-    N^k counting as zero for k >= e, N^e = 0.  Memoized per evaluation."""
-    if not N.rows == N.cols == m.ambient_dim:
-        return "operator and filtration live on different spaces"
-    powers = N.powers()
-    if powers is None:
-        return "operator is not nilpotent"
-    if m.first_violation(N, m, -2) is not None:
-        return "candidate violates N M_i <= M_{i-2}"
-    for k in range(1, max(m.highest() - center, center - m.lowest() + 1) + 1):
-        top = m.graded_piece(center + k)
-        bot = m.graded_piece(center - k)
-        if top.dim != bot.dim:
-            return (f"graded pieces at {center + k} and {center - k} "
-                    "differ in dimension")
-        if top.dim and (k >= len(powers) - 1
-                        or induced_map(powers[k], top, bot).kernel().dim):
-            return (f"N^{k} is not an isomorphism "
-                    f"Gr_{center + k} -> Gr_{center - k}")
-    return None
-
-
 def check_relative_axioms(m: IncreasingFiltration, N: Matrix,
                           w: IncreasingFiltration) -> bool:
-    """True exactly when relative_monodromy_filtration(N, w) returns m: the
-    unique M (Steenbrink-Zucker 1985) with N preserving W, N M_k <= M_{k-2}
-    (so N is nilpotent) and W(N) centred at l induced on each Gr^W_l."""
-    if not (N.rows == N.cols == w.ambient_dim == m.ambient_dim) \
-            or w.first_violation(N, w) is not None \
-            or m.first_violation(N, m, -2) is not None:
-        return False
-    for j in w.jumps():
-        gr = w.graded_piece(j)
-        if monodromy_violation(m.project_to(gr), induced_map(N, gr, gr), j):
-            return False
-    return True
+    """True exactly when m = M(N, W): the unique M (Steenbrink-Zucker 1985)
+    with N preserving W, N M_k <= M_{k-2} (so N is nilpotent) and W(N)
+    centred at l induced on each Gr^W_l; on W pure of weight c, the unique
+    W(N) centred at c (Deligne, Weil II 1.6.1).  It is axioms_in_t(m, [N],
+    w) at t = (1,).  Memoized per evaluation."""
+    test = axioms_in_t(m, [N], w)
+    return test is not None and test((1,))
 
 
 def axioms_in_t(m: IncreasingFiltration, ops: Sequence[Matrix],
                 w: IncreasingFiltration):
-    """A test of t that holds exactly when check_relative_axioms(m, N(t), w)
-    does, N(t) = sum_j t[j] ops[j]; None unless each op preserves w and maps
-    m_a into m_{a-2}, so that every N(t) does.  Then on Gr^W_l, N(t)^k:
-    Gr^M_{l+k} -> Gr^M_{l-k} is a product of k sums of the ops' graded blocks
-    Gr^M_a -> Gr^M_{a-2}, built here once, and must be invertible."""
+    """A test of t that holds exactly when m = M(N(t), W), N(t) = sum_j t[j]
+    ops[j]; None unless each op preserves w and maps m_a into m_{a-2}, so
+    that every N(t) does.  Then on Gr^W_l, N(t)^k: Gr^M_{l+k} -> Gr^M_{l-k}
+    is a product of k sums of the ops' graded blocks Gr^M_a -> Gr^M_{a-2},
+    built here once, and must be invertible."""
     if any(not op.rows == op.cols == w.ambient_dim == m.ambient_dim
            or w.first_violation(op, w) is not None
            or m.first_violation(op, m, -2) is not None for op in ops):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from loghodge import cli, complexes, decomposition, linalg
+from loghodge import cli, complexes, decomposition, filtrations, linalg
 from loghodge.cli import main
 from loghodge.errors import InvalidModel
 from loghodge.generate import random_pure_model, random_spectral_model
@@ -391,6 +391,21 @@ def test_the_link_of_no_branch_is_empty(seed, tmp_path, monkeypatch, capsys):
         assert run_cli(verb.split() + ["p0.json"], capsys) == (0, want), verb
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_point_stratum_purity_mode_names_the_branchless_instance(
+        seed, tmp_path, monkeypatch, capsys):
+    """closed and support read the stalk and costalk at the branches, and an
+    instance with no branch has none: exit 2, naming the mode."""
+    monkeypatch.chdir(tmp_path)
+    model = random_pure_model(0, random.Random(seed))
+    (tmp_path / "p0.json").write_text(canonical_json(model_to_json(model)))
+    for mode in ("closed", "support"):
+        assert run_cli(["purity", "--mode", mode, "p0.json"], capsys) == (2, (
+            '{"error":"purity --mode ' + mode + ' needs a branch, and the '
+            'instance has none","instance":"p0.json","verb":"purity",'
+            '"verdict":"error"}\n'))
+
+
 def _with_pairing(tmp_path, name, matrix):
     """J2 weight 1 with the pairing matrix declared at parity 1."""
     doc = json.loads(J2.read_text())
@@ -573,6 +588,20 @@ def test_internal_error_exits_three_with_one_json_document(monkeypatch,
     assert doc == {"instance": str(J2), "verb": "validate", "verdict": "error",
                    "error": "internal error: RuntimeError: internal bug"}
     assert "Traceback" in captured.err
+
+
+def test_a_w_of_n_failing_its_axioms_exits_three(monkeypatch, capsys):
+    """W(N) of a nilpotent N always exists, so a closed-formula W(N) that
+    fails the re-verification is a bug, never a property of the instance."""
+    monkeypatch.setattr(filtrations, "check_relative_axioms",
+                        lambda *args: False)
+    code = main(["imhs", str(J2)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "instance": str(J2), "verb": "imhs", "verdict": "error",
+        "error": "internal error: AssertionError: "
+                 "the closed formula for W(N) fails its axioms"}
 
 
 # stdout sha256 and exit code of the verbs the corpus verb does not replay,

@@ -711,7 +711,8 @@ def _w_candidates(m, center, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
-def test_monodromy_violation_is_none_exactly_for_the_built_filtration(seed):
+def test_check_relative_axioms_over_a_pure_w_holds_exactly_for_w_of_n(seed):
+    """Over W pure of weight c, M(N, W) is W(N) centred at c."""
     rng = random.Random(seed)
     dim = rng.randint(1, 6)
     n = random_nilpotent(dim, rng)
@@ -721,10 +722,11 @@ def test_monodromy_violation_is_none_exactly_for_the_built_filtration(seed):
     operators.append((n + Matrix.identity(dim), center))     # not nilpotent
     for op, c in operators:
         built = _built(monodromy_filtration, op, c)
+        pure = IncreasingFiltration.pure(dim, c)
         for cand in _w_candidates(m, center, rng):
-            assert (filtrations.monodromy_violation(cand, op, c) is None) == \
-                (cand == built), (cand, c)
-    assert filtrations.monodromy_violation(m, n, center) is None
+            assert check_relative_axioms(cand, op, pure) == (cand == built), \
+                (cand, c)
+    assert check_relative_axioms(m, n, IncreasingFiltration.pure(dim, center))
 
 
 def _flag_model(rng, count=1):
@@ -781,7 +783,7 @@ def test_check_relative_axioms_holds_exactly_for_the_built_filtration(seed):
             assert check_relative_axioms(cand, op, w) == (cand == expected), cand
 
 
-# -- the t-test on graded blocks against check_relative_axioms ----------------
+# -- the t-test on graded blocks against building at N(t) --------------------
 
 def _sum(ops, t):
     return functools.reduce(lambda a, b: a + b,
@@ -794,12 +796,13 @@ def _positive_t(rng, k):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
-def test_axioms_in_t_agrees_with_check_relative_axioms_at_positive_t(seed):
-    """Wherever the block test applies, it decides check_relative_axioms at
-    N(t) = sum t_j N_j, for the filtration built at one t and for moved,
-    stretched and perturbed ones.  The second operator is a multiple of the
-    first (so N(t) vanishes where the t_j cancel), a polynomial in it, or
-    another operator preserving W."""
+def test_axioms_in_t_agrees_with_building_at_positive_t(seed):
+    """Wherever the block test applies, it holds at t exactly when the
+    builder returns the candidate at N(t) = sum t_j N_j (a raise counts as
+    no), for the filtration built at one t and for moved, stretched and
+    perturbed ones.  The second operator is a multiple of the first (so
+    N(t) vanishes where the t_j cancel), a polynomial in it, or another
+    operator preserving W."""
     rng = random.Random(seed)
     n1, other, w = _flag_model(rng, 2)
     n2 = rng.choice([n1.scale(rng.choice((-2, -1, 2))), n1 * n1 + n1.scale(2),
@@ -812,8 +815,8 @@ def test_axioms_in_t_agrees_with_check_relative_axioms_at_positive_t(seed):
             continue
         for _ in range(4):
             t = _positive_t(rng, 2)
-            assert test(t) == check_relative_axioms(cand, _sum(ops, t), w), \
-                (cand, t)
+            assert test(t) == (cand == _built(relative_monodromy_filtration,
+                                              _sum(ops, t), w)), (cand, t)
 
 
 def test_axioms_in_t_fails_where_the_scaling_vector_cancels():
@@ -827,7 +830,8 @@ def test_axioms_in_t_fails_where_the_scaling_vector_cancels():
     test = filtrations.axioms_in_t(m, [n1, n2], w)
     for t, holds in (((2, 1), True), ((1, 1), False), ((3, 3), False)):
         assert test(t) is holds
-        assert check_relative_axioms(m, _sum([n1, n2], t), w) is holds
+        assert (relative_monodromy_filtration(_sum([n1, n2], t), w) == m) \
+            is holds
 
 
 @pytest.mark.parametrize("ops, w, m", [

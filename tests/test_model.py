@@ -24,6 +24,7 @@ from loghodge.generate import (
 )
 from loghodge.linalg import Matrix
 from loghodge.model import (
+    AlphaComponent,
     NCModel,
     _hermitian_positive,
     canonical_json,
@@ -369,7 +370,7 @@ def test_operators_are_remembered_inside_an_evaluation(name):
     assert again == first and again is not first and build() is not again
 
 
-# -- the sampled t: tested against the held filtration, built on failure -----
+# -- the sampled t: decided on graded blocks, against building at every t ----
 
 def _opposite_branches(weight_doc):
     """Two branches with N_2 = -N_1 = -J2 on a plane, so N(t) = (t_1 - t_2) J2
@@ -382,13 +383,15 @@ def _opposite_branches(weight_doc):
 
 
 SAMPLED_ROWS = ("OrbitTIndependence", "RelativeMonodromy")
+DEPENDS = "relative filtration depends on the scaling vector"
 
 
 def _built_at_every_t(model, seed=0):
     """The sampled rows of imhs_check, each filtration built at every t of
-    _sample_t_vectors, with no test of a held one."""
+    _sample_t_vectors, with no test of a held one; and the names of the rows
+    whose build raises at a later t only."""
     samples = loghodge.model._sample_t_vectors(model.branches, seed)
-    rows = []
+    rows, raised = [], set()
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
         fs = [filtrations.monodromy_filtration(linalg.induced_map(
@@ -400,49 +403,67 @@ def _built_at_every_t(model, seed=0):
                      "monodromy filtration depends on the scaling vector"))
     for r in range(1, model.branches + 1):
         for subset in itertools.combinations(range(model.branches), r):
-            ok, detail = True, ""
+            names = ",".join(str(j + 1) for j in subset)
+            name = f"RelativeMonodromy[J={{{names}}}]"
+            ok, detail, fs = True, "", []
             try:
-                fs = [filtrations.relative_monodromy_filtration(
-                    model.nilpotent_sum(subset, [t[j] for j in subset]),
-                    model.weight) for t in samples]
+                for t in samples:
+                    fs.append(filtrations.relative_monodromy_filtration(
+                        model.nilpotent_sum(subset, [t[j] for j in subset]),
+                        model.weight))
             except LogHodgeError as exc:
                 ok, detail = False, str(exc)
+                if fs:
+                    raised.add(name)
             if ok and any(f != fs[0] for f in fs):
-                ok, detail = False, "relative filtration depends on the scaling vector"
+                ok, detail = False, DEPENDS
             for j in subset if ok else ():
                 if fs[0].first_violation(model.nilpotent(j), fs[0], -2) is not None:
                     detail = f"N_{j + 1} does not shift M(J) by -2"
-            names = ",".join(str(j + 1) for j in subset)
-            rows.append((f"RelativeMonodromy[J={{{names}}}]",
-                         "fail" if detail else "pass", detail))
-    return rows
+            rows.append((name, "fail" if detail else "pass", detail))
+    return rows, raised
 
 
-@pytest.mark.parametrize("weight_doc, failing", [
+def _sampled_rows(report):
+    return [(c.name, c.status, c.detail) for c in report.checks
+            if c.name.startswith(SAMPLED_ROWS)]
+
+
+def _assert_agrees_with_building(report, model, seed=0):
+    """The sampled rows have the statuses of building at every t, and the
+    details too, except where a build raises at a later t: imhs builds at
+    t = (1, ..., 1) only and reports such a row as t-dependent."""
+    got, (want, raised) = _sampled_rows(report), _built_at_every_t(model, seed)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    assert [row for row in got if row[0] not in raised] == \
+        [row for row in want if row[0] not in raised]
+
+
+@pytest.mark.parametrize("weight_doc, built", [
     # W pure: W(N(t)) is pure at t = (1, 1) and the J2 filtration elsewhere
-    ([{"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
-     "relative filtration depends on the scaling vector"),
+    ([{"weight": 1, "basis": [["1", "0"], ["0", "1"]]}], DEPENDS),
     # W_0 = ker J2: M(0, W) = W exists, M(c J2, W) does not for c != 0
     ([{"weight": 0, "basis": [["1", "0"]]},
       {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
      "no admissible lift for a chain of length 1 over weight 1"),
 ])
 def test_a_t_dependent_orbit_reports_what_building_at_every_t_gives(
-        weight_doc, failing):
+        weight_doc, built):
     model = _opposite_branches(weight_doc)
-    want = _built_at_every_t(model)
-    assert ("RelativeMonodromy[J={1,2}]", "fail", failing) in want
+    assert ("RelativeMonodromy[J={1,2}]", "fail", built) in \
+        _built_at_every_t(model)[0]
     for memo in (linalg.evaluation(), contextlib.nullcontext()):
         with memo:
             report = imhs_check(model)
-        assert [(c.name, c.status, c.detail) for c in report.checks
-                if c.name.startswith(SAMPLED_ROWS)] == want
+        _assert_agrees_with_building(report, model)
+        assert ("RelativeMonodromy[J={1,2}]", "fail", DEPENDS) in \
+            _sampled_rows(report)
 
 
 def test_a_later_t_failing_the_block_test_reports_what_building_gives():
     """N_1 e1 = N_2 e1 = e3, N_1 e2 = 15 e4 and N_2 e2 = -4 e4: the blocks
     apply, and N(t) kills e2 at the third sample t = (1/3, 5/4) of seed 0
-    only, where the block test fails and the filtrations are built."""
+    only, where the block test fails."""
     zero = ["0"] * 4
     n1, n2 = ([zero, zero, ["1", "0", "0", "0"], ["0", c, "0", "0"]]
               for c in ("15", "-4"))
@@ -454,28 +475,46 @@ def test_a_later_t_failing_the_block_test_reports_what_building_gives():
         "F": [{"p": 1, "basis": []}]})
     assert loghodge.model._sample_t_vectors(2, 0)[2] == (Fraction(1, 3),
                                                          Fraction(5, 4))
-    want = _built_at_every_t(model)
+    want, raised = _built_at_every_t(model)
+    assert not raised
     assert ("OrbitTIndependence[w=0]", "fail",
             "monodromy filtration depends on the scaling vector") in want
-    assert ("RelativeMonodromy[J={1,2}]", "fail",
-            "relative filtration depends on the scaling vector") in want
+    assert ("RelativeMonodromy[J={1,2}]", "fail", DEPENDS) in want
     with linalg.evaluation():
-        assert [(c.name, c.status, c.detail) for c in imhs_check(model).checks
-                if c.name.startswith(SAMPLED_ROWS)] == want
+        assert _sampled_rows(imhs_check(model)) == want
 
 
-@pytest.mark.parametrize("draw", range(18))
+# N_j = c_j N on the one branch of an imhs draw: where the c_j t_j sum to
+# zero at a sampled t, N(t) vanishes there and the t-clauses fail
+PULLBACKS = ((1, 1), (1, 2), (1, -1), (2, -1), (1, 1, 1), (2, 1, 3), (1, -2, 1))
+
+
+def _pullback(model, c):
+    """model, of one branch, on len(c) branches with N_j = c_j N."""
+    return dataclasses.replace(model, branches=len(c), components=tuple(
+        AlphaComponent(comp.alpha * len(c), comp.dim,
+                       tuple(comp.nilpotents[0].scale(x) for x in c))
+        for comp in model.components))
+
+
+def _sampled_draw(draw):
+    """imhs and pure draws at n = 1, 2, 3, three generator seeds each; then
+    the pullbacks of the n = 1 imhs draws of seeds 0, 1, 2."""
+    if draw < 18:
+        return (random_imhs_model, random_pure_model)[draw % 2](
+            1 + draw // 2 % 3, random.Random(draw))
+    seed, c = divmod(draw - 18, len(PULLBACKS))
+    return _pullback(random_imhs_model(1, random.Random(seed)), PULLBACKS[c])
+
+
+@pytest.mark.parametrize("draw", range(18 + 3 * len(PULLBACKS)))
 def test_sampled_rows_equal_building_at_every_t_on_generated_draws(draw):
-    """imhs and pure draws at n = 1, 2, 3, three generator seeds each, at
-    the sample t of --seed 0 and 3."""
-    model = (random_imhs_model, random_pure_model)[draw % 2](
-        1 + draw // 2 % 3, random.Random(draw))
+    """At the sample t of --seed 0 and 3."""
+    model = _sampled_draw(draw)
     for seed in (0, 3):
         with linalg.evaluation():
-            got = [(c.name, c.status, c.detail)
-                   for c in imhs_check(model, seed).checks
-                   if c.name.startswith(SAMPLED_ROWS)]
-        assert got == _built_at_every_t(model, seed)
+            report = imhs_check(model, seed)
+        _assert_agrees_with_building(report, model, seed)
 
 
 def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):

@@ -38,17 +38,9 @@ def _parse_z(text, model):
 
 def _purity_cohomology(model, mode, z):
     if mode == "link":  # from H(i^!) and H(i^*); z is empty when n = 0
-        return cx.link_cohomology(*map(cx.cohomology, cx.link_summands(model, z)))
-    if mode == "closed":
-        c = cx.i_star(model, z)
-    elif mode == "support":
-        c = cx.i_shriek(model, z)
-    elif mode == "open":
-        c = cx.build_ic_log(model, z)
-    else:
-        c = cx.dualize(cx.build_ic_log(model, z), a=model.base_weight,
-                       top=model.branches)
-    return cx.cohomology(c)
+        return cx.link_cohomology(*(cx.cohomology(cx.build_complex(model, kind, z))
+                                    for kind in ("shriek", "star")))
+    return cx.cohomology(cx.build_complex(model, dec.MODES[mode][0], z))
 
 
 def _require_valid(report):
@@ -101,7 +93,7 @@ def run_decompose(model, args):
     if args.k is not None:
         weights = [args.k]
     else:
-        om = cx.build_omega(model)
+        om = cx.build_complex(model, "omega")
         labels = set()
         for k in om.degrees():
             if om.term_dim(k):
@@ -128,17 +120,15 @@ def run_purity(model, args):
     if not z and args.mode in ("closed", "support"):
         raise ParseError(f"purity --mode {args.mode} needs a branch, "
                          "and the instance has none")
-    shift = args.shift if args.shift is not None else model.perverse_shift
     verdict = dec.purity_check(_purity_cohomology(model, args.mode, z),
-                               model.base_weight, shift, args.mode)
+                               model.base_weight, model.perverse_shift, args.mode)
     return verdict.to_json(), verdict.passed
 
 
 def run_link(model, args):
     z = _parse_z(args.z, model) or frozenset(range(model.branches))
-    shift = args.shift if args.shift is not None else model.perverse_shift
     rep = _purity_cohomology(model, "link", z)
-    verdict = dec.purity_check(rep, model.base_weight, shift, "link")
+    verdict = dec.purity_check(rep, model.base_weight, model.perverse_shift, "link")
     return {"cohomology": rep.to_json(), "purity": verdict.to_json()}, \
         verdict.passed
 
@@ -229,15 +219,14 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
         _require_valid(report)
         entry = {"validate": report.to_json()}
         entry["cohomology"] = {
-            "omega": cx.cohomology(cx.build_omega(model)).to_json(),
-            "ic": cx.cohomology(cx.build_ic(model)).to_json(),
-        }
+            kind: cx.cohomology(cx.build_complex(model, kind)).to_json()
+            for kind in ("omega", "ic")}
         if model.hodge is not None:
             entry["imhs"] = imhs_check(model, seed=seed).to_json()
         if model.pairing is not None and model.branches:
             z = frozenset(range(model.branches))
             reps = {mode: _purity_cohomology(model, mode, z)
-                    for mode in ("closed", "support", "open", "compact")}
+                    for mode, (kind, _) in dec.MODES.items() if kind}
             entry["purity"] = {mode: dec.purity_check(
                 rep, model.base_weight, model.perverse_shift, mode).to_json()
                 for mode, rep in reps.items()}
@@ -282,9 +271,7 @@ def build_parser():
     ap.add_argument("--complex", default="omega",
                     choices=["omega", "ic", "iclog"])
     ap.add_argument("--k", type=int, default=None)
-    ap.add_argument("--mode", default="closed",
-                    choices=["open", "support", "closed", "compact", "link"])
-    ap.add_argument("--shift", type=int, default=None)
+    ap.add_argument("--mode", default="closed", choices=list(dec.MODES))
     ap.add_argument("--branch", type=int, default=1)
     ap.add_argument("--format", default="json", choices=["json", "text"])
     ap.add_argument("--seed", type=int, default=0)

@@ -6,12 +6,15 @@ exact.  Weight labels follow the convention of the weight machinery on the
 underlying instance; the purity checker converts a label at degree k into an
 honest weight via label + (k - shift).
 
-i^! on a branch set z is (IC_log(z)/IC)[-1]: the Koszul complex of the slot
-quotients IC_log(z)/IC, shifted, and i^* is its twisted dual.  The
-intersection morphism i^! -> i^* is the zero map, by the support and
-cosupport conditions of IC, so the link is the mixed cone of zero:
-H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read H(link) off those two
-summands with link_cohomology; the cone, link_complex, remains the reference.
+build_complex is the one dispatch from a kind to a complex: omega, ic, iclog
+along a branch set z, shriek, star, and compact, the dual of iclog.  shriek,
+i^! on z, is (IC_log(z)/IC)[-1]: the Koszul complex of the slot quotients
+IC_log(z)/IC, shifted; star, i^*, is its twisted dual.  Both are zero on the
+empty z, where IC_log(z) = IC.  The intersection morphism i^! -> i^* is the
+zero map, by the support and cosupport conditions of IC, so the link is the
+mixed cone of zero: H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read
+H(link) off those two summands with link_cohomology; the cone, link_complex,
+remains the reference.
 For n >= 2 these are objects on the union of the branches, not on the point
 stratum, so the link of n >= 2 branches has the wrong cohomology.
 """
@@ -316,13 +319,22 @@ def slot_image(ops: dict[int, Matrix], branches, dim: int) -> Subspace:
 
 
 def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
-    """The complex of one kind: omega, ic, or iclog along the branches z."""
+    """The complex of one kind: omega or ic, which ignore z, or along the
+    branches z, iclog, shriek (i^!), star (i^*) or compact (the dual of
+    iclog).  Every kind but compact is memoized per evaluation."""
     if kind == "omega":
         return build_omega(model)
     if kind == "ic":
         return build_ic(model)
     if kind == "iclog":
         return build_ic_log(model, z)
+    if kind == "compact":
+        return dualize(build_ic_log(model, z), a=model.base_weight,
+                       top=model.branches)
+    if kind == "shriek":
+        return _shriek(model, _check_branches(model, z))
+    if kind == "star":
+        return _star(model, _check_branches(model, z))
     raise ShapeError(f"unknown complex kind {kind!r}")
 
 
@@ -467,31 +479,6 @@ def _star(model, z: frozenset) -> FilteredComplex:
     return dualize(_shriek(model, z), a=model.base_weight, top=model.branches + 1)
 
 
-def _checked(model, z, name: str) -> frozenset:
-    """z as a checked, nonempty branch set for i_shriek or i_star (name)."""
-    z = _check_branches(model, z)
-    if not z:
-        raise ShapeError(f"{name} needs a nonempty branch set")
-    return z
-
-
-def i_shriek(model, z) -> FilteredComplex:
-    """Sections supported on the branches in z: (IC_log(z)/IC)[-1] with
-    shifted W; memoized per evaluation, like i_star."""
-    return _shriek(model, _checked(model, z, "i_shriek"))
-
-
-def i_star(model, z) -> FilteredComplex:
-    """Restriction to the branches in z, realized as the twisted dual of i^!."""
-    return _star(model, _checked(model, z, "i_star"))
-
-
-def link_summands(model, z) -> tuple[FilteredComplex, FilteredComplex]:
-    """(i^!, i^*) on the branches z, which may be empty here."""
-    z = _check_branches(model, z)
-    return _shriek(model, z), _star(model, z)
-
-
 def intersection_morphism(model, z) -> ComplexMap:
     """The intersection morphism i^! -> i^* on the branches z: zero.
 
@@ -499,7 +486,8 @@ def intersection_morphism(model, z) -> ComplexMap:
     cosupport conditions), so the map between them vanishes on every stratum;
     a nonzero intersection form lives only on direct images.
     """
-    return ComplexMap(*link_summands(model, z), {})
+    z = _check_branches(model, z)
+    return ComplexMap(_shriek(model, z), _star(model, z), {})
 
 
 def link_complex(model, z) -> FilteredComplex:

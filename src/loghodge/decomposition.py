@@ -255,18 +255,22 @@ class PurityVerdict:
                 "verdict": "pass" if self.passed else "fail"}
 
 
-_MODE_RELATION = {
-    "open": ">=",
-    "support": ">=",
-    "closed": "<=",
-    "compact": "<=",
+# purity mode -> (the build_complex kind it reads, the relation its weights
+# keep); the link is read off the shriek and star kinds, and its relation
+# turns at perverse degree 0
+MODES = {
+    "open": ("iclog", ">="),
+    "support": ("shriek", ">="),
+    "closed": ("star", "<="),
+    "compact": ("compact", "<="),
+    "link": (None, None),
 }
 
 
 def purity_check(report: CohomologyReport, a: int, shift: int,
                  mode: str) -> PurityVerdict:
     """Evaluate the mode's weight inequality on every nonzero graded piece."""
-    if mode not in ("open", "support", "closed", "compact", "link"):
+    if mode not in MODES:
         raise ShapeError(f"unknown purity mode {mode!r}")
     rows = []
     for k in report.nonzero_degrees():
@@ -281,7 +285,7 @@ def purity_check(report: CohomologyReport, a: int, shift: int,
                 else:
                     ok, rel = w > bound, ">"
             else:
-                rel = _MODE_RELATION[mode]
+                rel = MODES[mode][1]
                 ok = w >= bound if rel == ">=" else w <= bound
             rows.append(PurityRow(k, ip, label, w, dim, bound, rel, ok))
     return PurityVerdict(mode, a, shift, rows)

@@ -93,10 +93,10 @@ class NCModel:
         pos = map(self.component_positions, range(len(comps)))
         return place((n, n), [(c.nilpotents[j], p, p) for c, p in zip(comps, pos)])
 
-    def nilpotent_sum(self, branches, t=None) -> Matrix:
-        """sum_k t[k] N_{branches[k]}, t all ones when None, in one pass."""
+    def nilpotent_sum(self, branches) -> Matrix:
+        """sum_j N_j over the listed branches, in one pass."""
         n = self.total_dim
-        return combination([1] * len(branches) if t is None else t,
+        return combination([1] * len(branches),
                            [self.nilpotent(j) for j in branches], n, n)
 
     def on_component(self, filt, ci: int):

@@ -17,15 +17,13 @@ from inclusion import ic_into_iclog
 from link_oracle import oracle_link
 
 from loghodge.complexes import (
+    build_complex,
     build_ic,
     build_ic_log,
     build_omega,
     cohomology,
     dualize,
-    i_shriek,
-    i_star,
     link_cohomology,
-    link_summands,
 )
 from loghodge.decomposition import (
     check_distinguished_pair,
@@ -286,11 +284,11 @@ def test_criterion_08_weight_bounds():
                 run += 1
                 if model.pairing is None:
                     continue
-                shr = purity_check(cohomology(i_shriek(model, z)), a, shift,
-                                   "support")
+                shr = purity_check(cohomology(build_complex(model, "shriek", z)),
+                                   a, shift, "support")
                 assert shr.passed, (name, sorted(z), "support")
-                st = purity_check(cohomology(i_star(model, z)), a, shift,
-                                  "closed")
+                st = purity_check(cohomology(build_complex(model, "star", z)),
+                                  a, shift, "closed")
                 assert st.passed, (name, sorted(z), "closed")
                 comp = purity_check(
                     cohomology(dualize(build_ic_log(model, z), a=a,
@@ -304,8 +302,9 @@ def test_criterion_08_weight_bounds():
 
 def shipped_link(model):
     """H(link) at z = all as the link verbs read it, off H(i^!) and H(i^*)."""
-    return link_cohomology(*map(cohomology,
-                                link_summands(model, range(model.branches))))
+    z = range(model.branches)
+    return link_cohomology(*(cohomology(build_complex(model, kind, z))
+                             for kind in ("shriek", "star")))
 
 
 def test_criterion_09_local_purity_with_oracle():

@@ -15,12 +15,9 @@ from loghodge.complexes import (
     cohomology,
     cone,
     dualize,
-    i_shriek,
-    i_star,
     intersection_morphism,
     link_cohomology,
     link_complex,
-    link_summands,
     quotient_complex,
 )
 from loghodge.errors import FiltrationNotPreserved, ShapeError
@@ -135,12 +132,10 @@ def test_cone_of_zero_splits():
 
 
 def test_shriek_examples():
-    assert dims_of(i_shriek(J2, [0])) == {2: 1}
-    assert cohomology(i_shriek(J2, [0])).profile() == {2: {2: 1}}
-    assert dims_of(i_shriek(RANK1, [0])) == {2: 1}
-    assert cohomology(i_shriek(RANK1, [0])).profile() == {2: {0: 1}}
-    with pytest.raises(ShapeError):
-        i_shriek(J2, [])
+    assert dims_of(build_complex(J2, "shriek", [0])) == {2: 1}
+    assert cohomology(build_complex(J2, "shriek", [0])).profile() == {2: {2: 1}}
+    assert dims_of(build_complex(RANK1, "shriek", [0])) == {2: 1}
+    assert cohomology(build_complex(RANK1, "shriek", [0])).profile() == {2: {0: 1}}
 
 
 def test_shriek_matches_cone_route():
@@ -150,7 +145,7 @@ def test_shriek_matches_cone_route():
         log = build_ic_log(model, range(model.branches))
         emb = ic_into_iclog(ic, log)
         via_cone = cone(emb).shift(-1)
-        quot = i_shriek(model, range(model.branches))
+        quot = build_complex(model, "shriek", range(model.branches))
         hc, hq = cohomology(via_cone), cohomology(quot)
         assert {k: hc.dim(k) for k in hc.degrees} == \
             {k: hq.dim(k) for k in hq.degrees if hq.dim(k)} | \
@@ -159,8 +154,8 @@ def test_shriek_matches_cone_route():
 
 
 def test_star_examples():
-    assert cohomology(i_star(J2, [0])).profile() == {0: {0: 1}}
-    assert cohomology(i_star(RANK1, [0])).profile() == {0: {0: 1}}
+    assert cohomology(build_complex(J2, "star", [0])).profile() == {0: {0: 1}}
+    assert cohomology(build_complex(RANK1, "star", [0])).profile() == {0: {0: 1}}
     # i^* never reads S: RANK1 without S (and F) has the same i^*
     unpolarized = model_from_json({
         "branches": 1, "base_weight": 0, "perverse_shift": 1,
@@ -168,7 +163,7 @@ def test_star_examples():
         "W": [{"weight": 0, "basis": [["1"]]}],
     })
     assert unpolarized.pairing is None
-    assert cohomology(i_star(unpolarized, [0])).profile() == {0: {0: 1}}
+    assert cohomology(build_complex(unpolarized, "star", [0])).profile() == {0: {0: 1}}
 
 
 def test_star_stalk_sanity_z_all():
@@ -176,7 +171,7 @@ def test_star_stalk_sanity_z_all():
     # chain computed by the intersection complex (full agreement in one branch)
     for model in (RANK1, J2, TWO_BRANCH):
         hic = cohomology(build_ic(model))
-        hst = cohomology(i_star(model, range(model.branches)))
+        hst = cohomology(build_complex(model, "star", range(model.branches)))
         assert hst.dim(0) == hic.dim(0)
         if model.branches == 1:
             assert {k: hic.dim(k) for k in hic.degrees if hic.dim(k)} == \
@@ -219,7 +214,8 @@ def test_intersection_morphism_zero_on_disjoint_support():
     for model in (RANK1, J2, TWO_BRANCH):
         z = range(model.branches)
         f = intersection_morphism(model, z)
-        assert f.source == i_shriek(model, z) and f.target == i_star(model, z)
+        assert f.source == build_complex(model, "shriek", z)
+        assert f.target == build_complex(model, "star", z)
         for k in range(min(f.source.min_deg, f.target.min_deg),
                        max(f.source.max_deg, f.target.max_deg) + 1):
             assert f.at(k).is_zero()
@@ -263,8 +259,8 @@ def test_link_is_the_star_plus_the_raised_shriek():
     for name, model, z in itertools.chain(_link_cases(), _link_draws()):
         with evaluation():
             link = cohomology(link_complex(model, z))
-            h_star = cohomology(i_star(model, z))
-            h_shriek = cohomology(i_shriek(model, z))
+            h_star = cohomology(build_complex(model, "star", z))
+            h_shriek = cohomology(build_complex(model, "shriek", z))
         summed = link_cohomology(h_shriek, h_star)
         assert canonical_json(summed.to_json()) == \
             canonical_json(link.to_json()), (name, z)
@@ -287,21 +283,58 @@ def test_link_is_the_star_plus_the_raised_shriek():
     assert cases == 17 + 18
 
 
-def test_link_summands_take_the_empty_branch_set():
-    """With no branch, i^! and i^* are zero and so is the link, where
-    i_shriek and i_star refuse the empty set."""
-    model = random_pure_model(0, random.Random(0))
-    shriek, star = link_summands(model, ())
-    assert shriek.dims == star.dims == ()
-    assert link_cohomology(cohomology(shriek), cohomology(star)).to_json() == []
-    with pytest.raises(ShapeError):
-        i_shriek(model, ())
+def _no_branch_cases():
+    """Models at every n = 0..3: the hand models, a pure n = 0 draw, and
+    pure and imhs draws at n = 1..3."""
+    yield from (RANK1, J2, HALF, TWO_BRANCH)
+    yield random_pure_model(0, random.Random(0))
+    for n in (1, 2, 3):
+        yield random_pure_model(n, random.Random(n))
+        yield random_imhs_model(n, random.Random(n))
+
+
+def test_iclog_of_no_branch_is_ic():
+    """IC_log(z) keeps the full space along the branches of z only, so
+    along none it is IC."""
+    for model in _no_branch_cases():
+        assert build_complex(model, "iclog", ()) == build_complex(model, "ic")
+
+
+def test_point_stratum_kinds_of_no_branch_are_zero():
+    """i^! = (IC_log(z)/IC)[-1] is zero on the empty z, where IC_log(z) = IC,
+    and so are its dual i^* and the link built from the two."""
+    for model in _no_branch_cases():
+        shriek, star = (build_complex(model, kind, ()) for kind in ("shriek", "star"))
+        assert shriek.dims == star.dims == ()
+        assert link_cohomology(cohomology(shriek), cohomology(star)).to_json() == []
+        assert cohomology(link_complex(model, ())).to_json() == []
+
+
+@pytest.mark.parametrize("kind", ["iclog", "shriek", "star", "compact"])
+def test_kinds_along_z_refuse_a_branch_out_of_range(kind):
+    with pytest.raises(ShapeError, match="branch index 2 out of range"):
+        build_complex(J2, kind, {2})
+
+
+@pytest.mark.parametrize("kind", ["iclog", "shriek", "star"])
+def test_kinds_along_z_are_memoized_inside_an_evaluation(kind):
+    """A repeated call, however z is spelled, returns the object built first."""
+    with evaluation():
+        first = build_complex(TWO_BRANCH, kind, [0, 1])
+        assert build_complex(TWO_BRANCH, kind, (1, 0)) is first
+        assert build_complex(TWO_BRANCH, kind, frozenset({0, 1})) is first
 
 
 def test_build_complex_dispatches_to_the_named_builders():
+    a = J2.base_weight
+    shriek = quotient_complex(J2, {0}).shift(-1)
     assert build_complex(J2, "omega") == build_omega(J2)
     assert build_complex(J2, "ic") == build_ic(J2)
     assert build_complex(J2, "iclog", [0]) == build_ic_log(J2, [0])
+    assert build_complex(J2, "shriek", [0]) == shriek
+    assert build_complex(J2, "star", [0]) == dualize(shriek, a=a, top=2)
+    assert build_complex(J2, "compact", [0]) == \
+        dualize(build_ic_log(J2, [0]), a=a, top=1)
     with pytest.raises(ShapeError, match="unknown complex kind 'nope'"):
         build_complex(J2, "nope")
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from loghodge.complexes import build_ic_log, cohomology, dualize, i_shriek, i_star
+from loghodge.complexes import build_complex, build_ic_log, cohomology, dualize
 from loghodge.decomposition import (
     _primitive_component,
     check_graded_decomposition,
@@ -90,8 +90,9 @@ def test_intersection_image_purity_on_fuzz():
 
 def test_purity_check_modes():
     a, shift = J2.base_weight, J2.perverse_shift
-    assert purity_check(cohomology(i_star(J2, [0])), a, shift, "closed").passed
-    assert purity_check(cohomology(i_shriek(J2, [0])), a, shift,
+    assert purity_check(cohomology(build_complex(J2, "star", [0])), a, shift,
+                        "closed").passed
+    assert purity_check(cohomology(build_complex(J2, "shriek", [0])), a, shift,
                         "support").passed
     assert purity_check(cohomology(build_ic_log(J2, [0])), a, shift,
                         "open").passed
@@ -102,7 +103,7 @@ def test_purity_check_modes():
 def test_purity_check_flags_violation():
     # hand-edit: evaluate the closed bound against a report whose weights sit
     # too high by pretending the center is lower
-    rep = cohomology(i_shriek(J2, [0]))
+    rep = cohomology(build_complex(J2, "shriek", [0]))
     verdict = purity_check(rep, J2.base_weight - 5, J2.perverse_shift, "closed")
     assert not verdict.passed
     offending = [r for r in verdict.rows if not r.ok]
@@ -110,7 +111,7 @@ def test_purity_check_flags_violation():
 
 
 def test_purity_rows_record_convention():
-    verdict = purity_check(cohomology(i_star(J2, [0])), 0, 1, "closed")
+    verdict = purity_check(cohomology(build_complex(J2, "star", [0])), 0, 1, "closed")
     doc = verdict.to_json()
     assert doc["convention"] == "weight = label + (degree - shift)"
     assert doc["rows"]

@@ -325,10 +325,16 @@ def _draws():
             yield _gaussian(model)
 
 
+def _n_of_t(model, branches, t):
+    """sum_k t[k] N_{branches[k]} on the total space."""
+    n = model.total_dim
+    return linalg.combination(t, [model.nilpotent(j) for j in branches], n, n)
+
+
 def test_nilpotent_sum_is_the_scale_and_add_fold():
-    """sum_k t_k N_{j_k} on the total space equals the entrywise sum of the
-    component blocks, for every branch list (the empty one included), with t
-    all ones or Fractions, on rational and Gaussian operators."""
+    """nilpotent_sum, and _n_of_t at Fraction t, on the total space equal the
+    entrywise sum of the component blocks, for every branch list (the empty
+    one included), on rational and Gaussian operators."""
     rng = random.Random(5)
     for model in _draws():
         n = model.total_dim
@@ -347,8 +353,9 @@ def test_nilpotent_sum_is_the_scale_and_add_fold():
                                   for s, j in zip(ts, branches)), Scalar(0))
                              if block[p][0] == block[q][0] else Scalar(0)
                              for q in range(n)] for p in range(n)]
-                    assert model.nilpotent_sum(branches, coeffs) == \
-                        Matrix(want, cols=n)
+                    got = model.nilpotent_sum(branches) if coeffs is None \
+                        else _n_of_t(model, branches, coeffs)
+                    assert got == Matrix(want, cols=n)
         for j in range(model.branches):
             assert model.nilpotent(j) == model.nilpotent_sum([j])
 
@@ -395,7 +402,7 @@ def _built_at_every_t(model, seed=0):
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
         fs = [filtrations.monodromy_filtration(linalg.induced_map(
-            model.nilpotent_sum(range(model.branches), t), gr, gr), i)
+            _n_of_t(model, range(model.branches), t), gr, gr), i)
             for t in samples]
         same = all(f == fs[0] for f in fs)
         rows.append((f"OrbitTIndependence[w={i}]", "pass" if same else "fail",
@@ -409,7 +416,7 @@ def _built_at_every_t(model, seed=0):
             try:
                 for t in samples:
                     fs.append(filtrations.relative_monodromy_filtration(
-                        model.nilpotent_sum(subset, [t[j] for j in subset]),
+                        _n_of_t(model, subset, [t[j] for j in subset]),
                         model.weight))
             except LogHodgeError as exc:
                 ok, detail = False, str(exc)
@@ -583,6 +590,28 @@ def test_imhs_and_cohomology_name_the_failed_validate_row_of_a_non_commuting_pla
         assert "results" not in doc and doc["error"] == (
             "loghodge.errors.InvalidModel: instance fails validate: "
             "NonCommutingOperators")
+
+
+@pytest.mark.parametrize("with_pairing", [True, False])
+@pytest.mark.parametrize("verb, branches", [("star", 2), ("relmono", 3)])
+def test_star_and_relmono_pass_on_a_non_commuting_plane(
+        verb, branches, with_pairing, tmp_path, capsys):
+    """The plane fails validate, and star and relmono report on it: their
+    "pass" says only that the filtration was built for the operators they
+    read, N_1 and W for star, and N(1, 1, 1) = E12 and W for relmono,
+    which gives M(E12, W)."""
+    doc = _non_commuting_plane(with_pairing, branches)
+    assert not validate(model_from_json(doc)).passed
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc))
+    assert main([verb, str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    filt = [{"basis": [["1", "0"]], "weight": 0},
+            {"basis": [["1", "0"], ["0", "1"]], "weight": 2}]
+    want = {"star": filt} if verb == "star" else \
+        {"branches": [1, 2, 3], "relative_monodromy": filt}
+    assert out["verdict"] == "pass"
+    assert canonical_json(out["results"]) == canonical_json(want)
 
 
 def test_a_report_verb_error_on_a_valid_instance_is_kept(tmp_path, capsys):

@@ -447,7 +447,7 @@ def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration):
     return IncreasingFiltration(n, steps)
 
 
-# -- star, shriek, iterated star --------------------------------------------
+# -- star ------------------------------------------------------------------
 
 def star(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
     """(N*W)_k = N W_{k+1} + M_k(N,W) cap W_k; the alternate form with
@@ -465,17 +465,3 @@ def star(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
             raise AssertionError("the two defining expressions of N*W disagree")
         steps.append((k, primary))
     return IncreasingFiltration(n, steps)
-
-
-def shriek(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
-    """(N!W)_k = W_{k-1} + M_k(N,W) cap N^{-1} W_{k-1}."""
-    m = relative_monodromy_filtration(N, w)
-    n = w.ambient_dim
-    lo = min(w.lowest(), m.lowest()) - 1
-    hi = max(w.highest(), m.highest()) + 2
-    steps = []
-    for k in range(lo, hi + 1):
-        pre = N.preimage(w.at(k - 1))
-        steps.append((k, w.at(k - 1).sum(m.at(k).intersect(pre))))
-    return IncreasingFiltration(n, steps)
-

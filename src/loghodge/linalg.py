@@ -9,6 +9,13 @@ one entry when a row is indexed or iterated.  Subspaces are stored in
 reduced row echelon form, so two equal subspaces have equal rows, and
 equality of filtrations built from them is decidable by comparison.
 
+Because the form is canonical, a lattice call whose operands decide its
+answer returns it without eliminating: ``intersect`` with the whole space,
+with zero or of nested subspaces, ``maps_into`` into the whole space or from
+zero, ``induced_map`` from the whole space to the whole space and ``image``
+of the whole space.  Otherwise ``intersect`` reduces the smaller basis by
+the larger and takes the kernel of the residuals.
+
 The evaluation memo lives here, under every other layer: inside an
 ``evaluation()`` block each call through ``_memoized``, and so each lattice
 operation marked ``@_remembered``, is computed once per equal input.
@@ -17,6 +24,7 @@ operation marked ``@_remembered``, is computed once per equal input.
 from __future__ import annotations
 
 import contextvars
+import re
 from functools import cache, wraps
 from itertools import repeat
 from math import gcd, lcm
@@ -24,6 +32,9 @@ from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
 from .scalars import _INT_RE, _canon, as_scalar, parse_scalar
+
+# a comma-joined row of integers, each as _INT_RE reads it
+_INT_ROW_RE = re.compile(rf"(?:{_INT_RE.pattern})(?:,(?:{_INT_RE.pattern}))*")
 
 # -- evaluation memo --------------------------------------------------------
 
@@ -175,8 +186,13 @@ def as_vector(entries: Sequence) -> Row:
 def parse_row(strings: Sequence) -> Row:
     """The Row of a list of scalar strings, read straight into ints when
     every entry is an integer; ParseError as parse_scalar gives otherwise."""
-    if all(type(s) is str and _INT_RE.fullmatch(s) for s in strings):
-        return _row([int(s) for s in strings], None, 1)
+    try:
+        joined = ",".join(strings)
+    except TypeError:       # an entry that is not a string
+        joined = ""
+    # len - 1 commas: no entry holds one, so each matched an integer
+    if joined.count(",") == len(strings) - 1 and _INT_ROW_RE.fullmatch(joined):
+        return _row(list(map(int, joined.split(","))), None, 1)
     return as_vector([parse_scalar(s) for s in strings])
 
 
@@ -376,11 +392,16 @@ class Matrix:
     def image(self, sub: Subspace | None = None) -> Subspace:
         if sub is None:     # spanned by the columns
             return Subspace(self.rows, self.transpose().entries)
+        if sub.ambient_dim == self.cols and sub.is_full():
+            return self.image()
         return Subspace(self.rows, self.apply_all(sub.basis))
 
     @_remembered
     def maps_into(self, src: Subspace, tgt: Subspace) -> bool:
         """f(src) <= tgt."""
+        if (src.ambient_dim, tgt.ambient_dim) == (self.cols, self.rows) \
+                and (tgt.is_full() or src.is_zero()):
+            return True
         return all(map(tgt.contains_vector, self.apply_all(src.basis)))
 
     @_remembered
@@ -631,11 +652,15 @@ class Subspace:
             return self
         if not self.basis or not other.basis:
             return Subspace.zero(self.ambient_dim)
-        # left kernel of the stacked basis matrix: z*(A;B) = 0 gives
-        # intersection vectors sum_i z_i A_i.
-        m = _matrix(self.basis + other.basis, self.ambient_dim).transpose()
-        gens = [self.from_coords(z[: self.dim]) for z in _kernel_basis(m)]
-        return Subspace(self.ambient_dim, gens)
+        # reduce the smaller basis by the larger: reduce is linear and zero
+        # exactly on a, so sum_k z_k b_k lies in a iff sum_k z_k r_k = 0
+        a, b = (self, other) if self.dim >= other.dim else (other, self)
+        residuals = tuple(map(a.reduce, b.basis))
+        if all(r.is_zero() for r in residuals):
+            return b
+        m = _matrix(residuals, self.ambient_dim).transpose()
+        return Subspace(self.ambient_dim,
+                        [b.from_coords(z) for z in _kernel_basis(m)])
 
     @_remembered
     def annihilator(self) -> "Subspace":
@@ -734,6 +759,8 @@ def induced_map(f: Matrix, src: Subquotient, tgt: Subquotient) -> Matrix:
     Functorial: induced(g o f) = induced(g) o induced(f) whenever both sides
     are defined.  Column j is the class of f(src.lifts.basis[j]).
     """
+    if src.dim == src.ambient_dim == f.cols and tgt.dim == tgt.ambient_dim == f.rows:
+        return f    # the whole space modulo zero on both sides
     # src.sub is spanned by the lifts together with src.quot_by
     lifted = f.apply_all(src.lifts.basis)
     pushed = f.apply_all(src.quot_by.basis)

@@ -221,31 +221,6 @@ def validate(model: NCModel) -> CheckReport:
     return report
 
 
-def unipotent_part(model: NCModel) -> NCModel:
-    """Restriction to the components with all residue exponents zero."""
-    keep = [ci for ci, c in enumerate(model.components) if c.is_unipotent()]
-    comps = tuple(model.components[ci] for ci in keep)
-    sub = Subspace.zero(model.total_dim)
-    for ci in keep:
-        sub = sub.sum(model.component_subspace(ci))
-    weight, hodge = (None if filt is None else filt.project_to(Subquotient.of(sub))
-                     for filt in (model.weight, model.hodge))
-    pairing = None
-    if model.pairing is not None:   # S(v, u) over the basis rows v, u of sub
-        b = _basis(sub)
-        pairing = b * model.pairing * b.transpose()
-    return NCModel(
-        branches=model.branches,
-        components=comps,
-        base_weight=model.base_weight,
-        perverse_shift=model.perverse_shift,
-        weight=weight,
-        hodge=hodge,
-        pairing=pairing,
-        pairing_parity=model.pairing_parity if pairing is not None else None,
-    )
-
-
 def direct_sum(a: NCModel, b: NCModel) -> NCModel:
     """Direct sum of two models on the same branch set, merging equal alphas."""
     if a.branches != b.branches:

@@ -1,0 +1,49 @@
+"""Two constructions no verb runs, kept beside the tests that check them.
+
+``shriek`` is N!W, the dual of the star operation N*W; ``unipotent_part`` is
+the restriction of a model to its unipotent components.  The tests compare
+them with the package's own builders: N!W with N*W through duality and
+relative monodromy, the unipotent part with IC_log along every branch.
+"""
+
+from loghodge.filtrations import IncreasingFiltration, relative_monodromy_filtration
+from loghodge.linalg import Matrix, Subquotient, Subspace
+from loghodge.model import NCModel
+
+
+def shriek(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
+    """(N!W)_k = W_{k-1} + M_k(N,W) cap N^{-1} W_{k-1}."""
+    m = relative_monodromy_filtration(N, w)
+    n = w.ambient_dim
+    lo = min(w.lowest(), m.lowest()) - 1
+    hi = max(w.highest(), m.highest()) + 2
+    steps = []
+    for k in range(lo, hi + 1):
+        pre = N.preimage(w.at(k - 1))
+        steps.append((k, w.at(k - 1).sum(m.at(k).intersect(pre))))
+    return IncreasingFiltration(n, steps)
+
+
+def unipotent_part(model: NCModel) -> NCModel:
+    """Restriction to the components with all residue exponents zero."""
+    keep = [ci for ci, c in enumerate(model.components) if c.is_unipotent()]
+    comps = tuple(model.components[ci] for ci in keep)
+    sub = Subspace.zero(model.total_dim)
+    for ci in keep:
+        sub = sub.sum(model.component_subspace(ci))
+    weight, hodge = (None if filt is None else filt.project_to(Subquotient.of(sub))
+                     for filt in (model.weight, model.hodge))
+    pairing = None
+    if model.pairing is not None:   # S(v, u) over the basis rows v, u of sub
+        b = Matrix(sub.basis, cols=sub.ambient_dim)
+        pairing = b * model.pairing * b.transpose()
+    return NCModel(
+        branches=model.branches,
+        components=comps,
+        base_weight=model.base_weight,
+        perverse_shift=model.perverse_shift,
+        weight=weight,
+        hodge=hodge,
+        pairing=pairing,
+        pairing_parity=model.pairing_parity if pairing is not None else None,
+    )

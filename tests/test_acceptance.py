@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from inclusion import ic_into_iclog
 from link_oracle import oracle_link
+from side_ops import shriek, unipotent_part
 
 from loghodge.complexes import (
     build_complex,
@@ -35,7 +36,6 @@ from loghodge.filtrations import (
     check_relative_axioms,
     monodromy_filtration,
     relative_monodromy_filtration,
-    shriek,
     star,
 )
 from loghodge.generate import (
@@ -49,7 +49,6 @@ from loghodge.model import (
     NCModel,
     imhs_check,
     load_model,
-    unipotent_part,
     validate,
 )
 

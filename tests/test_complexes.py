@@ -32,11 +32,11 @@ from loghodge.model import (
     canonical_json,
     load_model,
     model_from_json,
-    unipotent_part,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from inclusion import ic_into_iclog
+from side_ops import unipotent_part
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

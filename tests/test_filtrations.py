@@ -2,6 +2,7 @@ import functools
 import pathlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from loghodge.filtrations import (
     filtration_sum,
     monodromy_filtration,
     relative_monodromy_filtration,
-    shriek,
     star,
 )
 from loghodge.linalg import (
@@ -37,6 +37,9 @@ from loghodge.linalg import (
     place,
 )
 from loghodge.model import imhs_check, load_model
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from side_ops import shriek
 
 J2 = Matrix([[0, 1], [0, 0]])
 J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loghodge import linalg
-from loghodge.errors import IllDefinedInducedMap, ShapeError
+from loghodge.errors import IllDefinedInducedMap, ParseError, ShapeError
 from loghodge.generate import random_unimodular
 from loghodge.linalg import (
     Matrix,
@@ -19,7 +19,7 @@ from loghodge.linalg import (
     place,
     rref,
 )
-from loghodge.scalars import Scalar
+from loghodge.scalars import Scalar, parse_scalar
 
 small_frac = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -132,6 +132,94 @@ def test_lattice_with_a_zero_operand_runs_no_rref(monkeypatch):
     assert line.intersect(zero) == zero.intersect(line) == zero
     assert zero.sum(zero) == zero.intersect(zero) == zero
     assert calls == []
+
+
+def test_a_nested_intersection_runs_no_rref_and_returns_the_smaller(monkeypatch):
+    line = Subspace.span([[1, 1, 0]], 3)
+    plane = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
+    calls = []
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows, width:
+                        calls.append(width) or real_rref(rows, width))
+    assert line.intersect(plane) is line and plane.intersect(line) is line
+    assert calls == []
+
+
+def test_whole_space_lattice_calls_apply_no_vector(monkeypatch):
+    """maps_into into the whole space or from zero, induced_map from the
+    whole space to the whole space and the image of the whole space answer
+    without applying f, and give what applying it gives."""
+    f = Matrix([[1, 2, 0], [0, 0, 1], [3, 0, 0]])
+    full, zero = Subspace.full(3), Subspace.zero(3)
+    line = Subspace.span([[1, 1, 0]], 3)
+    whole = Subquotient.of(full)
+    applied = Subspace(3, f.apply_all(full.basis))
+    monkeypatch.setattr(Matrix, "apply_all", None)
+    assert f.maps_into(line, full) and f.maps_into(zero, line)
+    assert induced_map(f, whole, whole) is f
+    assert f.image(full) == applied == f.image()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: f.maps_into(Subspace.full(2), Subspace.full(2)),
+     "vector length does not match matrix columns"),
+    (lambda f: f.maps_into(Subspace.full(3), Subspace.full(3)),
+     "vector of wrong ambient dimension"),
+    (lambda f: f.image(Subspace.full(2)),
+     "vector length does not match matrix columns"),
+    (lambda f: induced_map(f, Subquotient.of(Subspace.full(2)),
+                           Subquotient.of(Subspace.full(2))),
+     "vector length does not match matrix columns"),
+    (lambda f: induced_map(f, Subquotient.of(Subspace.full(3)),
+                           Subquotient.of(Subspace.full(3))),
+     "vector of wrong ambient dimension"),
+    (lambda f: Subspace.full(2).intersect(Subspace.full(3)),
+     "ambient dimension mismatch in intersect"),
+])
+def test_a_shape_mismatch_takes_no_whole_space_exit(call, message):
+    """On a 2x3 f a call whose operands do not fit f raises the ShapeError
+    the general path raises."""
+    with pytest.raises(ShapeError) as caught:
+        call(Matrix([[1, 0, 0], [0, 1, 0]]))
+    assert type(caught.value) is ShapeError and str(caught.value) == message
+
+
+def _parse_outcome(parse, strings):
+    """parse(strings), or the class and text of the error it raises."""
+    try:
+        return parse(strings)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-10**30, 10**30).map(str), max_size=8) | st.lists(
+    st.one_of(st.integers(-99, 99).map(str),
+              st.text(alphabet="0123456789-+,/*i ", max_size=4),
+              st.sampled_from(["-0", "04", "+1", " 1", "1\n", "١", 1, None, True])),
+    max_size=6))
+def test_parse_row_reads_as_the_per_entry_path(strings):
+    """The one-match path for integer rows gives the Row, or the ParseError,
+    that parsing each entry gives."""
+    def per_entry(entries):
+        return as_vector([parse_scalar(s) for s in entries])
+    assert _parse_outcome(linalg.parse_row, strings) == \
+        _parse_outcome(per_entry, strings)
+
+
+@pytest.mark.parametrize("strings, message", [
+    (["1,2"], "malformed scalar '1,2'"),
+    (["1", "1,2"], "malformed scalar '1,2'"),
+    ([""], "malformed scalar ''"),
+    (["1", ""], "malformed scalar ''"),
+    ([1], "scalar must be a string, got int"),
+    (["1", None], "scalar must be a string, got NoneType"),
+    ([True], "scalar must be a string, got bool"),
+])
+def test_parse_row_rejects_what_an_entry_cannot_read(strings, message):
+    with pytest.raises(ParseError) as caught:
+        linalg.parse_row(strings)
+    assert str(caught.value) == message
 
 
 def test_the_full_space_is_built_once_per_dimension():

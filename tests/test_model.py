@@ -6,6 +6,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,10 +33,12 @@ from loghodge.model import (
     imhs_check,
     model_from_json,
     model_to_json,
-    unipotent_part,
     validate,
 )
 from loghodge.scalars import Scalar
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from side_ops import unipotent_part
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 

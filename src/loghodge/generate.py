@@ -1,9 +1,11 @@
 """Seeded generation of instances for fuzz suites and the bundled corpus.
 
-Models are assembled from tensor products of Jordan blocks and rank-two
-"elliptic" blocks, Tate-twisted to a target weight, summed, and conjugated
-by a random rational change of basis.  Every produced model satisfies the
-axioms by construction; the test suites re-verify rather than trust this.
+Every building block is an ``NCModel``: a tensor product of Jordan strings,
+one per branch, or a rank-two "elliptic" block.  Blocks are Tate-twisted to
+a target weight with ``Filtration.shift``, summed with ``direct_sum``, and
+conjugated by a random rational change of basis.  Every produced model
+satisfies the axioms by construction; the test suites re-verify rather than
+trust this.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
 # rref is imported for perfbench's tracer, which rebinds the name in every
@@ -42,83 +46,61 @@ def random_nilpotent(dim: int, rng: random.Random) -> Matrix:
 
 # -- building blocks ----------------------------------------------------------
 
-class _Block:
-    """A pure-weight polarized piece: space, operators, F, S, weight."""
+def _block(n_branches: int, nilpotents, f_steps, pairing: Matrix,
+           weight: int) -> NCModel:
+    """A unipotent polarized block, pure of weight `weight`, F from its
+    (p, basis rows) steps."""
+    dim = pairing.rows
+    comp = AlphaComponent((Fraction(0),) * n_branches, dim, tuple(nilpotents))
+    hodge = DecreasingFiltration(
+        dim, [(p, Subspace.span(rows, dim)) for p, rows in f_steps])
+    return NCModel(n_branches, (comp,), weight, n_branches,
+                   IncreasingFiltration.pure(dim, weight), hodge, pairing,
+                   weight % 2)
 
-    def __init__(self, dim, nilpotents, f_steps, s_matrix, weight, parity):
-        self.dim = dim
-        self.nilpotents = nilpotents          # list over branches
-        self.f_steps = f_steps                # list of (p, basis rows)
-        self.s_matrix = s_matrix
-        self.weight = weight
-        self.parity = parity
 
-
-def _tensor_blocks(n_branches: int, sizes: list[int]) -> _Block:
+def _tensor_blocks(n_branches: int, dims: list[int]) -> NCModel:
     """Tensor of one Jordan string per branch; monomial Hodge filtration."""
-    dims = sizes
     total = math.prod(dims)
     index = list(itertools.product(*[range(m) for m in dims]))
-    pos = {t: i for i, t in enumerate(index)}
     nilpotents = []
     for b in range(n_branches):
+        # N_b raises t_b by one, which moves i by the stride of branch b
+        stride = math.prod(dims[b + 1:])
         rows = [[ZERO] * total for _ in range(total)]
-        for t in index:
+        for i, t in enumerate(index):
             if t[b] + 1 < dims[b]:
-                t2 = t[:b] + (t[b] + 1,) + t[b + 1:]
-                rows[pos[t2]][pos[t]] = ONE
+                rows[i + stride][i] = ONE
         nilpotents.append(Matrix(rows, cols=total))
     w0 = sum(m - 1 for m in dims)
+    # t pairs only with its mirror (m_b - 1 - t_b)_b, at total - 1 - i in
+    # product order, with sign prod_b (-1)^(m_b - 1 + t_b) = (-1)^(w0 + |t|)
     s_rows = [[ZERO] * total for _ in range(total)]
-    for t in index:
-        for u in index:
-            val = ONE
-            for b in range(n_branches):
-                m = dims[b]
-                c0 = ONE if (m - 1) % 2 == 0 else -ONE
-                if t[b] + u[b] != m - 1:
-                    val = ZERO
-                    break
-                val = val * c0 * (-ONE if t[b] % 2 else ONE)
-            if val:
-                s_rows[pos[t]][pos[u]] = val
-    f_steps = []
-    for p in range(w0 + 2):
-        rows = [tuple(ONE if j == pos[t] else ZERO for j in range(total))
-                for t in index if sum(mi - 1 - ti for mi, ti in zip(dims, t)) >= p]
-        f_steps.append((p, rows))
-    return _Block(total, nilpotents, f_steps, Matrix(s_rows, cols=total),
-                  w0, w0 % 2)
+    for i, t in enumerate(index):
+        s_rows[i][total - 1 - i] = -ONE if (w0 + sum(t)) % 2 else ONE
+    # F^p is spanned by the basis vectors of Hodge level w0 - |t| >= p
+    unit = Matrix.identity(total).entries
+    f_steps = [(p, [unit[i] for i, t in enumerate(index) if w0 - sum(t) >= p])
+               for p in range(w0 + 2)]
+    return _block(n_branches, nilpotents, f_steps, Matrix(s_rows, cols=total),
+                  w0)
 
 
-def _elliptic_block(n_branches: int) -> _Block:
+def _elliptic_block(n_branches: int) -> NCModel:
     """Weight-one rank-two piece with trivial operators: types (1,0)+(0,1)."""
     nil = [Matrix.zero(2, 2) for _ in range(n_branches)]
     s = Matrix([[ZERO, ONE], [-ONE, ZERO]], cols=2)
     f = [(0, [(ONE, ZERO), (ZERO, ONE)]),
          (1, [(ONE, I)]),
          (2, [])]
-    return _Block(2, nil, f, s, 1, 1)
+    return _block(n_branches, nil, f, s, 1)
 
 
-def _twist_block(block: _Block, r: int) -> _Block:
+def _twist_block(block: NCModel, r: int) -> NCModel:
     """Tate twist: weight drops by 2r, Hodge indices drop by r, S unchanged."""
-    f = [(p - r, rows) for p, rows in block.f_steps]
-    return _Block(block.dim, block.nilpotents, f, block.s_matrix,
-                  block.weight - 2 * r, block.parity)
-
-
-def _block_model(n_branches: int, block: _Block, base_weight: int,
-                 perverse_shift: int, with_pairing: bool) -> NCModel:
-    comp = AlphaComponent(tuple(Fraction(0) for _ in range(n_branches)),
-                          block.dim, tuple(block.nilpotents))
-    weight = IncreasingFiltration.pure(block.dim, block.weight)
-    hodge = DecreasingFiltration(
-        block.dim,
-        [(p, Subspace.span(rows, block.dim)) for p, rows in block.f_steps])
-    return NCModel(n_branches, (comp,), base_weight, perverse_shift, weight,
-                   hodge, block.s_matrix if with_pairing else None,
-                   block.parity if with_pairing else None)
+    return replace(block, weight=block.weight.shift(-2 * r),
+                   hodge=block.hodge.shift(-r),
+                   base_weight=block.base_weight - 2 * r)
 
 
 def conjugate_model(model: NCModel, g: Matrix) -> NCModel:
@@ -127,23 +109,15 @@ def conjugate_model(model: NCModel, g: Matrix) -> NCModel:
         raise ValueError("conjugation helper expects a single component")
     comp = model.components[0]
     ginv = g.inverse()
-    nil = tuple(g * nj * ginv for nj in comp.nilpotents)
-    new_comp = AlphaComponent(comp.alpha, comp.dim, nil)
-
-    push_subspace = g.image
-
-    weight = IncreasingFiltration(
-        comp.dim, [(w, push_subspace(s)) for w, s in model.weight.steps])
-    hodge = None
-    if model.hodge is not None:
-        hodge = DecreasingFiltration(
-            comp.dim, [(p, push_subspace(s)) for p, s in model.hodge.steps])
+    weight, hodge = (None if f is None else type(f)(
+        comp.dim, [(i, g.image(s)) for i, s in f.steps])
+        for f in (model.weight, model.hodge))
     pairing = None
     if model.pairing is not None:
         pairing = ginv.transpose() * model.pairing * ginv
-    return NCModel(model.branches, (new_comp,), model.base_weight,
-                   model.perverse_shift, weight, hodge, pairing,
-                   model.pairing_parity)
+    nil = tuple(g * nj * ginv for nj in comp.nilpotents)
+    return replace(model, components=(replace(comp, nilpotents=nil),),
+                   weight=weight, hodge=hodge, pairing=pairing)
 
 
 def random_imhs_model(n_branches: int, rng: random.Random,
@@ -162,26 +136,22 @@ def random_imhs_model(n_branches: int, rng: random.Random,
         else:
             sizes = [rng.choice([1, 1, 2, 2, 3]) for _ in range(n_branches)]
             block = _tensor_blocks(n_branches, _fit(sizes, budget))
-        if block.dim > budget:
+        if block.total_dim > budget:
             continue
         # twist to a target weight of the shared parity
         target = rng.randint(-1, 2) * 2 + base_parity
-        if (block.weight - target) % 2:
+        if (block.base_weight - target) % 2:
             target += 1
-        block = _twist_block(block, (block.weight - target) // 2)
-        blocks.append(block)
-        budget -= block.dim
+        blocks.append(_twist_block(block, (block.base_weight - target) // 2))
+        budget -= block.total_dim
     if not blocks:
         blocks = [_tensor_blocks(n_branches, [1] * n_branches)]
     # the declared center is the lower bound of the weights, so the one-sided
     # purity bounds stay meaningful on mixed instances
-    base_weight = min(b.weight for b in blocks)
-    shift = n_branches
-    model = _block_model(n_branches, blocks[0], base_weight, shift,
-                         with_pairing)
-    for b in blocks[1:]:
-        model = direct_sum(model, _block_model(n_branches, b, base_weight, shift,
-                                               with_pairing))
+    base_weight = min(b.base_weight for b in blocks)
+    no_s = {} if with_pairing else {"pairing": None, "pairing_parity": None}
+    model = reduce(direct_sum, [replace(b, base_weight=base_weight, **no_s)
+                                for b in blocks])
     return conjugate_model(model, random_unimodular(model.total_dim, rng))
 
 
@@ -201,8 +171,7 @@ def random_pure_model(n_branches: int, rng: random.Random,
     """Single pure weight; handy for the pure-anchor and purity suites."""
     sizes = [rng.choice([1, 2, 2, 3]) for _ in range(n_branches)]
     block = _tensor_blocks(n_branches, _fit(sizes, max_dim))
-    model = _block_model(n_branches, block, block.weight, n_branches, True)
-    return conjugate_model(model, random_unimodular(model.total_dim, rng))
+    return conjugate_model(block, random_unimodular(block.total_dim, rng))
 
 
 def random_spectral_model(n_branches: int, rng: random.Random) -> NCModel:

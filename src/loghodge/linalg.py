@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import re
+from contextlib import contextmanager
 from functools import cache, wraps
 from itertools import repeat
 from math import gcd, lcm
@@ -42,10 +43,10 @@ _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "loghodge_evaluation_memo", default=None)
 
 
-class evaluation:
-    """Context manager: while it is open, the builders that go through
-    ``_memoized`` remember each result by argument value (a model by
-    identity).
+@contextmanager
+def evaluation():
+    """While the block is open, the builders that go through ``_memoized``
+    remember each result by argument value (a model by identity).
 
     Each is pure and its arguments immutable, so a remembered result is what
     a recomputation would return.  A call that raises stores nothing.  A block
@@ -53,14 +54,12 @@ class evaluation:
     memo.  The memo lives in a context variable, so a thread sees only a
     block opened in that thread.
     """
-
-    def __enter__(self):
-        self._token = _MEMO.set({}) if _MEMO.get() is None else None
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._token is not None:
-            _MEMO.reset(self._token)
+    token = _MEMO.set({}) if _MEMO.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _MEMO.reset(token)
 
 
 def _memoized(fn, *args):

@@ -406,6 +406,34 @@ def test_a_point_stratum_purity_mode_names_the_branchless_instance(
             '"verdict":"error"}\n'))
 
 
+def _dims(rows):
+    return {r["degree"]: r["dim"] for r in rows}
+
+
+def test_dependent_branches_keep_the_ic_and_a_self_dual_link(tmp_path,
+                                                              capsys):
+    """N_1 = N_2 = J2, with jordan2_weight1's W, F and S at perverse shift
+    2: branches that depend on each other, which no generator draws.  link
+    exits 1 today, with dims 1, 2, 1 in degrees 0-2; a link that passes here
+    must be self-dual in degree, k <-> 2n - 1 - k."""
+    doc = json.loads(J2.read_text())
+    doc.update(branches=2, perverse_shift=2)
+    comp = doc["components"][0]
+    comp.update(alpha=["0", "0"], N=comp["N"] * 2)
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("validate", "imhs"):
+        assert run_cli([verb, str(path)], capsys)[0] == 0, verb
+    code, out = run_cli(["cohomology", "--complex", "ic", str(path)], capsys)
+    assert code == 0
+    assert _dims(json.loads(out)["results"]) == {0: 1, 1: 1}
+    code, out = run_cli(["link", str(path)], capsys)
+    assert code in (0, 1)
+    if code == 0:
+        dims = _dims(json.loads(out)["results"]["cohomology"])
+        assert all(dims.get(k, 0) == dims.get(3 - k, 0) for k in range(4))
+
+
 def _with_pairing(tmp_path, name, matrix):
     """J2 weight 1 with the pairing matrix declared at parity 1."""
     doc = json.loads(J2.read_text())

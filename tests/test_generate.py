@@ -6,6 +6,7 @@ a change to any of them must keep every draw byte-identical.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,10 @@ TWO_COMPONENTS = {
 }
 TWO_COMPONENTS_SUM = "2b7f0215f95138cfc5aabf4446316bad71bf4724e39ea851917451f67ffbf210"
 
+# every pure, imhs and spectral draw at n = 0..3, seeds 0-49, then the
+# corpus's imhs draw at each (n, seed), hashed as one stream of canonical JSON
+WIDE_DRAWS = "5f1136ea67ebb4b3b8f121673fbb88e05cc863f8eb3dd130849852123ff6d338"
+
 
 def _digest(model) -> str:
     return hashlib.sha256(canonical_json(model_to_json(model)).encode()).hexdigest()
@@ -104,3 +109,15 @@ def test_zero_branch_draws_pass_validate_and_imhs(gen):
         assert model.branches == 0
         assert validate(model).passed, seed
         assert imhs_check(model).passed, seed
+
+
+def test_wide_draws_keep_their_bytes():
+    cases = list(itertools.product(range(4), range(50)))
+    draws = [GENERATORS[gen](n, random.Random(seed))
+             for n, seed in cases for gen in ("pure", "imhs", "spectral")]
+    draws += [random_imhs_model(n, random.Random(seed), with_pairing=False,
+                                max_dim=5, max_blocks=2) for n, seed in cases]
+    h = hashlib.sha256()
+    for model in draws:
+        h.update(canonical_json(model_to_json(model)).encode())
+    assert h.hexdigest() == WIDE_DRAWS

@@ -56,7 +56,7 @@ def run_validate(model, args):
 
 
 def run_imhs(model, args):
-    rep = imhs_check(model, seed=args.seed)
+    rep = imhs_check(model)
     return rep.to_json()["checks"], rep.passed
 
 
@@ -178,7 +178,7 @@ def run_corpus(args):
 
     def one(path):
         try:
-            return path, corpus_entry(str(path), args.seed)
+            return path, corpus_entry(str(path))
         except LogHodgeError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
 
@@ -210,7 +210,7 @@ def run_corpus(args):
     return results, ok
 
 
-def corpus_entry(path: str, seed: int = 0) -> dict:
+def corpus_entry(path: str) -> dict:
     """The standard battery replayed by the corpus verb, in an evaluation
     (the caller's when one is open; a pool thread sees none and opens its own)."""
     with evaluation():
@@ -222,7 +222,7 @@ def corpus_entry(path: str, seed: int = 0) -> dict:
             kind: cx.cohomology(cx.build_complex(model, kind)).to_json()
             for kind in ("omega", "ic")}
         if model.hodge is not None:
-            entry["imhs"] = imhs_check(model, seed=seed).to_json()
+            entry["imhs"] = imhs_check(model).to_json()
         if model.pairing is not None and model.branches:
             z = frozenset(range(model.branches))
             reps = {mode: _purity_cohomology(model, mode, z)
@@ -274,7 +274,6 @@ def build_parser():
     ap.add_argument("--mode", default="closed", choices=list(dec.MODES))
     ap.add_argument("--branch", type=int, default=1)
     ap.add_argument("--format", default="json", choices=["json", "text"])
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, default=1)
     return ap
 

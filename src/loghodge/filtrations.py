@@ -300,23 +300,21 @@ def check_relative_axioms(m: IncreasingFiltration, N: Matrix,
     """True exactly when m = M(N, W): the unique M (Steenbrink-Zucker 1985)
     with N preserving W, N M_k <= M_{k-2} (so N is nilpotent) and W(N)
     centred at l induced on each Gr^W_l; on W pure of weight c, the unique
-    W(N) centred at c (Deligne, Weil II 1.6.1).  It is axioms_in_t(m, [N],
-    w) at t = (1,).  Memoized per evaluation."""
-    test = axioms_in_t(m, [N], w)
-    return test is not None and test((1,))
+    W(N) centred at c (Deligne, Weil II 1.6.1).  Memoized per evaluation."""
+    return axioms_in_t(m, [N], w, [(1,)])
 
 
 def axioms_in_t(m: IncreasingFiltration, ops: Sequence[Matrix],
-                w: IncreasingFiltration):
-    """A test of t that holds exactly when m = M(N(t), W), N(t) = sum_j t[j]
-    ops[j]; None unless each op preserves w and maps m_a into m_{a-2}, so
+                w: IncreasingFiltration, ts) -> bool:
+    """True exactly when m = M(N(t), W) at every t of ts, N(t) = sum_j t[j]
+    ops[j]; False unless each op preserves w and maps m_a into m_{a-2}, so
     that every N(t) does.  Then on Gr^W_l, N(t)^k: Gr^M_{l+k} -> Gr^M_{l-k}
     is a product of k sums of the ops' graded blocks Gr^M_a -> Gr^M_{a-2},
     built here once, and must be invertible."""
     if any(not op.rows == op.cols == w.ambient_dim == m.ambient_dim
            or w.first_violation(op, w) is not None
            or m.first_violation(op, m, -2) is not None for op in ops):
-        return None
+        return False
     pieces = []     # per Gr^W_l: l, dims of its Gr^M_a, reach, blocks by a
     for l in w.jumps():
         gr = w.graded_piece(l)
@@ -338,7 +336,7 @@ def axioms_in_t(m: IncreasingFiltration, ops: Sequence[Matrix],
                 if p.rows != p.cols or len(rref(p.entries, p.cols)) != p.cols:
                     return False
         return True
-    return holds
+    return all(map(holds, ts))
 
 
 def _jordan_chain_tops(N: Matrix) -> list[tuple[Row, int]]:

@@ -666,8 +666,7 @@ class Subspace:
         """Functionals (in dual coordinates) vanishing on this subspace."""
         if self.is_zero():
             return Subspace.full(self.ambient_dim)
-        m = _matrix(self.basis, self.ambient_dim)
-        return Subspace(self.ambient_dim, _kernel_basis(m))
+        return _matrix(self.basis, self.ambient_dim).kernel()
 
     def conj(self) -> "Subspace":
         return Subspace(self.ambient_dim, [r.conj() for r in self.basis])

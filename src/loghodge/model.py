@@ -169,9 +169,10 @@ def validate(model: NCModel) -> CheckReport:
         report.add("NonCommutingOperators", ok,
                    f"component {ci} operators do not commute")
 
-    # W and F must be direct sums of their component restrictions, and each
-    # N_j must preserve W and lower F by one
-    pieces = [model.component_subspace(ci) for ci in range(len(model.components))]
+    # W and F must be direct sums of their component restrictions (as they
+    # are on fewer than two components), and each N_j must preserve W and
+    # lower F by one
+    comps = range(len(model.components))
     for filt, name, letter, row, detail, shift in (
             (model.weight, "Weight", "W", "FiltrationNotPreserved",
              "some N_j does not preserve W", 0),
@@ -180,13 +181,9 @@ def validate(model: NCModel) -> CheckReport:
         if filt is None:
             report.skip("HodgeChecks", "no Hodge filtration")
             continue
-        split_ok = True
-        for _, sub in filt.steps:
-            total = Subspace.zero(model.total_dim)
-            for piece in pieces:
-                total = total.sum(sub.intersect(piece))
-            if total != sub:
-                split_ok = False
+        split_ok = len(comps) < 2 or filt == filtration_sum(
+            [(model.component_positions(ci), model.on_component(filt, ci))
+             for ci in comps], model.total_dim)
         report.add(f"{name}RestrictsToComponents", split_ok,
                    f"{letter} is not a direct sum of component pieces")
         report.add(row, all(
@@ -271,14 +268,12 @@ def direct_sum(a: NCModel, b: NCModel) -> NCModel:
 
 # -- IMHS checker -------------------------------------------------------------
 
-def _sample_t_vectors(n: int, seed: int):
-    """All-ones plus three seeded pseudo-random positive rational vectors."""
-    rng = random.Random(seed)
-    out = [tuple(Fraction(1) for _ in range(n))]
-    for _ in range(3):
-        out.append(tuple(Fraction(rng.randint(1, 7), rng.randint(1, 5))
-                         for _ in range(n)))
-    return out
+def _later_t_vectors(n: int):
+    """The three positive rational scaling vectors past t = (1, ..., 1) at
+    which imhs decides the t-clauses: a fixed sample, random.Random(0)'s."""
+    rng = random.Random(0)
+    return [tuple(Fraction(rng.randint(1, 7), rng.randint(1, 5))
+                  for _ in range(n)) for _ in range(3)]
 
 
 def _subsets(n):
@@ -323,7 +318,7 @@ def _hermitian_positive(h: Matrix) -> bool:
     return True
 
 
-def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
+def imhs_check(model: NCModel) -> CheckReport:
     """The infinitesimal mixed Hodge structure axioms, reported one by one, of
     a model that passes validate, so each N(t) has a W(N) on every Gr^W."""
     if model.hodge is None:
@@ -331,21 +326,18 @@ def imhs_check(model: NCModel, seed: int = 0) -> CheckReport:
     report = CheckReport()
 
     n_branches = model.branches
-    later = _sample_t_vectors(n_branches, seed)[1:]
+    later = _later_t_vectors(n_branches)
     all_branches = tuple(range(n_branches))
     ops = [model.nilpotent(j) for j in all_branches]
     # Steps (1) and (2) build each filtration at t = (1, ..., 1) only.  It is
     # unique, so a later t keeps it exactly when it passes the axioms on the
-    # graded blocks of the N_j (filtrations.axioms_in_t).  Where that test is
-    # None, some N_j does not lower M by two, and then neither does N(t) for
-    # some t > 0.  A single branch decides no later t: t_j N_j has the
+    # graded blocks of the N_j (filtrations.axioms_in_t).  Where some N_j
+    # does not lower M by two, neither does N(t) for some t > 0, and the test
+    # is False.  A single branch decides no later t: t_j N_j has the
     # filtrations of N_j.
     def t_independent(m, subset_ops, w, subset=all_branches):
-        if len(subset) < 2:
-            return True
-        test = axioms_in_t(m, subset_ops, w)
-        return test is not None and all(test([t[j] for j in subset])
-                                        for t in later)
+        return len(subset) < 2 or axioms_in_t(
+            m, subset_ops, w, [[t[j] for j in subset] for t in later])
 
     # (1) mixed nilpotent orbit on every weight-graded piece; graded[i] holds
     # Gr^W_i, the N it induces at t = (1, ..., 1) and W(N)

@@ -90,6 +90,36 @@ def test_validate_flags_unpreserved_filtration():
                for c in rep.checks)
 
 
+@pytest.mark.parametrize("w0, f1, weight_ok, hodge_ok", [
+    (["1", "0"], ["0", "1"], True, True),
+    (["1", "1"], ["0", "1"], False, True),
+    (["1", "0"], ["1", "-1"], True, False),
+])
+def test_validate_flags_a_filtration_that_does_not_split(w0, f1, weight_ok,
+                                                         hodge_ok):
+    """Two lines of exponents 0 and 1/2: W_0 and F^1 split exactly when
+    each is spanned by its intersections with the two lines."""
+    doc = {
+        "branches": 1, "base_weight": 0, "perverse_shift": 1,
+        "components": [{"alpha": [a], "dim": 1, "N": [[["0"]]]}
+                       for a in ("0", "1/2")],
+        "W": [{"weight": 0, "basis": [w0]},
+              {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
+        "F": [{"p": 1, "basis": [f1]}, {"p": 2, "basis": []}],
+    }
+    rows = {c.name: c.status for c in validate(model_from_json(doc)).checks}
+    assert rows["WeightRestrictsToComponents"] == \
+        ("pass" if weight_ok else "fail")
+    assert rows["HodgeRestrictsToComponents"] == \
+        ("pass" if hodge_ok else "fail")
+
+
+def test_validate_passes_a_model_with_no_component():
+    doc = {"branches": 1, "base_weight": 0, "perverse_shift": 1,
+           "components": [], "W": [], "F": []}
+    assert validate(model_from_json(doc)).passed
+
+
 def test_unipotent_part_examples():
     doc = {
         "branches": 1, "base_weight": 0, "perverse_shift": 0,
@@ -396,11 +426,12 @@ SAMPLED_ROWS = ("OrbitTIndependence", "RelativeMonodromy")
 DEPENDS = "relative filtration depends on the scaling vector"
 
 
-def _built_at_every_t(model, seed=0):
-    """The sampled rows of imhs_check, each filtration built at every t of
-    _sample_t_vectors, with no test of a held one; and the names of the rows
-    whose build raises at a later t only."""
-    samples = loghodge.model._sample_t_vectors(model.branches, seed)
+def _built_at_every_t(model):
+    """The sampled rows of imhs_check, each filtration built at t = (1, ...,
+    1) and at every t of _later_t_vectors, with no test of a held one; and
+    the names of the rows whose build raises at a later t only."""
+    samples = [(1,) * model.branches,
+               *loghodge.model._later_t_vectors(model.branches)]
     rows, raised = [], set()
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
@@ -439,11 +470,11 @@ def _sampled_rows(report):
             if c.name.startswith(SAMPLED_ROWS)]
 
 
-def _assert_agrees_with_building(report, model, seed=0):
+def _assert_agrees_with_building(report, model):
     """The sampled rows have the statuses of building at every t, and the
     details too, except where a build raises at a later t: imhs builds at
     t = (1, ..., 1) only and reports such a row as t-dependent."""
-    got, (want, raised) = _sampled_rows(report), _built_at_every_t(model, seed)
+    got, (want, raised) = _sampled_rows(report), _built_at_every_t(model)
     assert [row[:2] for row in got] == [row[:2] for row in want]
     assert [row for row in got if row[0] not in raised] == \
         [row for row in want if row[0] not in raised]
@@ -472,8 +503,8 @@ def test_a_t_dependent_orbit_reports_what_building_at_every_t_gives(
 
 def test_a_later_t_failing_the_block_test_reports_what_building_gives():
     """N_1 e1 = N_2 e1 = e3, N_1 e2 = 15 e4 and N_2 e2 = -4 e4: the blocks
-    apply, and N(t) kills e2 at the third sample t = (1/3, 5/4) of seed 0
-    only, where the block test fails."""
+    apply, and N(t) kills e2 at the second later t = (1/3, 5/4) only, where
+    the block test fails."""
     zero = ["0"] * 4
     n1, n2 = ([zero, zero, ["1", "0", "0", "0"], ["0", c, "0", "0"]]
               for c in ("15", "-4"))
@@ -483,8 +514,8 @@ def test_a_later_t_failing_the_block_test_reports_what_building_gives():
         "W": [{"weight": 0, "basis": [[str(int(i == j)) for j in range(4)]
                                       for i in range(4)]}],
         "F": [{"p": 1, "basis": []}]})
-    assert loghodge.model._sample_t_vectors(2, 0)[2] == (Fraction(1, 3),
-                                                         Fraction(5, 4))
+    assert loghodge.model._later_t_vectors(2)[1] == (Fraction(1, 3),
+                                                     Fraction(5, 4))
     want, raised = _built_at_every_t(model)
     assert not raised
     assert ("OrbitTIndependence[w=0]", "fail",
@@ -519,12 +550,10 @@ def _sampled_draw(draw):
 
 @pytest.mark.parametrize("draw", range(18 + 3 * len(PULLBACKS)))
 def test_sampled_rows_equal_building_at_every_t_on_generated_draws(draw):
-    """At the sample t of --seed 0 and 3."""
     model = _sampled_draw(draw)
-    for seed in (0, 3):
-        with linalg.evaluation():
-            report = imhs_check(model, seed)
-        _assert_agrees_with_building(report, model, seed)
+    with linalg.evaluation():
+        report = imhs_check(model)
+    _assert_agrees_with_building(report, model)
 
 
 def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Every verb, run in-process on small generated draws, ends in one JSON
 document and a documented exit code: 0 pass, 1 fail, 2 error, never 3."""
 
+import itertools
 import json
 import random
 
@@ -87,3 +88,46 @@ def test_the_dim8_link_runs_end_in_a_verdict(tmp_path, capsys):
             assert code in (0, 1), f"{path.name} {variant}: exit {code}: {out}"
             assert out.count("\n") == 1
             assert json.loads(out)["verdict"] == VERDICT[code]
+
+
+def _sweep_draws():
+    """The pure, imhs and spectral draws on n <= 3 branches of seeds 0-29,
+    those with at most 8 coordinates."""
+    for make in (random_pure_model, random_imhs_model, random_spectral_model):
+        for n in range(4):
+            for seed in range(30):
+                model = make(n, random.Random(seed))
+                if model.total_dim <= 8:
+                    yield f"{make.__name__}-{n}-{seed}", model
+
+
+def _sweep_variants(n):
+    """Every verb; each verb that reads --z, at every nonempty subset of
+    the n branches, or without it when there is none."""
+    subsets = [",".join(map(str, c)) for r in range(1, n + 1)
+               for c in itertools.combinations(range(1, n + 1), r)]
+    reading_z = [["cohomology", "--complex", kind]
+                 for kind in ("omega", "ic", "iclog")] + \
+        [["relmono"], ["decompose"], ["intersect"], ["link"], ["duality"]] + \
+        [["purity", "--mode", mode]
+         for mode in ("closed", "support", "open", "compact", "link")]
+    yield from (["validate"], ["imhs"], ["filtration"], ["star"])
+    for variant in reading_z:
+        if not subsets:
+            yield variant
+        for z in subsets:
+            yield variant + ["--z", z]
+
+
+@pytest.mark.slow
+def test_every_verb_on_every_small_draw_ends_in_a_documented_code(
+        tmp_path, capsys):
+    path = tmp_path / "draw.json"
+    for name, model in _sweep_draws():
+        path.write_text(canonical_json(model_to_json(model)))
+        for variant in _sweep_variants(model.branches):
+            code = main([variant[0], str(path)] + variant[1:])
+            out = capsys.readouterr().out
+            assert code in VERDICT, f"{name} {variant}: exit {code}: {out}"
+            assert out.endswith("\n") and out.count("\n") == 1, (name, variant)
+            assert json.loads(out)["verdict"] == VERDICT[code], (name, variant)

@@ -30,7 +30,6 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
-    _memoized,
     _remembered,
     combination,
     induced_map,
@@ -385,6 +384,7 @@ def koszul_complex(branches, blocks, slot, weight=None,
     return out
 
 
+@_remembered
 def _model_complex(model, kind: str, z: frozenset) -> FilteredComplex:
     """Koszul complex of the residue operators alpha_j - N_j per component.
     Slot (K, ci) of ic is the image of the operators of the branches of K;
@@ -424,19 +424,19 @@ def _model_complex(model, kind: str, z: frozenset) -> FilteredComplex:
 
 def build_omega(model) -> FilteredComplex:
     """The logarithmic Koszul complex of the instance, with weight/Hodge data;
-    like the other two builders, memoized per evaluation by (model, kind, z)."""
-    return _memoized(_model_complex, model, "omega", frozenset())
+    like the other kinds, a _model_complex, memoized by (model, kind, z)."""
+    return _model_complex(model, "omega", frozenset())
 
 
 def build_ic(model) -> FilteredComplex:
     """The intersection subcomplex: slot K carries the K-fold residue image."""
-    return _memoized(_model_complex, model, "ic", frozenset())
+    return _model_complex(model, "ic", frozenset())
 
 
 def build_ic_log(model, z) -> FilteredComplex:
     """Logarithmic intersection complex: branches in z keep the full space in
     their locally unipotent directions."""
-    return _memoized(_model_complex, model, "iclog", _check_branches(model, z))
+    return _model_complex(model, "iclog", _check_branches(model, z))
 
 
 def _check_branches(model, z) -> frozenset:
@@ -466,7 +466,7 @@ def subquotient_complex(c: FilteredComplex,
 def quotient_complex(model, z) -> FilteredComplex:
     """IC_log(z)/IC, the Koszul complex of the slot quotients, with the
     induced filtrations; memoized per evaluation by (model, kind, z)."""
-    return _memoized(_model_complex, model, "shriek", _check_branches(model, z))
+    return _model_complex(model, "shriek", _check_branches(model, z))
 
 
 @_remembered

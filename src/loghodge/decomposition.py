@@ -28,7 +28,7 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
-    _memoized,
+    _remembered,
     combination,
     evaluation,
     induced_map,
@@ -49,14 +49,10 @@ class PrimitiveComponentPart:
         return self.space.dim
 
 
+@_remembered
 def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
-                         inside: Subspace | None = None) -> PrimitiveComponentPart:
-    """P^J_k of one unipotent component, cut to inside when given; memoized."""
-    return _memoized(_build_primitive_component, model, ci, tuple(J), k, inside)
-
-
-def _build_primitive_component(model: NCModel, ci: int, J: tuple, k: int,
-                               inside: Subspace | None) -> PrimitiveComponentPart:
+                         inside: Subspace | None) -> PrimitiveComponentPart:
+    """P^J_k of one unipotent component, cut to inside unless None; memoized."""
     comp = model.components[ci]
     gr = model.wj(ci, frozenset(J)).graded_piece(k)
     space = Subspace.full(gr.dim)
@@ -158,7 +154,7 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
                 ok, detail = True, ""
                 for s in range(len(J) + 1):
                     for K in itertools.combinations(J, s):
-                        p = _primitive_component(model, ci, K, w_tgt + len(J) - len(K))
+                        p = _primitive_component(model, ci, K, k - len(K), None)
                         if p.dim == 0:
                             continue
                         op = Matrix.identity(comp.dim)

@@ -8,9 +8,9 @@ test of the axioms, ``axioms_in_t`` on the graded blocks of the operators
 (``check_relative_axioms`` at one operator, W(N) as M(N, W) over a pure W),
 which holds for a filtration exactly when the builder returns it.
 
-The monodromy and relative monodromy builders and ``graded_piece`` go
-through the evaluation memo of ``linalg``, so inside an ``evaluation()``
-block an equal input is built once.
+The monodromy and relative monodromy builders and ``graded_piece`` are
+``@_remembered`` in the evaluation memo of ``linalg``, so inside an
+``evaluation()`` block an equal input is built once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .linalg import (
     Row,
     Subquotient,
     Subspace,
-    _memoized,
     _remembered,
     combination,
     induced_map,
@@ -255,30 +254,27 @@ def filtration_sum(parts, total: int):
 
 # -- monodromy filtrations --------------------------------------------------
 
-def _kernel_tower(N: Matrix, message: str):
+def _kernel_tower(N: Matrix):
     """The powers N^0..N^e of N, N^e = 0, and ker(m), the kernel of N^m
     clamped to zero for m <= 0 and to the full space for m >= e; each kernel
-    is computed once.  NotNilpotent(message) otherwise."""
+    is computed once.  NotNilpotent otherwise."""
     powers = N.powers()
     if powers is None:
-        raise NotNilpotent(message)
+        raise NotNilpotent("operator is not nilpotent")
     n, e = N.cols, len(powers) - 1
     kernels = ([Subspace.zero(n)] + [p.kernel() for p in powers[1:e]]
                + [Subspace.full(n)])
     return powers, lambda m: kernels[min(max(m, 0), e)]
 
 
-def monodromy_filtration(N: Matrix, center: int = 0) -> IncreasingFiltration:
+@_remembered
+def monodromy_filtration(N: Matrix, center: int) -> IncreasingFiltration:
     """The unique filtration M with N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
     Built from the closed formula M_{c+k} = sum_j Im(N^j) cap Ker(N^{j+k+1});
     both axioms are re-verified before returning.  Memoized per evaluation.
     """
-    return _memoized(_monodromy_filtration, N, center)
-
-
-def _monodromy_filtration(N: Matrix, center: int) -> IncreasingFiltration:
-    powers, ker = _kernel_tower(N, "operator is not nilpotent")
+    powers, ker = _kernel_tower(N)
     n, e = N.cols, len(powers) - 1
     images = [p.image() for p in powers]           # Im N^j
     steps = []
@@ -345,7 +341,7 @@ def _jordan_chain_tops(N: Matrix) -> list[tuple[Row, int]]:
     Tops of length m are a canonical complement basis of
     Ker N^m / (Ker N^{m-1} + N Ker N^{m+1}).
     """
-    powers, ker = _kernel_tower(N, "jordan chains of a non-nilpotent operator")
+    powers, ker = _kernel_tower(N)
     n = N.cols
     tops = []
     for m in range(len(powers) - 1, 0, -1):
@@ -360,6 +356,7 @@ def _jordan_chain_tops(N: Matrix) -> list[tuple[Row, int]]:
     return tops
 
 
+@_remembered
 def relative_monodromy_filtration(N: Matrix,
                                   w: IncreasingFiltration) -> IncreasingFiltration:
     """The filtration M(N, W), or RelativeMonodromyNonexistent.
@@ -372,11 +369,6 @@ def relative_monodromy_filtration(N: Matrix,
     the span of the lifted chains over M'.  The result is re-verified
     against both axioms.  Memoized per evaluation.
     """
-    return _memoized(_relative_monodromy_filtration, N, w)
-
-
-def _relative_monodromy_filtration(N: Matrix, w: IncreasingFiltration
-                                   ) -> IncreasingFiltration:
     if N.powers() is None:
         raise NotNilpotent("operator is not nilpotent")
     if N.cols != w.ambient_dim:
@@ -398,7 +390,7 @@ def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration):
     if n == 0:
         return IncreasingFiltration(0, [])
     if len(jumps) == 1:
-        return monodromy_filtration(N, center=jumps[0])
+        return monodromy_filtration(N, jumps[0])
 
     b = jumps[-1]
     v_sub = w.at(jumps[-2])
@@ -411,10 +403,7 @@ def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration):
 
     top = Subquotient(Subspace.full(n), v_sub)
     n_top = induced_map(N, top, top)
-    try:
-        tops = _jordan_chain_tops(n_top)
-    except NotNilpotent:
-        raise RelativeMonodromyNonexistent("induced operator on top step not nilpotent")
+    tops = _jordan_chain_tops(n_top)
 
     powers = N.powers()
     contributions = []  # (weight level, vector)

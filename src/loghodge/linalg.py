@@ -17,8 +17,8 @@ of the whole space.  Otherwise ``intersect`` reduces the smaller basis by
 the larger and takes the kernel of the residuals.
 
 The evaluation memo lives here, under every other layer: inside an
-``evaluation()`` block each call through ``_memoized``, and so each lattice
-operation marked ``@_remembered``, is computed once per equal input.
+``evaluation()`` block each function marked ``@_remembered``, a lattice
+operation here or a builder above, is computed once per equal input.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextmanager
 def evaluation():
-    """While the block is open, the builders that go through ``_memoized``
+    """While the block is open, the functions marked ``@_remembered``
     remember each result by argument value (a model by identity).
 
     Each is pure and its arguments immutable, so a remembered result is what
@@ -62,21 +62,21 @@ def evaluation():
             _MEMO.reset(token)
 
 
-def _memoized(fn, *args):
-    """fn(*args), looked up by (fn, *args) in the open evaluation's memo."""
-    memo = _MEMO.get()
-    if memo is None:
-        return fn(*args)
-    key = (fn, *args)
-    out = memo.get(key, memo)   # a value never stored, so None can be a result
-    if out is memo:
-        out = memo[key] = fn(*args)
-    return out
-
-
 def _remembered(fn):
-    """fn with every call, positional only, going through _memoized."""
-    return wraps(fn)(lambda *args: _memoized(fn, *args))
+    """fn with every call, positional only, looked up by (fn, *args) in the
+    open evaluation's memo.  A miss runs the wrapper's ``__wrapped__`` as it
+    is at call time, so a patch of that attribute sees every build."""
+    @wraps(fn)
+    def remembered(*args):
+        memo, build = _MEMO.get(), remembered.__wrapped__
+        if memo is None:
+            return build(*args)
+        key = (build, *args)
+        out = memo.get(key, memo)   # a value never stored, so None can be a result
+        if out is memo:
+            out = memo[key] = build(*args)
+        return out
+    return remembered
 
 
 class Row:

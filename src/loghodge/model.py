@@ -32,7 +32,6 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
-    _memoized,
     _remembered,
     combination,
     induced_map,
@@ -103,16 +102,13 @@ class NCModel:
         """A filtration of the total space (W or F) restricted to component ci."""
         return filt.project_to(Subquotient.of(self.component_subspace(ci)))
 
+    @_remembered
     def wj(self, ci: int, branch_set: frozenset) -> IncreasingFiltration:
         """W^J on component ci, built by max branch; memoized per evaluation."""
-        return _memoized(_wj, self, ci, frozenset(branch_set))
-
-
-def _wj(model: NCModel, ci: int, branch_set: frozenset) -> IncreasingFiltration:
-    if not branch_set:
-        return model.on_component(model.weight, ci)
-    j = max(branch_set)
-    return star(model.components[ci].nilpotents[j], model.wj(ci, branch_set - {j}))
+        if not branch_set:
+            return self.on_component(self.weight, ci)
+        j = max(branch_set)
+        return star(self.components[ci].nilpotents[j], self.wj(ci, branch_set - {j}))
 
 
 # -- validation ---------------------------------------------------------------
@@ -169,10 +165,11 @@ def validate(model: NCModel) -> CheckReport:
         report.add("NonCommutingOperators", ok,
                    f"component {ci} operators do not commute")
 
-    # W and F must be direct sums of their component restrictions (as they
-    # are on fewer than two components), and each N_j must preserve W and
-    # lower F by one
-    comps = range(len(model.components))
+    # W and F must be direct sums of their component restrictions, and each
+    # N_j must preserve W and lower F by one.  The components are contiguous
+    # and in order, so a step is the sum of its restrictions exactly when
+    # each row of its RREF basis lies in one component
+    owner = [ci for ci, c in enumerate(model.components) for _ in range(c.dim)]
     for filt, name, letter, row, detail, shift in (
             (model.weight, "Weight", "W", "FiltrationNotPreserved",
              "some N_j does not preserve W", 0),
@@ -181,9 +178,9 @@ def validate(model: NCModel) -> CheckReport:
         if filt is None:
             report.skip("HodgeChecks", "no Hodge filtration")
             continue
-        split_ok = len(comps) < 2 or filt == filtration_sum(
-            [(model.component_positions(ci), model.on_component(filt, ci))
-             for ci in comps], model.total_dim)
+        split_ok = all(len({owner[i] for part in (r.num, r.im or ())
+                            for i, x in enumerate(part) if x}) == 1
+                       for _, sub in filt.steps for r in sub.basis)
         report.add(f"{name}RestrictsToComponents", split_ok,
                    f"{letter} is not a direct sum of component pieces")
         report.add(row, all(
@@ -346,7 +343,7 @@ def imhs_check(model: NCModel) -> CheckReport:
         gr = model.weight.graded_piece(i)
         ops_gr = [induced_map(op, gr, gr) for op in ops]
         n_gr = combination([1] * n_branches, ops_gr, gr.dim, gr.dim)
-        m = monodromy_filtration(n_gr, center=i)
+        m = monodromy_filtration(n_gr, i)
         graded[i] = gr, n_gr, m
         report.add(f"OrbitTIndependence[w={i}]",
                    t_independent(m, ops_gr, IncreasingFiltration.pure(gr.dim, i)),

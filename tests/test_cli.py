@@ -278,17 +278,23 @@ def test_back_to_back_runs_share_no_memo(monkeypatch, capsys):
 
 
 
-def _record_calls(monkeypatch, module, name):
-    """The arguments of every later call to module.name."""
+def _record_calls(monkeypatch, owner, name):
+    """The arguments of every later call to owner.name."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(owner, name)
 
     def recording(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(owner, name, recording)
     return calls
+
+
+def _record_builds(monkeypatch, remembered):
+    """The arguments of every later build, a memo miss, of a remembered
+    function: its wrapper runs __wrapped__ only on a miss."""
+    return _record_calls(monkeypatch, remembered, "__wrapped__")
 
 
 def test_decompose_builds_the_omega_complex_once(tmp_path, monkeypatch,
@@ -299,7 +305,7 @@ def test_decompose_builds_the_omega_complex_once(tmp_path, monkeypatch,
     assert model.total_dim == 4
     path = tmp_path / "pure3-72.json"
     path.write_text(canonical_json(model_to_json(model)))
-    built = _record_calls(monkeypatch, complexes, "_model_complex")
+    built = _record_builds(monkeypatch, complexes._model_complex)
     code, out = run_cli(["decompose", str(path)], capsys)
     assert code == 0 and len(json.loads(out)["results"]) > 1
     assert [args[1:] for args in built] == [("omega", frozenset())]
@@ -313,8 +319,7 @@ def test_decompose_builds_each_primitive_part_once(tmp_path, monkeypatch,
     path = tmp_path / "pure3-72.json"
     path.write_text(canonical_json(model_to_json(
         random_pure_model(3, random.Random(72)))))
-    built = _record_calls(monkeypatch, decomposition,
-                          "_build_primitive_component")
+    built = _record_builds(monkeypatch, decomposition._primitive_component)
     code, out = run_cli(["decompose", str(path)], capsys)
     assert code == 0
     assert len(built) == 48 and len(set(built)) == 48
@@ -324,7 +329,7 @@ def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
     """The closed, support and link batteries of one corpus entry share i^!
     of z (one quotient IC_log(z)/IC), and no complex is built twice."""
     quotients = _record_calls(monkeypatch, complexes, "quotient_complex")
-    built = _record_calls(monkeypatch, complexes, "_model_complex")
+    built = _record_builds(monkeypatch, complexes._model_complex)
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
     assert len(quotients) == 1
     kinds = [args[1:] for args in built]

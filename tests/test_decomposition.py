@@ -35,15 +35,15 @@ RANK1 = model_from_json({
 def test_primitive_part_examples():
     # J2 and RANK1 have one component, so its part is the whole P^J_k
     # empty branch set: the whole graded piece
-    assert _primitive_component(J2, 0, (), 0).dim == 2
-    assert _primitive_component(J2, 0, (), 1).dim == 0
+    assert _primitive_component(J2, 0, (), 0, None).dim == 2
+    assert _primitive_component(J2, 0, (), 1, None).dim == 0
     # Jordan pair: only the coinvariant line survives at the shifted weight
-    assert _primitive_component(J2, 0, (0,), 1).dim == 1
-    assert _primitive_component(J2, 0, (0,), -1).dim == 0
-    assert _primitive_component(J2, 0, (0,), 0).dim == 0
+    assert _primitive_component(J2, 0, (0,), 1, None).dim == 1
+    assert _primitive_component(J2, 0, (0,), -1, None).dim == 0
+    assert _primitive_component(J2, 0, (0,), 0, None).dim == 0
     # the translated-primitive totality forces the trivial line to appear at
     # the raised weight for the trivial system
-    assert [_primitive_component(RANK1, 0, (0,), k).dim
+    assert [_primitive_component(RANK1, 0, (0,), k, None).dim
             for k in (-1, 0, 1)] == [0, 1, 0]
 
 

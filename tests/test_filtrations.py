@@ -98,7 +98,7 @@ def test_monodromy_axioms_on_random_nilpotents():
     for _ in range(25):
         dim = rng.randint(1, 6)
         n = random_nilpotent(dim, rng)
-        m = monodromy_filtration(n, center=rng.randint(-2, 2))
+        m = monodromy_filtration(n, rng.randint(-2, 2))
         w = IncreasingFiltration.pure(dim, 0)
         # centered at 0 it is also the relative filtration over the pure W
         if m == monodromy_filtration(n, 0):
@@ -514,15 +514,12 @@ def test_evaluation_returns_the_remembered_object_without_rref(monkeypatch):
         copy = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         n, w = _mixed_extension()
         del calls[:]
-        assert monodromy_filtration(copy, center=1) is m
+        assert monodromy_filtration(copy, 1) is m
         assert relative_monodromy_filtration(n, w) is r
         assert calls == []
         # a different center is a different input
         assert monodromy_filtration(J3, 2) == m.shift(1)
         assert calls
-    # the defaults and the keyword spelling share one entry
-    with evaluation():
-        assert monodromy_filtration(J2) is monodromy_filtration(J2, center=0)
 
 
 def test_nothing_is_remembered_outside_an_evaluation(monkeypatch):
@@ -634,9 +631,8 @@ _NOT_PRESERVED = IncreasingFiltration(2, [(0, Subspace.span([[0, 1]], 2)),
      IllDefinedInducedMap),
 ])
 def test_a_raising_input_raises_again_inside_an_evaluation(fn, args, error):
-    # a decorated lattice operation keys its undecorated function
-    builder = getattr(fn, "__wrapped__", None) or getattr(filtrations,
-                                                          "_" + fn.__name__)
+    # a remembered function keys its undecorated one
+    builder = fn.__wrapped__
     with evaluation():
         messages = []
         for _ in range(2):
@@ -652,13 +648,14 @@ def test_polarization_reuses_the_orbit_step_monodromy_filtration(monkeypatch):
     that step (1) built at t = (1, ..., 1): inside one evaluation it is never
     built again."""
     built = []
-    real_build = filtrations._monodromy_filtration
+    real_build = filtrations.monodromy_filtration.__wrapped__
 
     def counting_build(n, center):
         built.append((n, center))
         return real_build(n, center)
 
-    monkeypatch.setattr(filtrations, "_monodromy_filtration", counting_build)
+    monkeypatch.setattr(filtrations.monodromy_filtration, "__wrapped__",
+                        counting_build)
     asked = []
     real_polarization = model._polarization_on_graded
 

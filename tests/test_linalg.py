@@ -887,9 +887,10 @@ def test_a_remembered_none_is_not_recomputed():
     def nothing(x):
         calls.append(x)
 
+    remembered = linalg._remembered(nothing)
     with linalg.evaluation():
-        assert linalg._memoized(nothing, 1) is None
-        assert linalg._memoized(nothing, 1) is None
+        assert remembered(1) is None
+        assert remembered(1) is None
     assert calls == [1]
 
 

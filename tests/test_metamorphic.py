@@ -1,10 +1,14 @@
 """Metamorphic relations over generated draws: a rational change of basis
-leaves every basis-free verb's document unchanged, and the cohomology
-profiles of a direct sum are the sums of its summands' profiles."""
+leaves every basis-free verb's document unchanged, a permutation of the
+branches permutes the branch labels of every document and leaves the others
+unchanged, and the cohomology profiles of a direct sum are the sums of its
+summands' profiles."""
 
 import json
 import random
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -55,6 +59,70 @@ def test_a_change_of_basis_leaves_every_basis_free_document_unchanged(
             assert _run(moved_path, variant, capsys) == \
                 _run(model_path, variant, capsys), \
                 (make.__name__, n, seed, variant)
+
+
+# the verbs whose document names branches: imhs's J={...} rows and
+# decompose's J={...} and j=... rows
+NAMES_BRANCHES = {"imhs", "decompose"}
+
+
+def _permuted(model, perm):
+    """The model with branch j renamed perm[j]."""
+    back = [perm.index(k) for k in range(len(perm))]
+    return replace(model, components=tuple(
+        replace(c, alpha=tuple(c.alpha[j] for j in back),
+                nilpotents=tuple(c.nilpotents[j] for j in back))
+        for c in model.components))
+
+
+def _renamed(doc, rename):
+    """doc with each 1-based branch label b in a J={...} or j=... label
+    replaced by rename(b), and every list of objects sorted, since a
+    renaming reorders the rows it labels."""
+    if isinstance(doc, dict):
+        return {k: _renamed(v, rename) for k, v in doc.items()}
+    if isinstance(doc, list):
+        items = [_renamed(v, rename) for v in doc]
+        if all(isinstance(v, dict) for v in items):
+            items.sort(key=lambda v: json.dumps(v, sort_keys=True))
+        return items
+    if isinstance(doc, str):
+        doc = re.sub(r"J=\{([\d,]*)\}", lambda m: "J={%s}" % ",".join(
+            map(str, sorted(rename(int(b)) for b in m[1].split(",") if b))),
+            doc)
+        return re.sub(r"(?<=[,\[])j=(\d+)",
+                      lambda m: f"j={rename(int(m[1]))}", doc)
+    return doc
+
+
+@pytest.mark.parametrize("make", [random_pure_model, random_imhs_model],
+                         ids=["pure", "imhs"])
+@pytest.mark.parametrize("n, perms", [(2, [(1, 0)]),
+                                      (3, [(2, 1, 0), (1, 2, 0)])],
+                         ids=["n2", "n3"])
+def test_a_permutation_of_the_branches_permutes_every_document(
+        make, n, perms, tmp_path, capsys):
+    """perm renames branch j (0-based) perm[j]: --z follows it, the labels
+    of the permuted model's document map back under its inverse, and a
+    document that names no branch is unchanged."""
+    model_path, moved_path = tmp_path / "model.json", tmp_path / "moved.json"
+    for seed in range(4):
+        model = make(n, random.Random(seed), max_dim=MAX_DIM)
+        model_path.write_text(canonical_json(model_to_json(model)))
+        wants = [_run(model_path, variant, capsys) for variant in BASIS_FREE]
+        for perm in perms:
+            moved_path.write_text(canonical_json(model_to_json(
+                _permuted(model, perm))))
+            for variant, (code, doc) in zip(BASIS_FREE, wants):
+                moved = [str(perm[int(a) - 1] + 1) if prev == "--z" else a
+                         for prev, a in zip([None] + variant, variant)]
+                got = _run(moved_path, moved, capsys)
+                if variant[0] in NAMES_BRANCHES:
+                    doc = _renamed(doc, lambda b: b)
+                    got = got[0], _renamed(got[1],
+                                           lambda b: perm.index(b - 1) + 1)
+                assert got == (code, doc), (make.__name__, n, seed, perm,
+                                            variant)
 
 
 def _profiles(model):

@@ -22,6 +22,7 @@ from loghodge.generate import (
     random_imhs_model,
     random_pure_model,
     random_spectral_model,
+    random_unimodular,
 )
 from loghodge.linalg import Matrix
 from loghodge.model import (
@@ -35,7 +36,7 @@ from loghodge.model import (
     model_to_json,
     validate,
 )
-from loghodge.scalars import Scalar
+from loghodge.scalars import I, Scalar
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from side_ops import unipotent_part
@@ -112,6 +113,65 @@ def test_validate_flags_a_filtration_that_does_not_split(w0, f1, weight_ok,
         ("pass" if weight_ok else "fail")
     assert rows["HodgeRestrictsToComponents"] == \
         ("pass" if hodge_ok else "fail")
+
+
+def _splits(model, filt):
+    """The reference: filt is the filtration_sum of its restrictions to the
+    components (trivially so on fewer than two)."""
+    comps = range(len(model.components))
+    return len(comps) < 2 or filt == filtrations.filtration_sum(
+        [(model.component_positions(ci), model.on_component(filt, ci))
+         for ci in comps], model.total_dim)
+
+
+def _restriction_variants(model, rng):
+    """model, then copies with W and F moved across the whole space by a
+    matrix over Z[i], and with F^1 spanned by one Gaussian vector inside
+    each component (it splits) or by their sum (it does not, on two
+    components or more)."""
+    total = model.total_dim
+    twist = Matrix([[int(r == c) + (I if (r, c) == (0, total - 1) else 0)
+                     for c in range(total)] for r in range(total)])
+    g = random_unimodular(total, rng) * twist
+    yield model
+    yield dataclasses.replace(model, **{
+        name: type(f)(total, [(i, g.image(s)) for i, s in f.steps])
+        for name, f in (("weight", model.weight), ("hodge", model.hodge))
+        if f is not None})
+    vecs = [[rng.randint(1, 3) + rng.randint(-2, 2) * I if i in pos else 0
+             for i in range(total)]
+            for pos in map(model.component_positions,
+                           range(len(model.components)))]
+    for span in (vecs, [[sum(col) for col in zip(*vecs)]]):
+        yield dataclasses.replace(model, hodge=filtrations.DecreasingFiltration(
+            total, [(1, linalg.Subspace.span(span, total)),
+                    (2, linalg.Subspace.zero(total))]))
+
+
+def test_restriction_rows_agree_with_summing_the_component_restrictions():
+    """validate's two RestrictsToComponents rows, which read the stored
+    rows, agree with the reference on spectral draws and on variants of
+    them whose W or F have imaginary rows."""
+    seen = collections.Counter()
+    for n in range(4):
+        for seed in range(10):
+            rng = random.Random(seed)
+            model = random_spectral_model(n, rng)
+            for moved in _restriction_variants(model, rng):
+                rows = {c.name: c.status for c in validate(moved).checks}
+                for name, f in (("Weight", moved.weight),
+                                ("Hodge", moved.hodge)):
+                    if f is None:
+                        continue
+                    ok = _splits(moved, f)
+                    row = f"{name}RestrictsToComponents"
+                    assert rows[row] == ("pass" if ok else "fail"), \
+                        (n, seed, row)
+                    imaginary = any(r.im for _, s in f.steps for r in s.basis)
+                    seen[ok, imaginary, len(moved.components) > 1] += 1
+    # both verdicts, on several components, with and without imaginary rows
+    assert all(seen[ok, im, True] for ok in (True, False)
+               for im in (True, False)), seen
 
 
 def test_validate_passes_a_model_with_no_component():
@@ -572,20 +632,21 @@ def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
             return real(*args)
         return call
 
-    for fname in ("_monodromy_filtration", "_relative_monodromy_filtration"):
-        monkeypatch.setattr(filtrations, fname,
-                            counting(fname, getattr(filtrations, fname)))
+    for fname in ("monodromy_filtration", "relative_monodromy_filtration"):
+        build = getattr(filtrations, fname)
+        monkeypatch.setattr(build, "__wrapped__",
+                            counting(fname, build.__wrapped__))
     monkeypatch.setattr(loghodge.model, "axioms_in_t",
                         counting("axioms_in_t", filtrations.axioms_in_t))
     monkeypatch.setattr(NCModel, "nilpotent_sum",
                         counting("nilpotent_sum", NCModel.nilpotent_sum))
     for name, counts in (
             ("gen_pure_n3", {"nilpotent_sum": 7, "axioms_in_t": 5,
-                             "_monodromy_filtration": 8,
-                             "_relative_monodromy_filtration": 7}),
+                             "monodromy_filtration": 8,
+                             "relative_monodromy_filtration": 7}),
             ("jordan2_weight1", {"nilpotent_sum": 1,
-                                 "_monodromy_filtration": 2,
-                                 "_relative_monodromy_filtration": 1})):
+                                 "monodromy_filtration": 2,
+                                 "relative_monodromy_filtration": 1})):
         calls.clear()
         instance = loghodge.model.load_model(str(CORPUS / f"{name}.json"))
         assert imhs_check(instance).passed

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 from functools import cache
@@ -26,10 +27,12 @@ from .model import canonical_json, imhs_check, load_model, validate
 def _parse_z(text, model):
     if not text:
         return frozenset()
-    try:
-        idx = [int(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise ParseError(f"--z must be comma-separated integers: {exc}") from exc
+    entries = text.split(",")
+    for t in entries:
+        if not re.fullmatch("0|[1-9][0-9]*", t):    # int() reads more: +1, 1_0
+            raise ParseError("--z must be comma-separated integers: "
+                             f"invalid literal for int() with base 10: {t!r}")
+    idx = list(map(int, entries))
     for j in idx:
         if not 1 <= j <= model.branches:
             raise ParseError(f"branch index {j} out of range 1..{model.branches}")
@@ -168,6 +171,8 @@ def run_duality(model, args):
 
 
 def run_corpus(args):
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1: {args.jobs}")
     root = Path(args.input)
     if not root.is_dir():
         raise ParseError(f"corpus path {root} is not a directory")

@@ -2,9 +2,10 @@
 
 Increasing filtrations are stored by their jump steps only, in canonical
 form, so equality of filtrations is equality of representations.  The
-relative monodromy filtration is constructed recursively over the top
-weight step.  Both builders re-verify their result with the one membership
-test of the axioms, ``axioms_in_t`` on the graded blocks of the operators
+relative monodromy filtration is built in one pass up the jumps of W, in
+the ambient coordinates, from Jordan chains lifted out of each graded
+piece.  Both builders re-verify their result with the one membership test
+of the axioms, ``axioms_in_t`` on the graded blocks of the operators
 (``check_relative_axioms`` at one operator, W(N) as M(N, W) over a pure W),
 which holds for a filtration exactly when the builder returns it.
 
@@ -361,77 +362,51 @@ def relative_monodromy_filtration(N: Matrix,
                                   w: IncreasingFiltration) -> IncreasingFiltration:
     """The filtration M(N, W), or RelativeMonodromyNonexistent.
 
-    Construction: recurse on the top weight step.  On the pure top quotient
-    the monodromy filtration of the induced operator is spanned by Jordan
-    chains; each chain top of length m is lifted to x with N^m x inside
-    M'_{b-m-1} of the recursively built filtration on the step below (a
-    solvable linear condition exactly when M exists), and the candidate is
-    the span of the lifted chains over M'.  The result is re-verified
-    against both axioms.  Memoized per evaluation.
+    Over a pure W it is W(N), from the closed formula.  Otherwise it is built
+    in one pass up the jumps b of W, in the ambient coordinates: each chain
+    top of length m of the N induced on Gr^W_b is lifted to x in W_b with
+    N^m x in M_{b-m-1}, the span of the chains lifted below b at levels
+    <= b - m - 1 (Steenbrink-Zucker 1985; a solvable linear condition at
+    every b exactly when M exists).  The chain vector N^j x sits at level
+    b + m - 1 - 2j, and M_k is the span of the chain vectors at levels <= k.
+    The result is re-verified against both axioms.  Memoized per evaluation.
     """
-    if N.powers() is None:
+    powers, n, jumps = N.powers(), w.ambient_dim, w.jumps()
+    if powers is None:
         raise NotNilpotent("operator is not nilpotent")
-    if N.cols != w.ambient_dim:
+    if N.cols != n:
         raise ShapeError("operator and filtration live on different spaces")
     if w.first_violation(N, w) is not None:
         raise FiltrationNotPreserved("N does not preserve the weight filtration")
-    m = _relative_monodromy_rec(N, w)
+    if len(jumps) == 1:
+        m = monodromy_filtration(N, jumps[0])
+    else:
+        chains = []     # (level, vector) of every chain lifted so far
+        for b in jumps:
+            gr, below = w.graded_piece(b), w.at(b - 1)
+            lifted = []     # joins chains after b: a target holds lower steps
+            for top, length in _jordan_chain_tops(induced_map(N, gr, gr)):
+                x = gr.lift(top)
+                target = Subspace.span(
+                    [v for k, v in chains if k <= b - length - 1], n)
+                gens = [*target.basis, *powers[length].apply_all(below.basis)]
+                coeffs = Matrix(gens, cols=n).transpose().solve(powers[length](x))
+                if coeffs is None:
+                    raise RelativeMonodromyNonexistent(
+                        f"no admissible lift for a chain of length {length} "
+                        f"over weight {b}")
+                x = x - below.from_coords(coeffs[target.dim:])
+                lifted += [(b + length - 1 - 2 * j, powers[j](x))
+                           for j in range(length)]
+            chains += lifted
+        m = IncreasingFiltration(n, [
+            (level, Subspace.span([v for k, v in chains if k <= level], n))
+            for level in {k for k, _ in chains}])
     if not check_relative_axioms(m, N, w):
         raise RelativeMonodromyNonexistent(
             "constructed candidate fails the relative monodromy axioms"
         )
     return m
-
-
-def _relative_monodromy_rec(N: Matrix, w: IncreasingFiltration):
-    """M(N, W) before verification."""
-    n = w.ambient_dim
-    jumps = w.jumps()
-    if n == 0:
-        return IncreasingFiltration(0, [])
-    if len(jumps) == 1:
-        return monodromy_filtration(N, jumps[0])
-
-    b = jumps[-1]
-    v_sub = w.at(jumps[-2])
-    # restriction to the part below the top weight, in V-coordinates
-    v_part = Subquotient.of(v_sub)
-    inclusion = Matrix(v_sub.basis, cols=n).transpose()
-    nv = induced_map(N, v_part, v_part)
-    wv = w.project_to(v_part)
-    m_below = _relative_monodromy_rec(nv, wv)
-
-    top = Subquotient(Subspace.full(n), v_sub)
-    n_top = induced_map(N, top, top)
-    tops = _jordan_chain_tops(n_top)
-
-    powers = N.powers()
-    contributions = []  # (weight level, vector)
-    for vbar, length in tops:
-        x0 = top.lift(vbar)
-        tail = powers[length](x0)
-        target_m = inclusion.image(m_below.at(b - length - 1))
-        gens = list(target_m.basis) + [powers[length](u) for u in v_sub.basis]
-        coeffs = Matrix(gens, cols=n).transpose().solve(tail)
-        if coeffs is None:
-            raise RelativeMonodromyNonexistent(
-                f"no admissible lift for a chain of length {length} over weight {b}"
-            )
-        corr = v_sub.from_coords(coeffs[target_m.dim:])
-        x = x0 - corr
-        for j in range(length):
-            contributions.append((b + length - 1 - 2 * j, powers[j](x)))
-
-    lo = min([m_below.lowest()] + [lv for lv, _ in contributions]) - 1
-    hi = max([m_below.highest()] + [lv for lv, _ in contributions]) + 1
-    steps = []
-    for k in range(lo, hi + 1):
-        acc = inclusion.image(m_below.at(k))
-        vecs = [vec for lv, vec in contributions if lv <= k]
-        if vecs:
-            acc = acc.sum(Subspace.span(vecs, n))
-        steps.append((k, acc))
-    return IncreasingFiltration(n, steps)
 
 
 # -- star ------------------------------------------------------------------

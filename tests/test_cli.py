@@ -211,6 +211,13 @@ TWO_BRANCHES = CORPUS / "gen_pure_n2.json"
      "branch index 3 out of range 1..2"),
     (["star", "--branch", "3"], "--branch 3 out of range"),
     (["intersect"], "intersect needs a nonempty --z"),
+    # every entry is 0 or a decimal without a leading zero, in ASCII digits
+    *[(["cohomology", "--complex", "iclog", "--z", z],
+       "--z must be comma-separated integers: "
+       f"invalid literal for int() with base 10: {bad!r}")
+      for z, bad in (("\u0661", "\u0661"), ("1_0", "1_0"), (" 1", " 1"),
+                     ("+1", "+1"), ("01", "01"), ("1,,2", ""), ("2,", ""),
+                     (",", ""))],
 ])
 def test_bad_branch_arguments_exit_two(argv, error, capsys):
     code, out = run_cli(argv + [str(TWO_BRANCHES)], capsys)
@@ -228,6 +235,15 @@ def test_corpus_needs_a_directory_of_instances(tmp_path, capsys):
     code, out = run_cli(["corpus", str(tmp_path)], capsys)
     assert code == 2
     assert json.loads(out)["error"] == f"no instances found in {tmp_path}"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_corpus_refuses_jobs_below_one(jobs, capsys):
+    code, out = run_cli(["corpus", "--jobs", jobs, str(CORPUS)], capsys)
+    assert code == 2
+    assert json.loads(out) == {"instance": str(CORPUS), "verb": "corpus",
+                               "verdict": "error",
+                               "error": f"--jobs must be at least 1: {jobs}"}
 
 
 def test_corpus_fails_an_instance_without_its_expected_report(tmp_path, capsys):

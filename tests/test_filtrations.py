@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import pathlib
 import random
 import re
@@ -729,10 +731,11 @@ def test_check_relative_axioms_over_a_pure_w_holds_exactly_for_w_of_n(seed):
     assert check_relative_axioms(m, n, IncreasingFiltration.pure(dim, center))
 
 
-def _flag_model(rng, count=1):
-    """count nilpotents N preserving a random W, and W: a strictly upper
-    triangular U preserves the coordinate flag, and g carries both to
-    N = g U g^-1 and W = g(flag), with random weights on the flag steps."""
+def _flag_model(rng, count=1, steps=3):
+    """count nilpotents N preserving a random W of at most steps steps, and
+    W: a strictly upper triangular U preserves the coordinate flag, and g
+    carries both to N = g U g^-1 and W = g(flag), with random weights on the
+    flag steps."""
     dim = rng.randint(1, 6)
 
     def upper():
@@ -740,7 +743,8 @@ def _flag_model(rng, count=1):
                        for i in range(dim)])
     u = upper()
     g = random_nilpotent(dim, rng) + Matrix.identity(dim)   # unipotent
-    cuts = sorted(rng.sample(range(1, dim), rng.randint(0, min(2, dim - 1))))
+    cuts = sorted(rng.sample(range(1, dim),
+                             rng.randint(0, min(steps - 1, dim - 1))))
     weights = sorted(rng.sample(range(-2, 3), len(cuts) + 1))
     cols = g.transpose().entries                  # g e_j, the columns of g
     w = IncreasingFiltration(dim, [
@@ -748,6 +752,42 @@ def _flag_model(rng, count=1):
         for wt, end in zip(weights, cuts + [dim])])
     us = [u] + [upper() for _ in range(count - 1)]
     return (*(g * x * g.inverse() for x in us), w)
+
+
+# sha256 of M(N, W), or its error type and message, on the 1000 flags of
+# test_relative_monodromy_on_seeded_flags_keeps_its_digest; it pins every
+# step basis and every message, so a new construction must reproduce them
+_SEEDED_FLAGS_DIGEST = \
+    "664aa7c865fde7fbdd4e2b1a88fed7183b4354d94423305787b1b97bfef013b2"
+
+
+def test_relative_monodromy_on_seeded_flags_keeps_its_digest():
+    """W with 1-4 steps on a space of dimension 1-6, N = g U g^-1 with U
+    strictly upper triangular, so N preserves W: M(N, W) exists on 623 of
+    them, and on the other 377 a lift fails, on 187 below the top step."""
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        n, w = _flag_model(rng, steps=4)
+        try:
+            out = json.dumps(relative_monodromy_filtration(n, w).to_json())
+        except LogHodgeError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == _SEEDED_FLAGS_DIGEST
+
+
+def test_a_lift_that_fails_at_the_middle_step_names_its_weight():
+    """e1, e2, e3 at weights 3, 4, 6 and N = J3 (N e3 = e2, N e2 = e1): over
+    weight 4 the chain top e2 needs a lift x = e2 + c e1 with N x in M_2 = 0
+    of the pure line at weight 3, but N x = e1 for every c."""
+    w = IncreasingFiltration(3, [(3, Subspace.span([[1, 0, 0]], 3)),
+                                 (4, Subspace.span([[1, 0, 0], [0, 1, 0]], 3)),
+                                 (6, Subspace.full(3))])
+    with pytest.raises(RelativeMonodromyNonexistent) as info:
+        relative_monodromy_filtration(J3, w)
+    assert str(info.value) == \
+        "no admissible lift for a chain of length 1 over weight 4"
 
 
 def _m_candidates(ops, w, built, rng):

@@ -39,6 +39,16 @@ def _parse_z(text, model):
     return frozenset(j - 1 for j in idx)
 
 
+def _parse_int_options(args):
+    """--k, --branch and --jobs as ints, each 0 or ASCII digits without a
+    leading zero, maybe negative: int() reads more, as _parse_z says."""
+    for name in ("k", "branch", "jobs"):
+        text = getattr(args, name)
+        if text is not None and not re.fullmatch("0|-?[1-9][0-9]*", text):
+            raise ParseError(f"--{name} must be an integer: {text!r}")
+        setattr(args, name, None if text is None else int(text))
+
+
 def _purity_cohomology(model, mode, z):
     if mode == "link":  # from H(i^!) and H(i^*); z is empty when n = 0
         return cx.link_cohomology(*(cx.cohomology(cx.build_complex(model, kind, z))
@@ -275,11 +285,11 @@ def build_parser():
                     help="comma-separated 1-based branch indices")
     ap.add_argument("--complex", default="omega",
                     choices=["omega", "ic", "iclog"])
-    ap.add_argument("--k", type=int, default=None)
+    ap.add_argument("--k", default=None)
     ap.add_argument("--mode", default="closed", choices=list(dec.MODES))
-    ap.add_argument("--branch", type=int, default=1)
+    ap.add_argument("--branch", default="1")
     ap.add_argument("--format", default="json", choices=["json", "text"])
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", default="1")
     return ap
 
 
@@ -301,6 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     doc = {"instance": args.input, "verb": args.verb}
     try:
+        _parse_int_options(args)
         if args.verb == "corpus":
             results, passed = run_corpus(args)
         else:

@@ -2,12 +2,12 @@
 
 Increasing filtrations are stored by their jump steps only, in canonical
 form, so equality of filtrations is equality of representations.  The
-relative monodromy filtration is built in one pass up the jumps of W, in
-the ambient coordinates, from Jordan chains lifted out of each graded
-piece.  Both builders re-verify their result with the one membership test
-of the axioms, ``axioms_in_t`` on the graded blocks of the operators
-(``check_relative_axioms`` at one operator, W(N) as M(N, W) over a pure W),
-which holds for a filtration exactly when the builder returns it.
+relative monodromy filtration M(N, W) is built in one pass up the jumps of
+W, in the ambient coordinates, from Jordan chains lifted out of each graded
+piece; W(N) is M(N, W) over a pure W.  The builder re-verifies its result
+with the one membership test of the axioms, ``axioms_in_t`` on the graded
+blocks of the operators (``check_relative_axioms`` at one operator), which
+holds for a filtration exactly when the builder returns it.
 
 The monodromy and relative monodromy builders and ``graded_piece`` are
 ``@_remembered`` in the evaluation memo of ``linalg``, so inside an
@@ -255,40 +255,12 @@ def filtration_sum(parts, total: int):
 
 # -- monodromy filtrations --------------------------------------------------
 
-def _kernel_tower(N: Matrix):
-    """The powers N^0..N^e of N, N^e = 0, and ker(m), the kernel of N^m
-    clamped to zero for m <= 0 and to the full space for m >= e; each kernel
-    is computed once.  NotNilpotent otherwise."""
-    powers = N.powers()
-    if powers is None:
-        raise NotNilpotent("operator is not nilpotent")
-    n, e = N.cols, len(powers) - 1
-    kernels = ([Subspace.zero(n)] + [p.kernel() for p in powers[1:e]]
-               + [Subspace.full(n)])
-    return powers, lambda m: kernels[min(max(m, 0), e)]
-
-
 @_remembered
 def monodromy_filtration(N: Matrix, center: int) -> IncreasingFiltration:
-    """The unique filtration M with N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
-
-    Built from the closed formula M_{c+k} = sum_j Im(N^j) cap Ker(N^{j+k+1});
-    both axioms are re-verified before returning.  Memoized per evaluation.
-    """
-    powers, ker = _kernel_tower(N)
-    n, e = N.cols, len(powers) - 1
-    images = [p.image() for p in powers]           # Im N^j
-    steps = []
-    for k in range(-e, e + 1):
-        acc = Subspace.zero(n)
-        for j in range(e + 1):
-            acc = acc.sum(images[j].intersect(ker(j + k + 1)))
-        steps.append((center + k, acc))
-    m = IncreasingFiltration(n, steps)
-    # W(N) of a nilpotent N exists, so a failure here is a bug
-    if not check_relative_axioms(m, N, IncreasingFiltration.pure(n, center)):
-        raise AssertionError("the closed formula for W(N) fails its axioms")
-    return m
+    """The unique filtration M with N M_i <= M_{i-2} and N^k: Gr_{c+k} ~ Gr_{c-k}:
+    M(N, W) over W pure of weight c.  Memoized per evaluation."""
+    return relative_monodromy_filtration(
+        N, IncreasingFiltration.pure(N.cols, center))
 
 
 @_remembered
@@ -336,22 +308,22 @@ def axioms_in_t(m: IncreasingFiltration, ops: Sequence[Matrix],
     return all(map(holds, ts))
 
 
-def _jordan_chain_tops(N: Matrix) -> list[tuple[Row, int]]:
-    """Chain tops (v, m) with N^m v = 0: translates N^j v form a basis.
-
-    Tops of length m are a canonical complement basis of
-    Ker N^m / (Ker N^{m-1} + N Ker N^{m+1}).
-    """
-    powers, ker = _kernel_tower(N)
-    n = N.cols
-    tops = []
-    for m in range(len(powers) - 1, 0, -1):
-        space = ker(m)
-        lower = ker(m - 1).sum(N.image(ker(m + 1)))
-        sq = Subquotient(space, lower.intersect(space))
-        tops.extend((v, m) for v in sq.lifts.basis)
+def _jordan_chain_tops(N: Matrix) -> dict[int, tuple[Row, ...]]:
+    """The chain tops of a nilpotent N by their length m, for each m that has
+    one: a canonical complement basis of Ker N^m / (Ker N^{m-1} + N Ker N^{m+1}).
+    The translates N^j v, j < m, of the tops v form a basis."""
+    powers = N.powers()
+    n, e = N.cols, len(powers) - 1
+    kernels = ([Subspace.zero(n)] + [p.kernel() for p in powers[1:e]]
+               + [Subspace.full(n)] * 2)        # Ker N^m at m = 0..e+1
+    tops = {}
+    for m in range(e, 0, -1):
+        lower = kernels[m - 1].sum(N.image(kernels[m + 1]))
+        if basis := Subquotient(kernels[m], lower).lifts.basis:
+            tops[m] = basis
     # sanity: translates form a basis of the whole space
-    translates = [powers[j](v) for v, m in tops for j in range(m)]
+    translates = [powers[j](v) for m, vs in tops.items() for v in vs
+                  for j in range(m)]
     if Subspace.span(translates, n).dim != n:
         raise AssertionError("jordan chain construction failed to span")
     return tops
@@ -360,16 +332,15 @@ def _jordan_chain_tops(N: Matrix) -> list[tuple[Row, int]]:
 @_remembered
 def relative_monodromy_filtration(N: Matrix,
                                   w: IncreasingFiltration) -> IncreasingFiltration:
-    """The filtration M(N, W), or RelativeMonodromyNonexistent.
-
-    Over a pure W it is W(N), from the closed formula.  Otherwise it is built
-    in one pass up the jumps b of W, in the ambient coordinates: each chain
-    top of length m of the N induced on Gr^W_b is lifted to x in W_b with
-    N^m x in M_{b-m-1}, the span of the chains lifted below b at levels
-    <= b - m - 1 (Steenbrink-Zucker 1985; a solvable linear condition at
-    every b exactly when M exists).  The chain vector N^j x sits at level
-    b + m - 1 - 2j, and M_k is the span of the chain vectors at levels <= k.
-    The result is re-verified against both axioms.  Memoized per evaluation.
+    """The filtration M(N, W), or RelativeMonodromyNonexistent; W(N) over a
+    pure W.  Built in one pass up the jumps b of W, in the ambient
+    coordinates: each chain top of length m of the N induced on Gr^W_b is
+    lifted to x in W_b with N^m x in M_{b-m-1}, the span of the chains
+    lifted below b at levels <= b - m - 1 (Steenbrink-Zucker 1985; a
+    solvable linear condition at every b exactly when M exists), one system
+    per (b, m).  The chain vector N^j x sits at level b + m - 1 - 2j, and
+    M_k is the span of the chain vectors at levels <= k.  The result is
+    re-verified against both axioms.  Memoized per evaluation.
     """
     powers, n, jumps = N.powers(), w.ambient_dim, w.jumps()
     if powers is None:
@@ -378,19 +349,17 @@ def relative_monodromy_filtration(N: Matrix,
         raise ShapeError("operator and filtration live on different spaces")
     if w.first_violation(N, w) is not None:
         raise FiltrationNotPreserved("N does not preserve the weight filtration")
-    if len(jumps) == 1:
-        m = monodromy_filtration(N, jumps[0])
-    else:
-        chains = []     # (level, vector) of every chain lifted so far
-        for b in jumps:
-            gr, below = w.graded_piece(b), w.at(b - 1)
-            lifted = []     # joins chains after b: a target holds lower steps
-            for top, length in _jordan_chain_tops(induced_map(N, gr, gr)):
-                x = gr.lift(top)
-                target = Subspace.span(
-                    [v for k, v in chains if k <= b - length - 1], n)
-                gens = [*target.basis, *powers[length].apply_all(below.basis)]
-                coeffs = Matrix(gens, cols=n).transpose().solve(powers[length](x))
+    chains = []     # (level, vector) of every chain lifted so far
+    for b in jumps:
+        gr, below = w.graded_piece(b), w.at(b - 1)
+        lifted = []     # joins chains after b: a target holds lower steps
+        for length, tops in _jordan_chain_tops(induced_map(N, gr, gr)).items():
+            target = Subspace.span(
+                [v for k, v in chains if k <= b - length - 1], n)
+            gens = [*target.basis, *powers[length].apply_all(below.basis)]
+            system = Matrix(gens, cols=n).transpose()
+            for x in map(gr.lift, tops):
+                coeffs = system.solve(powers[length](x))
                 if coeffs is None:
                     raise RelativeMonodromyNonexistent(
                         f"no admissible lift for a chain of length {length} "
@@ -398,14 +367,15 @@ def relative_monodromy_filtration(N: Matrix,
                 x = x - below.from_coords(coeffs[target.dim:])
                 lifted += [(b + length - 1 - 2 * j, powers[j](x))
                            for j in range(length)]
-            chains += lifted
-        m = IncreasingFiltration(n, [
-            (level, Subspace.span([v for k, v in chains if k <= level], n))
-            for level in {k for k, _ in chains}])
+        chains += lifted
+    m = IncreasingFiltration(n, [
+        (level, Subspace.span([v for k, v in chains if k <= level], n))
+        for level in {k for k, _ in chains}])
     if not check_relative_axioms(m, N, w):
+        if len(jumps) == 1:     # W(N) of a nilpotent N exists: a bug
+            raise AssertionError("W(N) fails its axioms")
         raise RelativeMonodromyNonexistent(
-            "constructed candidate fails the relative monodromy axioms"
-        )
+            "constructed candidate fails the relative monodromy axioms")
     return m
 
 

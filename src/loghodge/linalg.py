@@ -297,10 +297,6 @@ class Matrix:
             self._hash = hash((self.rows, self.cols, self.entries))
         return self._hash
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def _column_form(self):
         """(den, real columns, imaginary columns or None when every row is
         rational): the numerators of the columns over one denominator."""

@@ -165,11 +165,17 @@ def validate(model: NCModel) -> CheckReport:
         report.add("NonCommutingOperators", ok,
                    f"component {ci} operators do not commute")
 
-    # W and F must be direct sums of their component restrictions, and each
-    # N_j must preserve W and lower F by one.  The components are contiguous
-    # and in order, so a step is the sum of its restrictions exactly when
-    # each row of its RREF basis lies in one component
+    # W, F and S must be direct sums of their component restrictions, and
+    # each N_j must preserve W and lower F by one.  The components are
+    # contiguous and in order, so a step is the sum of its restrictions
+    # exactly when each row of its RREF basis lies in one component, and S
+    # when each of its rows lies in its own coordinate's component
     owner = [ci for ci, c in enumerate(model.components) for _ in range(c.dim)]
+
+    def owners(r):      # the components where the Row r is nonzero
+        return {owner[i] for part in (r.num, r.im or ())
+                for i, x in enumerate(part) if x}
+
     for filt, name, letter, row, detail, shift in (
             (model.weight, "Weight", "W", "FiltrationNotPreserved",
              "some N_j does not preserve W", 0),
@@ -178,8 +184,7 @@ def validate(model: NCModel) -> CheckReport:
         if filt is None:
             report.skip("HodgeChecks", "no Hodge filtration")
             continue
-        split_ok = all(len({owner[i] for part in (r.num, r.im or ())
-                            for i, x in enumerate(part) if x}) == 1
+        split_ok = all(len(owners(r)) == 1
                        for _, sub in filt.steps for r in sub.basis)
         report.add(f"{name}RestrictsToComponents", split_ok,
                    f"{letter} is not a direct sum of component pieces")
@@ -203,11 +208,8 @@ def validate(model: NCModel) -> CheckReport:
                 nj.transpose() * s + s * nj == Matrix.zero(n, n)
                 for nj in map(model.nilpotent, range(model.branches))),
                 "some N_j is not an infinitesimal isometry of S")
-            pos = model.component_positions
-            report.add("PairingRestrictsToComponents", not any(
-                s[r, c] for ci, cj in itertools.permutations(
-                    range(len(model.components)), 2)
-                for r in pos(ci) for c in pos(cj)),
+            report.add("PairingRestrictsToComponents", all(
+                owners(r) <= {owner[i]} for i, r in enumerate(s.entries)),
                 "S pairs distinct components")
     else:
         report.skip("PairingChecks", "no pairing")

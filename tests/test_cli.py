@@ -218,6 +218,15 @@ TWO_BRANCHES = CORPUS / "gen_pure_n2.json"
       for z, bad in (("\u0661", "\u0661"), ("1_0", "1_0"), (" 1", " 1"),
                      ("+1", "+1"), ("01", "01"), ("1,,2", ""), ("2,", ""),
                      (",", ""))],
+    # --branch, --k and --jobs take the same spellings, maybe negative; they
+    # are read before the instance, so corpus names no directory here
+    *[([verb, option, text], f"{option} must be an integer: {text!r}")
+      for verb, option, text in (("star", "--branch", "\u0661"),
+                                 ("star", "--branch", " +1"),
+                                 ("decompose", "--k", "1_0"),
+                                 ("decompose", "--k", "-0"),
+                                 ("corpus", "--jobs", "\u0662"),
+                                 ("corpus", "--jobs", "2.0"))],
 ])
 def test_bad_branch_arguments_exit_two(argv, error, capsys):
     code, out = run_cli(argv + [str(TWO_BRANCHES)], capsys)
@@ -640,8 +649,9 @@ def test_internal_error_exits_three_with_one_json_document(monkeypatch,
 
 
 def test_a_w_of_n_failing_its_axioms_exits_three(monkeypatch, capsys):
-    """W(N) of a nilpotent N always exists, so a closed-formula W(N) that
-    fails the re-verification is a bug, never a property of the instance."""
+    """W(N) of a nilpotent N always exists, so a W(N), which is M(N, W) over
+    a pure W, that fails the re-verification is a bug, never a property of
+    the instance."""
     monkeypatch.setattr(filtrations, "check_relative_axioms",
                         lambda *args: False)
     code = main(["imhs", str(J2)])
@@ -649,8 +659,7 @@ def test_a_w_of_n_failing_its_axioms_exits_three(monkeypatch, capsys):
     assert code == 3
     assert json.loads(captured.out) == {
         "instance": str(J2), "verb": "imhs", "verdict": "error",
-        "error": "internal error: AssertionError: "
-                 "the closed formula for W(N) fails its axioms"}
+        "error": "internal error: AssertionError: W(N) fails its axioms"}
 
 
 # stdout sha256 and exit code of the verbs the corpus verb does not replay,

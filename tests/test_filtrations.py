@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loghodge import filtrations, linalg, model
+from loghodge import filtrations, generate, linalg, model
 from loghodge.errors import (
     FiltrationNotPreserved,
     IllDefinedInducedMap,
@@ -729,6 +729,59 @@ def test_check_relative_axioms_over_a_pure_w_holds_exactly_for_w_of_n(seed):
             assert check_relative_axioms(cand, op, pure) == (cand == built), \
                 (cand, c)
     assert check_relative_axioms(m, n, IncreasingFiltration.pure(dim, center))
+
+
+def _closed_formula_w_of_n(n: Matrix, center: int) -> IncreasingFiltration:
+    """The oracle: M_{c+k} = sum_j Im N^j cap Ker N^{j+k+1} (Deligne, Weil II
+    1.6.1), with Ker N^m read at m clamped to 0..e, N^e = 0."""
+    powers = n.powers()
+    e = len(powers) - 1
+    kernels = [p.kernel() for p in powers]
+    images = [p.image() for p in powers]
+    steps = []
+    for k in range(-e, e + 1):
+        acc = Subspace.zero(n.cols)
+        for j in range(e + 1):
+            acc = acc.sum(images[j].intersect(kernels[min(max(j + k + 1, 0), e)]))
+        steps.append((center + k, acc))
+    return IncreasingFiltration(n.cols, steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       seed=st.integers(0, 10 ** 6), center=st.integers(-2, 2))
+def test_w_of_n_equals_the_closed_formula(sizes, seed, center):
+    """W(N) for N of every Jordan type up to dimension 16: a sum of Jordan
+    blocks of the drawn sizes, conjugated by a random unimodular matrix."""
+    dim = sum(sizes)
+    starts = {sum(sizes[:i]) for i in range(len(sizes))}
+    jordan = Matrix([[int(j == i + 1 and j not in starts) for j in range(dim)]
+                     for i in range(dim)])
+    g = generate.random_unimodular(dim, random.Random(seed))
+    n = g * jordan * g.inverse()
+    assert monodromy_filtration(n, center) == _closed_formula_w_of_n(n, center)
+
+
+# sha256 of W(N) on the 1040 draws of
+# test_w_of_n_on_seeded_nilpotents_keeps_its_digest, recorded with the closed
+# formula: it pins every step basis of the chain-lift build over a pure W
+_SEEDED_W_OF_N_DIGEST = \
+    "542ebe2b0cb7d156e8be8e767daef325f9f85458519b33ef87595c2f7b83a71f"
+
+
+def test_w_of_n_on_seeded_nilpotents_keeps_its_digest():
+    """800 random nilpotents at dimensions 1-8 and the 240 N_j of 120 pure
+    draws at n = 1..3, each centred at a weight drawn from -2..2."""
+    rng = random.Random(32)
+    ops = [generate.random_nilpotent(1 + i % 8, rng) for i in range(800)]
+    for i in range(120):
+        pure = generate.random_pure_model(1 + i % 3, rng)
+        ops += map(pure.nilpotent, range(pure.branches))
+    digest = hashlib.sha256()
+    for n in ops:
+        out = json.dumps(monodromy_filtration(n, rng.randint(-2, 2)).to_json())
+        digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == _SEEDED_W_OF_N_DIGEST
 
 
 def _flag_model(rng, count=1, steps=3):

@@ -761,7 +761,7 @@ def test_scalar_row_producers_match_the_public_constructor(case):
 
 def test_public_constructor_still_coerces_and_checks_shape():
     m = Matrix([[1, "1/2"], [Fraction(2, 3), "1*i"]])
-    assert all_scalars(m.entries) and m[1, 1] == Scalar(0, 1)
+    assert all_scalars(m.entries) and m.entries[1][1] == Scalar(0, 1)
     with pytest.raises(ShapeError, match="ragged matrix input"):
         Matrix([[1, 0], [1]])
     with pytest.raises(ShapeError, match="declared 3 columns, rows have 2"):

@@ -115,6 +115,37 @@ def test_validate_flags_a_filtration_that_does_not_split(w0, f1, weight_ok,
         ("pass" if hodge_ok else "fail")
 
 
+@pytest.mark.parametrize("s, restricts", [
+    ([["0", "1"], ["1", "0"]], False),
+    ([["1", "0"], ["0", "1"]], True),
+    ([["1", "1*i"], ["1*i", "1"]], False),     # pairs them by an imaginary entry
+])
+def test_validate_flags_a_pairing_of_distinct_components(s, restricts):
+    """Two lines of exponents 0 and 1/2 with a symmetric nondegenerate S:
+    the report, recorded when the row read S entry by entry, fails exactly
+    PairingRestrictsToComponents when S pairs the two lines."""
+    doc = {
+        "branches": 1, "base_weight": 0, "perverse_shift": 1,
+        "components": [{"alpha": [a], "dim": 1, "N": [[["0"]]]}
+                       for a in ("0", "1/2")],
+        "W": [{"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
+        "S": {"matrix": s, "parity": 0},
+    }
+    rows = [(c.name, c.status, c.detail)
+            for c in validate(model_from_json(doc)).checks]
+    component = [("AlphaRange", "pass", ""), ("NilpotentOperators", "pass", ""),
+                 ("NonCommutingOperators", "pass", "")]
+    assert rows == 2 * component + [
+        ("WeightRestrictsToComponents", "pass", ""),
+        ("FiltrationNotPreserved", "pass", ""),
+        ("HodgeChecks", "skip", "no Hodge filtration"),
+        ("PairingShape", "pass", ""), ("PairingNondegenerate", "pass", ""),
+        ("PairingParity", "pass", ""), ("InfinitesimalIsometry", "pass", ""),
+        ("PairingRestrictsToComponents", *(
+            ("pass", "") if restricts else
+            ("fail", "S pairs distinct components")))]
+
+
 def _splits(model, filt):
     """The reference: filt is the filtration_sum of its restrictions to the
     components (trivially so on fewer than two)."""
@@ -442,7 +473,7 @@ def test_nilpotent_sum_is_the_scale_and_add_fold():
                 for coeffs in (None, t):
                     ts = [1] * r if coeffs is None else coeffs
                     want = [[sum((Scalar(s) * model.components[block[p][0]]
-                                  .nilpotents[j][block[p][1], block[q][1]]
+                                  .nilpotents[j].entries[block[p][1]][block[q][1]]
                                   for s, j in zip(ts, branches)), Scalar(0))
                              if block[p][0] == block[q][0] else Scalar(0)
                              for q in range(n)] for p in range(n)]
@@ -621,9 +652,9 @@ def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
     the first t.  The three later t of a subset of two or more branches are
     decided on graded blocks, one block test per subset and one on the
     Gr^W of gen_pure_n3; a one-branch subset builds no block test, as
-    t_j N_j has the filtrations of N_j.  W(N) is built once on each Gr^W
-    and once inside each relative build.  No memo is open, so every build
-    is counted."""
+    t_j N_j has the filtrations of N_j.  W(N) is built once on each Gr^W,
+    as M(N, W) over that pure piece: one relative build more per Gr^W.  No
+    memo is open, so every build is counted."""
     calls = collections.Counter()
 
     def counting(name, real):
@@ -642,11 +673,11 @@ def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
                         counting("nilpotent_sum", NCModel.nilpotent_sum))
     for name, counts in (
             ("gen_pure_n3", {"nilpotent_sum": 7, "axioms_in_t": 5,
-                             "monodromy_filtration": 8,
-                             "relative_monodromy_filtration": 7}),
+                             "monodromy_filtration": 1,
+                             "relative_monodromy_filtration": 7 + 1}),
             ("jordan2_weight1", {"nilpotent_sum": 1,
-                                 "monodromy_filtration": 2,
-                                 "relative_monodromy_filtration": 1})):
+                                 "monodromy_filtration": 1,
+                                 "relative_monodromy_filtration": 1 + 1})):
         calls.clear()
         instance = loghodge.model.load_model(str(CORPUS / f"{name}.json"))
         assert imhs_check(instance).passed

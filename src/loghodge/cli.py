@@ -51,8 +51,8 @@ def _parse_int_options(args):
 
 def _purity_cohomology(model, mode, z):
     if mode == "link":  # from H(i^!) and H(i^*); z is empty when n = 0
-        return cx.link_cohomology(*(cx.cohomology(cx.build_complex(model, kind, z))
-                                    for kind in ("shriek", "star")))
+        return cx.link_cohomology(*(_purity_cohomology(model, m, z)
+                                    for m in ("support", "closed")))
     return cx.cohomology(cx.build_complex(model, dec.MODES[mode][0], z))
 
 

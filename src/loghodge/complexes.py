@@ -10,11 +10,13 @@ build_complex is the one dispatch from a kind to a complex: omega, ic, iclog
 along a branch set z, shriek, star, and compact, the dual of iclog.  shriek,
 i^! on z, is (IC_log(z)/IC)[-1]: the Koszul complex of the slot quotients
 IC_log(z)/IC, shifted; star, i^*, is its twisted dual.  Both are zero on the
-empty z, where IC_log(z) = IC.  The intersection morphism i^! -> i^* is the
-zero map, by the support and cosupport conditions of IC, so the link is the
-mixed cone of zero: H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read
-H(link) off those two summands with link_cohomology; the cone, link_complex,
-remains the reference.
+empty z, where IC_log(z) = IC.  i^! is remembered per evaluation, as i^* is
+built from it; i^*, asked for once per evaluation, is not.  The
+intersection morphism i^! -> i^* is the zero map, by the support and
+cosupport conditions of IC, so the link is the mixed cone of zero:
+H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read H(link) off those two
+summands with link_cohomology; the cone, link_complex, remains the
+reference.
 For n >= 2 these are objects on the union of the branches, not on the point
 stratum, so the link of n >= 2 branches has the wrong cohomology.
 """
@@ -319,8 +321,9 @@ def slot_image(ops: dict[int, Matrix], branches, dim: int) -> Subspace:
 
 def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
     """The complex of one kind: omega or ic, which ignore z, or along the
-    branches z, iclog, shriek (i^!), star (i^*) or compact (the dual of
-    iclog).  Every kind but compact is memoized per evaluation."""
+    branches z, iclog, shriek (i^!), star (i^*, the twisted dual of i^!) or
+    compact (the dual of iclog).  Every kind but star and compact is
+    memoized per evaluation."""
     if kind == "omega":
         return build_omega(model)
     if kind == "ic":
@@ -333,7 +336,8 @@ def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
     if kind == "shriek":
         return _shriek(model, _check_branches(model, z))
     if kind == "star":
-        return _star(model, _check_branches(model, z))
+        return dualize(_shriek(model, _check_branches(model, z)),
+                       a=model.base_weight, top=model.branches + 1)
     raise ShapeError(f"unknown complex kind {kind!r}")
 
 
@@ -341,7 +345,7 @@ def koszul_complex(branches, blocks, slot, weight=None,
                    hodge=None) -> FilteredComplex:
     """The Koszul complex of commuting operators on a sum of blocks.
 
-    blocks[b] is (dim, ops) with ops[j] the operator of branch j on block b.
+    blocks[b] is a dict whose entry j is the operator of branch j on block b.
     Degree k has one slot (K, b) per k-subset K of branches and block b, in
     that order: the subquotient slot(K, b) of block b.  The differential sends
     slot (K, b) to slot (K + j, b) by the map ops[j] induces, with the Koszul
@@ -364,7 +368,7 @@ def koszul_complex(branches, blocks, slot, weight=None,
     for k in range(len(branches)):
         pieces = []
         for (K, b), (pos, sq) in layout[k].items():
-            ops = blocks[b][1]
+            ops = blocks[b]
             for j in branches:
                 if j in K:
                     continue
@@ -392,11 +396,11 @@ def _model_complex(model, kind: str, z: frozenset) -> FilteredComplex:
     unipotent; omega's is the whole space, and shriek's is iclog's modulo
     ic's, which it contains because the operators commute."""
     comps = model.components
-    blocks = [(c.dim, alpha_ops(c)) for c in comps]
+    blocks = [alpha_ops(c) for c in comps]
 
     def image(K, ci, along=frozenset()):
         cut = [j for j in K if j not in along or comps[ci].alpha[j]]
-        return slot_image(blocks[ci][1], cut, comps[ci].dim)
+        return slot_image(blocks[ci], cut, comps[ci].dim)
 
     def slot(K, ci):
         if kind == "shriek":
@@ -474,11 +478,6 @@ def _shriek(model, z: frozenset) -> FilteredComplex:
     return quotient_complex(model, z).shift(-1)
 
 
-@_remembered
-def _star(model, z: frozenset) -> FilteredComplex:
-    return dualize(_shriek(model, z), a=model.base_weight, top=model.branches + 1)
-
-
 def intersection_morphism(model, z) -> ComplexMap:
     """The intersection morphism i^! -> i^* on the branches z: zero.
 
@@ -486,8 +485,8 @@ def intersection_morphism(model, z) -> ComplexMap:
     cosupport conditions), so the map between them vanishes on every stratum;
     a nonzero intersection form lives only on direct images.
     """
-    z = _check_branches(model, z)
-    return ComplexMap(_shriek(model, z), _star(model, z), {})
+    return ComplexMap(build_complex(model, "shriek", z),
+                      build_complex(model, "star", z), {})
 
 
 def link_complex(model, z) -> FilteredComplex:

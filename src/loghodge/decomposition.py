@@ -92,7 +92,7 @@ def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
 def _ic_of_part(part: PrimitiveComponentPart, branches: list[int],
                 shift_by: int) -> FilteredComplex:
     """IC complex of a primitive part under its residual operators, shifted."""
-    ic = koszul_complex(branches, [(part.dim, part.residual)], lambda T, b:
+    ic = koszul_complex(branches, [part.residual], lambda T, b:
                         Subquotient.of(slot_image(part.residual, T, part.dim)))
     return ic.shift(-shift_by)
 
@@ -252,8 +252,8 @@ class PurityVerdict:
 
 
 # purity mode -> (the build_complex kind it reads, the relation its weights
-# keep); the link is read off the shriek and star kinds, and its relation
-# turns at perverse degree 0
+# keep); the link is read off the reports of the support and closed modes,
+# and its relation turns at perverse degree 0
 MODES = {
     "open": ("iclog", ">="),
     "support": ("shriek", ">="),

@@ -665,7 +665,9 @@ class Subspace:
         return _matrix(self.basis, self.ambient_dim).kernel()
 
     def conj(self) -> "Subspace":
-        return Subspace(self.ambient_dim, [r.conj() for r in self.basis])
+        # an RREF basis conjugates to one: each pivot stays a real 1
+        return Subspace(self.ambient_dim, tuple(r.conj() for r in self.basis),
+                        _canonical=True)
 
 
 def _kernel_basis(m: Matrix) -> list[Row]:

@@ -659,7 +659,22 @@ def test_a_w_of_n_failing_its_axioms_exits_three(monkeypatch, capsys):
     assert code == 3
     assert json.loads(captured.out) == {
         "instance": str(J2), "verb": "imhs", "verdict": "error",
-        "error": "internal error: AssertionError: W(N) fails its axioms"}
+        "error": "internal error: AssertionError: M(N, W) fails its axioms"}
+
+
+@pytest.mark.parametrize("verb", ["relmono", "star"])
+def test_an_m_of_n_w_failing_its_axioms_exits_three(monkeypatch, capsys, verb):
+    """Over a W of two jumps too, lifted chains meet the axioms by
+    construction, so a failed re-verification is a bug, never a missing
+    M(N, W): only a failed lift is a property of the instance."""
+    path = CORPUS / "gen_mixed_n1.json"
+    monkeypatch.setattr(filtrations, "check_relative_axioms",
+                        lambda *args: False)
+    code = main([verb, str(path)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "instance": str(path), "verb": verb, "verdict": "error",
+        "error": "internal error: AssertionError: M(N, W) fails its axioms"}
 
 
 # stdout sha256 and exit code of the verbs the corpus verb does not replay,

@@ -131,6 +131,28 @@ def test_relative_monodromy_mixed_extension():
     assert m.at(-1) == Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
 
 
+@pytest.mark.parametrize("n, w", [
+    (J3, IncreasingFiltration.pure(3, 0)),
+    (Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+     IncreasingFiltration(3, [(-1, Subspace.span([[1, 0, 0]], 3)),
+                              (0, Subspace.full(3))])),
+])
+def test_chains_that_do_not_span_are_a_bug_for_every_w(monkeypatch, n, w):
+    """Lifted chains that span meet both axioms by construction, so losing
+    a chain top is a bug over a pure W and a mixed one alike."""
+    real_tops = filtrations._jordan_chain_tops
+
+    def one_top_short(op):
+        tops = dict(real_tops(op))
+        length = next(iter(tops))
+        tops[length] = tops[length][:-1]
+        return {m: vs for m, vs in tops.items() if vs}
+
+    monkeypatch.setattr(filtrations, "_jordan_chain_tops", one_top_short)
+    with pytest.raises(AssertionError, match=r"^M\(N, W\) fails its axioms$"):
+        relative_monodromy_filtration(n, w)
+
+
 def test_relative_monodromy_uniqueness_by_perturbation():
     n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     w = IncreasingFiltration(3, [(-1, Subspace.span([[1, 0, 0]], 3)),
@@ -622,6 +644,16 @@ _NOT_PRESERVED = IncreasingFiltration(2, [(0, Subspace.span([[0, 1]], 2)),
                                          (1, Subspace.full(2))])
 
 
+def _remembered_call(fn, args):
+    """The remembered function and arguments a call of fn comes down to:
+    monodromy_filtration is M(N, W) over W pure of weight center."""
+    if fn is monodromy_filtration:
+        n, center = args
+        return (relative_monodromy_filtration,
+                (n, IncreasingFiltration.pure(n.cols, center)))
+    return fn, args
+
+
 @pytest.mark.parametrize("fn, args, error", [
     (monodromy_filtration, (Matrix.identity(2), 0), NotNilpotent),
     (relative_monodromy_filtration, (J2, _MIXED_LINE),
@@ -634,30 +666,29 @@ _NOT_PRESERVED = IncreasingFiltration(2, [(0, Subspace.span([[0, 1]], 2)),
 ])
 def test_a_raising_input_raises_again_inside_an_evaluation(fn, args, error):
     # a remembered function keys its undecorated one
-    builder = fn.__wrapped__
+    remembered, key_args = _remembered_call(fn, args)
+    builder = remembered.__wrapped__
     with evaluation():
         messages = []
         for _ in range(2):
             with pytest.raises(error) as info:
                 fn(*args)
             messages.append(str(info.value))
-            assert (builder, *args) not in linalg._MEMO.get()
+            assert (builder, *key_args) not in linalg._MEMO.get()
         assert messages[0] == messages[1]
 
 
 def test_polarization_reuses_the_orbit_step_monodromy_filtration(monkeypatch):
-    """imhs step (4) asks for the monodromy filtration of N on each Gr^W_i
-    that step (1) built at t = (1, ..., 1): inside one evaluation it is never
-    built again."""
+    """imhs step (4) reads the monodromy filtration of N on each Gr^W_i
+    that step (1) built at t = (1, ..., 1): it never asks for it again."""
     built = []
-    real_build = filtrations.monodromy_filtration.__wrapped__
+    real_build = model.monodromy_filtration
 
     def counting_build(n, center):
         built.append((n, center))
         return real_build(n, center)
 
-    monkeypatch.setattr(filtrations.monodromy_filtration, "__wrapped__",
-                        counting_build)
+    monkeypatch.setattr(model, "monodromy_filtration", counting_build)
     asked = []
     real_polarization = model._polarization_on_graded
 

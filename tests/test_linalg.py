@@ -397,6 +397,26 @@ def test_is_rref_holds_exactly_for_rows_rref_leaves_as_they_are(case):
     assert linalg.is_rref(canonical, width)
 
 
+def test_conj_keeps_the_canonical_basis_without_eliminating():
+    """On seeded Gaussian subspaces up to dimension 6, conj() equals the
+    subspace eliminated from the conjugated rows, and its rows are RREF."""
+    rng = random.Random(33)
+
+    def entry():
+        if rng.random() < 0.4:
+            return Scalar(0)
+        return Scalar(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(2)))
+
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        sub = Subspace(n, [[entry() for _ in range(n)]
+                           for _ in range(rng.randint(0, n + 1))])
+        conj = sub.conj()
+        assert conj == Subspace(n, [r.conj() for r in sub.basis])
+        assert linalg.is_rref(conj.basis, n)
+
+
 def f_mul(x, y):
     """The product of two (re, im) pairs of Fractions."""
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])

@@ -19,6 +19,8 @@ summands with link_cohomology; the cone, link_complex, remains the
 reference.
 For n >= 2 these are objects on the union of the branches, not on the point
 stratum, so the link of n >= 2 branches has the wrong cohomology.
+A zero residue operator, alpha_j = 0 and N_j = 0, places no block in the
+Koszul differential; along it W^J is W, as 0*W = W.
 """
 
 from __future__ import annotations
@@ -349,9 +351,9 @@ def koszul_complex(branches, blocks, slot, weight=None,
     Degree k has one slot (K, b) per k-subset K of branches and block b, in
     that order: the subquotient slot(K, b) of block b.  The differential sends
     slot (K, b) to slot (K + j, b) by the map ops[j] induces, with the Koszul
-    sign.  When given, weight(K, b) and hodge(K, b) are filtrations of block
-    b; the slot carries the filtrations they induce.  The result records its
-    slot layout.
+    sign; a zero operator places no block.  When given, weight(K, b) and
+    hodge(K, b) are filtrations of block b; the slot carries the filtrations
+    they induce.  The result records its slot layout.
     """
     branches = tuple(branches)
     layout, dims = {}, []
@@ -370,7 +372,7 @@ def koszul_complex(branches, blocks, slot, weight=None,
         for (K, b), (pos, sq) in layout[k].items():
             ops = blocks[b]
             for j in branches:
-                if j in K:
+                if j in K or ops[j].is_zero():
                     continue
                 t_pos, t_sq = layout[k + 1][(tuple(sorted(K + (j,))), b)]
                 sign = -ONE if sum(1 for i in K if i < j) % 2 else ONE

@@ -4,7 +4,8 @@ Increasing filtrations are stored by their jump steps only, in canonical
 form, so equality of filtrations is equality of representations.  The
 relative monodromy filtration M(N, W) is built in one pass up the jumps of
 W, in the ambient coordinates, from Jordan chains lifted out of each graded
-piece; W(N) is M(N, W) over a pure W.  Only a chain with no admissible lift
+piece; W(N) is M(N, W) over a pure W, and M(0, W) = W, as every chain of
+N = 0 has length one (so 0*W = W).  Only a chain with no admissible lift
 means M(N, W) does not exist.  The builder checks its result once, with the
 one membership test of the axioms, ``axioms_in_t`` on the graded blocks of
 the operators (``check_relative_axioms`` at one operator), which holds for
@@ -330,7 +331,8 @@ def _jordan_chain_tops(N: Matrix) -> dict[int, tuple[Row, ...]]:
 def relative_monodromy_filtration(N: Matrix,
                                   w: IncreasingFiltration) -> IncreasingFiltration:
     """The filtration M(N, W), or RelativeMonodromyNonexistent; W(N) over a
-    pure W.  Built in one pass up the jumps b of W, in the ambient
+    pure W, and W itself for N = 0, whose chains all have length one.
+    Otherwise built in one pass up the jumps b of W, in the ambient
     coordinates: each chain top of length m of the N induced on Gr^W_b is
     lifted to x in W_b with N^m x in M_{b-m-1}, the span of the chains
     lifted below b at levels <= b - m - 1 (Steenbrink-Zucker 1985; a
@@ -347,13 +349,25 @@ def relative_monodromy_filtration(N: Matrix,
         raise ShapeError("operator and filtration live on different spaces")
     if w.first_violation(N, w) is not None:
         raise FiltrationNotPreserved("N does not preserve the weight filtration")
-    chains = []     # (level, vector) of every chain lifted so far
+    m = w if N.is_zero() else _lifted_chains(N, powers, w)
+    if m is None or not check_relative_axioms(m, N, w):
+        raise AssertionError("M(N, W) fails its axioms")
+    return m
+
+
+def _lifted_chains(N: Matrix, powers, w: IncreasingFiltration):
+    """The filtration the lifted chains of N span, or None when their last
+    step is not the whole space."""
+    n, chains = w.ambient_dim, []   # (level, vector) of every chain so far
     for b in w.jumps():
         gr, below = w.graded_piece(b), w.at(b - 1)
         lifted = []     # joins chains after b: a target holds lower steps
+        targets = {}    # the targets nest: one span per count of chains
         for length, tops in _jordan_chain_tops(induced_map(N, gr, gr)).items():
-            target = Subspace.span(
-                [v for k, v in chains if k <= b - length - 1], n)
+            held = [v for k, v in chains if k <= b - length - 1]
+            if len(held) not in targets:
+                targets[len(held)] = Subspace.span(held, n)
+            target = targets[len(held)]
             gens = [*target.basis, *powers[length].apply_all(below.basis)]
             system = Matrix(gens, cols=n).transpose()
             for x in map(gr.lift, tops):
@@ -369,18 +383,19 @@ def relative_monodromy_filtration(N: Matrix,
     steps = [(level, Subspace.span([v for k, v in chains if k <= level], n))
              for level in sorted({k for k, _ in chains})]
     if (steps[-1][1] if steps else Subspace.zero(n)).is_full():
-        m = IncreasingFiltration(n, steps)
-        if check_relative_axioms(m, N, w):
-            return m
-    raise AssertionError("M(N, W) fails its axioms")
+        return IncreasingFiltration(n, steps)
+    return None
 
 
 # -- star ------------------------------------------------------------------
 
 def star(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
     """(N*W)_k = N W_{k+1} + M_k(N,W) cap W_k; the alternate form with
-    W_{k+1} is computed too and asserted equal."""
+    W_{k+1} is computed too and asserted equal.  For N = 0 both forms are
+    M_k cap W_k, so 0*W = W once M(0, W) = W."""
     m = relative_monodromy_filtration(N, w)
+    if N.is_zero() and m == w:
+        return w
     n = w.ambient_dim
     lo = min(w.lowest(), m.lowest()) - 2
     hi = max(w.highest(), m.highest()) + 1

@@ -13,8 +13,11 @@ Because the form is canonical, a lattice call whose operands decide its
 answer returns it without eliminating: ``intersect`` with the whole space,
 with zero or of nested subspaces, ``maps_into`` into the whole space or from
 zero, ``induced_map`` from the whole space to the whole space and ``image``
-of the whole space.  Otherwise ``intersect`` reduces the smaller basis by
-the larger and takes the kernel of the residuals.
+of the whole space.  A zero matrix decides them too, once its operands fit
+its shape: its ``kernel`` is the whole space, its ``image`` zero, it maps
+every subspace into every other, and ``induced_map`` of it is zero.
+Otherwise ``intersect`` reduces the smaller basis by the larger and takes
+the kernel of the residuals.
 
 The evaluation memo lives here, under every other layer: inside an
 ``evaluation()`` block each function marked ``@_remembered``, a lattice
@@ -385,22 +388,27 @@ class Matrix:
 
     @_remembered
     def image(self, sub: Subspace | None = None) -> Subspace:
-        if sub is None:     # spanned by the columns
-            return Subspace(self.rows, self.transpose().entries)
-        if sub.ambient_dim == self.cols and sub.is_full():
-            return self.image()
+        if sub is None or sub.ambient_dim == self.cols:
+            if self.is_zero():
+                return Subspace.zero(self.rows)
+            if sub is None:     # spanned by the columns
+                return Subspace(self.rows, self.transpose().entries)
+            if sub.is_full():
+                return self.image()
         return Subspace(self.rows, self.apply_all(sub.basis))
 
     @_remembered
     def maps_into(self, src: Subspace, tgt: Subspace) -> bool:
         """f(src) <= tgt."""
         if (src.ambient_dim, tgt.ambient_dim) == (self.cols, self.rows) \
-                and (tgt.is_full() or src.is_zero()):
+                and (tgt.is_full() or src.is_zero() or self.is_zero()):
             return True
         return all(map(tgt.contains_vector, self.apply_all(src.basis)))
 
     @_remembered
     def kernel(self) -> Subspace:
+        if self.is_zero():
+            return Subspace.full(self.cols)
         return Subspace(self.cols, _kernel_basis(self))
 
     def preimage(self, target_sub: Subspace) -> Subspace:
@@ -755,8 +763,11 @@ def induced_map(f: Matrix, src: Subquotient, tgt: Subquotient) -> Matrix:
     Functorial: induced(g o f) = induced(g) o induced(f) whenever both sides
     are defined.  Column j is the class of f(src.lifts.basis[j]).
     """
-    if src.dim == src.ambient_dim == f.cols and tgt.dim == tgt.ambient_dim == f.rows:
-        return f    # the whole space modulo zero on both sides
+    if (src.ambient_dim, tgt.ambient_dim) == (f.cols, f.rows):
+        if src.dim == f.cols and tgt.dim == f.rows:
+            return f    # the whole space modulo zero on both sides
+        if f.is_zero():
+            return Matrix.zero(tgt.dim, src.dim)
     # src.sub is spanned by the lifts together with src.quot_by
     lifted = f.apply_all(src.lifts.basis)
     pushed = f.apply_all(src.quot_by.basis)

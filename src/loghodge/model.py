@@ -208,9 +208,19 @@ def validate(model: NCModel) -> CheckReport:
                 nj.transpose() * s + s * nj == Matrix.zero(n, n)
                 for nj in map(model.nilpotent, range(model.branches))),
                 "some N_j is not an infinitesimal isometry of S")
-            report.add("PairingRestrictsToComponents", all(
-                owners(r) <= {owner[i]} for i, r in enumerate(s.entries)),
-                "S pairs distinct components")
+            # T_j = exp(-2 pi i alpha_j) (unipotent) preserves S only if S
+            # pairs the alpha part with the -alpha part: a component with
+            # itself only when every 2 alpha_j is an integer
+            restricts = all(owners(r) <= {owner[i]} for i, r in enumerate(s.entries))
+            twisted = next((owner[i] for i, r in enumerate(s.entries)
+                            if owner[i] in owners(r) and any(
+                                (2 * a).denominator != 1
+                                for a in model.components[owner[i]].alpha)), None)
+            report.add("PairingRestrictsToComponents",
+                       restricts and twisted is None,
+                       "S pairs distinct components" if not restricts else
+                       f"S pairs component {twisted} with itself, but 2*alpha_j "
+                       "is not an integer for some branch j")
     else:
         report.skip("PairingChecks", "no pairing")
 

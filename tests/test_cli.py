@@ -9,7 +9,11 @@ import pytest
 from loghodge import cli, complexes, decomposition, filtrations, linalg
 from loghodge.cli import main
 from loghodge.errors import InvalidModel
-from loghodge.generate import random_pure_model, random_spectral_model
+from loghodge.generate import (
+    random_imhs_model,
+    random_pure_model,
+    random_spectral_model,
+)
 from loghodge.model import canonical_json, model_to_json
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -553,6 +557,52 @@ def test_verdict_verbs_refuse_an_instance_failing_any_validate_row(
             cli.corpus_entry(str(path))
 
 
+def _alpha_third(tmp_path):
+    """J2 weight 1 at exponent 1/3: S pairs the component with itself, which
+    T = exp(-2 pi i/3) (unipotent) does not preserve."""
+    doc = json.loads(J2.read_text())
+    doc["components"][0]["alpha"] = ["1/3"]
+    path = tmp_path / "alpha_third.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _alpha_third_pair(tmp_path):
+    """Two lines of exponents 1/3 and 2/3, S pairing one with the other:
+    a pairing T preserves, but conjugation keeps each line in place, so the
+    pair carries no real structure in the instance format."""
+    doc = {"branches": 1, "base_weight": 0, "perverse_shift": 1,
+           "components": [{"alpha": [a], "dim": 1, "N": [[["0"]]]}
+                          for a in ("1/3", "2/3")],
+           "W": [{"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
+           "S": {"matrix": [["0", "1"], ["1", "0"]], "parity": 0}}
+    path = tmp_path / "alpha_third_pair.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("instance, detail", [
+    (_alpha_third, "S pairs component 0 with itself, but 2*alpha_j is not an "
+                   "integer for some branch j"),
+    (_alpha_third_pair, "S pairs distinct components"),
+])
+def test_a_pairing_the_monodromy_cannot_preserve_is_refused(
+        instance, detail, tmp_path, capsys):
+    path = instance(tmp_path)
+    code, out = run_cli(["validate", str(path)], capsys)
+    rows = {c["name"]: c for c in json.loads(out)["results"]}
+    assert code == 1
+    assert rows["PairingRestrictsToComponents"] == {
+        "name": "PairingRestrictsToComponents", "status": "fail",
+        "detail": detail}
+    for verb in ("link", "imhs"):
+        code, out = run_cli([verb, str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == (
+            "loghodge.errors.InvalidModel: instance fails validate: "
+            "PairingRestrictsToComponents")
+
+
 def test_purity_link_and_intersect_refuse_an_instance_without_s(tmp_path,
                                                                 capsys):
     """Both instances pass validate and carry no S.  The purity and link
@@ -694,6 +744,30 @@ def test_unreplayed_verbs_keep_their_bytes(verb, monkeypatch, capsys):
         if got != want:
             wrong.append((stem, got["exit"], out[:200]))
     assert not wrong
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["cohomology", "--complex", "omega"], 0),
+    (["purity", "--mode", "closed"], 0),
+    (["link"], 1),
+])
+def test_zero_operators_lift_no_chain_and_eliminate_no_zero_matrix(
+        argv, expected, tmp_path, monkeypatch, capsys):
+    """Every residue operator of imhs3-2 is zero: its W^J stars are W, its
+    Koszul differentials zero, and its kernels whole spaces."""
+    model = random_imhs_model(3, random.Random(2))
+    assert all(n.is_zero() for c in model.components for n in c.nilpotents)
+    path = tmp_path / "imhs3-2.json"
+    path.write_text(canonical_json(model_to_json(model)))
+    real_kernel_basis = linalg._kernel_basis
+
+    def kernel_basis(m):
+        assert not m.is_zero(), "a zero matrix eliminated"
+        return real_kernel_basis(m)
+    monkeypatch.setattr(linalg, "_kernel_basis", kernel_basis)
+    monkeypatch.setattr(filtrations, "_jordan_chain_tops", None)
+    code, out = run_cli([argv[0], str(path)] + argv[1:], capsys)
+    assert code == expected, out
 
 
 def test_intersect_builds_no_complex(monkeypatch, capsys):

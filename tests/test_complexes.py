@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from loghodge import complexes
+
 from loghodge.complexes import (
     ComplexMap,
     FilteredComplex,
@@ -411,3 +413,21 @@ def test_hodge_break_where_only_the_target_jumps():
     b = FilteredComplex(0, (1,), hodge={0: f_tgt})
     with pytest.raises(FiltrationNotPreserved, match=r"F\^1 at degree 0"):
         ComplexMap(a, b, {0: ident}).validate()
+
+
+@pytest.mark.parametrize("kind, z", [("omega", ()), ("ic", ()),
+                                     ("iclog", (0, 2)), ("shriek", (1,))])
+def test_zero_residue_operators_place_no_block(kind, z, monkeypatch):
+    """Every residue operator of imhs3-2 is zero: the Koszul differential
+    is zero with no induced map taken, and the complex still validates, so
+    its cohomology is its terms."""
+    model = random_imhs_model(3, random.Random(2))
+    assert all(op.is_zero() for c in model.components
+               for op in complexes.alpha_ops(c).values())
+    monkeypatch.setattr(complexes, "induced_map", None)
+    with evaluation():
+        c = build_complex(model, kind, z)
+    assert all(dk.is_zero() for dk in c.d.values())
+    h = cohomology(c)
+    assert {k: h.dim(k) for k in c.degrees()} == \
+        {k: c.term_dim(k) for k in c.degrees()}

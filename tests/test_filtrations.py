@@ -861,6 +861,44 @@ def test_relative_monodromy_on_seeded_flags_keeps_its_digest():
     assert digest.hexdigest() == _SEEDED_FLAGS_DIGEST
 
 
+def _zero_operator_flags():
+    """W and the zero N on it: seeded flags of _flag_model, which are mixed
+    from two steps on, pure W's and the space of dimension 0."""
+    rng = random.Random(34)
+    for _ in range(40):
+        w = _flag_model(rng, steps=4)[-1]
+        yield w
+        yield IncreasingFiltration.pure(w.ambient_dim, rng.randint(-2, 2))
+    yield IncreasingFiltration.pure(0, 1)
+
+
+def test_a_zero_operator_keeps_w_without_lifting_a_chain(monkeypatch):
+    """M(0, W) = W, the unique relative filtration of N = 0, and 0*W = W,
+    as both forms of star read M_k cap W_k = W_k; no chain top is sought,
+    and star runs no intersection."""
+    flags = list(_zero_operator_flags())
+    assert any(len(w.jumps()) > 1 for w in flags)
+    monkeypatch.setattr(filtrations, "_jordan_chain_tops", None)
+    for w in flags:
+        zero = Matrix.zero(w.ambient_dim, w.ambient_dim)
+        with evaluation():
+            assert relative_monodromy_filtration(zero, w) == w
+            with monkeypatch.context() as m:
+                m.setattr(Subspace, "intersect", None)
+                assert star(zero, w) == w
+
+
+def test_a_zero_operator_is_still_checked_against_the_axioms(monkeypatch):
+    """The zero N takes M = W through the one check every M(N, W) passes."""
+    monkeypatch.setattr(filtrations, "check_relative_axioms",
+                        lambda m, n, w: False)
+    for w in _zero_operator_flags():
+        with pytest.raises(AssertionError,
+                           match=r"^M\(N, W\) fails its axioms$"):
+            relative_monodromy_filtration(
+                Matrix.zero(w.ambient_dim, w.ambient_dim), w)
+
+
 def test_a_lift_that_fails_at_the_middle_step_names_its_weight():
     """e1, e2, e3 at weights 3, 4, 6 and N = J3 (N e3 = e2, N e2 = e1): over
     weight 4 the chain top e2 needs a lift x = e2 + c e1 with N x in M_2 = 0

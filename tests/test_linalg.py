@@ -160,7 +160,8 @@ def test_whole_space_lattice_calls_apply_no_vector(monkeypatch):
     assert f.image(full) == applied == f.image()
 
 
-@pytest.mark.parametrize("call, message", [
+# calls whose operands do not fit a 2x3 f, and the ShapeError each raises
+_MISFITS = [
     (lambda f: f.maps_into(Subspace.full(2), Subspace.full(2)),
      "vector length does not match matrix columns"),
     (lambda f: f.maps_into(Subspace.full(3), Subspace.full(3)),
@@ -175,12 +176,54 @@ def test_whole_space_lattice_calls_apply_no_vector(monkeypatch):
      "vector of wrong ambient dimension"),
     (lambda f: Subspace.full(2).intersect(Subspace.full(3)),
      "ambient dimension mismatch in intersect"),
-])
+]
+
+
+@pytest.mark.parametrize("call, message", _MISFITS)
 def test_a_shape_mismatch_takes_no_whole_space_exit(call, message):
     """On a 2x3 f a call whose operands do not fit f raises the ShapeError
     the general path raises."""
     with pytest.raises(ShapeError) as caught:
         call(Matrix([[1, 0, 0], [0, 1, 0]]))
+    assert type(caught.value) is ShapeError and str(caught.value) == message
+
+
+_ZERO_SHAPES = [(0, n) for n in range(5)] + [(m, 0) for m in range(1, 5)] + \
+    [(m, n) for m in range(1, 5) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("rows, cols", _ZERO_SHAPES)
+def test_a_zero_matrix_answers_from_its_shape(rows, cols, monkeypatch):
+    """kernel, image, maps_into and induced_map of a zero matrix give what
+    the general route gives, with no elimination, transpose or apply."""
+    f = Matrix.zero(rows, cols)
+    rng = random.Random(10 * rows + cols)
+    src = Subspace.span([[rng.randint(-2, 2) for _ in range(cols)]
+                         for _ in range(rng.randint(1, cols + 1))], cols)
+    tgt = Subspace.span([[rng.randint(-2, 2) for _ in range(rows)]
+                         for _ in range(rng.randint(0, rows))], rows)
+    sq_src, sq_tgt = Subquotient.of(src), Subquotient(Subspace.full(rows), tgt)
+    kernel = Subspace(cols, linalg._kernel_basis(f))
+    image = Subspace(rows, f.transpose().entries)
+    maps = all(map(tgt.contains_vector, f.apply_all(src.basis)))
+    induced = linalg._matrix(tuple(sq_tgt.coords(w) for w in
+                                   f.apply_all(sq_src.lifts.basis)),
+                             sq_tgt.dim).transpose()
+    for name in ("apply_all", "transpose"):
+        monkeypatch.setattr(Matrix, name, None)
+    monkeypatch.setattr(linalg, "_kernel_basis", None)
+    monkeypatch.setattr(linalg, "rref", None)
+    assert f.kernel() == kernel == Subspace.full(cols)
+    assert f.image() == f.image(src) == image == Subspace.zero(rows)
+    assert f.maps_into(src, tgt) is maps is True
+    assert induced_map(f, sq_src, sq_tgt) == induced
+
+
+@pytest.mark.parametrize("call, message", _MISFITS)
+def test_a_zero_matrix_that_does_not_fit_raises_as_before(call, message):
+    """On the zero 2x3 f the misfit calls raise what they raise on any f."""
+    with pytest.raises(ShapeError) as caught:
+        call(Matrix.zero(2, 3))
     assert type(caught.value) is ShapeError and str(caught.value) == message
 
 

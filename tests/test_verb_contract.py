@@ -1,9 +1,11 @@
 """Every verb, run in-process on small generated draws, ends in one JSON
 document and a documented exit code: 0 pass, 1 fail, 2 error, never 3."""
 
+import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -119,15 +121,27 @@ def _sweep_variants(n):
             yield variant + ["--z", z]
 
 
+# sha256 of the sweep's runs, each folded in as its draw name, argv, exit
+# code and stdout; a change that moves a byte of any verb re-records it
+# with its reason
+_SWEEP_DIGEST = \
+    "0f6a3d10870cbe70c6875c2edabc311341819bad89f70f0a944161454a49c9bd"
+
+
 @pytest.mark.slow
 def test_every_verb_on_every_small_draw_ends_in_a_documented_code(
-        tmp_path, capsys):
-    path = tmp_path / "draw.json"
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)     # a relative path keeps tmp_path out of stdout
+    path = Path("draw.json")
+    digest = hashlib.sha256()
     for name, model in _sweep_draws():
         path.write_text(canonical_json(model_to_json(model)))
         for variant in _sweep_variants(model.branches):
-            code = main([variant[0], str(path)] + variant[1:])
+            argv = [variant[0], str(path)] + variant[1:]
+            code = main(argv)
             out = capsys.readouterr().out
             assert code in VERDICT, f"{name} {variant}: exit {code}: {out}"
             assert out.endswith("\n") and out.count("\n") == 1, (name, variant)
             assert json.loads(out)["verdict"] == VERDICT[code], (name, variant)
+            digest.update(json.dumps([name, argv, code, out]).encode() + b"\n")
+    assert digest.hexdigest() == _SWEEP_DIGEST

@@ -22,6 +22,7 @@ from .errors import InvalidModel, LogHodgeError, ParseError
 from .filtrations import relative_monodromy_filtration, star
 from .linalg import evaluation
 from .model import canonical_json, imhs_check, load_model, validate
+from .scalars import _INT_RE
 
 
 def _parse_z(text, model):
@@ -40,11 +41,11 @@ def _parse_z(text, model):
 
 
 def _parse_int_options(args):
-    """--k, --branch and --jobs as ints, each 0 or ASCII digits without a
-    leading zero, maybe negative: int() reads more, as _parse_z says."""
+    """--k, --branch and --jobs as ints in the instance format's integer
+    grammar: int() reads more, as _parse_z says."""
     for name in ("k", "branch", "jobs"):
         text = getattr(args, name)
-        if text is not None and not re.fullmatch("0|-?[1-9][0-9]*", text):
+        if text is not None and not _INT_RE.fullmatch(text):
             raise ParseError(f"--{name} must be an integer: {text!r}")
         setattr(args, name, None if text is None else int(text))
 

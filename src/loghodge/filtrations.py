@@ -359,15 +359,17 @@ def _lifted_chains(N: Matrix, powers, w: IncreasingFiltration):
     """The filtration the lifted chains of N span, or None when their last
     step is not the whole space."""
     n, chains = w.ambient_dim, []   # (level, vector) of every chain so far
+    spans = {}      # the span of each set of chains, keyed by their positions
+    def span_upto(level):      # the span of the chains at levels <= level
+        held = tuple(i for i, (k, _) in enumerate(chains) if k <= level)
+        if held not in spans:
+            spans[held] = Subspace.span([chains[i][1] for i in held], n)
+        return spans[held]
     for b in w.jumps():
         gr, below = w.graded_piece(b), w.at(b - 1)
         lifted = []     # joins chains after b: a target holds lower steps
-        targets = {}    # the targets nest: one span per count of chains
         for length, tops in _jordan_chain_tops(induced_map(N, gr, gr)).items():
-            held = [v for k, v in chains if k <= b - length - 1]
-            if len(held) not in targets:
-                targets[len(held)] = Subspace.span(held, n)
-            target = targets[len(held)]
+            target = span_upto(b - length - 1)
             gens = [*target.basis, *powers[length].apply_all(below.basis)]
             system = Matrix(gens, cols=n).transpose()
             for x in map(gr.lift, tops):
@@ -380,8 +382,7 @@ def _lifted_chains(N: Matrix, powers, w: IncreasingFiltration):
                 lifted += [(b + length - 1 - 2 * j, powers[j](x))
                            for j in range(length)]
         chains += lifted
-    steps = [(level, Subspace.span([v for k, v in chains if k <= level], n))
-             for level in sorted({k for k, _ in chains})]
+    steps = [(level, span_upto(level)) for level in sorted({k for k, _ in chains})]
     if (steps[-1][1] if steps else Subspace.zero(n)).is_full():
         return IncreasingFiltration(n, steps)
     return None

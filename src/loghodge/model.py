@@ -7,6 +7,7 @@ scalars in the canonical grammar) and re-serialization is byte-stable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -289,19 +290,19 @@ def _subsets(n):
     return [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
 
 
-def _hodge_decomposes(f_piece: DecreasingFiltration, weight: int) -> bool:
-    """F^p (+) conj F^{weight-p+1} spans the piece exactly, for every p."""
-    d = f_piece.ambient_dim
-    if d == 0:
-        return True
-    lo = f_piece.lowest() - 1
-    hi = f_piece.highest() + 1
-    for p in range(min(lo, weight - hi), max(hi, weight - lo) + 1):
-        fp = f_piece.at(p)
-        fq = f_piece.at(weight - p + 1).conj()
-        if fp.dim + fq.dim != d or fp.intersect(fq).dim != 0:
-            return False
-    return True
+def _hodge_pieces(f: DecreasingFiltration, w: int):
+    """The pieces H^{p,w-p} = F^p cap conj F^{w-p} by p, lowest(F) - 1 <= p
+    <= highest(F) + 1, and whether F is a Hodge structure of weight w: the
+    pieces are independent, span the space and F^{w-lowest(F)+2} = 0.  Past
+    that range F^p = 0 above, and below it F^p is the whole space, so each
+    further piece is conj F^{w-p}, inside the bottom one; the bound says they
+    all vanish, so the space is the direct sum of every H^{p,w-p}."""
+    lo, d = f.lowest() - 1, f.ambient_dim
+    pieces = {p: f.at(p).intersect(f.at(w - p).conj())
+              for p in range(lo, f.highest() + 2)}
+    return pieces, f.at(w - lo + 1).is_zero() \
+        and sum(h.dim for h in pieces.values()) == d \
+        and functools.reduce(Subspace.sum, pieces.values()).is_full()
 
 
 def _hermitian_positive(h: Matrix) -> bool:
@@ -349,29 +350,28 @@ def imhs_check(model: NCModel) -> CheckReport:
             m, subset_ops, w, [[t[j] for j in subset] for t in later])
 
     # (1) mixed nilpotent orbit on every weight-graded piece; graded[i] holds
-    # Gr^W_i, the N it induces at t = (1, ..., 1) and W(N)
+    # Gr^W_i, the N it induces at t = (1, ..., 1), W(N) and, by k, the Hodge
+    # pieces of each Gr^M_k with the verdict
     graded = {}
     for i in model.weight.jumps():
         gr = model.weight.graded_piece(i)
         ops_gr = [induced_map(op, gr, gr) for op in ops]
         n_gr = combination([1] * n_branches, ops_gr, gr.dim, gr.dim)
         m = monodromy_filtration(n_gr, i)
-        graded[i] = gr, n_gr, m
+        f_gr = model.hodge.project_to(gr)
+        hodge = {k: _hodge_pieces(f_gr.project_to(m.graded_piece(k)), k)
+                 for k in m.jumps()}
+        graded[i] = gr, n_gr, m, hodge
         report.add(f"OrbitTIndependence[w={i}]",
                    t_independent(m, ops_gr, IncreasingFiltration.pure(gr.dim, i)),
                    "monodromy filtration depends on the scaling vector")
-        f_gr = model.hodge.project_to(gr)
-        hs_ok = True
-        for k in m.jumps():
-            piece = m.graded_piece(k)
-            if piece.dim and not _hodge_decomposes(f_gr.project_to(piece), k):
-                hs_ok = False
         report.add(
-            f"OrbitHodgeStructure[w={i}]", hs_ok,
+            f"OrbitHodgeStructure[w={i}]", all(ok for _, ok in hodge.values()),
             f"Gr^M of Gr^W_{i} is not a Hodge structure of the right weight")
 
-    # (2) relative monodromy filtrations for every branch subset
-    relmono = {}
+    # (2) relative monodromy filtrations for every branch subset; step (3)
+    # reads the one of the full set
+    m_total = None
     for subset in _subsets(n_branches):
         detail = "relative filtration depends on the scaling vector"
         try:
@@ -381,34 +381,26 @@ def imhs_check(model: NCModel) -> CheckReport:
             ok, detail = False, str(exc)
         else:
             ok = t_independent(mj, [ops[j] for j in subset], model.weight, subset)
-        if ok:
-            relmono[subset] = mj
+        if ok and subset == all_branches:
+            m_total = mj
         names = ','.join(str(j + 1) for j in subset)
         report.add(f"RelativeMonodromy[J={{{names}}}]", ok, detail)
 
     # (3) graded MHS for the full set, with W compatible: each nonzero
-    # Gr^M_k with its F and its H^{p,q} = F^p cap conj F^{k-p}
-    if n_branches and all_branches in relmono:
-        m_total = relmono[all_branches]
+    # Gr^M_k with its H^{p,q}
+    if m_total is not None:
         pieces = []
         for k in m_total.jumps():
             piece = m_total.graded_piece(k)
-            if piece.dim:
-                f_piece = model.hodge.project_to(piece)
-                hpqs = [f_piece.at(p).intersect(f_piece.at(k - p).conj())
-                        for p in range(f_piece.lowest() - 1, f_piece.highest() + 2)]
-                pieces.append((k, piece, f_piece, hpqs))
-        report.add("TotalGradedMHS",
-                   all(_hodge_decomposes(f, k) for k, _, f, _ in pieces),
+            pieces.append((piece, *_hodge_pieces(model.hodge.project_to(piece), k)))
+        report.add("TotalGradedMHS", all(ok for _, _, ok in pieces),
                    "(L, M(I), F) is not a graded mixed Hodge structure")
         compat = True
         for j in model.weight.jumps():
-            for _, piece, _, hpqs in pieces:
+            for piece, hpqs, _ in pieces:
                 v = piece.project_subspace(model.weight.at(j))
-                span = Subspace.zero(piece.dim)
-                for hpq in hpqs:
-                    span = span.sum(hpq.intersect(v))
-                compat = compat and span == v
+                compat = compat and v == functools.reduce(
+                    Subspace.sum, [h.intersect(v) for h in hpqs.values()])
         report.add("WeightCompatibleWithMHS", compat,
                    "W is not a filtration by sub mixed Hodge structures")
 
@@ -417,13 +409,13 @@ def imhs_check(model: NCModel) -> CheckReport:
         report.skip("Polarization", "no pairing supplied")
     else:
         s = model.pairing
-        for i, (gr, n_gr, m) in graded.items():
+        for i, (gr, n_gr, m, hodge) in graded.items():
             if not _descends(s, model.weight.at(i - 1), model.weight.at(i)):
                 report.skip(f"Polarization[w={i}]",
                             "single pairing does not descend to this graded piece")
                 continue
             lifts = _basis(gr.lifts)
-            ok = _polarization_on_graded(model, gr, n_gr, m, i,
+            ok = _polarization_on_graded(gr, n_gr, m, hodge, i,
                                          lifts * s * lifts.transpose())
             report.add(
                 f"Polarization[w={i}]", ok,
@@ -445,11 +437,10 @@ def _descends(s: Matrix, below: Subspace, at: Subspace) -> bool:
         (b * s * a.transpose()).is_zero()
 
 
-def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
-                            m: IncreasingFiltration, i: int, s_gr: Matrix) -> bool:
-    """Step (4) on Gr^W_i = gr: N induces n_gr, W(N) is m, S has Gram matrix s_gr."""
-    f_gr = model.hodge.project_to(gr)
-
+def _polarization_on_graded(gr: Subquotient, n_gr: Matrix, m: IncreasingFiltration,
+                            hodge: dict, i: int, s_gr: Matrix) -> bool:
+    """Step (4) on Gr^W_i = gr: N induces n_gr, W(N) is m, hodge holds step
+    (1)'s Hodge pieces of each Gr^M_k by k, S has Gram matrix s_gr."""
     # N^e = 0 for e = len(powers) - 1, so powers[min(j, e)] is N^j
     powers = n_gr.powers()
     e = len(powers) - 1
@@ -467,14 +458,11 @@ def _polarization_on_graded(model: NCModel, gr: Subquotient, n_gr: Matrix,
             return False
         # positivity of i^{p-q} S(N^k x, conj x) on primitives; moving N^k to
         # the right side through the infinitesimal isometry costs (-1)^k.
-        w = i + k
         global_sign = -ONE if k % 2 else ONE
-        f_piece = f_gr.project_to(top)
-        lo, hi = f_piece.lowest() - 1, f_piece.highest() + 1
         covered = 0
-        for p in range(lo, hi + 1):
-            q = w - p
-            hpq = f_piece.at(p).intersect(f_piece.at(q).conj()).intersect(prim)
+        for p, h in hodge[i + k][0].items():
+            q = i + k - p
+            hpq = h.intersect(prim)
             if hpq.dim == 0:
                 continue
             covered += hpq.dim

@@ -1,12 +1,18 @@
-"""Two constructions no verb runs, kept beside the tests that check them.
+"""Constructions no verb runs, kept beside the tests that check them.
 
 ``shriek`` is N!W, the dual of the star operation N*W; ``unipotent_part`` is
-the restriction of a model to its unipotent components.  The tests compare
-them with the package's own builders: N!W with N*W through duality and
-relative monodromy, the unipotent part with IC_log along every branch.
+the restriction of a model to its unipotent components; ``hodge_decomposes``
+is the definition of a Hodge structure of weight w, complement by complement.
+The tests compare them with the package's own builders: N!W with N*W through
+duality and relative monodromy, the unipotent part with IC_log along every
+branch, the definition with the Hodge pieces the IMHS checker reads.
 """
 
-from loghodge.filtrations import IncreasingFiltration, relative_monodromy_filtration
+from loghodge.filtrations import (
+    DecreasingFiltration,
+    IncreasingFiltration,
+    relative_monodromy_filtration,
+)
 from loghodge.linalg import Matrix, Subquotient, Subspace
 from loghodge.model import NCModel
 
@@ -22,6 +28,22 @@ def shriek(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
         pre = N.preimage(w.at(k - 1))
         steps.append((k, w.at(k - 1).sum(m.at(k).intersect(pre))))
     return IncreasingFiltration(n, steps)
+
+
+def hodge_decomposes(f: DecreasingFiltration, weight: int) -> bool:
+    """F^p (+) conj F^{weight-p+1} spans the space exactly, for every p: past
+    the p tested here one summand is the whole space and the other zero."""
+    d = f.ambient_dim
+    if d == 0:
+        return True
+    lo = f.lowest() - 1
+    hi = f.highest() + 1
+    for p in range(min(lo, weight - hi), max(hi, weight - lo) + 1):
+        fp = f.at(p)
+        fq = f.at(weight - p + 1).conj()
+        if fp.dim + fq.dim != d or fp.intersect(fq).dim != 0:
+            return False
+    return True
 
 
 def unipotent_part(model: NCModel) -> NCModel:

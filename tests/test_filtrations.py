@@ -861,6 +861,27 @@ def test_relative_monodromy_on_seeded_flags_keeps_its_digest():
     assert digest.hexdigest() == _SEEDED_FLAGS_DIGEST
 
 
+def test_the_builder_spans_each_chain_set_once_on_the_seeded_flags(monkeypatch):
+    """M(N, W) spans "the chains at levels <= L" through one table keyed by
+    the chain set, for every lift target and every step of M: on the 1000
+    flags of the digest test no chain set is spanned twice."""
+    real_span, spanned = linalg.Subspace.span, []
+
+    def recording_span(vectors, n):
+        if sys._getframe(1).f_globals["__name__"] == filtrations.__name__:
+            spanned.append(tuple(vectors))
+        return real_span(vectors, n)
+    monkeypatch.setattr(linalg.Subspace, "span", staticmethod(recording_span))
+    rng, total = random.Random(30), 0
+    for _ in range(1000):
+        n, w = _flag_model(rng, steps=4)
+        del spanned[:]
+        _built(relative_monodromy_filtration, n, w)
+        assert len(spanned) == len(set(spanned))
+        total += len(spanned)
+    assert total == 2165
+
+
 def _zero_operator_flags():
     """W and the zero N on it: seeded flags of _flag_model, which are mixed
     from two steps on, pure W's and the space of dimension 0."""

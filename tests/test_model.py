@@ -2,6 +2,7 @@ import collections
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import pathlib
@@ -10,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import loghodge.model
@@ -24,11 +25,13 @@ from loghodge.generate import (
     random_spectral_model,
     random_unimodular,
 )
-from loghodge.linalg import Matrix
+from loghodge.filtrations import DecreasingFiltration
+from loghodge.linalg import Matrix, Subspace
 from loghodge.model import (
     AlphaComponent,
     NCModel,
     _hermitian_positive,
+    _hodge_pieces,
     canonical_json,
     direct_sum,
     imhs_check,
@@ -39,7 +42,7 @@ from loghodge.model import (
 from loghodge.scalars import I, Scalar
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from side_ops import unipotent_part
+from side_ops import hodge_decomposes, unipotent_part
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -274,6 +277,98 @@ def test_a_negated_pairing_fails_only_the_polarization_rows(name):
     for c in rows:
         want = "fail" if c.name.startswith("Polarization[w=") else "pass"
         assert c.status == want, (c.name, c.status)
+
+
+@st.composite
+def _decreasing_flags(draw):
+    """A weight w in -3..3 and F^p spanned by the drawn vectors of index
+    >= p: at most four vectors over Z[i] with indices in -2..2, on a space
+    of dimension <= 4, and in about half the draws also each conjugate at
+    index w - p, which makes many of them Hodge of weight w."""
+    d, w = draw(st.integers(0, 4)), draw(st.integers(-3, 3))
+    mirror = draw(st.booleans())
+    entry = st.builds(Scalar, st.integers(-1, 1), st.integers(-1, 1))
+    vectors = draw(st.lists(st.tuples(
+        st.integers(-2, 2), st.lists(entry, min_size=d, max_size=d)),
+        min_size=d // 2 if mirror else 0, max_size=(d + 1) // 2 if mirror else d))
+    if mirror:
+        vectors += [(w - p, [x.conj() for x in v]) for p, v in vectors]
+    labels = [p for p, _ in vectors] or [0]
+    return DecreasingFiltration(d, [
+        (p, Subspace.span([v for q, v in vectors if q >= p], d))
+        for p in range(min(labels), max(labels) + 2)]), w
+
+
+@settings(max_examples=400, deadline=None)
+@given(flag=_decreasing_flags())
+def test_hodge_pieces_decide_a_hodge_structure_as_its_definition(flag):
+    """The verdict of _hodge_pieces is the definition's, F^p (+) conj
+    F^{w-p+1} = V for every p, and its pieces run over lowest(F) - 1 <= p
+    <= highest(F) + 1."""
+    f, w = flag
+    pieces, hodge = _hodge_pieces(f, w)
+    event(f"hodge: {hodge}")
+    assert hodge == hodge_decomposes(f, w)
+    assert list(pieces) == list(range(f.lowest() - 1, f.highest() + 2))
+
+
+@pytest.mark.parametrize("w", range(-3, 4))
+def test_a_line_with_f0_whole_and_f1_zero_is_hodge_only_at_weight_zero(w):
+    """Its pieces over lowest(F) - 1 <= p <= highest(F) + 1 are H^{0,w} = V
+    and zeros at every w <= 0; only the bound F^{w+1} = 0 rules out w < 0."""
+    line = DecreasingFiltration(1, [(1, Subspace.zero(1))])
+    assert _hodge_pieces(line, w)[1] == hodge_decomposes(line, w) == (w == 0)
+
+
+def _non_hodge_twin(model, rng):
+    """model with F moved by a seeded elementary unipotent g (a Gaussian
+    entry off the diagonal), the first of eight draws under which the model
+    still passes validate, then shifted by s in -1..2.  Generator draws are
+    Hodge by construction; the twin often is not."""
+    n, f = model.total_dim, model.hodge
+    for _ in range(8):
+        a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        c = Scalar(rng.randint(-2, 2), rng.choice((-1, 1)))
+        g = Matrix([[int(i == j) + (c if (i, j) == (a, b) != (j, i) else 0)
+                     for j in range(n)] for i in range(n)])
+        twin = dataclasses.replace(model, hodge=type(f)(
+            n, [(p, g.image(sub)) for p, sub in f.steps]))
+        if validate(twin).passed:
+            break
+    else:
+        twin = model
+    shift = rng.choice((0, 0, 1, 2, -1))
+    return dataclasses.replace(twin, hodge=twin.hodge.shift(shift))
+
+
+# sha256 of the reports of test_imhs_on_non_hodge_twins_keeps_its_digest,
+# recorded before the Hodge rows shared one construction of H^{p,q}
+_NON_HODGE_DIGEST = "b7b371ecb421703e302d69f236ca21e84d45b51145d36c6e66b1d5c050ccab44"
+
+
+def test_imhs_on_non_hodge_twins_keeps_its_digest():
+    """The pure and imhs draws at n = 0, seeds 0-59, and n = 1..3, seeds
+    0-24, each with its non-Hodge twin: 540 reports, whose failing rows
+    reach every Hodge row, pinned byte for byte."""
+    rng, digest = random.Random(35), hashlib.sha256()
+    failing = collections.Counter()
+    for n, seeds in ((0, range(60)), (1, range(25)), (2, range(25)), (3, range(25))):
+        for gen, make in (("pure", random_pure_model), ("imhs", random_imhs_model)):
+            for seed in seeds:
+                draw = make(n, random.Random(seed))
+                twin = _non_hodge_twin(draw, rng)
+                assert validate(twin).passed
+                for kind, instance in (("draw", draw), ("twin", twin)):
+                    with linalg.evaluation():
+                        report = imhs_check(instance)
+                    out = json.dumps(report.to_json(), sort_keys=True)
+                    digest.update(f"{gen}{n}-{seed} {kind} {out}\n".encode())
+                    failing.update(c.name.split("[")[0] for c in report.checks
+                                   if c.status == "fail")
+    for row in ("OrbitHodgeStructure", "TotalGradedMHS",
+                "WeightCompatibleWithMHS", "Polarization"):
+        assert failing[row], row
+    assert digest.hexdigest() == _NON_HODGE_DIGEST
 
 
 def test_imhs_needs_hodge():

@@ -138,8 +138,13 @@ class Filtration:
         return f"{type(self).__name__}({parts})"
 
     def shift(self, m: int):
-        """The same steps with every index moved by m."""
-        return type(self)(self.ambient_dim, [(i + m, s) for i, s in self.steps])
+        """The same steps with every index moved by m, built unchecked: they
+        passed this filtration's constructor, and moving every index keeps
+        their order."""
+        out = object.__new__(type(self))
+        out.ambient_dim = self.ambient_dim
+        out.steps = tuple((i + m, s) for i, s in self.steps)
+        return out
 
     @_remembered
     def project_to(self, sq: Subquotient):

@@ -19,6 +19,15 @@ every subspace into every other, and ``induced_map`` of it is zero.
 Otherwise ``intersect`` reduces the smaller basis by the larger and takes
 the kernel of the residuals.
 
+The arithmetic answers trivial operands the same way, after its shape
+checks.  A product with a zero factor is ``Matrix.zero``, and one with the
+cached ``Matrix.identity`` is the other factor.  ``combination``, behind
+``+``, ``-`` and ``scale``, drops each term whose coefficient or matrix is
+zero: with none left the sum is ``Matrix.zero``, and a lone term with
+coefficient 1 is its matrix.  A zero matrix transposes to ``Matrix.zero``.
+Whether a matrix is zero is decided once and kept, and ``Matrix.zero`` and
+``Matrix.identity`` are built once per shape.
+
 The evaluation memo lives here, under every other layer: inside an
 ``evaluation()`` block each function marked ``@_remembered``, a lattice
 operation here or a builder above, is computed once per equal input.
@@ -239,16 +248,27 @@ def _matrix(rows: tuple[Row, ...], cols: int) -> "Matrix":
     m.entries = rows
     m.rows = len(rows)
     m.cols = cols
-    m._hash = m._columns = None
+    m._hash = m._columns = m._zero = None
     return m
 
 
 def combination(coeffs, mats, rows: int, cols: int) -> "Matrix":
     """sum_k coeffs[k] * mats[k], each a rows x cols Matrix: row i is one
-    exact combination of the rows i, so no partial sum is built."""
+    exact combination of the rows i, so no partial sum is built.  A term
+    whose coefficient or matrix is zero is dropped first; with none left the
+    sum is zero, and a single term with coefficient 1 is its matrix."""
     if any((m.rows, m.cols) != (rows, cols) for m in mats):
         raise ShapeError("matrix combination shape mismatch")
     c = as_vector(coeffs)
+    keep = [k for k, (x, y, m) in enumerate(zip(c.num, c.im or repeat(0), mats))
+            if (x or y) and not m.is_zero()]
+    if not keep:
+        return Matrix.zero(rows, cols)
+    if len(keep) == 1 and c.num[keep[0]] == c.den and not (c.im and c.im[keep[0]]):
+        return mats[keep[0]]
+    if len(keep) < len(c.num):
+        c = _row([c.num[k] for k in keep], c.im and [c.im[k] for k in keep], c.den)
+        mats = [mats[k] for k in keep]
     return _matrix(tuple(_lincomb(c, [m.entries[i] for m in mats], cols)
                          for i in range(rows)), cols)
 
@@ -258,7 +278,7 @@ class Matrix:
     rows x cols it defines (columns act): m(v) is m.apply(v) and m * n is
     m after n."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash", "_columns")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_columns", "_zero")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
         rows = [as_vector(r) for r in entries]
@@ -274,7 +294,7 @@ class Matrix:
         self.entries = tuple(rows)
         self.rows = len(rows)
         self.cols = cols
-        self._hash = self._columns = None
+        self._hash = self._columns = self._zero = None
 
     @staticmethod
     @cache
@@ -284,8 +304,12 @@ class Matrix:
                              for i in range(n)), n)
 
     @staticmethod
+    @cache
     def zero(rows: int, cols: int) -> "Matrix":
-        return _matrix((zero_vector(cols),) * rows, cols)
+        """Built once per shape: it is an immutable value."""
+        m = _matrix((zero_vector(cols),) * rows, cols)
+        m._zero = True
+        return m
 
     def __eq__(self, other):
         return (
@@ -315,6 +339,8 @@ class Matrix:
         return self._columns
 
     def transpose(self) -> "Matrix":
+        if self.is_zero():
+            return Matrix.zero(self.cols, self.rows)
         den, cols, icols = self._column_form()
         return _matrix(tuple(map(_row, cols, icols or repeat(None), repeat(den))),
                        self.rows)
@@ -339,6 +365,12 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self.is_zero() or other.is_zero():
+            return Matrix.zero(self.rows, other.cols)
+        if self is Matrix.identity(self.rows):
+            return other
+        if other is Matrix.identity(other.cols):
+            return self
         # row i of the product is sum_k self[i, k] * (row k of other)
         return _matrix(tuple(_lincomb(r, other.entries, other.cols)
                              for r in self.entries), other.cols)
@@ -370,7 +402,9 @@ class Matrix:
         return [[str(e) for e in r] for r in self.entries]
 
     def is_zero(self) -> bool:
-        return all(r.is_zero() for r in self.entries)
+        if self._zero is None:
+            self._zero = all(r.is_zero() for r in self.entries)
+        return self._zero
 
     @_remembered
     def powers(self) -> list["Matrix"] | None:

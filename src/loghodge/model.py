@@ -361,7 +361,7 @@ def imhs_check(model: NCModel) -> CheckReport:
         f_gr = model.hodge.project_to(gr)
         hodge = {k: _hodge_pieces(f_gr.project_to(m.graded_piece(k)), k)
                  for k in m.jumps()}
-        graded[i] = gr, n_gr, m, hodge
+        graded[i] = gr, n_gr, m, f_gr, hodge
         report.add(f"OrbitTIndependence[w={i}]",
                    t_independent(m, ops_gr, IncreasingFiltration.pure(gr.dim, i)),
                    "monodromy filtration depends on the scaling vector")
@@ -409,17 +409,22 @@ def imhs_check(model: NCModel) -> CheckReport:
         report.skip("Polarization", "no pairing supplied")
     else:
         s = model.pairing
-        for i, (gr, n_gr, m, hodge) in graded.items():
+        for i, (gr, n_gr, m, f_gr, hodge) in graded.items():
             if not _descends(s, model.weight.at(i - 1), model.weight.at(i)):
                 report.skip(f"Polarization[w={i}]",
                             "single pairing does not descend to this graded piece")
                 continue
             lifts = _basis(gr.lifts)
-            ok = _polarization_on_graded(gr, n_gr, m, hodge, i,
-                                         lifts * s * lifts.transpose())
-            report.add(
-                f"Polarization[w={i}]", ok,
-                f"primitive parts of Gr^W_{i} are not positively polarized")
+            s_gr = lifts * s * lifts.transpose()
+            if not _polarization_on_graded(gr, n_gr, m, hodge, i, s_gr):
+                report.add(
+                    f"Polarization[w={i}]", False,
+                    f"primitive parts of Gr^W_{i} are not positively polarized")
+            else:
+                report.add(
+                    f"Polarization[w={i}]", _isotropic(f_gr, s_gr, i),
+                    f"S(F^p, F^{{{i + 1}-p}}) is not zero on Gr^W_{i}: the first "
+                    "Hodge-Riemann relation fails")
 
     return report
 
@@ -435,6 +440,15 @@ def _descends(s: Matrix, below: Subspace, at: Subspace) -> bool:
     a, b = _basis(below), _basis(at)
     return (a * s * b.transpose()).is_zero() and \
         (b * s * a.transpose()).is_zero()
+
+
+def _isotropic(f: DecreasingFiltration, s: Matrix, w: int) -> bool:
+    """The first Hodge-Riemann relation at weight w for the form of Gram
+    matrix s: S(F^p, F^{w+1-p}) = 0 for lowest(F) - 1 <= p <= highest(F) + 1.
+    Above that range F^p = 0; below it F^p is the whole space, paired with a
+    step inside F^{w+2-lowest(F)}, which p = lowest(F) - 1 pairs with it."""
+    return all((_basis(f.at(p)) * s * _basis(f.at(w + 1 - p)).transpose()).is_zero()
+               for p in range(f.lowest() - 1, f.highest() + 2))
 
 
 def _polarization_on_graded(gr: Subquotient, n_gr: Matrix, m: IncreasingFiltration,
@@ -530,9 +544,11 @@ def model_from_json(doc) -> NCModel:
             raise ParseError(f"component {k}: N must list {n} matrices")
         nil = tuple(_matrix_from_json(mdoc, d, f"component {k} N[{j}]")
                     for j, mdoc in enumerate(nmats))
+        _require_rational([r for m in nil for r in m.entries], f"component {k}: N")
         comps.append(AlphaComponent(alpha, d, nil))
     total = sum(c.dim for c in comps)
     weight = IncreasingFiltration.from_json(doc["W"], total)
+    _require_rational([r for _, sub in weight.steps for r in sub.basis], "W")
     hodge = None
     if "F" in doc:
         hodge = DecreasingFiltration.from_json(doc["F"], total)
@@ -546,9 +562,19 @@ def model_from_json(doc) -> NCModel:
         if not is_integer(sdoc["parity"]):
             raise ParseError("S parity must be an integer")
         pairing = _matrix_from_json(sdoc["matrix"], total, "S matrix")
+        _require_rational(pairing.entries, "S")
         parity = sdoc["parity"]
     return NCModel(n, tuple(comps), doc["base_weight"], doc["perverse_shift"],
                    weight, hodge, pairing, parity)
+
+
+def _require_rational(rows, name: str):
+    """ParseError unless every Row is rational: W, N and S are defined over
+    Q, so conjugating coordinates is the real structure; only F is complex.
+    A W step is read from its canonical basis, so a rational step written
+    in a Gaussian basis is rational."""
+    if any(r.im for r in rows):
+        raise ParseError(f"{name} must be rational")
 
 
 def _matrix_from_json(mdoc, d: int, where: str) -> Matrix:

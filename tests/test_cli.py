@@ -787,3 +787,92 @@ def test_intersect_builds_no_complex(monkeypatch, capsys):
     assert json.loads(out)["results"] == [] and built == []
     run_cli(["link", str(CORPUS / "gen_pure_n3.json")], capsys)
     assert built
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["purity", "--mode", "compact"],
+                                  ["link"], ["decompose"]])
+def test_zero_operators_combine_no_vanishing_rows(argv, tmp_path, monkeypatch,
+                                                   capsys):
+    """Every residue operator of imhs3-2 is zero, so each product, sum and
+    transpose with one answers from its shape: no row combination has only
+    zero coefficients or only zero rows (these verbs made 32, 62, 60 and 54
+    such combinations when the arithmetic multiplied through zero)."""
+    model = random_imhs_model(3, random.Random(2))
+    path = tmp_path / "imhs3-2.json"
+    path.write_text(canonical_json(model_to_json(model)))
+    vanishing, real_lincomb = [], linalg._lincomb
+
+    def lincomb(c, rows, n):
+        if c.is_zero() or all(r.is_zero() for r in rows):
+            vanishing.append(c)
+        return real_lincomb(c, rows, n)
+    monkeypatch.setattr(linalg, "_lincomb", lincomb)
+    code, out = run_cli([argv[0], str(path)] + argv[1:], capsys)
+    assert code in (0, 1) and json.loads(out)["verdict"] != "error"
+    assert vanishing == []
+
+
+def _riemann_c(c):
+    """n = 1, N = 0, W pure of weight 1 on Q^4, S the standard symplectic
+    form, F^1 = span(e1 + i f1 + c f2, e2 + i f2): at c = 1, S(v1, v2) = -1,
+    though i S(x, conj x) is positive on F^1."""
+    unit = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    return {"branches": 1, "base_weight": 1, "perverse_shift": 1,
+            "components": [{"alpha": ["0"], "dim": 4,
+                            "N": [[["0"] * 4 for _ in range(4)]]}],
+            "W": [{"weight": 1, "basis": unit}],
+            "F": [{"p": 1, "basis": [["1", "0", "1*i", str(c)],
+                                     ["0", "1", "0", "1*i"]]},
+                  {"p": 2, "basis": []}],
+            "S": {"matrix": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                             ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]],
+                  "parity": 1}}
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_imhs_fails_an_f1_that_is_not_isotropic(c, tmp_path, capsys):
+    """The first Hodge-Riemann relation S(F^1, F^1) = 0 fails at c = 1 only,
+    and the Polarization row names it."""
+    path = tmp_path / f"riemann_c{c}.json"
+    path.write_text(json.dumps(_riemann_c(c)))
+    code, out = run_cli(["imhs", str(path)], capsys)
+    assert code == c
+    rows = {r["name"]: r for r in json.loads(out)["results"]}
+    assert [name for name, r in rows.items() if r["status"] != "pass"] == \
+        (["Polarization[w=1]"] if c else [])
+    if c:
+        assert rows["Polarization[w=1]"]["detail"] == (
+            "S(F^p, F^{2-p}) is not zero on Gr^W_1: the first Hodge-Riemann "
+            "relation fails")
+
+
+def _j2_with(**changes):
+    doc = json.loads(J2.read_text())
+    doc.update(changes)
+    return doc
+
+
+# instances that passed validate while only alpha had to be rational
+NOT_RATIONAL = [
+    ({"branches": 1, "base_weight": 0, "perverse_shift": 1,
+      "components": [{"alpha": ["0"], "dim": 2, "N": [[["0", "0"], ["0", "0"]]]}],
+      "W": [{"weight": 0, "basis": [["1", "1*i"]]},
+            {"weight": 2, "basis": [["1", "0"], ["0", "1"]]}],
+      "F": [{"p": 1, "basis": [["0", "1"]]}, {"p": 2, "basis": []}]},
+     "W must be rational"),
+    (_j2_with(components=[{"alpha": ["0"], "dim": 2,
+                           "N": [[["0", "1*i"], ["0", "0"]]]}]),
+     "component 0: N must be rational"),
+    (_j2_with(S={"matrix": [["0", "1*i"], ["-1*i", "0"]], "parity": 1}),
+     "S must be rational"),
+]
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_every_verb_refuses_a_w_n_or_s_that_is_not_rational(verb, tmp_path,
+                                                            capsys):
+    for k, (doc, message) in enumerate(NOT_RATIONAL):
+        path = tmp_path / f"not_rational{k}.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([verb, str(path)], capsys)
+        assert (code, json.loads(out)["error"]) == (2, message), path.name

@@ -411,6 +411,25 @@ def test_shift_both_directions(cls):
     assert f.shift(0) == f and moved.shift(-3) == f
 
 
+@BOTH
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_shift_is_the_constructors_filtration_and_checks_nothing(cls, m,
+                                                                 monkeypatch):
+    """The moved steps are the ones the constructor checked, so shift builds
+    what the constructor would, without a containment test."""
+    plane = Subspace.span([[1, 0, 0], [0, 1, 1]], 3)
+    line = Subspace.span([[0, 1, 1]], 3)
+    steps = (plane, line) if cls is DecreasingFiltration else (line, plane)
+    filts = [cls(0, []), _through(cls, 2, LINE),
+             cls(3, [(-1, steps[0]), (1, steps[1]), (4, _end(cls, 3))])]
+    want = [cls(f.ambient_dim, [(i + m, s) for i, s in f.steps]) for f in filts]
+    monkeypatch.setattr(Subspace, "contains", None)
+    for f, expected in zip(filts, want):
+        moved = f.shift(m)
+        assert type(moved) is cls and moved == expected
+        assert hash(moved) == hash(expected) and moved.shift(-m) == f
+
+
 @pytest.mark.parametrize("cls, steps, message", [
     (IncreasingFiltration, [(0, Subspace.full(3))],
      "filtration step in wrong ambient space"),

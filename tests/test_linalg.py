@@ -937,6 +937,98 @@ def test_combination_matches_the_entrywise_sum(case):
     assert all_scalars(got.entries)
 
 
+@st.composite
+def shaped_operands(draw, rows, cols):
+    """A rows x cols Matrix with the Scalar entries it must have: sparse, the
+    cached zero, a zero or an identity-patterned one (non-square when rows
+    != cols) from the public constructor, or the cached identity."""
+    kinds = ["sparse", "zero", "built zero", "built eye"]
+    kind = draw(st.sampled_from(kinds + ["identity"] * (rows == cols)))
+    if kind == "sparse":
+        entries = draw(sparse_rows(rows, cols))
+    else:
+        eye = kind in ("built eye", "identity")
+        entries = [[Scalar(int(eye and i == j)) for j in range(cols)]
+                   for i in range(rows)]
+    m = {"zero": lambda: Matrix.zero(rows, cols),
+         "identity": lambda: Matrix.identity(rows)}.get(
+             kind, lambda: Matrix(entries, cols=cols))()
+    return m, entries
+
+
+coefficients = st.sampled_from([Scalar(0), Scalar(1), Scalar(-1)]) | \
+    st.builds(Scalar, small_frac, small_frac)
+
+
+@settings(max_examples=300)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(st.just(s), shaped_operands(s[0], s[1]),
+                        shaped_operands(s[1], s[2]))))
+def test_products_with_zero_and_identity_factors_match_the_dense_product(case):
+    (rows, inner, cols), (a, ea), (b, eb) = case
+    product = a * b
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product == Matrix(dense_product(ea, eb, inner, cols), cols=cols)
+    assert all_scalars(product.entries)
+
+
+@settings(max_examples=300)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)).flatmap(
+    lambda s: st.tuples(st.just(s[:2]),
+                        st.lists(shaped_operands(s[0], s[1]), min_size=s[2],
+                                 max_size=s[2]),
+                        st.lists(coefficients, min_size=s[2], max_size=s[2]))))
+def test_sums_and_transposes_with_trivial_terms_match_the_entrywise_sum(case):
+    """combination, +, -, scale and transpose over zero and identity
+    operands and coefficients 0 and 1 equal the entrywise Scalar formulas."""
+    (rows, cols), operands, coeffs = case
+    mats = [m for m, _ in operands]
+    entries = [e for _, e in operands]
+
+    def dense(cs, es):
+        return Matrix([[sum((c * e[i][j] for c, e in zip(cs, es)), Scalar(0))
+                        for j in range(cols)] for i in range(rows)], cols=cols)
+    got = linalg.combination(coeffs, mats, rows, cols)
+    assert got == dense(coeffs, entries) and (got.rows, got.cols) == (rows, cols)
+    for m, e in operands:
+        assert m.scale(coeffs[0]) == dense(coeffs[:1], [e])
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t == Matrix([[e[i][j] for i in range(rows)] for j in range(cols)],
+                           cols=rows)
+    if len(operands) >= 2:
+        (a, ea), (b, eb) = operands[:2]
+        assert a + b == dense([Scalar(1), Scalar(1)], [ea, eb])
+        assert a - b == dense([Scalar(1), Scalar(-1)], [ea, eb])
+        assert all_scalars((a + b).entries) and all_scalars((a - b).entries)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Matrix.zero(2, 3) * Matrix.zero(2, 3), "cannot multiply 2x3 by 2x3"),
+    (lambda: Matrix.identity(2) * Matrix.zero(3, 2), "cannot multiply 2x2 by 3x2"),
+    (lambda: Matrix.zero(2, 2) * Matrix.identity(3), "cannot multiply 2x2 by 3x3"),
+    (lambda: Matrix.identity(3) * Matrix.identity(2), "cannot multiply 3x3 by 2x2"),
+    (lambda: linalg.combination((0, 1), (Matrix.zero(2, 3), Matrix.identity(2)),
+                                2, 2), "matrix combination shape mismatch"),
+    (lambda: linalg.combination((1,), (Matrix.zero(3, 2),), 2, 3),
+     "matrix combination shape mismatch"),
+    (lambda: Matrix.identity(2) + Matrix.zero(2, 3),
+     "matrix combination shape mismatch"),
+    (lambda: Matrix.zero(3, 2) - Matrix.zero(2, 3),
+     "matrix combination shape mismatch"),
+])
+def test_a_trivial_operand_of_another_shape_raises_as_before(call, message):
+    with pytest.raises(ShapeError) as caught:
+        call()
+    assert type(caught.value) is ShapeError and str(caught.value) == message
+
+
+def test_the_zero_matrix_is_built_once_per_shape():
+    assert Matrix.zero(2, 3) is Matrix.zero(2, 3)
+    assert Matrix.zero(2, 3) is not Matrix.zero(3, 2)
+    assert Matrix.zero(2, 3) == Matrix([[0, 0, 0], [0, 0, 0]])
+
+
 def test_combination_rejects_a_matrix_of_another_shape():
     with pytest.raises(ShapeError):
         linalg.combination((1, 1), (Matrix.zero(2, 2), Matrix.zero(2, 3)), 2, 2)

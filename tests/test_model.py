@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import loghodge.model
@@ -25,7 +25,7 @@ from loghodge.generate import (
     random_spectral_model,
     random_unimodular,
 )
-from loghodge.filtrations import DecreasingFiltration
+from loghodge.filtrations import DecreasingFiltration, IncreasingFiltration
 from loghodge.linalg import Matrix, Subspace
 from loghodge.model import (
     AlphaComponent,
@@ -121,7 +121,7 @@ def test_validate_flags_a_filtration_that_does_not_split(w0, f1, weight_ok,
 @pytest.mark.parametrize("s, restricts", [
     ([["0", "1"], ["1", "0"]], False),
     ([["1", "0"], ["0", "1"]], True),
-    ([["1", "1*i"], ["1*i", "1"]], False),     # pairs them by an imaginary entry
+    ([["1", "1"], ["1", "-1"]], False),   # pairs them off a nonzero diagonal
 ])
 def test_validate_flags_a_pairing_of_distinct_components(s, restricts):
     """Two lines of exponents 0 and 1/2 with a symmetric nondegenerate S:
@@ -147,6 +147,25 @@ def test_validate_flags_a_pairing_of_distinct_components(s, restricts):
         ("PairingRestrictsToComponents", *(
             ("pass", "") if restricts else
             ("fail", "S pairs distinct components")))]
+
+
+def test_a_gaussian_pairing_of_the_two_lines_is_refused_at_load():
+    """S = [[1, i], [i, 1]] would pair the two lines through imaginary
+    entries only; S is defined over Q, and only F may be Gaussian."""
+    doc = {"branches": 1, "base_weight": 0, "perverse_shift": 1,
+           "components": [{"alpha": [a], "dim": 1, "N": [[["0"]]]}
+                          for a in ("0", "1/2")],
+           "W": [{"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
+           "S": {"matrix": [["1", "1*i"], ["1*i", "1"]], "parity": 0}}
+    with pytest.raises(ParseError, match="^S must be rational$"):
+        model_from_json(doc)
+
+
+def test_a_rational_w_step_in_a_gaussian_basis_loads():
+    """Rationality is read from the step's canonical basis."""
+    doc = {**J2_WEIGHT1, "W": [{"weight": 1, "basis": [["1*i", "0"], ["1", "1*i"]]}]}
+    assert model_to_json(model_from_json(doc)) == \
+        model_to_json(model_from_json(J2_WEIGHT1))
 
 
 def _splits(model, filt):
@@ -342,14 +361,16 @@ def _non_hodge_twin(model, rng):
 
 
 # sha256 of the reports of test_imhs_on_non_hodge_twins_keeps_its_digest,
-# recorded before the Hodge rows shared one construction of H^{p,q}
-_NON_HODGE_DIGEST = "b7b371ecb421703e302d69f236ca21e84d45b51145d36c6e66b1d5c050ccab44"
+# recorded when the Polarization rows began to check the first Hodge-Riemann
+# relation, which failed 59 twin rows that had passed
+_NON_HODGE_DIGEST = "429ed75ed1fdff8024014c7660142e1eea2ab136f71c734df6074580e575a8a3"
 
 
 def test_imhs_on_non_hodge_twins_keeps_its_digest():
     """The pure and imhs draws at n = 0, seeds 0-59, and n = 1..3, seeds
     0-24, each with its non-Hodge twin: 540 reports, whose failing rows
-    reach every Hodge row, pinned byte for byte."""
+    reach every Hodge row, pinned byte for byte.  No Polarization[w=i]
+    passes where OrbitHodgeStructure[w=i] fails."""
     rng, digest = random.Random(35), hashlib.sha256()
     failing = collections.Counter()
     for n, seeds in ((0, range(60)), (1, range(25)), (2, range(25)), (3, range(25))):
@@ -365,6 +386,11 @@ def test_imhs_on_non_hodge_twins_keeps_its_digest():
                     digest.update(f"{gen}{n}-{seed} {kind} {out}\n".encode())
                     failing.update(c.name.split("[")[0] for c in report.checks
                                    if c.status == "fail")
+                    status = {c.name: c.status for c in report.checks}
+                    assert not any(
+                        st == "pass" and status.get("OrbitHodgeStructure" + name
+                                                    .removeprefix("Polarization")) == "fail"
+                        for name, st in status.items() if name.startswith("Polarization["))
     for row in ("OrbitHodgeStructure", "TotalGradedMHS",
                 "WeightCompatibleWithMHS", "Polarization"):
         assert failing[row], row
@@ -501,6 +527,56 @@ def test_hermitian_positive_is_sylvesters_criterion(h):
     expected = (h.transpose().conj() == h
                 and all(not d.im and d.re > 0 for d in minors))
     assert _hermitian_positive(h) == expected
+
+
+def riemann_model(z):
+    """Weight 1 on Q(i)^{2g}, N = 0, S the standard symplectic form
+    (S(e_a, f_b) = delta_ab) and F^1 spanned by the rows e_a + sum_b Z_ab f_b."""
+    g = len(z)
+    n = 2 * g
+    unit = [[int(a == b) for b in range(g)] for a in range(g)]
+    zero = [[0] * g for _ in range(g)]
+    s = Matrix([u + v for u, v in zip(zero, unit)]
+               + [[-x for x in u] + v for u, v in zip(unit, zero)])
+    f1 = Subspace.span([u + list(r) for u, r in zip(unit, z)], n)
+    return NCModel(1, (AlphaComponent((Fraction(0),), n, (Matrix.zero(n, n),)),),
+                   1, 1, IncreasingFiltration.pure(n, 1),
+                   DecreasingFiltration(n, [(1, f1), (2, Subspace.zero(n))]), s, 1)
+
+
+@st.composite
+def period_matrices(draw):
+    """Z over Z[i], g <= 3, half of them symmetric, Im Z often positive."""
+    g = draw(st.integers(1, 3))
+    symmetric = draw(st.booleans())
+    z = [[None] * g for _ in range(g)]
+    for a in range(g):
+        for b in range(g):
+            if symmetric and b < a:
+                z[a][b] = z[b][a]
+            else:
+                im = draw(st.integers(-1, 4) if a == b else st.integers(-1, 1))
+                z[a][b] = Scalar(draw(st.integers(-2, 2)), im)
+    return z
+
+
+@settings(max_examples=150, deadline=None)
+@given(period_matrices())
+@example([[Scalar(0, 1)]])
+@example([[Scalar(0, -1)]])
+@example([[Scalar(0, 1), Scalar(1)], [Scalar(0), Scalar(0, 1)]])
+def test_imhs_on_a_weight_one_period_matrix_is_riemanns_conditions(z):
+    """F^1 = span(e_a + sum_b Z_ab f_b) is polarized by the symplectic S
+    exactly when Z is symmetric and Im Z is positive definite."""
+    g = len(z)
+    im = [[Scalar(z[a][b].im) for b in range(g)] for a in range(g)]
+    polarized = all(z[a][b] == z[b][a] for a in range(g) for b in range(g)) \
+        and all(leibniz_det([r[:k] for r in im[:k]]).re > 0
+                for k in range(1, g + 1))
+    model = riemann_model(z)
+    assert validate(model).passed
+    with linalg.evaluation():
+        assert imhs_check(model).passed == polarized
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NCModel)])

@@ -39,7 +39,6 @@ from .linalg import (
     induced_map,
     place,
 )
-from .scalars import ONE
 
 
 @dataclass
@@ -121,19 +120,9 @@ class FilteredComplex:
                     raise FiltrationNotPreserved(
                         f"{step}{r} at degree {k} is not a subcomplex")
 
-    def __eq__(self, other):
-        if not isinstance(other, FilteredComplex):
-            return NotImplemented
-        if (self.min_deg, self.dims) != (other.min_deg, other.dims):
-            return False
-        for k in self.degrees():
-            if self.differential(k) != other.differential(k):
-                return False
-        return (self.weight, self.hodge) == (other.weight, other.hodge)
-
     def shift(self, m: int) -> "FilteredComplex":
         """C[m]: term k becomes old term k+m; weight labels move by +m."""
-        sign = -ONE if m % 2 else ONE
+        sign = -1 if m % 2 else 1
         d = {k - m: dk.scale(sign) for k, dk in self.d.items()}
         weight, hodge = (
             None if filt is None else
@@ -188,7 +177,7 @@ def cone(f: ComplexMap) -> FilteredComplex:
         top, bottom = range(da2), range(da2, da2 + db2)
         left, right = range(da), range(da, da + db)
         d[k] = place((da2 + db2, da + db), [
-            (-a.differential(k + 1), top, left),
+            (a.differential(k + 1).scale(-1), top, left),
             (f.at(k + 1), bottom, left),
             (b.differential(k), bottom, right)])
     filts = []
@@ -230,7 +219,7 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None) -> FilteredCompl
     d = {}
     for k in range(lo, hi):
         src = c.differential(top - k - 1)  # term(top-k-1) -> term(top-k)
-        sign = -ONE if (k % 2 == 0) else ONE
+        sign = -1 if k % 2 == 0 else 1
         d[k] = src.transpose().scale(sign)
     weight, hodge = (
         None if filt is None else
@@ -375,7 +364,7 @@ def koszul_complex(branches, blocks, slot, weight=None,
                 if j in K or ops[j].is_zero():
                     continue
                 t_pos, t_sq = layout[k + 1][(tuple(sorted(K + (j,))), b)]
-                sign = -ONE if sum(1 for i in K if i < j) % 2 else ONE
+                sign = -1 if sum(1 for i in K if i < j) % 2 else 1
                 block = induced_map(ops[j], sq, t_sq)
                 pieces.append((block.scale(sign), t_pos, pos))
         d[k] = place((dims[k + 1], dims[k]), pieces)

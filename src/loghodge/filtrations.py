@@ -383,7 +383,8 @@ def _lifted_chains(N: Matrix, powers, w: IncreasingFiltration):
                     raise RelativeMonodromyNonexistent(
                         f"no admissible lift for a chain of length {length} "
                         f"over weight {b}")
-                x = x - below.from_coords(coeffs[target.dim:])
+                if not (rest := coeffs[target.dim:]).is_zero():
+                    x = x - below.from_coords(rest)
                 lifted += [(b + length - 1 - 2 * j, powers[j](x))
                            for j in range(length)]
         chains += lifted

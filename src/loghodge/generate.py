@@ -22,7 +22,7 @@ from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_
 # module that binds it; its tests check this module too
 from .linalg import Matrix, Subspace, combination, rref  # noqa: F401
 from .model import AlphaComponent, NCModel, direct_sum
-from .scalars import ONE, ZERO, I
+from .scalars import I
 
 
 def random_unimodular(dim: int, rng: random.Random) -> Matrix:
@@ -67,17 +67,17 @@ def _tensor_blocks(n_branches: int, dims: list[int]) -> NCModel:
     for b in range(n_branches):
         # N_b raises t_b by one, which moves i by the stride of branch b
         stride = math.prod(dims[b + 1:])
-        rows = [[ZERO] * total for _ in range(total)]
+        rows = [[0] * total for _ in range(total)]
         for i, t in enumerate(index):
             if t[b] + 1 < dims[b]:
-                rows[i + stride][i] = ONE
+                rows[i + stride][i] = 1
         nilpotents.append(Matrix(rows, cols=total))
     w0 = sum(m - 1 for m in dims)
     # t pairs only with its mirror (m_b - 1 - t_b)_b, at total - 1 - i in
     # product order, with sign prod_b (-1)^(m_b - 1 + t_b) = (-1)^(w0 + |t|)
-    s_rows = [[ZERO] * total for _ in range(total)]
+    s_rows = [[0] * total for _ in range(total)]
     for i, t in enumerate(index):
-        s_rows[i][total - 1 - i] = -ONE if (w0 + sum(t)) % 2 else ONE
+        s_rows[i][total - 1 - i] = -1 if (w0 + sum(t)) % 2 else 1
     # F^p is spanned by the basis vectors of Hodge level w0 - |t| >= p
     unit = Matrix.identity(total).entries
     f_steps = [(p, [unit[i] for i, t in enumerate(index) if w0 - sum(t) >= p])
@@ -89,9 +89,9 @@ def _tensor_blocks(n_branches: int, dims: list[int]) -> NCModel:
 def _elliptic_block(n_branches: int) -> NCModel:
     """Weight-one rank-two piece with trivial operators: types (1,0)+(0,1)."""
     nil = [Matrix.zero(2, 2) for _ in range(n_branches)]
-    s = Matrix([[ZERO, ONE], [-ONE, ZERO]], cols=2)
-    f = [(0, [(ONE, ZERO), (ZERO, ONE)]),
-         (1, [(ONE, I)]),
+    s = Matrix([[0, 1], [-1, 0]], cols=2)
+    f = [(0, [(1, 0), (0, 1)]),
+         (1, [(1, I)]),
          (2, [])]
     return _block(n_branches, nil, f, s, 1)
 

@@ -5,9 +5,11 @@ Every vector, matrix row and subspace basis row is a ``Row``: Python ints
 over one positive denominator, in lowest terms, with the imaginary
 numerators in a second tuple that is None for a rational row.  Every kernel
 runs on those ints; a ``Scalar`` appears only at the edges, as the view of
-one entry when a row is indexed or iterated.  Subspaces are stored in
-reduced row echelon form, so two equal subspaces have equal rows, and
-equality of filtrations built from them is decidable by comparison.
+one entry when a row is indexed or iterated.  ``hermitian_positive``,
+Sylvester's test, eliminates beside ``rref`` and combines rows with the same
+``_comb``.  Subspaces are stored in reduced row echelon form, so two equal
+subspaces have equal rows, and equality of filtrations built from them is
+decidable by comparison.
 
 Because the form is canonical, a lattice call whose operands decide its
 answer returns it without eliminating: ``intersect`` with the whole space,
@@ -21,8 +23,8 @@ the kernel of the residuals.
 
 The arithmetic answers trivial operands the same way, after its shape
 checks.  A product with a zero factor is ``Matrix.zero``, and one with the
-cached ``Matrix.identity`` is the other factor.  ``combination``, behind
-``+``, ``-`` and ``scale``, drops each term whose coefficient or matrix is
+cached ``Matrix.identity`` on the right is the left one.  ``combination``,
+behind ``+`` and ``scale``, drops each term whose coefficient or matrix is
 zero: with none left the sum is ``Matrix.zero``, and a lone term with
 coefficient 1 is its matrix.  A zero matrix transposes to ``Matrix.zero``.
 Whether a matrix is zero is decided once and kept, and ``Matrix.zero`` and
@@ -185,9 +187,11 @@ def _lincomb(c: Row, rows, n: int) -> Row:
 
 def as_vector(entries: Sequence) -> Row:
     """The Row of a sequence of Scalars, ints, Fractions or scalar strings;
-    a Row is returned as it is."""
+    a Row is returned as it is, and ints are read without a Scalar."""
     if type(entries) is Row:
         return entries
+    if all(type(e) is int for e in entries):
+        return _row(list(entries), None, 1)
     xs = [as_scalar(e) for e in entries]
     den = lcm(*[x.d for x in xs])
     return _row([x.a * (den // x.d) for x in xs],
@@ -351,12 +355,6 @@ class Matrix:
     def __add__(self, other):
         return combination((1, 1), (self, other), self.rows, self.cols)
 
-    def __sub__(self, other):
-        return combination((1, -1), (self, other), self.rows, self.cols)
-
-    def __neg__(self):
-        return _matrix(tuple(-r for r in self.entries), self.cols)
-
     def scale(self, c) -> "Matrix":
         return combination((c,), (self,), self.rows, self.cols)
 
@@ -367,8 +365,6 @@ class Matrix:
             )
         if self.is_zero() or other.is_zero():
             return Matrix.zero(self.rows, other.cols)
-        if self is Matrix.identity(self.rows):
-            return other
         if other is Matrix.identity(other.cols):
             return self
         # row i of the product is sum_k self[i, k] * (row k of other)
@@ -547,6 +543,29 @@ def rref(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
                  for r, ri, p in zip(work, imag, pivots))
 
 
+def hermitian_positive(h: Matrix) -> bool:
+    """Whether h is Hermitian with every leading principal minor D_k > 0
+    (Sylvester).  Elimination as in rref, without row exchange, on the ints
+    of den*h, row k the conjugate of column k: while the earlier pivots are
+    > 0, each row is a positive multiple of its rational elimination, so
+    pivot k is a positive multiple of D_k / D_{k-1}, real as h is Hermitian
+    (Bareiss 1968), and decides D_k > 0."""
+    if h.conj().transpose() != h:
+        return False
+    _, cols, icols = h._column_form()
+    work = [(list(x), y and [-v for v in y])
+            for x, y in zip(cols, icols or repeat(None))]
+    for k, (prow, pim) in enumerate(work):
+        if prow[k] <= 0 or pim and pim[k]:
+            return False
+        for i, (r, ri) in enumerate(work[k + 1:], k + 1):
+            if r[k] or ri and ri[k]:
+                r, ri = _comb(prow[k], 0, r, ri, r[k], ri[k] if ri else 0, prow, pim)
+                g = gcd(*r, *(ri or ())) or 1
+                work[i] = [x // g for x in r], ri and [x // g for x in ri]
+    return True
+
+
 def is_rref(rows: Sequence[Row], width: int) -> bool:
     """Whether rref(rows, width) is rows itself, in one pass: each row has
     length width, its first nonzero entry, real or imaginary, is a 1 at a
@@ -657,10 +676,6 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis)
-
-    def coords(self, v: Row) -> Row:
-        """Coordinates of v in the canonical basis; requires membership."""
-        return Subquotient.of(self).coords(v)
 
     def from_coords(self, coords: Sequence) -> Row:
         """The vector with these coordinates in the canonical basis."""

@@ -35,12 +35,13 @@ from .linalg import (
     Subspace,
     _remembered,
     combination,
+    hermitian_positive,
     induced_map,
     parse_row,
     place,
     rref,
 )
-from .scalars import ONE, I, Scalar, format_scalar, is_integer, parse_scalar
+from .scalars import Scalar, format_scalar, is_integer, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def validate(model: NCModel) -> CheckReport:
             rank = len(rref(s.entries, n))
             report.add("PairingNondegenerate", rank == n,
                        "pairing matrix is singular")
-            sign = -ONE if model.pairing_parity % 2 else ONE
+            sign = -1 if model.pairing_parity % 2 else 1
             report.add("PairingParity", s.transpose() == s.scale(sign),
                        "pairing parity does not match declared weight")
             report.add("InfinitesimalIsometry", all(
@@ -303,29 +304,6 @@ def _hodge_pieces(f: DecreasingFiltration, w: int):
     return pieces, f.at(w - lo + 1).is_zero() \
         and sum(h.dim for h in pieces.values()) == d \
         and functools.reduce(Subspace.sum, pieces.values()).is_full()
-
-
-def _hermitian_positive(h: Matrix) -> bool:
-    """Exact positive-definiteness by Sylvester's criterion.
-
-    Elimination without row exchanges meets the pivots d_k = D_k / D_{k-1},
-    D_k the leading principal minors (real, as h is Hermitian).  So every
-    D_k > 0 iff every pivot is real and > 0, and while that holds no
-    exchange is ever needed.
-    """
-    n = h.rows
-    if h.transpose().conj() != h:
-        return False
-    work = [list(r) for r in h.entries]
-    for k in range(n):
-        d = work[k][k]
-        if d.im or d.re <= 0:
-            return False
-        for i in range(k + 1, n):
-            c = work[i][k] / d
-            if c:
-                work[i] = [e - c * p for e, p in zip(work[i], work[k])]
-    return True
 
 
 def imhs_check(model: NCModel) -> CheckReport:
@@ -472,7 +450,6 @@ def _polarization_on_graded(gr: Subquotient, n_gr: Matrix, m: IncreasingFiltrati
             return False
         # positivity of i^{p-q} S(N^k x, conj x) on primitives; moving N^k to
         # the right side through the infinitesimal isometry costs (-1)^k.
-        global_sign = -ONE if k % 2 else ONE
         covered = 0
         for p, h in hodge[i + k][0].items():
             q = i + k - p
@@ -480,10 +457,10 @@ def _polarization_on_graded(gr: Subquotient, n_gr: Matrix, m: IncreasingFiltrati
             if hpq.dim == 0:
                 continue
             covered += hpq.dim
-            ipq = (ONE, I, -ONE, -I)[(p - q) % 4]      # i^(p-q)
             x = Matrix([top.lift(v) for v in hpq.basis], cols=gr.dim)
-            gram = (x * s_k * x.conj().transpose()).scale(global_sign * ipq)
-            if not _hermitian_positive(gram):
+            gram = (x * s_k * x.conj().transpose()).scale(   # i^(p-q) (-1)^k
+                (1, Scalar(0, 1), -1, Scalar(0, -1))[(p - q + 2 * k) % 4])
+            if not hermitian_positive(gram):
                 return False
         if covered != prim.dim:
             return False

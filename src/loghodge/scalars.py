@@ -2,9 +2,10 @@
 
 A single scalar type carries both fields: a value with zero imaginary part
 is a rational, and serializes as one.  A scalar is a canonical triple of
-Python ints, the type of one value at the edges: parsing, printing, the
-Hermitian test, and one entry of a ``linalg.Row``, whose kernels run on the
-ints of whole rows.  All arithmetic is exact; there is no floating point.
+Python ints, the type of one value at the edges: parsing, printing and one
+entry of a ``linalg.Row``, whose kernels run on the ints of whole rows.  Its
+exact arithmetic, which no verb runs, is the tests' reference and what the
+benchmark's tracer counts.  There is no floating point.
 """
 
 from __future__ import annotations
@@ -142,7 +143,6 @@ def _canon(a: int, b: int, d: int) -> Scalar:
 
 
 ZERO = Scalar(0)
-ONE = Scalar(1)
 I = Scalar(0, 1)
 
 

@@ -146,7 +146,7 @@ def test_descent_strictness():
                         filt = IncreasingFiltration(
                             new_sub.dim,
                             [(w, Subspace.span(
-                                [new_sub.coords(sub.from_coords(
+                                [Subquotient.of(new_sub).coords(sub.from_coords(
                                     img.from_coords(u)))
                                  for u in s.basis], new_sub.dim))
                              for w, s in inner.steps])

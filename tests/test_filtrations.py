@@ -1038,9 +1038,10 @@ def test_axioms_in_t_fails_where_the_scaling_vector_cancels():
 @pytest.mark.parametrize("ops, w, m", [
     # N_2 = -N_1 = -J2 with W pure of weight 1: built at t = (1, 1), where
     # N(t) = 0, M is W itself, which J2 does not lower by two
-    ([J2, -J2], IncreasingFiltration.pure(2, 1), IncreasingFiltration.pure(2, 1)),
+    ([J2, J2.scale(-1)], IncreasingFiltration.pure(2, 1),
+     IncreasingFiltration.pure(2, 1)),
     # the same branches over W_0 = ker J2 <= W_1: J2 lowers M = W by one only
-    ([J2, -J2], _MIXED_LINE, _MIXED_LINE),
+    ([J2, J2.scale(-1)], _MIXED_LINE, _MIXED_LINE),
     # E21 lowers its own W(E21) by two but moves W_0 = span(e1)
     ([Matrix([[0, 0], [1, 0]])], _MIXED_LINE,
      monodromy_filtration(Matrix([[0, 0], [1, 0]]), 0)),

@@ -26,11 +26,10 @@ from loghodge.generate import (
     random_unimodular,
 )
 from loghodge.filtrations import DecreasingFiltration, IncreasingFiltration
-from loghodge.linalg import Matrix, Subspace
+from loghodge.linalg import Matrix, Subspace, hermitian_positive
 from loghodge.model import (
     AlphaComponent,
     NCModel,
-    _hermitian_positive,
     _hodge_pieces,
     canonical_json,
     direct_sum,
@@ -489,16 +488,18 @@ def test_imhs_lets_internal_errors_propagate(monkeypatch, name):
         imhs_check(model_from_json(doc))
 
 
-small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
 
 @st.composite
 def hermitian_matrices(draw):
-    """Hermitian n x n (n <= 3), sometimes made non-Hermitian by one entry."""
-    n = draw(st.integers(0, 3))
+    """Hermitian n x n (n <= 4) with denominators up to 3, sometimes made
+    non-Hermitian by one entry."""
+    n = draw(st.integers(0, 4))
     rows = [[Scalar(0)] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = Scalar(draw(st.integers(-2, 6)))
+        rows[i][i] = Scalar(draw(st.builds(Fraction, st.integers(-2, 6),
+                                           st.integers(1, 3))))
         for j in range(i + 1, n):
             rows[i][j] = Scalar(draw(small), draw(small))
             rows[j][i] = rows[i][j].conj()
@@ -518,15 +519,24 @@ def leibniz_det(rows):
     return total
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(hermitian_matrices())
+@example(Matrix([], cols=0))                            # 0 x 0: positive
+@example(Matrix([[0]]))                                 # a zero pivot
+@example(Matrix([[0, 0], [0, 1]]))                      # a zero first pivot
+@example(Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]))     # a zero later pivot
+@example(Matrix([[1, 2], [2, 1]]))                      # D_1 > 0, D_2 < 0
+@example(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, -1]]))    # D_1, D_2 > 0, D_3 < 0
+@example(Matrix([[1, 1], [0, 1]]))                      # h^* != h, pivots > 0
+@example(Matrix([[2, "1*i"], ["1*i", 2]]))              # symmetric, h^* != h
+@example(Matrix([["1/2", "1/3*i"], ["-1/3*i", "1/3"]]))  # positive over den 6
 def test_hermitian_positive_is_sylvesters_criterion(h):
     # every leading principal minor real and > 0, by the permutation formula
     minors = [leibniz_det([r[:k] for r in h.entries[:k]])
               for k in range(1, h.rows + 1)]
     expected = (h.transpose().conj() == h
                 and all(not d.im and d.re > 0 for d in minors))
-    assert _hermitian_positive(h) == expected
+    assert hermitian_positive(h) == expected
 
 
 def riemann_model(z):

@@ -16,6 +16,7 @@ from loghodge.generate import (
     random_spectral_model,
 )
 from loghodge.model import canonical_json, model_to_json
+from loghodge.scalars import Scalar
 
 MAX_DIM = 4
 VARIANTS = [
@@ -145,3 +146,60 @@ def test_every_verb_on_every_small_draw_ends_in_a_documented_code(
             assert json.loads(out)["verdict"] == VERDICT[code], (name, variant)
             digest.update(json.dumps([name, argv, code, out]).encode() + b"\n")
     assert digest.hexdigest() == _SWEEP_DIGEST
+
+
+# the arithmetic dunders of Scalar: the tests' reference arithmetic, which no
+# verb and no generator runs
+SCALAR_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _generated():
+    """Canonical JSON of a few draws of each generator, the pure and imhs
+    ones with S and the imhs ones with a Gaussian F."""
+    draws = [(make, n, seed) for n in (1, 2, 3)
+             for make, seed in ((random_pure_model, 0), (random_imhs_model, 0),
+                                (random_imhs_model, 6))]
+    out = {f"{make.__name__}-{n}-{seed}.json": canonical_json(model_to_json(
+        make(n, random.Random(seed), max_dim=MAX_DIM))) for make, n, seed in draws}
+    for n in (1, 2, 3):
+        out[f"spectral-{n}.json"] = canonical_json(model_to_json(
+            random_spectral_model(n, random.Random(n))))
+    return out
+
+
+def _outputs(paths, capsys):
+    """(argv, exit code, stdout) of every verb variant on every path, the
+    omega and ic cohomology included, and of the corpus verb."""
+    runs = [["corpus", str(CORPUS), "--jobs", jobs] for jobs in ("1", "2")]
+    runs += [[v[0], str(path)] + v[1:] for path in paths
+             for v in VARIANTS + [["cohomology", "--complex", kind]
+                                  for kind in ("omega", "ic")]]
+    out = []
+    for argv in runs:
+        code = main(argv)
+        out.append((argv, code, capsys.readouterr().out))
+    return out
+
+
+def test_no_verb_and_no_generator_runs_scalar_arithmetic(tmp_path, capsys,
+                                                         monkeypatch):
+    """With every arithmetic dunder of Scalar raising, the generators draw
+    the same models and every verb prints what it prints without the patch:
+    each kernel runs on the Row ints, and a sign is an int."""
+    generated = _generated()
+    for name, text in generated.items():
+        (tmp_path / name).write_text(text)
+    paths = [p for p in sorted(CORPUS.glob("*.json"))
+             if not p.name.endswith(".expected.json")] + \
+        sorted(tmp_path.glob("*.json"))
+    assert len(paths) == 8 + len(generated)
+    expected = _outputs(paths, capsys)
+
+    def forbidden(*args):
+        raise AssertionError("Scalar arithmetic ran")
+    for name in SCALAR_ARITHMETIC:
+        monkeypatch.setattr(Scalar, name, forbidden)
+    assert _generated() == generated
+    assert _outputs(paths, capsys) == expected

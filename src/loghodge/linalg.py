@@ -5,11 +5,11 @@ Every vector, matrix row and subspace basis row is a ``Row``: Python ints
 over one positive denominator, in lowest terms, with the imaginary
 numerators in a second tuple that is None for a rational row.  Every kernel
 runs on those ints; a ``Scalar`` appears only at the edges, as the view of
-one entry when a row is indexed or iterated.  ``hermitian_positive``,
-Sylvester's test, eliminates beside ``rref`` and combines rows with the same
-``_comb``.  Subspaces are stored in reduced row echelon form, so two equal
-subspaces have equal rows, and equality of filtrations built from them is
-decidable by comparison.
+one entry when a row is indexed or iterated.  ``rref`` is the one
+elimination: ``hermitian_positive``, Sylvester's test, reads the signs of
+the minors off the inverses of the leading blocks.  Subspaces are stored in
+reduced row echelon form, so two equal subspaces have equal rows, and
+equality of filtrations built from them is decidable by comparison.
 
 Because the form is canonical, a lattice call whose operands decide its
 answer returns it without eliminating: ``intersect`` with the whole space,
@@ -27,7 +27,8 @@ cached ``Matrix.identity`` on the right is the left one.  ``combination``,
 behind ``+`` and ``scale``, drops each term whose coefficient or matrix is
 zero: with none left the sum is ``Matrix.zero``, and a lone term with
 coefficient 1 is its matrix.  A zero matrix transposes to ``Matrix.zero``.
-Whether a matrix is zero is decided once and kept, and ``Matrix.zero`` and
+Whether a matrix is zero is decided once and kept, and so is its
+transpose, whose rows ``apply`` combines; ``Matrix.zero`` and
 ``Matrix.identity`` are built once per shape.
 
 The evaluation memo lives here, under every other layer: inside an
@@ -252,7 +253,7 @@ def _matrix(rows: tuple[Row, ...], cols: int) -> "Matrix":
     m.entries = rows
     m.rows = len(rows)
     m.cols = cols
-    m._hash = m._columns = m._zero = None
+    m._hash = m._transpose = m._zero = None
     return m
 
 
@@ -282,7 +283,7 @@ class Matrix:
     rows x cols it defines (columns act): m(v) is m.apply(v) and m * n is
     m after n."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash", "_columns", "_zero")
+    __slots__ = ("rows", "cols", "entries", "_hash", "_transpose", "_zero")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
         rows = [as_vector(r) for r in entries]
@@ -298,7 +299,7 @@ class Matrix:
         self.entries = tuple(rows)
         self.rows = len(rows)
         self.cols = cols
-        self._hash = self._columns = self._zero = None
+        self._hash = self._transpose = self._zero = None
 
     @staticmethod
     @cache
@@ -328,26 +329,22 @@ class Matrix:
             self._hash = hash((self.rows, self.cols, self.entries))
         return self._hash
 
-    def _column_form(self):
-        """(den, real columns, imaginary columns or None when every row is
-        rational): the numerators of the columns over one denominator."""
-        if self._columns is None:
-            rows, n = self.entries, self.cols
-            den = lcm(*{r.den for r in rows})
-            nums = [r.num if r.den == den else [x * (den // r.den) for x in r.num]
-                    for r in rows]
-            ims = ([[x * (den // r.den) for x in r.im or (0,) * n] for r in rows]
-                   if any([r.im for r in rows]) else None)
-            self._columns = (den, tuple(zip(*nums)) if nums else ((),) * n,
-                             ims and tuple(zip(*ims)))
-        return self._columns
-
     def transpose(self) -> "Matrix":
-        if self.is_zero():
-            return Matrix.zero(self.cols, self.rows)
-        den, cols, icols = self._column_form()
-        return _matrix(tuple(map(_row, cols, icols or repeat(None), repeat(den))),
-                       self.rows)
+        """Built once per matrix and kept."""
+        if self._transpose is None:
+            if self.is_zero():
+                self._transpose = Matrix.zero(self.cols, self.rows)
+            else:
+                rows = self.entries
+                den = lcm(*{r.den for r in rows})
+                nums = [r.num if r.den == den else [x * (den // r.den) for x in r.num]
+                        for r in rows]
+                ims = ([[x * (den // r.den) for x in r.im or (0,) * self.cols]
+                        for r in rows] if any([r.im for r in rows]) else None)
+                self._transpose = _matrix(tuple(map(
+                    _row, zip(*nums), zip(*ims) if ims else repeat(None),
+                    repeat(den))), self.rows)
+        return self._transpose
 
     def conj(self) -> "Matrix":
         return _matrix(tuple(r.conj() for r in self.entries), self.cols)
@@ -376,19 +373,14 @@ class Matrix:
         return self.apply_all((v,))[0]
 
     def apply_all(self, vectors) -> list[Row]:
-        """The images of the vectors, each of length .cols."""
-        den, cols, icols = self._column_form()
+        """The images of the vectors, each of length .cols: each combines
+        the rows of the transpose, as a product combines rows."""
+        cols = self.transpose().entries
         out = []
         for v in map(as_vector, vectors):
             if len(v.num) != self.cols:
                 raise ShapeError("vector length does not match matrix columns")
-            # the sum of v[j] times column j over the nonzero entries of v
-            acc, acc_im = [0] * self.rows, None
-            for j, (x, y) in enumerate(zip(v.num, v.im or repeat(0))):
-                if x or y:
-                    acc, acc_im = _comb(1, 0, acc, acc_im, -x, -y, cols[j],
-                                        icols and icols[j])
-            out.append(_row(acc, acc_im, den * v.den))
+            out.append(_lincomb(v, cols, self.rows))
         return out
 
     def __call__(self, v: Row) -> Row:
@@ -545,24 +537,19 @@ def rref(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
 
 def hermitian_positive(h: Matrix) -> bool:
     """Whether h is Hermitian with every leading principal minor D_k > 0
-    (Sylvester).  Elimination as in rref, without row exchange, on the ints
-    of den*h, row k the conjugate of column k: while the earlier pivots are
-    > 0, each row is a positive multiple of its rational elimination, so
-    pivot k is a positive multiple of D_k / D_{k-1}, real as h is Hermitian
-    (Bareiss 1968), and decides D_k > 0."""
+    (Sylvester).  By Cramer's rule the last diagonal entry of the inverse of
+    the leading k x k block is D_{k-1} / D_k, real as h is Hermitian; with
+    D_0 = 1, every D_k is > 0 iff every block is invertible and every such
+    entry is > 0."""
     if h.conj().transpose() != h:
         return False
-    _, cols, icols = h._column_form()
-    work = [(list(x), y and [-v for v in y])
-            for x, y in zip(cols, icols or repeat(None))]
-    for k, (prow, pim) in enumerate(work):
-        if prow[k] <= 0 or pim and pim[k]:
+    for k in range(1, h.rows + 1):
+        try:
+            last = Matrix([r[:k] for r in h.entries[:k]]).inverse().entries[-1]
+        except ShapeError:      # D_k = 0
             return False
-        for i, (r, ri) in enumerate(work[k + 1:], k + 1):
-            if r[k] or ri and ri[k]:
-                r, ri = _comb(prow[k], 0, r, ri, r[k], ri[k] if ri else 0, prow, pim)
-                g = gcd(*r, *(ri or ())) or 1
-                work[i] = [x // g for x in r], ri and [x // g for x in ri]
+        if last.num[-1] <= 0:
+            return False
     return True
 
 

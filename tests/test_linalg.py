@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loghodge import linalg
@@ -641,20 +641,46 @@ def test_reduce_and_coordinates_match_the_fraction_reference(case):
     assert assert_canonical(Subquotient.of(sub).coords(w)) == pkg(c)
 
 
+def fq(re, im=0):
+    """One (re, im) Fraction pair from ints or fraction strings."""
+    return Fraction(re), Fraction(im)
+
+
+_B32 = [[fq(1), fq(0, 2)], [fq("-1/3"), fq(0)], [fq(2, "1/2"), fq(5)]]
+
+
 @settings(max_examples=150)
 @given(st.tuples(dims, dims, dims).flatmap(lambda s: st.tuples(
     fraction_matrix(s[0], s[1]), fraction_matrix(s[1], s[2]),
     fraction_matrix(1, s[1]), st.just(s))))
+@example(([[fq("1/2", "1/3"), fq(0, -1), fq(3)],        # Gaussian, dens 6 and 20
+           [fq("2/5"), fq(0), fq("-1/4", "7/6")]],
+          _B32, [[fq(1, 1), fq("1/2"), fq(0, "-2/3")]], (2, 3, 2)))
+@example(([], _B32, [[fq(1), fq(0, 1), fq(2)]], (0, 3, 2)))      # 0 x 3
+@example(([[], [], []], [], [[]], (3, 0, 2)))                   # 3 x 0
 def test_apply_and_product_match_the_fraction_reference(case):
+    """Products, transposes and applies; apply runs before and after an
+    explicit transpose of the same matrix, and on a fresh matrix after it."""
     a, b, (v,), (rows, inner, cols) = case
     ma, mb = Matrix([pkg(r) for r in a], cols=inner), Matrix([pkg(r) for r in b], cols=cols)
     product = ma * mb
     assert [ref(assert_canonical(r)) for r in product.entries] == \
         [[f_dot(r, col) for col in f_transpose(b, cols)] for r in a]
-    image = assert_canonical(ma.apply(pkg(v)))
-    assert ref(image) == [f_dot(r, v) for r in a]
-    assert [ref(assert_canonical(r)) for r in ma.transpose().entries] == \
-        f_transpose(a, inner)
+    image = [f_dot(r, v) for r in a]
+    fresh = Matrix([pkg(r) for r in a], cols=inner)
+    fresh.transpose()
+    for m in (ma, fresh):
+        assert ref(assert_canonical(m.apply(pkg(v)))) == image
+        assert [ref(assert_canonical(r)) for r in m.transpose().entries] == \
+            f_transpose(a, inner)
+        assert ref(assert_canonical(m.apply(pkg(v)))) == image
+
+
+@pytest.mark.parametrize("rows, cols", _ZERO_SHAPES)
+def test_a_matrix_builds_its_transpose_once(rows, cols):
+    m = Matrix([[i + 2 * j + 1 for j in range(cols)] for i in range(rows)], cols=cols)
+    assert m.transpose() is m.transpose()
+    assert Matrix.zero(rows, cols).transpose() is Matrix.zero(cols, rows)
 
 
 @settings(max_examples=150)

@@ -527,6 +527,10 @@ def leibniz_det(rows):
 @example(Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]))     # a zero later pivot
 @example(Matrix([[1, 2], [2, 1]]))                      # D_1 > 0, D_2 < 0
 @example(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, -1]]))    # D_1, D_2 > 0, D_3 < 0
+@example(Matrix([[1, 0], [0, -1]]))                     # (h_2^-1)_11 > 0, D_1/D_2 < 0
+@example(Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))     # D_2 = 0, D_3 != 0
+@example(Matrix([[1, 1], [1, 1]]))                      # D_1 > 0, D_2 = 0
+@example(Matrix([[2, 1], [1, 2]]))                      # positive, (h_2^-1)_12 < 0
 @example(Matrix([[1, 1], [0, 1]]))                      # h^* != h, pivots > 0
 @example(Matrix([[2, "1*i"], ["1*i", 2]]))              # symmetric, h^* != h
 @example(Matrix([["1/2", "1/3*i"], ["-1/3*i", "1/3"]]))  # positive over den 6

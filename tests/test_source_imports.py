@@ -5,10 +5,14 @@ each ``src/loghodge`` module is parsed with ``ast`` and every name bound by
 an import must appear as a loaded name.  ``generate.rref`` is the one
 exception: perfbench's tracer rebinds ``rref`` in every module that binds
 it, and its tests read the name there.
+
+The package stays dependency-free: every absolute import names a module of
+the standard library, and every relative one a module of the package.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -42,3 +46,39 @@ def test_an_unread_import_is_found():
               "def f(x: Matrix):\n"
               "    return regex.escape(x)\n")
     assert _unread_imports(source) == ["os", "rref"]
+
+
+def _foreign_imports(source: str):
+    """The imports that name neither a standard library module nor, by a
+    relative import, a module of the package."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            foreign += [alias.name for alias in node.names
+                        if alias.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            top = (node.module or "").split(".")[0]
+            known = (top in sys.stdlib_module_names if node.level == 0 else
+                     node.level == 1 and (not top or (SRC / f"{top}.py").exists()))
+            if not known:
+                foreign.append("." * node.level + (node.module or ""))
+    return foreign
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_the_standard_library_or_the_package(path):
+    foreign = _foreign_imports(path.read_text(encoding="utf-8"))
+    assert foreign == [], f"{path.name} imports {foreign}"
+
+
+def test_a_third_party_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy as np\n"
+              "from math import gcd\n"
+              "from sympy.matrices import Matrix\n"
+              "from . import linalg\n"
+              "from .linalg import rref\n"
+              "from .nowhere import x\n"
+              "from ..elsewhere import y\n")
+    assert _foreign_imports(source) == ["numpy", "sympy.matrices", ".nowhere",
+                                        "..elsewhere"]

@@ -3,14 +3,14 @@
 Increasing filtrations are stored by their jump steps only, in canonical
 form, so equality of filtrations is equality of representations.  The
 relative monodromy filtration M(N, W) is built in one pass up the jumps of
-W, in the ambient coordinates, from Jordan chains lifted out of each graded
-piece; W(N) is M(N, W) over a pure W, and M(0, W) = W, as every chain of
-N = 0 has length one (so 0*W = W).  Only a chain with no admissible lift
-means M(N, W) does not exist.  The builder checks its result once, with the
-one membership test of the axioms, ``axioms_in_t`` on the graded blocks of
-the operators (``check_relative_axioms`` at one operator), which holds for
-a filtration exactly when the builder returns it; lifted chains meet the
-axioms by construction, so a failure is a bug for every W.
+W from Jordan chains lifted out of each graded piece, one reduction per
+chain top; W(N) is M(N, W) over a pure W, and M(0, W) = W, as every chain
+of N = 0 has length one (so 0*W = W).  Only a chain with no admissible
+lift means M(N, W) does not exist.  The builder checks its result once,
+with the one membership test of the axioms, ``axioms_in_t`` on the graded
+blocks of the operators (``check_relative_axioms`` at one operator), which
+holds exactly when the builder returns it; lifted chains meet the axioms
+by construction, so a failure is a bug for every W.
 
 The relative monodromy builder, ``graded_piece`` and ``project_to`` are
 ``@_remembered`` in the evaluation memo of ``linalg``, so inside an
@@ -341,11 +341,11 @@ def relative_monodromy_filtration(N: Matrix,
     coordinates: each chain top of length m of the N induced on Gr^W_b is
     lifted to x in W_b with N^m x in M_{b-m-1}, the span of the chains
     lifted below b at levels <= b - m - 1 (Steenbrink-Zucker 1985; a
-    solvable linear condition at every b exactly when M exists), one system
-    per (b, m).  The chain vector N^j x sits at level b + m - 1 - 2j, and
-    M_k is the span of the chain vectors at levels <= k.  Chains that do
-    not span, or fail the axioms, are a bug (AssertionError) for every W.
-    Memoized per evaluation.
+    solvable linear condition at every b exactly when M exists), by one
+    reduction per chain top.  The chain vector N^j x sits at level
+    b + m - 1 - 2j, and M_k is the span of the chain vectors at levels <= k.
+    Chains that do not span, or fail the axioms, are a bug (AssertionError)
+    for every W.  Memoized per evaluation.
     """
     powers, n = N.powers(), w.ambient_dim
     if powers is None:
@@ -370,21 +370,25 @@ def _lifted_chains(N: Matrix, powers, w: IncreasingFiltration):
         if held not in spans:
             spans[held] = Subspace.span([chains[i][1] for i in held], n)
         return spans[held]
+    left, right = range(n), range(n, 2 * n)     # the halves of 2n coordinates
     for b in w.jumps():
         gr, below = w.graded_piece(b), w.at(b - 1)
         lifted = []     # joins chains after b: a target holds lower steps
         for length, tops in _jordan_chain_tops(induced_map(N, gr, gr)).items():
-            target = span_upto(b - length - 1)
-            gens = [*target.basis, *powers[length].apply_all(below.basis)]
-            system = Matrix(gens, cols=n).transpose()
+            # (t, 0), t in the target, and (N^m y, -y), y in W_{b-1}: (N^m x, 0)
+            # reduces to (0, y) exactly when N^m (x - y) lies in the target
+            graph = Subspace(2 * n, [place(2 * n, [(t, left)])
+                                     for t in span_upto(b - length - 1).basis] + [
+                place(2 * n, [(v, left), (-y, right)]) for y, v in
+                zip(below.basis, powers[length].apply_all(below.basis))])
             for x in map(gr.lift, tops):
-                coeffs = system.solve(powers[length](x))
-                if coeffs is None:
+                rest = graph.reduce(place(2 * n, [(powers[length](x), left)]))
+                if not rest[:n].is_zero():
                     raise RelativeMonodromyNonexistent(
                         f"no admissible lift for a chain of length {length} "
                         f"over weight {b}")
-                if not (rest := coeffs[target.dim:]).is_zero():
-                    x = x - below.from_coords(rest)
+                if not (y := rest[n:]).is_zero():
+                    x = x - y
                 lifted += [(b + length - 1 - 2 * j, powers[j](x))
                            for j in range(length)]
         chains += lifted

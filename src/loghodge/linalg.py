@@ -6,10 +6,11 @@ over one positive denominator, in lowest terms, with the imaginary
 numerators in a second tuple that is None for a rational row.  Every kernel
 runs on those ints; a ``Scalar`` appears only at the edges, as the view of
 one entry when a row is indexed or iterated.  ``rref`` is the one
-elimination: ``hermitian_positive``, Sylvester's test, reads the signs of
-the minors off the inverses of the leading blocks.  Subspaces are stored in
-reduced row echelon form, so two equal subspaces have equal rows, and
-equality of filtrations built from them is decidable by comparison.
+elimination, and kernels, inverses, chain lifts and ``hermitian_positive``,
+Sylvester's test by Schur complements, read the echelon bases it builds.
+Subspaces are stored in reduced row echelon form, so two equal subspaces
+have equal rows, and equality of filtrations built from them is decidable
+by comparison.
 
 Because the form is canonical, a lattice call whose operands decide its
 answer returns it without eliminating: ``intersect`` with the whole space,
@@ -443,19 +444,6 @@ class Matrix:
         cols = [target_sub.reduce(c) for c in self.transpose().entries]
         return _matrix(tuple(cols), self.rows).transpose().kernel()
 
-    def solve(self, v: Row):
-        """One x with f(x) = v, or None."""
-        v = as_vector(v)
-        if v.is_zero():
-            return zero_vector(self.cols)
-        aug = Subspace(self.cols + 1, [     # the rows of [f | v]
-            _placed(self.cols + 1, [(r, range(self.cols)), (v[i:i + 1], (self.cols,))])
-            for i, r in enumerate(self.entries)])
-        if self.cols in aug._pivots:
-            return None
-        return _placed(self.cols, [(row[-1:], (p,))
-                                   for row, p in zip(aug.basis, aug._pivots)])
-
     def inverse(self) -> "Matrix":
         """Exact inverse; ShapeError on a non-square or singular matrix."""
         n = self.rows
@@ -537,20 +525,13 @@ def rref(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
 
 def hermitian_positive(h: Matrix) -> bool:
     """Whether h is Hermitian with every leading principal minor D_k > 0
-    (Sylvester).  By Cramer's rule the last diagonal entry of the inverse of
-    the leading k x k block is D_{k-1} / D_k, real as h is Hermitian; with
-    D_0 = 1, every D_k is > 0 iff every block is invertible and every such
-    entry is > 0."""
+    (Sylvester).  With D_0 = 1 and D_1, ..., D_k > 0, entry k of row k
+    reduced by rows 0..k-1 is the Schur complement D_{k+1} / D_k, real as h
+    is Hermitian; so every D_k is > 0 iff every such entry is > 0."""
     if h.conj().transpose() != h:
         return False
-    for k in range(1, h.rows + 1):
-        try:
-            last = Matrix([r[:k] for r in h.entries[:k]]).inverse().entries[-1]
-        except ShapeError:      # D_k = 0
-            return False
-        if last.num[-1] <= 0:
-            return False
-    return True
+    return all(Subspace(h.cols, h.entries[:k]).reduce(row).num[k] > 0
+               for k, row in enumerate(h.entries))
 
 
 def is_rref(rows: Sequence[Row], width: int) -> bool:

@@ -519,25 +519,11 @@ def test_rref_matches_the_fraction_reference(case):
 
 
 @settings(max_examples=200)
-@given(fraction_rows(), st.data())
-def test_solve_and_kernel_match_the_fraction_reference(case, data):
+@given(fraction_rows())
+def test_kernel_matches_the_fraction_reference(case):
     width, rows = case
     a = Matrix([[Scalar(*e) for e in r] for r in rows], cols=width)
-    part = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
-    vectors = st.lists(st.tuples(part, part), min_size=len(rows), max_size=len(rows))
     rank = len(fraction_rref(rows, width))
-    # solve(A x) finds some y with A y = A x
-    x = data.draw(st.lists(part, min_size=width, max_size=width))
-    ax = a(tuple(Scalar(e) for e in x))
-    y = a.solve(ax)
-    assert y is not None and a(y) == ax
-    # solve(v) is None exactly when v raises the rank
-    v = data.draw(vectors)
-    sol = a.solve(tuple(Scalar(*e) for e in v))
-    raises = len(fraction_rref([r + [e] for r, e in zip(rows, v)], width + 1)) > rank
-    assert (sol is None) == raises
-    if sol is not None:
-        assert [(e.re, e.im) for e in a(sol)] == v
     # the kernel has dimension cols - rank and A kills its basis
     k = a.kernel()
     assert k.dim == width - rank
@@ -704,9 +690,9 @@ def test_sum_and_intersection_match_the_fraction_reference(case):
 @given(st.tuples(dims, dims).flatmap(lambda s: st.tuples(
     fraction_matrix(s[0], s[1]),
     st.integers(0, s[0] + 1).flatmap(lambda k: fraction_matrix(k, s[0])),
-    fraction_matrix(1, s[1]), st.just(s))))
-def test_kernel_preimage_and_solve_match_the_fraction_reference(case):
-    a, t, (x,), (rows, cols) = case
+    st.just(s))))
+def test_kernel_and_preimage_match_the_fraction_reference(case):
+    a, t, (rows, cols) = case
     f = Matrix([pkg(r) for r in a], cols=cols)
     assert [ref(assert_canonical(r)) for r in f.kernel().basis] == f_kernel(a, cols)
     # the preimage of T is the kernel of v -> f(v) mod T
@@ -714,10 +700,6 @@ def test_kernel_preimage_and_solve_match_the_fraction_reference(case):
     tb = fraction_rref(t, rows)
     mod_t = f_transpose([f_reduce(tb, col) for col in f_transpose(a, cols)], rows)
     assert [ref(r) for r in f.preimage(target).basis] == f_kernel(mod_t, cols)
-    # solve finds a preimage of f(x)
-    fx = [f_dot(r, x) for r in a]
-    y = assert_canonical(f.solve(pkg(fx)))
-    assert [f_dot(r, ref(y)) for r in a] == fx
 
 
 @settings(max_examples=100)

@@ -1,14 +1,19 @@
 """Every verb, run in-process on small generated draws, ends in one JSON
 document and a documented exit code: 0 pass, 1 fail, 2 error, never 3."""
 
+import ast
 import hashlib
+import importlib
 import itertools
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import loghodge
 from loghodge.cli import main
 from loghodge.generate import (
     random_imhs_model,
@@ -153,6 +158,7 @@ def test_every_verb_on_every_small_draw_ends_in_a_documented_code(
 SCALAR_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                      "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+PACKAGE = Path(loghodge.__file__).resolve().parent
 
 
 def _generated():
@@ -203,3 +209,104 @@ def test_no_verb_and_no_generator_runs_scalar_arithmetic(tmp_path, capsys,
         monkeypatch.setattr(Scalar, name, forbidden)
     assert _generated() == generated
     assert _outputs(paths, capsys) == expected
+
+
+# the functions of the package that no run of the trace below enters, each
+# with the reason it stays; __radd__ and __rmul__ share the code of __add__
+# and __mul__
+UNENTERED = {name: reason for reason, names in {
+    "bound by name in perfbench/spans.py, its TARGETS or SCALAR_OPS": (
+        "complexes.cone", "complexes.ComplexMap.validate",
+        "complexes.intersection_morphism", "complexes.link_complex",
+        "linalg.Matrix.preimage", "scalars.Scalar.__add__",
+        "scalars.Scalar.__sub__", "scalars.Scalar.__rsub__",
+        "scalars.Scalar.__mul__", "scalars.Scalar.__truediv__",
+        "scalars.Scalar.__rtruediv__"),
+    "reached only through ComplexMap.validate and cone": (
+        "complexes.ComplexMap.at",),
+    "read by perfbench's tracer, for linalg.apply.nonzero_share": (
+        "scalars.Scalar.__bool__",),
+    "the tests' accessor and reference arithmetic": (
+        "complexes.CohomologyReport.dim", "scalars.Scalar.__neg__",
+        "scalars.Scalar.conj", "scalars.Scalar.__eq__",
+        "scalars.Scalar.__hash__"),
+    "debugging output": (
+        "filtrations.Filtration.__repr__", "linalg.Row.__repr__",
+        "linalg.Subspace.__repr__", "linalg.Subquotient.__repr__",
+        "scalars.Scalar.__repr__"),
+    "run at import, to mark the remembered functions": (
+        "linalg._remembered",),
+}.items() for name in names}
+
+
+def _package_defs():
+    """The name, module.qualified name, of every function a def in a module
+    file of the package defines, keyed by (file, first line): the line of
+    its first decorator, as in its code object."""
+    out = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in
+                                                  child.decorator_list])
+                    out[str(path), first] = name
+                walk(child, path, name)
+            else:
+                walk(child, path, prefix)
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text()), path, path.stem)
+    return out
+
+
+def _caches():
+    """The functools.cache wrappers among the package's functions and
+    methods: a warm one would answer without entering its function."""
+    modules = [importlib.import_module(f"loghodge.{p.stem}")
+               for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    for obj in (o for m in modules for o in vars(m).values()):
+        for fn in vars(obj).values() if isinstance(obj, type) else (obj,):
+            if hasattr(fn := getattr(fn, "__func__", fn), "cache_clear"):
+                yield fn
+
+
+@pytest.mark.slow
+def test_every_package_function_runs_or_is_listed_with_its_reason(
+        tmp_path, capsys):
+    """Under a profile of every thread, the corpus and generated draws
+    through _outputs, every variant on a dim-6 imhs draw whose chain lift
+    takes a correction, and one --format text run enter every function of
+    the package but those UNENTERED lists, and none of those."""
+    for fn in _caches():
+        fn.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        for name, text in _generated().items():
+            (tmp_path / name).write_text(text)
+        dim6 = tmp_path / "imhs-dim6.json"
+        dim6.write_text(canonical_json(model_to_json(
+            random_imhs_model(2, random.Random(0)))))
+        paths = [p for p in sorted(CORPUS.glob("*.json"))
+                 if not p.name.endswith(".expected.json")] + \
+            sorted(tmp_path.glob("*.json"))
+        _outputs(paths, capsys)
+        main(["validate", str(dim6), "--format", "text"])
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert capsys.readouterr().out.startswith("instance ")
+    defs = _package_defs()
+    ran = {defs.get((str(Path(c.co_filename).resolve()), c.co_firstlineno))
+           for c in entered}
+    assert sorted(set(defs.values()) - ran - set(UNENTERED)) == []
+    assert sorted(set(UNENTERED) & ran) == []
+    assert set(UNENTERED) <= set(defs.values())

@@ -103,12 +103,8 @@ def check_distinguished_pair(model: NCModel, ci: int, j: int):
     w = model.on_component(model.weight, ci)
     wj = model.wj(ci, frozenset([j]))
     nj = comp.nilpotents[j]
-    lo = min(w.lowest(), wj.lowest()) - 1
-    hi = max(w.highest(), wj.highest())
-    for m in range(lo, hi + 1):
+    for m in wj.jumps():    # the weights where Gr^{N_j*W}_m is nonzero
         gr_t = wj.graded_piece(m)
-        if gr_t.dim == 0:
-            continue
         gr_s = w.graded_piece(m + 1)
         n_bar = induced_map(nj, gr_s, gr_t)
         img = n_bar.image()

@@ -1,7 +1,8 @@
 """Weight-style filtrations and the monodromy/star machinery.
 
-Increasing filtrations are stored by their jump steps only, in canonical
-form, so equality of filtrations is equality of representations.  The
+Filtrations are stored by their jump steps only, in canonical form, so
+equality of filtrations is equality of representations, and the dual, star
+and the axioms read a step only at an index where an operand jumps.  The
 relative monodromy filtration M(N, W) is built in one pass up the jumps of
 W from Jordan chains lifted out of each graded piece, one reduction per
 chain top; W(N) is M(N, W) over a pure W, and M(0, W) = W, as every chain
@@ -159,10 +160,10 @@ class Filtration:
 
     def dual(self, center: int):
         """Step i is the annihilator of the step at center - i, on the dual
-        coordinate space."""
-        labels = range(center - self.highest() - 1, center - self.lowest() + 3)
-        return type(self)(self.ambient_dim,
-                          [(i, self.at(center - i).annihilator()) for i in labels])
+        coordinate space; it changes only as center - i passes below a jump j
+        of self, so it is stored at i = center - j + 1 for each j."""
+        return type(self)(self.ambient_dim, [
+            (center - j + 1, self.at(j - 1).annihilator()) for j in self.jumps()])
 
     def to_json(self) -> list[dict]:
         return [
@@ -287,26 +288,27 @@ def axioms_in_t(m: IncreasingFiltration, ops: Sequence[Matrix],
     ops[j]; False unless each op preserves w and maps m_a into m_{a-2}, so
     that every N(t) does.  Then on Gr^W_l, N(t)^k: Gr^M_{l+k} -> Gr^M_{l-k}
     is a product of k sums of the ops' graded blocks Gr^M_a -> Gr^M_{a-2},
-    built here once, and must be invertible."""
+    built here once, and must be invertible at each k = |a - l| > 0 of a
+    nonzero Gr^M_a (at any other k it maps zero to zero)."""
     if any(not op.rows == op.cols == w.ambient_dim == m.ambient_dim
            or w.first_violation(op, w) is not None
            or m.first_violation(op, m, -2) is not None for op in ops):
         return False
-    pieces = []     # per Gr^W_l: l, dims of its Gr^M_a, reach, blocks by a
+    pieces = []     # per Gr^W_l: l, dims of its Gr^M_a, blocks by a
     for l in w.jumps():
         gr = w.graded_piece(l)
         m_gr, ops_gr = m.project_to(gr), [induced_map(op, gr, gr) for op in ops]
         dims = m_gr.graded_dims()
         reach = max(abs(a - l) for a in dims)
-        pieces.append((l, dims, reach, {
+        pieces.append((l, dims, {
             a: [induced_map(op, m_gr.graded_piece(a), m_gr.graded_piece(a - 2))
                 for op in ops_gr] for a in range(l - reach + 2, l + reach + 1)}))
 
     def holds(t) -> bool:
-        for l, dims, reach, blocks in pieces:
+        for l, dims, blocks in pieces:
             sums = {a: combination(t, bs, dims.get(a - 2, 0), dims.get(a, 0))
                     for a, bs in blocks.items()}
-            for k in range(1, reach + 1):
+            for k in sorted({abs(a - l) for a in dims} - {0}):
                 p = Matrix.identity(dims.get(l + k, 0))
                 for a in range(l + k, l - k, -2):
                     p = sums[a] * p
@@ -402,16 +404,16 @@ def _lifted_chains(N: Matrix, powers, w: IncreasingFiltration):
 
 def star(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
     """(N*W)_k = N W_{k+1} + M_k(N,W) cap W_k; the alternate form with
-    W_{k+1} is computed too and asserted equal.  For N = 0 both forms are
-    M_k cap W_k, so 0*W = W once M(0, W) = W."""
+    W_{k+1} is computed too and asserted equal, at the jumps of W and M and
+    one below each jump of W: neither form changes between them, and they can
+    differ only where W_k != W_{k+1}.  For N = 0 both forms are M_k cap W_k,
+    so 0*W = W once M(0, W) = W."""
     m = relative_monodromy_filtration(N, w)
     if N.is_zero() and m == w:
         return w
     n = w.ambient_dim
-    lo = min(w.lowest(), m.lowest()) - 2
-    hi = max(w.highest(), m.highest()) + 1
     steps = []
-    for k in range(lo, hi + 1):
+    for k in sorted({i for j in w.jumps() for i in (j - 1, j)} | set(m.jumps())):
         img = N.image(w.at(k + 1))
         primary = img.sum(m.at(k).intersect(w.at(k)))
         alternate = img.sum(m.at(k).intersect(w.at(k + 1)))

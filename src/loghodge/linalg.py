@@ -557,7 +557,7 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: tuple[Row, ...], _canonical=False):
         if not _canonical:
-            basis = rref(basis, ambient_dim)
+            basis = rref(basis, ambient_dim) if basis else ()
         self.ambient_dim = ambient_dim
         self.basis = basis
         # pivots strictly increase: each search starts one past the last

@@ -436,10 +436,8 @@ def _polarization_on_graded(gr: Subquotient, n_gr: Matrix, m: IncreasingFiltrati
     # N^e = 0 for e = len(powers) - 1, so powers[min(j, e)] is N^j
     powers = n_gr.powers()
     e = len(powers) - 1
-    for k in range(0, e + 1):
+    for k in [t - i for t in m.jumps() if t >= i]:     # Gr^M_{i+k} != 0, k < e
         top = m.graded_piece(i + k)
-        if top.dim == 0:
-            continue
         bottom = m.graded_piece(i - k - 2)
         prim = induced_map(powers[min(k + 1, e)], top, bottom).kernel()
         if prim.dim == 0:

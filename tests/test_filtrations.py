@@ -352,7 +352,8 @@ def test_filtration_sum_equals_the_span_of_the_placed_rows(cls, data):
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_rref(mp)
         out = filtration_sum(parts, total)
-    assert (not calls) == (increasing or not labels)
+    assert (not calls) == (increasing or not any(f.at(i).basis for _, f in parts
+                                                 for i in labels))
     expected = cls(total, [
         (i, Subspace.span([place(total, [(v, pos)])
                            for pos, f in parts for v in f.at(i).basis], total))
@@ -399,6 +400,65 @@ def test_dual_reflects_the_graded_pieces_both_directions(cls, data):
     # Gr_i(W.dual(c)) is dual to Gr_{c+1-i}(W), Gr^p(F.dual(c)) to Gr^{c-1-p}(F)
     mirror = c + 1 if cls is IncreasingFiltration else c - 1
     assert d.graded_dims() == {mirror - i: n for i, n in f.graded_dims().items()}
+
+
+@BOTH
+@settings(max_examples=100)
+@given(data=st.data())
+def test_dual_is_the_annihilator_at_every_index(cls, data):
+    """Built at the jumps only, f.dual(c) is still ann f_{c-i} at every i,
+    from beyond its first jump to beyond its last."""
+    f = data.draw(flags(cls, data.draw(st.integers(0, 4))))
+    c = data.draw(st.integers(-4, 4))
+    d = f.dual(c)
+    for i in range(c - f.highest() - 3, c - f.lowest() + 5):
+        assert d.at(i) == f.at(c - i).annihilator()
+
+
+def _saturated(n, w):
+    """The least N-stable filtration with each step containing w's: step k
+    spans the N^j v, j >= 0, of the basis vectors v of w_k."""
+    def closure(sub):
+        vectors, frontier = list(sub.basis), list(sub.basis)
+        while frontier := [u for u in map(n, frontier) if not u.is_zero()]:
+            vectors += frontier
+        return Subspace.span(vectors, n.cols)
+    return IncreasingFiltration(n.cols, [(i, closure(s)) for i, s in w.steps])
+
+
+def _star_at_every_index(n, w):
+    """N*W from both defining forms at every index from two below the lowest
+    jump of W and M(N, W) to one above the highest, asserting that they
+    agree at each."""
+    m = relative_monodromy_filtration(n, w)
+    steps = []
+    for k in range(min(w.lowest(), m.lowest()) - 2,
+                   max(w.highest(), m.highest()) + 2):
+        img = n.image(w.at(k + 1))
+        primary = img.sum(m.at(k).intersect(w.at(k)))
+        assert primary == img.sum(m.at(k).intersect(w.at(k + 1)))
+        steps.append((k, primary))
+    return IncreasingFiltration(w.ambient_dim, steps)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_star_at_the_jumps_matches_star_at_every_index(data):
+    """A random flag made N-stable for a random nilpotent N: star(N, W),
+    read at the jumps, equals both forms evaluated at every index, or both
+    find no M(N, W)."""
+    dim = data.draw(st.integers(1, 5))
+    n = random_nilpotent(dim, random.Random(data.draw(st.integers(0, 10**6))))
+    if data.draw(st.booleans()):
+        n = Matrix.zero(dim, dim)
+    w = _saturated(n, data.draw(flags(IncreasingFiltration, dim)))
+    try:
+        expected = _star_at_every_index(n, w)
+    except RelativeMonodromyNonexistent:
+        with pytest.raises(RelativeMonodromyNonexistent):
+            star(n, w)
+    else:
+        assert star(n, w) == expected
 
 
 @BOTH

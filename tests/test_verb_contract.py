@@ -211,6 +211,37 @@ def test_no_verb_and_no_generator_runs_scalar_arithmetic(tmp_path, capsys,
     assert _outputs(paths, capsys) == expected
 
 
+def test_no_verb_eliminates_no_rows(tmp_path, capsys, monkeypatch):
+    """With rref failing on an input of no rows, in every module that binds
+    it, each verb that reads filtrations at their jumps runs on the corpus
+    and on small pure and imhs draws, and none asks for that elimination."""
+    empty = []
+    real_rref = importlib.import_module("loghodge.linalg").rref
+
+    def rref_of_rows(rows, width):
+        if not (rows := list(rows)):
+            empty.append(width)
+            raise AssertionError("rref of no rows")
+        return real_rref(rows, width)
+    for stem in ("linalg", "filtrations", "model", "generate"):
+        monkeypatch.setattr(importlib.import_module(f"loghodge.{stem}"),
+                            "rref", rref_of_rows)
+    for make, n, seed in itertools.product(
+            (random_pure_model, random_imhs_model), (1, 2, 3), (0, 1, 2)):
+        (tmp_path / f"{make.__name__}-{n}-{seed}.json").write_text(canonical_json(
+            model_to_json(make(n, random.Random(seed), max_dim=MAX_DIM))))
+    paths = [p for p in sorted(CORPUS.glob("*.json"))
+             if not p.name.endswith(".expected.json")] + \
+        sorted(tmp_path.glob("*.json"))
+    for path in paths:
+        for variant in [["validate"], ["imhs"], ["relmono"], ["star"], ["link"],
+                        ["decompose"]] + [["purity", "--mode", mode] for mode in (
+                            "closed", "support", "open", "compact", "link")]:
+            code = main([variant[0], str(path)] + variant[1:])
+            capsys.readouterr()
+            assert not empty, f"{path.name} {variant}: exit {code}"
+
+
 # the functions of the package that no run of the trace below enters, each
 # with the reason it stays; __radd__ and __rmul__ share the code of __add__
 # and __mul__

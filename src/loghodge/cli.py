@@ -94,7 +94,7 @@ def run_star(model, args):
 
 
 def run_relmono(model, args):
-    z = _parse_z(args.z or "", model) or frozenset(range(model.branches))
+    z = _parse_z(args.z, model) or frozenset(range(model.branches))
     n = model.nilpotent_sum(sorted(z))
     out = relative_monodromy_filtration(n, model.weight)
     return {"branches": sorted(j + 1 for j in z),

@@ -9,12 +9,12 @@ the declared bound.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 from dataclasses import dataclass
 
 from .complexes import (
     CohomologyReport,
-    FilteredComplex,
     build_complex,
     _check_branches,
     cohomology,
@@ -33,7 +33,7 @@ from .linalg import (
     evaluation,
     induced_map,
 )
-from .model import CheckReport, NCModel
+from .model import CheckReport, NCModel, _subsets
 
 
 # -- primitive parts ----------------------------------------------------------
@@ -89,16 +89,9 @@ def _primitive_component(model: NCModel, ci: int, J: tuple, k: int,
 
 # -- graded decomposition ------------------------------------------------------
 
-def _ic_of_part(part: PrimitiveComponentPart, branches: list[int],
-                shift_by: int) -> FilteredComplex:
-    """IC complex of a primitive part under its residual operators, shifted."""
-    ic = koszul_complex(branches, [part.residual], lambda T, b:
-                        Subquotient.of(slot_image(part.residual, T, part.dim)))
-    return ic.shift(-shift_by)
-
-
 def check_distinguished_pair(model: NCModel, ci: int, j: int):
-    """Exact splitting Gr^{N_j*W} = Im(Gr N_j) (+) Ker(Gr I_j), all weights."""
+    """Exact splitting Gr^{N_j*W} = Im(Gr N_j) (+) Ker(Gr I_j), all weights,
+    decided by dimension count."""
     comp = model.components[ci]
     w = model.on_component(model.weight, ci)
     wj = model.wj(ci, frozenset([j]))
@@ -110,7 +103,7 @@ def check_distinguished_pair(model: NCModel, ci: int, j: int):
         img = n_bar.image()
         ident = induced_map(Matrix.identity(comp.dim), gr_t, gr_s)
         ker_i = ident.kernel()
-        if img.intersect(ker_i).dim != 0 or img.sum(ker_i).dim != gr_t.dim:
+        if not img.dim + ker_i.dim == img.sum(ker_i).dim == gr_t.dim:
             return False, f"no exact splitting at weight {m}"
         n_self = induced_map(nj, gr_s, gr_s)
         if n_self.image().dim != img.dim:
@@ -137,61 +130,57 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
             ok, detail = check_distinguished_pair(model, ci, j)
             report.add(f"DistinguishedPair[c={ci},j={j + 1}]", ok, detail)
 
-    # (1b) term-level splitting of Gr^{W^J} into translated primitive parts
+    # (1b) term-level splitting of Gr^{W^J} into the translates N_{J-K} P^K:
+    # they are independent exactly when their dimensions add up to that of
+    # their sum, and split Gr^{W^J} when that sum is all of it
     for ci in unipotent:
         comp = model.components[ci]
-        for r in range(n + 1):
-            for J in itertools.combinations(range(n), r):
-                w_tgt = k - len(J)
-                gr = model.wj(ci, frozenset(J)).graded_piece(w_tgt)
-                if gr.dim == 0:
+        for J in _subsets(range(n)):
+            w_tgt = k - len(J)
+            gr = model.wj(ci, frozenset(J)).graded_piece(w_tgt)
+            if gr.dim == 0:
+                continue
+            translates = []
+            for K in _subsets(J):
+                p = _primitive_component(model, ci, K, k - len(K), None)
+                if p.dim == 0:
                     continue
-                total = Subspace.zero(gr.dim)
-                ok, detail = True, ""
-                for s in range(len(J) + 1):
-                    for K in itertools.combinations(J, s):
-                        p = _primitive_component(model, ci, K, k - len(K), None)
-                        if p.dim == 0:
-                            continue
-                        op = Matrix.identity(comp.dim)
-                        for j in J:
-                            if j not in K:
-                                op = comp.nilpotents[j] * op
-                        img = induced_map(op, p.gr, gr).image(p.space)
-                        if total.intersect(img).dim != 0:
-                            ok = False
-                            detail = "translated primitive parts overlap"
-                        total = total.sum(img)
-                if total.dim != gr.dim:
-                    ok = False
-                    detail = (f"translates span {total.dim} of {gr.dim} "
-                              f"dimensions")
-                report.add(
-                    f"TermSplitting[c={ci},J={{{','.join(str(j + 1) for j in J)}}}"
-                    f",w={w_tgt}]", ok, detail)
+                op = functools.reduce(lambda op, j: comp.nilpotents[j] * op,
+                                      [j for j in J if j not in K],
+                                      Matrix.identity(comp.dim))
+                translates.append(induced_map(op, p.gr, gr).image(p.space))
+            total = functools.reduce(Subspace.sum, translates,
+                                     Subspace.zero(gr.dim))
+            report.add(
+                f"TermSplitting[c={ci},J={{{','.join(str(j + 1) for j in J)}}}"
+                f",w={w_tgt}]",
+                total.dim == gr.dim == sum(t.dim for t in translates),
+                f"translates span {total.dim} of {gr.dim} dimensions"
+                if total.dim != gr.dim else "translated primitive parts overlap")
 
     # (2)+(3) cohomology dimensions of the graded piece Gr^W_k of the full
     # complex match the sum of intersection complexes of primitive parts,
-    # each cut to its slot of the full complex (a full slot cuts nothing)
+    # each cut to its slot of the full complex (a full slot cuts nothing):
+    # the Koszul complex of the part under its residual operators, shifted
     full = build_complex(model, which, z)
     graded = subquotient_complex(
         full, {deg: full.weight_at(deg).graded_piece(k)
                for deg in full.degrees()})
     lhs = {deg: h.dim for deg, h in cohomology(graded).degrees.items() if h.dim}
     rhs: dict[int, int] = {}
-    for r in range(n + 1):
-        for K in itertools.combinations(range(n), r):
-            for ci in unipotent:
-                slot = full.layout[r][(K, ci)][1].sub
-                part = _primitive_component(
-                    model, ci, K, k - len(K), None if slot.is_full() else slot)
-                if part.dim == 0:
-                    continue
-                rest = [j for j in range(n) if j not in K]
-                piece = _ic_of_part(part, rest, len(K))
-                for deg, h in cohomology(piece).degrees.items():
-                    if h.dim:
-                        rhs[deg] = rhs.get(deg, 0) + h.dim
+    for K in _subsets(range(n)):
+        rest = [j for j in range(n) if j not in K]
+        for ci in unipotent:
+            slot = full.layout[len(K)][(K, ci)][1].sub
+            part = _primitive_component(
+                model, ci, K, k - len(K), None if slot.is_full() else slot)
+            if part.dim == 0:
+                continue
+            ic = koszul_complex(rest, [part.residual], lambda T, b: Subquotient.of(
+                slot_image(part.residual, T, part.dim)))
+            for deg, h in cohomology(ic.shift(-len(K))).degrees.items():
+                if h.dim:
+                    rhs[deg] = rhs.get(deg, 0) + h.dim
     report.add(
         f"GradedCohomology[k={k},{which}]",
         lhs == rhs,
@@ -223,10 +212,7 @@ class PurityRow:
     ok: bool
 
     def to_json(self):
-        return {"degree": self.degree, "perverse_degree": self.perverse_degree,
-                "label": self.label, "weight": self.weight, "dim": self.dim,
-                "bound": self.bound, "relation": self.relation,
-                "ok": self.ok}
+        return dict(vars(self))     # the field order is the key order
 
 
 @dataclass
@@ -249,7 +235,7 @@ class PurityVerdict:
 
 # purity mode -> (the build_complex kind it reads, the relation its weights
 # keep); the link is read off the reports of the support and closed modes,
-# and its relation turns at perverse degree 0
+# and its relation turns at perverse degree 0.  _RELATIONS decides each one.
 MODES = {
     "open": ("iclog", ">="),
     "support": ("shriek", ">="),
@@ -257,6 +243,7 @@ MODES = {
     "compact": ("compact", "<="),
     "link": (None, None),
 }
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
 def purity_check(report: CohomologyReport, a: int, shift: int,
@@ -266,18 +253,10 @@ def purity_check(report: CohomologyReport, a: int, shift: int,
         raise ShapeError(f"unknown purity mode {mode!r}")
     rows = []
     for k in report.nonzero_degrees():
-        h = report.degrees[k]
-        for label, dim in sorted(h.weight_profile().items()):
-            ip = k - shift
-            w = label + ip
-            bound = a + ip
-            if mode == "link":
-                if ip <= -1:
-                    ok, rel = w <= bound, "<="
-                else:
-                    ok, rel = w > bound, ">"
-            else:
-                rel = MODES[mode][1]
-                ok = w >= bound if rel == ">=" else w <= bound
-            rows.append(PurityRow(k, ip, label, w, dim, bound, rel, ok))
+        ip = k - shift
+        rel = MODES[mode][1] or ("<=" if ip <= -1 else ">")
+        for label, dim in sorted(report.degrees[k].weight_profile().items()):
+            w, bound = label + ip, a + ip
+            rows.append(PurityRow(k, ip, label, w, dim, bound, rel,
+                                  _RELATIONS[rel](w, bound)))
     return PurityVerdict(mode, a, shift, rows)

@@ -407,9 +407,9 @@ def star(N: Matrix, w: IncreasingFiltration) -> IncreasingFiltration:
     W_{k+1} is computed too and asserted equal, at the jumps of W and M and
     one below each jump of W: neither form changes between them, and they can
     differ only where W_k != W_{k+1}.  For N = 0 both forms are M_k cap W_k,
-    so 0*W = W once M(0, W) = W."""
+    so 0*W = W, as M(0, W) = W."""
     m = relative_monodromy_filtration(N, w)
-    if N.is_zero() and m == w:
+    if N.is_zero():
         return w
     n = w.ambient_dim
     steps = []

@@ -287,8 +287,10 @@ def _later_t_vectors(n: int):
                   for _ in range(n)) for _ in range(3)]
 
 
-def _subsets(n):
-    return [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+def _subsets(items):
+    """Every subset of items: () first, then by size in combinations order."""
+    return [c for r in range(len(items) + 1)
+            for c in itertools.combinations(items, r)]
 
 
 def _hodge_pieces(f: DecreasingFiltration, w: int):
@@ -350,7 +352,7 @@ def imhs_check(model: NCModel) -> CheckReport:
     # (2) relative monodromy filtrations for every branch subset; step (3)
     # reads the one of the full set
     m_total = None
-    for subset in _subsets(n_branches):
+    for subset in _subsets(range(n_branches))[1:]:
         detail = "relative filtration depends on the scaling vector"
         try:
             mj = relative_monodromy_filtration(model.nilpotent_sum(subset),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import shlex
 import shutil
 from pathlib import Path
 
@@ -876,3 +877,23 @@ def test_every_verb_refuses_a_w_n_or_s_that_is_not_rational(verb, tmp_path,
         path.write_text(json.dumps(doc))
         code, out = run_cli([verb, str(path)], capsys)
         assert (code, json.loads(out)["error"]) == (2, message), path.name
+
+
+def test_every_readme_example_runs(monkeypatch, capsys):
+    """Each command of README's fenced `loghodge ...` block, on the corpus
+    instance j2xj2_weight2 for model.json, exits 0 or 1 with one JSON line
+    (its link, of two branches, exits 1: ROADMAP item 1)."""
+    root = CORPUS.parent
+    blocks = (root / "README.md").read_text().split("```")[1::2]
+    (block,) = [b for b in blocks if b.lstrip("\n").startswith("loghodge ")]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.strip()]
+    assert len(commands) == 13
+    monkeypatch.chdir(root)
+    for command in commands:
+        assert command[0] == "loghodge"
+        argv = ["corpus/j2xj2_weight2.json" if a == "model.json" else a
+                for a in command[1:]]
+        code, out = run_cli(argv, capsys)
+        assert code in (0, 1) and out.count("\n") == 1, (command, code)
+        json.loads(out)

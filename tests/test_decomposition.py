@@ -1,12 +1,18 @@
+import dataclasses
 import functools
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from loghodge import decomposition
 from loghodge.complexes import build_complex, build_ic_log, cohomology, dualize
 from loghodge.decomposition import (
+    PrimitiveComponentPart,
     _primitive_component,
+    check_distinguished_pair,
     check_graded_decomposition,
     intersection_image,
     purity_check,
@@ -14,8 +20,8 @@ from loghodge.decomposition import (
 from loghodge.errors import ShapeError
 from loghodge.filtrations import star
 from loghodge.generate import random_imhs_model
-from loghodge.linalg import evaluation
-from loghodge.model import imhs_check, model_from_json
+from loghodge.linalg import Matrix, Subspace, evaluation, induced_map
+from loghodge.model import NCModel, imhs_check, model_from_json
 
 J2 = model_from_json({
     "branches": 1, "base_weight": 0, "perverse_shift": 1,
@@ -183,3 +189,89 @@ def test_intersection_image_zero_model():
         "S": {"matrix": [], "parity": 0},
     })
     assert intersection_image(zero, [0]) == []
+
+
+# -- the failure branches of the splitting checks, on a wrong construction ----
+
+J2XJ2 = model_from_json(json.loads(
+    (Path(__file__).resolve().parent.parent / "corpus" / "j2xj2_weight2.json")
+    .read_text()))
+
+
+def _row(report, name):
+    (row,) = [c for c in report.checks if c.name == name]
+    return row.status, row.detail
+
+
+def _wrong_primitive_parts(monkeypatch, wrong):
+    """Make _primitive_component build wrong(model, ci, J, k, right part)."""
+    real = _primitive_component.__wrapped__
+
+    def build(model, ci, J, k, inside):
+        return wrong(model, ci, J, k, real(model, ci, J, k, inside))
+
+    monkeypatch.setattr(_primitive_component, "__wrapped__", build)
+
+
+def test_term_splitting_fails_when_the_translates_do_not_span(monkeypatch):
+    """A zero part at K = () leaves Gr^W_2 of J2 x J2 unspanned."""
+    def zero_at_no_branch(model, ci, J, k, part):
+        if J:
+            return part
+        return dataclasses.replace(part, space=Subspace.zero(part.gr.dim),
+                                   residual={})
+
+    _wrong_primitive_parts(monkeypatch, zero_at_no_branch)
+    report = check_graded_decomposition(J2XJ2, 2)
+    assert _row(report, "TermSplitting[c=0,J={},w=2]") == (
+        "fail", "translates span 0 of 4 dimensions")
+
+
+def test_term_splitting_fails_when_the_translates_overlap(monkeypatch):
+    """The whole graded piece as the part of each nonempty K: its translate
+    meets the translate of the part of ()."""
+    def whole(model, ci, J, k, part):
+        if not J:
+            return part
+        nilpotents = model.components[ci].nilpotents
+        return PrimitiveComponentPart(
+            part.gr, Subspace.full(part.gr.dim),
+            {j: induced_map(nilpotents[j], part.gr, part.gr)
+             for j in range(model.branches) if j not in J})
+
+    _wrong_primitive_parts(monkeypatch, whole)
+    report = check_graded_decomposition(J2XJ2, 2)
+    assert _row(report, "TermSplitting[c=0,J={1},w=1]") == (
+        "fail", "translated primitive parts overlap")
+
+
+def test_distinguished_pair_fails_on_a_shifted_star(monkeypatch):
+    """With W^{j} replaced by W shifted down one, Im(Gr N_j) and Ker(Gr I_j)
+    no longer split Gr^{W^{j}}."""
+    real = NCModel.wj.__wrapped__
+
+    def shifted(model, ci, branch_set):
+        if len(branch_set) == 1:
+            return model.on_component(model.weight, ci).shift(-1)
+        return real(model, ci, branch_set)
+
+    monkeypatch.setattr(NCModel.wj, "__wrapped__", shifted)
+    with evaluation():
+        assert check_distinguished_pair(J2XJ2, 0, 0) == (
+            False, "no exact splitting at weight 1")
+
+
+def test_distinguished_pair_fails_when_the_image_meets_the_kernel(monkeypatch):
+    """With Gr I_j read as zero, Ker(Gr I_j) is all of Gr^{W^{j}}_1, and
+    the image of Gr N_j lies in it: the two span but are not independent."""
+    real = decomposition.induced_map
+
+    def zero_identity(f, src, tgt):
+        if f is Matrix.identity(f.cols):
+            return Matrix.zero(tgt.dim, src.dim)
+        return real(f, src, tgt)
+
+    monkeypatch.setattr(decomposition, "induced_map", zero_identity)
+    with evaluation():
+        assert check_distinguished_pair(J2XJ2, 0, 0) == (
+            False, "no exact splitting at weight 1")

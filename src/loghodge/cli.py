@@ -25,9 +25,11 @@ from .model import canonical_json, imhs_check, load_model, validate
 from .scalars import _INT_RE
 
 
-def _parse_z(text, model):
+def _parse_z(text, model, every):
+    """The 0-based branches --z names; an empty --z names every branch or
+    none, as every says."""
     if not text:
-        return frozenset()
+        return frozenset(range(model.branches) if every else ())
     entries = text.split(",")
     for t in entries:
         if not re.fullmatch("0|[1-9][0-9]*", t):    # int() reads more: +1, 1_0
@@ -64,28 +66,21 @@ def _require_valid(report):
         raise InvalidModel(f"instance fails validate: {', '.join(failed)}")
 
 
-def run_validate(model, args):
-    rep = validate(model)
-    return rep.to_json()["checks"], rep.passed
+def _rows(report):
+    return report.to_json()["checks"], report.passed
 
 
-def run_imhs(model, args):
-    rep = imhs_check(model)
-    return rep.to_json()["checks"], rep.passed
-
-
-def run_cohomology(model, args):
-    z = _parse_z(args.z, model)
+def run_cohomology(model, args, z):
     return cx.cohomology(cx.build_complex(model, args.complex, z)).to_json(), None
 
 
-def run_filtration(model, args):
+def run_filtration(model, args, z):
     return {"W": model.weight.to_json(),
             "graded_dims": {str(k): d
                             for k, d in model.weight.graded_dims().items()}}, None
 
 
-def run_star(model, args):
+def run_star(model, args, z):
     j = args.branch - 1
     if not 0 <= j < model.branches:
         raise ParseError(f"--branch {args.branch} out of range")
@@ -93,44 +88,32 @@ def run_star(model, args):
     return {"star": out.to_json()}, None
 
 
-def run_relmono(model, args):
-    z = _parse_z(args.z, model) or frozenset(range(model.branches))
+def run_relmono(model, args, z):
     n = model.nilpotent_sum(sorted(z))
     out = relative_monodromy_filtration(n, model.weight)
     return {"branches": sorted(j + 1 for j in z),
             "relative_monodromy": out.to_json()}, None
 
 
-def run_decompose(model, args):
-    z = _parse_z(args.z, model)
-    which = args.complex
-    if args.k is not None:
-        weights = [args.k]
-    else:
-        om = cx.build_complex(model, "omega")
-        labels = set()
-        for k in om.degrees():
-            if om.term_dim(k):
-                labels.update(om.weight_at(k).jumps())
-        weights = sorted(labels)
-    results = []
-    ok = True
-    for k in weights:
-        rep = dec.check_graded_decomposition(model, k, which, z)
-        results.append({"k": k, **rep.to_json()})
-        ok = ok and rep.passed
-    return results, ok
+def run_decompose(model, args, z):
+    # by default every weight where a filtration of omega jumps; omega holds
+    # one at exactly its nonzero terms
+    weights = [args.k] if args.k is not None else sorted(
+        {k for f in cx.build_complex(model, "omega").weight.values()
+         for k in f.jumps()})
+    reps = [(k, dec.check_graded_decomposition(model, k, args.complex, z))
+            for k in weights]
+    return ([{"k": k, **rep.to_json()} for k, rep in reps],
+            all(rep.passed for _, rep in reps))
 
 
-def run_intersect(model, args):
-    z = _parse_z(args.z, model)
+def run_intersect(model, args, z):
     if not z:
         raise ParseError("intersect needs a nonempty --z")
     return dec.intersection_image(model, z), True
 
 
-def run_purity(model, args):
-    z = _parse_z(args.z, model) or frozenset(range(model.branches))
+def run_purity(model, args, z):
     if not z and args.mode in ("closed", "support"):
         raise ParseError(f"purity --mode {args.mode} needs a branch, "
                          "and the instance has none")
@@ -139,46 +122,33 @@ def run_purity(model, args):
     return verdict.to_json(), verdict.passed
 
 
-def run_link(model, args):
-    z = _parse_z(args.z, model) or frozenset(range(model.branches))
+def run_link(model, args, z):
     rep = _purity_cohomology(model, "link", z)
     verdict = dec.purity_check(rep, model.base_weight, model.perverse_shift, "link")
     return {"cohomology": rep.to_json(), "purity": verdict.to_json()}, \
         verdict.passed
 
 
-def run_duality(model, args):
-    z = _parse_z(args.z, model) or frozenset(range(model.branches))
-    a = model.base_weight
+def run_duality(model, args, z):
+    a, m = model.base_weight, model.perverse_shift
     results = []
-    ok = True
     for kind in ("omega", "ic"):
         c = cx.build_complex(model, kind, z)
-        base = cx.cohomology(c).profile()
-        double = cx.cohomology(
+        good = cx.cohomology(c).profile() == cx.cohomology(
             cx.dualize(cx.dualize(c, a=a), a=a)).profile()
-        good = base == double
-        ok = ok and good
         results.append({"check": f"double_dual[{kind}]",
                         "status": "pass" if good else "fail"})
+    status = "skip"
     if model.branches == 1:
         # the link reads no S; for n >= 2 it is still built from the
         # union-of-branches i^! and i^*, which miss the link S^{2n-1}
-        rep = _purity_cohomology(model, "link", z)
-        m = model.perverse_shift
-        good = True
-        for k in rep.nonzero_degrees():
-            k2 = 2 * m - 1 - k
-            prof = rep.degrees[k].weight_profile()
-            other = rep.degrees[k2].weight_profile() if k2 in rep.degrees else {}
-            if prof != {2 * a + 1 - w: d for w, d in other.items()}:
-                good = False
-        ok = ok and good
-        results.append({"check": "link_self_duality",
-                        "status": "pass" if good else "fail"})
-    else:
-        results.append({"check": "link_self_duality", "status": "skip"})
-    return results, ok
+        prof = _purity_cohomology(model, "link", z).profile()
+        good = all(p == {2 * a + 1 - w: d
+                         for w, d in prof.get(2 * m - 1 - k, {}).items()}
+                   for k, p in prof.items())
+        status = "pass" if good else "fail"
+    results.append({"check": "link_self_duality", "status": status})
+    return results, all(r["status"] != "fail" for r in results)
 
 
 def run_corpus(args):
@@ -251,25 +221,26 @@ def corpus_entry(path: str) -> dict:
         return entry
 
 
-# what a verb presumes of its instance, enforced by main before it runs:
-# VALID, a passing validate; POLARIZED, that and S.  The other verbs report
-# on any instance, and main names the validate rows behind their errors.
+# each verb: (runner, what it presumes of its instance, how it reads --z).
+# main enforces the presumption before the verb runs: VALID, a passing
+# validate; POLARIZED, that and S.  The other verbs report on any instance,
+# and main names the validate rows behind their errors.  Then main reads
+# --z and passes the runner its branch set: an empty --z is no branch
+# (NO_BRANCH) or every branch (EVERY_BRANCH); None, the verb ignores --z.
 VALID, POLARIZED = "valid", "polarized"
-NEEDS = {"imhs": VALID, "decompose": VALID, "duality": VALID,
-         "purity": POLARIZED, "link": POLARIZED, "intersect": POLARIZED}
-
+NO_BRANCH, EVERY_BRANCH = False, True
 VERBS = {
-    "validate": run_validate,
-    "imhs": run_imhs,
-    "cohomology": run_cohomology,
-    "filtration": run_filtration,
-    "star": run_star,
-    "relmono": run_relmono,
-    "decompose": run_decompose,
-    "intersect": run_intersect,
-    "purity": run_purity,
-    "link": run_link,
-    "duality": run_duality,
+    "validate": (lambda model, args, z: _rows(validate(model)), None, None),
+    "imhs": (lambda model, args, z: _rows(imhs_check(model)), VALID, None),
+    "cohomology": (run_cohomology, None, NO_BRANCH),
+    "filtration": (run_filtration, None, None),
+    "star": (run_star, None, None),
+    "relmono": (run_relmono, None, EVERY_BRANCH),
+    "decompose": (run_decompose, VALID, NO_BRANCH),
+    "intersect": (run_intersect, POLARIZED, NO_BRANCH),
+    "purity": (run_purity, POLARIZED, EVERY_BRANCH),
+    "link": (run_link, POLARIZED, EVERY_BRANCH),
+    "duality": (run_duality, VALID, EVERY_BRANCH),
 }
 
 
@@ -317,16 +288,18 @@ def main(argv=None) -> int:
             results, passed = run_corpus(args)
         else:
             model = load_model(args.input)
-            need = NEEDS.get(args.verb)
+            run, presumes, reads_z = VERBS[args.verb]
             with evaluation():
-                if need:
+                if presumes:
                     _require_valid(validate(model))
-                if need == POLARIZED and model.pairing is None:
+                if presumes == POLARIZED and model.pairing is None:
                     raise InvalidModel("instance carries no pairing S")
                 try:
-                    results, passed = VERBS[args.verb](model, args)
+                    z = None if reads_z is None else \
+                        _parse_z(args.z, model, reads_z)
+                    results, passed = run(model, args, z)
                 except LogHodgeError as exc:
-                    if not (need or isinstance(exc, ParseError)):
+                    if not (presumes or isinstance(exc, ParseError)):
                         _require_valid(validate(model))     # name its rows
                     raise
         doc["results"] = results

@@ -161,7 +161,8 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
     # (2)+(3) cohomology dimensions of the graded piece Gr^W_k of the full
     # complex match the sum of intersection complexes of primitive parts,
     # each cut to its slot of the full complex (a full slot cuts nothing):
-    # the Koszul complex of the part under its residual operators, shifted
+    # the Koszul complex of the part under its residual operators, read at
+    # its degree offset len(K)
     full = build_complex(model, which, z)
     graded = subquotient_complex(
         full, {deg: full.weight_at(deg).graded_piece(k)
@@ -178,9 +179,9 @@ def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
                 continue
             ic = koszul_complex(rest, [part.residual], lambda T, b: Subquotient.of(
                 slot_image(part.residual, T, part.dim)))
-            for deg, h in cohomology(ic.shift(-len(K))).degrees.items():
+            for deg, h in cohomology(ic).degrees.items():
                 if h.dim:
-                    rhs[deg] = rhs.get(deg, 0) + h.dim
+                    rhs[deg + len(K)] = rhs.get(deg + len(K), 0) + h.dim
     report.add(
         f"GradedCohomology[k={k},{which}]",
         lhs == rhs,

@@ -620,7 +620,7 @@ def test_purity_link_and_intersect_refuse_an_instance_without_s(tmp_path,
         code, out = run_cli(["validate", str(path)], capsys)
         assert code == 0 and "S" not in json.loads(path.read_text())
         for argv in VERDICT_ARGV[:7]:
-            assert cli.NEEDS[argv[0]] == cli.POLARIZED
+            assert cli.VERBS[argv[0]][1] == cli.POLARIZED
             code, out = run_cli(argv + [str(path)], capsys)
             doc = json.loads(out)
             assert code == 2 and "results" not in doc, (path.name, argv)
@@ -634,6 +634,41 @@ def test_purity_link_and_intersect_refuse_an_instance_without_s(tmp_path,
                 continue
             assert code in (0, 1), (path.name, argv, out)
             assert json.loads(out)["verdict"] in ("pass", "fail")
+
+
+def test_the_gate_runs_before_a_verb_reads_z(tmp_path, capsys):
+    """Four verbs ignore --z, so a bad one leaves their bytes; the other
+    seven refuse it.  A verb that presumes its instance reports the refused
+    instance first, even when --z is bad too."""
+    z_error = ("--z must be comma-separated integers: "
+               "invalid literal for int() with base 10: 'x'")
+    j2xj2 = str(CORPUS / "j2xj2_weight2.json")
+    for verb in ("validate", "imhs", "filtration", "star"):
+        assert run_cli([verb, j2xj2, "--z", "x"], capsys) == run_cli(
+            [verb, j2xj2], capsys), verb
+    for verb in ("cohomology", "relmono", "decompose", "intersect", "purity",
+                 "link", "duality"):
+        code, out = run_cli([verb, j2xj2, "--z", "x"], capsys)
+        assert (code, json.loads(out)["error"]) == (2, z_error), verb
+
+    doc = json.loads(J2.read_text())
+    doc["components"][0]["N"] = [[["1", "1"], ["0", "0"]]]
+    not_nilpotent = tmp_path / "not_nilpotent.json"
+    not_nilpotent.write_text(json.dumps(doc))
+    refused = ("loghodge.errors.InvalidModel: instance fails validate: "
+               "NilpotentOperators, InfinitesimalIsometry")
+    for verb, error in (
+            *[(v, refused) for v in ("imhs", "decompose", "duality", "purity",
+                                     "link", "intersect")],
+            ("cohomology", z_error), ("relmono", z_error)):
+        code, out = run_cli([verb, str(not_nilpotent), "--z", "x"], capsys)
+        assert (code, json.loads(out)["error"]) == (2, error), verb
+
+    for verb in ("purity", "link", "intersect"):
+        code, out = run_cli([verb, str(CORPUS / "gen_mixed_n1.json"),
+                             "--z", "x"], capsys)
+        assert (code, json.loads(out)["error"]) == (2, (
+            "loghodge.errors.InvalidModel: instance carries no pairing S")), verb
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -686,10 +721,10 @@ def test_corpus_names_the_file_of_every_error(jobs, tmp_path, capsys):
 
 def test_internal_error_exits_three_with_one_json_document(monkeypatch,
                                                            capsys):
-    def broken(model, args):
+    def broken(model, args, z):
         raise RuntimeError("internal bug")
 
-    monkeypatch.setitem(cli.VERBS, "validate", broken)
+    monkeypatch.setitem(cli.VERBS, "validate", (broken, None, None))
     code = main(["validate", str(J2)])
     captured = capsys.readouterr()
     assert code == 3

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import hashlib
 import json
 import pathlib
@@ -1112,3 +1113,45 @@ def test_axioms_in_t_is_none_unless_every_op_preserves_w_and_lowers_m(ops, w, m)
     if len(ops) == 2:
         assert relative_monodromy_filtration(_sum(ops, [1, 1]), w) == m
     assert filtrations.axioms_in_t(m, ops, w, []) is False
+
+
+def _chain(n_k, n_j, n_rest, w):
+    """M(N_K, W), M(N_{K-J}, M(N_J, W)) and M(N_K, M(N_J, W))."""
+    m_j = relative_monodromy_filtration(n_j, w)
+    return (relative_monodromy_filtration(n_k, w),
+            relative_monodromy_filtration(n_rest, m_j),
+            relative_monodromy_filtration(n_k, m_j))
+
+
+def test_the_cattani_kaplan_chain_holds_on_pure_draws():
+    """For a nilpotent orbit over a pure W and nested J in K, J nonempty,
+    M(N_K, W) = M(N_{K-J}, M(N_J, W)) = M(N_K, M(N_J, W)) (Cattani-Kaplan,
+    Invent. Math. 67, 1982): 140 triples of the pure draws at n = 2, 3."""
+    triples = 0
+    for n in (2, 3):
+        nested = [(K, J) for size in range(2, n + 1)
+                  for K in itertools.combinations(range(n), size)
+                  for r in range(1, size) for J in itertools.combinations(K, r)]
+        for seed in range(10):
+            draw = generate.random_pure_model(n, random.Random(seed))
+            with evaluation():
+                for K, J in nested:
+                    rest = [j for j in K if j not in J]
+                    first, *others = _chain(
+                        *map(draw.nilpotent_sum, (K, J, rest)), draw.weight)
+                    assert others == [first, first], (n, seed, K, J)
+                    triples += 1
+    assert triples == 140
+
+
+def test_the_cattani_kaplan_chain_fails_off_a_nilpotent_orbit():
+    """The commuting pair N_1, N_2 on Q^3, W pure of weight 0, is no orbit:
+    every filtration of the chain exists, and M(N_1 + N_2, W) differs from
+    both of the others, so the check above can fail."""
+    n1 = Matrix([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+    n2 = Matrix([[0, -1, 0], [0, 0, -1], [0, 0, 0]])
+    assert n1 * n2 == n2 * n1
+    with evaluation():
+        first, via_rest, via_k = _chain(n1 + n2, n1, n2,
+                                        IncreasingFiltration.pure(3, 0))
+    assert first != via_rest and first != via_k

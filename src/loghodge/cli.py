@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-import traceback
 from functools import cache
 from pathlib import Path
 
@@ -311,6 +310,7 @@ def main(argv=None) -> int:
         _emit(doc, args)
         return 2
     except Exception as exc:  # a bug: report it, never as a verdict
+        import traceback    # only this path prints one
         traceback.print_exc(file=sys.stderr)
         doc["error"] = f"internal error: {type(exc).__name__}: {exc}"
         doc["verdict"] = "error"

@@ -26,7 +26,6 @@ Koszul differential; along it W^J is W, as 0*W = W.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import FiltrationNotPreserved, ShapeError
 from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_sum
@@ -41,37 +40,38 @@ from .linalg import (
 )
 
 
-@dataclass
 class FilteredComplex:
     """Bounded cochain complex with optional weight/Hodge filtrations.
 
-    A complex built by ``koszul_complex`` records its slot layout: per degree,
-    slot key -> (coordinates of the slot in the term, slot subquotient).
+    dims[i] is the dimension of term min_deg + i, d[k] the differential out
+    of degree k, weight[k] and hodge[k] the filtrations of term k.  The
+    constructor trims zero-dimensional ends, for a canonical degree range,
+    and drops what it holds at zero terms.  A complex built by
+    ``koszul_complex`` records its slot layout: per degree, slot key ->
+    (coordinates of the slot in the term, slot subquotient).
     """
 
-    min_deg: int
-    dims: tuple[int, ...]                      # dims[i] = dim of term min_deg+i
-    d: dict[int, Matrix] = field(default_factory=dict)
-    weight: dict[int, IncreasingFiltration] | None = None
-    hodge: dict[int, DecreasingFiltration] | None = None
-    layout: dict[int, dict[tuple, tuple[range, Subquotient]]] = field(
-        default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        # trim zero-dimensional ends for a canonical degree range
-        dims = list(self.dims)
+    def __init__(self, min_deg: int, dims: tuple[int, ...],
+                 d: dict[int, Matrix] | None = None,
+                 weight: dict[int, IncreasingFiltration] | None = None,
+                 hodge: dict[int, DecreasingFiltration] | None = None,
+                 layout: dict[int, dict[tuple, tuple[range, Subquotient]]]
+                 | None = None):
+        dims = list(dims)
         while dims and dims[0] == 0:
             dims.pop(0)
-            self.min_deg += 1
+            min_deg += 1
         while dims and dims[-1] == 0:
             dims.pop()
+        self.min_deg = min_deg
         self.dims = tuple(dims)
-        self.d = {k: v for k, v in self.d.items()
+        self.d = {k: v for k, v in (d or {}).items()
                   if self.term_dim(k) and self.term_dim(k + 1)}
         self.weight, self.hodge = (
             None if filt is None else
             {k: f for k, f in filt.items() if self.term_dim(k)}
-            for filt in (self.weight, self.hodge))
+            for filt in (weight, hodge))
+        self.layout = layout or {}
 
     @property
     def max_deg(self) -> int:
@@ -131,13 +131,14 @@ class FilteredComplex:
         return FilteredComplex(self.min_deg - m, self.dims, d, weight, hodge)
 
 
-@dataclass
 class ComplexMap:
     """Degree-zero chain map; filtration compatibility checked on demand."""
 
-    source: FilteredComplex
-    target: FilteredComplex
-    maps: dict[int, Matrix]
+    def __init__(self, source: FilteredComplex, target: FilteredComplex,
+                 maps: dict[int, Matrix]):
+        self.source = source
+        self.target = target
+        self.maps = maps
 
     def at(self, k: int) -> Matrix:
         if k in self.maps:
@@ -233,19 +234,20 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None) -> FilteredCompl
 
 # -- cohomology ---------------------------------------------------------------
 
-@dataclass
 class DegreeCohomology:
-    dim: int
-    weights: IncreasingFiltration | None
-    hodge: DecreasingFiltration | None
+    def __init__(self, dim: int, weights: IncreasingFiltration | None,
+                 hodge: DecreasingFiltration | None):
+        self.dim = dim
+        self.weights = weights
+        self.hodge = hodge
 
     def weight_profile(self) -> dict[int, int]:
         return self.weights.graded_dims() if self.weights is not None else {}
 
 
-@dataclass
 class CohomologyReport:
-    degrees: dict[int, DegreeCohomology]
+    def __init__(self, degrees: dict[int, DegreeCohomology]):
+        self.degrees = degrees
 
     def dim(self, k: int) -> int:
         return self.degrees[k].dim if k in self.degrees else 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 from .complexes import (
     CohomologyReport,
@@ -38,11 +37,12 @@ from .model import CheckReport, NCModel, _subsets
 
 # -- primitive parts ----------------------------------------------------------
 
-@dataclass
 class PrimitiveComponentPart:
-    gr: Subquotient                 # Gr^{W^J}_k of the component space
-    space: Subspace                 # the primitive part, in gr coordinates
-    residual: dict[int, Matrix]  # induced N_j on the part, j outside J
+    def __init__(self, gr: Subquotient, space: Subspace,
+                 residual: dict[int, Matrix]):
+        self.gr = gr                # Gr^{W^J}_k of the component space
+        self.space = space          # the primitive part, in gr coordinates
+        self.residual = residual    # induced N_j on the part, j outside J
 
     @property
     def dim(self):
@@ -201,27 +201,29 @@ def intersection_image(model: NCModel, z) -> list:
 
 # -- purity verdicts -----------------------------------------------------------
 
-@dataclass
 class PurityRow:
-    degree: int
-    perverse_degree: int
-    label: int
-    weight: int
-    dim: int
-    bound: int
-    relation: str
-    ok: bool
+    def __init__(self, degree: int, perverse_degree: int, label: int,
+                 weight: int, dim: int, bound: int, relation: str, ok: bool):
+        self.degree = degree
+        self.perverse_degree = perverse_degree
+        self.label = label
+        self.weight = weight
+        self.dim = dim
+        self.bound = bound
+        self.relation = relation
+        self.ok = ok
 
     def to_json(self):
-        return dict(vars(self))     # the field order is the key order
+        return dict(vars(self))     # the assignment order is the key order
 
 
-@dataclass
 class PurityVerdict:
-    mode: str
-    center: int
-    shift: int
-    rows: list[PurityRow]
+    def __init__(self, mode: str, center: int, shift: int,
+                 rows: list[PurityRow]):
+        self.mode = mode
+        self.center = center
+        self.shift = shift
+        self.rows = rows
 
     @property
     def passed(self):

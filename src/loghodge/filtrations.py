@@ -22,7 +22,7 @@ a memo of their own would never hit.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     FiltrationNotPreserved,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -21,7 +20,7 @@ from .filtrations import DecreasingFiltration, IncreasingFiltration, filtration_
 # rref is imported for perfbench's tracer, which rebinds the name in every
 # module that binds it; its tests check this module too
 from .linalg import Matrix, Subspace, combination, rref  # noqa: F401
-from .model import AlphaComponent, NCModel, direct_sum
+from .model import AlphaComponent, NCModel, direct_sum, replace
 from .scalars import I
 
 

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import contextvars
 import re
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from functools import cache, wraps
 from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .errors import IllDefinedInducedMap, ShapeError
 from .scalars import _INT_RE, _canon, as_scalar, parse_scalar

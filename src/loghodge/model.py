@@ -11,7 +11,6 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -44,30 +43,53 @@ from .linalg import (
 from .scalars import Scalar, format_scalar, is_integer, parse_scalar
 
 
-@dataclass(frozen=True)
-class AlphaComponent:
-    """One piece of the residue spectral decomposition."""
+class _Frozen:
+    """A record whose __init__ fills __dict__ and which nothing changes later:
+    every assignment or deletion raises, of a field or of a new attribute."""
 
-    alpha: tuple[Fraction, ...]
-    dim: int
-    nilpotents: tuple[Matrix, ...]
+    def __setattr__(self, name, value=None):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def replace(record, **changes):
+    """A new record of record's class, from its fields with changes applied."""
+    return type(record)(**{**vars(record), **changes})
+
+
+class AlphaComponent(_Frozen):
+    """One piece of the residue spectral decomposition, compared and hashed
+    by value: alpha_ops remembers its operators per equal component."""
+
+    def __init__(self, alpha: tuple[Fraction, ...], dim: int,
+                 nilpotents: tuple[Matrix, ...]):
+        vars(self).update(alpha=alpha, dim=dim, nilpotents=nilpotents)
+
+    def __eq__(self, other):
+        return type(other) is AlphaComponent and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.alpha, self.dim, self.nilpotents))
 
     def is_unipotent(self) -> bool:
         return all(a == 0 for a in self.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class NCModel:
+class NCModel(_Frozen):
     """Local model at a point on n crossing branches, compared by identity."""
 
-    branches: int
-    components: tuple[AlphaComponent, ...]
-    base_weight: int
-    perverse_shift: int
-    weight: IncreasingFiltration
-    hodge: DecreasingFiltration | None = None
-    pairing: Matrix | None = None
-    pairing_parity: int | None = None
+    def __init__(self, branches: int, components: tuple[AlphaComponent, ...],
+                 base_weight: int, perverse_shift: int,
+                 weight: IncreasingFiltration,
+                 hodge: DecreasingFiltration | None = None,
+                 pairing: Matrix | None = None,
+                 pairing_parity: int | None = None):
+        vars(self).update(
+            branches=branches, components=components, base_weight=base_weight,
+            perverse_shift=perverse_shift, weight=weight, hodge=hodge,
+            pairing=pairing, pairing_parity=pairing_parity)
 
     # -- layout -------------------------------------------------------------
 
@@ -115,11 +137,11 @@ class NCModel:
 
 # -- validation ---------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "skip"
+        self.detail = detail
 
     def to_json(self):
         out = {"name": self.name, "status": self.status}
@@ -128,11 +150,11 @@ class CheckResult:
         return out
 
 
-@dataclass
 class CheckReport:
     """Named checks in the order run; the report passes when none fails."""
 
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[CheckResult] = []
 
     def add(self, name, ok, detail=""):
         """A passing check, or a failing one carrying detail."""

@@ -6,8 +6,11 @@ is the definition of a Hodge structure of weight w, complement by complement.
 The tests compare them with the package's own builders: N!W with N*W through
 duality and relative monodromy, the unipotent part with IC_log along every
 branch, the definition with the Hodge pieces the IMHS checker reads.
+``same_complex`` is the value comparison of two complexes, which no verb
+makes.
 """
 
+from loghodge.complexes import FilteredComplex
 from loghodge.filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
@@ -44,6 +47,14 @@ def hodge_decomposes(f: DecreasingFiltration, weight: int) -> bool:
         if fp.dim + fq.dim != d or fp.intersect(fq).dim != 0:
             return False
     return True
+
+
+def same_complex(a: FilteredComplex, b: FilteredComplex) -> bool:
+    """a and b are complexes of one class with equal degree range, terms,
+    differentials, filtrations and slot layout."""
+    return type(a) is type(b) and all(
+        getattr(a, f) == getattr(b, f)
+        for f in ("min_deg", "dims", "d", "weight", "hodge", "layout"))
 
 
 def unipotent_part(model: NCModel) -> NCModel:

@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from inclusion import ic_into_iclog
 from link_oracle import oracle_link
-from side_ops import shriek, unipotent_part
+from side_ops import same_complex, shriek, unipotent_part
 
 from loghodge.complexes import (
     build_complex,
@@ -205,10 +205,10 @@ def test_criterion_04_order_independence():
 def test_criterion_05_boundary_equalities():
     for name, model in corpus_models():
         with evaluation():
-            assert build_ic_log(model, []) == build_ic(model), \
+            assert same_complex(build_ic_log(model, []), build_ic(model)), \
                 f"{name}: empty log set differs from the intersection complex"
-            assert build_ic_log(model, range(model.branches)) == \
-                build_omega(unipotent_part(model)), \
+            assert same_complex(build_ic_log(model, range(model.branches)),
+                                build_omega(unipotent_part(model))), \
                 f"{name}: full log set differs from the unipotent Koszul complex"
     print(f"\n[PASS] criterion 5: boundary equalities on "
           f"{len(CORPUS_PATHS)} corpus instances")

@@ -810,13 +810,13 @@ def test_intersect_builds_no_complex(monkeypatch, capsys):
     """The intersection morphism is zero, so intersect reports its empty
     image without constructing any complex."""
     built = []
-    original = complexes.FilteredComplex.__post_init__
+    original = complexes.FilteredComplex.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        original(self)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(complexes.FilteredComplex, "__post_init__", counting)
+    monkeypatch.setattr(complexes.FilteredComplex, "__init__", counting)
     code, out = run_cli(["intersect", "--z", "1",
                          str(CORPUS / "gen_pure_n3.json")], capsys)
     assert code == 0 and json.loads(out)["verdict"] == "pass"

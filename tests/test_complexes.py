@@ -38,7 +38,7 @@ from loghodge.model import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from inclusion import ic_into_iclog
-from side_ops import unipotent_part
+from side_ops import same_complex, unipotent_part
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -101,9 +101,10 @@ def test_ic_examples():
 
 def test_iclog_boundaries():
     for model in (RANK1, J2, TWO_BRANCH):
-        assert build_ic_log(model, []) == build_ic(model)
+        assert same_complex(build_ic_log(model, []), build_ic(model))
         allz = range(model.branches)
-        assert build_ic_log(model, allz) == build_omega(unipotent_part(model))
+        assert same_complex(build_ic_log(model, allz),
+                            build_omega(unipotent_part(model)))
 
 
 def test_iclog_displayed_diagram():
@@ -216,8 +217,8 @@ def test_intersection_morphism_zero_on_disjoint_support():
     for model in (RANK1, J2, TWO_BRANCH):
         z = range(model.branches)
         f = intersection_morphism(model, z)
-        assert f.source == build_complex(model, "shriek", z)
-        assert f.target == build_complex(model, "star", z)
+        assert same_complex(f.source, build_complex(model, "shriek", z))
+        assert same_complex(f.target, build_complex(model, "star", z))
         for k in range(min(f.source.min_deg, f.target.min_deg),
                        max(f.source.max_deg, f.target.max_deg) + 1):
             assert f.at(k).is_zero()
@@ -299,7 +300,8 @@ def test_iclog_of_no_branch_is_ic():
     """IC_log(z) keeps the full space along the branches of z only, so
     along none it is IC."""
     for model in _no_branch_cases():
-        assert build_complex(model, "iclog", ()) == build_complex(model, "ic")
+        assert same_complex(build_complex(model, "iclog", ()),
+                            build_complex(model, "ic"))
 
 
 def test_point_stratum_kinds_of_no_branch_are_zero():
@@ -332,13 +334,14 @@ def test_kinds_along_z_are_memoized_inside_an_evaluation(kind):
 def test_build_complex_dispatches_to_the_named_builders():
     a = J2.base_weight
     shriek = quotient_complex(J2, {0}).shift(-1)
-    assert build_complex(J2, "omega") == build_omega(J2)
-    assert build_complex(J2, "ic") == build_ic(J2)
-    assert build_complex(J2, "iclog", [0]) == build_ic_log(J2, [0])
-    assert build_complex(J2, "shriek", [0]) == shriek
-    assert build_complex(J2, "star", [0]) == dualize(shriek, a=a, top=2)
-    assert build_complex(J2, "compact", [0]) == \
-        dualize(build_ic_log(J2, [0]), a=a, top=1)
+    assert same_complex(build_complex(J2, "omega"), build_omega(J2))
+    assert same_complex(build_complex(J2, "ic"), build_ic(J2))
+    assert same_complex(build_complex(J2, "iclog", [0]), build_ic_log(J2, [0]))
+    assert same_complex(build_complex(J2, "shriek", [0]), shriek)
+    assert same_complex(build_complex(J2, "star", [0]),
+                        dualize(shriek, a=a, top=2))
+    assert same_complex(build_complex(J2, "compact", [0]),
+                        dualize(build_ic_log(J2, [0]), a=a, top=1))
     with pytest.raises(ShapeError, match="unknown complex kind 'nope'"):
         build_complex(J2, "nope")
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -218,8 +217,7 @@ def test_term_splitting_fails_when_the_translates_do_not_span(monkeypatch):
     def zero_at_no_branch(model, ci, J, k, part):
         if J:
             return part
-        return dataclasses.replace(part, space=Subspace.zero(part.gr.dim),
-                                   residual={})
+        return PrimitiveComponentPart(part.gr, Subspace.zero(part.gr.dim), {})
 
     _wrong_primitive_parts(monkeypatch, zero_at_no_branch)
     report = check_graded_decomposition(J2XJ2, 2)

@@ -8,7 +8,6 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -22,7 +21,7 @@ from loghodge.generate import (
     random_unimodular,
 )
 from loghodge.linalg import evaluation
-from loghodge.model import canonical_json, direct_sum, model_to_json
+from loghodge.model import canonical_json, direct_sum, model_to_json, replace
 
 MAX_DIM = 4
 # the verbs whose document reads no coordinates of the instance

@@ -8,16 +8,24 @@ it, and its tests read the name there.
 
 The package stays dependency-free: every absolute import names a module of
 the standard library, and every relative one a module of the package.
+
+Importing the modules a verb runs stays lean: a fresh interpreter loads
+none of the modules of ``HEAVY`` with them.
 """
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "loghodge"
 KEPT = {("generate", "rref")}
+# what dataclasses, the exit-3 traceback and typing annotations would add to
+# every process; the records are plain classes, cli imports traceback where
+# it prints one, and annotations name collections.abc
+HEAVY = ("dataclasses", "inspect", "traceback", "typing")
 
 
 def _unread_imports(source: str):
@@ -82,3 +90,17 @@ def test_a_third_party_import_is_found():
               "from ..elsewhere import y\n")
     assert _foreign_imports(source) == ["numpy", "sympy.matrices", ".nowhere",
                                         "..elsewhere"]
+
+
+def test_importing_the_cli_modules_loads_no_heavy_module():
+    """Under python -S -E, with src in place of the script directory on
+    sys.path, importing the modules perfbench times adds none of HEAVY."""
+    code = (f"import sys; sys.path[0] = {str(SRC.parent)!r}; "
+            "before = set(sys.modules); "
+            "import loghodge.cli, loghodge.generate, loghodge.model; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                           capture_output=True, text=True, check=True,
+                           timeout=60).stdout.split()
+    assert "loghodge.cli" in added
+    assert [name for name in HEAVY if name in added] == []

@@ -60,13 +60,13 @@ def _purity_cohomology(model, mode, z):
 
 def _require_valid(report):
     """Raise InvalidModel naming the failed rows, if report fails any."""
-    failed = dict.fromkeys(c.name for c in report.checks if c.status == "fail")
+    failed = dict.fromkeys(c["name"] for c in report.checks if c["status"] == "fail")
     if failed:
         raise InvalidModel(f"instance fails validate: {', '.join(failed)}")
 
 
 def _rows(report):
-    return report.to_json()["checks"], report.passed
+    return report.checks, report.passed
 
 
 def run_cohomology(model, args, z):

@@ -116,77 +116,73 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
     """Layered verification that Gr^W_k splits into intersection complexes,
     in an evaluation (joining the caller's when one is open)."""
     with evaluation():
-        return _graded_decomposition(model, k, which, z)
+        report = CheckReport()
+        n = model.branches
+        unipotent = [ci for ci, c in enumerate(model.components) if c.is_unipotent()]
 
-
-def _graded_decomposition(model: NCModel, k: int, which: str, z) -> CheckReport:
-    report = CheckReport()
-    n = model.branches
-    unipotent = [ci for ci, c in enumerate(model.components) if c.is_unipotent()]
-
-    # (1a) distinguished-pair splitting per branch
-    for ci in unipotent:
-        for j in range(n):
-            ok, detail = check_distinguished_pair(model, ci, j)
-            report.add(f"DistinguishedPair[c={ci},j={j + 1}]", ok, detail)
-
-    # (1b) term-level splitting of Gr^{W^J} into the translates N_{J-K} P^K:
-    # they are independent exactly when their dimensions add up to that of
-    # their sum, and split Gr^{W^J} when that sum is all of it
-    for ci in unipotent:
-        comp = model.components[ci]
-        for J in _subsets(range(n)):
-            w_tgt = k - len(J)
-            gr = model.wj(ci, frozenset(J)).graded_piece(w_tgt)
-            if gr.dim == 0:
-                continue
-            translates = []
-            for K in _subsets(J):
-                p = _primitive_component(model, ci, K, k - len(K), None)
-                if p.dim == 0:
-                    continue
-                op = functools.reduce(lambda op, j: comp.nilpotents[j] * op,
-                                      [j for j in J if j not in K],
-                                      Matrix.identity(comp.dim))
-                translates.append(induced_map(op, p.gr, gr).image(p.space))
-            total = functools.reduce(Subspace.sum, translates,
-                                     Subspace.zero(gr.dim))
-            report.add(
-                f"TermSplitting[c={ci},J={{{','.join(str(j + 1) for j in J)}}}"
-                f",w={w_tgt}]",
-                total.dim == gr.dim == sum(t.dim for t in translates),
-                f"translates span {total.dim} of {gr.dim} dimensions"
-                if total.dim != gr.dim else "translated primitive parts overlap")
-
-    # (2)+(3) cohomology dimensions of the graded piece Gr^W_k of the full
-    # complex match the sum of intersection complexes of primitive parts,
-    # each cut to its slot of the full complex (a full slot cuts nothing):
-    # the Koszul complex of the part under its residual operators, read at
-    # its degree offset len(K)
-    full = build_complex(model, which, z)
-    graded = subquotient_complex(
-        full, {deg: full.weight_at(deg).graded_piece(k)
-               for deg in full.degrees()})
-    lhs = {deg: h.dim for deg, h in cohomology(graded).degrees.items() if h.dim}
-    rhs: dict[int, int] = {}
-    for K in _subsets(range(n)):
-        rest = [j for j in range(n) if j not in K]
+        # (1a) distinguished-pair splitting per branch
         for ci in unipotent:
-            slot = full.layout[len(K)][(K, ci)][1].sub
-            part = _primitive_component(
-                model, ci, K, k - len(K), None if slot.is_full() else slot)
-            if part.dim == 0:
-                continue
-            ic = koszul_complex(rest, [part.residual], lambda T, b: Subquotient.of(
-                slot_image(part.residual, T, part.dim)))
-            for deg, h in cohomology(ic).degrees.items():
-                if h.dim:
-                    rhs[deg + len(K)] = rhs.get(deg + len(K), 0) + h.dim
-    report.add(
-        f"GradedCohomology[k={k},{which}]",
-        lhs == rhs,
-        f"graded piece has {lhs}, primitive-part complexes give {rhs}")
-    return report
+            for j in range(n):
+                ok, detail = check_distinguished_pair(model, ci, j)
+                report.add(f"DistinguishedPair[c={ci},j={j + 1}]", ok, detail)
+
+        # (1b) term-level splitting of Gr^{W^J} into the translates N_{J-K} P^K:
+        # they are independent exactly when their dimensions add up to that of
+        # their sum, and split Gr^{W^J} when that sum is all of it
+        for ci in unipotent:
+            comp = model.components[ci]
+            for J in _subsets(range(n)):
+                w_tgt = k - len(J)
+                gr = model.wj(ci, frozenset(J)).graded_piece(w_tgt)
+                if gr.dim == 0:
+                    continue
+                translates = []
+                for K in _subsets(J):
+                    p = _primitive_component(model, ci, K, k - len(K), None)
+                    if p.dim == 0:
+                        continue
+                    op = functools.reduce(lambda op, j: comp.nilpotents[j] * op,
+                                          [j for j in J if j not in K],
+                                          Matrix.identity(comp.dim))
+                    translates.append(induced_map(op, p.gr, gr).image(p.space))
+                total = functools.reduce(Subspace.sum, translates,
+                                         Subspace.zero(gr.dim))
+                report.add(
+                    f"TermSplitting[c={ci},J={{{','.join(str(j + 1) for j in J)}}}"
+                    f",w={w_tgt}]",
+                    total.dim == gr.dim == sum(t.dim for t in translates),
+                    f"translates span {total.dim} of {gr.dim} dimensions"
+                    if total.dim != gr.dim else "translated primitive parts overlap")
+
+        # (2)+(3) cohomology dimensions of the graded piece Gr^W_k of the full
+        # complex match the sum of intersection complexes of primitive parts,
+        # each cut to its slot of the full complex (a full slot cuts nothing):
+        # the Koszul complex of the part under its residual operators, read at
+        # its degree offset len(K)
+        full = build_complex(model, which, z)
+        graded = subquotient_complex(
+            full, {deg: full.weight_at(deg).graded_piece(k)
+                   for deg in full.degrees()})
+        lhs = {deg: h.dim for deg, h in cohomology(graded).degrees.items() if h.dim}
+        rhs: dict[int, int] = {}
+        for K in _subsets(range(n)):
+            rest = [j for j in range(n) if j not in K]
+            for ci in unipotent:
+                slot = full.layout[len(K)][(K, ci)][1].sub
+                part = _primitive_component(
+                    model, ci, K, k - len(K), None if slot.is_full() else slot)
+                if part.dim == 0:
+                    continue
+                ic = koszul_complex(rest, [part.residual], lambda T, b: Subquotient.of(
+                    slot_image(part.residual, T, part.dim)))
+                for deg, h in cohomology(ic).degrees.items():
+                    if h.dim:
+                        rhs[deg + len(K)] = rhs.get(deg + len(K), 0) + h.dim
+        report.add(
+            f"GradedCohomology[k={k},{which}]",
+            lhs == rhs,
+            f"graded piece has {lhs}, primitive-part complexes give {rhs}")
+        return report
 
 
 # -- intersection image --------------------------------------------------------
@@ -201,25 +197,10 @@ def intersection_image(model: NCModel, z) -> list:
 
 # -- purity verdicts -----------------------------------------------------------
 
-class PurityRow:
-    def __init__(self, degree: int, perverse_degree: int, label: int,
-                 weight: int, dim: int, bound: int, relation: str, ok: bool):
-        self.degree = degree
-        self.perverse_degree = perverse_degree
-        self.label = label
-        self.weight = weight
-        self.dim = dim
-        self.bound = bound
-        self.relation = relation
-        self.ok = ok
-
-    def to_json(self):
-        return dict(vars(self))     # the assignment order is the key order
-
-
 class PurityVerdict:
-    def __init__(self, mode: str, center: int, shift: int,
-                 rows: list[PurityRow]):
+    """The rows of a purity check, each the dict it prints."""
+
+    def __init__(self, mode: str, center: int, shift: int, rows: list[dict]):
         self.mode = mode
         self.center = center
         self.shift = shift
@@ -227,12 +208,12 @@ class PurityVerdict:
 
     @property
     def passed(self):
-        return all(r.ok for r in self.rows)
+        return all(r["ok"] for r in self.rows)
 
     def to_json(self):
         return {"mode": self.mode, "center": self.center, "shift": self.shift,
                 "convention": "weight = label + (degree - shift)",
-                "rows": [r.to_json() for r in self.rows],
+                "rows": self.rows,
                 "verdict": "pass" if self.passed else "fail"}
 
 
@@ -260,6 +241,7 @@ def purity_check(report: CohomologyReport, a: int, shift: int,
         rel = MODES[mode][1] or ("<=" if ip <= -1 else ">")
         for label, dim in sorted(report.degrees[k].weight_profile().items()):
             w, bound = label + ip, a + ip
-            rows.append(PurityRow(k, ip, label, w, dim, bound, rel,
-                                  _RELATIONS[rel](w, bound)))
+            rows.append({"degree": k, "perverse_degree": ip, "label": label,
+                         "weight": w, "dim": dim, "bound": bound,
+                         "relation": rel, "ok": _RELATIONS[rel](w, bound)})
     return PurityVerdict(mode, a, shift, rows)

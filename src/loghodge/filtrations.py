@@ -384,14 +384,14 @@ def _lifted_chains(N: Matrix, powers, w: IncreasingFiltration):
                 place(2 * n, [(v, left), (-y, right)]) for y, v in
                 zip(below.basis, powers[length].apply_all(below.basis))])
             for x in map(gr.lift, tops):
-                rest = graph.reduce(place(2 * n, [(powers[length](x), left)]))
+                rest = graph.reduce(place(2 * n, [(powers[length].apply(x), left)]))
                 if not rest[:n].is_zero():
                     raise RelativeMonodromyNonexistent(
                         f"no admissible lift for a chain of length {length} "
                         f"over weight {b}")
                 if not (y := rest[n:]).is_zero():
                     x = x - y
-                lifted += [(b + length - 1 - 2 * j, powers[j](x))
+                lifted += [(b + length - 1 - 2 * j, powers[j].apply(x))
                            for j in range(length)]
         chains += lifted
     steps = [(level, span_upto(level)) for level in sorted({k for k, _ in chains})]

@@ -5,9 +5,11 @@ Every vector, matrix row and subspace basis row is a ``Row``: Python ints
 over one positive denominator, in lowest terms, with the imaginary
 numerators in a second tuple that is None for a rational row.  Every kernel
 runs on those ints; a ``Scalar`` appears only at the edges, as the view of
-one entry when a row is indexed or iterated.  ``rref`` is the one
-elimination, and kernels, inverses, chain lifts and ``hermitian_positive``,
-Sylvester's test by Schur complements, read the echelon bases it builds.
+one entry when a row is indexed or iterated.  ``_comb`` is the one place
+where a kernel chooses rational or Gaussian arithmetic.  ``rref`` is the
+one elimination, one pivot loop for both kinds of row, and kernels,
+inverses, chain lifts and ``hermitian_positive``, Sylvester's test by
+Schur complements, read the echelon bases it builds.
 Subspaces are stored in reduced row echelon form, so two equal subspaces
 have equal rows, and equality of filtrations built from them is decidable
 by comparison.
@@ -213,10 +215,6 @@ def parse_row(strings: Sequence) -> Row:
     return as_vector([parse_scalar(s) for s in strings])
 
 
-def zero_vector(n: int) -> Row:
-    return _row((0,) * n, None, 1)
-
-
 def _placed(n: int, parts) -> Row:
     """The Row of length n holding, for each (vector, positions) part, the
     vector's entry i at positions[i], and zero elsewhere."""
@@ -281,8 +279,7 @@ def combination(coeffs, mats, rows: int, cols: int) -> "Matrix":
 
 class Matrix:
     """Dense exact matrix, a tuple of Rows, and the linear map of shape
-    rows x cols it defines (columns act): m(v) is m.apply(v) and m * n is
-    m after n."""
+    rows x cols it defines (columns act): m * n is m after n."""
 
     __slots__ = ("rows", "cols", "entries", "_hash", "_transpose", "_zero")
 
@@ -313,7 +310,7 @@ class Matrix:
     @cache
     def zero(rows: int, cols: int) -> "Matrix":
         """Built once per shape: it is an immutable value."""
-        m = _matrix((zero_vector(cols),) * rows, cols)
+        m = _matrix((_row((0,) * cols, None, 1),) * rows, cols)
         m._zero = True
         return m
 
@@ -383,9 +380,6 @@ class Matrix:
                 raise ShapeError("vector length does not match matrix columns")
             out.append(_lincomb(v, cols, self.rows))
         return out
-
-    def __call__(self, v: Row) -> Row:
-        return self.apply(v)
 
     def to_strings(self):
         return [[str(e) for e in r] for r in self.entries]
@@ -471,56 +465,46 @@ def rref(rows: Iterable[Row], width: int) -> tuple[Row, ...]:
     Fraction-free Gauss-Jordan on the numerators (a denominator only scales
     its row), with the first nonzero row as pivot: a row with entry c in the
     pivot column becomes p*row - c*(pivot row), p the pivot, and is then
-    divided by the gcd of its ints.  When a row has an imaginary part the
-    same loop runs on Gaussian integers.  Each row is divided by its pivot
-    when it is emitted, which gives the unique canonical form.
+    divided by the gcd of its ints.  Each work row is its real numerators and
+    its imaginary ones or None, and one loop runs on both: ``_comb`` decides
+    per combination whether Gaussian arithmetic is needed.  Each row is
+    divided by its pivot when it is emitted, which gives the unique
+    canonical form.
     """
-    work, imag = [], []
+    work = []
     for r in map(as_vector, rows):
         if len(r.num) != width:
             raise ShapeError("vector of wrong ambient dimension")
-        if r.is_zero():
-            continue
-        work.append(r.num)
-        imag.append(r.im)
-    imag = [x or (0,) * width for x in imag] if any(imag) else None
+        if not r.is_zero():
+            work.append((r.num, r.im))
     pivots, n = [], len(work)
     for col in range(width):
         rank = len(pivots)
         for k in range(rank, n):
-            if work[k][col] or imag and imag[k][col]:
+            r, ri = work[k]
+            if r[col] or ri and ri[col]:
                 break
         else:
             continue
         work[k], work[rank] = work[rank], work[k]
-        prow = work[rank]
-        p = prow[col]
-        if imag is None:
-            for k, r in enumerate(work):
-                c = r[col]
-                if c and k != rank:
-                    r = [p * x - c * y for x, y in zip(r, prow)]
-                    g = gcd(*r)
-                    work[k] = [x // g for x in r] if g > 1 else r
-        else:
-            imag[k], imag[rank] = imag[rank], imag[k]
-            pim = imag[rank]
-            for k, (r, ri) in enumerate(zip(work, imag)):
-                c, ci = r[col], ri[col]
-                if (c or ci) and k != rank:
-                    re, im = _comb(p, pim[col], r, ri, c, ci, prow, pim)
-                    g = gcd(*re, *im)
-                    work[k] = [x // g for x in re] if g > 1 else re
-                    imag[k] = [x // g for x in im] if g > 1 else im
+        prow, pim = work[rank]
+        p, pi = prow[col], pim[col] if pim else 0
+        for k, (r, ri) in enumerate(work):
+            c, ci = r[col], ri[col] if ri else 0
+            if (c or ci) and k != rank:
+                r, ri = _comb(p, pi, r, ri, c, ci, prow, pim)
+                g = gcd(*r, *ri) if ri else gcd(*r)
+                work[k] = ([x // g for x in r], ri and [x // g for x in ri]) \
+                    if g > 1 else (r, ri)
         pivots.append(col)
         if rank + 1 == n:
             break
-    if not imag:
-        return tuple(_row(r, None, r[p]) for r, p in zip(work, pivots))
-    # divide by the pivot a + b*i: times a - b*i over a^2 + b^2
-    return tuple(_row(*_comb(r[p], -ri[p], r, ri, 0, 0, r, None),
+    # divide each row by its pivot: by a real a, or times a - b*i over
+    # a^2 + b^2 for a + b*i
+    return tuple(_row(r, None, r[p]) if ri is None else
+                 _row(*_comb(r[p], -ri[p], r, ri, 0, 0, r, None),
                       r[p] ** 2 + ri[p] ** 2)
-                 for r, ri, p in zip(work, imag, pivots))
+                 for (r, ri), p in zip(work, pivots))
 
 
 def hermitian_positive(h: Matrix) -> bool:

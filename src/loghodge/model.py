@@ -60,18 +60,12 @@ def replace(record, **changes):
 
 
 class AlphaComponent(_Frozen):
-    """One piece of the residue spectral decomposition, compared and hashed
-    by value: alpha_ops remembers its operators per equal component."""
+    """One piece of the residue spectral decomposition, compared by
+    identity."""
 
     def __init__(self, alpha: tuple[Fraction, ...], dim: int,
                  nilpotents: tuple[Matrix, ...]):
         vars(self).update(alpha=alpha, dim=dim, nilpotents=nilpotents)
-
-    def __eq__(self, other):
-        return type(other) is AlphaComponent and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash((self.alpha, self.dim, self.nilpotents))
 
     def is_unipotent(self) -> bool:
         return all(a == 0 for a in self.alpha)
@@ -137,39 +131,29 @@ class NCModel(_Frozen):
 
 # -- validation ---------------------------------------------------------------
 
-class CheckResult:
-    def __init__(self, name: str, status: str, detail: str = ""):
-        self.name = name
-        self.status = status  # "pass" | "fail" | "skip"
-        self.detail = detail
-
-    def to_json(self):
-        out = {"name": self.name, "status": self.status}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
 class CheckReport:
-    """Named checks in the order run; the report passes when none fails."""
+    """Named checks in the order run, each the dict it prints: its name, its
+    status ("pass", "fail" or "skip") and a detail when there is one.  The
+    report passes when no check fails."""
 
     def __init__(self):
-        self.checks: list[CheckResult] = []
+        self.checks: list[dict] = []
 
     def add(self, name, ok, detail=""):
         """A passing check, or a failing one carrying detail."""
-        self.checks.append(
-            CheckResult(name, "pass" if ok else "fail", "" if ok else detail))
+        self.checks.append({"name": name, "status": "pass" if ok else "fail",
+                            **({"detail": detail} if detail and not ok else {})})
 
     def skip(self, name, detail):
-        self.checks.append(CheckResult(name, "skip", detail))
+        self.checks.append({"name": name, "status": "skip",
+                            **({"detail": detail} if detail else {})})
 
     @property
     def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return all(c["status"] != "fail" for c in self.checks)
 
     def to_json(self):
-        return {"checks": [c.to_json() for c in self.checks],
+        return {"checks": self.checks,
                 "verdict": "pass" if self.passed else "fail"}
 
 

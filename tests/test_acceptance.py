@@ -155,7 +155,7 @@ def test_criterion_03_star_identities():
             s = star(nj, w)   # both displayed expressions asserted internally
             # (i) re-check the two defining expressions explicitly
             for k in range(s.lowest() - 1, s.highest() + 1):
-                img = Subspace.span([nj(v) for v in w.at(k + 1).basis],
+                img = Subspace.span([nj.apply(v) for v in w.at(k + 1).basis],
                                     model.total_dim)
                 lhs = img.sum(m_before.at(k).intersect(w.at(k)))
                 rhs = img.sum(m_before.at(k).intersect(w.at(k + 1)))
@@ -260,7 +260,8 @@ def test_criterion_07_decomposition_suite():
                     rep = check_graded_decomposition(model, k, which)
                     assert rep.passed, \
                         (name, k, which,
-                         [c.detail for c in rep.checks if c.status == "fail"])
+                         [c.get("detail", "") for c in rep.checks
+                          if c["status"] == "fail"])
                     total_checks += 1
     print(f"\n[PASS] criterion 7: graded decomposition, {total_checks} "
           f"(instance, weight, kind) checks")

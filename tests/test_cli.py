@@ -158,6 +158,89 @@ def test_text_format(capsys):
     assert "verdict" in out and "{" not in out.splitlines()[-1]
 
 
+# the --format text bytes of three reports: a skip row with a detail, a
+# failing row with a detail, and a purity verdict, whose row keys print in
+# their order; "@PATH@" stands for the instance path
+_TEXT_BYTES = {
+    "validate": """\
+instance                                         @PATH@
+verb                                             validate
+results.0.name                                   AlphaRange
+results.0.status                                 pass
+results.1.name                                   NilpotentOperators
+results.1.status                                 pass
+results.2.name                                   NonCommutingOperators
+results.2.status                                 pass
+results.3.name                                   WeightRestrictsToComponents
+results.3.status                                 pass
+results.4.name                                   FiltrationNotPreserved
+results.4.status                                 pass
+results.5.name                                   HodgeChecks
+results.5.status                                 skip
+results.5.detail                                 no Hodge filtration
+results.6.name                                   PairingShape
+results.6.status                                 pass
+results.7.name                                   PairingNondegenerate
+results.7.status                                 pass
+results.8.name                                   PairingParity
+results.8.status                                 pass
+results.9.name                                   InfinitesimalIsometry
+results.9.status                                 pass
+results.10.name                                  PairingRestrictsToComponents
+results.10.status                                pass
+verdict                                          pass
+""",
+    "imhs": """\
+instance                                         @PATH@
+verb                                             imhs
+results.0.name                                   OrbitTIndependence[w=1]
+results.0.status                                 pass
+results.1.name                                   OrbitHodgeStructure[w=1]
+results.1.status                                 pass
+results.2.name                                   RelativeMonodromy[J={1}]
+results.2.status                                 pass
+results.3.name                                   TotalGradedMHS
+results.3.status                                 pass
+results.4.name                                   WeightCompatibleWithMHS
+results.4.status                                 pass
+results.5.name                                   Polarization[w=1]
+results.5.status                                 fail
+results.5.detail                                 S(F^p, F^{2-p}) is not zero on Gr^W_1: the first Hodge-Riemann relation fails
+verdict                                          fail
+""",
+    "purity": """\
+instance                                         @PATH@
+verb                                             purity
+results.mode                                     closed
+results.center                                   1
+results.shift                                    1
+results.convention                               weight = label + (degree - shift)
+results.rows.0.degree                            0
+results.rows.0.perverse_degree                   -1
+results.rows.0.label                             0
+results.rows.0.weight                            -1
+results.rows.0.dim                               1
+results.rows.0.bound                             0
+results.rows.0.relation                          <=
+results.rows.0.ok                                True
+results.verdict                                  pass
+verdict                                          pass
+""",
+}
+
+
+def test_text_format_bytes(tmp_path, capsys):
+    riemann = tmp_path / "riemann_c1.json"
+    riemann.write_text(json.dumps(_riemann_c(1)))
+    runs = {"validate": (["validate"], CORPUS / "jordan2_weight0.json", 0),
+            "imhs": (["imhs"], riemann, 1),
+            "purity": (["purity", "--mode", "closed"], J2, 0)}
+    for name, (verb, path, want) in runs.items():
+        code, out = run_cli([*verb, "--format", "text", str(path)], capsys)
+        assert code == want, name
+        assert out == _TEXT_BYTES[name].replace("@PATH@", str(path)), name
+
+
 def test_round_trip_reserialization(tmp_path, capsys):
     from loghodge.model import canonical_json, load_model, model_to_json
 

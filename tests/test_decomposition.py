@@ -57,8 +57,8 @@ def test_decomposition_jordan2_all_weights():
         for which in ("omega", "ic"):
             rep = check_graded_decomposition(J2, k, which)
             assert rep.passed, (k, which,
-                                [c.detail for c in rep.checks
-                                 if c.status == "fail"])
+                                [c.get("detail", "") for c in rep.checks
+                                 if c["status"] == "fail"])
 
 
 def test_decomposition_rejects_unknown_kind():
@@ -78,8 +78,8 @@ def test_decomposition_on_fuzz_models():
                 for which in ("omega", "ic"):
                     rep = check_graded_decomposition(model, k, which)
                     assert rep.passed, (k, which,
-                                        [c.detail for c in rep.checks
-                                         if c.status == "fail"])
+                                        [c.get("detail", "") for c in rep.checks
+                                         if c["status"] == "fail"])
 
 
 def test_intersection_image_rank1_zero():
@@ -111,8 +111,8 @@ def test_purity_check_flags_violation():
     rep = cohomology(build_complex(J2, "shriek", [0]))
     verdict = purity_check(rep, J2.base_weight - 5, J2.perverse_shift, "closed")
     assert not verdict.passed
-    offending = [r for r in verdict.rows if not r.ok]
-    assert offending and offending[0].degree == 2
+    offending = [r for r in verdict.rows if not r["ok"]]
+    assert offending and offending[0]["degree"] == 2
 
 
 def test_purity_rows_record_convention():
@@ -198,8 +198,8 @@ J2XJ2 = model_from_json(json.loads(
 
 
 def _row(report, name):
-    (row,) = [c for c in report.checks if c.name == name]
-    return row.status, row.detail
+    (row,) = [c for c in report.checks if c["name"] == name]
+    return row["status"], row.get("detail", "")
 
 
 def _wrong_primitive_parts(monkeypatch, wrong):

@@ -202,7 +202,7 @@ def test_star_drop_and_raise_maps():
     s = star(J2, w)
     for k in range(-2, 3):
         for v in w.at(k).basis:
-            assert s.at(k - 1).contains_vector(J2(v))
+            assert s.at(k - 1).contains_vector(J2.apply(v))
         assert w.at(k).contains(s.at(k - 1))
 
 
@@ -421,7 +421,7 @@ def _saturated(n, w):
     spans the N^j v, j >= 0, of the basis vectors v of w_k."""
     def closure(sub):
         vectors, frontier = list(sub.basis), list(sub.basis)
-        while frontier := [u for u in map(n, frontier) if not u.is_zero()]:
+        while frontier := [u for u in map(n.apply, frontier) if not u.is_zero()]:
             vectors += frontier
         return Subspace.span(vectors, n.cols)
     return IncreasingFiltration(n.cols, [(i, closure(s)) for i, s in w.steps])

@@ -1,13 +1,15 @@
 """Metamorphic relations over generated draws: a rational change of basis
 leaves every basis-free verb's document unchanged, a permutation of the
 branches permutes the branch labels of every document and leaves the others
-unchanged, and the cohomology profiles of a direct sum are the sums of its
-summands' profiles."""
+unchanged, the cohomology profiles of a direct sum are the sums of its
+summands' profiles, and a summand with exponents 1/2 leaves every verdict
+of a polarized draw unchanged."""
 
 import json
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -157,3 +159,50 @@ def test_cohomology_profiles_add_under_direct_sum(n):
     for a, b in _summable_pairs(n, 12):
         want = [_added(p, q) for p, q in zip(_profiles(a), _profiles(b))]
         assert _profiles(direct_sum(a, b)) == want
+
+
+def twisted(model, alpha):
+    """The single-component draw model with the exponents alpha."""
+    (comp,) = model.components
+    return replace(model, components=(replace(comp, alpha=alpha),))
+
+
+# the verdict verbs whose documents read only complexes to which, at the
+# origin, a component with some alpha_j != 0 adds nothing: in direction j
+# every builder keeps the invertible residue alpha_j - N_j
+TWIST_BLIND = [
+    ["cohomology", "--complex", "ic"], ["cohomology", "--complex", "omega"],
+    ["link"],
+] + [["purity", "--mode", mode]
+     for mode in ("open", "support", "closed", "compact")]
+
+
+@pytest.mark.parametrize("make", [random_pure_model, random_imhs_model],
+                         ids=["pure", "imhs"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_half_twisted_summand_leaves_every_verdict_unchanged(
+        make, n, tmp_path, capsys):
+    """The sum of a polarized draw and another draw with exponents 1/2 on
+    the first branch or on every branch passes validate and imhs, and every
+    TWIST_BLIND verb, and decompose's verdict, read it as the draw alone."""
+    base_path, sum_path = tmp_path / "base.json", tmp_path / "sum.json"
+    half, zero = Fraction(1, 2), Fraction(0)
+    for seed in range(4):
+        base = make(n, random.Random(seed), max_dim=MAX_DIM)
+        other = make(n, random.Random(seed + 50), max_dim=MAX_DIM)
+        if (base.base_weight, base.pairing_parity) != \
+                (other.base_weight, other.pairing_parity):
+            continue
+        base_path.write_text(canonical_json(model_to_json(base)))
+        for alpha in {(half,) + (zero,) * (n - 1), (half,) * n}:
+            total = direct_sum(base, twisted(other, alpha))
+            assert total.pairing is not None
+            sum_path.write_text(canonical_json(model_to_json(total)))
+            case = (make.__name__, n, seed, alpha)
+            for verb in ("validate", "imhs"):
+                assert _run(sum_path, [verb], capsys)[0] == 0, (case, verb)
+            for variant in TWIST_BLIND:
+                assert _run(sum_path, variant, capsys) == \
+                    _run(base_path, variant, capsys), (case, variant)
+            assert _run(sum_path, ["decompose"], capsys)[1]["verdict"] == \
+                _run(base_path, ["decompose"], capsys)[1]["verdict"], case

@@ -77,7 +77,7 @@ def test_validate_flags_noncommuting():
     }
     rep = validate(model_from_json(doc))
     assert not rep.passed
-    assert any(c.name == "NonCommutingOperators" and c.status == "fail"
+    assert any(c["name"] == "NonCommutingOperators" and c["status"] == "fail"
                for c in rep.checks)
 
 
@@ -89,7 +89,7 @@ def test_validate_flags_unpreserved_filtration():
               {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
     }
     rep = validate(model_from_json(doc))
-    assert any(c.name == "FiltrationNotPreserved" and c.status == "fail"
+    assert any(c["name"] == "FiltrationNotPreserved" and c["status"] == "fail"
                for c in rep.checks)
 
 
@@ -110,7 +110,7 @@ def test_validate_flags_a_filtration_that_does_not_split(w0, f1, weight_ok,
               {"weight": 1, "basis": [["1", "0"], ["0", "1"]]}],
         "F": [{"p": 1, "basis": [f1]}, {"p": 2, "basis": []}],
     }
-    rows = {c.name: c.status for c in validate(model_from_json(doc)).checks}
+    rows = {c["name"]: c["status"] for c in validate(model_from_json(doc)).checks}
     assert rows["WeightRestrictsToComponents"] == \
         ("pass" if weight_ok else "fail")
     assert rows["HodgeRestrictsToComponents"] == \
@@ -133,7 +133,7 @@ def test_validate_flags_a_pairing_of_distinct_components(s, restricts):
         "W": [{"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
         "S": {"matrix": s, "parity": 0},
     }
-    rows = [(c.name, c.status, c.detail)
+    rows = [(c["name"], c["status"], c.get("detail", ""))
             for c in validate(model_from_json(doc)).checks]
     component = [("AlphaRange", "pass", ""), ("NilpotentOperators", "pass", ""),
                  ("NonCommutingOperators", "pass", "")]
@@ -210,7 +210,7 @@ def test_restriction_rows_agree_with_summing_the_component_restrictions():
             rng = random.Random(seed)
             model = random_spectral_model(n, rng)
             for moved in _restriction_variants(model, rng):
-                rows = {c.name: c.status for c in validate(moved).checks}
+                rows = {c["name"]: c["status"] for c in validate(moved).checks}
                 for name, f in (("Weight", moved.weight),
                                 ("Hodge", moved.hodge)):
                     if f is None:
@@ -291,10 +291,10 @@ def test_a_negated_pairing_fails_only_the_polarization_rows(name):
     bad = replace(good, pairing=good.pairing.scale(-1))
     assert imhs_check(good).passed and validate(bad).passed
     rows = imhs_check(bad).checks
-    assert any(c.name.startswith("Polarization[w=") for c in rows)
+    assert any(c["name"].startswith("Polarization[w=") for c in rows)
     for c in rows:
-        want = "fail" if c.name.startswith("Polarization[w=") else "pass"
-        assert c.status == want, (c.name, c.status)
+        want = "fail" if c["name"].startswith("Polarization[w=") else "pass"
+        assert c["status"] == want, (c["name"], c["status"])
 
 
 @st.composite
@@ -383,9 +383,9 @@ def test_imhs_on_non_hodge_twins_keeps_its_digest():
                         report = imhs_check(instance)
                     out = json.dumps(report.to_json(), sort_keys=True)
                     digest.update(f"{gen}{n}-{seed} {kind} {out}\n".encode())
-                    failing.update(c.name.split("[")[0] for c in report.checks
-                                   if c.status == "fail")
-                    status = {c.name: c.status for c in report.checks}
+                    failing.update(c["name"].split("[")[0] for c in report.checks
+                                   if c["status"] == "fail")
+                    status = {c["name"]: c["status"] for c in report.checks}
                     assert not any(
                         st == "pass" and status.get("OrbitHodgeStructure" + name
                                                     .removeprefix("Polarization")) == "fail"
@@ -690,19 +690,6 @@ def test_operators_are_remembered_inside_an_evaluation(name):
     assert again == first and again is not first and build() is not again
 
 
-def test_equal_components_share_one_alpha_ops_entry():
-    """A component compares and hashes by value, so the components of two
-    loads of one instance meet one alpha_ops memo entry, and a component
-    that differs in one field is another key."""
-    a, b = (model_from_json(J2_WEIGHT1).components[0] for _ in range(2))
-    assert a is not b and a == b and hash(a) == hash(b)
-    other = replace(a, alpha=(Fraction(1, 2),))
-    assert other != a and other.dim == a.dim and other.nilpotents == a.nilpotents
-    with linalg.evaluation():
-        assert alpha_ops(a) is alpha_ops(b)
-        assert alpha_ops(other) is not alpha_ops(a)
-
-
 # -- the sampled t: decided on graded blocks, against building at every t ----
 
 def _opposite_branches(weight_doc):
@@ -759,8 +746,8 @@ def _built_at_every_t(model):
 
 
 def _sampled_rows(report):
-    return [(c.name, c.status, c.detail) for c in report.checks
-            if c.name.startswith(SAMPLED_ROWS)]
+    return [(c["name"], c["status"], c.get("detail", "")) for c in report.checks
+            if c["name"].startswith(SAMPLED_ROWS)]
 
 
 def _assert_agrees_with_building(report, model):

@@ -257,9 +257,6 @@ UNENTERED = {name: reason for reason, names in {
         "complexes.ComplexMap.at",),
     "a ComplexMap is built by intersection_morphism and the tests only": (
         "complexes.ComplexMap.__init__",),
-    "the alpha_ops memo meets each component of a verb's model by identity; "
-    "only two distinct equal components, as tests build, are compared": (
-        "model.AlphaComponent.__eq__",),
     "the immutability guard: no verb assigns to a model or a component": (
         "model._Frozen.__setattr__",),
     "read by perfbench's tracer, for linalg.apply.nonzero_share": (

@@ -10,8 +10,14 @@ build_complex is the one dispatch from a kind to a complex: omega, ic, iclog
 along a branch set z, shriek, star, and compact, the dual of iclog.  shriek,
 i^! on z, is (IC_log(z)/IC)[-1]: the Koszul complex of the slot quotients
 IC_log(z)/IC, shifted; star, i^*, is its twisted dual.  Both are zero on the
-empty z, where IC_log(z) = IC.  i^! is remembered per evaluation, as i^* is
-built from it; i^*, asked for once per evaluation, is not.  The
+empty z, where IC_log(z) = IC.
+
+A verb takes the cohomology of a kind with kind_cohomology, remembered per
+evaluation, which eliminates only on omega, ic, iclog and shriek.  It reads
+H(star) and H(compact) off H(shriek) and H(iclog) by Verdier duality
+(dual_cohomology), and H(iclog) along every branch off H(omega), as that
+complex is omega's.  build_complex's star and compact, built by dualize,
+and build_ic_log remain the reference for both readings.  The
 intersection morphism i^! -> i^* is the zero map, by the support and
 cosupport conditions of IC, so the link is the mixed cone of zero:
 H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read H(link) off those two
@@ -294,6 +300,27 @@ def cohomology(c: FilteredComplex) -> CohomologyReport:
     return CohomologyReport(degrees)
 
 
+def dual_cohomology(report: CohomologyReport, a: int,
+                    top: int) -> CohomologyReport:
+    """H(dualize(c, a, top)) off report = H(c), with no elimination.
+
+    H^k of the dual is H^{top-k}(c)* with its dimension, W dual about 2a - 1
+    and F about a + 1, as dualize dualizes each term.  This is exact with no
+    strictness: for the cocycles Z and coboundaries B of c in degree top - k,
+    those of the dual in degree k are Ann(B) and Ann(Z) inside it.  W_j
+    induces the step (Z & W_j + B)/B on Z/B, whose annihilator in
+    (Z/B)* = Ann(B)/Ann(Z) is Ann(B) & Ann(Z & W_j) = Ann(B) & (Ann(Z) +
+    Ann(W_j)), which is Ann(Z) + (Ann(B) & Ann(W_j)) by the modular law, as
+    Ann(Z) lies in Ann(B): the step that Ann(W_j) induces on the dual's
+    cohomology.  So the dual's induced filtrations are the duals of c's.
+    """
+    return CohomologyReport({
+        top - k: DegreeCohomology(h.dim, *(
+            None if f is None else f.dual(center)
+            for f, center in ((h.weights, 2 * a - 1), (h.hodge, a + 1))))
+        for k, h in reversed(report.degrees.items())})
+
+
 # -- the Koszul slot complex ----------------------------------------------------
 
 @_remembered
@@ -312,26 +339,54 @@ def slot_image(ops: dict[int, Matrix], branches, dim: int) -> Subspace:
     return out
 
 
+# the kinds that are twisted duals: kind -> (the kind it dualizes, the top
+# degree of the duality less the branch count)
+_DUALS = {"star": ("shriek", 1), "compact": ("iclog", 0)}
+
+
 def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
     """The complex of one kind: omega or ic, which ignore z, or along the
     branches z, iclog, shriek (i^!), star (i^*, the twisted dual of i^!) or
-    compact (the dual of iclog).  Every kind but star and compact is
-    memoized per evaluation."""
+    compact (the dual of iclog).  omega, ic and iclog are memoized per
+    evaluation, and so is the quotient that shriek shifts."""
     if kind == "omega":
         return build_omega(model)
     if kind == "ic":
         return build_ic(model)
     if kind == "iclog":
         return build_ic_log(model, z)
-    if kind == "compact":
-        return dualize(build_ic_log(model, z), a=model.base_weight,
-                       top=model.branches)
     if kind == "shriek":
-        return _shriek(model, _check_branches(model, z))
-    if kind == "star":
-        return dualize(_shriek(model, _check_branches(model, z)),
-                       a=model.base_weight, top=model.branches + 1)
+        return quotient_complex(model, z).shift(-1)
+    if kind in _DUALS:
+        of, extra = _DUALS[kind]
+        return dualize(build_complex(model, of, z), a=model.base_weight,
+                       top=model.branches + extra)
     raise ShapeError(f"unknown complex kind {kind!r}")
+
+
+def kind_cohomology(model, kind: str, z=frozenset()) -> CohomologyReport:
+    """H(build_complex(model, kind, z)), remembered per evaluation: the one
+    way a verb takes the cohomology of a kind.  star and compact are read
+    off H(shriek) and H(iclog) by dual_cohomology.  iclog along every branch
+    is omega's complex when each alpha_j - N_j with alpha_j != 0 is
+    invertible, as it is for a nilpotent N_j: its slots cut only those
+    branches, so each is the whole space.  That is tested, not presumed, so
+    an instance whose N_j is not nilpotent is still eliminated."""
+    z = frozenset() if kind in ("omega", "ic") else _check_branches(model, z)
+    return _kind_cohomology(model, kind, z)
+
+
+@_remembered
+def _kind_cohomology(model, kind: str, z: frozenset) -> CohomologyReport:
+    if kind in _DUALS:
+        of, extra = _DUALS[kind]
+        return dual_cohomology(_kind_cohomology(model, of, z),
+                               model.base_weight, model.branches + extra)
+    if kind == "iclog" and len(z) == model.branches and all(
+            slot_image(alpha_ops(c), [j for j in z if c.alpha[j]], c.dim).is_full()
+            for c in model.components):
+        return _kind_cohomology(model, "omega", frozenset())
+    return cohomology(build_complex(model, kind, z))
 
 
 def koszul_complex(branches, blocks, slot, weight=None,
@@ -464,11 +519,6 @@ def quotient_complex(model, z) -> FilteredComplex:
     """IC_log(z)/IC, the Koszul complex of the slot quotients, with the
     induced filtrations; memoized per evaluation by (model, kind, z)."""
     return _model_complex(model, "shriek", _check_branches(model, z))
-
-
-@_remembered
-def _shriek(model, z: frozenset) -> FilteredComplex:
-    return quotient_complex(model, z).shift(-1)
 
 
 def intersection_morphism(model, z) -> ComplexMap:

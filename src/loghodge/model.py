@@ -598,10 +598,17 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_model(path: str) -> NCModel:
+def read_json(path, what: str):
+    """The JSON document in the file at path, or a ParseError naming what
+    the file holds and the file: on a read error, on bytes that are not
+    UTF-8 or not JSON (ValueError covers both) and on nesting too deep to
+    decode."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read instance {path}: {exc}") from exc
-    return model_from_json(doc)
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_model(path: str) -> NCModel:
+    return model_from_json(read_json(path, "instance"))

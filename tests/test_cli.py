@@ -3,6 +3,7 @@ import json
 import random
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ from loghodge.generate import (
     random_spectral_model,
 )
 from loghodge.model import canonical_json, model_to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from side_ops import same_complex
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 J2 = CORPUS / "jordan2_weight1.json"
@@ -440,7 +444,9 @@ def test_decompose_builds_each_primitive_part_once(tmp_path, monkeypatch,
 
 def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
     """The closed, support and link batteries of one corpus entry share i^!
-    of z (one quotient IC_log(z)/IC), and no complex is built twice."""
+    of z (one quotient IC_log(z)/IC), the open battery reads IC_log along
+    every branch off omega, whose complex it is, and no complex is built
+    twice."""
     quotients = _record_calls(monkeypatch, complexes, "quotient_complex")
     built = _record_builds(monkeypatch, complexes._model_complex)
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
@@ -448,7 +454,7 @@ def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
     kinds = [args[1:] for args in built]
     assert kinds.count(("shriek", frozenset({0, 1}))) == 1
     assert kinds.count(("ic", frozenset())) == 1
-    assert ("iclog", frozenset({0, 1})) in kinds
+    assert ("iclog", frozenset({0, 1})) not in kinds
     assert len(kinds) == len(set(kinds))
     assert linalg._MEMO.get() is None
 
@@ -470,10 +476,11 @@ def test_corpus_entry_constructs_no_chain_map(monkeypatch):
 
 
 def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
-    """i^* is the dual of i^!: the closed and support batteries and the link
-    of one corpus entry share one dualization of i^! and one cohomology
-    report each of i^! and i^*, so no complex is dualized or has its
-    cohomology taken twice, and the link takes none of its own."""
+    """One corpus entry takes the cohomology of omega, IC and i^! once each
+    and dualizes no complex: H(i^*) and the compact H are read off H(i^!)
+    and H(IC_log) by duality, and H(IC_log) along every branch is H(omega).
+    The closed and support batteries and the link share those reports, and
+    the link takes none of its own."""
     seen = {"dualize": [], "cohomology": []}
     for name, calls in seen.items():
         real = getattr(complexes, name)
@@ -485,7 +492,57 @@ def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
     for name, calls in seen.items():
         assert [sum(c is d for d in calls) for c in calls] == [1] * len(calls), name
-    assert len(seen["dualize"]) == 2 and len(seen["cohomology"]) == 6
+    assert len(seen["dualize"]) == 0 and len(seen["cohomology"]) == 3
+
+
+def test_duality_dualizes_each_complex_twice(monkeypatch, capsys):
+    """The double_dual rows of duality check Verdier duality on the built
+    complexes, so they dualize omega and IC twice each instead of reading
+    the dual off a cohomology report, as the other verbs do."""
+    model = cli.load_model(str(J2))
+    built = [complexes.build_complex(model, kind) for kind in ("omega", "ic")]
+    dualized = []
+    real = complexes.dualize
+
+    def recording(c, **kwargs):
+        dualized.append((c, real(c, **kwargs)))
+        return dualized[-1][1]
+    monkeypatch.setattr(complexes, "dualize", recording)
+    code, out = run_cli(["duality", str(J2)], capsys)
+    assert code == 0
+    assert [r["check"] for r in json.loads(out)["results"][:2]] == \
+        ["double_dual[omega]", "double_dual[ic]"]
+    assert len(dualized) == 4
+    for c, (once, twice) in zip(built, (dualized[:2], dualized[2:])):
+        assert same_complex(once[0], c) and twice[0] is once[1]
+
+
+# bytes no instance or expected report may hold: not UTF-8, nesting deeper
+# than the decoder recurses, and not JSON
+UNREADABLE = {"not_utf8": b"\xff", "too_deep": b"[" * 100_000 + b"]" * 100_000,
+              "not_json": b"{broken"}
+
+
+@pytest.mark.parametrize("payload", UNREADABLE)
+def test_unreadable_bytes_exit_two_naming_the_file(payload, tmp_path, capsys):
+    """As an instance of validate or of corpus, or as a corpus expectation,
+    unreadable bytes are bad input: exit 2 with an error naming the file,
+    and no traceback."""
+    instance, expected = tmp_path / "instance", tmp_path / "expected"
+    instance.mkdir()
+    expected.mkdir()
+    (instance / "x.json").write_bytes(UNREADABLE[payload])
+    shutil.copy(J2, expected / "x.json")
+    (expected / "x.expected.json").write_bytes(UNREADABLE[payload])
+    for argv, bad in ((["validate", str(instance / "x.json")], instance / "x.json"),
+                      (["corpus", str(instance)], instance / "x.json"),
+                      (["corpus", str(expected)], expected / "x.expected.json")):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2, (argv, out, err)
+        doc = json.loads(out)
+        assert doc["verdict"] == "error" and str(bad) in doc["error"], argv
+        assert "Traceback" not in err, argv
 
 
 # stdout of both link verbs on a draw with no branch, run as

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loghodge import complexes
 
@@ -16,8 +18,10 @@ from loghodge.complexes import (
     build_omega,
     cohomology,
     cone,
+    dual_cohomology,
     dualize,
     intersection_morphism,
+    kind_cohomology,
     link_cohomology,
     link_complex,
     quotient_complex,
@@ -28,8 +32,8 @@ from loghodge.generate import (
     random_pure_model,
     random_spectral_model,
 )
-from loghodge.filtrations import DecreasingFiltration
-from loghodge.linalg import Matrix, Subspace, evaluation
+from loghodge.filtrations import DecreasingFiltration, IncreasingFiltration
+from loghodge.linalg import Matrix, Subspace, as_vector, evaluation
 from loghodge.model import (
     canonical_json,
     load_model,
@@ -39,6 +43,7 @@ from loghodge.model import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from inclusion import ic_into_iclog
 from side_ops import same_complex, unipotent_part
+from test_verb_contract import _sweep_draws
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -320,15 +325,129 @@ def test_kinds_along_z_refuse_a_branch_out_of_range(kind):
         build_complex(J2, kind, {2})
 
 
-@pytest.mark.parametrize("kind", ["iclog", "shriek"])
+@pytest.mark.parametrize("kind", ["iclog"])
 def test_kinds_along_z_are_memoized_inside_an_evaluation(kind):
     """A repeated call, however z is spelled, returns the object built first.
-    star, the dual of the remembered shriek, is read once per evaluation
-    and has no memo."""
+    shriek, the shift of the remembered quotient IC_log(z)/IC, and star, its
+    dual, have no memo of their own: the verbs take their cohomology through
+    the remembered kind_cohomology, which builds i^! once per evaluation."""
     with evaluation():
         first = build_complex(TWO_BRANCH, kind, [0, 1])
         assert build_complex(TWO_BRANCH, kind, (1, 0)) is first
         assert build_complex(TWO_BRANCH, kind, frozenset({0, 1})) is first
+
+
+@pytest.mark.parametrize("kind", ["omega", "ic", "iclog", "shriek", "star",
+                                  "compact"])
+def test_kind_cohomology_is_memoized_inside_an_evaluation(kind):
+    """However z is spelled, and for omega and ic whatever it is, a repeated
+    call returns the report taken first."""
+    with evaluation():
+        first = kind_cohomology(TWO_BRANCH, kind, [0, 1])
+        assert kind_cohomology(TWO_BRANCH, kind, (1, 0)) is first
+        assert kind_cohomology(TWO_BRANCH, kind, frozenset({0, 1})) is first
+        if kind in ("omega", "ic"):
+            assert kind_cohomology(TWO_BRANCH, kind) is first
+
+
+def _filtration(draw, cls, dim, pushed):
+    """A filtration of direction cls on a dim-space: step i, for i = 0..4,
+    spans pushed(i) and the drawn vectors labelled at most i (increasing) or
+    at least i (decreasing); an increasing one ends at the whole space."""
+    labelled = draw(st.lists(st.tuples(
+        st.integers(0, 3),
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)),
+        max_size=dim + 1))
+    up = cls is IncreasingFiltration
+    steps = [(i, Subspace.span([as_vector(v) for j, v in labelled
+                                if (j <= i if up else j >= i)], dim).sum(pushed(i)))
+             for i in range(5)]
+    return cls(dim, steps + [(5, Subspace.full(dim))] if up else steps)
+
+
+@st.composite
+def filtered_complexes(draw):
+    """A complex of up to three terms of dimension at most 3 with a W and an
+    F on each term.  Each differential is drawn, the second through the
+    annihilator of the first one's image, so that d o d = 0; each step of a
+    filtration spans the image of the step before it under d and drawn
+    vectors, so d keeps it without being strict in general."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    start = draw(st.integers(-1, 1))
+    d, filts = {}, ({}, {})
+    for i, dim in enumerate(dims):
+        k = start + i
+        if i:
+            cols = dims[i - 1]
+            ker = (Subspace.full(cols) if i == 1 else
+                   d[k - 2].image().annihilator())   # rows vanishing on Im d
+            m = Matrix([draw(st.lists(st.integers(-2, 2), min_size=ker.dim,
+                                      max_size=ker.dim)) for _ in range(dim)],
+                       cols=ker.dim)
+            d[k - 1] = m * Matrix(ker.basis, cols=cols)
+        for filt, cls in zip(filts, (IncreasingFiltration, DecreasingFiltration)):
+            prev = filt.get(k - 1)
+            filt[k] = _filtration(draw, cls, dim, lambda j: (
+                Subspace.zero(dim) if prev is None else d[k - 1].image(prev.at(j))))
+    c = FilteredComplex(start, tuple(dims), d, *filts)
+    c.validate()
+    return c
+
+
+def _per_degree(report):
+    return {k: (h.dim, *(None if f is None else f.graded_dims()
+                         for f in (h.weights, h.hodge)))
+            for k, h in report.degrees.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=filtered_complexes(), a=st.integers(-1, 3), top=st.integers(-2, 3))
+def test_dual_cohomology_is_the_cohomology_of_the_dual_complex(c, a, top):
+    """dual_cohomology reads H(dualize(c, a, top)) off H(c): per degree the
+    dimension and the weight and Hodge profiles, strict d or not."""
+    assert _per_degree(dual_cohomology(cohomology(c), a, top)) == \
+        _per_degree(cohomology(dualize(c, a, top)))
+
+
+def test_kind_cohomology_reads_the_built_complexes():
+    """On the corpus and the slow sweep's draws (pure, imhs and spectral,
+    n <= 3, dim <= 8, seeds 0-29), H(star) and H(compact) read by duality
+    equal the cohomology of the complexes build_complex dualizes, along
+    every nonempty z; and IC_log along every branch is omega's complex,
+    whose report kind_cohomology hands out, on components with alpha != 0
+    too."""
+    corpus = [(p.stem, load_model(str(p))) for p in sorted(CORPUS.glob("*.json"))
+              if not p.name.endswith(".expected.json")]
+    ramified = 0
+    for name, model in itertools.chain(corpus, _sweep_draws()):
+        n = model.branches
+        every = frozenset(range(n))
+        ramified += any(any(c.alpha) for c in model.components)
+        with evaluation():
+            assert same_complex(build_ic_log(model, every), build_omega(model)), name
+            assert kind_cohomology(model, "iclog", every) is \
+                kind_cohomology(model, "omega"), name
+            for z in itertools.chain.from_iterable(
+                    itertools.combinations(range(n), r) for r in range(1, n + 1)):
+                for kind in ("star", "compact"):
+                    assert kind_cohomology(model, kind, z).to_json() == cohomology(
+                        build_complex(model, kind, z)).to_json(), (name, kind, z)
+    assert ramified
+
+
+def test_iclog_along_every_branch_is_eliminated_where_a_residue_is_singular():
+    """N = 1/2 is not nilpotent, so alpha - N = 0 at alpha = 1/2 (the
+    instance fails validate): IC_log along the branch is not omega's
+    complex, and kind_cohomology takes its cohomology from its own."""
+    model = model_from_json({
+        "branches": 1, "base_weight": 0, "perverse_shift": 1,
+        "components": [{"alpha": ["1/2"], "dim": 1, "N": [[["1/2"]]]}],
+        "W": [{"weight": 0, "basis": [["1"]]}],
+    })
+    with evaluation():
+        got = kind_cohomology(model, "iclog", [0])
+        assert got.to_json() == cohomology(build_ic_log(model, [0])).to_json()
+        assert got.profile() != kind_cohomology(model, "omega").profile()
 
 
 def test_build_complex_dispatches_to_the_named_builders():

@@ -12,17 +12,19 @@ i^! on z, is (IC_log(z)/IC)[-1]: the Koszul complex of the slot quotients
 IC_log(z)/IC, shifted; star, i^*, is its twisted dual.  Both are zero on the
 empty z, where IC_log(z) = IC.
 
-A verb takes the cohomology of a kind with kind_cohomology, remembered per
-evaluation, which eliminates only on omega, ic, iclog and shriek.  It reads
-H(star) and H(compact) off H(shriek) and H(iclog) by Verdier duality
-(dual_cohomology), and H(iclog) along every branch off H(omega), as that
-complex is omega's.  build_complex's star and compact, built by dualize,
-and build_ic_log remain the reference for both readings.  The
+The cohomology H(c) is itself a complex: term k is H^k(c) with its induced
+W and F, and the differential is zero.  So dualize and cone serve H as they
+serve the complexes.  A verb takes the cohomology of a kind with
+kind_cohomology, remembered per evaluation, which eliminates only on omega,
+ic, iclog and shriek.  It reads H(star) and H(compact) as the duals of
+H(shriek) and H(iclog), and H(iclog) along every branch off H(omega), as
+that complex is omega's.  build_complex's star and compact, built by
+dualize, and build_ic_log remain the reference for both readings.  The
 intersection morphism i^! -> i^* is the zero map, by the support and
 cosupport conditions of IC, so the link is the mixed cone of zero:
-H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read H(link) off those two
-summands with link_cohomology; the cone, link_complex, remains the
-reference.
+H^k(link) = H^k(i^*) (+) H^{k+1}(i^!).  The verbs read H(link) as the cone
+of the zero map H(i^!) -> H(i^*); link_complex, the cone over the built
+complexes, remains the reference.
 For n >= 2 these are objects on the union of the branches, not on the point
 stratum, so the link of n >= 2 branches has the wrong cohomology.
 A zero residue operator, alpha_j = 0 and N_j = 0, places no block in the
@@ -100,16 +102,37 @@ class FilteredComplex:
             raise FiltrationNotPreserved("complex carries no weight filtration")
         return self.weight.get(k, IncreasingFiltration(0, []))
 
+    def nonzero_degrees(self) -> list[int]:
+        return [k for k in self.degrees() if self.term_dim(k)]
+
+    def profile(self) -> dict[int, dict[int, int]]:
+        """Per nonzero degree, the graded dimensions of W: {} without W."""
+        return {k: self.weight[k].graded_dims() if self.weight is not None
+                and k in self.weight else {} for k in self.nonzero_degrees()}
+
+    def to_json(self):
+        """Per nonzero term, its degree, dimension and the graded dimensions
+        of the W and F it carries: for a cohomology, the report."""
+        out = []
+        for k in self.nonzero_degrees():
+            entry = {"degree": k, "dim": self.term_dim(k)}
+            for key, filt in (("weights", self.weight), ("hodge", self.hodge)):
+                if filt is not None and k in filt:
+                    entry[key] = {str(w): d for w, d in
+                                  sorted(filt[k].graded_dims().items())}
+            out.append(entry)
+        return out
+
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.term_dim(k) for k in self.degrees())
 
     def validate(self) -> None:
-        for k in self.degrees():
-            dk = self.differential(k)
+        # every stored d joins two nonzero terms; the others are zero maps
+        for k in sorted(self.d):
+            dk = self.d[k]
             if (dk.cols, dk.rows) != (self.term_dim(k), self.term_dim(k + 1)):
                 raise ShapeError(f"differential at degree {k} has wrong shape")
-            comp = self.differential(k + 1) * dk
-            if not comp.is_zero():
+            if k + 1 in self.d and not (self.d[k + 1] * dk).is_zero():
                 raise ShapeError(f"d o d != 0 at degree {k}")
         for filt, name, step in ((self.weight, "weight", "W_"),
                                  (self.hodge, "Hodge", "F^")):
@@ -118,10 +141,8 @@ class FilteredComplex:
             for k in self.degrees():
                 if self.term_dim(k) and k not in filt:
                     raise FiltrationNotPreserved(f"no {name} filtration at {k}")
-            for k in self.degrees():
-                if not self.term_dim(k) or not self.term_dim(k + 1):
-                    continue
-                r = filt[k].first_violation(self.differential(k), filt[k + 1])
+            for k in sorted(self.d):
+                r = filt[k].first_violation(self.d[k], filt[k + 1])
                 if r is not None:
                     raise FiltrationNotPreserved(
                         f"{step}{r} at degree {k} is not a subcomplex")
@@ -183,10 +204,12 @@ def cone(f: ComplexMap) -> FilteredComplex:
         dims.append(da + db)
         top, bottom = range(da2), range(da2, da2 + db2)
         left, right = range(da), range(da, da + db)
-        d[k] = place((da2 + db2, da + db), [
+        pieces = [(m, rows, cols) for m, rows, cols in (
             (a.differential(k + 1).scale(-1), top, left),
             (f.at(k + 1), bottom, left),
-            (b.differential(k), bottom, right)])
+            (b.differential(k), bottom, right)) if not m.is_zero()]
+        if pieces:  # so the cone of the zero map of two H's has no d
+            d[k] = place((da2 + db2, da + db), pieces)
     filts = []
     for fa, fb, name, lift in ((a.weight, b.weight, "weight", 1),
                                (a.hodge, b.hodge, "Hodge", 0)):
@@ -224,10 +247,9 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None) -> FilteredCompl
     lo, hi = top - c.max_deg, top - c.min_deg
     dims = tuple(c.term_dim(top - k) for k in range(lo, hi + 1))
     d = {}
-    for k in range(lo, hi):
-        src = c.differential(top - k - 1)  # term(top-k-1) -> term(top-k)
-        sign = -1 if k % 2 == 0 else 1
-        d[k] = src.transpose().scale(sign)
+    for k, dk in c.d.items():   # term(k) -> term(k+1) dualizes in degree j
+        j = top - k - 1
+        d[j] = dk.transpose().scale(-1 if j % 2 == 0 else 1)
     weight, hodge = (
         None if filt is None else
         {k: filt[top - k].dual(center) for k in range(lo, hi + 1)
@@ -240,85 +262,23 @@ def dualize(c: FilteredComplex, a: int, top: int | None = None) -> FilteredCompl
 
 # -- cohomology ---------------------------------------------------------------
 
-class DegreeCohomology:
-    def __init__(self, dim: int, weights: IncreasingFiltration | None,
-                 hodge: DecreasingFiltration | None):
-        self.dim = dim
-        self.weights = weights
-        self.hodge = hodge
-
-    def weight_profile(self) -> dict[int, int]:
-        return self.weights.graded_dims() if self.weights is not None else {}
-
-
-class CohomologyReport:
-    def __init__(self, degrees: dict[int, DegreeCohomology]):
-        self.degrees = degrees
-
-    def dim(self, k: int) -> int:
-        return self.degrees[k].dim if k in self.degrees else 0
-
-    def nonzero_degrees(self):
-        return sorted(k for k, h in self.degrees.items() if h.dim)
-
-    def profile(self) -> dict[int, dict[int, int]]:
-        return {k: self.degrees[k].weight_profile()
-                for k in self.nonzero_degrees()}
-
-    def to_json(self):
-        out = []
-        for k in sorted(self.degrees):
-            h = self.degrees[k]
-            if not h.dim:
-                continue
-            entry = {"degree": k, "dim": h.dim}
-            if h.weights is not None:
-                entry["weights"] = {str(w): d
-                                    for w, d in sorted(h.weight_profile().items())}
-            if h.hodge is not None:
-                entry["hodge"] = {str(p): d
-                                  for p, d in sorted(h.hodge.graded_dims().items())}
-            out.append(entry)
-        return out
-
-
-def cohomology(c: FilteredComplex) -> CohomologyReport:
-    """Exact kernels/images with induced (image) weight and Hodge filtrations."""
-    degrees = {}
-    total = 0
+def cohomology(c: FilteredComplex) -> FilteredComplex:
+    """H(c) as a complex with zero differential: term k is H^k(c), exact
+    kernels modulo images, with the induced (image) W and F."""
+    dims, weight, hodge = [], {}, {}
     for k in c.degrees():
-        z = c.differential(k).kernel()
-        b = c.differential(k - 1).image()
-        h = Subquotient(z, b)
-        w_filtr, f_filtr = (
-            filt[k].project_to(h) if filt is not None and k in filt else None
-            for filt in (c.weight, c.hodge))
-        degrees[k] = DegreeCohomology(h.dim, w_filtr, f_filtr)
-        total += (-1) ** k * h.dim
-    if total != c.euler_characteristic():
+        h = Subquotient(c.differential(k).kernel(),
+                        c.differential(k - 1).image())
+        dims.append(h.dim)
+        for filt, induced in ((c.weight, weight), (c.hodge, hodge)):
+            if filt is not None and k in filt:
+                induced[k] = filt[k].project_to(h)
+    out = FilteredComplex(c.min_deg, tuple(dims), None,
+                          None if c.weight is None else weight,
+                          None if c.hodge is None else hodge)
+    if out.euler_characteristic() != c.euler_characteristic():
         raise AssertionError("Euler characteristic mismatch in cohomology")
-    return CohomologyReport(degrees)
-
-
-def dual_cohomology(report: CohomologyReport, a: int,
-                    top: int) -> CohomologyReport:
-    """H(dualize(c, a, top)) off report = H(c), with no elimination.
-
-    H^k of the dual is H^{top-k}(c)* with its dimension, W dual about 2a - 1
-    and F about a + 1, as dualize dualizes each term.  This is exact with no
-    strictness: for the cocycles Z and coboundaries B of c in degree top - k,
-    those of the dual in degree k are Ann(B) and Ann(Z) inside it.  W_j
-    induces the step (Z & W_j + B)/B on Z/B, whose annihilator in
-    (Z/B)* = Ann(B)/Ann(Z) is Ann(B) & Ann(Z & W_j) = Ann(B) & (Ann(Z) +
-    Ann(W_j)), which is Ann(Z) + (Ann(B) & Ann(W_j)) by the modular law, as
-    Ann(Z) lies in Ann(B): the step that Ann(W_j) induces on the dual's
-    cohomology.  So the dual's induced filtrations are the duals of c's.
-    """
-    return CohomologyReport({
-        top - k: DegreeCohomology(h.dim, *(
-            None if f is None else f.dual(center)
-            for f, center in ((h.weights, 2 * a - 1), (h.hodge, a + 1))))
-        for k, h in reversed(report.degrees.items())})
+    return out
 
 
 # -- the Koszul slot complex ----------------------------------------------------
@@ -364,24 +324,36 @@ def build_complex(model, kind: str, z=frozenset()) -> FilteredComplex:
     raise ShapeError(f"unknown complex kind {kind!r}")
 
 
-def kind_cohomology(model, kind: str, z=frozenset()) -> CohomologyReport:
+def kind_cohomology(model, kind: str, z=frozenset()) -> FilteredComplex:
     """H(build_complex(model, kind, z)), remembered per evaluation: the one
-    way a verb takes the cohomology of a kind.  star and compact are read
-    off H(shriek) and H(iclog) by dual_cohomology.  iclog along every branch
-    is omega's complex when each alpha_j - N_j with alpha_j != 0 is
-    invertible, as it is for a nilpotent N_j: its slots cut only those
-    branches, so each is the whole space.  That is tested, not presumed, so
-    an instance whose N_j is not nilpotent is still eliminated."""
+    way a verb takes the cohomology of a kind.
+
+    star and compact are the duals of H(shriek) and H(iclog), by the _DUALS
+    rule build_complex applies to the complexes.  H(dualize(c)) = dualize(H(c))
+    exactly, with no strictness: for the cocycles Z and coboundaries B of c
+    in degree top - k, those of the dual in degree k are Ann(B) and Ann(Z)
+    inside it.  W_j induces the step (Z & W_j + B)/B on Z/B, whose
+    annihilator in (Z/B)* = Ann(B)/Ann(Z) is Ann(B) & Ann(Z & W_j) =
+    Ann(B) & (Ann(Z) + Ann(W_j)), which is Ann(Z) + (Ann(B) & Ann(W_j)) by
+    the modular law, as Ann(Z) lies in Ann(B): the step that Ann(W_j)
+    induces on the dual's cohomology.  So the dual's induced filtrations are
+    the duals of c's.
+
+    iclog along every branch is omega's complex when each alpha_j - N_j with
+    alpha_j != 0 is invertible, as it is for a nilpotent N_j: its slots cut
+    only those branches, so each is the whole space.  That is tested, not
+    presumed, so an instance whose N_j is not nilpotent is still
+    eliminated."""
     z = frozenset() if kind in ("omega", "ic") else _check_branches(model, z)
     return _kind_cohomology(model, kind, z)
 
 
 @_remembered
-def _kind_cohomology(model, kind: str, z: frozenset) -> CohomologyReport:
+def _kind_cohomology(model, kind: str, z: frozenset) -> FilteredComplex:
     if kind in _DUALS:
         of, extra = _DUALS[kind]
-        return dual_cohomology(_kind_cohomology(model, of, z),
-                               model.base_weight, model.branches + extra)
+        return dualize(_kind_cohomology(model, of, z), a=model.base_weight,
+                       top=model.branches + extra)
     if kind == "iclog" and len(z) == model.branches and all(
             slot_image(alpha_ops(c), [j for j in z if c.alpha[j]], c.dim).is_full()
             for c in model.components):
@@ -534,28 +506,6 @@ def intersection_morphism(model, z) -> ComplexMap:
 
 def link_complex(model, z) -> FilteredComplex:
     """Mixed cone over the intersection morphism: i^* plus i^![1], whose
-    weight labels move up by one: the reference for link_cohomology."""
+    weight labels move up by one: the reference for the link the verbs
+    read, the cone over the cohomology of the two."""
     return cone(intersection_morphism(model, z))
-
-
-def link_cohomology(shriek: CohomologyReport,
-                    star: CohomologyReport) -> CohomologyReport:
-    """H(link) off H(i^!) and H(i^*): the cone of the zero map has a
-    block-diagonal differential, so its kernels, images and induced
-    filtrations split.  H^k(link) is H^{k+1}(i^!), W labels raised by one,
-    placed before H^k(i^*), as in cohomology(link_complex), the reference."""
-    degrees = {}
-    for k in sorted(set(star.degrees) | {j - 1 for j in shriek.degrees}):
-        halves, dim = [], 0
-        for h, lift in ((shriek.degrees.get(k + 1), 1), (star.degrees.get(k), 0)):
-            if h is not None and h.dim:
-                halves.append((range(dim, dim + h.dim), h, lift))
-                dim += h.dim
-        if dim:
-            weights, hodge = (
-                None if any(getattr(h, name) is None for _, h, _ in halves)
-                else filtration_sum([(pos, getattr(h, name).shift(lift * by))
-                                     for pos, h, lift in halves], dim)
-                for name, by in (("weights", 1), ("hodge", 0)))
-            degrees[k] = DegreeCohomology(dim, weights, hodge)
-    return CohomologyReport(degrees)

@@ -13,7 +13,7 @@ import functools
 import operator
 
 from .complexes import (
-    CohomologyReport,
+    FilteredComplex,
     build_complex,
     _check_branches,
     cohomology,
@@ -163,7 +163,8 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
         graded = subquotient_complex(
             full, {deg: full.weight_at(deg).graded_piece(k)
                    for deg in full.degrees()})
-        lhs = {deg: h.dim for deg, h in cohomology(graded).degrees.items() if h.dim}
+        h = cohomology(graded)
+        lhs = {deg: h.term_dim(deg) for deg in h.nonzero_degrees()}
         rhs: dict[int, int] = {}
         for K in _subsets(range(n)):
             rest = [j for j in range(n) if j not in K]
@@ -175,9 +176,10 @@ def check_graded_decomposition(model: NCModel, k: int, which: str = "omega",
                     continue
                 ic = koszul_complex(rest, [part.residual], lambda T, b: Subquotient.of(
                     slot_image(part.residual, T, part.dim)))
-                for deg, h in cohomology(ic).degrees.items():
-                    if h.dim:
-                        rhs[deg + len(K)] = rhs.get(deg + len(K), 0) + h.dim
+                h = cohomology(ic)
+                for deg in h.nonzero_degrees():
+                    at = deg + len(K)
+                    rhs[at] = rhs.get(at, 0) + h.term_dim(deg)
         report.add(
             f"GradedCohomology[k={k},{which}]",
             lhs == rhs,
@@ -218,8 +220,9 @@ class PurityVerdict:
 
 
 # purity mode -> (the build_complex kind it reads, the relation its weights
-# keep); the link is read off the reports of the support and closed modes,
-# and its relation turns at perverse degree 0.  _RELATIONS decides each one.
+# keep); the link is the cone over the cohomologies of the support and
+# closed modes, and its relation turns at perverse degree 0.  _RELATIONS
+# decides each one.
 MODES = {
     "open": ("iclog", ">="),
     "support": ("shriek", ">="),
@@ -230,16 +233,17 @@ MODES = {
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
-def purity_check(report: CohomologyReport, a: int, shift: int,
+def purity_check(h: FilteredComplex, a: int, shift: int,
                  mode: str) -> PurityVerdict:
-    """Evaluate the mode's weight inequality on every nonzero graded piece."""
+    """Evaluate the mode's weight inequality on every nonzero graded piece
+    of the cohomology h."""
     if mode not in MODES:
         raise ShapeError(f"unknown purity mode {mode!r}")
     rows = []
-    for k in report.nonzero_degrees():
+    for k, weights in h.profile().items():
         ip = k - shift
         rel = MODES[mode][1] or ("<=" if ip <= -1 else ">")
-        for label, dim in sorted(report.degrees[k].weight_profile().items()):
+        for label, dim in sorted(weights.items()):
             w, bound = label + ip, a + ip
             rows.append({"degree": k, "perverse_degree": ip, "label": label,
                          "weight": w, "dim": dim, "bound": bound,

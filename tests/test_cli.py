@@ -275,6 +275,34 @@ def test_corpus_detects_drift(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+def _reversed_keys(node):
+    if isinstance(node, dict):
+        return {k: _reversed_keys(node[k]) for k in reversed(list(node))}
+    if isinstance(node, list):
+        return [_reversed_keys(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("spelling", ["1.0", "true"])
+def test_corpus_compares_expectations_as_canonical_bytes(spelling, tmp_path,
+                                                         capsys):
+    """An expectation that spells an integer 1 as 1.0 or true differs from
+    the report, although Python compares the values equal; one that only
+    changes whitespace or key order does not."""
+    for p in CORPUS.glob("rank1_trivial*"):
+        shutil.copy(p, tmp_path / p.name)
+    expected = tmp_path / "rank1_trivial.expected.json"
+    text = expected.read_text()
+    expected.write_text(text.replace('"dim":1,', f'"dim":{spelling},', 1))
+    code, out = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(out)["results"][0]["detail"] == \
+        "report differs from committed expectation"
+    expected.write_text(json.dumps(_reversed_keys(json.loads(text)), indent=2))
+    code, out = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_corpus_deterministic_across_jobs(capsys):
     # each pool thread opens its own evaluation for the entries it runs
     outputs = []
@@ -459,10 +487,11 @@ def test_corpus_entry_builds_each_support_complex_once(monkeypatch):
     assert linalg._MEMO.get() is None
 
 
-def test_corpus_entry_constructs_no_chain_map(monkeypatch):
-    """i^! is built slot by slot from the model, and the link is read off
-    H(i^!) and H(i^*), so an entry with S constructs no chain map: not even
-    the zero intersection morphism, whose cone is the link."""
+def test_corpus_entry_constructs_one_chain_map_of_cohomologies(monkeypatch):
+    """i^! is built slot by slot from the model, and the link is the cone of
+    the zero map H(i^!) -> H(i^*), so an entry with S constructs one chain
+    map: from the cohomology of i^! to its dual, the cohomology of i^*, and
+    not the intersection morphism of the complexes."""
     made = []
     real = complexes.ComplexMap.__init__
 
@@ -471,16 +500,31 @@ def test_corpus_entry_constructs_no_chain_map(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(complexes.ComplexMap, "__init__", recording)
-    cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
-    assert made == []
+    results = {"cohomology": [], "dualize": []}
+    for name, calls in results.items():
+        real_fn = getattr(complexes, name)
+
+        def recording_fn(c, *args, real_fn=real_fn, calls=calls, **kwargs):
+            calls.append((c, real_fn(c, *args, **kwargs)))
+            return calls[-1][1]
+        monkeypatch.setattr(complexes, name, recording_fn)
+    path = str(CORPUS / "j2xj2_weight2.json")
+    cli.corpus_entry(path)
+    (f,) = made
+    assert f.maps == {} and f.source.d == f.target.d == {}
+    (of,) = [c for c, h in results["cohomology"] if h is f.source]
+    assert [d for c, d in results["dualize"] if c is f.source] == [f.target]
+    with linalg.evaluation():
+        model = cli.load_model(path)
+        assert same_complex(of, complexes.build_complex(model, "shriek", {0, 1}))
 
 
 def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
     """One corpus entry takes the cohomology of omega, IC and i^! once each
-    and dualizes no complex: H(i^*) and the compact H are read off H(i^!)
-    and H(IC_log) by duality, and H(IC_log) along every branch is H(omega).
-    The closed and support batteries and the link share those reports, and
-    the link takes none of its own."""
+    and dualizes two cohomologies, each once and no built complex: H(i^*)
+    and the compact H are the duals of H(i^!) and H(IC_log), and H(IC_log)
+    along every branch is H(omega).  The closed and support batteries and
+    the link share those cohomologies, and the link takes none of its own."""
     seen = {"dualize": [], "cohomology": []}
     for name, calls in seen.items():
         real = getattr(complexes, name)
@@ -492,15 +536,19 @@ def test_corpus_entry_dualizes_and_takes_each_cohomology_once(monkeypatch):
     cli.corpus_entry(str(CORPUS / "j2xj2_weight2.json"))
     for name, calls in seen.items():
         assert [sum(c is d for d in calls) for c in calls] == [1] * len(calls), name
-    assert len(seen["dualize"]) == 0 and len(seen["cohomology"]) == 3
+    assert len(seen["dualize"]) == 2 and len(seen["cohomology"]) == 3
+    assert all(c.d == {} for c in seen["dualize"])
 
 
 def test_duality_dualizes_each_complex_twice(monkeypatch, capsys):
     """The double_dual rows of duality check Verdier duality on the built
-    complexes, so they dualize omega and IC twice each instead of reading
-    the dual off a cohomology report, as the other verbs do."""
+    complexes, so they dualize omega and IC twice each instead of dualizing
+    a cohomology, as the other verbs do.  At n = 1 the link row reads
+    H(i^*) as the one dual of H(i^!), a complex with no differential."""
     model = cli.load_model(str(J2))
     built = [complexes.build_complex(model, kind) for kind in ("omega", "ic")]
+    with linalg.evaluation():
+        h_shriek = complexes.cohomology(complexes.build_complex(model, "shriek", {0}))
     dualized = []
     real = complexes.dualize
 
@@ -510,11 +558,13 @@ def test_duality_dualizes_each_complex_twice(monkeypatch, capsys):
     monkeypatch.setattr(complexes, "dualize", recording)
     code, out = run_cli(["duality", str(J2)], capsys)
     assert code == 0
-    assert [r["check"] for r in json.loads(out)["results"][:2]] == \
-        ["double_dual[omega]", "double_dual[ic]"]
-    assert len(dualized) == 4
-    for c, (once, twice) in zip(built, (dualized[:2], dualized[2:])):
+    assert [r["check"] for r in json.loads(out)["results"]] == \
+        ["double_dual[omega]", "double_dual[ic]", "link_self_duality"]
+    assert model.branches == 1 and len(dualized) == 5
+    for c, (once, twice) in zip(built, (dualized[:2], dualized[2:4])):
         assert same_complex(once[0], c) and twice[0] is once[1]
+    link_h = dualized[4][0]
+    assert link_h.d == {} and link_h.to_json() == h_shriek.to_json()
 
 
 # bytes no instance or expected report may hold: not UTF-8, nesting deeper

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,9 @@ from loghodge.complexes import (
     build_omega,
     cohomology,
     cone,
-    dual_cohomology,
     dualize,
     intersection_morphism,
     kind_cohomology,
-    link_cohomology,
     link_complex,
     quotient_complex,
 )
@@ -79,9 +78,12 @@ TWO_BRANCH = model_from_json({
 })
 
 
+def nonzero_dims(h):
+    return {k: h.term_dim(k) for k in h.nonzero_degrees()}
+
+
 def dims_of(c):
-    h = cohomology(c)
-    return {k: h.dim(k) for k in sorted(h.degrees) if h.dim(k)}
+    return nonzero_dims(cohomology(c))
 
 
 def test_omega_rank1():
@@ -135,8 +137,8 @@ def test_cone_of_zero_splits():
     zero = ComplexMap(a, b, {})
     h = cohomology(cone(zero))
     ha, hb = cohomology(a), cohomology(b)
-    for k in h.degrees:
-        assert h.dim(k) == ha.dim(k + 1) + hb.dim(k)
+    for k in h.degrees():
+        assert h.term_dim(k) == ha.term_dim(k + 1) + hb.term_dim(k)
 
 
 def test_shriek_examples():
@@ -155,9 +157,7 @@ def test_shriek_matches_cone_route():
         via_cone = cone(emb).shift(-1)
         quot = build_complex(model, "shriek", range(model.branches))
         hc, hq = cohomology(via_cone), cohomology(quot)
-        assert {k: hc.dim(k) for k in hc.degrees} == \
-            {k: hq.dim(k) for k in hq.degrees if hq.dim(k)} | \
-            {k: 0 for k in hc.degrees if not hc.dim(k)}
+        assert nonzero_dims(hc) == nonzero_dims(hq)
         assert hc.profile() == hq.profile()
 
 
@@ -180,10 +180,9 @@ def test_star_stalk_sanity_z_all():
     for model in (RANK1, J2, TWO_BRANCH):
         hic = cohomology(build_ic(model))
         hst = cohomology(build_complex(model, "star", range(model.branches)))
-        assert hst.dim(0) == hic.dim(0)
+        assert hst.term_dim(0) == hic.term_dim(0)
         if model.branches == 1:
-            assert {k: hic.dim(k) for k in hic.degrees if hic.dim(k)} == \
-                {k: hst.dim(k) for k in hst.degrees if hst.dim(k)}
+            assert nonzero_dims(hic) == nonzero_dims(hst)
 
 
 def test_dualize_involution_profiles():
@@ -209,7 +208,7 @@ def test_dual_of_acyclic_is_acyclic():
 
 def test_link_rank1_circle():
     h = cohomology(link_complex(RANK1, [0]))
-    assert {k: h.dim(k) for k in h.degrees if h.dim(k)} == {0: 1, 1: 1}
+    assert nonzero_dims(h) == {0: 1, 1: 1}
     assert h.profile() == {0: {0: 1}, 1: {1: 1}}
 
 
@@ -252,41 +251,40 @@ def _link_draws():
                 tuple(range(n))
 
 
-def _hodge_profile(report):
-    return {k: report.degrees[k].hodge.graded_dims()
-            for k in report.nonzero_degrees() if report.degrees[k].hodge}
+def _hodge_profile(h):
+    return {k: h.hodge[k].graded_dims()
+            for k in h.nonzero_degrees() if h.hodge is not None}
 
 
 def test_link_is_the_star_plus_the_raised_shriek():
     """H^k(link) = H^k(i^*) (+) H^{k+1}(i^!), the i^! weight labels raised by
-    one: the link is the mixed cone of the zero map i^! -> i^*.
-    link_cohomology reads it off the two summands, and the cohomology of the
-    cone is its reference: same dimensions, weight and Hodge profiles and
-    JSON bytes."""
+    one: the link is the mixed cone of the zero map i^! -> i^*.  The verbs
+    take the cone of the zero map H(i^!) -> H(i^*), and the cohomology of
+    the cone over the complexes is its reference: same dimensions, weight
+    and Hodge profiles and JSON bytes."""
     cases = 0
     for name, model, z in itertools.chain(_link_cases(), _link_draws()):
         with evaluation():
             link = cohomology(link_complex(model, z))
             h_star = cohomology(build_complex(model, "star", z))
             h_shriek = cohomology(build_complex(model, "shriek", z))
-        summed = link_cohomology(h_shriek, h_star)
+        summed = cone(ComplexMap(h_shriek, h_star, {}))
+        assert summed.d == {}, (name, z)
         assert canonical_json(summed.to_json()) == \
             canonical_json(link.to_json()), (name, z)
-        assert {k: summed.dim(k) for k in summed.nonzero_degrees()} == \
-            {k: link.dim(k) for k in link.nonzero_degrees()}, (name, z)
+        assert nonzero_dims(summed) == nonzero_dims(link), (name, z)
         assert summed.profile() == link.profile(), (name, z)
         assert _hodge_profile(summed) == _hodge_profile(link), (name, z)
         degrees = set(h_star.nonzero_degrees()) | \
             {k - 1 for k in h_shriek.nonzero_degrees()}
         assert link.nonzero_degrees() == sorted(degrees), (name, z)
         for k in degrees:
-            want = dict(h_star.degrees[k].weight_profile()) \
-                if k in h_star.degrees else {}
-            if k + 1 in h_shriek.degrees:
-                for w, d in h_shriek.degrees[k + 1].weight_profile().items():
-                    want[w + 1] = want.get(w + 1, 0) + d
-            assert link.dim(k) == h_star.dim(k) + h_shriek.dim(k + 1), (name, z, k)
-            assert link.degrees[k].weight_profile() == want, (name, z, k)
+            want = dict(h_star.profile().get(k, {}))
+            for w, d in h_shriek.profile().get(k + 1, {}).items():
+                want[w + 1] = want.get(w + 1, 0) + d
+            assert link.term_dim(k) == \
+                h_star.term_dim(k) + h_shriek.term_dim(k + 1), (name, z, k)
+            assert link.profile()[k] == want, (name, z, k)
         cases += 1
     assert cases == 17 + 18
 
@@ -315,7 +313,8 @@ def test_point_stratum_kinds_of_no_branch_are_zero():
     for model in _no_branch_cases():
         shriek, star = (build_complex(model, kind, ()) for kind in ("shriek", "star"))
         assert shriek.dims == star.dims == ()
-        assert link_cohomology(cohomology(shriek), cohomology(star)).to_json() == []
+        assert cone(ComplexMap(cohomology(shriek), cohomology(star),
+                               {})).to_json() == []
         assert cohomology(link_complex(model, ())).to_json() == []
 
 
@@ -394,19 +393,48 @@ def filtered_complexes(draw):
     return c
 
 
-def _per_degree(report):
-    return {k: (h.dim, *(None if f is None else f.graded_dims()
-                         for f in (h.weights, h.hodge)))
-            for k, h in report.degrees.items()}
+def _per_degree(h):
+    """Per nonzero degree of h: its dimension and its W and F profiles."""
+    return {k: (h.term_dim(k), *(None if f is None else f[k].graded_dims()
+                                 for f in (h.weight, h.hodge)))
+            for k in h.nonzero_degrees()}
 
 
 @settings(max_examples=150, deadline=None)
 @given(c=filtered_complexes(), a=st.integers(-1, 3), top=st.integers(-2, 3))
 def test_dual_cohomology_is_the_cohomology_of_the_dual_complex(c, a, top):
-    """dual_cohomology reads H(dualize(c, a, top)) off H(c): per degree the
-    dimension and the weight and Hodge profiles, strict d or not."""
-    assert _per_degree(dual_cohomology(cohomology(c), a, top)) == \
-        _per_degree(cohomology(dualize(c, a, top)))
+    """dualize(H(c), a, top) is H(dualize(c, a, top)) per degree, strict d
+    or not, and has no differential: its degree k is H^{top-k}(c)*, W label
+    w read at 2a - w and F label p at a - p."""
+    h = cohomology(c)
+    dual = dualize(h, a, top)
+    assert h.d == dual.d == {}
+    assert _per_degree(dual) == _per_degree(cohomology(dualize(c, a, top)))
+    assert _per_degree(dual) == {
+        top - k: (dim, {2 * a - w: n for w, n in weights.items()},
+                  {a - p: n for p, n in hodge.items()})
+        for k, (dim, weights, hodge) in _per_degree(h).items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=filtered_complexes(), b=filtered_complexes())
+def test_cone_of_the_cohomologies_is_the_cohomology_of_the_cone(a, b):
+    """cone(H(a) -> H(b)) of the zero map is H(cone(a -> b)) per degree:
+    its degree k is H^{k+1}(a), W labels raised by one, beside H^k(b)."""
+    ha, hb = cohomology(a), cohomology(b)
+    summed = cone(ComplexMap(ha, hb, {}))
+    assert summed.d == {}
+    assert _per_degree(summed) == \
+        _per_degree(cohomology(cone(ComplexMap(a, b, {}))))
+    pa, pb = _per_degree(ha), _per_degree(hb)
+    want = {}
+    for k in {j - 1 for j in pa} | set(pb):
+        (da, wa, fa), (db, wb, fb) = (p.get(j, (0, {}, {}))
+                                      for p, j in ((pa, k + 1), (pb, k)))
+        want[k] = (da + db,
+                   dict(Counter({w + 1: n for w, n in wa.items()}) + Counter(wb)),
+                   dict(Counter(fa) + Counter(fb)))
+    assert _per_degree(summed) == want
 
 
 def test_kind_cohomology_reads_the_built_complexes():
@@ -551,5 +579,5 @@ def test_zero_residue_operators_place_no_block(kind, z, monkeypatch):
         c = build_complex(model, kind, z)
     assert all(dk.is_zero() for dk in c.d.values())
     h = cohomology(c)
-    assert {k: h.dim(k) for k in c.degrees()} == \
+    assert {k: h.term_dim(k) for k in c.degrees()} == \
         {k: c.term_dim(k) for k in c.degrees()}

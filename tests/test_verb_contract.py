@@ -247,24 +247,18 @@ def test_no_verb_eliminates_no_rows(tmp_path, capsys, monkeypatch):
 # and __mul__
 UNENTERED = {name: reason for reason, names in {
     "bound by name in perfbench/spans.py, its TARGETS or SCALAR_OPS": (
-        "complexes.cone", "complexes.ComplexMap.validate",
         "complexes.intersection_morphism", "complexes.link_complex",
         "linalg.Matrix.preimage", "scalars.Scalar.__add__",
         "scalars.Scalar.__sub__", "scalars.Scalar.__rsub__",
         "scalars.Scalar.__mul__", "scalars.Scalar.__truediv__",
         "scalars.Scalar.__rtruediv__"),
-    "reached only through ComplexMap.validate and cone": (
-        "complexes.ComplexMap.at",),
-    "a ComplexMap is built by intersection_morphism and the tests only": (
-        "complexes.ComplexMap.__init__",),
     "the immutability guard: no verb assigns to a model or a component": (
         "model._Frozen.__setattr__",),
     "read by perfbench's tracer, for linalg.apply.nonzero_share": (
         "scalars.Scalar.__bool__",),
-    "the tests' accessor and reference arithmetic": (
-        "complexes.CohomologyReport.dim", "scalars.Scalar.__neg__",
-        "scalars.Scalar.conj", "scalars.Scalar.__eq__",
-        "scalars.Scalar.__hash__"),
+    "the tests' reference arithmetic": (
+        "scalars.Scalar.__neg__", "scalars.Scalar.conj",
+        "scalars.Scalar.__eq__", "scalars.Scalar.__hash__"),
     "debugging output": (
         "filtrations.Filtration.__repr__", "linalg.Row.__repr__",
         "linalg.Subspace.__repr__", "linalg.Subquotient.__repr__",

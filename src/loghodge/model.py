@@ -326,8 +326,8 @@ def imhs_check(model: NCModel) -> CheckReport:
     all_branches = tuple(range(n_branches))
     ops = [model.nilpotent(j) for j in all_branches]
     # Steps (1) and (2) build each filtration at t = (1, ..., 1) only.  It is
-    # unique, so a later t keeps it exactly when it passes the axioms on the
-    # graded blocks of the N_j (filtrations.axioms_in_t).  Where some N_j
+    # unique, so a later t keeps it exactly when it passes the axioms there,
+    # which filtrations.axioms_in_t decides by counting.  Where some N_j
     # does not lower M by two, neither does N(t) for some t > 0, and the test
     # is False.  A single branch decides no later t: t_j N_j has the
     # filtrations of N_j.

@@ -34,7 +34,7 @@ from loghodge.decomposition import (
 )
 from loghodge.filtrations import (
     IncreasingFiltration,
-    check_relative_axioms,
+    axioms_in_t,
     monodromy_filtration,
     relative_monodromy_filtration,
     star,
@@ -131,11 +131,11 @@ def test_criterion_02_monodromy_axioms_and_uniqueness():
         center = rng.randint(-2, 2)
         m = monodromy_filtration(n, center)
         w = IncreasingFiltration.pure(dim, center)
-        assert check_relative_axioms(m, n, w), f"trial {trial} axioms fail"
+        assert axioms_in_t(m, [n], w, [(1,)]), f"trial {trial} axioms fail"
         for perturbed in _perturbations(m):
             if perturbed == m:
                 continue
-            assert not check_relative_axioms(perturbed, n, w), \
+            assert not axioms_in_t(perturbed, [n], w, [(1,)]), \
                 f"trial {trial}: a perturbed filtration passed the axioms"
             witnesses += 1
     assert witnesses >= 20

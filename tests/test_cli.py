@@ -928,7 +928,7 @@ def test_a_w_of_n_failing_its_axioms_exits_three(monkeypatch, capsys):
     """W(N) of a nilpotent N always exists, so a W(N), which is M(N, W) over
     a pure W, that fails the re-verification is a bug, never a property of
     the instance."""
-    monkeypatch.setattr(filtrations, "check_relative_axioms",
+    monkeypatch.setattr(filtrations, "axioms_in_t",
                         lambda *args: False)
     code = main(["imhs", str(J2)])
     captured = capsys.readouterr()
@@ -944,7 +944,7 @@ def test_an_m_of_n_w_failing_its_axioms_exits_three(monkeypatch, capsys, verb):
     construction, so a failed re-verification is a bug, never a missing
     M(N, W): only a failed lift is a property of the instance."""
     path = CORPUS / "gen_mixed_n1.json"
-    monkeypatch.setattr(filtrations, "check_relative_axioms",
+    monkeypatch.setattr(filtrations, "axioms_in_t",
                         lambda *args: False)
     code = main([verb, str(path)])
     assert code == 3

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import hashlib
@@ -9,7 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loghodge import filtrations, generate, linalg, model
@@ -25,7 +26,7 @@ from loghodge.errors import (
 from loghodge.filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
-    check_relative_axioms,
+    axioms_in_t,
     filtration_sum,
     monodromy_filtration,
     relative_monodromy_filtration,
@@ -105,7 +106,7 @@ def test_monodromy_axioms_on_random_nilpotents():
         w = IncreasingFiltration.pure(dim, 0)
         # centered at 0 it is also the relative filtration over the pure W
         if m == monodromy_filtration(n, 0):
-            assert check_relative_axioms(m, n, w)
+            assert axioms_in_t(m, [n], w, [(1,)])
 
 
 def test_relative_monodromy_examples():
@@ -164,7 +165,7 @@ def test_relative_monodromy_uniqueness_by_perturbation():
         alt = Subspace.span(alt_rows, 3)
         perturbed = IncreasingFiltration(3, [(-1, alt), (1, Subspace.full(3))])
         assert perturbed != m
-        assert not check_relative_axioms(perturbed, n, w)
+        assert not axioms_in_t(perturbed, [n], w, [(1,)])
 
 
 def test_star_examples():
@@ -837,9 +838,9 @@ def test_check_relative_axioms_over_a_pure_w_holds_exactly_for_w_of_n(seed):
         built = _built(monodromy_filtration, op, c)
         pure = IncreasingFiltration.pure(dim, c)
         for cand in _w_candidates(m, center, rng):
-            assert check_relative_axioms(cand, op, pure) == (cand == built), \
+            assert axioms_in_t(cand, [op], pure, [(1,)]) == (cand == built), \
                 (cand, c)
-    assert check_relative_axioms(m, n, IncreasingFiltration.pure(dim, center))
+    assert axioms_in_t(m, [n], IncreasingFiltration.pure(dim, center), [(1,)])
 
 
 def _closed_formula_w_of_n(n: Matrix, center: int) -> IncreasingFiltration:
@@ -858,19 +859,48 @@ def _closed_formula_w_of_n(n: Matrix, center: int) -> IncreasingFiltration:
     return IncreasingFiltration(n.cols, steps)
 
 
-@settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       seed=st.integers(0, 10 ** 6), center=st.integers(-2, 2))
-def test_w_of_n_equals_the_closed_formula(sizes, seed, center):
-    """W(N) for N of every Jordan type up to dimension 16: a sum of Jordan
-    blocks of the drawn sizes, conjugated by a random unimodular matrix."""
+def _conjugated_jordan(sizes, seed):
+    """A sum of Jordan blocks of the given sizes, conjugated by a random
+    unimodular matrix."""
     dim = sum(sizes)
     starts = {sum(sizes[:i]) for i in range(len(sizes))}
     jordan = Matrix([[int(j == i + 1 and j not in starts) for j in range(dim)]
                      for i in range(dim)])
     g = generate.random_unimodular(dim, random.Random(seed))
-    n = g * jordan * g.inverse()
+    return g * jordan * g.inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       seed=st.integers(0, 10 ** 6), center=st.integers(-2, 2))
+def test_w_of_n_equals_the_closed_formula(sizes, seed, center):
+    """W(N) for N of every Jordan type up to dimension 16."""
+    n = _conjugated_jordan(sizes, seed)
     assert monodromy_filtration(n, center) == _closed_formula_w_of_n(n, center)
+
+
+def _at_most_8(sizes):
+    """The longest prefix of sizes that sums to at most 8."""
+    return [k for i, k in enumerate(sizes) if sum(sizes[:i + 1]) <= 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1,
+                      max_size=8).map(_at_most_8),
+       seed=st.integers(0, 10 ** 6))
+@example(sizes=[1, 1, 1], seed=0)       # N = 0
+@example(sizes=[1], seed=0)
+@example(sizes=[2], seed=0)
+@example(sizes=[3], seed=0)
+@example(sizes=[4], seed=0)
+def test_monodromy_dims_read_the_jordan_type(sizes, seed):
+    """A Jordan block of length k centred at c spans one dimension of W(N)
+    at each of c + k - 1, c + k - 3, ..., c - k + 1."""
+    n = _conjugated_jordan(sizes, seed)
+    for center in range(-2, 3):
+        want = collections.Counter(center + k - 1 - 2 * j
+                                   for k in sizes for j in range(k))
+        assert filtrations._monodromy_dims(n, center) == want, center
 
 
 # sha256 of W(N) on the 1040 draws of
@@ -991,8 +1021,8 @@ def test_a_zero_operator_keeps_w_without_lifting_a_chain(monkeypatch):
 
 def test_a_zero_operator_is_still_checked_against_the_axioms(monkeypatch):
     """The zero N takes M = W through the one check every M(N, W) passes."""
-    monkeypatch.setattr(filtrations, "check_relative_axioms",
-                        lambda m, n, w: False)
+    monkeypatch.setattr(filtrations, "axioms_in_t",
+                        lambda *args: False)
     for w in _zero_operator_flags():
         with pytest.raises(AssertionError,
                            match=r"^M\(N, W\) fails its axioms$"):
@@ -1043,10 +1073,10 @@ def test_check_relative_axioms_holds_exactly_for_the_built_filtration(seed):
         if op is not n:
             assert expected is None
         for cand in candidates:
-            assert check_relative_axioms(cand, op, w) == (cand == expected), cand
+            assert axioms_in_t(cand, [op], w, [(1,)]) == (cand == expected), cand
 
 
-# -- the t-test on graded blocks against building at N(t) --------------------
+# -- the t-test against building at N(t) -----------------------------------
 
 def _sum(ops, t):
     return functools.reduce(lambda a, b: a + b,
@@ -1060,7 +1090,7 @@ def _positive_t(rng, k):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_axioms_in_t_agrees_with_building_at_positive_t(seed):
-    """Wherever the block test applies, it holds at t exactly when the
+    """Wherever the t-test applies, it holds at t exactly when the
     builder returns the candidate at N(t) = sum t_j N_j (a raise counts as
     no), for the filtration built at one t and for moved, stretched and
     perturbed ones.  The second operator is a multiple of the first (so

@@ -690,7 +690,7 @@ def test_operators_are_remembered_inside_an_evaluation(name):
     assert again == first and again is not first and build() is not again
 
 
-# -- the sampled t: decided on graded blocks, against building at every t ----
+# -- the sampled t: decided by counting, against building at every t --------
 
 def _opposite_branches(weight_doc):
     """Two branches with N_2 = -N_1 = -J2 on a plane, so N(t) = (t_1 - t_2) J2
@@ -782,9 +782,9 @@ def test_a_t_dependent_orbit_reports_what_building_at_every_t_gives(
 
 
 def test_a_later_t_failing_the_block_test_reports_what_building_gives():
-    """N_1 e1 = N_2 e1 = e3, N_1 e2 = 15 e4 and N_2 e2 = -4 e4: the blocks
-    apply, and N(t) kills e2 at the second later t = (1/3, 5/4) only, where
-    the block test fails."""
+    """N_1 e1 = N_2 e1 = e3, N_1 e2 = 15 e4 and N_2 e2 = -4 e4: both lower
+    M by two, and N(t) kills e2 at the second later t = (1/3, 5/4) only,
+    where the t-test fails."""
     zero = ["0"] * 4
     n1, n2 = ([zero, zero, ["1", "0", "0", "0"], ["0", c, "0", "0"]]
               for c in ("15", "-4"))
@@ -839,10 +839,10 @@ def test_sampled_rows_equal_building_at_every_t_on_generated_draws(draw):
 def test_a_passing_orbit_builds_each_relative_filtration_once(monkeypatch):
     """N(t) is summed and each filtration built once per branch subset, at
     the first t.  The three later t of a subset of two or more branches are
-    decided on graded blocks, one block test per subset and one on the
-    Gr^W of gen_pure_n3; a one-branch subset builds no block test, as
-    t_j N_j has the filtrations of N_j.  W(N) is built once on each Gr^W,
-    as M(N, W) over that pure piece: one relative build more per Gr^W.  No
+    decided by counting, one t-test per subset and one on the Gr^W of
+    gen_pure_n3; a one-branch subset runs no t-test, as t_j N_j has the
+    filtrations of N_j.  W(N) is built once on each Gr^W, as M(N, W) over
+    that pure piece: one relative build more per Gr^W.  No
     memo is open, so every build is counted; W(N), which has no memo of its
     own, is counted where imhs_check reads it."""
     calls = collections.Counter()

@@ -11,6 +11,10 @@ the standard library, and every relative one a module of the package.
 
 Importing the modules a verb runs stays lean: a fresh interpreter loads
 none of the modules of ``HEAVY`` with them.
+
+No module uses an ``assert`` statement, which ``python -O`` strips: each
+self-check raises its ``AssertionError`` explicitly, so it holds under
+every optimisation level.
 """
 
 import ast
@@ -90,6 +94,25 @@ def test_a_third_party_import_is_found():
               "from ..elsewhere import y\n")
     assert _foreign_imports(source) == ["numpy", "sympy.matrices", ".nowhere",
                                         "..elsewhere"]
+
+
+def _assert_lines(source: str):
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_uses_an_assert_statement(path):
+    lines = _assert_lines(path.read_text(encoding="utf-8"))
+    assert lines == [], f"{path.name} asserts at lines {lines}"
+
+
+def test_an_assert_statement_is_found():
+    source = ("def f(x):\n"
+              "    assert x, 'bare'\n"
+              "    if not x:\n"
+              "        raise AssertionError('explicit')\n")
+    assert _assert_lines(source) == [2]
 
 
 def test_importing_the_cli_modules_loads_no_heavy_module():

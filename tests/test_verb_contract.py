@@ -223,7 +223,7 @@ def test_no_verb_eliminates_no_rows(tmp_path, capsys, monkeypatch):
             empty.append(width)
             raise AssertionError("rref of no rows")
         return real_rref(rows, width)
-    for stem in ("linalg", "filtrations", "model", "generate"):
+    for stem in ("linalg", "model", "generate"):
         monkeypatch.setattr(importlib.import_module(f"loghodge.{stem}"),
                             "rref", rref_of_rows)
     for make, n, seed in itertools.product(
